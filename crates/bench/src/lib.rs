@@ -537,6 +537,45 @@ mod tests {
     }
 
     #[test]
+    fn pair_count_comm_cost_matches_the_per_vertex_sum() {
+        use hyperpraw_core::metrics::partitioning_communication_cost;
+        use hyperpraw_hypergraph::generators::{mesh_hypergraph, MeshConfig};
+        use hyperpraw_hypergraph::traversal::NeighborScratch;
+
+        // Equation 5 summed vertex by vertex: Σ_v Σ_j X_j(v)·C(P(v), j).
+        fn per_vertex_sum(hg: &Hypergraph, partition: &Partition, cost: &CostMatrix) -> f64 {
+            let mut scratch = NeighborScratch::new(hg.num_vertices());
+            let mut counts = Vec::new();
+            let mut total = 0.0;
+            for v in hg.vertices() {
+                scratch.neighbor_partition_counts(hg, partition, v, &mut counts);
+                let row = cost.row(partition.part_of(v) as usize);
+                total += counts
+                    .iter()
+                    .zip(row)
+                    .filter(|(&c, _)| c > 0)
+                    .map(|(&c, &w)| c as f64 * w)
+                    .sum::<f64>();
+            }
+            total
+        }
+
+        let hg = mesh_hypergraph(&MeshConfig::new(3000, 16));
+        let tb = Testbed::archer(24, 0, 1);
+        let scattered = Partition::from_fn(hg.num_vertices(), 24, |v| (v * 7 + v / 5) % 24);
+        let partitioned = Strategy::HyperPrawAware.partition(&hg, &tb, 24, 1);
+        for partition in [scattered, partitioned] {
+            let expected = per_vertex_sum(&hg, &partition, &tb.cost);
+            let got = partitioning_communication_cost(&hg, &partition, &tb.cost);
+            assert!(expected > 0.0);
+            assert!(
+                ((got - expected) / expected).abs() < 1e-12,
+                "pair counts {got} vs per-vertex sum {expected}"
+            );
+        }
+    }
+
+    #[test]
     fn ascii_helpers_produce_output() {
         let rows = vec![vec![0.0, 1.0], vec![1.0, 0.0]];
         let hm = ascii_heatmap(&rows, 2);

@@ -604,8 +604,13 @@ mod tests {
     use hyperpraw::core::{Connectivity, ParallelMode};
     use hyperpraw::hypergraph::HypergraphBuilder;
 
+    /// A path unique per call: tests run concurrently in one process, so
+    /// the process id alone would let them race on the same file.
     fn temp_path(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("hyperpraw_cli_{}_{name}", std::process::id()))
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let id = NEXT.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!("hyperpraw_cli_{}_{id}_{name}", std::process::id()))
     }
 
     fn sample_hgr() -> std::path::PathBuf {

@@ -80,6 +80,7 @@ use std::thread;
 
 use hyperpraw_hypergraph::io::stream::VertexRecord;
 use hyperpraw_hypergraph::io::IoResult;
+use hyperpraw_hypergraph::traversal::NeighborScratch;
 use hyperpraw_hypergraph::{
     AssignmentRef, ChunkCursor, HyperedgeId, Hypergraph, NeighborAdjacency, Partition, VertexId,
 };
@@ -87,7 +88,7 @@ use hyperpraw_telemetry::{Counter, Gauge, Histogram, Registry};
 use hyperpraw_topology::CostMatrix;
 
 use crate::history::{IterationRecord, PartitionHistory, StreamPhase};
-use crate::metrics::{partitioning_communication_cost, partitioning_communication_cost_with};
+use crate::metrics::{check_shapes, PairCounts};
 use crate::value::{best_partition_in, ScoredPartition, ValueScratch};
 use crate::{HyperPrawConfig, RefinementPolicy};
 
@@ -333,36 +334,103 @@ impl CommCostModel for NoCommCost {
     }
 }
 
+/// [`ExactCommCost`] patches its part-pair counts from the moved vertices
+/// while fewer than `1 / REBUILD_DENOMINATOR` of all vertices moved since
+/// its last evaluation; past that, counting afresh is cheaper.
+const REBUILD_DENOMINATOR: usize = 4;
+
 /// Exact evaluation over an in-memory hypergraph
-/// ([`partitioning_communication_cost`]). When a precomputed
+/// ([`crate::metrics::partitioning_communication_cost`]). When a precomputed
 /// [`NeighborAdjacency`] is supplied — the in-memory drivers share the
-/// provider's — every per-pass evaluation scans flat neighbour lists
-/// instead of re-deduplicating each neighbourhood, with bit-identical
-/// results ([`partitioning_communication_cost_with`]).
-#[derive(Clone, Copy, Debug)]
+/// provider's — neighbourhoods come from flat lists instead of being
+/// re-deduplicated ([`crate::metrics::partitioning_communication_cost_with`]).
+///
+/// The model is **incremental**: it keeps the last assignment it evaluated
+/// together with that assignment's exact part-pair counts `M` (see
+/// [`crate::metrics`]). Each call diffs the new partition against the
+/// last one; when fewer than a quarter of the vertices moved, every moved
+/// vertex is replayed in vertex order — its neighbourhood shifts one row
+/// and one column of `M` — so a pass costs O(moved vertices' degrees)
+/// instead of O(pins). Larger moves recount `M` from scratch. Either way
+/// `M` is exact and the final dot product is the one every evaluation in
+/// [`crate::metrics`] shares, so each result is **bit-identical** to a
+/// fresh [`crate::metrics::partitioning_communication_cost`] of the same
+/// partition. The state costs `p²` counters plus one copy of the
+/// assignment.
+#[derive(Clone, Debug)]
 pub struct ExactCommCost<'a> {
     hg: &'a Hypergraph,
     adj: Option<&'a NeighborAdjacency>,
+    /// The assignment evaluated last and its part-pair counts.
+    last: Option<(Partition, PairCounts)>,
+    /// Traversal scratch for hubs (or every vertex, without an adjacency).
+    scratch: Option<NeighborScratch>,
+    /// Reused list of the vertices moved since the last evaluation.
+    moved: Vec<VertexId>,
 }
 
 impl<'a> ExactCommCost<'a> {
     /// Creates a model evaluating against `hg` by neighbourhood traversal.
     pub fn new(hg: &'a Hypergraph) -> Self {
-        Self { hg, adj: None }
+        Self {
+            hg,
+            adj: None,
+            last: None,
+            scratch: None,
+            moved: Vec::new(),
+        }
     }
 
     /// Creates a model answering from a precomputed adjacency.
     pub fn with_adjacency(hg: &'a Hypergraph, adj: &'a NeighborAdjacency) -> Self {
-        Self { hg, adj: Some(adj) }
+        Self {
+            adj: Some(adj),
+            ..Self::new(hg)
+        }
+    }
+
+    /// Brings the retained counts up to `partition`: replays the moved
+    /// vertices when fewer than a quarter moved, recounts otherwise.
+    fn update(&mut self, partition: &Partition) -> &PairCounts {
+        let n = partition.num_vertices();
+        self.moved.clear();
+        let patchable = match &self.last {
+            Some((last, _))
+                if last.num_vertices() == n && last.num_parts() == partition.num_parts() =>
+            {
+                let pairs = last.assignment().iter().zip(partition.assignment());
+                for (v, (old, new)) in pairs.enumerate() {
+                    if old != new {
+                        self.moved.push(v as VertexId);
+                        if self.moved.len() * REBUILD_DENOMINATOR >= n {
+                            break;
+                        }
+                    }
+                }
+                self.moved.len() * REBUILD_DENOMINATOR < n
+            }
+            _ => false,
+        };
+        let (last, counts) = match self.last.take() {
+            Some(state) if patchable => self.last.insert(state),
+            _ => {
+                self.moved.clear();
+                let counts = PairCounts::build(self.hg, self.adj, partition, &mut self.scratch);
+                self.last.insert((partition.clone(), counts))
+            }
+        };
+        for &v in &self.moved {
+            let to = partition.part_of(v);
+            counts.move_vertex(self.hg, self.adj, last, v, to, &mut self.scratch);
+        }
+        counts
     }
 }
 
 impl CommCostModel for ExactCommCost<'_> {
     fn comm_cost(&mut self, partition: &Partition, cost: &CostMatrix) -> Option<f64> {
-        Some(match self.adj {
-            Some(adj) => partitioning_communication_cost_with(self.hg, adj, partition, cost),
-            None => partitioning_communication_cost(self.hg, partition, cost),
-        })
+        check_shapes(self.hg, partition, cost);
+        Some(self.update(partition).dot(cost))
     }
 }
 
@@ -582,6 +650,9 @@ pub struct Engine {
 struct EngineMetrics {
     /// Wall-clock of each streaming pass, microseconds.
     pass_time_us: Histogram,
+    /// Wall-clock of each comm-cost evaluation (per pass and final),
+    /// microseconds.
+    commcost_eval_us: Histogram,
     /// Vertices scored across all passes (each pass streams the source once).
     vertices_scored: Counter,
     /// Doubt-buffer entries at the end of the latest pass.
@@ -598,6 +669,7 @@ impl EngineMetrics {
     fn bind(registry: &Registry) -> Self {
         EngineMetrics {
             pass_time_us: registry.histogram("engine.pass_time_us"),
+            commcost_eval_us: registry.histogram("engine.commcost_eval_us"),
             vertices_scored: registry.counter("engine.vertices_scored"),
             doubt_entries: registry.gauge("engine.doubt.entries"),
             doubt_bytes: registry.gauge("engine.doubt.bytes"),
@@ -835,7 +907,7 @@ impl Engine {
             assigned = true;
 
             let imbalance = state.imbalance();
-            let comm_cost = cost_model.comm_cost(&state.partition, cost);
+            let comm_cost = self.eval_comm_cost(cost_model, &state.partition, cost);
             let feasible = imbalance <= config.imbalance_tolerance + 1e-12;
             if config.track_history {
                 history.push(IterationRecord {
@@ -936,8 +1008,8 @@ impl Engine {
         let (partition, comm_cost, imbalance) = match previous_feasible {
             Some((partition, c, imb)) => (partition, c, imb),
             None => {
-                let c = cost_model
-                    .comm_cost(&state.partition, cost)
+                let c = self
+                    .eval_comm_cost(cost_model, &state.partition, cost)
                     .unwrap_or(f64::NAN);
                 let imb = state.imbalance();
                 (state.partition, c, imb)
@@ -955,6 +1027,19 @@ impl Engine {
             restreamed,
             moved_in_restream,
         })
+    }
+
+    /// One timed `cost_model` evaluation.
+    fn eval_comm_cost<C: CommCostModel>(
+        &self,
+        cost_model: &mut C,
+        partition: &Partition,
+        cost: &CostMatrix,
+    ) -> Option<f64> {
+        let span = self.metrics.commcost_eval_us.span();
+        let comm_cost = cost_model.comm_cost(partition, cost);
+        span.finish();
+        comm_cost
     }
 
     /// Pushes Algorithm 1's round-robin initial assignment into the

@@ -6,6 +6,20 @@
 //! structure with the physical cost of communication between the compute
 //! units hosting each partition, and a [`QualityReport`] bundling everything
 //! reported in Figure 4.
+//!
+//! Equation 5 sums, over every vertex `v`, the cost `T_P(v)(v) =
+//! Σ_j X_j(v)·C(P(v), j)` of hosting `v` where it lives. Every evaluation
+//! here regroups that sum by part pair: it first counts the exact `u64`
+//! ordered part-pair matrix `M[a][b]` — the number of pairs `(v, u)` with
+//! `u` a distinct neighbour of `v`, `P(v) = a` and `P(u) = b` — and then
+//! returns `Σ_a Σ_b M[a][b]·C(a, b)` through one row-major dot over the
+//! `p²` entries. Because `M` holds exact integers and the dot is shared,
+//! any two evaluations of the same partition agree bit for bit, however
+//! `M` was obtained: counted from scratch by
+//! [`partitioning_communication_cost`] or
+//! [`partitioning_communication_cost_with`], or patched from the moved
+//! vertices only by the engine's incremental
+//! [`crate::engine::ExactCommCost`].
 
 use hyperpraw_hypergraph::traversal::NeighborScratch;
 use hyperpraw_hypergraph::{
@@ -13,67 +27,40 @@ use hyperpraw_hypergraph::{
 };
 use hyperpraw_topology::CostMatrix;
 
-/// The communication cost `T_i(v)` of hosting vertex `v` on partition `i`
-/// (equation 4): the number of neighbours of `v` in every other partition
-/// `j`, weighted by the cost `C(i, j)` of the link between the two compute
-/// units.
-///
-/// `counts` must hold the neighbour-partition counts `X_j(v)` (as produced
-/// by [`NeighborScratch::neighbor_partition_counts`]).
-#[inline]
-pub fn vertex_comm_cost(counts: &[u32], candidate: u32, cost: &CostMatrix) -> f64 {
-    let row = cost.row(candidate as usize);
-    counts
-        .iter()
-        .enumerate()
-        .filter(|(_, &c)| c > 0)
-        .map(|(j, &c)| c as f64 * row[j])
-        .sum()
-}
-
 /// The partitioning communication cost `PC(P)` (equation 5): the sum of
 /// `T_i(v)` over every vertex `v`, evaluated at the partition `i` the vertex
 /// is assigned to. This is the metric monitored during the refinement phase
-/// and reported in Figure 4C.
+/// and reported in Figure 4C. Evaluated through the part-pair counts of the
+/// [module docs](self), with neighbourhoods deduplicated by traversal.
 pub fn partitioning_communication_cost(
     hg: &Hypergraph,
     partition: &Partition,
     cost: &CostMatrix,
 ) -> f64 {
-    assert_eq!(
-        partition.num_parts() as usize,
-        cost.num_units(),
-        "cost matrix size must match the partition count"
-    );
-    assert_eq!(
-        partition.num_vertices(),
-        hg.num_vertices(),
-        "partition must cover the hypergraph"
-    );
-    let mut scratch = NeighborScratch::new(hg.num_vertices());
-    let mut counts: Vec<u32> = Vec::new();
-    let mut total = 0.0;
-    for v in hg.vertices() {
-        scratch.neighbor_partition_counts(hg, partition, v, &mut counts);
-        total += vertex_comm_cost(&counts, partition.part_of(v), cost);
-    }
-    total
+    check_shapes(hg, partition, cost);
+    PairCounts::build(hg, None, partition, &mut None).dot(cost)
 }
 
 /// [`partitioning_communication_cost`] answered through a precomputed
-/// [`NeighborAdjacency`]: every vertex's `X_j(v)` comes from a flat scan
-/// of its deduplicated neighbour list (hubs fall back to epoch traversal)
-/// instead of re-deduplicating the neighbourhood per vertex. Counts are
-/// identical exact integers accumulated in the same vertex order, so the
-/// result is **bit-identical** to the traversal-based evaluation — this is
-/// what lets the refinement stopping rule run on the adjacency without
-/// perturbing the engine-equivalence guarantees.
+/// [`NeighborAdjacency`]: every vertex's neighbours come from a flat scan
+/// of its deduplicated list (hubs fall back to epoch traversal) instead of
+/// re-deduplicating the neighbourhood per vertex. Both paths count the same
+/// exact part-pair matrix, so the result is **bit-identical** to the
+/// traversal-based evaluation — this is what lets the refinement stopping
+/// rule run on the adjacency without perturbing the engine-equivalence
+/// guarantees.
 pub fn partitioning_communication_cost_with(
     hg: &Hypergraph,
     adj: &NeighborAdjacency,
     partition: &Partition,
     cost: &CostMatrix,
 ) -> f64 {
+    check_shapes(hg, partition, cost);
+    PairCounts::build(hg, Some(adj), partition, &mut None).dot(cost)
+}
+
+/// Asserts that `partition` covers `hg` and matches `cost`'s unit count.
+pub(crate) fn check_shapes(hg: &Hypergraph, partition: &Partition, cost: &CostMatrix) {
     assert_eq!(
         partition.num_parts() as usize,
         cost.num_units(),
@@ -84,14 +71,100 @@ pub fn partitioning_communication_cost_with(
         hg.num_vertices(),
         "partition must cover the hypergraph"
     );
-    let mut fallback = None;
-    let mut counts: Vec<u32> = Vec::new();
-    let mut total = 0.0;
-    for v in hg.vertices() {
-        adj.neighbor_partition_counts(hg, partition, v, &mut fallback, &mut counts);
-        total += vertex_comm_cost(&counts, partition.part_of(v), cost);
+}
+
+/// Calls `f` once for every distinct neighbour of `v` (self excluded): a
+/// flat scan of `adj`'s list when it has one, epoch traversal through
+/// `scratch` (created on first use) for hubs or without an adjacency.
+fn for_each_neighbor(
+    hg: &Hypergraph,
+    adj: Option<&NeighborAdjacency>,
+    v: VertexId,
+    scratch: &mut Option<NeighborScratch>,
+    mut f: impl FnMut(VertexId),
+) {
+    let list = match adj.and_then(|adj| adj.neighbors(v)) {
+        Some(list) => list,
+        None => scratch
+            .get_or_insert_with(|| NeighborScratch::new(hg.num_vertices()))
+            .neighbors(hg, v),
+    };
+    for &u in list {
+        f(u);
     }
-    total
+}
+
+/// The exact ordered part-pair neighbour counts `M[a][b]` of the
+/// [module docs](self), row-major over `p × p`.
+#[derive(Clone, Debug)]
+pub(crate) struct PairCounts {
+    num_parts: usize,
+    counts: Vec<u64>,
+}
+
+impl PairCounts {
+    /// Counts `M` from scratch for `partition`.
+    pub(crate) fn build(
+        hg: &Hypergraph,
+        adj: Option<&NeighborAdjacency>,
+        partition: &Partition,
+        scratch: &mut Option<NeighborScratch>,
+    ) -> Self {
+        let p = partition.num_parts() as usize;
+        let mut counts = vec![0u64; p * p];
+        for v in hg.vertices() {
+            let row = partition.part_of(v) as usize * p;
+            for_each_neighbor(hg, adj, v, scratch, |u| {
+                counts[row + partition.part_of(u) as usize] += 1;
+            });
+        }
+        Self {
+            num_parts: p,
+            counts,
+        }
+    }
+
+    /// Moves `v` from its part in `running` to `to`, in `M` and in
+    /// `running`. Only `v`'s neighbourhood is read: every neighbour `u` in
+    /// part `c` shifts the pairs `(v, u)` from row `P(v)` to row `to` and
+    /// the pairs `(u, v)` from column `P(v)` to column `to`.
+    pub(crate) fn move_vertex(
+        &mut self,
+        hg: &Hypergraph,
+        adj: Option<&NeighborAdjacency>,
+        running: &mut Partition,
+        v: VertexId,
+        to: u32,
+        scratch: &mut Option<NeighborScratch>,
+    ) {
+        let p = self.num_parts;
+        let from = running.part_of(v) as usize;
+        let to_row = to as usize;
+        let counts = &mut self.counts;
+        for_each_neighbor(hg, adj, v, scratch, |u| {
+            let c = running.part_of(u) as usize;
+            counts[from * p + c] -= 1;
+            counts[c * p + from] -= 1;
+            counts[to_row * p + c] += 1;
+            counts[c * p + to_row] += 1;
+        });
+        running.set(v, to);
+    }
+
+    /// `Σ_a Σ_b M[a][b]·C(a, b)` in row-major order; zero counts are
+    /// skipped.
+    pub(crate) fn dot(&self, cost: &CostMatrix) -> f64 {
+        let p = self.num_parts;
+        let mut total = 0.0;
+        for (a, row) in self.counts.chunks_exact(p.max(1)).enumerate() {
+            for (&m, &c) in row.iter().zip(cost.row(a)) {
+                if m > 0 {
+                    total += m as f64 * c;
+                }
+            }
+        }
+        total
+    }
 }
 
 /// All quality metrics the paper reports for one partitioning (Figure 4
@@ -131,21 +204,6 @@ impl QualityReport {
             self.hyperedge_cut, self.soed, self.comm_cost, self.imbalance
         )
     }
-}
-
-/// Convenience: the communication cost of a single vertex in its assigned
-/// partition, recomputed from scratch (allocates; prefer batching via
-/// [`partitioning_communication_cost`] in hot code).
-pub fn vertex_cost_in_place(
-    hg: &Hypergraph,
-    partition: &Partition,
-    cost: &CostMatrix,
-    v: VertexId,
-) -> f64 {
-    let mut scratch = NeighborScratch::new(hg.num_vertices());
-    let mut counts = Vec::new();
-    scratch.neighbor_partition_counts(hg, partition, v, &mut counts);
-    vertex_comm_cost(&counts, partition.part_of(v), cost)
 }
 
 #[cfg(test)]
@@ -211,16 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn vertex_comm_cost_ignores_own_partition() {
-        let cost = CostMatrix::uniform(3);
-        // Neighbour counts: 2 in part 0, 5 in part 1, 1 in part 2.
-        let counts = vec![2u32, 5, 1];
-        // Hosted on part 1: own partition contributes nothing.
-        let c = vertex_comm_cost(&counts, 1, &cost);
-        assert_eq!(c, 3.0);
-    }
-
-    #[test]
     fn quality_report_is_consistent_with_individual_metrics() {
         let hg = sample();
         let part = Partition::from_assignment(vec![0, 1, 0, 1], 2).unwrap();
@@ -236,18 +284,6 @@ mod tests {
             report.csv_row().split(',').count(),
             QualityReport::csv_header().split(',').count()
         );
-    }
-
-    #[test]
-    fn vertex_cost_in_place_matches_total() {
-        let hg = sample();
-        let part = Partition::from_assignment(vec![0, 1, 0, 1], 2).unwrap();
-        let cost = CostMatrix::uniform(2);
-        let total: f64 = hg
-            .vertices()
-            .map(|v| vertex_cost_in_place(&hg, &part, &cost, v))
-            .sum();
-        assert!((total - partitioning_communication_cost(&hg, &part, &cost)).abs() < 1e-12);
     }
 
     #[test]

@@ -312,6 +312,27 @@ mod tests {
     }
 
     #[test]
+    fn comm_cost_evaluations_are_timed_without_changing_the_partition() {
+        let hg = mesh_hypergraph(&MeshConfig::new(600, 8));
+        let registry = hyperpraw_telemetry::Registry::new();
+        let praw = HyperPraw::aware(HyperPrawConfig::default(), archer_cost(8));
+        let plain = praw.partition(&hg);
+        let timed = praw.clone().with_registry(&registry).partition(&hg);
+        assert_eq!(plain.partition, timed.partition);
+        assert_eq!(plain.comm_cost.to_bits(), timed.comm_cost.to_bits());
+        // One evaluation per pass, plus a final one when no feasible
+        // snapshot was kept.
+        let evals = registry
+            .histogram_snapshot("engine.commcost_eval_us")
+            .expect("a live registry records the evaluations");
+        let passes = timed.iterations as u64;
+        assert!(
+            evals.count == passes || evals.count == passes + 1,
+            "{evals:?}"
+        );
+    }
+
+    #[test]
     fn max_iterations_is_honoured() {
         let hg = mesh_hypergraph(&MeshConfig::new(300, 8));
         let config = HyperPrawConfig::default()

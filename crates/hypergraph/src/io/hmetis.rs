@@ -18,7 +18,7 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-use crate::io::{IoError, IoResult};
+use crate::io::{capacity_hint, IoError, IoResult};
 use crate::{Hypergraph, HypergraphBuilder, VertexId};
 
 /// Reads a hypergraph in hMetis format from a buffered reader.
@@ -60,7 +60,7 @@ pub fn read_hgr<R: BufRead>(reader: R) -> IoResult<Hypergraph> {
     let has_edge_weights = fmt == 1 || fmt == 11;
     let has_vertex_weights = fmt == 10 || fmt == 11;
 
-    let mut builder = HypergraphBuilder::with_capacity(num_vertices, num_edges);
+    let mut builder = HypergraphBuilder::with_capacity(num_vertices, capacity_hint(num_edges));
     let mut edges_read = 0usize;
     let mut vertex_weights_read = 0usize;
 
@@ -237,6 +237,13 @@ mod tests {
         let text = "3 3\n1 2\n";
         let err = read_hgr(Cursor::new(text)).unwrap_err();
         assert!(format!("{err}").contains("expected 3 hyperedges"));
+    }
+
+    #[test]
+    fn absurd_header_counts_are_a_parse_error_not_an_allocation() {
+        let err = read_hgr(Cursor::new("99999999999999 3\n1 2\n")).unwrap_err();
+        assert!(matches!(err, IoError::Parse { line: 1, .. }), "{err}");
+        assert!(format!("{err}").contains("expected 99999999999999 hyperedges, found 1"));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-use crate::io::{IoError, IoResult};
+use crate::io::{capacity_hint, IoError, IoResult};
 use crate::{Hypergraph, HypergraphBuilder, VertexId};
 
 /// How to turn a sparse matrix into a hypergraph.
@@ -41,23 +41,19 @@ impl CoordinateMatrix {
     /// Converts the matrix to a hypergraph under the given model.
     pub fn to_hypergraph(&self, model: SparseMatrixModel, name: &str) -> Hypergraph {
         type EntryKey = fn(&(u32, u32)) -> (u32, u32);
-        let (num_vertices, num_nets, key): (usize, usize, EntryKey) = match model {
-            SparseMatrixModel::RowNet => (self.cols, self.rows, |&(r, c)| (r, c)),
-            SparseMatrixModel::ColumnNet => (self.rows, self.cols, |&(r, c)| (c, r)),
+        let (num_vertices, key): (usize, EntryKey) = match model {
+            SparseMatrixModel::RowNet => (self.cols, |&(r, c)| (r, c)),
+            SparseMatrixModel::ColumnNet => (self.rows, |&(r, c)| (c, r)),
         };
-        let mut nets: Vec<Vec<VertexId>> = vec![Vec::new(); num_nets];
-        for entry in &self.entries {
-            let (net, pin) = key(entry);
-            nets[net as usize].push(pin as VertexId);
-        }
-        let mut builder = HypergraphBuilder::with_capacity(num_vertices, num_nets);
+        // Group pins by net through a sort rather than a table indexed by
+        // net id: the declared net count need not be backed by entries.
+        let mut keyed: Vec<(u32, u32)> = self.entries.iter().map(key).collect();
+        keyed.sort_unstable();
+        let mut builder = HypergraphBuilder::new(num_vertices);
         builder.name(name.to_string());
-        for net in nets {
-            if !net.is_empty() {
-                builder.add_hyperedge(net);
-            }
+        for net in keyed.chunk_by(|a, b| a.0 == b.0) {
+            builder.add_hyperedge(net.iter().map(|&(_, pin)| pin as VertexId));
         }
-        builder.ensure_vertices(num_vertices);
         builder.build()
     }
 }
@@ -117,7 +113,12 @@ pub fn read_mtx<R: BufRead>(reader: R) -> IoResult<CoordinateMatrix> {
         .parse()
         .map_err(|_| IoError::parse(size_no, "invalid nonzero count"))?;
 
-    let mut entries: Vec<(u32, u32)> = Vec::with_capacity(if symmetric { nnz * 2 } else { nnz });
+    let declared = if symmetric {
+        nnz.saturating_mul(2)
+    } else {
+        nnz
+    };
+    let mut entries: Vec<(u32, u32)> = Vec::with_capacity(capacity_hint(declared));
     let mut read = 0usize;
     for (i, line) in lines {
         let line_no = i + 1;
@@ -280,6 +281,24 @@ mod tests {
         let text = "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n";
         let err = read_mtx(Cursor::new(text)).unwrap_err();
         assert!(format!("{err}").contains("expected 3 entries"));
+    }
+
+    #[test]
+    fn absurd_header_counts_are_a_parse_error_not_an_allocation() {
+        let text = "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 99999999999999\n1 2\n";
+        let err = read_mtx(Cursor::new(text)).unwrap_err();
+        assert!(format!("{err}").contains("expected 99999999999999 entries, found 1"));
+    }
+
+    #[test]
+    fn declared_net_count_is_not_allocated_up_front() {
+        let text = "%%MatrixMarket matrix coordinate pattern general\n99999999999999 3 1\n5 2\n";
+        let hg = read_mtx(Cursor::new(text))
+            .unwrap()
+            .to_hypergraph(SparseMatrixModel::RowNet, "wide");
+        assert_eq!(hg.num_vertices(), 3);
+        assert_eq!(hg.num_hyperedges(), 1);
+        assert_eq!(hg.pins(0), &[1]);
     }
 
     #[test]

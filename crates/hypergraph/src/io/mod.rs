@@ -39,6 +39,17 @@ pub mod hmetis;
 pub mod matrix_market;
 pub mod stream;
 
+/// Upper bound on the capacity a reader reserves from a count its input
+/// declares. Header counts are untrusted — a 20-byte file can claim 10^14
+/// hyperedges — so readers reserve at most this many entries up front and
+/// let collections grow on demand past it.
+const MAX_CAPACITY_HINT: usize = 1 << 16;
+
+/// A header-declared count, clamped to a capacity worth reserving.
+pub(crate) fn capacity_hint(declared: usize) -> usize {
+    declared.min(MAX_CAPACITY_HINT)
+}
+
 /// Errors arising while reading a hypergraph file.
 #[derive(Debug)]
 pub enum IoError {
