@@ -230,7 +230,6 @@ pub fn execute(cli: &Cli) -> Result<(), CommandError> {
             algorithm,
             machine,
             imbalance,
-            connectivity,
             threads,
             parallel_mode,
             seed,
@@ -250,7 +249,6 @@ pub fn execute(cli: &Cli) -> Result<(), CommandError> {
                 .cost(cost)
                 .seed(*seed)
                 .imbalance_tolerance(*imbalance)
-                .connectivity(*connectivity)
                 .parallel_mode(*parallel_mode)
                 .registry(&metrics);
             if let Some(t) = threads {
@@ -601,7 +599,7 @@ pub fn execute(cli: &Cli) -> Result<(), CommandError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hyperpraw::core::{Connectivity, ParallelMode};
+    use hyperpraw::core::ParallelMode;
     use hyperpraw::hypergraph::HypergraphBuilder;
 
     /// A path unique per call: tests run concurrently in one process, so
@@ -629,7 +627,6 @@ mod tests {
         input: std::path::PathBuf,
         parts: u32,
         algorithm: Algorithm,
-        connectivity: Connectivity,
         threads: Option<usize>,
         parallel_mode: ParallelMode,
         seed: u64,
@@ -643,7 +640,6 @@ mod tests {
                 input,
                 parts,
                 algorithm: Algorithm::HyperPrawBasic,
-                connectivity: Connectivity::Auto,
                 threads: None,
                 parallel_mode: ParallelMode::Bsp,
                 seed: 1,
@@ -659,7 +655,6 @@ mod tests {
                 algorithm: self.algorithm,
                 machine: MachinePreset::Flat,
                 imbalance: 1.2,
-                connectivity: self.connectivity,
                 threads: self.threads,
                 parallel_mode: self.parallel_mode,
                 seed: self.seed,
@@ -753,37 +748,6 @@ mod tests {
         assert!(json.contains("\"config\""));
         fs::remove_file(input).ok();
         fs::remove_file(json_out).ok();
-    }
-
-    #[test]
-    fn partition_command_is_identical_across_connectivity_providers() {
-        // The provider axis must be quality-neutral all the way through the
-        // CLI: the same invocation with --connectivity csr/adjacency/auto
-        // writes the same assignment file.
-        let input = sample_hgr();
-        let mut assignments = Vec::new();
-        for choice in [
-            Connectivity::Csr,
-            Connectivity::Adjacency,
-            Connectivity::Auto,
-        ] {
-            let output = temp_path(&format!("conn_{choice:?}.txt"));
-            execute(&Cli {
-                command: PartitionArgs {
-                    connectivity: choice,
-                    seed: 3,
-                    output: Some(output.clone()),
-                    ..PartitionArgs::new(input.clone(), 2)
-                }
-                .command(),
-            })
-            .unwrap();
-            assignments.push(fs::read_to_string(&output).unwrap());
-            fs::remove_file(output).ok();
-        }
-        fs::remove_file(input).ok();
-        assert_eq!(assignments[0], assignments[1]);
-        assert_eq!(assignments[0], assignments[2]);
     }
 
     /// Builder for `Command::LowMem` literals in tests (enum variants do

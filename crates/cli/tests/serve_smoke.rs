@@ -153,3 +153,52 @@ fn serve_stdio_bounds_lookups_and_request_lines() {
     let status = child.wait().unwrap();
     assert!(status.success(), "serve exited with {status}");
 }
+
+/// A `partition` request naming a file whose header declares more
+/// vertices than `u32` ids can address is a structured refusal — the
+/// parser rejects the count instead of the allocator aborting the daemon
+/// — and the same session goes on to serve an inline `partition`.
+#[test]
+fn serve_stdio_refuses_a_hostile_vertex_count_and_keeps_serving() {
+    let path = std::env::temp_dir().join(format!(
+        "hyperpraw_serve_hostile_{}.hgr",
+        std::process::id()
+    ));
+    std::fs::write(&path, "1 99999999999999\n1 2\n").unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hyperpraw"))
+        .args(["serve", "--stdio"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn hyperpraw serve --stdio");
+
+    let mut stdin = child.stdin.take().unwrap();
+    let stdout = BufReader::new(child.stdout.take().unwrap());
+    let path_json = path
+        .display()
+        .to_string()
+        .replace('\\', "\\\\")
+        .replace('"', "\\\"");
+    let requests = format!(
+        "{{\"op\": \"partition\", \"parts\": 2, \"path\": \"{path_json}\"}}\n\
+         {{\"op\": \"partition\", \"parts\": 2, \"edges\": [[0,1,2],[2,3]]}}\n\
+         {{\"op\": \"shutdown\"}}\n"
+    );
+    stdin.write_all(requests.as_bytes()).unwrap();
+    stdin.flush().unwrap();
+    drop(stdin);
+
+    let lines: Vec<String> = stdout.lines().map(|l| l.unwrap()).collect();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(lines.len(), 3, "one response per request: {lines:#?}");
+    assert!(
+        lines[0].contains("\"ok\": false") && lines[0].contains("exceeds the u32 id space"),
+        "{}",
+        lines[0]
+    );
+    assert!(lines[1].contains("\"ok\": true"), "{}", lines[1]);
+    assert_eq!(lines[2], "{\"ok\": true, \"bye\": true}");
+
+    let status = child.wait().unwrap();
+    assert!(status.success(), "serve exited with {status}");
+}

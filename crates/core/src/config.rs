@@ -1,72 +1,5 @@
 //! Configuration of the HyperPRAW restreaming partitioner.
 
-use hyperpraw_hypergraph::AdjacencyBudget;
-
-/// Which in-memory connectivity provider answers the `X_j(v)` queries of
-/// the restreaming engine. Both providers return identical exact integer
-/// counts — partitions and f64 histories are bit-identical under either —
-/// so this knob trades build-time and memory against per-visit cost, not
-/// quality.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Connectivity {
-    /// Epoch-marked CSR traversal ([`crate::engine::CsrProvider`]): no
-    /// precomputation, `O(Σ_{e∋v}|e|)` re-deduplication per visit, and an
-    /// `O(|V|)` scratch per worker.
-    Csr,
-    /// Precomputed deduplicated adjacency ([`crate::engine::AdjProvider`])
-    /// with *unbounded* flat lists: fastest restreaming, but adjacency
-    /// memory can go quadratic on dense instances.
-    Adjacency,
-    /// Precomputed adjacency under the automatic budget
-    /// ([`AdjacencyBudget::Auto`], derived from the hypergraph's pin
-    /// count): flat lists for everything that keeps memory linear in the
-    /// input, epoch-traversal fallback for hub vertices above the
-    /// cutover. The default.
-    #[default]
-    Auto,
-}
-
-impl Connectivity {
-    /// The adjacency budget this selection implies, or `None` for the CSR
-    /// traversal provider.
-    pub fn adjacency_budget(&self) -> Option<AdjacencyBudget> {
-        match self {
-            Connectivity::Csr => None,
-            Connectivity::Adjacency => Some(AdjacencyBudget::Unbounded),
-            Connectivity::Auto => Some(AdjacencyBudget::Auto),
-        }
-    }
-
-    /// Name as printed in reports and bench ids.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Connectivity::Csr => "csr",
-            Connectivity::Adjacency => "adjacency",
-            Connectivity::Auto => "auto",
-        }
-    }
-
-    /// The accepted `parse` spellings, for error messages and CLI usage
-    /// text — one definition so the two cannot drift apart.
-    pub fn expected_names() -> &'static str {
-        "csr | adjacency | auto"
-    }
-
-    /// Parses the names accepted by [`Connectivity::name`] (plus the `adj`
-    /// shorthand), as used by the CLI and the facade job API.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "csr" => Ok(Connectivity::Csr),
-            "adjacency" | "adj" => Ok(Connectivity::Adjacency),
-            "auto" => Ok(Connectivity::Auto),
-            other => Err(format!(
-                "unknown connectivity provider '{other}' (expected {})",
-                Self::expected_names()
-            )),
-        }
-    }
-}
-
 /// What happens once the workload imbalance drops below the tolerance
 /// (the paper's §6.1 comparison, Figure 3).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -136,9 +69,6 @@ pub struct HyperPrawConfig {
     /// Record per-iteration history (needed for Figure 3; a small cost per
     /// stream).
     pub track_history: bool,
-    /// Which in-memory connectivity provider serves the `X_j(v)` queries.
-    /// Quality-neutral (bit-identical partitions); see [`Connectivity`].
-    pub connectivity: Connectivity,
 }
 
 impl Default for HyperPrawConfig {
@@ -152,7 +82,6 @@ impl Default for HyperPrawConfig {
             stream_order: StreamOrder::Natural,
             seed: 0,
             track_history: true,
-            connectivity: Connectivity::default(),
         }
     }
 }
@@ -203,12 +132,6 @@ impl HyperPrawConfig {
     /// Overrides the stream order.
     pub fn with_stream_order(mut self, order: StreamOrder) -> Self {
         self.stream_order = order;
-        self
-    }
-
-    /// Overrides the connectivity provider selection.
-    pub fn with_connectivity(mut self, connectivity: Connectivity) -> Self {
-        self.connectivity = connectivity;
         self
     }
 
@@ -287,31 +210,12 @@ mod tests {
             .with_imbalance_tolerance(1.05)
             .with_max_iterations(20)
             .with_seed(9)
-            .with_stream_order(StreamOrder::Random)
-            .with_connectivity(Connectivity::Csr);
+            .with_stream_order(StreamOrder::Random);
         assert_eq!(c.refinement, RefinementPolicy::None);
         assert_eq!(c.imbalance_tolerance, 1.05);
         assert_eq!(c.max_iterations, 20);
         assert_eq!(c.seed, 9);
         assert_eq!(c.stream_order, StreamOrder::Random);
-        assert_eq!(c.connectivity, Connectivity::Csr);
-    }
-
-    #[test]
-    fn connectivity_defaults_to_auto_and_maps_to_budgets() {
-        assert_eq!(HyperPrawConfig::default().connectivity, Connectivity::Auto);
-        assert_eq!(Connectivity::Csr.adjacency_budget(), None);
-        assert_eq!(
-            Connectivity::Adjacency.adjacency_budget(),
-            Some(AdjacencyBudget::Unbounded)
-        );
-        assert_eq!(
-            Connectivity::Auto.adjacency_budget(),
-            Some(AdjacencyBudget::Auto)
-        );
-        assert_eq!(Connectivity::Auto.name(), "auto");
-        assert_eq!(Connectivity::Csr.name(), "csr");
-        assert_eq!(Connectivity::Adjacency.name(), "adjacency");
     }
 
     #[test]

@@ -22,19 +22,19 @@
 //!            ▼                         ▼                          ▼
 //!   VertexSource             ConnectivityProvider        ExecutionStrategy
 //!   "which vertex next?"     "who are its neighbours?"   "who decides when?"
-//!   ├ InMemorySource         ├ AdjProvider (default:     ├ Sequential
+//!   ├ InMemorySource         ├ AdjProvider (in memory:   ├ Sequential
 //!   │  (natural/shuffled/    │   precomputed dedup CSR,  │   (fresh info per
 //!   │   degree order)        │   flat scan; budgeted,    │    vertex,
 //!   └ StreamSource over any  │   hubs fall back to       │    deterministic)
 //!      io::stream source     │   epoch traversal)        ├ Chunked BSP
-//!      (on-disk transpose,   ├ CsrProvider (epoch        │   (frozen snapshot
-//!       InMemoryVertexStream)│   scratch over the CSR)   │    + local deltas,
-//!                            ├ lowmem ExactIndex         │    deterministic)
-//!                            │   (hash maps, exact,      └ WorkStealing
-//!                            │    reversible)                (atomic cursor,
-//!                            └ lowmem SketchIndex            live shared
-//!                                (Bloom + MinHash,           state, bounded
-//!                                 budget-bounded)            staleness, fast)
+//!      (on-disk transpose,   ├ lowmem ExactIndex         │   (frozen snapshot
+//!       InMemoryVertexStream)│   (hash maps, exact,      │    + local deltas,
+//!                            │    reversible)            │    deterministic)
+//!                            └ lowmem SketchIndex        └ WorkStealing
+//!                                (Bloom + MinHash,           (atomic cursor,
+//!                                 budget-bounded)            live shared
+//!                                                            state, bounded
+//!                                                            staleness, fast)
 //! ```
 //!
 //! The three strategies trade information freshness against wall-clock:
@@ -50,22 +50,21 @@
 //! sequential placement loop at one worker.
 //!
 //! Every combination is valid: [`crate::HyperPraw`] is
-//! `InMemorySource × AdjProvider × Sequential` (the
-//! [`crate::Connectivity`] config axis swaps `CsrProvider` back in),
-//! [`crate::ParallelHyperPraw`] swaps in `Chunked`, `hyperpraw-lowmem`
-//! runs `StreamSource × IndexProvider` in either strategy — which is how
-//! bulk-synchronous *out-of-core* partitioning (a scenario none of the
-//! original drivers supported) falls out for free.
+//! `InMemorySource × AdjProvider × Sequential`, and
+//! [`crate::HyperPraw::with_parallel`] swaps in `Chunked` or
+//! `WorkStealing`; `hyperpraw-lowmem` runs `StreamSource × IndexProvider`
+//! in any strategy — which is how bulk-synchronous *out-of-core*
+//! partitioning (a scenario none of the original drivers supported) falls
+//! out for free.
 //!
-//! `AdjProvider` and `CsrProvider` answer the identical distinct-neighbour
-//! query with exact integer counts, so switching between them never
-//! changes a partition: the engine-equivalence suite holds bit for bit
-//! (f64 history equality) under either. What changes is the cost model —
-//! `CsrProvider` re-deduplicates `O(Σ_{e∋v}|e|)` pins per visit on every
-//! pass through an `O(|V|)` epoch scratch per worker, while `AdjProvider`
-//! pays one parallel dedup up front, scans a flat list per visit, and
-//! needs only O(1) worker scratch until a budget-capped *hub* vertex
-//! falls back to traversal.
+//! `AdjProvider` answers the distinct-neighbour query with exact integer
+//! counts whatever its budget: flat-list vertices and hub vertices (which
+//! re-deduplicate their `O(Σ_{e∋v}|e|)` pins through an epoch scratch)
+//! count alike, so the budget never changes a partition — the
+//! engine-equivalence suite holds bit for bit (f64 history equality)
+//! under every budget. What the budget trades is memory against
+//! per-visit cost: one parallel dedup up front and a flat scan per visit,
+//! with O(1) worker scratch until a budget-capped hub is met.
 //!
 //! The engine also owns the two cross-cutting quality devices the drivers
 //! used to duplicate: the bounded **doubt buffer** (the `k`
@@ -95,7 +94,7 @@ use crate::{HyperPrawConfig, RefinementPolicy};
 mod provider;
 mod source;
 
-pub use provider::{AdjProvider, AdjScratch, ConnectivityProvider, CsrProvider};
+pub use provider::{AdjProvider, AdjScratch, ConnectivityProvider};
 pub use source::{stream_order, DirtySetSource, InMemorySource, StreamSource, VertexSource};
 
 /// Why the restreaming loop stopped.

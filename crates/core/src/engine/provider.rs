@@ -5,18 +5,16 @@
 //! answers that query and absorbs assignment updates; implementations
 //! differ only in *where the connectivity state lives*:
 //!
-//! * [`CsrProvider`] — traverses an in-memory CSR [`Hypergraph`] with a
-//!   per-worker [`NeighborScratch`], counting **distinct neighbour
-//!   vertices** per partition against the assignment the engine passes in.
-//!   Holds no state of its own, so detach/attach are no-ops.
-//! * [`AdjProvider`] — answers the same query from a precomputed
-//!   deduplicated neighbour adjacency ([`NeighborAdjacency`]): one flat,
-//!   cache-linear scan per visit instead of re-deduplicating the
-//!   neighbourhood through the epoch array on every pass. Budget-aware
-//!   and hybrid — hub vertices above the adjacency's degree cutover fall
-//!   back to epoch traversal — and **bit-identical** to [`CsrProvider`]
-//!   (both paths produce the same exact integer counts). This is the
-//!   default in-memory provider.
+//! * [`AdjProvider`] — the in-memory provider: counts **distinct
+//!   neighbour vertices** per partition against the assignment the engine
+//!   passes in, answered from a precomputed deduplicated neighbour
+//!   adjacency ([`NeighborAdjacency`]) — one flat, cache-linear scan per
+//!   visit instead of re-deduplicating the neighbourhood on every pass.
+//!   Budget-aware and hybrid: hub vertices above the adjacency's degree
+//!   cutover fall back to epoch traversal of the CSR hypergraph through a
+//!   [`NeighborScratch`]. Both paths produce the same exact integer
+//!   counts, so the budget never changes a partition. Holds no state of
+//!   its own, so detach/attach are no-ops.
 //! * `hyperpraw-lowmem`'s `IndexProvider` — answers from a budgeted
 //!   `ConnectivityIndex` (exact hash maps, or Bloom/MinHash sketches),
 //!   counting **connected nets** per partition; attach/detach record and
@@ -46,7 +44,7 @@ pub trait ConnectivityProvider: Sync {
     /// Creates one worker's scratch space.
     fn new_scratch(&self) -> Self::Scratch;
 
-    /// Whether the provider reads [`VertexRecord::nets`]. CSR traversal
+    /// Whether the provider reads [`VertexRecord::nets`]. [`AdjProvider`]
     /// does not, which lets in-memory sources skip copying incidence
     /// lists into each record.
     fn needs_nets(&self) -> bool {
@@ -80,7 +78,7 @@ pub trait ConnectivityProvider: Sync {
     /// staleness) in work-stealing execution, which is why the parameter
     /// is any [`AssignmentRef`] rather than a concrete `Partition`. The
     /// vertex's own contribution must be excluded when the provider can
-    /// tell (CSR traversal excludes the vertex itself; index providers
+    /// tell ([`AdjProvider`] excludes the vertex itself; index providers
     /// rely on the engine detaching first).
     fn count<A: AssignmentRef>(
         &self,
@@ -113,44 +111,6 @@ pub trait ConnectivityProvider: Sync {
     }
 }
 
-/// [`ConnectivityProvider`] over an in-memory CSR hypergraph: counts
-/// distinct neighbour vertices per partition, the exact `X_j(v)` of the
-/// paper. All state is the assignment itself, so the provider is free to
-/// share across worker threads.
-#[derive(Clone, Copy, Debug)]
-pub struct CsrProvider<'a> {
-    hg: &'a Hypergraph,
-}
-
-impl<'a> CsrProvider<'a> {
-    /// Creates a provider traversing `hg`.
-    pub fn new(hg: &'a Hypergraph) -> Self {
-        Self { hg }
-    }
-}
-
-impl ConnectivityProvider for CsrProvider<'_> {
-    type Scratch = NeighborScratch;
-
-    fn new_scratch(&self) -> Self::Scratch {
-        NeighborScratch::new(self.hg.num_vertices())
-    }
-
-    fn needs_nets(&self) -> bool {
-        false
-    }
-
-    fn count<A: AssignmentRef>(
-        &self,
-        record: &VertexRecord,
-        assignment: &A,
-        scratch: &mut Self::Scratch,
-        counts: &mut Vec<u32>,
-    ) {
-        scratch.neighbor_partition_counts(self.hg, assignment, record.vertex, counts);
-    }
-}
-
 /// [`ConnectivityProvider`] over a precomputed [`NeighborAdjacency`]:
 /// distinct-neighbour partition counts answered by one flat scan of the
 /// vertex's deduplicated neighbour list — no epoch array, no nested pin
@@ -159,9 +119,10 @@ impl ConnectivityProvider for CsrProvider<'_> {
 /// instead, so dense instances degrade gracefully rather than exploding
 /// the adjacency quadratically.
 ///
-/// Counts are exact integers on both paths, making the provider
-/// bit-identical to [`CsrProvider`] — it slots under the engine's
-/// equivalence guarantees (f64 history bit-equality) unchanged.
+/// Counts are exact integers on both paths — identical to
+/// [`NeighborScratch::neighbor_partition_counts`], the distinct-neighbour
+/// `X_j(v)` of the paper — so every budget keeps the engine's equivalence
+/// guarantees (f64 history bit-equality).
 ///
 /// The adjacency is either owned ([`AdjProvider::new`] builds it) or
 /// borrowed ([`AdjProvider::from_adjacency`]), so one precomputation can
@@ -255,14 +216,18 @@ mod tests {
     use super::*;
     use hyperpraw_hypergraph::{HypergraphBuilder, Partition};
 
-    #[test]
-    fn csr_provider_counts_distinct_neighbours_excluding_self() {
+    fn three_edge_chain() -> Hypergraph {
         let mut b = HypergraphBuilder::new(6);
         b.add_hyperedge([0u32, 1, 2]);
         b.add_hyperedge([2u32, 3, 4]);
         b.add_hyperedge([4u32, 5]);
-        let hg = b.build();
-        let provider = CsrProvider::new(&hg);
+        b.build()
+    }
+
+    #[test]
+    fn adj_provider_counts_distinct_neighbours_excluding_self() {
+        let hg = three_edge_chain();
+        let provider = AdjProvider::new(&hg, AdjacencyBudget::Auto);
         assert!(!provider.needs_nets());
         let part = Partition::round_robin(6, 3);
         let mut scratch = provider.new_scratch();
@@ -280,14 +245,10 @@ mod tests {
     }
 
     #[test]
-    fn adj_provider_matches_csr_provider_counts() {
-        let mut b = HypergraphBuilder::new(6);
-        b.add_hyperedge([0u32, 1, 2]);
-        b.add_hyperedge([2u32, 3, 4]);
-        b.add_hyperedge([4u32, 5]);
-        let hg = b.build();
-        let csr = CsrProvider::new(&hg);
+    fn adj_provider_matches_the_traversal_oracle_for_every_budget() {
+        let hg = three_edge_chain();
         let part = Partition::round_robin(6, 3);
+        let mut oracle = NeighborScratch::new(hg.num_vertices());
         let mut expected = Vec::new();
         let mut got = Vec::new();
         for budget in [
@@ -298,7 +259,6 @@ mod tests {
         ] {
             let adj = AdjProvider::new(&hg, budget);
             assert!(!adj.needs_nets());
-            let mut csr_scratch = csr.new_scratch();
             let mut adj_scratch = adj.new_scratch();
             for v in hg.vertices() {
                 let record = VertexRecord {
@@ -306,7 +266,7 @@ mod tests {
                     weight: 1.0,
                     nets: vec![],
                 };
-                csr.count(&record, &part, &mut csr_scratch, &mut expected);
+                oracle.neighbor_partition_counts(&hg, &part, v, &mut expected);
                 adj.count(&record, &part, &mut adj_scratch, &mut got);
                 assert_eq!(got, expected, "budget {budget:?}, vertex {v}");
             }

@@ -36,23 +36,21 @@
 //!   `hypergraph::io::stream::VertexStream` via [`engine::StreamSource`];
 //! * **connectivity provider** ([`engine::ConnectivityProvider`]) — where
 //!   the neighbour-partition counts `X_j(v)` come from: a precomputed
-//!   deduplicated neighbour adjacency ([`engine::AdjProvider`], the
-//!   in-memory default, selected by [`Connectivity`]), exact CSR
-//!   traversal ([`engine::CsrProvider`]), or `hyperpraw-lowmem`'s
-//!   budget-bounded exact/sketched connectivity indices — the in-memory
-//!   providers are interchangeable bit for bit;
+//!   deduplicated neighbour adjacency ([`engine::AdjProvider`], whose hub
+//!   vertices fall back to exact epoch traversal), or `hyperpraw-lowmem`'s
+//!   budget-bounded exact/sketched connectivity indices;
 //! * **execution strategy** ([`engine::ExecutionStrategy`]) — sequential
 //!   decisions with fresh information, deterministic bulk-synchronous
 //!   windows scored by worker threads against a frozen snapshot, or
 //!   lock-free work stealing against live atomic shared state with
 //!   bounded staleness (the fast mode).
 //!
-//! [`HyperPraw`] is `InMemorySource × AdjProvider × Sequential`,
-//! [`ParallelHyperPraw`] swaps in the chunked or work-stealing strategy
-//! (selected by [`ParallelMode`]), and the `hyperpraw-lowmem` crate
-//! instantiates the streamed source with the sketched providers — in any
-//! strategy, which yields parallel out-of-core partitioning without a
-//! fourth copy of the loop.
+//! [`HyperPraw`] is `InMemorySource × AdjProvider` under the sequential
+//! strategy by default; [`HyperPraw::with_parallel`] swaps in the chunked
+//! or work-stealing strategy (selected by [`ParallelMode`]). The
+//! `hyperpraw-lowmem` crate instantiates the streamed source with the
+//! sketched providers — in any strategy, which yields parallel out-of-core
+//! partitioning without a second copy of the loop.
 //!
 //! ```
 //! use hyperpraw_core::{HyperPraw, HyperPrawConfig};
@@ -83,9 +81,9 @@ pub mod metrics;
 pub mod parallel;
 pub mod value;
 
-pub use config::{Connectivity, HyperPrawConfig, RefinementPolicy, StreamOrder};
+pub use config::{HyperPrawConfig, RefinementPolicy, StreamOrder};
 pub use history::{IterationRecord, PartitionHistory, StreamPhase};
-pub use parallel::{ParallelConfig, ParallelHyperPraw, ParallelMode};
+pub use parallel::{ParallelConfig, ParallelMode};
 pub use restream::{HyperPraw, PartitionResult, StopReason};
 
 // Re-export the cost matrix type so downstream users do not need to depend
@@ -97,7 +95,7 @@ pub mod prelude {
     pub use crate::baselines;
     pub use crate::metrics::{partitioning_communication_cost, QualityReport};
     pub use crate::{
-        CostMatrix, HyperPraw, HyperPrawConfig, ParallelHyperPraw, PartitionResult,
-        RefinementPolicy, StopReason, StreamOrder,
+        CostMatrix, HyperPraw, HyperPrawConfig, ParallelConfig, PartitionResult, RefinementPolicy,
+        StopReason, StreamOrder,
     };
 }

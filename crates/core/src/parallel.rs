@@ -2,11 +2,12 @@
 //!
 //! The paper notes (§8.2) that sequential restreaming limits scalability and
 //! points to Battaglino et al.'s GraSP as evidence that *parallel* streaming
-//! with periodic synchronisation loses little quality. This driver is a
-//! thin instantiation of the generic [`crate::engine`]: the in-memory
-//! vertex source and CSR connectivity provider of [`crate::HyperPraw`],
-//! executed under the engine's bulk-synchronous
-//! [`crate::engine::ExecutionStrategy::Chunked`] strategy —
+//! with periodic synchronisation loses little quality. The schedule is not
+//! a separate driver: [`crate::HyperPraw::with_parallel`] takes a
+//! [`ParallelConfig`] and runs the same in-memory source and adjacency
+//! provider under one of the engine's parallel
+//! [`crate::engine::ExecutionStrategy`] values. In the bulk-synchronous
+//! mode ([`ParallelMode::Bsp`]) —
 //!
 //! * the vertex stream is processed in synchronisation windows,
 //! * within a window, worker threads re-assign the vertices of their
@@ -18,23 +19,19 @@
 //!   partition assignments" step,
 //! * the restreaming loop (α tempering, tolerance check, refinement on the
 //!   partitioning communication cost) is the engine's, identical to the
-//!   sequential driver.
+//!   sequential run.
 //!
 //! The trade-off is the classic one: wall-clock time per stream drops with
 //! the number of workers while the partition quality degrades slightly
 //! because decisions are made against stale information. The
-//! `parallel_vs_sequential` bench quantifies this. With a single worker no
-//! information is stale and the engine degenerates to the sequential
-//! strategy, so `num_threads = 1` reproduces [`crate::HyperPraw`] exactly.
+//! `hyperpraw_parallel` and `hyperpraw_steal` ids of the `partitioners`
+//! bench quantify this. With a single worker no information is stale and
+//! the engine degenerates to the sequential strategy, so
+//! `num_threads = 1` reproduces the sequential run exactly.
 
-use hyperpraw_hypergraph::Hypergraph;
-use hyperpraw_topology::CostMatrix;
+use crate::engine::{ExecutionStrategy, DEFAULT_STEAL_CHUNK};
 
-use crate::engine::{Engine, EngineConfig, ExecutionStrategy, DEFAULT_STEAL_CHUNK};
-use crate::restream::run_in_memory;
-use crate::{HyperPrawConfig, PartitionResult};
-
-/// How the parallel drivers schedule their worker threads.
+/// How a parallel run schedules its worker threads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ParallelMode {
     /// Bulk-synchronous windows against frozen snapshots
@@ -84,11 +81,11 @@ impl ParallelMode {
     }
 }
 
-/// Configuration of the parallel driver.
+/// Configuration of a parallel run ([`crate::HyperPraw::with_parallel`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Number of worker threads (streams). 1 reproduces the sequential
-    /// driver exactly.
+    /// run exactly.
     pub num_threads: usize,
     /// How many vertices are processed between global synchronisations.
     /// Smaller intervals give fresher information (quality closer to the
@@ -143,76 +140,18 @@ impl ParallelConfig {
     }
 }
 
-/// The parallel (bulk-synchronous) restreaming partitioner.
-///
-/// As with [`crate::HyperPraw`], the number of partitions equals the size
-/// of the communication-cost matrix, and the aware/basic paper variants
-/// are selected purely by that matrix — this driver adds only the
-/// multi-worker streaming schedule on top.
-#[derive(Clone, Debug)]
-pub struct ParallelHyperPraw {
-    config: HyperPrawConfig,
-    parallel: ParallelConfig,
-    cost: CostMatrix,
-    registry: hyperpraw_telemetry::Registry,
-}
-
-impl ParallelHyperPraw {
-    /// Creates a parallel partitioner.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails validation or `num_threads == 0`.
-    pub fn new(config: HyperPrawConfig, parallel: ParallelConfig, cost: CostMatrix) -> Self {
-        config
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid HyperPRAW configuration: {e}"));
-        parallel
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid parallel configuration: {e}"));
-        Self {
-            config,
-            parallel,
-            cost,
-            registry: hyperpraw_telemetry::Registry::disabled(),
-        }
-    }
-
-    /// Number of partitions (compute units).
-    pub fn num_partitions(&self) -> u32 {
-        self.cost.num_units() as u32
-    }
-
-    /// Binds the engine's instrumentation (metrics under the `engine.`
-    /// prefix) to `registry`. Recording is observation-only — partitions
-    /// are bit-identical with or without a live registry.
-    pub fn with_registry(mut self, registry: &hyperpraw_telemetry::Registry) -> Self {
-        self.registry = registry.clone();
-        self
-    }
-
-    /// Runs the parallel restreaming algorithm.
-    pub fn partition(&self, hg: &Hypergraph) -> PartitionResult {
-        let engine = Engine::new(
-            EngineConfig::restreaming(&self.config).with_strategy(
-                self.parallel
-                    .mode
-                    .strategy(self.parallel.num_threads, self.parallel.sync_interval),
-            ),
-        )
-        .with_registry(&self.registry);
-        run_in_memory(&engine, hg, &self.config, &self.cost, &self.registry)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::partitioning_communication_cost;
-    use crate::HyperPraw;
+    use crate::{CostMatrix, HyperPraw, HyperPrawConfig};
     use hyperpraw_hypergraph::generators::{mesh_hypergraph, MeshConfig};
     use hyperpraw_hypergraph::{metrics, Partition};
     use hyperpraw_topology::{BandwidthMatrix, MachineModel};
+
+    fn parallel(config: HyperPrawConfig, schedule: ParallelConfig, cost: CostMatrix) -> HyperPraw {
+        HyperPraw::new(config, cost).with_parallel(schedule)
+    }
 
     fn archer_cost(p: usize) -> CostMatrix {
         let machine = MachineModel::archer_like(p);
@@ -222,7 +161,7 @@ mod tests {
     #[test]
     fn parallel_partition_is_valid_and_balanced() {
         let hg = mesh_hypergraph(&MeshConfig::new(900, 8));
-        let praw = ParallelHyperPraw::new(
+        let praw = parallel(
             HyperPrawConfig::default(),
             ParallelConfig::with_threads(4),
             CostMatrix::uniform(8),
@@ -242,7 +181,7 @@ mod tests {
         let hg = mesh_hypergraph(&MeshConfig::new(1000, 8));
         let p = 8u32;
         let seq = HyperPraw::basic(HyperPrawConfig::default(), p).partition(&hg);
-        let par = ParallelHyperPraw::new(
+        let par = parallel(
             HyperPrawConfig::default(),
             ParallelConfig::with_threads(4),
             CostMatrix::uniform(p as usize),
@@ -262,11 +201,11 @@ mod tests {
     }
 
     #[test]
-    fn single_worker_reproduces_the_sequential_driver_exactly() {
+    fn single_worker_reproduces_the_sequential_run_exactly() {
         // One worker has nothing to race: the engine decides with live
-        // information, so the run is bit-identical to HyperPraw.
+        // information, so the run is bit-identical to the sequential one.
         let hg = mesh_hypergraph(&MeshConfig::new(400, 8));
-        let praw = ParallelHyperPraw::new(
+        let praw = parallel(
             HyperPrawConfig::default(),
             ParallelConfig::with_threads(1),
             CostMatrix::uniform(4),
@@ -286,7 +225,7 @@ mod tests {
         // one vertex: its assignment and load delta must land in the global
         // state before the pass-end metrics are computed.
         let hg = mesh_hypergraph(&MeshConfig::new(901, 8));
-        let praw = ParallelHyperPraw::new(
+        let praw = parallel(
             HyperPrawConfig::default(),
             ParallelConfig {
                 num_threads: 4,
@@ -316,15 +255,14 @@ mod tests {
         // Start with a small α so the early streams are communication-driven
         // (the FENNEL default is so balance-heavy for p=24 on a small mesh
         // that the first couple of bulk-synchronous streams are identical for
-        // any cost matrix, and the parallel driver may converge before the
+        // any cost matrix, and the parallel run may converge before the
         // refinement phase has relaxed α enough to tell them apart).
         let config = HyperPrawConfig {
             initial_alpha: Some(2.0),
             ..HyperPrawConfig::default()
         };
-        let aware = ParallelHyperPraw::new(config, ParallelConfig::with_threads(2), cost.clone())
-            .partition(&hg);
-        let basic = ParallelHyperPraw::new(
+        let aware = parallel(config, ParallelConfig::with_threads(2), cost.clone()).partition(&hg);
+        let basic = parallel(
             config,
             ParallelConfig::with_threads(2),
             CostMatrix::uniform(p),
@@ -341,7 +279,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_threads_is_rejected() {
-        ParallelHyperPraw::new(
+        parallel(
             HyperPrawConfig::default(),
             ParallelConfig::with_threads(0),
             CostMatrix::uniform(4),
@@ -349,13 +287,13 @@ mod tests {
     }
 
     #[test]
-    fn single_stealing_worker_reproduces_the_sequential_driver_exactly() {
+    fn single_stealing_worker_reproduces_the_sequential_run_exactly() {
         // The work-stealing strategy at one worker runs the live
         // sequential loop: bit-identical partitions, iterations and
-        // history against HyperPraw — the determinism anchor of the
+        // history against the sequential run — the determinism anchor of the
         // three-strategy split.
         let hg = mesh_hypergraph(&MeshConfig::new(400, 8));
-        let praw = ParallelHyperPraw::new(
+        let praw = parallel(
             HyperPrawConfig::default(),
             ParallelConfig::stealing(1),
             CostMatrix::uniform(4),
@@ -371,7 +309,7 @@ mod tests {
     fn stealing_partition_is_valid_and_balanced_at_any_thread_count() {
         let hg = mesh_hypergraph(&MeshConfig::new(900, 8));
         for threads in [2usize, 4, 8] {
-            let praw = ParallelHyperPraw::new(
+            let praw = parallel(
                 HyperPrawConfig::default(),
                 ParallelConfig::stealing(threads),
                 CostMatrix::uniform(8),

@@ -1,18 +1,17 @@
 //! The HyperPRAW restreaming driver (Algorithm 1) — a thin instantiation
 //! of the generic [`crate::engine`]: in-memory vertex source × the
-//! connectivity provider selected by [`crate::Connectivity`] (precomputed
-//! dedup adjacency by default, CSR traversal on request) × sequential
-//! execution.
+//! precomputed dedup adjacency under [`AdjacencyBudget::Auto`] (hubs fall
+//! back to epoch traversal) × the execution strategy, sequential unless
+//! [`HyperPraw::with_parallel`] selects the §8.2 parallel schedule.
 
-use hyperpraw_hypergraph::{Hypergraph, NeighborAdjacency, Partition};
+use hyperpraw_hypergraph::{AdjacencyBudget, Hypergraph, NeighborAdjacency, Partition};
 use hyperpraw_topology::CostMatrix;
 
 use crate::engine::{
-    AdjProvider, CsrProvider, Engine, EngineConfig, EngineRun, ExactCommCost, ExecutionStrategy,
-    InMemorySource,
+    AdjProvider, Engine, EngineConfig, ExactCommCost, ExecutionStrategy, InMemorySource,
 };
 use crate::history::PartitionHistory;
-use crate::HyperPrawConfig;
+use crate::{HyperPrawConfig, ParallelConfig};
 
 pub use crate::engine::StopReason;
 
@@ -41,11 +40,14 @@ pub struct PartitionResult {
 /// matrix: one partition per compute unit of the target machine.
 /// HyperPRAW-aware is obtained by passing a profiled cost matrix
 /// ([`CostMatrix::from_bandwidth`]); HyperPRAW-basic by passing
-/// [`CostMatrix::uniform`].
+/// [`CostMatrix::uniform`]. The thread count is a parameter of the same
+/// partitioner: [`HyperPraw::with_parallel`] runs the stream on worker
+/// threads instead of sequentially.
 #[derive(Clone, Debug)]
 pub struct HyperPraw {
     config: HyperPrawConfig,
     cost: CostMatrix,
+    strategy: ExecutionStrategy,
     registry: hyperpraw_telemetry::Registry,
 }
 
@@ -62,8 +64,26 @@ impl HyperPraw {
         Self {
             config,
             cost,
+            strategy: ExecutionStrategy::Sequential,
             registry: hyperpraw_telemetry::Registry::disabled(),
         }
+    }
+
+    /// Streams on `parallel.num_threads` workers under the schedule of
+    /// `parallel.mode` (see [`crate::parallel`]). One worker reproduces
+    /// the sequential run bit for bit in either mode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parallel` fails validation.
+    pub fn with_parallel(mut self, parallel: ParallelConfig) -> Self {
+        parallel
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid parallel configuration: {e}"));
+        self.strategy = parallel
+            .mode
+            .strategy(parallel.num_threads, parallel.sync_interval);
+        self
     }
 
     /// Binds the engine's instrumentation (metrics under the `engine.`
@@ -103,62 +123,29 @@ impl HyperPraw {
     /// Runs the restreaming algorithm on a hypergraph.
     pub fn partition(&self, hg: &Hypergraph) -> PartitionResult {
         let engine =
-            Engine::new(EngineConfig::restreaming(&self.config)).with_registry(&self.registry);
-        run_in_memory(&engine, hg, &self.config, &self.cost, &self.registry)
-    }
-}
-
-/// Shared in-memory instantiation of the engine: the [`InMemorySource`]
-/// stream, the exact cost model, and the connectivity provider selected by
-/// [`HyperPrawConfig::connectivity`] — the precomputed dedup adjacency
-/// ([`AdjProvider`], budgeted per the selection) by default, or the epoch
-/// CSR traversal ([`CsrProvider`]). Both providers produce bit-identical
-/// partitions; used by [`HyperPraw`] and [`crate::ParallelHyperPraw`].
-pub(crate) fn run_in_memory(
-    engine: &Engine,
-    hg: &Hypergraph,
-    config: &HyperPrawConfig,
-    cost: &CostMatrix,
-    registry: &hyperpraw_telemetry::Registry,
-) -> PartitionResult {
-    let mut source = InMemorySource::new(hg, config.stream_order, config.seed);
-    let run = match config.connectivity.adjacency_budget() {
-        None => engine.run(
-            cost,
-            &mut source,
-            &mut CsrProvider::new(hg),
-            &mut ExactCommCost::new(hg),
-        ),
-        Some(budget) => {
-            // One precomputation serves both hot consumers: the per-visit
-            // X_j(v) queries and the per-pass comm-cost evaluation. The
-            // build honours the driver's threading contract — the
-            // sequential driver stays single-threaded end to end, the
-            // bulk-synchronous driver never exceeds its worker count.
-            let max_threads = match engine.config().strategy {
-                ExecutionStrategy::Sequential => 1,
-                ExecutionStrategy::Chunked { num_threads, .. }
-                | ExecutionStrategy::WorkStealing { num_threads, .. } => num_threads,
-            };
-            let adj = NeighborAdjacency::build_with_threads(hg, budget, max_threads);
-            engine.run(
-                cost,
-                &mut source,
-                &mut AdjProvider::from_adjacency(hg, &adj).with_registry(registry),
+            Engine::new(EngineConfig::restreaming(&self.config).with_strategy(self.strategy))
+                .with_registry(&self.registry);
+        // One precomputation serves both hot consumers: the per-visit
+        // X_j(v) queries and the per-pass comm-cost evaluation. The build
+        // never exceeds the strategy's worker count, so a sequential run
+        // stays single-threaded end to end.
+        let max_threads = match self.strategy {
+            ExecutionStrategy::Sequential => 1,
+            ExecutionStrategy::Chunked { num_threads, .. }
+            | ExecutionStrategy::WorkStealing { num_threads, .. } => num_threads,
+        };
+        let adj = NeighborAdjacency::build_with_threads(hg, AdjacencyBudget::Auto, max_threads);
+        let run = engine
+            .run(
+                &self.cost,
+                &mut InMemorySource::new(hg, self.config.stream_order, self.config.seed),
+                &mut AdjProvider::from_adjacency(hg, &adj).with_registry(&self.registry),
                 &mut ExactCommCost::with_adjacency(hg, &adj),
             )
-        }
-    }
-    .expect("in-memory sources cannot fail");
-    PartitionResult::from_engine(run)
-}
-
-impl PartitionResult {
-    /// Converts an engine outcome into the driver-level result (dropping
-    /// the engine's revisit-buffer counters, which the classic drivers do
-    /// not use).
-    pub(crate) fn from_engine(run: EngineRun) -> Self {
-        Self {
+            .expect("in-memory sources cannot fail");
+        // The engine's revisit-buffer counters are dropped: this driver
+        // keeps no doubt buffer.
+        PartitionResult {
             partition: run.partition,
             history: run.history,
             stop_reason: run.stop_reason,

@@ -5,24 +5,26 @@
 //! before the engine refactor): it scores candidates one [`value_of`] call
 //! at a time — the O(p²) specification path — and replicates the original
 //! tie-breaking, α tempering, tolerance gate, refinement stopping rule and
-//! history bookkeeping. The engine-backed [`HyperPraw`] must match its
+//! history bookkeeping. The engine-backed [`HyperPraw`] — and the bare
+//! [`Engine`] under every adjacency budget of its provider — must match its
 //! assignment and per-iteration history exactly (f64 bit equality), which
 //! pins down both the refactored control flow and the restructured fast
 //! scorer ([`hyperpraw_core::value::best_partition_in`]).
 
+use hyperpraw_core::engine::{AdjProvider, Engine, EngineConfig, ExactCommCost, InMemorySource};
 use hyperpraw_core::history::{IterationRecord, PartitionHistory, StreamPhase};
 use hyperpraw_core::metrics::partitioning_communication_cost;
 use hyperpraw_core::value::value_of;
 use hyperpraw_core::{
-    Connectivity, CostMatrix, HyperPraw, HyperPrawConfig, ParallelConfig, ParallelHyperPraw,
-    RefinementPolicy, StopReason, StreamOrder,
+    CostMatrix, HyperPraw, HyperPrawConfig, ParallelConfig, RefinementPolicy, StopReason,
+    StreamOrder,
 };
 use hyperpraw_hypergraph::generators::{
     mesh_hypergraph, powerlaw_hypergraph, random_hypergraph, MeshConfig, PowerLawConfig,
     RandomConfig,
 };
 use hyperpraw_hypergraph::traversal::NeighborScratch;
-use hyperpraw_hypergraph::{Hypergraph, Partition, VertexId};
+use hyperpraw_hypergraph::{AdjacencyBudget, Hypergraph, NeighborAdjacency, Partition, VertexId};
 use hyperpraw_topology::{BandwidthMatrix, MachineModel};
 
 /// The seed driver's scorer: evaluate `value_of` per candidate with the
@@ -155,7 +157,18 @@ fn reference_restream(
 
 fn assert_bit_identical(hg: &Hypergraph, config: HyperPrawConfig, cost: CostMatrix, label: &str) {
     let reference = reference_restream(hg, &config, &cost);
-    let engine = HyperPraw::new(config, cost).partition(hg);
+    let run = HyperPraw::new(config, cost).partition(hg);
+    let engine = ReferenceResult {
+        partition: run.partition,
+        history: run.history,
+        iterations: run.iterations,
+        stop_reason: run.stop_reason,
+    };
+    assert_matches(&engine, &reference, label);
+}
+
+/// Asserts `engine` reproduces `reference` exactly, f64 history included.
+fn assert_matches(engine: &ReferenceResult, reference: &ReferenceResult, label: &str) {
     assert_eq!(
         engine.partition.assignment(),
         reference.partition.assignment(),
@@ -270,21 +283,37 @@ fn sequential_engine_matches_across_configurations() {
 }
 
 #[test]
-fn every_connectivity_provider_is_bit_identical_to_the_reference() {
-    // The provider axis must be quality-neutral: the precomputed dedup
-    // adjacency (unbounded or auto-budgeted) and the epoch CSR traversal
-    // all reproduce the frozen seed loop bit for bit, f64 history included.
+fn every_adjacency_budget_is_bit_identical_to_the_reference() {
+    // The provider's budget must be quality-neutral: unbounded flat lists,
+    // the automatic budget and a zero cutover (every connected vertex on
+    // the epoch-traversal fallback) all reproduce the frozen seed loop bit
+    // for bit, f64 history included.
     let machine = MachineModel::archer_like(16);
     let cost = CostMatrix::from_bandwidth(&BandwidthMatrix::from_machine(&machine, 0.05, 1));
+    let config = HyperPrawConfig::default();
     for (name, hg) in suite() {
-        for connectivity in [
-            Connectivity::Csr,
-            Connectivity::Adjacency,
-            Connectivity::Auto,
+        let reference = reference_restream(&hg, &config, &cost);
+        for budget in [
+            AdjacencyBudget::Unbounded,
+            AdjacencyBudget::Auto,
+            AdjacencyBudget::DegreeCutoff(0),
         ] {
-            let config = HyperPrawConfig::default().with_connectivity(connectivity);
-            let label = format!("{name}/{}", connectivity.name());
-            assert_bit_identical(&hg, config, cost.clone(), &label);
+            let adj = NeighborAdjacency::build(&hg, budget);
+            let run = Engine::new(EngineConfig::restreaming(&config))
+                .run(
+                    &cost,
+                    &mut InMemorySource::new(&hg, config.stream_order, config.seed),
+                    &mut AdjProvider::from_adjacency(&hg, &adj),
+                    &mut ExactCommCost::with_adjacency(&hg, &adj),
+                )
+                .unwrap();
+            let engine = ReferenceResult {
+                partition: run.partition,
+                history: run.history,
+                iterations: run.iterations,
+                stop_reason: run.stop_reason,
+            };
+            assert_matches(&engine, &reference, &format!("{name}/{budget:?}"));
         }
     }
 }
@@ -295,12 +324,9 @@ fn bsp_with_one_worker_matches_the_sequential_engine_exactly() {
     let cost = CostMatrix::from_bandwidth(&BandwidthMatrix::from_machine(&machine, 0.05, 2));
     for (name, hg) in suite() {
         let seq = HyperPraw::aware(HyperPrawConfig::default(), cost.clone()).partition(&hg);
-        let bsp = ParallelHyperPraw::new(
-            HyperPrawConfig::default(),
-            ParallelConfig::with_threads(1),
-            cost.clone(),
-        )
-        .partition(&hg);
+        let bsp = HyperPraw::aware(HyperPrawConfig::default(), cost.clone())
+            .with_parallel(ParallelConfig::with_threads(1))
+            .partition(&hg);
         assert_eq!(
             bsp.partition.assignment(),
             seq.partition.assignment(),

@@ -4,8 +4,7 @@ use proptest::prelude::*;
 
 use hyperpraw_core::metrics::partitioning_communication_cost;
 use hyperpraw_core::{
-    CostMatrix, HyperPraw, HyperPrawConfig, ParallelConfig, ParallelHyperPraw, RefinementPolicy,
-    StreamOrder,
+    CostMatrix, HyperPraw, HyperPrawConfig, ParallelConfig, RefinementPolicy, StreamOrder,
 };
 use hyperpraw_hypergraph::generators::{random_hypergraph, CardinalityDist, RandomConfig};
 use hyperpraw_hypergraph::{metrics, Hypergraph};
@@ -169,12 +168,9 @@ proptest! {
         // The work-stealing strategy races workers over live shared state,
         // so the *partition* is not reproducible above one thread — but it
         // must always be a complete, consistently-bookkept partition.
-        let result = ParallelHyperPraw::new(
-            quick_config(seed),
-            ParallelConfig::stealing(threads),
-            CostMatrix::uniform(p as usize),
-        )
-        .partition(&hg);
+        let result = HyperPraw::new(quick_config(seed), CostMatrix::uniform(p as usize))
+            .with_parallel(ParallelConfig::stealing(threads))
+            .partition(&hg);
         // Every vertex assigned, every part id in range.
         prop_assert_eq!(result.partition.num_vertices(), hg.num_vertices());
         prop_assert_eq!(result.partition.num_parts(), p);

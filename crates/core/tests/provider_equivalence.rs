@@ -1,17 +1,21 @@
 //! Property tests pinning the connectivity-provider axis: the precomputed
 //! dedup-adjacency provider ([`AdjProvider`]) must return count vectors
-//! identical to the epoch-traversal [`CsrProvider`] on random hypergraphs,
+//! identical to the epoch-traversal oracle
+//! ([`NeighborScratch::neighbor_partition_counts`]) on random hypergraphs,
 //! random partitions and random adjacency budgets — including budgets tight
-//! enough to push vertices onto the hybrid hub-fallback path — and the
-//! drivers built on them must produce identical partitions.
+//! enough to push vertices onto the hybrid hub-fallback path — and engine
+//! runs under every budget must reproduce the [`HyperPraw`] driver.
 
 use proptest::prelude::*;
 
-use hyperpraw_core::engine::{AdjProvider, ConnectivityProvider, CsrProvider};
-use hyperpraw_core::{Connectivity, HyperPraw, HyperPrawConfig};
+use hyperpraw_core::engine::{
+    AdjProvider, ConnectivityProvider, Engine, EngineConfig, ExactCommCost, InMemorySource,
+};
+use hyperpraw_core::{CostMatrix, HyperPraw, HyperPrawConfig};
 use hyperpraw_hypergraph::generators::{random_hypergraph, CardinalityDist, RandomConfig};
 use hyperpraw_hypergraph::io::stream::VertexRecord;
-use hyperpraw_hypergraph::{AdjacencyBudget, Hypergraph, Partition};
+use hyperpraw_hypergraph::traversal::NeighborScratch;
+use hyperpraw_hypergraph::{AdjacencyBudget, Hypergraph, NeighborAdjacency, Partition};
 
 fn arb_hypergraph() -> impl Strategy<Value = Hypergraph> {
     (20usize..120, 10usize..80, 0u64..400).prop_map(|(n, e, seed)| {
@@ -25,12 +29,12 @@ fn arb_hypergraph() -> impl Strategy<Value = Hypergraph> {
     })
 }
 
-/// Asserts that both providers return the same `X_j(v)` vector for every
-/// vertex of `hg` under `partition`. Returns the number of hub vertices.
+/// Asserts that the provider and the traversal oracle return the same
+/// `X_j(v)` vector for every vertex of `hg` under `partition`. Returns the
+/// number of hub vertices.
 fn assert_counts_match(hg: &Hypergraph, partition: &Partition, budget: AdjacencyBudget) -> usize {
-    let csr = CsrProvider::new(hg);
+    let mut oracle = NeighborScratch::new(hg.num_vertices());
     let adj = AdjProvider::new(hg, budget);
-    let mut csr_scratch = csr.new_scratch();
     let mut adj_scratch = adj.new_scratch();
     let mut expected = Vec::new();
     let mut got = Vec::new();
@@ -38,7 +42,7 @@ fn assert_counts_match(hg: &Hypergraph, partition: &Partition, budget: Adjacency
     for v in hg.vertices() {
         record.vertex = v;
         record.weight = hg.vertex_weight(v);
-        csr.count(&record, partition, &mut csr_scratch, &mut expected);
+        oracle.neighbor_partition_counts(hg, partition, v, &mut expected);
         adj.count(&record, partition, &mut adj_scratch, &mut got);
         assert_eq!(got, expected, "budget {budget:?}, vertex {v}");
     }
@@ -49,7 +53,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn adjacency_counts_match_csr_for_every_budget(
+    fn adjacency_counts_match_the_traversal_oracle_for_every_budget(
         hg in arb_hypergraph(),
         p in 2u32..7,
         seed in 0u64..50,
@@ -97,24 +101,37 @@ proptest! {
     }
 
     #[test]
-    fn drivers_produce_identical_partitions_across_providers(
+    fn engine_runs_match_the_driver_under_every_budget(
         hg in arb_hypergraph(),
         p in 2u32..6,
         seed in 0u64..20,
+        cutoff in 0usize..16,
     ) {
-        let base = HyperPrawConfig {
+        let config = HyperPrawConfig {
             max_iterations: 25,
             ..HyperPrawConfig::default().with_seed(seed)
         };
-        let reference = HyperPraw::basic(base.with_connectivity(Connectivity::Csr), p)
-            .partition(&hg);
-        for connectivity in [Connectivity::Adjacency, Connectivity::Auto] {
-            let other = HyperPraw::basic(base.with_connectivity(connectivity), p)
-                .partition(&hg);
+        let cost = CostMatrix::uniform(p as usize);
+        let reference = HyperPraw::new(config, cost.clone()).partition(&hg);
+        for budget in [
+            AdjacencyBudget::Unbounded,
+            AdjacencyBudget::DegreeCutoff(cutoff),
+            AdjacencyBudget::DegreeCutoff(0),
+            AdjacencyBudget::MaxBytes(std::mem::size_of::<u32>()),
+        ] {
+            let adj = NeighborAdjacency::build(&hg, budget);
+            let other = Engine::new(EngineConfig::restreaming(&config))
+                .run(
+                    &cost,
+                    &mut InMemorySource::new(&hg, config.stream_order, config.seed),
+                    &mut AdjProvider::from_adjacency(&hg, &adj),
+                    &mut ExactCommCost::with_adjacency(&hg, &adj),
+                )
+                .unwrap();
             prop_assert_eq!(
                 other.partition.assignment(),
                 reference.partition.assignment(),
-                "provider {} diverged", connectivity.name()
+                "budget {:?} diverged", budget
             );
             prop_assert_eq!(other.iterations, reference.iterations);
             prop_assert_eq!(other.comm_cost.to_bits(), reference.comm_cost.to_bits());

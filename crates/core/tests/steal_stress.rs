@@ -6,7 +6,7 @@
 //! interleavings plenty of chances to go wrong. CI runs this with
 //! `RUST_BACKTRACE=1` so a torn invariant names its culprit.
 
-use hyperpraw_core::{CostMatrix, HyperPrawConfig, ParallelConfig, ParallelHyperPraw};
+use hyperpraw_core::{CostMatrix, HyperPraw, HyperPrawConfig, ParallelConfig};
 use hyperpraw_hypergraph::generators::{mesh_hypergraph, MeshConfig};
 
 #[test]
@@ -18,12 +18,9 @@ fn hammer_the_work_stealing_strategy_with_eight_threads() {
             max_iterations: 12,
             ..HyperPrawConfig::default().with_seed(seed)
         };
-        let result = ParallelHyperPraw::new(
-            config,
-            ParallelConfig::stealing(8),
-            CostMatrix::uniform(p as usize),
-        )
-        .partition(&hg);
+        let result = HyperPraw::new(config, CostMatrix::uniform(p as usize))
+            .with_parallel(ParallelConfig::stealing(8))
+            .partition(&hg);
 
         assert_eq!(result.partition.num_vertices(), hg.num_vertices());
         assert!(

@@ -69,7 +69,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use hyperpraw_core::{Connectivity, HyperPrawConfig, RefinementPolicy, StreamOrder};
+use hyperpraw_core::{HyperPrawConfig, RefinementPolicy, StreamOrder};
 use hyperpraw_hypergraph::{
     AdjacencyBudget, HypergraphBuilder, MutableHypergraph, Partition, VertexId,
 };
@@ -335,6 +335,12 @@ const BUDGET_MAX_BYTES: u8 = 1;
 const BUDGET_DEGREE_CUTOFF: u8 = 2;
 const BUDGET_AUTO: u8 = 3;
 
+/// The last byte of the state: once the in-memory provider selection
+/// (`0` CSR traversal, `1` unbounded adjacency, `2` auto-budgeted
+/// adjacency), now always written as `2`. Every selection partitioned bit
+/// for bit alike, so the decoder accepts all three and ignores the value.
+const CONNECTIVITY_AUTO: u8 = 2;
+
 fn encode_state(out: &mut Vec<u8>, p: &DynamicPartitioner) {
     let graph = p.graph();
     let hg = graph.to_hypergraph();
@@ -417,11 +423,7 @@ fn encode_state(out: &mut Vec<u8>, p: &DynamicPartitioner) {
     });
     put_u64_le(out, hp.seed);
     out.push(u8::from(hp.track_history));
-    out.push(match hp.connectivity {
-        Connectivity::Csr => 0,
-        Connectivity::Adjacency => 1,
-        Connectivity::Auto => 2,
-    });
+    out.push(CONNECTIVITY_AUTO);
 }
 
 fn decode_state(dec: &mut Dec<'_>) -> Result<DynamicPartitioner, JournalError> {
@@ -544,12 +546,10 @@ fn decode_state(dec: &mut Dec<'_>) -> Result<DynamicPartitioner, JournalError> {
     };
     let seed = dec.u64_le()?;
     let track_history = dec.u8()? != 0;
-    let connectivity = match dec.u8()? {
-        0 => Connectivity::Csr,
-        1 => Connectivity::Adjacency,
-        2 => Connectivity::Auto,
+    match dec.u8()? {
+        0..=CONNECTIVITY_AUTO => {}
         other => return Err(corrupt(format!("unknown connectivity tag {other}"))),
-    };
+    }
 
     let cfg = DynamicConfig {
         config: HyperPrawConfig {
@@ -561,7 +561,6 @@ fn decode_state(dec: &mut Dec<'_>) -> Result<DynamicPartitioner, JournalError> {
             stream_order,
             seed,
             track_history,
-            connectivity,
         },
         staleness_threshold,
         budget,

@@ -37,9 +37,13 @@ impl HypergraphBuilder {
         }
     }
 
-    /// Creates a builder with a preallocated hyperedge capacity.
+    /// Creates a builder with a preallocated hyperedge capacity. The
+    /// capacity is a hint: readers pass untrusted header counts, so at
+    /// most `2^16` hyperedges are reserved up front and the rest grow on
+    /// demand.
     pub fn with_capacity(num_vertices: usize, num_edges: usize) -> Self {
         let mut b = Self::new(num_vertices);
+        let num_edges = crate::io::capacity_hint(num_edges);
         b.edges.reserve(num_edges);
         b.edge_weights.reserve(num_edges);
         b

@@ -18,7 +18,7 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-use crate::io::{capacity_hint, IoError, IoResult};
+use crate::io::{id_count, IoError, IoResult};
 use crate::{Hypergraph, HypergraphBuilder, VertexId};
 
 /// Reads a hypergraph in hMetis format from a buffered reader.
@@ -51,6 +51,7 @@ pub fn read_hgr<R: BufRead>(reader: R) -> IoResult<Hypergraph> {
         .ok_or_else(|| IoError::parse(header_line_no, "missing vertex count"))?
         .parse()
         .map_err(|_| IoError::parse(header_line_no, "invalid vertex count"))?;
+    let num_vertices = id_count(num_vertices, header_line_no, "vertex count")?;
     let fmt: u32 = match parts.next() {
         Some(tok) => tok
             .parse()
@@ -60,7 +61,7 @@ pub fn read_hgr<R: BufRead>(reader: R) -> IoResult<Hypergraph> {
     let has_edge_weights = fmt == 1 || fmt == 11;
     let has_vertex_weights = fmt == 10 || fmt == 11;
 
-    let mut builder = HypergraphBuilder::with_capacity(num_vertices, capacity_hint(num_edges));
+    let mut builder = HypergraphBuilder::with_capacity(num_vertices, num_edges);
     let mut edges_read = 0usize;
     let mut vertex_weights_read = 0usize;
 
@@ -244,6 +245,20 @@ mod tests {
         let err = read_hgr(Cursor::new("99999999999999 3\n1 2\n")).unwrap_err();
         assert!(matches!(err, IoError::Parse { line: 1, .. }), "{err}");
         assert!(format!("{err}").contains("expected 99999999999999 hyperedges, found 1"));
+    }
+
+    #[test]
+    fn vertex_counts_beyond_the_u32_id_space_are_a_parse_error() {
+        // Either count would otherwise size the vertex arrays at build time
+        // (800 TB and 40 GB) and abort the process.
+        for header in ["1 99999999999999\n1 2\n", "1 5000000000\n1 2\n"] {
+            let err = read_hgr(Cursor::new(header)).unwrap_err();
+            assert!(matches!(err, IoError::Parse { line: 1, .. }), "{err}");
+            assert!(
+                format!("{err}").contains("exceeds the u32 id space"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

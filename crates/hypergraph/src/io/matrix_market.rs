@@ -12,7 +12,7 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-use crate::io::{capacity_hint, IoError, IoResult};
+use crate::io::{capacity_hint, id_count, IoError, IoResult};
 use crate::{Hypergraph, HypergraphBuilder, VertexId};
 
 /// How to turn a sparse matrix into a hypergraph.
@@ -112,6 +112,9 @@ pub fn read_mtx<R: BufRead>(reader: R) -> IoResult<CoordinateMatrix> {
         .ok_or_else(|| IoError::parse(size_no, "missing nonzero count"))?
         .parse()
         .map_err(|_| IoError::parse(size_no, "invalid nonzero count"))?;
+    // Rows and columns become vertices or nets depending on the model.
+    let rows = id_count(rows, size_no, "row count")?;
+    let cols = id_count(cols, size_no, "column count")?;
 
     let declared = if symmetric {
         nnz.saturating_mul(2)
@@ -291,8 +294,23 @@ mod tests {
     }
 
     #[test]
+    fn counts_beyond_the_u32_id_space_are_a_parse_error() {
+        // The column count is the row-net model's vertex count; rows are
+        // its nets. Neither can exceed the u32 ids the entries are stored as.
+        for size in ["1 99999999999999 1", "99999999999999 3 1"] {
+            let text = format!("%%MatrixMarket matrix coordinate pattern general\n{size}\n1 1\n");
+            let err = read_mtx(Cursor::new(text)).unwrap_err();
+            assert!(matches!(err, IoError::Parse { line: 2, .. }), "{err}");
+            assert!(
+                format!("{err}").contains("exceeds the u32 id space"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
     fn declared_net_count_is_not_allocated_up_front() {
-        let text = "%%MatrixMarket matrix coordinate pattern general\n99999999999999 3 1\n5 2\n";
+        let text = "%%MatrixMarket matrix coordinate pattern general\n4294967295 3 1\n5 2\n";
         let hg = read_mtx(Cursor::new(text))
             .unwrap()
             .to_hypergraph(SparseMatrixModel::RowNet, "wide");

@@ -50,6 +50,19 @@ pub(crate) fn capacity_hint(declared: usize) -> usize {
     declared.min(MAX_CAPACITY_HINT)
 }
 
+/// Checks a header-declared count of ids against the `u32` id space
+/// ([`crate::VertexId`], [`crate::HyperedgeId`]): a larger count cannot be
+/// addressed, so it is a parse error rather than an allocation attempt.
+pub(crate) fn id_count(declared: usize, line: usize, what: &str) -> IoResult<usize> {
+    if declared > u32::MAX as usize {
+        return Err(IoError::parse(
+            line,
+            format!("{what} {declared} exceeds the u32 id space"),
+        ));
+    }
+    Ok(declared)
+}
+
 /// Errors arising while reading a hypergraph file.
 #[derive(Debug)]
 pub enum IoError {

@@ -18,7 +18,7 @@ fn parts_of_edge(hg: &Hypergraph, part: &Partition, e: HyperedgeId, scratch: &mu
     scratch.dedup();
 }
 
-/// Connectivity `λ(e)` of a hyperedge: the number of distinct partitions its
+/// The connectivity `λ(e)` of a hyperedge: the number of distinct partitions its
 /// pins are assigned to. A hyperedge fully inside one partition has `λ = 1`.
 pub fn edge_connectivity(hg: &Hypergraph, part: &Partition, e: HyperedgeId) -> usize {
     let mut scratch = Vec::new();
@@ -72,7 +72,7 @@ pub fn weighted_soed(hg: &Hypergraph, part: &Partition) -> f64 {
     total
 }
 
-/// Connectivity-minus-one metric `Σ_e (λ(e) − 1)·w(e)`, the metric minimised
+/// The connectivity-minus-one metric `Σ_e (λ(e) − 1)·w(e)`, the metric minimised
 /// by Zoltan/PaToH-style partitioners; it equals the total communication
 /// volume of a gather/scatter per hyperedge. Not reported in the paper's
 /// figures but used as an internal objective by the multilevel baseline.
@@ -111,7 +111,7 @@ pub struct CutMetrics {
     pub hyperedge_cut: u64,
     /// Sum of external degrees.
     pub soed: u64,
-    /// Connectivity-minus-one (weighted).
+    /// The connectivity-minus-one metric (weighted).
     pub connectivity_minus_one: f64,
     /// Number of boundary vertices.
     pub boundary_vertices: usize,

@@ -66,7 +66,7 @@ proptest! {
         // Every cut hyperedge contributes at least 2 and at most p to SOED.
         prop_assert!(soed >= 2 * cut);
         prop_assert!(soed <= cut * part.num_parts() as u64);
-        // Connectivity-minus-one relates to SOED: soed - cut = conn-1 restricted
+        // The connectivity-minus-one metric relates to SOED: soed - cut = conn-1 restricted
         // to cut edges; for unit weights conn-1 counts uncut edges as zero.
         let conn = metrics::connectivity_minus_one(&hg, &part);
         prop_assert!((conn - (soed as f64 - cut as f64)).abs() < 1e-9);

@@ -44,7 +44,7 @@ pub struct LowMemConfig {
     /// Memory budget for sketches, the transpose buffer and the
     /// re-streaming buffer.
     pub budget: MemoryBudget,
-    /// Connectivity index implementation.
+    /// Which connectivity index implementation to use.
     pub index: IndexKind,
     /// Workload-imbalance weight `α`. `None` uses the FENNEL-derived
     /// starting point `√p · |E| / √|V|`, like `hyperpraw-core`.

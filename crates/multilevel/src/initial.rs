@@ -84,7 +84,7 @@ pub fn greedy_growing_bisection(hg: &Hypergraph, fraction: f64, seed: u64) -> Bi
 
     let mut assignment = vec![1u32; n];
     let mut in_zero = vec![false; n];
-    // Connectivity score of each unassigned vertex towards side 0.
+    // The connectivity score of each unassigned vertex towards side 0.
     let mut score = vec![0.0f64; n];
     let mut weight0 = 0.0f64;
 

@@ -32,8 +32,8 @@ use std::time::Instant;
 
 use hyperpraw_core::metrics::QualityReport;
 use hyperpraw_core::{
-    baselines, Connectivity, CostMatrix, HyperPraw, HyperPrawConfig, ParallelConfig,
-    ParallelHyperPraw, ParallelMode, PartitionHistory, RefinementPolicy, StreamOrder,
+    baselines, CostMatrix, HyperPraw, HyperPrawConfig, ParallelConfig, ParallelMode,
+    PartitionHistory, RefinementPolicy, StreamOrder,
 };
 use hyperpraw_dynamic::{DynamicConfig, DynamicError, DynamicPartitioner, GraphUpdate};
 use hyperpraw_hypergraph::io::stream::VertexStream;
@@ -273,12 +273,6 @@ impl PartitionJob {
         self
     }
 
-    /// Sets the in-memory connectivity provider (HyperPRAW drivers).
-    pub fn connectivity(mut self, connectivity: Connectivity) -> Self {
-        self.hyperpraw.connectivity = connectivity;
-        self
-    }
-
     /// Sets the refinement policy (HyperPRAW drivers).
     pub fn refinement(mut self, refinement: RefinementPolicy) -> Self {
         self.hyperpraw.refinement = refinement;
@@ -454,12 +448,14 @@ impl PartitionJob {
         }
         let invalid = PartitionError::InvalidConfig;
         match self.algorithm {
-            Algorithm::HyperPrawBasic | Algorithm::HyperPrawAware => {
+            Algorithm::HyperPrawBasic
+            | Algorithm::HyperPrawAware
+            | Algorithm::ParallelBasic
+            | Algorithm::ParallelAware => {
                 self.hyperpraw.validate().map_err(invalid)?;
-            }
-            Algorithm::ParallelBasic | Algorithm::ParallelAware => {
-                self.hyperpraw.validate().map_err(invalid)?;
-                self.parallel.validate().map_err(invalid)?;
+                if self.parallel_restreaming() {
+                    self.parallel.validate().map_err(invalid)?;
+                }
             }
             Algorithm::LowMemExact | Algorithm::LowMemSketched => {
                 self.lowmem_with_index().validate().map_err(invalid)?;
@@ -486,24 +482,16 @@ impl PartitionJob {
         let (partition, history, stop_reason, iterations, final_alpha, lowmem) = match self
             .algorithm
         {
-            Algorithm::HyperPrawBasic | Algorithm::HyperPrawAware => {
-                let result = HyperPraw::new(self.hyperpraw, self.driver_cost(p))
-                    .with_registry(&self.registry)
-                    .partition(hg);
-                (
-                    result.partition,
-                    result.history,
-                    Some(result.stop_reason),
-                    result.iterations,
-                    Some(result.final_alpha),
-                    None,
-                )
-            }
-            Algorithm::ParallelBasic | Algorithm::ParallelAware => {
-                let result =
-                    ParallelHyperPraw::new(self.hyperpraw, self.parallel, self.driver_cost(p))
-                        .with_registry(&self.registry)
-                        .partition(hg);
+            Algorithm::HyperPrawBasic
+            | Algorithm::HyperPrawAware
+            | Algorithm::ParallelBasic
+            | Algorithm::ParallelAware => {
+                let mut driver = HyperPraw::new(self.hyperpraw, self.driver_cost(p))
+                    .with_registry(&self.registry);
+                if self.parallel_restreaming() {
+                    driver = driver.with_parallel(self.parallel);
+                }
+                let result = driver.partition(hg);
                 (
                     result.partition,
                     result.history,
@@ -779,6 +767,15 @@ impl PartitionJob {
             .unwrap_or_else(|| CostMatrix::uniform(p as usize))
     }
 
+    /// `true` for the restreaming algorithms that run the parallel
+    /// schedule ([`HyperPraw::with_parallel`]).
+    fn parallel_restreaming(&self) -> bool {
+        matches!(
+            self.algorithm,
+            Algorithm::ParallelBasic | Algorithm::ParallelAware
+        )
+    }
+
     fn effective_config(&self, p: u32) -> EffectiveConfig {
         let restreaming = matches!(
             self.algorithm,
@@ -787,10 +784,7 @@ impl PartitionJob {
                 | Algorithm::ParallelBasic
                 | Algorithm::ParallelAware
         );
-        let bsp = matches!(
-            self.algorithm,
-            Algorithm::ParallelBasic | Algorithm::ParallelAware
-        );
+        let bsp = self.parallel_restreaming();
         let lowmem = self.algorithm.supports_streams();
         let architecture_aware = match self.algorithm {
             Algorithm::HyperPrawBasic
@@ -842,7 +836,6 @@ impl PartitionJob {
             } else {
                 None
             },
-            connectivity: restreaming.then(|| self.hyperpraw.connectivity.name()),
             stream_order: restreaming.then(|| self.hyperpraw.stream_order.name()),
             threads: if bsp {
                 self.parallel.num_threads

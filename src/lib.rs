@@ -106,8 +106,8 @@ pub mod prelude {
     };
     pub use hyperpraw_core::{
         baselines, metrics::partitioning_communication_cost, metrics::QualityReport, CostMatrix,
-        HyperPraw, HyperPrawConfig, ParallelConfig, ParallelHyperPraw, ParallelMode,
-        PartitionResult, RefinementPolicy, StopReason, StreamOrder,
+        HyperPraw, HyperPrawConfig, ParallelConfig, ParallelMode, PartitionResult,
+        RefinementPolicy, StopReason, StreamOrder,
     };
     pub use hyperpraw_dynamic::{
         DynamicConfig, DynamicError, DynamicPartitioner, GraphUpdate, RecoveryStats, StateDir,

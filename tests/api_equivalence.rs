@@ -64,16 +64,13 @@ fn parallel_variants_match_the_direct_driver_bit_for_bit() {
         (Algorithm::ParallelBasic, CostMatrix::uniform(P as usize)),
         (Algorithm::ParallelAware, cost.clone()),
     ] {
-        let direct = ParallelHyperPraw::new(
-            HyperPrawConfig::default().with_seed(SEED),
-            ParallelConfig {
+        let direct = HyperPraw::new(HyperPrawConfig::default().with_seed(SEED), driver_cost)
+            .with_parallel(ParallelConfig {
                 num_threads: 3,
                 sync_interval: 256,
                 mode: ParallelMode::Bsp,
-            },
-            driver_cost,
-        )
-        .partition(&hg);
+            })
+            .partition(&hg);
         let api = PartitionJob::new(algorithm)
             .cost(cost.clone())
             .seed(SEED)
