@@ -49,6 +49,15 @@
 //! near-linear scaling. Both parallel strategies degenerate to the exact
 //! sequential placement loop at one worker.
 //!
+//! The stealing workers follow one write rule: **shared state is written
+//! only on a move**. A visit reads the shared loads and detaches the
+//! vertex's own weight in a private copy; the load counters and the atomic
+//! assignment are written only when the chosen part differs from the
+//! current one. Everything a worker writes per vertex — counts, load view,
+//! scorer scratch, proposals — sits in its own 128-byte-aligned worker
+//! slot, so a visit that keeps its vertex in place causes no cross-core
+//! traffic.
+//!
 //! Every combination is valid: [`crate::HyperPraw`] is
 //! `InMemorySource × AdjProvider × Sequential`, and
 //! [`crate::HyperPraw::with_parallel`] swaps in `Chunked` or
@@ -155,7 +164,7 @@ pub enum ExecutionStrategy {
         num_threads: usize,
         /// Vertices per claimed chunk — the staleness granularity of the
         /// *provider* state (the atomic assignment and load views are
-        /// updated per vertex). [`DEFAULT_STEAL_CHUNK`] suits most runs.
+        /// updated per move). [`DEFAULT_STEAL_CHUNK`] suits most runs.
         chunk: usize,
     },
 }
@@ -578,13 +587,41 @@ impl EngineState {
 }
 
 /// Per-worker scratch buffers, created once per run and reused across
-/// windows and passes.
+/// windows and passes. A worker writes its slot's `Vec` headers for every
+/// vertex it scores, so slots are aligned to 128 bytes — two cache lines,
+/// the unit adjacent-line prefetchers pull in — and never share a line
+/// with a peer's.
+#[repr(align(128))]
 struct WorkerSlot<T> {
     scratch: T,
     counts: Vec<u32>,
     value: ValueScratch,
     delta: Vec<f64>,
     loads_view: Vec<f64>,
+    /// The work-stealing strategy's `(batch index, part, margin)`
+    /// proposals for the current batch.
+    proposals: Vec<(usize, u32, f64)>,
+}
+
+impl<T> WorkerSlot<T> {
+    /// Tops `slots` up to `workers` entries sized for `p` parts.
+    fn fill<P: ConnectivityProvider<Scratch = T>>(
+        slots: &mut Vec<Self>,
+        workers: usize,
+        provider: &P,
+        p: usize,
+    ) {
+        while slots.len() < workers {
+            slots.push(WorkerSlot {
+                scratch: provider.new_scratch(),
+                counts: Vec::with_capacity(p),
+                value: ValueScratch::new(),
+                delta: vec![0.0f64; p],
+                loads_view: Vec::with_capacity(p),
+                proposals: Vec::new(),
+            });
+        }
+    }
 }
 
 /// One live (fresh-information) placement — the shared inner step of the
@@ -1140,15 +1177,7 @@ impl Engine {
     {
         let p = state.loads.len();
         let window_len = sync_interval.max(num_threads).max(1);
-        while slots.len() < num_threads {
-            slots.push(WorkerSlot {
-                scratch: provider.new_scratch(),
-                counts: Vec::with_capacity(p),
-                value: ValueScratch::new(),
-                delta: vec![0.0f64; p],
-                loads_view: Vec::with_capacity(p),
-            });
-        }
+        WorkerSlot::fill(slots, num_threads, provider, p);
         let mut moved = 0usize;
 
         loop {
@@ -1301,6 +1330,13 @@ impl Engine {
     /// accounting, move counting and doubt collection happen on the engine
     /// thread at the batch boundary (the bounded-staleness window for
     /// index-backed providers). Returns the number of moved vertices.
+    ///
+    /// Workers write shared state only when a vertex moves: a visit reads
+    /// the load counters, detaches the vertex's own weight in its private
+    /// copy, and touches the shared loads and the atomic assignment only
+    /// if the chosen part differs from the current one. Everything a
+    /// worker writes per vertex lives in its cache-line-aligned
+    /// [`WorkerSlot`], so most visits cause no cross-core traffic at all.
     #[allow(clippy::too_many_arguments)] // the engine's hot path shares one state bundle
     fn steal_pass<S, P>(
         &self,
@@ -1321,15 +1357,7 @@ impl Engine {
         P: ConnectivityProvider,
     {
         let p = state.loads.len();
-        while slots.len() < num_threads {
-            slots.push(WorkerSlot {
-                scratch: provider.new_scratch(),
-                counts: Vec::with_capacity(p),
-                value: ValueScratch::new(),
-                delta: vec![0.0f64; p],
-                loads_view: Vec::with_capacity(p),
-            });
-        }
+        WorkerSlot::fill(slots, num_threads, provider, p);
         // The live assignment view covers the *full* graph — connectivity
         // counts read arbitrary neighbours, not just batch members.
         let view = AtomicAssignment::from_partition(&state.partition);
@@ -1339,9 +1367,10 @@ impl Engine {
             .map(|&load| AtomicI64::new(to_fixed(load)))
             .collect();
         // Stream sources stay memory-bounded: a batch holds at most this
-        // many records. Providers whose counts track the live atomic
-        // assignment can take huge batches — in-memory sources usually fit
-        // in one, so the thread team is spawned once per pass. Providers
+        // many records, so a pass over more than 8192 vertices (at the
+        // default chunk and two workers) spans several batches, each with
+        // its own thread team and boundary apply. Providers whose counts
+        // track the live atomic assignment take the large cap. Providers
         // answering from internal state only mutated at batch boundaries
         // (the lowmem indices) get small batches instead, bounding how far
         // their counts lag behind the stream.
@@ -1388,77 +1417,70 @@ impl Engine {
                 let provider_ref: &P = provider;
                 let chunk_claims = &self.metrics.steal_chunk_claims;
 
-                let run_worker =
-                    |slot: &mut WorkerSlot<P::Scratch>, out: &mut Vec<(usize, u32, f64)>| {
-                        slot.loads_view.clear();
-                        slot.loads_view.resize(p, 0.0);
-                        while let Some(range) = cursor.claim() {
-                            chunk_claims.inc();
-                            out.reserve(range.len());
-                            for i in range {
-                                let record = &records[i];
-                                let w = to_fixed(record.weight);
-                                if assigned {
-                                    let old = view.part_of(record.vertex) as usize;
-                                    shared[old].fetch_sub(w, AtomicOrdering::Relaxed);
-                                }
-                                for (local, counter) in slot.loads_view.iter_mut().zip(shared) {
-                                    *local = from_fixed(counter.load(AtomicOrdering::Relaxed));
-                                }
-                                provider_ref.count(
-                                    record,
-                                    view,
-                                    &mut slot.scratch,
-                                    &mut slot.counts,
-                                );
-                                let scored = best_partition_in(
-                                    &slot.counts,
-                                    cost,
-                                    alpha,
-                                    &slot.loads_view,
-                                    expected,
-                                    &mut slot.value,
-                                );
-                                shared[scored.part as usize].fetch_add(w, AtomicOrdering::Relaxed);
-                                view.set(record.vertex, scored.part);
-                                out.push((i, scored.part, scored.margin));
+                let run_worker = |slot: &mut WorkerSlot<P::Scratch>| {
+                    slot.loads_view.clear();
+                    slot.loads_view.resize(p, 0.0);
+                    slot.proposals.clear();
+                    while let Some(range) = cursor.claim() {
+                        chunk_claims.inc();
+                        slot.proposals.reserve(range.len());
+                        for i in range {
+                            let record = &records[i];
+                            let w = to_fixed(record.weight);
+                            // Score with the vertex detached from its
+                            // current part in the private copy only.
+                            let current = assigned.then(|| view.part_of(record.vertex));
+                            let loads = slot.loads_view.iter_mut().zip(shared);
+                            for (k, (local, counter)) in loads.enumerate() {
+                                let own = if current == Some(k as u32) { w } else { 0 };
+                                *local = from_fixed(counter.load(AtomicOrdering::Relaxed) - own);
                             }
+                            provider_ref.count(record, view, &mut slot.scratch, &mut slot.counts);
+                            let scored = best_partition_in(
+                                &slot.counts,
+                                cost,
+                                alpha,
+                                &slot.loads_view,
+                                expected,
+                                &mut slot.value,
+                            );
+                            let target = scored.part;
+                            if current != Some(target) {
+                                if let Some(old) = current {
+                                    shared[old as usize].fetch_sub(w, AtomicOrdering::Relaxed);
+                                }
+                                shared[target as usize].fetch_add(w, AtomicOrdering::Relaxed);
+                                view.set(record.vertex, target);
+                            }
+                            slot.proposals.push((i, target, scored.margin));
                         }
-                    };
+                    }
+                };
 
                 // Spawn the team once per batch: workers 1.. on scoped
                 // threads, worker 0 on the engine thread itself.
-                let mut outs: Vec<Vec<(usize, u32, f64)>> =
-                    (0..workers).map(|_| Vec::new()).collect();
-                if workers == 1 {
-                    run_worker(&mut slots[0], &mut outs[0]);
-                } else {
-                    let (first_slot, rest_slots) = slots.split_at_mut(1);
-                    let (first_out, rest_outs) = outs.split_at_mut(1);
-                    thread::scope(|scope| {
-                        let handles: Vec<_> = rest_slots
-                            .iter_mut()
-                            .take(workers - 1)
-                            .zip(rest_outs.iter_mut())
-                            .map(|(slot, out)| {
-                                let run_worker = &run_worker;
-                                scope.spawn(move || run_worker(slot, out))
-                            })
-                            .collect();
-                        run_worker(&mut first_slot[0], &mut first_out[0]);
-                        handles
-                            .into_iter()
-                            .for_each(|h| h.join().expect("engine worker panicked"));
-                    });
-                }
+                let (first, rest) = slots.split_at_mut(1);
+                thread::scope(|scope| {
+                    let handles: Vec<_> = rest[..workers - 1]
+                        .iter_mut()
+                        .map(|slot| {
+                            let run_worker = &run_worker;
+                            scope.spawn(move || run_worker(slot))
+                        })
+                        .collect();
+                    run_worker(&mut first[0]);
+                    handles
+                        .into_iter()
+                        .for_each(|h| h.join().expect("engine worker panicked"));
+                });
 
                 // Merge the per-worker proposals back into batch order —
                 // every index was claimed exactly once, so this is a
                 // scatter, not a sort.
                 proposals.clear();
                 proposals.resize(len, (0u32, 0.0));
-                for out in &outs {
-                    for &(i, part, margin) in out {
+                for slot in &slots[..workers] {
+                    for &(i, part, margin) in &slot.proposals {
                         proposals[i] = (part, margin);
                     }
                 }
@@ -1483,6 +1505,19 @@ impl Engine {
                 }
                 doubts.offer(&self.config.doubts, provider, record, target, margin);
             }
+            // Workers wrote the counters for exactly the moves just
+            // applied, so both load accounts agree up to rounding: at most
+            // one fixed-point unit per applied record, plus the f64 sums'.
+            debug_assert!(
+                shared_loads
+                    .iter()
+                    .zip(&state.loads)
+                    .all(|(shared, &load)| {
+                        let fixed = from_fixed(shared.load(AtomicOrdering::Relaxed));
+                        (fixed - load).abs() <= from_fixed(len as i64 + 1) + 1e-9 * load.abs()
+                    }),
+                "work-stealing fixed-point loads drifted from the applied loads"
+            );
             self.metrics.steal_batch_applies.inc();
         }
         Ok(moved)

@@ -134,17 +134,39 @@ pub struct AdjProvider<'a> {
     hg: &'a Hypergraph,
     adj: std::borrow::Cow<'a, NeighborAdjacency>,
     /// Counts hub vertices answered through the traversal fallback; a
-    /// no-op unless bound via [`AdjProvider::with_registry`]. Shared by
-    /// clones, so worker threads all bump the same cell.
+    /// no-op unless bound via [`AdjProvider::with_registry`]. Each
+    /// worker's [`AdjScratch`] tallies its own visits and adds them here
+    /// in batches, so workers never write the shared cell per vertex.
     hub_fallbacks: hyperpraw_telemetry::Counter,
 }
 
+/// Hub visits an [`AdjScratch`] tallies before adding them to the shared
+/// `engine.hub_fallbacks` counter (the rest is added when it drops).
+const HUB_FALLBACK_FLUSH: u64 = 1024;
+
 /// Worker-local scratch of [`AdjProvider`]: empty (O(1)) until the worker
 /// meets a hub vertex, at which point the `O(|V|)` epoch scratch for the
-/// traversal fallback is created once and reused.
+/// traversal fallback is created once and reused. It also tallies the
+/// worker's hub visits, adding them to the provider's counter every 1024
+/// visits and on drop, so the run's total stays exact.
 #[derive(Debug, Default)]
 pub struct AdjScratch {
     fallback: Option<NeighborScratch>,
+    hub_fallbacks: hyperpraw_telemetry::Counter,
+    pending_hub_fallbacks: u64,
+}
+
+impl AdjScratch {
+    fn flush_hub_fallbacks(&mut self) {
+        self.hub_fallbacks.add(self.pending_hub_fallbacks);
+        self.pending_hub_fallbacks = 0;
+    }
+}
+
+impl Drop for AdjScratch {
+    fn drop(&mut self) {
+        self.flush_hub_fallbacks();
+    }
 }
 
 impl<'a> AdjProvider<'a> {
@@ -184,7 +206,11 @@ impl ConnectivityProvider for AdjProvider<'_> {
     type Scratch = AdjScratch;
 
     fn new_scratch(&self) -> Self::Scratch {
-        AdjScratch::default()
+        AdjScratch {
+            fallback: None,
+            hub_fallbacks: self.hub_fallbacks.clone(),
+            pending_hub_fallbacks: 0,
+        }
     }
 
     fn needs_nets(&self) -> bool {
@@ -198,8 +224,11 @@ impl ConnectivityProvider for AdjProvider<'_> {
         scratch: &mut Self::Scratch,
         counts: &mut Vec<u32>,
     ) {
-        if self.hub_fallbacks.is_enabled() && self.adj.is_hub(record.vertex) {
-            self.hub_fallbacks.inc();
+        if scratch.hub_fallbacks.is_enabled() && self.adj.is_hub(record.vertex) {
+            scratch.pending_hub_fallbacks += 1;
+            if scratch.pending_hub_fallbacks == HUB_FALLBACK_FLUSH {
+                scratch.flush_hub_fallbacks();
+            }
         }
         self.adj.neighbor_partition_counts(
             self.hg,
@@ -288,5 +317,55 @@ mod tests {
         let provider = AdjProvider::from_adjacency(&hg, &adj);
         assert_eq!(provider.adjacency().num_vertices(), 4);
         assert_eq!(provider.adjacency().distinct_degree(0), 3);
+    }
+
+    #[test]
+    fn hub_fallback_total_is_exact_under_every_strategy() {
+        use crate::engine::{Engine, EngineConfig, ExecutionStrategy, InMemorySource, NoCommCost};
+        use crate::HyperPrawConfig;
+        use hyperpraw_hypergraph::generators::{mesh_hypergraph, MeshConfig};
+        use hyperpraw_topology::CostMatrix;
+
+        // A cutoff of 8 puts most mesh vertices on the traversal fallback,
+        // so the workers' tallies cross the flush threshold within a run.
+        let hg = mesh_hypergraph(&MeshConfig::new(1500, 6));
+        let adj = NeighborAdjacency::build(&hg, AdjacencyBudget::DegreeCutoff(8));
+        let hubs = adj.num_hubs() as u64;
+        assert!(hubs * 4 > 1024, "the test must cross the flush threshold");
+        let config = HyperPrawConfig {
+            max_iterations: 6,
+            ..HyperPrawConfig::default()
+        };
+        for strategy in [
+            ExecutionStrategy::Sequential,
+            ExecutionStrategy::Chunked {
+                num_threads: 3,
+                sync_interval: 100,
+            },
+            ExecutionStrategy::WorkStealing {
+                num_threads: 2,
+                chunk: 16,
+            },
+            ExecutionStrategy::WorkStealing {
+                num_threads: 4,
+                chunk: 16,
+            },
+        ] {
+            let registry = hyperpraw_telemetry::Registry::new();
+            let engine = Engine::new(EngineConfig::restreaming(&config).with_strategy(strategy));
+            let run = engine
+                .run(
+                    &CostMatrix::uniform(4),
+                    &mut InMemorySource::new(&hg, config.stream_order, 1),
+                    &mut AdjProvider::from_adjacency(&hg, &adj).with_registry(&registry),
+                    &mut NoCommCost,
+                )
+                .unwrap();
+            assert_eq!(
+                registry.counter_value("engine.hub_fallbacks"),
+                Some(hubs * run.iterations as u64),
+                "{strategy:?}"
+            );
+        }
     }
 }

@@ -148,6 +148,10 @@ impl ValueScratch {
 /// ([`CostMatrix::is_unit_uniform`]) the terms collapse to the exact
 /// integers `Σ_j X_j − X_i` and the matrix is never touched.
 ///
+/// `N_i(v)` is one of two precomputed quotients, `K / p` or `(K − 1) / p`
+/// with `K` the number of partitions holding neighbours, so the scoring
+/// loop divides only for the balance term.
+///
 /// For every candidate `i` the contributions are added in the same
 /// ascending-`j` order [`value_of`] uses, so the result — winner, value,
 /// margin and tie-breaking — is **bit-identical** to
@@ -195,13 +199,15 @@ pub fn best_partition_in(
         }
     }
 
+    // N_i(v) excludes the candidate itself when it holds neighbours.
     let pf = p as f64;
+    let n_all = neighbour_parts_total as f64 / pf;
+    let n_others = neighbour_parts_total.saturating_sub(1) as f64 / pf;
     let mut best = 0u32;
     let mut best_value = f64::NEG_INFINITY;
     let mut runner_up = f64::NEG_INFINITY;
     for i in 0..p {
-        let neighbour_parts = neighbour_parts_total - u32::from(counts[i] > 0);
-        let n = neighbour_parts as f64 / pf;
+        let n = if counts[i] > 0 { n_others } else { n_all };
         let v = -n * t[i] - alpha * loads[i] / expected[i];
         let better = v > best_value + 1e-12
             || ((v - best_value).abs() <= 1e-12 && loads[i] < loads[best as usize] - 1e-12);
@@ -367,6 +373,63 @@ mod tests {
                     reference.margin.to_bits(),
                     "case {case}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn reused_scratch_stays_bit_identical_as_inputs_change() {
+        // One scratch reused across calls the way the engine reuses it,
+        // while the loads, α, the expected loads and the partition count
+        // change between calls: nothing may carry over from an earlier call.
+        let mut state = 0x2545F4914F6CDD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut scratch = ValueScratch::new();
+        let mut check = |counts: &[u32], alpha: f64, loads: &[f64], expected: &[f64]| {
+            let p = counts.len();
+            let raw: Vec<f64> = (0..p * p)
+                .map(|k| {
+                    if k / p == k % p {
+                        0.0
+                    } else {
+                        1.0 + (k % 5) as f64 * 0.25
+                    }
+                })
+                .collect();
+            let cost = CostMatrix::from_raw(p, raw);
+            let reference = best_partition_with_margin(counts, &cost, alpha, loads, expected);
+            let fast = best_partition_in(counts, &cost, alpha, loads, expected, &mut scratch);
+            assert_eq!(fast.part, reference.part);
+            assert_eq!(fast.value.to_bits(), reference.value.to_bits());
+            assert_eq!(fast.margin.to_bits(), reference.margin.to_bits());
+        };
+        for p in [6usize, 9, 2, 9] {
+            let mut counts: Vec<u32> = (0..p).map(|i| (i % 3) as u32).collect();
+            let mut loads: Vec<f64> = (0..p).map(|_| next() * 20.0).collect();
+            let mut expected = vec![10.0f64; p];
+            let mut alpha = 3.0;
+            check(&counts, alpha, &loads, &expected);
+            for step in 0..50 {
+                match step % 4 {
+                    // One load changes, as a detach or a non-move does.
+                    0 => loads[step % p] = next() * 20.0,
+                    // Two loads change, as a move does.
+                    1 => {
+                        loads[step % p] += 1.0;
+                        loads[(step + 1) % p] -= 1.0;
+                    }
+                    // α tempers while the loads stay fixed.
+                    2 => alpha *= 1.7,
+                    // The expected loads change.
+                    _ => expected[step % p] = 5.0 + next() * 10.0,
+                }
+                counts[step % p] = (next() * 4.0) as u32;
+                check(&counts, alpha, &loads, &expected);
             }
         }
     }

@@ -8,19 +8,19 @@
 
 use hyperpraw_core::{CostMatrix, HyperPraw, HyperPrawConfig, ParallelConfig};
 use hyperpraw_hypergraph::generators::{mesh_hypergraph, MeshConfig};
+use hyperpraw_hypergraph::{Hypergraph, HypergraphBuilder};
 
-#[test]
-fn hammer_the_work_stealing_strategy_with_eight_threads() {
-    let hg = mesh_hypergraph(&MeshConfig::new(200, 6));
-    let p = 5u32;
-    for seed in 0..40u64 {
+/// Runs `seeds` stealing partitions of `hg` on `threads` workers and checks
+/// every invariant against a from-scratch recount of the assignment.
+fn hammer(hg: &Hypergraph, p: u32, threads: usize, seeds: u64) {
+    for seed in 0..seeds {
         let config = HyperPrawConfig {
             max_iterations: 12,
             ..HyperPrawConfig::default().with_seed(seed)
         };
         let result = HyperPraw::new(config, CostMatrix::uniform(p as usize))
-            .with_parallel(ParallelConfig::stealing(8))
-            .partition(&hg);
+            .with_parallel(ParallelConfig::stealing(threads))
+            .partition(hg);
 
         assert_eq!(result.partition.num_vertices(), hg.num_vertices());
         assert!(
@@ -36,12 +36,39 @@ fn hammer_the_work_stealing_strategy_with_eight_threads() {
             recount,
             "seed {seed}: part-size bookkeeping drifted from the assignment"
         );
-        let imbalance = result.partition.imbalance(&hg).unwrap();
+        let imbalance = result.partition.imbalance(hg).unwrap();
         assert!(
             (result.imbalance - imbalance).abs() < 1e-9,
-            "seed {seed}: reported imbalance {} vs recomputed {}",
+            "seed {seed}, {threads} threads: reported imbalance {} vs recomputed {}",
             result.imbalance,
             imbalance
         );
+    }
+}
+
+#[test]
+fn hammer_the_work_stealing_strategy_with_eight_threads() {
+    hammer(&mesh_hypergraph(&MeshConfig::new(200, 6)), 5, 8, 40);
+}
+
+#[test]
+fn weighted_vertices_keep_the_load_accounting_exact() {
+    // Workers write the shared fixed-point loads only when a vertex moves,
+    // so every move must carry its own weight. With weights 1..=5 a move
+    // booked with the wrong weight or on the wrong part shows up in the
+    // reported imbalance, and in debug builds the engine also checks the
+    // fixed-point loads against the applied ones at every batch boundary.
+    let mesh = mesh_hypergraph(&MeshConfig::new(200, 6));
+    let mut builder = HypergraphBuilder::new(mesh.num_vertices());
+    for (_, pins) in mesh.iter_edges() {
+        builder.add_hyperedge(pins.iter().copied());
+    }
+    for v in mesh.vertices() {
+        builder.set_vertex_weight(v, f64::from(v.wrapping_mul(2_654_435_761) % 5 + 1));
+    }
+    let hg = builder.build();
+    assert!(hg.total_vertex_weight() > 2.0 * hg.num_vertices() as f64);
+    for threads in [2, 8] {
+        hammer(&hg, 5, threads, 20);
     }
 }
