@@ -25,8 +25,8 @@
 //!   ├ InMemorySource         ├ AdjProvider (in memory:   ├ Sequential
 //!   │  (natural/shuffled/    │   precomputed dedup CSR,  │   (fresh info per
 //!   │   degree order)        │   flat scan; budgeted,    │    vertex,
-//!   └ StreamSource over any  │   hubs fall back to       │    deterministic)
-//!      io::stream source     │   epoch traversal)        ├ Chunked BSP
+//!   └ StreamSource over any  │   hubs answered from      │    deterministic)
+//!      io::stream source     │   exact part counts)      ├ Chunked BSP
 //!      (on-disk transpose,   ├ lowmem ExactIndex         │   (frozen snapshot
 //!       InMemoryVertexStream)│   (hash maps, exact,      │    + local deltas,
 //!                            │    reversible)            │    deterministic)
@@ -51,8 +51,9 @@
 //!
 //! The stealing workers follow one write rule: **shared state is written
 //! only on a move**. A visit reads the shared loads and detaches the
-//! vertex's own weight in a private copy; the load counters and the atomic
-//! assignment are written only when the chosen part differs from the
+//! vertex's own weight in a private copy; the load counters, the atomic
+//! assignment and the provider's move hook (which shifts `AdjProvider`'s
+//! hub part counts) are written only when the chosen part differs from the
 //! current one. Everything a worker writes per vertex — counts, load view,
 //! scorer scratch, proposals — sits in its own 128-byte-aligned worker
 //! slot, so a visit that keeps its vertex in place causes no cross-core
@@ -67,13 +68,21 @@
 //! out for free.
 //!
 //! `AdjProvider` answers the distinct-neighbour query with exact integer
-//! counts whatever its budget: flat-list vertices and hub vertices (which
-//! re-deduplicate their `O(Σ_{e∋v}|e|)` pins through an epoch scratch)
-//! count alike, so the budget never changes a partition — the
-//! engine-equivalence suite holds bit for bit (f64 history equality)
-//! under every budget. What the budget trades is memory against
-//! per-visit cost: one parallel dedup up front and a flat scan per visit,
-//! with O(1) worker scratch until a budget-capped hub is met.
+//! counts whatever its budget: flat-list vertices scan their list, and
+//! hub vertices — too many distinct neighbours for the budget — copy the
+//! part counts `X(h)` the provider keeps for them. The engine keeps those
+//! counts exact through two provider hooks: `sync` once per run from the
+//! starting assignment (one traversal per hub the run visits), and
+//! `moved` wherever the assignment the counts read changes — at each
+//! sequential placement, at the bulk-synchronous window apply, and in the
+//! stealing worker next to its write of the live assignment. A hub visit
+//! is therefore an O(p) copy, and hub traversals are paid only at sync
+//! and when a hub itself moves. Debug builds check the counts against a
+//! recount at every pass end, window apply and stealing batch boundary.
+//! The budget never changes a partition — the engine-equivalence suite
+//! holds bit for bit (f64 history equality) under every budget. What the
+//! budget trades is memory (flat lists against `4·p` bytes of counts per
+//! hub) against the cost of a move.
 //!
 //! The engine also owns the two cross-cutting quality devices the drivers
 //! used to duplicate: the bounded **doubt buffer** (the `k`
@@ -648,10 +657,32 @@ fn place_live<P: ConnectivityProvider>(
     }
     provider.count(record, &state.partition, scratch, counts);
     let scored = best_partition_in(counts, cost, alpha, &state.loads, &state.expected, value);
-    state.partition.set(record.vertex, scored.part);
+    set_part(
+        provider,
+        &mut state.partition,
+        record.vertex,
+        scored.part,
+        scratch,
+    );
     state.loads[scored.part as usize] += w;
     provider.attach(record, scored.part);
     scored
+}
+
+/// Assigns `v` to `part` in `partition`, the assignment the provider's
+/// counts read, and reports the change to the provider.
+fn set_part<P: ConnectivityProvider>(
+    provider: &P,
+    partition: &mut Partition,
+    v: VertexId,
+    part: u32,
+    scratch: &mut P::Scratch,
+) {
+    let prior = partition.part_of(v);
+    if prior != part {
+        partition.set(v, part);
+        provider.moved(v, prior, part, scratch);
+    }
 }
 
 /// A prior assignment handed to [`Engine::run_warm`]: the engine refines
@@ -860,6 +891,7 @@ impl Engine {
     {
         let p = state.loads.len();
         let config = &self.config;
+        provider.sync(&state.partition, source.visits());
 
         let mut alpha = config
             .initial_alpha
@@ -938,6 +970,10 @@ impl Engine {
                 )?,
             };
             pass_span.finish();
+            debug_assert!(
+                provider.agrees_with(&state.partition),
+                "provider state drifted from the assignment by the end of pass {pass}"
+            );
             self.metrics.doubt_entries.set(doubts.heap.len() as i64);
             self.metrics.doubt_bytes.set(doubts.bytes as i64);
             assigned = true;
@@ -1307,7 +1343,13 @@ impl Engine {
                         state.loads[cur as usize] -= w;
                         provider.detach(record, cur);
                     }
-                    state.partition.set(v, target);
+                    set_part(
+                        provider,
+                        &mut state.partition,
+                        v,
+                        target,
+                        &mut slots[0].scratch,
+                    );
                     state.loads[target as usize] += w;
                     provider.attach(record, target);
                     if current != Some(target) {
@@ -1316,6 +1358,10 @@ impl Engine {
                     doubts.offer(&self.config.doubts, provider, record, target, margin);
                 }
             }
+            debug_assert!(
+                provider.agrees_with(&state.partition),
+                "provider state drifted from the assignment at a window apply"
+            );
         }
         Ok(moved)
     }
@@ -1429,7 +1475,8 @@ impl Engine {
                             let w = to_fixed(record.weight);
                             // Score with the vertex detached from its
                             // current part in the private copy only.
-                            let current = assigned.then(|| view.part_of(record.vertex));
+                            let prior = view.part_of(record.vertex);
+                            let current = assigned.then_some(prior);
                             let loads = slot.loads_view.iter_mut().zip(shared);
                             for (k, (local, counter)) in loads.enumerate() {
                                 let own = if current == Some(k as u32) { w } else { 0 };
@@ -1451,6 +1498,14 @@ impl Engine {
                                 }
                                 shared[target as usize].fetch_add(w, AtomicOrdering::Relaxed);
                                 view.set(record.vertex, target);
+                                if prior != target {
+                                    provider_ref.moved(
+                                        record.vertex,
+                                        prior,
+                                        target,
+                                        &mut slot.scratch,
+                                    );
+                                }
                             }
                             slot.proposals.push((i, target, scored.margin));
                         }
@@ -1473,6 +1528,13 @@ impl Engine {
                         .into_iter()
                         .for_each(|h| h.join().expect("engine worker panicked"));
                 });
+
+                // Every worker finished each move's provider updates
+                // before the join, so the provider agrees with the view.
+                debug_assert!(
+                    provider_ref.agrees_with(view),
+                    "provider state drifted from the live assignment at a batch boundary"
+                );
 
                 // Merge the per-worker proposals back into batch order —
                 // every index was claimed exactly once, so this is a

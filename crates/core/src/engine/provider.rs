@@ -6,31 +6,39 @@
 //! differ only in *where the connectivity state lives*:
 //!
 //! * [`AdjProvider`] — the in-memory provider: counts **distinct
-//!   neighbour vertices** per partition against the assignment the engine
-//!   passes in, answered from a precomputed deduplicated neighbour
-//!   adjacency ([`NeighborAdjacency`]) — one flat, cache-linear scan per
-//!   visit instead of re-deduplicating the neighbourhood on every pass.
-//!   Budget-aware and hybrid: hub vertices above the adjacency's degree
-//!   cutover fall back to epoch traversal of the CSR hypergraph through a
-//!   [`NeighborScratch`]. Both paths produce the same exact integer
-//!   counts, so the budget never changes a partition. Holds no state of
-//!   its own, so detach/attach are no-ops.
+//!   neighbour vertices** per partition. Non-hub vertices are answered by
+//!   one flat, cache-linear scan of a precomputed deduplicated neighbour
+//!   adjacency ([`NeighborAdjacency`]) against the assignment the engine
+//!   passes in. Hub vertices — above the adjacency's degree cutover, so
+//!   they carry no list — are answered from **exact part counts** `X(h)`
+//!   the provider keeps per hub: synced once per run
+//!   ([`ConnectivityProvider::sync`]) and shifted by one on every move of
+//!   a neighbour ([`ConnectivityProvider::moved`]), so a hub visit is an
+//!   O(p) copy instead of a traversal of the hub's pins. Both paths
+//!   produce the same exact integer counts, so the budget never changes a
+//!   partition.
 //! * `hyperpraw-lowmem`'s `IndexProvider` — answers from a budgeted
 //!   `ConnectivityIndex` (exact hash maps, or Bloom/MinHash sketches),
 //!   counting **connected nets** per partition; attach/detach record and
 //!   (when supported) forget net incidences.
 //!
 //! Scoring reads take `&self` plus a worker-local
-//! [`ConnectivityProvider::Scratch`], so the bulk-synchronous execution
-//! strategy can fan the same provider out across worker threads; all
-//! mutation happens on the engine thread at synchronisation points.
-//! [`AdjProvider`]'s scratch is O(1) until a hub is met (the traversal
-//! scratch materialises lazily), which keeps per-worker memory flat as
-//! the bulk-synchronous strategy scales out.
+//! [`ConnectivityProvider::Scratch`], so the parallel execution strategies
+//! can fan the same provider out across worker threads. The
+//! index providers mutate only on the engine thread at synchronisation
+//! points; [`AdjProvider`]'s hub counts are atomics, so a work-stealing
+//! worker updates them next to its own write of the live assignment.
+//! [`AdjProvider`]'s scratch is O(1) until a hub moves (the traversal
+//! scratch materialises lazily), which keeps per-worker memory flat as the
+//! parallel strategies scale out.
+
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use hyperpraw_hypergraph::io::stream::VertexRecord;
 use hyperpraw_hypergraph::traversal::NeighborScratch;
-use hyperpraw_hypergraph::{AdjacencyBudget, AssignmentRef, Hypergraph, NeighborAdjacency};
+use hyperpraw_hypergraph::{
+    AdjacencyBudget, AssignmentRef, Hypergraph, NeighborAdjacency, Partition, VertexId,
+};
 
 /// Supplies neighbour-partition counts to the restreaming engine and
 /// tracks assignment changes, when the implementation keeps its own
@@ -60,6 +68,37 @@ pub trait ConnectivityProvider: Sync {
     /// small for non-live providers so that state never falls more than a
     /// bounded window behind the stream.
     fn live_counts(&self) -> bool {
+        true
+    }
+
+    /// Called once per run, before the first pass, with the assignment the
+    /// run starts from (the round-robin seed, or a warm start's partition)
+    /// and the vertices the run will visit (`None`: every vertex). From
+    /// here on the engine reports every change of that assignment through
+    /// [`ConnectivityProvider::moved`]. Providers without state derived
+    /// from the assignment ignore it.
+    fn sync(&mut self, assignment: &Partition, visits: Option<&[VertexId]>) {
+        let _ = (assignment, visits);
+    }
+
+    /// Called exactly where the assignment that
+    /// [`ConnectivityProvider::count`] reads changes `v` from part `from`
+    /// to part `to` (`from != to`): at each placement in sequential
+    /// execution, at the window apply in bulk-synchronous execution, and
+    /// in the worker next to its write of the live assignment in
+    /// work-stealing execution — hence `&self` and the worker's scratch.
+    /// Providers without state derived from the assignment ignore it.
+    fn moved(&self, v: VertexId, from: u32, to: u32, scratch: &mut Self::Scratch) {
+        let _ = (v, from, to, scratch);
+    }
+
+    /// Whether the provider's assignment-derived state agrees with
+    /// `assignment`. The engine asserts this in debug builds wherever that
+    /// state must be exact — at every pass end, bulk-synchronous window
+    /// and work-stealing batch boundary. Providers without such state
+    /// have nothing to check.
+    fn agrees_with<A: AssignmentRef>(&self, assignment: &A) -> bool {
+        let _ = assignment;
         true
     }
 
@@ -111,44 +150,69 @@ pub trait ConnectivityProvider: Sync {
     }
 }
 
+/// Slot value of a vertex without hub counts.
+const NO_SLOT: u32 = u32::MAX;
+
 /// [`ConnectivityProvider`] over a precomputed [`NeighborAdjacency`]:
 /// distinct-neighbour partition counts answered by one flat scan of the
 /// vertex's deduplicated neighbour list — no epoch array, no nested pin
-/// loop. Hub vertices above the adjacency's degree cutover traverse the
-/// hypergraph through a lazily created per-worker [`NeighborScratch`]
-/// instead, so dense instances degrade gracefully rather than exploding
-/// the adjacency quadratically.
+/// loop.
 ///
-/// Counts are exact integers on both paths — identical to
+/// Hub vertices above the adjacency's degree cutover carry no list, so
+/// the provider keeps their counts instead: one exact vector `X(h)` of
+/// `p` [`AtomicU32`]s per hub the run visits, plus a vertex → slot map
+/// (`4·p` bytes per hub and 4 per vertex, see
+/// [`AdjProvider::memory_bytes`]). [`ConnectivityProvider::sync`] fills
+/// them with one traversal per hub; afterwards, when a vertex `u` moves
+/// `a → b`, every distinct hub neighbour `h` of `u` gets `X(h)[a] −= 1`
+/// and `X(h)[b] += 1` — a non-hub `u` finds its hub neighbours in its own
+/// flat list, a moving hub with one traversal of its pins. This is the
+/// pin-count-in-part delta bookkeeping of Mt-KaHyPar, kept per distinct
+/// *neighbour* rather than per hyperedge because HyperPRAW's `X_j(v)`
+/// deduplicates. A provider no run has synced answers hubs by traversal,
+/// through a lazily created per-worker [`NeighborScratch`].
+///
+/// Counts are exact integers on every path — identical to
 /// [`NeighborScratch::neighbor_partition_counts`], the distinct-neighbour
 /// `X_j(v)` of the paper — so every budget keeps the engine's equivalence
-/// guarantees (f64 history bit-equality).
+/// guarantees (f64 history bit-equality). Under work stealing the hub
+/// counts follow the live atomic assignment with the same bounded
+/// staleness, and are exact again once the team joins.
 ///
 /// The adjacency is either owned ([`AdjProvider::new`] builds it) or
 /// borrowed ([`AdjProvider::from_adjacency`]), so one precomputation can
 /// be shared with other consumers — the in-memory drivers reuse it for
 /// the per-pass comm-cost evaluation
 /// ([`crate::engine::ExactCommCost::with_adjacency`]).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct AdjProvider<'a> {
     hg: &'a Hypergraph,
     adj: std::borrow::Cow<'a, NeighborAdjacency>,
-    /// Counts hub vertices answered through the traversal fallback; a
+    /// Part count of the synced run.
+    num_parts: usize,
+    /// Hub-count slot of every vertex ([`NO_SLOT`] unless it is a hub the
+    /// synced run visits); empty until the first sync.
+    slots: Vec<u32>,
+    /// `X(h)` of every slotted hub, `num_parts` counters per slot. The
+    /// counters publish no other data — each is exact once the writers'
+    /// threads are joined — so they are accessed with relaxed ordering.
+    hub_counts: Vec<AtomicU32>,
+    /// Counts hub traversals (sync, hub moves, unsynced hub queries); a
     /// no-op unless bound via [`AdjProvider::with_registry`]. Each
-    /// worker's [`AdjScratch`] tallies its own visits and adds them here
-    /// in batches, so workers never write the shared cell per vertex.
+    /// worker's [`AdjScratch`] tallies its own traversals and adds them
+    /// here in batches, so workers never write the shared cell per vertex.
     hub_fallbacks: hyperpraw_telemetry::Counter,
 }
 
-/// Hub visits an [`AdjScratch`] tallies before adding them to the shared
-/// `engine.hub_fallbacks` counter (the rest is added when it drops).
+/// Hub traversals an [`AdjScratch`] tallies before adding them to the
+/// shared `engine.hub_fallbacks` counter (the rest is added when it drops).
 const HUB_FALLBACK_FLUSH: u64 = 1024;
 
 /// Worker-local scratch of [`AdjProvider`]: empty (O(1)) until the worker
-/// meets a hub vertex, at which point the `O(|V|)` epoch scratch for the
-/// traversal fallback is created once and reused. It also tallies the
-/// worker's hub visits, adding them to the provider's counter every 1024
-/// visits and on drop, so the run's total stays exact.
+/// traverses a hub, at which point the `O(|V|)` epoch scratch is created
+/// once and reused. It also tallies the worker's hub traversals, adding
+/// them to the provider's counter every 1024 traversals and on drop, so
+/// the run's total stays exact.
 #[derive(Debug, Default)]
 pub struct AdjScratch {
     fallback: Option<NeighborScratch>,
@@ -157,6 +221,16 @@ pub struct AdjScratch {
 }
 
 impl AdjScratch {
+    /// Records one hub traversal.
+    fn tally(&mut self) {
+        if self.hub_fallbacks.is_enabled() {
+            self.pending_hub_fallbacks += 1;
+            if self.pending_hub_fallbacks == HUB_FALLBACK_FLUSH {
+                self.flush_hub_fallbacks();
+            }
+        }
+    }
+
     fn flush_hub_fallbacks(&mut self) {
         self.hub_fallbacks.add(self.pending_hub_fallbacks);
         self.pending_hub_fallbacks = 0;
@@ -172,25 +246,31 @@ impl Drop for AdjScratch {
 impl<'a> AdjProvider<'a> {
     /// Builds the adjacency for `hg` under `budget` and owns it.
     pub fn new(hg: &'a Hypergraph, budget: AdjacencyBudget) -> Self {
-        Self {
+        Self::with_adjacency(
             hg,
-            adj: std::borrow::Cow::Owned(NeighborAdjacency::build(hg, budget)),
-            hub_fallbacks: hyperpraw_telemetry::Counter::noop(),
-        }
+            std::borrow::Cow::Owned(NeighborAdjacency::build(hg, budget)),
+        )
     }
 
     /// Borrows an adjacency built elsewhere (shared across consumers).
     pub fn from_adjacency(hg: &'a Hypergraph, adj: &'a NeighborAdjacency) -> Self {
+        Self::with_adjacency(hg, std::borrow::Cow::Borrowed(adj))
+    }
+
+    fn with_adjacency(hg: &'a Hypergraph, adj: std::borrow::Cow<'a, NeighborAdjacency>) -> Self {
         Self {
             hg,
-            adj: std::borrow::Cow::Borrowed(adj),
+            adj,
+            num_parts: 0,
+            slots: Vec::new(),
+            hub_counts: Vec::new(),
             hub_fallbacks: hyperpraw_telemetry::Counter::noop(),
         }
     }
 
-    /// Binds the `engine.hub_fallbacks` counter to `registry`: every
-    /// connectivity count answered through the hub traversal fallback
-    /// (rather than the flat adjacency list) increments it.
+    /// Binds the `engine.hub_fallbacks` counter to `registry`: every hub
+    /// traversal actually done — one per hub at sync, one per hub move,
+    /// one per query for a hub no run synced — increments it.
     pub fn with_registry(mut self, registry: &hyperpraw_telemetry::Registry) -> Self {
         self.hub_fallbacks = registry.counter("engine.hub_fallbacks");
         self
@@ -199,6 +279,31 @@ impl<'a> AdjProvider<'a> {
     /// The precomputed adjacency in use.
     pub fn adjacency(&self) -> &NeighborAdjacency {
         &self.adj
+    }
+
+    /// Number of hubs whose part counts the provider keeps (the hubs the
+    /// last synced run visits).
+    pub fn num_counted_hubs(&self) -> usize {
+        self.hub_counts.len() / self.num_parts.max(1)
+    }
+
+    /// Heap bytes held: the adjacency plus the hub part counts and their
+    /// vertex → slot map.
+    pub fn memory_bytes(&self) -> usize {
+        self.adj.memory_bytes()
+            + self.slots.capacity() * std::mem::size_of::<u32>()
+            + self.hub_counts.capacity() * std::mem::size_of::<AtomicU32>()
+    }
+
+    /// The kept part counts `X(h)` of `v`, when `v` is a counted hub.
+    #[inline]
+    fn hub_counts_of(&self, v: VertexId) -> Option<&[AtomicU32]> {
+        let slot = *self.slots.get(v as usize)?;
+        if slot == NO_SLOT {
+            return None;
+        }
+        let lo = slot as usize * self.num_parts;
+        Some(&self.hub_counts[lo..lo + self.num_parts])
     }
 }
 
@@ -217,6 +322,78 @@ impl ConnectivityProvider for AdjProvider<'_> {
         false
     }
 
+    fn sync(&mut self, assignment: &Partition, visits: Option<&[VertexId]>) {
+        let p = assignment.num_parts() as usize;
+        let n = assignment.num_vertices();
+        self.num_parts = p;
+        self.slots.clear();
+        self.slots.resize(n, NO_SLOT);
+        let mut hubs: Vec<VertexId> = Vec::new();
+        let mut slot_hub = |v: VertexId| {
+            let slot = &mut self.slots[v as usize];
+            if *slot == NO_SLOT && self.adj.is_hub(v) {
+                *slot = hubs.len() as u32;
+                hubs.push(v);
+            }
+        };
+        match visits {
+            Some(visits) => visits.iter().for_each(|&v| slot_hub(v)),
+            None => (0..n as VertexId).for_each(slot_hub),
+        }
+        self.hub_counts.clear();
+        self.hub_counts.reserve_exact(hubs.len() * p);
+        let mut scratch = NeighborScratch::new(self.hg.num_vertices());
+        let mut counts = Vec::with_capacity(p);
+        for &h in &hubs {
+            scratch.neighbor_partition_counts(self.hg, assignment, h, &mut counts);
+            self.hub_counts
+                .extend(counts.iter().map(|&c| AtomicU32::new(c)));
+        }
+        self.hub_fallbacks.add(hubs.len() as u64);
+    }
+
+    fn moved(&self, v: VertexId, from: u32, to: u32, scratch: &mut Self::Scratch) {
+        if self.hub_counts.is_empty() {
+            return;
+        }
+        let shift = |h: VertexId| {
+            if let Some(x) = self.hub_counts_of(h) {
+                x[from as usize].fetch_sub(1, Ordering::Relaxed);
+                x[to as usize].fetch_add(1, Ordering::Relaxed);
+            }
+        };
+        match self.adj.neighbors(v) {
+            Some(list) => list.iter().for_each(|&h| shift(h)),
+            None => {
+                scratch.tally();
+                let traversal = scratch
+                    .fallback
+                    .get_or_insert_with(|| NeighborScratch::new(self.hg.num_vertices()));
+                traversal
+                    .neighbors(self.hg, v)
+                    .iter()
+                    .for_each(|&h| shift(h));
+            }
+        }
+    }
+
+    fn agrees_with<A: AssignmentRef>(&self, assignment: &A) -> bool {
+        let mut scratch = NeighborScratch::new(self.hg.num_vertices());
+        let mut expected = Vec::new();
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|&(_, &slot)| slot != NO_SLOT)
+            .all(|(h, _)| {
+                let h = h as VertexId;
+                scratch.neighbor_partition_counts(self.hg, assignment, h, &mut expected);
+                let kept = self.hub_counts_of(h).expect("slotted hub has counts");
+                kept.iter()
+                    .zip(&expected)
+                    .all(|(x, &c)| x.load(Ordering::Relaxed) == c)
+            })
+    }
+
     fn count<A: AssignmentRef>(
         &self,
         record: &VertexRecord,
@@ -224,19 +401,26 @@ impl ConnectivityProvider for AdjProvider<'_> {
         scratch: &mut Self::Scratch,
         counts: &mut Vec<u32>,
     ) {
-        if scratch.hub_fallbacks.is_enabled() && self.adj.is_hub(record.vertex) {
-            scratch.pending_hub_fallbacks += 1;
-            if scratch.pending_hub_fallbacks == HUB_FALLBACK_FLUSH {
-                scratch.flush_hub_fallbacks();
+        let v = record.vertex;
+        if let Some(list) = self.adj.neighbors(v) {
+            counts.clear();
+            counts.resize(assignment.num_parts() as usize, 0);
+            for &u in list {
+                counts[assignment.part_of(u) as usize] += 1;
             }
+        } else if let Some(x) = self.hub_counts_of(v) {
+            counts.clear();
+            counts.extend(x.iter().map(|c| c.load(Ordering::Relaxed)));
+        } else {
+            scratch.tally();
+            self.adj.neighbor_partition_counts(
+                self.hg,
+                assignment,
+                v,
+                &mut scratch.fallback,
+                counts,
+            );
         }
-        self.adj.neighbor_partition_counts(
-            self.hg,
-            assignment,
-            record.vertex,
-            &mut scratch.fallback,
-            counts,
-        );
     }
 }
 
@@ -299,12 +483,36 @@ mod tests {
                 adj.count(&record, &part, &mut adj_scratch, &mut got);
                 assert_eq!(got, expected, "budget {budget:?}, vertex {v}");
             }
-            // The O(|V|) fallback scratch only exists when hubs exist.
+            // Unsynced, hubs are traversed: the O(|V|) fallback scratch
+            // only exists when hubs exist.
+            let hubs = adj.adjacency().num_hubs();
             assert_eq!(
                 adj_scratch.fallback.is_some(),
-                adj.adjacency().num_hubs() > 0,
+                hubs > 0,
                 "budget {budget:?}"
             );
+
+            // Synced, hubs are answered from their kept counts, whose
+            // bytes the memory accounting reports.
+            let mut adj = adj;
+            adj.sync(&part, None);
+            assert_eq!(adj.num_counted_hubs(), hubs);
+            assert_eq!(
+                adj.memory_bytes(),
+                adj.adjacency().memory_bytes() + 4 * hg.num_vertices() + 4 * 3 * hubs
+            );
+            let mut adj_scratch = adj.new_scratch();
+            for v in hg.vertices() {
+                let record = VertexRecord {
+                    vertex: v,
+                    weight: 1.0,
+                    nets: vec![],
+                };
+                oracle.neighbor_partition_counts(&hg, &part, v, &mut expected);
+                adj.count(&record, &part, &mut adj_scratch, &mut got);
+                assert_eq!(got, expected, "synced, budget {budget:?}, vertex {v}");
+            }
+            assert!(adj_scratch.fallback.is_none(), "budget {budget:?}");
         }
     }
 
@@ -326,21 +534,23 @@ mod tests {
         use hyperpraw_hypergraph::generators::{mesh_hypergraph, MeshConfig};
         use hyperpraw_topology::CostMatrix;
 
-        // A cutoff of 8 puts most mesh vertices on the traversal fallback,
-        // so the workers' tallies cross the flush threshold within a run.
-        let hg = mesh_hypergraph(&MeshConfig::new(1500, 6));
-        let adj = NeighborAdjacency::build(&hg, AdjacencyBudget::DegreeCutoff(8));
+        // A zero cutoff makes every mesh vertex a hub, so the traversals
+        // are exactly one per vertex at sync plus one per move, and the
+        // workers' move tallies cross the flush threshold within a run.
+        let hg = mesh_hypergraph(&MeshConfig::new(3000, 6));
+        let adj = NeighborAdjacency::build(&hg, AdjacencyBudget::DegreeCutoff(0));
         let hubs = adj.num_hubs() as u64;
-        assert!(hubs * 4 > 1024, "the test must cross the flush threshold");
+        assert_eq!(hubs, hg.num_vertices() as u64);
         let config = HyperPrawConfig {
             max_iterations: 6,
+            track_history: true,
             ..HyperPrawConfig::default()
         };
         for strategy in [
             ExecutionStrategy::Sequential,
             ExecutionStrategy::Chunked {
                 num_threads: 3,
-                sync_interval: 100,
+                sync_interval: 500,
             },
             ExecutionStrategy::WorkStealing {
                 num_threads: 2,
@@ -355,15 +565,17 @@ mod tests {
             let engine = Engine::new(EngineConfig::restreaming(&config).with_strategy(strategy));
             let run = engine
                 .run(
-                    &CostMatrix::uniform(4),
+                    &CostMatrix::uniform(8),
                     &mut InMemorySource::new(&hg, config.stream_order, 1),
                     &mut AdjProvider::from_adjacency(&hg, &adj).with_registry(&registry),
                     &mut NoCommCost,
                 )
                 .unwrap();
+            let moves: usize = run.history.records().iter().map(|r| r.moved_vertices).sum();
+            assert!(moves > 2 * 1024, "the test must cross the flush threshold");
             assert_eq!(
                 registry.counter_value("engine.hub_fallbacks"),
-                Some(hubs * run.iterations as u64),
+                Some(hubs + moves as u64),
                 "{strategy:?}"
             );
         }

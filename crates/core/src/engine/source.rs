@@ -69,6 +69,13 @@ pub trait VertexSource {
     /// letting the source skip copying incidence lists.
     /// Sources are free to ignore the hint and fill the nets anyway.
     fn set_nets_enabled(&mut self, _enabled: bool) {}
+
+    /// The vertices a pass yields, when the source covers only a subset
+    /// of the graph (`None`: every vertex). Providers size per-run state
+    /// from it ([`crate::engine::ConnectivityProvider::sync`]).
+    fn visits(&self) -> Option<&[VertexId]> {
+        None
+    }
 }
 
 /// Adapter lifting any [`VertexStream`] (the on-disk transpose readers,
@@ -234,6 +241,10 @@ impl VertexSource for DirtySetSource<'_> {
 
     fn total_vertex_weight(&self) -> Option<f64> {
         Some(self.dirty.iter().map(|&v| self.hg.vertex_weight(v)).sum())
+    }
+
+    fn visits(&self) -> Option<&[VertexId]> {
+        Some(&self.dirty)
     }
 
     fn set_nets_enabled(&mut self, enabled: bool) {

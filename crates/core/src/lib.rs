@@ -36,8 +36,9 @@
 //!   `hypergraph::io::stream::VertexStream` via [`engine::StreamSource`];
 //! * **connectivity provider** ([`engine::ConnectivityProvider`]) — where
 //!   the neighbour-partition counts `X_j(v)` come from: a precomputed
-//!   deduplicated neighbour adjacency ([`engine::AdjProvider`], whose hub
-//!   vertices fall back to exact epoch traversal), or `hyperpraw-lowmem`'s
+//!   deduplicated neighbour adjacency ([`engine::AdjProvider`], which
+//!   answers hub vertices from exact part counts it keeps per hub and
+//!   shifts on every move), or `hyperpraw-lowmem`'s
 //!   budget-bounded exact/sketched connectivity indices;
 //! * **execution strategy** ([`engine::ExecutionStrategy`]) — sequential
 //!   decisions with fresh information, deterministic bulk-synchronous

@@ -126,7 +126,11 @@ pub fn best_partition_with_margin(
 /// contents are meaningless between calls.
 #[derive(Clone, Debug, Default)]
 pub struct ValueScratch {
+    /// Per candidate: the communication term `t_i`, then the value `V_i`.
     t: Vec<f64>,
+    /// The occupied source partitions `(j, X_j)` of the current vertex, in
+    /// ascending `j`; only the first `K` entries are meaningful.
+    occupied: Vec<(usize, f64)>,
 }
 
 impl ValueScratch {
@@ -136,23 +140,33 @@ impl ValueScratch {
     }
 }
 
+/// Candidate partitions whose communication terms the blocked kernel of
+/// [`best_partition_in`] accumulates together in registers.
+const BLOCK: usize = 8;
+
 /// Scores every candidate partition like [`best_partition_with_margin`]
 /// but restructured for the hot loop, reusing `scratch` across calls.
 ///
 /// The naive scorer evaluates [`value_of`] per candidate — `O(p²)` matrix
 /// reads per vertex even when the vertex's neighbours touch only a handful
-/// of partitions. This version accumulates the communication terms
-/// `t_i = Σ_j X_j(v) · C(i,j)` one *source* partition `j` with `X_j > 0`
-/// at a time over the contiguous column cache ([`CostMatrix::col`]),
-/// so the work is `O(p · |{j : X_j > 0}|)`; for unit-uniform matrices
-/// ([`CostMatrix::is_unit_uniform`]) the terms collapse to the exact
-/// integers `Σ_j X_j − X_i` and the matrix is never touched.
+/// of partitions. This version first compacts the *occupied* source
+/// partitions (`X_j > 0`) without branching, then computes the
+/// communication terms `t_i = Σ_j X_j(v) · C(i,j)` for blocks of
+/// eight candidates at a time: each block's sums live in local
+/// accumulators while the occupied columns of the column cache
+/// ([`CostMatrix::col`]) stream past, so the work is
+/// `O(p · |{j : X_j > 0}|)` with no store per term. For unit-uniform
+/// matrices ([`CostMatrix::is_unit_uniform`]) the terms collapse to the
+/// exact integers `Σ_j X_j − X_i` and the matrix is never touched.
 ///
 /// `N_i(v)` is one of two precomputed quotients, `K / p` or `(K − 1) / p`
-/// with `K` the number of partitions holding neighbours, so the scoring
-/// loop divides only for the balance term.
+/// with `K` the number of partitions holding neighbours. Every
+/// candidate's value is computed in one pass free of loop-carried state,
+/// which the compiler vectorises; only then does the selection scan walk
+/// the values in candidate order.
 ///
-/// For every candidate `i` the contributions are added in the same
+/// For every candidate `i` the accumulator starts at `0.0` and the
+/// contributions are multiplied and then added (never fused) in the same
 /// ascending-`j` order [`value_of`] uses, so the result — winner, value,
 /// margin and tie-breaking — is **bit-identical** to
 /// [`best_partition_with_margin`]; the engine equivalence tests rely on
@@ -187,15 +201,39 @@ pub fn best_partition_in(
             t[i] = (total - u64::from(c)) as f64;
         }
     } else {
+        let occupied = &mut scratch.occupied;
+        occupied.resize(p, (0, 0.0));
+        let mut k = 0usize;
         for (j, &c) in counts.iter().enumerate() {
-            if c == 0 {
-                continue;
+            occupied[k] = (j, c as f64);
+            k += usize::from(c > 0);
+        }
+        let occupied = &occupied[..k];
+        neighbour_parts_total = k as u32;
+        let mut blocks = t.chunks_exact_mut(BLOCK);
+        for (b, out) in (&mut blocks).enumerate() {
+            let lo = b * BLOCK;
+            let mut acc = [0.0f64; BLOCK];
+            for &(j, cj) in occupied {
+                let col: &[f64; BLOCK] = cost.col(j)[lo..lo + BLOCK]
+                    .try_into()
+                    .expect("a block spans BLOCK candidates");
+                for (a, &cij) in acc.iter_mut().zip(col) {
+                    *a += cj * cij;
+                }
             }
-            neighbour_parts_total += 1;
-            let cj = c as f64;
-            for (ti, &cij) in t.iter_mut().zip(cost.col(j)) {
-                *ti += cj * cij;
+            out.copy_from_slice(&acc);
+        }
+        let tail = blocks.into_remainder();
+        if !tail.is_empty() {
+            let lo = p - tail.len();
+            let mut acc = [0.0f64; BLOCK];
+            for &(j, cj) in occupied {
+                for (a, &cij) in acc.iter_mut().zip(&cost.col(j)[lo..]) {
+                    *a += cj * cij;
+                }
             }
+            tail.copy_from_slice(&acc[..tail.len()]);
         }
     }
 
@@ -203,12 +241,14 @@ pub fn best_partition_in(
     let pf = p as f64;
     let n_all = neighbour_parts_total as f64 / pf;
     let n_others = neighbour_parts_total.saturating_sub(1) as f64 / pf;
+    for (((ti, &c), &load), &e) in t.iter_mut().zip(counts).zip(loads).zip(expected) {
+        let n = if c > 0 { n_others } else { n_all };
+        *ti = -n * *ti - alpha * load / e;
+    }
     let mut best = 0u32;
     let mut best_value = f64::NEG_INFINITY;
     let mut runner_up = f64::NEG_INFINITY;
-    for i in 0..p {
-        let n = if counts[i] > 0 { n_others } else { n_all };
-        let v = -n * t[i] - alpha * loads[i] / expected[i];
+    for (i, &v) in t.iter().enumerate() {
         let better = v > best_value + 1e-12
             || ((v - best_value).abs() <= 1e-12 && loads[i] < loads[best as usize] - 1e-12);
         if better {
@@ -329,10 +369,11 @@ mod tests {
 
     #[test]
     fn scratch_scorer_is_bit_identical_to_the_reference_scorer() {
-        // Pseudo-random but deterministic instances over both a unit-uniform
-        // and a genuinely heterogeneous cost matrix.
-        let p = 7usize;
-        let mut raw = vec![0.0f64; p * p];
+        // Pseudo-random but deterministic instances: part counts on both
+        // sides of the kernel's block width, unit-uniform, Archer-like and
+        // random matrices, and every number of occupied parts from none
+        // to all.
+        use hyperpraw_topology::{BandwidthMatrix, MachineModel};
         let mut state = 0x9E3779B97F4A7C15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -340,39 +381,46 @@ mod tests {
             state ^= state << 17;
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
-        for v in raw.iter_mut() {
-            *v = 0.5 + next() * 1.5;
-        }
-        let aware = CostMatrix::from_raw(p, raw);
-        let uniform = CostMatrix::uniform(p);
         let mut scratch = ValueScratch::new();
-        for cost in [&uniform, &aware] {
-            for case in 0..200 {
-                let counts: Vec<u32> = (0..p)
-                    .map(|i| {
-                        if (case + i) % 3 == 0 {
-                            0
-                        } else {
-                            (next() * 9.0) as u32
+        for p in [1usize, 2, 7, 8, 9, 23, 24, 25, 64] {
+            let raw: Vec<f64> = (0..p * p).map(|_| 0.5 + next() * 1.5).collect();
+            let machine = MachineModel::archer_like(p);
+            let matrices = [
+                CostMatrix::uniform(p),
+                CostMatrix::from_bandwidth(&BandwidthMatrix::from_machine(&machine, 0.05, 1)),
+                CostMatrix::from_raw(p, raw),
+            ];
+            for cost in &matrices {
+                for occupied in 0..=p {
+                    for case in 0..4 {
+                        // `occupied` distinct parts get 1..=9 neighbours.
+                        let mut order: Vec<usize> = (0..p).collect();
+                        for i in (1..p).rev() {
+                            order.swap(i, (next() * (i + 1) as f64) as usize);
                         }
-                    })
-                    .collect();
-                let loads: Vec<f64> = (0..p).map(|_| next() * 20.0).collect();
-                let expected = vec![10.0f64; p];
-                let alpha = next() * 50.0;
-                let reference = best_partition_with_margin(&counts, cost, alpha, &loads, &expected);
-                let fast = best_partition_in(&counts, cost, alpha, &loads, &expected, &mut scratch);
-                assert_eq!(fast.part, reference.part, "case {case}");
-                assert_eq!(
-                    fast.value.to_bits(),
-                    reference.value.to_bits(),
-                    "case {case}"
-                );
-                assert_eq!(
-                    fast.margin.to_bits(),
-                    reference.margin.to_bits(),
-                    "case {case}"
-                );
+                        let mut counts = vec![0u32; p];
+                        for &j in &order[..occupied] {
+                            counts[j] = 1 + (next() * 9.0) as u32;
+                        }
+                        let loads: Vec<f64> = (0..p).map(|_| next() * 20.0).collect();
+                        let expected = vec![10.0f64; p];
+                        let alpha = next() * 50.0;
+                        let reference =
+                            best_partition_with_margin(&counts, cost, alpha, &loads, &expected);
+                        let fast = best_partition_in(
+                            &counts,
+                            cost,
+                            alpha,
+                            &loads,
+                            &expected,
+                            &mut scratch,
+                        );
+                        let at = format!("p {p}, {occupied} occupied, case {case}");
+                        assert_eq!(fast.part, reference.part, "{at}");
+                        assert_eq!(fast.value.to_bits(), reference.value.to_bits(), "{at}");
+                        assert_eq!(fast.margin.to_bits(), reference.margin.to_bits(), "{at}");
+                    }
+                }
             }
         }
     }

@@ -1,0 +1,137 @@
+//! Model test of [`AdjProvider`]'s hub part counts.
+//!
+//! The provider keeps an exact part-count vector `X(h)` per hub, synced
+//! from a starting assignment and shifted on every reported move. After
+//! any sequence of moves, every vertex's counts — hubs from `X(h)`,
+//! non-hubs from their flat lists, hubs outside the synced visit set by
+//! traversal — must equal the traversal oracle
+//! ([`NeighborScratch::neighbor_partition_counts`]) on the moved
+//! assignment. Covers every budget shape, visit subsets, and adjacencies
+//! whose neighbourhoods were patched after the build the way the dynamic
+//! layer patches them, including patches that turn vertices into hubs.
+
+use proptest::prelude::*;
+
+use hyperpraw_core::engine::{AdjProvider, ConnectivityProvider};
+use hyperpraw_hypergraph::generators::{random_hypergraph, CardinalityDist, RandomConfig};
+use hyperpraw_hypergraph::io::stream::VertexRecord;
+use hyperpraw_hypergraph::traversal::NeighborScratch;
+use hyperpraw_hypergraph::{
+    AdjacencyBudget, Hypergraph, HypergraphBuilder, NeighborAdjacency, Partition, VertexId,
+};
+
+fn arb_hypergraph() -> impl Strategy<Value = Hypergraph> {
+    (20usize..100, 10usize..70, 0u64..400).prop_map(|(n, e, seed)| {
+        random_hypergraph(&RandomConfig {
+            num_vertices: n,
+            num_hyperedges: e,
+            cardinality: CardinalityDist::Uniform { min: 2, max: 9 },
+            seed,
+            name: "prop".into(),
+        })
+    })
+}
+
+/// `hg` without its last `dropped` hyperedges.
+fn without_last_edges(hg: &Hypergraph, dropped: usize) -> Hypergraph {
+    let mut builder = HypergraphBuilder::new(hg.num_vertices());
+    let kept = hg.num_hyperedges().saturating_sub(dropped);
+    for (_, pins) in hg.iter_edges().take(kept) {
+        builder.add_hyperedge(pins.iter().copied());
+    }
+    builder.build()
+}
+
+/// The adjacency of `hg` under `budget`; with `dropped > 0` it is built
+/// for `hg` minus its last `dropped` hyperedges and then patched, as the
+/// dynamic layer does, for every pin of the hyperedges that came back.
+fn adjacency(hg: &Hypergraph, budget: AdjacencyBudget, dropped: usize) -> NeighborAdjacency {
+    if dropped == 0 {
+        return NeighborAdjacency::build(hg, budget);
+    }
+    let mut adj = NeighborAdjacency::build(&without_last_edges(hg, dropped), budget);
+    let mut scratch = NeighborScratch::new(hg.num_vertices());
+    let first = hg.num_hyperedges().saturating_sub(dropped);
+    for (_, pins) in hg.iter_edges().skip(first) {
+        for &v in pins {
+            adj.patch_vertex(v, scratch.neighbors(hg, v).to_vec());
+        }
+    }
+    adj
+}
+
+/// Syncs a provider over `adj` to `start`, replays `moves` through
+/// [`ConnectivityProvider::moved`], and checks every vertex against the
+/// oracle. Returns the number of hubs the provider kept counts for.
+fn check_model(
+    hg: &Hypergraph,
+    adj: &NeighborAdjacency,
+    mut partition: Partition,
+    visits: Option<&[VertexId]>,
+    moves: &[(usize, u32)],
+) -> usize {
+    let n = hg.num_vertices();
+    let p = partition.num_parts();
+    let mut provider = AdjProvider::from_adjacency(hg, adj);
+    provider.sync(&partition, visits);
+    let mut scratch = provider.new_scratch();
+    for &(v, shift) in moves {
+        let v = (v % n) as VertexId;
+        let from = partition.part_of(v);
+        let to = (from + 1 + shift % (p - 1)) % p;
+        partition.set(v, to);
+        provider.moved(v, from, to, &mut scratch);
+    }
+    assert!(provider.agrees_with(&partition));
+    let mut oracle = NeighborScratch::new(n);
+    let (mut expected, mut got) = (Vec::new(), Vec::new());
+    let mut record = VertexRecord::default();
+    for v in hg.vertices() {
+        record.vertex = v;
+        oracle.neighbor_partition_counts(hg, &partition, v, &mut expected);
+        provider.count(&record, &partition, &mut scratch, &mut got);
+        assert_eq!(got, expected, "vertex {v}");
+    }
+    provider.num_counted_hubs()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn hub_counts_follow_every_move_exactly(
+        hg in arb_hypergraph(),
+        p in 2u32..7,
+        seed in 0u64..1000,
+        cutoff in 0usize..=3,
+        dropped in 0usize..4,
+        subset in 0u32..3,
+        moves in prop::collection::vec((0usize..1000, 0u32..8), 0..200),
+    ) {
+        let n = hg.num_vertices();
+        let assignment: Vec<u32> = (0..n as u64)
+            .map(|v| (v.wrapping_mul(seed | 1).wrapping_add(seed) % u64::from(p)) as u32)
+            .collect();
+        let partition = Partition::from_assignment(assignment, p).unwrap();
+        // Every vertex, or a subset — as a dynamic run visits its dirty set.
+        let visits: Vec<VertexId> = hg.vertices().filter(|&v| v % 3 != subset).collect();
+        let visits = (subset > 0).then_some(&visits[..]);
+        let mut counted_any = false;
+        for budget in [
+            AdjacencyBudget::Unbounded,
+            AdjacencyBudget::Auto,
+            AdjacencyBudget::DegreeCutoff(cutoff),
+            AdjacencyBudget::MaxBytes(4),
+        ] {
+            let adj = adjacency(&hg, budget, dropped);
+            let counted = check_model(&hg, &adj, partition.clone(), visits, &moves);
+            if visits.is_none() {
+                prop_assert_eq!(counted, adj.num_hubs(), "budget {:?}", budget);
+            }
+            counted_any |= counted > 0;
+        }
+        // A four-byte budget hubs almost every connected vertex.
+        let connected = hg.vertices().filter(|&v| hg.degree(v) > 0).count();
+        prop_assert!(counted_any || connected < 3);
+    }
+}

@@ -7,8 +7,10 @@
 //! `RUST_BACKTRACE=1` so a torn invariant names its culprit.
 
 use hyperpraw_core::{CostMatrix, HyperPraw, HyperPrawConfig, ParallelConfig};
-use hyperpraw_hypergraph::generators::{mesh_hypergraph, MeshConfig};
-use hyperpraw_hypergraph::{Hypergraph, HypergraphBuilder};
+use hyperpraw_hypergraph::generators::{
+    mesh_hypergraph, powerlaw_hypergraph, MeshConfig, PowerLawConfig,
+};
+use hyperpraw_hypergraph::{AdjacencyBudget, Hypergraph, HypergraphBuilder, NeighborAdjacency};
 
 /// Runs `seeds` stealing partitions of `hg` on `threads` workers and checks
 /// every invariant against a from-scratch recount of the assignment.
@@ -71,4 +73,22 @@ fn weighted_vertices_keep_the_load_accounting_exact() {
     for threads in [2, 8] {
         hammer(&hg, 5, threads, 20);
     }
+}
+
+#[test]
+fn hub_counts_stay_exact_under_eight_threads() {
+    // About one vertex in nine is a hub under the automatic budget, so
+    // workers shift shared hub counts on most moves. In debug builds the
+    // engine recounts every hub against the live assignment at each batch
+    // boundary and pass end.
+    let hg = powerlaw_hypergraph(&PowerLawConfig {
+        num_vertices: 2000,
+        num_hyperedges: 2000,
+        avg_cardinality: 6.0,
+        seed: 3,
+        ..PowerLawConfig::default()
+    });
+    let hubs = NeighborAdjacency::build(&hg, AdjacencyBudget::Auto).num_hubs();
+    assert!(hubs * 20 > hg.num_vertices(), "only {hubs} hubs");
+    hammer(&hg, 8, 8, 12);
 }

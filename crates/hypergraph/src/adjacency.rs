@@ -15,9 +15,13 @@
 //! hyperedge of cardinality `c` alone contributes `c·(c−1)` entries), so the
 //! structure is **budget-aware and hybrid**: an [`AdjacencyBudget`] caps the
 //! flat-list bytes, vertices whose distinct degree fits get flat lists, and
-//! *hub* vertices above the automatically chosen degree cutover keep
-//! answering through the epoch-traversal fallback. Counts produced by either
-//! path are exact integers, so results are bit-identical to
+//! *hub* vertices above the automatically chosen degree cutover carry no
+//! list. A hub's partition counts come from an epoch traversal here
+//! ([`NeighborAdjacency::neighbor_partition_counts`]); the restreaming
+//! engine's provider instead keeps exact part counts per hub (`4·p` bytes
+//! each, reported by its own memory accounting) and traverses a hub only
+//! once per run and when it moves. Counts produced by any path are exact
+//! integers, so results are bit-identical to
 //! [`NeighborScratch::neighbor_partition_counts`] regardless of which side
 //! of the cutover a vertex lands on.
 //!
@@ -97,8 +101,9 @@ impl AdjacencyBudget {
 /// For every non-hub vertex `v`, [`NeighborAdjacency::neighbors`] returns
 /// the slice of its distinct neighbours (self excluded); hub vertices —
 /// those whose distinct degree exceeds [`NeighborAdjacency::cutoff`] —
-/// carry no list and answer partition-count queries through an epoch
-/// traversal of the hypergraph instead.
+/// carry no list; [`NeighborAdjacency::neighbor_partition_counts`] answers
+/// them through an epoch traversal of the hypergraph, and consumers that
+/// query hubs repeatedly keep their part counts instead.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NeighborAdjacency {
     /// CSR offsets over `neighbors`; hub vertices have an empty range.
@@ -387,7 +392,9 @@ impl NeighborAdjacency {
         self.neighbors.len()
     }
 
-    /// Heap bytes held by the structure, overlay patches included.
+    /// Heap bytes held by the structure, overlay patches included. Part
+    /// counts a consumer keeps for the hubs are its own memory (the
+    /// engine's provider reports them with this figure).
     pub fn memory_bytes(&self) -> usize {
         let overlay_bytes: usize = self
             .overlay

@@ -143,6 +143,10 @@ pub fn read_hgr_file(path: impl AsRef<Path>) -> IoResult<Hypergraph> {
 
 /// Writes a hypergraph in hMetis format. Hyperedge weights are emitted only
 /// when at least one differs from 1.0; likewise for vertex weights.
+///
+/// Each hyperedge line is assembled in one reused byte buffer, with pin
+/// ids formatted by hand, and handed to `writer` whole, so the cost per
+/// pin is a few digit stores rather than a formatter call.
 pub fn write_hgr<W: Write>(hg: &Hypergraph, mut writer: W) -> IoResult<()> {
     let has_edge_weights = hg.hyperedges().any(|e| hg.edge_weight(e) != 1.0);
     let has_vertex_weights = hg.vertices().any(|v| hg.vertex_weight(v) != 1.0);
@@ -163,21 +167,43 @@ pub fn write_hgr<W: Write>(hg: &Hypergraph, mut writer: W) -> IoResult<()> {
         )?,
         None => writeln!(writer, "{} {}", hg.num_hyperedges(), hg.num_vertices())?,
     }
+    let mut line: Vec<u8> = Vec::with_capacity(256);
     for e in hg.hyperedges() {
-        let mut line = String::new();
+        line.clear();
         if has_edge_weights {
-            line.push_str(&format!("{} ", hg.edge_weight(e)));
+            write!(line, "{} ", hg.edge_weight(e))?;
         }
-        let pins: Vec<String> = hg.pins(e).iter().map(|&v| (v + 1).to_string()).collect();
-        line.push_str(&pins.join(" "));
-        writeln!(writer, "{line}")?;
+        for (i, &v) in hg.pins(e).iter().enumerate() {
+            if i > 0 {
+                line.push(b' ');
+            }
+            push_decimal(&mut line, u64::from(v) + 1);
+        }
+        line.push(b'\n');
+        writer.write_all(&line)?;
     }
     if has_vertex_weights {
         for v in hg.vertices() {
             writeln!(writer, "{}", hg.vertex_weight(v))?;
         }
     }
+    writer.flush()?;
     Ok(())
+}
+
+/// Appends the decimal digits of `x` to `out`.
+fn push_decimal(out: &mut Vec<u8>, mut x: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
 }
 
 /// Writes a hypergraph in hMetis format to a file path.
@@ -287,6 +313,69 @@ mod tests {
         }
         for v in hg.vertices() {
             assert_eq!(read_back.vertex_weight(v), hg.vertex_weight(v));
+        }
+    }
+
+    /// The writer's output before pin ids were formatted by hand, kept as
+    /// the byte-exact reference.
+    fn reference_hgr(hg: &Hypergraph) -> String {
+        let has_edge_weights = hg.hyperedges().any(|e| hg.edge_weight(e) != 1.0);
+        let has_vertex_weights = hg.vertices().any(|v| hg.vertex_weight(v) != 1.0);
+        let mut out = format!("% {}\n", hg.name());
+        match (has_edge_weights, has_vertex_weights) {
+            (false, false) => out += &format!("{} {}\n", hg.num_hyperedges(), hg.num_vertices()),
+            (e, v) => {
+                let fmt = u8::from(e) + 10 * u8::from(v);
+                out += &format!("{} {} {fmt}\n", hg.num_hyperedges(), hg.num_vertices());
+            }
+        }
+        for e in hg.hyperedges() {
+            let mut line = String::new();
+            if has_edge_weights {
+                line.push_str(&format!("{} ", hg.edge_weight(e)));
+            }
+            let pins: Vec<String> = hg.pins(e).iter().map(|&v| (v + 1).to_string()).collect();
+            line.push_str(&pins.join(" "));
+            out += &format!("{line}\n");
+        }
+        if has_vertex_weights {
+            for v in hg.vertices() {
+                out += &format!("{}\n", hg.vertex_weight(v));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn writer_output_is_byte_identical_to_the_reference_formatting() {
+        let mesh = crate::generators::mesh_hypergraph(&crate::generators::MeshConfig::new(300, 6));
+        let weighted = |edge: bool, vertex: bool| {
+            let mut b = crate::HypergraphBuilder::new(mesh.num_vertices() + 2);
+            b.name("weights");
+            for (e, pins) in mesh.iter_edges() {
+                let w = [1.0, 2.5, 1e-7, 3.0, 1e21][e as usize % 5];
+                b.add_weighted_hyperedge(pins.iter().copied(), if edge { w } else { 1.0 });
+            }
+            // A hyperedge on the last ids, the widest decimal numbers.
+            b.add_hyperedge([0u32, mesh.num_vertices() as u32 + 1]);
+            if vertex {
+                for v in mesh.vertices() {
+                    b.set_vertex_weight(v, [1.0, 4.0, 0.25, 7.5][v as usize % 4]);
+                }
+            }
+            b.build()
+        };
+        for hg in [
+            mesh.clone(),
+            weighted(false, false),
+            weighted(true, false),
+            weighted(false, true),
+            weighted(true, true),
+            crate::HypergraphBuilder::new(0).build(),
+        ] {
+            let mut buf = Vec::new();
+            write_hgr(&hg, &mut buf).unwrap();
+            assert_eq!(String::from_utf8(buf).unwrap(), reference_hgr(&hg));
         }
     }
 

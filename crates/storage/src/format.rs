@@ -209,6 +209,22 @@ pub(crate) fn parse_meta(
     if meta.num_vertices > 0 && meta.num_blocks == 0 {
         return Err(FormatError::corrupt("vertices present but zero blocks"));
     }
+    // Every vertex record holds at least its one-byte degree varint and
+    // every pin at least one gap byte, so neither count can exceed the
+    // block payload: counts no data backs are refused before anything is
+    // sized from them.
+    let data_end = if meta.has_weights {
+        meta.weights_offset
+    } else {
+        meta.index_offset
+    };
+    let payload = data_end - HEADER_LEN;
+    if meta.num_vertices > payload || meta.num_pins > payload {
+        return Err(FormatError::corrupt(format!(
+            "{} vertices and {} pins cannot fit {payload} payload bytes",
+            meta.num_vertices, meta.num_pins
+        )));
+    }
     Ok(meta)
 }
 

@@ -87,3 +87,21 @@ fn bit_flips_in_block_payloads_do_not_crash_the_decoder() {
         Ok(block) => assert_ne!(block.nets, expected[0], "flip produced identical nets"),
     }
 }
+
+#[test]
+fn vertex_counts_no_payload_backs_are_refused_at_open() {
+    // An unweighted file whose header claims 4·10⁹ vertices (offset 16) or
+    // pins (offset 32): opening must answer a structured error instead of
+    // letting a reader size arrays from the count and abort on allocation.
+    for offset in [16usize, 32] {
+        let mut bytes = compressed_bytes();
+        bytes[offset..offset + 8].copy_from_slice(&4_000_000_000u64.to_le_bytes());
+        match CompressedReader::open(MemorySource::new(bytes)) {
+            Err(FormatError::Corrupt(message)) => {
+                assert!(message.contains("payload bytes"), "{message}")
+            }
+            Err(other) => panic!("offset {offset}: expected Corrupt, got {other}"),
+            Ok(_) => panic!("offset {offset}: an unbacked count was accepted"),
+        }
+    }
+}
