@@ -23,10 +23,10 @@
 //!   VertexSource             ConnectivityProvider        ExecutionStrategy
 //!   "which vertex next?"     "who are its neighbours?"   "who decides when?"
 //!   ├ InMemorySource         ├ AdjProvider (in memory:   ├ Sequential
-//!   │  (natural/shuffled/    │   precomputed dedup CSR,  │   (fresh info per
-//!   │   degree order)        │   flat scan; budgeted,    │    vertex,
-//!   └ StreamSource over any  │   hubs answered from      │    deterministic)
-//!      io::stream source     │   exact part counts)      ├ Chunked BSP
+//!   │  (natural/shuffled/    │   exact part counts per   │   (fresh info per
+//!   │   degree order)        │   visited vertex, shifted │    vertex,
+//!   └ StreamSource over any  │   on moves; neighbours by │    deterministic)
+//!      io::stream source     │   traversal or dedup CSR) ├ Chunked BSP
 //!      (on-disk transpose,   ├ lowmem ExactIndex         │   (frozen snapshot
 //!       InMemoryVertexStream)│   (hash maps, exact,      │    + local deltas,
 //!                            │    reversible)            │    deterministic)
@@ -53,8 +53,8 @@
 //! only on a move**. A visit reads the shared loads and detaches the
 //! vertex's own weight in a private copy; the load counters, the atomic
 //! assignment and the provider's move hook (which shifts `AdjProvider`'s
-//! hub part counts) are written only when the chosen part differs from the
-//! current one. Everything a worker writes per vertex — counts, load view,
+//! kept part counts) are written only when the chosen part differs from
+//! the current one. Everything a worker writes per vertex — counts, load view,
 //! scorer scratch, proposals — sits in its own 128-byte-aligned worker
 //! slot, so a visit that keeps its vertex in place causes no cross-core
 //! traffic.
@@ -68,21 +68,22 @@
 //! out for free.
 //!
 //! `AdjProvider` answers the distinct-neighbour query with exact integer
-//! counts whatever its budget: flat-list vertices scan their list, and
-//! hub vertices — too many distinct neighbours for the budget — copy the
-//! part counts `X(h)` the provider keeps for them. The engine keeps those
-//! counts exact through two provider hooks: `sync` once per run from the
-//! starting assignment (one traversal per hub the run visits), and
-//! `moved` wherever the assignment the counts read changes — at each
-//! sequential placement, at the bulk-synchronous window apply, and in the
-//! stealing worker next to its write of the live assignment. A hub visit
-//! is therefore an O(p) copy, and hub traversals are paid only at sync
-//! and when a hub itself moves. Debug builds check the counts against a
+//! counts: every visit copies the part counts `X(v)` the provider keeps
+//! for each vertex the run visits. The engine keeps those counts exact
+//! through two provider hooks: `sync` once per run from the starting
+//! assignment (one neighbourhood walk per visited vertex), and `moved`
+//! wherever the assignment the counts read changes — at each sequential
+//! placement, at the bulk-synchronous window apply, and in the stealing
+//! worker next to its write of the live assignment. A visit is therefore
+//! an O(p) copy, and neighbourhoods are walked only at sync and when
+//! their vertex moves. A walk scans the vertex's flat list when the
+//! provider has a precomputed adjacency (the dynamic layer lends its
+//! patched one) and traverses the vertex's pins otherwise; the in-memory
+//! driver builds no adjacency. Debug builds check the counts against a
 //! recount at every pass end, window apply and stealing batch boundary.
-//! The budget never changes a partition — the engine-equivalence suite
-//! holds bit for bit (f64 history equality) under every budget. What the
-//! budget trades is memory (flat lists against `4·p` bytes of counts per
-//! hub) against the cost of a move.
+//! No adjacency or budget ever changes a partition — the
+//! engine-equivalence suite holds bit for bit (f64 history equality)
+//! under every budget.
 //!
 //! The engine also owns the two cross-cutting quality devices the drivers
 //! used to duplicate: the bounded **doubt buffer** (the `k`
@@ -96,7 +97,7 @@ use std::sync::atomic::{AtomicI64, AtomicU32, Ordering as AtomicOrdering};
 use std::thread;
 
 use hyperpraw_hypergraph::io::stream::VertexRecord;
-use hyperpraw_hypergraph::io::IoResult;
+use hyperpraw_hypergraph::io::{IoError, IoResult};
 use hyperpraw_hypergraph::traversal::NeighborScratch;
 use hyperpraw_hypergraph::{
     AssignmentRef, ChunkCursor, HyperedgeId, Hypergraph, NeighborAdjacency, Partition, VertexId,
@@ -358,7 +359,7 @@ const REBUILD_DENOMINATOR: usize = 4;
 
 /// Exact evaluation over an in-memory hypergraph
 /// ([`crate::metrics::partitioning_communication_cost`]). When a precomputed
-/// [`NeighborAdjacency`] is supplied — the in-memory drivers share the
+/// [`NeighborAdjacency`] is supplied — the dynamic layer shares its
 /// provider's — neighbourhoods come from flat lists instead of being
 /// re-deduplicated ([`crate::metrics::partitioning_communication_cost_with`]).
 ///
@@ -798,8 +799,12 @@ impl Engine {
 
         let total_weight = source.total_vertex_weight().unwrap_or(n as f64);
         let expected_load = (total_weight / p as f64).max(f64::MIN_POSITIVE);
+        // The first allocation sized by the source's vertex count, which an
+        // on-disk source takes from its file header: refuse, don't abort.
+        let partition = Partition::try_round_robin(n, p as u32)
+            .map_err(|e| IoError::out_of_memory(&format!("{n} vertex assignments"), e))?;
         let mut state = EngineState {
-            partition: Partition::round_robin(n, p as u32),
+            partition,
             loads: vec![0.0f64; p],
             expected: vec![expected_load; p],
         };
@@ -820,8 +825,8 @@ impl Engine {
     /// `warm.partition` must still cover the *full* graph so connectivity
     /// counts against untouched vertices stay exact, and `warm.loads` must
     /// be that full assignment's per-part vertex weights. No seed pass
-    /// runs, so providers must already answer for the current graph (the
-    /// precomputed-adjacency and CSR providers both do).
+    /// runs, so providers must already answer for the current graph
+    /// ([`AdjProvider`] does, whether or not it has an adjacency).
     ///
     /// # Panics
     ///

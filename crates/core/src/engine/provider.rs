@@ -6,17 +6,15 @@
 //! differ only in *where the connectivity state lives*:
 //!
 //! * [`AdjProvider`] — the in-memory provider: counts **distinct
-//!   neighbour vertices** per partition. Non-hub vertices are answered by
-//!   one flat, cache-linear scan of a precomputed deduplicated neighbour
-//!   adjacency ([`NeighborAdjacency`]) against the assignment the engine
-//!   passes in. Hub vertices — above the adjacency's degree cutover, so
-//!   they carry no list — are answered from **exact part counts** `X(h)`
-//!   the provider keeps per hub: synced once per run
+//!   neighbour vertices** per partition. It keeps **exact part counts**
+//!   `X(v)` for every vertex the run visits: synced once per run
 //!   ([`ConnectivityProvider::sync`]) and shifted by one on every move of
-//!   a neighbour ([`ConnectivityProvider::moved`]), so a hub visit is an
-//!   O(p) copy instead of a traversal of the hub's pins. Both paths
-//!   produce the same exact integer counts, so the budget never changes a
-//!   partition.
+//!   a neighbour ([`ConnectivityProvider::moved`]), so a visit is an O(p)
+//!   copy. Neighbourhoods are walked only at sync and on a move: a flat
+//!   scan of a precomputed deduplicated neighbour list
+//!   ([`NeighborAdjacency`]) when the provider has one, an epoch traversal
+//!   of the vertex's pins otherwise. Every path produces the same exact
+//!   integer counts, so the adjacency never changes a partition.
 //! * `hyperpraw-lowmem`'s `IndexProvider` — answers from a budgeted
 //!   `ConnectivityIndex` (exact hash maps, or Bloom/MinHash sketches),
 //!   counting **connected nets** per partition; attach/detach record and
@@ -26,12 +24,12 @@
 //! [`ConnectivityProvider::Scratch`], so the parallel execution strategies
 //! can fan the same provider out across worker threads. The
 //! index providers mutate only on the engine thread at synchronisation
-//! points; [`AdjProvider`]'s hub counts are atomics, so a work-stealing
+//! points; [`AdjProvider`]'s kept counts are atomics, so a work-stealing
 //! worker updates them next to its own write of the live assignment.
-//! [`AdjProvider`]'s scratch is O(1) until a hub moves (the traversal
-//! scratch materialises lazily), which keeps per-worker memory flat as the
-//! parallel strategies scale out.
+//! [`AdjProvider`]'s scratch is O(1) until the worker traverses a
+//! neighbourhood (the traversal scratch materialises lazily).
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use hyperpraw_hypergraph::io::stream::VertexRecord;
@@ -150,69 +148,72 @@ pub trait ConnectivityProvider: Sync {
     }
 }
 
-/// Slot value of a vertex without hub counts.
+/// Slot value of a vertex without kept counts.
 const NO_SLOT: u32 = u32::MAX;
 
-/// [`ConnectivityProvider`] over a precomputed [`NeighborAdjacency`]:
-/// distinct-neighbour partition counts answered by one flat scan of the
-/// vertex's deduplicated neighbour list — no epoch array, no nested pin
-/// loop.
+/// The in-memory [`ConnectivityProvider`]: exact distinct-neighbour part
+/// counts `X(v)` kept for every vertex a run visits.
 ///
-/// Hub vertices above the adjacency's degree cutover carry no list, so
-/// the provider keeps their counts instead: one exact vector `X(h)` of
-/// `p` [`AtomicU32`]s per hub the run visits, plus a vertex → slot map
-/// (`4·p` bytes per hub and 4 per vertex, see
-/// [`AdjProvider::memory_bytes`]). [`ConnectivityProvider::sync`] fills
-/// them with one traversal per hub; afterwards, when a vertex `u` moves
-/// `a → b`, every distinct hub neighbour `h` of `u` gets `X(h)[a] −= 1`
-/// and `X(h)[b] += 1` — a non-hub `u` finds its hub neighbours in its own
-/// flat list, a moving hub with one traversal of its pins. This is the
-/// pin-count-in-part delta bookkeeping of Mt-KaHyPar, kept per distinct
-/// *neighbour* rather than per hyperedge because HyperPRAW's `X_j(v)`
-/// deduplicates. A provider no run has synced answers hubs by traversal,
-/// through a lazily created per-worker [`NeighborScratch`].
+/// [`ConnectivityProvider::sync`] counts `X(v)` once per run for each
+/// vertex the run will visit: `p` [`AtomicU32`]s per vertex plus a
+/// vertex → slot map (`4·p + 4` bytes per vertex, see
+/// [`AdjProvider::memory_bytes`]). Afterwards, when a vertex `u` moves
+/// `a → b`, every counted distinct neighbour `w` of `u` gets
+/// `X(w)[a] −= 1` and `X(w)[b] += 1`. A visit is therefore an O(p) copy,
+/// and a neighbourhood is walked only at sync and when its vertex moves —
+/// a few percent of the visits once the first pass has placed the stream.
+/// This is the pin-count-in-part delta bookkeeping of Mt-KaHyPar, kept
+/// per distinct *neighbour* rather than per hyperedge because
+/// HyperPRAW's `X_j(v)` deduplicates.
+///
+/// Neighbourhoods come from a precomputed [`NeighborAdjacency`] when the
+/// provider has one, owned ([`AdjProvider::new`]) or borrowed
+/// ([`AdjProvider::from_adjacency`]; the dynamic layer lends its patched
+/// adjacency, whose lists keep its moves cheap). Otherwise — for hubs
+/// without a list, and for every vertex of an [`AdjProvider::traversal`]
+/// provider, which [`crate::HyperPraw`] runs — they come from an epoch
+/// traversal of the vertex's pins, through a lazily created per-worker
+/// [`NeighborScratch`]. A query for a vertex without kept counts (the
+/// provider was never synced, or the run does not visit the vertex) is
+/// answered by [`NeighborAdjacency::neighbor_partition_counts`] or the
+/// traversal oracle.
 ///
 /// Counts are exact integers on every path — identical to
 /// [`NeighborScratch::neighbor_partition_counts`], the distinct-neighbour
-/// `X_j(v)` of the paper — so every budget keeps the engine's equivalence
-/// guarantees (f64 history bit-equality). Under work stealing the hub
-/// counts follow the live atomic assignment with the same bounded
-/// staleness, and are exact again once the team joins.
-///
-/// The adjacency is either owned ([`AdjProvider::new`] builds it) or
-/// borrowed ([`AdjProvider::from_adjacency`]), so one precomputation can
-/// be shared with other consumers — the in-memory drivers reuse it for
-/// the per-pass comm-cost evaluation
-/// ([`crate::engine::ExactCommCost::with_adjacency`]).
+/// `X_j(v)` of the paper — so neither the adjacency nor its budget ever
+/// changes a partition (f64 history bit-equality). Under work stealing
+/// the kept counts follow the live atomic assignment with the same
+/// bounded staleness, and are exact again once the team joins.
 #[derive(Debug)]
 pub struct AdjProvider<'a> {
     hg: &'a Hypergraph,
-    adj: std::borrow::Cow<'a, NeighborAdjacency>,
+    /// Flat neighbour lists, when the provider has them.
+    adj: Option<Cow<'a, NeighborAdjacency>>,
     /// Part count of the synced run.
     num_parts: usize,
-    /// Hub-count slot of every vertex ([`NO_SLOT`] unless it is a hub the
-    /// synced run visits); empty until the first sync.
+    /// Count slot of every vertex ([`NO_SLOT`] unless the synced run
+    /// visits it); empty until the first sync.
     slots: Vec<u32>,
-    /// `X(h)` of every slotted hub, `num_parts` counters per slot. The
+    /// `X(v)` of every slotted vertex, `num_parts` counters per slot. The
     /// counters publish no other data — each is exact once the writers'
     /// threads are joined — so they are accessed with relaxed ordering.
-    hub_counts: Vec<AtomicU32>,
-    /// Counts hub traversals (sync, hub moves, unsynced hub queries); a
-    /// no-op unless bound via [`AdjProvider::with_registry`]. Each
-    /// worker's [`AdjScratch`] tallies its own traversals and adds them
-    /// here in batches, so workers never write the shared cell per vertex.
+    counts: Vec<AtomicU32>,
+    /// Counts neighbourhood traversals (`engine.hub_fallbacks`); a no-op
+    /// unless bound via [`AdjProvider::with_registry`]. Each worker's
+    /// [`AdjScratch`] tallies its own traversals and adds them here in
+    /// batches, so workers never write the shared cell per vertex.
     hub_fallbacks: hyperpraw_telemetry::Counter,
 }
 
-/// Hub traversals an [`AdjScratch`] tallies before adding them to the
-/// shared `engine.hub_fallbacks` counter (the rest is added when it drops).
+/// Traversals an [`AdjScratch`] tallies before adding them to the shared
+/// `engine.hub_fallbacks` counter (the rest is added when it drops).
 const HUB_FALLBACK_FLUSH: u64 = 1024;
 
 /// Worker-local scratch of [`AdjProvider`]: empty (O(1)) until the worker
-/// traverses a hub, at which point the `O(|V|)` epoch scratch is created
-/// once and reused. It also tallies the worker's hub traversals, adding
-/// them to the provider's counter every 1024 traversals and on drop, so
-/// the run's total stays exact.
+/// traverses a neighbourhood, at which point the `O(|V|)` epoch scratch
+/// is created once and reused. It also tallies the worker's traversals,
+/// adding them to the provider's counter every 1024 traversals and on
+/// drop, so the run's total stays exact.
 #[derive(Debug, Default)]
 pub struct AdjScratch {
     fallback: Option<NeighborScratch>,
@@ -221,14 +222,16 @@ pub struct AdjScratch {
 }
 
 impl AdjScratch {
-    /// Records one hub traversal.
-    fn tally(&mut self) {
+    /// Records one traversal and returns the epoch scratch to run it on.
+    fn traversal(&mut self, hg: &Hypergraph) -> &mut NeighborScratch {
         if self.hub_fallbacks.is_enabled() {
             self.pending_hub_fallbacks += 1;
             if self.pending_hub_fallbacks == HUB_FALLBACK_FLUSH {
                 self.flush_hub_fallbacks();
             }
         }
+        self.fallback
+            .get_or_insert_with(|| NeighborScratch::new(hg.num_vertices()))
     }
 
     fn flush_hub_fallbacks(&mut self) {
@@ -246,64 +249,86 @@ impl Drop for AdjScratch {
 impl<'a> AdjProvider<'a> {
     /// Builds the adjacency for `hg` under `budget` and owns it.
     pub fn new(hg: &'a Hypergraph, budget: AdjacencyBudget) -> Self {
-        Self::with_adjacency(
-            hg,
-            std::borrow::Cow::Owned(NeighborAdjacency::build(hg, budget)),
-        )
+        Self::with_adjacency(hg, Some(Cow::Owned(NeighborAdjacency::build(hg, budget))))
     }
 
     /// Borrows an adjacency built elsewhere (shared across consumers).
     pub fn from_adjacency(hg: &'a Hypergraph, adj: &'a NeighborAdjacency) -> Self {
-        Self::with_adjacency(hg, std::borrow::Cow::Borrowed(adj))
+        Self::with_adjacency(hg, Some(Cow::Borrowed(adj)))
     }
 
-    fn with_adjacency(hg: &'a Hypergraph, adj: std::borrow::Cow<'a, NeighborAdjacency>) -> Self {
+    /// Finds every neighbourhood by traversal and builds no adjacency.
+    /// Synced, its visits still copy kept counts; only sync and moves
+    /// traverse.
+    pub fn traversal(hg: &'a Hypergraph) -> Self {
+        Self::with_adjacency(hg, None)
+    }
+
+    fn with_adjacency(hg: &'a Hypergraph, adj: Option<Cow<'a, NeighborAdjacency>>) -> Self {
         Self {
             hg,
             adj,
             num_parts: 0,
             slots: Vec::new(),
-            hub_counts: Vec::new(),
+            counts: Vec::new(),
             hub_fallbacks: hyperpraw_telemetry::Counter::noop(),
         }
     }
 
-    /// Binds the `engine.hub_fallbacks` counter to `registry`: every hub
-    /// traversal actually done — one per hub at sync, one per hub move,
-    /// one per query for a hub no run synced — increments it.
+    /// Binds the `engine.hub_fallbacks` counter to `registry`: every
+    /// neighbourhood traversal actually done — at sync, per move and per
+    /// query of a vertex without kept counts, for every vertex without a
+    /// flat list — increments it.
     pub fn with_registry(mut self, registry: &hyperpraw_telemetry::Registry) -> Self {
         self.hub_fallbacks = registry.counter("engine.hub_fallbacks");
         self
     }
 
     /// The precomputed adjacency in use.
+    ///
+    /// # Panics
+    ///
+    /// Panics for an [`AdjProvider::traversal`] provider, which has none.
     pub fn adjacency(&self) -> &NeighborAdjacency {
-        &self.adj
+        self.adj
+            .as_deref()
+            .expect("a traversal provider has no adjacency")
     }
 
-    /// Number of hubs whose part counts the provider keeps (the hubs the
-    /// last synced run visits).
-    pub fn num_counted_hubs(&self) -> usize {
-        self.hub_counts.len() / self.num_parts.max(1)
+    /// Number of vertices whose part counts the provider keeps (the
+    /// vertices the last synced run visits).
+    pub fn num_counted_vertices(&self) -> usize {
+        self.counts.len() / self.num_parts.max(1)
     }
 
-    /// Heap bytes held: the adjacency plus the hub part counts and their
-    /// vertex → slot map.
+    /// Heap bytes held: the adjacency, if any, plus the kept part counts
+    /// and their vertex → slot map.
     pub fn memory_bytes(&self) -> usize {
-        self.adj.memory_bytes()
+        self.adj
+            .as_deref()
+            .map_or(0, NeighborAdjacency::memory_bytes)
             + self.slots.capacity() * std::mem::size_of::<u32>()
-            + self.hub_counts.capacity() * std::mem::size_of::<AtomicU32>()
+            + self.counts.capacity() * std::mem::size_of::<AtomicU32>()
     }
 
-    /// The kept part counts `X(h)` of `v`, when `v` is a counted hub.
+    /// The kept part counts `X(v)`, when `v` has them.
     #[inline]
-    fn hub_counts_of(&self, v: VertexId) -> Option<&[AtomicU32]> {
+    fn kept_counts(&self, v: VertexId) -> Option<&[AtomicU32]> {
         let slot = *self.slots.get(v as usize)?;
         if slot == NO_SLOT {
             return None;
         }
         let lo = slot as usize * self.num_parts;
-        Some(&self.hub_counts[lo..lo + self.num_parts])
+        Some(&self.counts[lo..lo + self.num_parts])
+    }
+
+    /// The distinct neighbours of `v`: its flat list when the adjacency
+    /// has one, otherwise a traversal through `scratch`.
+    fn neighbors<'s>(&'s self, v: VertexId, scratch: &'s mut AdjScratch) -> &'s [VertexId] {
+        match self.adj.as_deref().and_then(|adj| adj.neighbors(v)) {
+            Some(list) => list,
+            None => scratch.traversal(self.hg).neighbors(self.hg, v),
+        }
     }
 }
 
@@ -328,66 +353,56 @@ impl ConnectivityProvider for AdjProvider<'_> {
         self.num_parts = p;
         self.slots.clear();
         self.slots.resize(n, NO_SLOT);
-        let mut hubs: Vec<VertexId> = Vec::new();
-        let mut slot_hub = |v: VertexId| {
+        let mut counted: Vec<VertexId> = Vec::new();
+        let mut slot = |v: VertexId| {
             let slot = &mut self.slots[v as usize];
-            if *slot == NO_SLOT && self.adj.is_hub(v) {
-                *slot = hubs.len() as u32;
-                hubs.push(v);
+            if *slot == NO_SLOT {
+                *slot = counted.len() as u32;
+                counted.push(v);
             }
         };
         match visits {
-            Some(visits) => visits.iter().for_each(|&v| slot_hub(v)),
-            None => (0..n as VertexId).for_each(slot_hub),
+            Some(visits) => visits.iter().for_each(|&v| slot(v)),
+            None => (0..n as VertexId).for_each(slot),
         }
-        self.hub_counts.clear();
-        self.hub_counts.reserve_exact(hubs.len() * p);
-        let mut scratch = NeighborScratch::new(self.hg.num_vertices());
-        let mut counts = Vec::with_capacity(p);
-        for &h in &hubs {
-            scratch.neighbor_partition_counts(self.hg, assignment, h, &mut counts);
-            self.hub_counts
-                .extend(counts.iter().map(|&c| AtomicU32::new(c)));
+        let mut counts = std::mem::take(&mut self.counts);
+        counts.clear();
+        counts.reserve_exact(counted.len() * p);
+        let mut scratch = self.new_scratch();
+        let mut x = vec![0u32; p];
+        for &v in &counted {
+            x.fill(0);
+            for &u in self.neighbors(v, &mut scratch) {
+                x[assignment.part_of(u) as usize] += 1;
+            }
+            counts.extend(x.iter().map(|&c| AtomicU32::new(c)));
         }
-        self.hub_fallbacks.add(hubs.len() as u64);
+        self.counts = counts;
     }
 
     fn moved(&self, v: VertexId, from: u32, to: u32, scratch: &mut Self::Scratch) {
-        if self.hub_counts.is_empty() {
+        if self.counts.is_empty() {
             return;
         }
-        let shift = |h: VertexId| {
-            if let Some(x) = self.hub_counts_of(h) {
+        for &u in self.neighbors(v, scratch) {
+            if let Some(x) = self.kept_counts(u) {
                 x[from as usize].fetch_sub(1, Ordering::Relaxed);
                 x[to as usize].fetch_add(1, Ordering::Relaxed);
-            }
-        };
-        match self.adj.neighbors(v) {
-            Some(list) => list.iter().for_each(|&h| shift(h)),
-            None => {
-                scratch.tally();
-                let traversal = scratch
-                    .fallback
-                    .get_or_insert_with(|| NeighborScratch::new(self.hg.num_vertices()));
-                traversal
-                    .neighbors(self.hg, v)
-                    .iter()
-                    .for_each(|&h| shift(h));
             }
         }
     }
 
     fn agrees_with<A: AssignmentRef>(&self, assignment: &A) -> bool {
-        let mut scratch = NeighborScratch::new(self.hg.num_vertices());
+        let mut oracle = NeighborScratch::new(self.hg.num_vertices());
         let mut expected = Vec::new();
         self.slots
             .iter()
             .enumerate()
             .filter(|&(_, &slot)| slot != NO_SLOT)
-            .all(|(h, _)| {
-                let h = h as VertexId;
-                scratch.neighbor_partition_counts(self.hg, assignment, h, &mut expected);
-                let kept = self.hub_counts_of(h).expect("slotted hub has counts");
+            .all(|(v, _)| {
+                let v = v as VertexId;
+                oracle.neighbor_partition_counts(self.hg, assignment, v, &mut expected);
+                let kept = self.kept_counts(v).expect("slotted vertex has counts");
                 kept.iter()
                     .zip(&expected)
                     .all(|(x, &c)| x.load(Ordering::Relaxed) == c)
@@ -402,24 +417,15 @@ impl ConnectivityProvider for AdjProvider<'_> {
         counts: &mut Vec<u32>,
     ) {
         let v = record.vertex;
-        if let Some(list) = self.adj.neighbors(v) {
-            counts.clear();
-            counts.resize(assignment.num_parts() as usize, 0);
-            for &u in list {
-                counts[assignment.part_of(u) as usize] += 1;
-            }
-        } else if let Some(x) = self.hub_counts_of(v) {
+        if let Some(x) = self.kept_counts(v) {
             counts.clear();
             counts.extend(x.iter().map(|c| c.load(Ordering::Relaxed)));
+        } else if let Some(adj) = self.adj.as_deref().filter(|adj| !adj.is_hub(v)) {
+            adj.neighbor_partition_counts(self.hg, assignment, v, &mut scratch.fallback, counts);
         } else {
-            scratch.tally();
-            self.adj.neighbor_partition_counts(
-                self.hg,
-                assignment,
-                v,
-                &mut scratch.fallback,
-                counts,
-            );
+            scratch
+                .traversal(self.hg)
+                .neighbor_partition_counts(self.hg, assignment, v, counts);
         }
     }
 }
@@ -464,13 +470,18 @@ mod tests {
         let mut oracle = NeighborScratch::new(hg.num_vertices());
         let mut expected = Vec::new();
         let mut got = Vec::new();
-        for budget in [
-            AdjacencyBudget::Unbounded,
-            AdjacencyBudget::Auto,
-            AdjacencyBudget::DegreeCutoff(2), // forces hubs onto the fallback
-            AdjacencyBudget::DegreeCutoff(0), // every connected vertex is a hub
-        ] {
-            let adj = AdjProvider::new(&hg, budget);
+        let providers = [
+            Some(AdjacencyBudget::Unbounded),
+            Some(AdjacencyBudget::Auto),
+            Some(AdjacencyBudget::DegreeCutoff(2)), // forces hubs onto the fallback
+            Some(AdjacencyBudget::DegreeCutoff(0)), // every connected vertex is a hub
+            None,                                   // no adjacency at all
+        ];
+        for budget in providers {
+            let adj = match budget {
+                Some(budget) => AdjProvider::new(&hg, budget),
+                None => AdjProvider::traversal(&hg),
+            };
             assert!(!adj.needs_nets());
             let mut adj_scratch = adj.new_scratch();
             for v in hg.vertices() {
@@ -483,23 +494,24 @@ mod tests {
                 adj.count(&record, &part, &mut adj_scratch, &mut got);
                 assert_eq!(got, expected, "budget {budget:?}, vertex {v}");
             }
-            // Unsynced, hubs are traversed: the O(|V|) fallback scratch
-            // only exists when hubs exist.
-            let hubs = adj.adjacency().num_hubs();
+            // Unsynced, vertices without a list are traversed: the O(|V|)
+            // fallback scratch only exists when such vertices exist.
+            let traverses = budget.is_none() || adj.adjacency().num_hubs() > 0;
             assert_eq!(
                 adj_scratch.fallback.is_some(),
-                hubs > 0,
+                traverses,
                 "budget {budget:?}"
             );
 
-            // Synced, hubs are answered from their kept counts, whose
+            // Synced, every vertex is answered from its kept counts, whose
             // bytes the memory accounting reports.
             let mut adj = adj;
             adj.sync(&part, None);
-            assert_eq!(adj.num_counted_hubs(), hubs);
+            assert_eq!(adj.num_counted_vertices(), hg.num_vertices());
+            let adj_bytes = budget.map_or(0, |_| adj.adjacency().memory_bytes());
             assert_eq!(
                 adj.memory_bytes(),
-                adj.adjacency().memory_bytes() + 4 * hg.num_vertices() + 4 * 3 * hubs
+                adj_bytes + 4 * hg.num_vertices() + 4 * 3 * hg.num_vertices()
             );
             let mut adj_scratch = adj.new_scratch();
             for v in hg.vertices() {
@@ -528,19 +540,20 @@ mod tests {
     }
 
     #[test]
-    fn hub_fallback_total_is_exact_under_every_strategy() {
+    fn traversal_total_is_exact_under_every_strategy() {
         use crate::engine::{Engine, EngineConfig, ExecutionStrategy, InMemorySource, NoCommCost};
         use crate::HyperPrawConfig;
         use hyperpraw_hypergraph::generators::{mesh_hypergraph, MeshConfig};
         use hyperpraw_topology::CostMatrix;
 
-        // A zero cutoff makes every mesh vertex a hub, so the traversals
-        // are exactly one per vertex at sync plus one per move, and the
-        // workers' move tallies cross the flush threshold within a run.
+        // Without flat lists — no adjacency, or a zero cutoff that makes
+        // every mesh vertex a hub — the traversals are exactly one per
+        // vertex at sync plus one per move, and the workers' move tallies
+        // cross the flush threshold within a run.
         let hg = mesh_hypergraph(&MeshConfig::new(3000, 6));
         let adj = NeighborAdjacency::build(&hg, AdjacencyBudget::DegreeCutoff(0));
-        let hubs = adj.num_hubs() as u64;
-        assert_eq!(hubs, hg.num_vertices() as u64);
+        assert_eq!(adj.num_hubs(), hg.num_vertices());
+        let n = hg.num_vertices() as u64;
         let config = HyperPrawConfig {
             max_iterations: 6,
             track_history: true,
@@ -561,23 +574,31 @@ mod tests {
                 chunk: 16,
             },
         ] {
-            let registry = hyperpraw_telemetry::Registry::new();
-            let engine = Engine::new(EngineConfig::restreaming(&config).with_strategy(strategy));
-            let run = engine
-                .run(
-                    &CostMatrix::uniform(8),
-                    &mut InMemorySource::new(&hg, config.stream_order, 1),
-                    &mut AdjProvider::from_adjacency(&hg, &adj).with_registry(&registry),
-                    &mut NoCommCost,
-                )
-                .unwrap();
-            let moves: usize = run.history.records().iter().map(|r| r.moved_vertices).sum();
-            assert!(moves > 2 * 1024, "the test must cross the flush threshold");
-            assert_eq!(
-                registry.counter_value("engine.hub_fallbacks"),
-                Some(hubs + moves as u64),
-                "{strategy:?}"
-            );
+            for all_hubs in [true, false] {
+                let registry = hyperpraw_telemetry::Registry::new();
+                let provider = if all_hubs {
+                    AdjProvider::from_adjacency(&hg, &adj)
+                } else {
+                    AdjProvider::traversal(&hg)
+                };
+                let engine =
+                    Engine::new(EngineConfig::restreaming(&config).with_strategy(strategy));
+                let run = engine
+                    .run(
+                        &CostMatrix::uniform(8),
+                        &mut InMemorySource::new(&hg, config.stream_order, 1),
+                        &mut provider.with_registry(&registry),
+                        &mut NoCommCost,
+                    )
+                    .unwrap();
+                let moves: usize = run.history.records().iter().map(|r| r.moved_vertices).sum();
+                assert!(moves > 2 * 1024, "the test must cross the flush threshold");
+                assert_eq!(
+                    registry.counter_value("engine.hub_fallbacks"),
+                    Some(n + moves as u64),
+                    "{strategy:?}, all hubs: {all_hubs}"
+                );
+            }
         }
     }
 }

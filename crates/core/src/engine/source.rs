@@ -65,7 +65,7 @@ pub trait VertexSource {
     }
 
     /// Hints that the consumer does not read [`VertexRecord::nets`]
-    /// (the in-memory adjacency provider reads the hypergraph directly),
+    /// (the in-memory provider reads the hypergraph directly),
     /// letting the source skip copying incidence lists.
     /// Sources are free to ignore the hint and fill the nets anyway.
     fn set_nets_enabled(&mut self, _enabled: bool) {}

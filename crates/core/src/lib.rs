@@ -35,11 +35,12 @@
 //!   ([`engine::InMemorySource`]), or any on-disk
 //!   `hypergraph::io::stream::VertexStream` via [`engine::StreamSource`];
 //! * **connectivity provider** ([`engine::ConnectivityProvider`]) — where
-//!   the neighbour-partition counts `X_j(v)` come from: a precomputed
-//!   deduplicated neighbour adjacency ([`engine::AdjProvider`], which
-//!   answers hub vertices from exact part counts it keeps per hub and
-//!   shifts on every move), or `hyperpraw-lowmem`'s
-//!   budget-bounded exact/sketched connectivity indices;
+//!   the neighbour-partition counts `X_j(v)` come from: exact part
+//!   counts kept for every visited vertex and shifted on every move
+//!   ([`engine::AdjProvider`], which finds neighbourhoods in an optional
+//!   precomputed deduplicated adjacency or by traversal), or
+//!   `hyperpraw-lowmem`'s budget-bounded exact/sketched connectivity
+//!   indices;
 //! * **execution strategy** ([`engine::ExecutionStrategy`]) — sequential
 //!   decisions with fresh information, deterministic bulk-synchronous
 //!   windows scored by worker threads against a frozen snapshot, or

@@ -4,8 +4,8 @@
 //! points to Battaglino et al.'s GraSP as evidence that *parallel* streaming
 //! with periodic synchronisation loses little quality. The schedule is not
 //! a separate driver: [`crate::HyperPraw::with_parallel`] takes a
-//! [`ParallelConfig`] and runs the same in-memory source and adjacency
-//! provider under one of the engine's parallel
+//! [`ParallelConfig`] and runs the same in-memory source and
+//! connectivity provider under one of the engine's parallel
 //! [`crate::engine::ExecutionStrategy`] values. In the bulk-synchronous
 //! mode ([`ParallelMode::Bsp`]) —
 //!

@@ -1,10 +1,10 @@
 //! The HyperPRAW restreaming driver (Algorithm 1) — a thin instantiation
-//! of the generic [`crate::engine`]: in-memory vertex source × the
-//! precomputed dedup adjacency under [`AdjacencyBudget::Auto`] (hubs fall
-//! back to epoch traversal) × the execution strategy, sequential unless
+//! of the generic [`crate::engine`]: in-memory vertex source × kept part
+//! counts found by traversal ([`AdjProvider::traversal`], no precomputed
+//! adjacency) × the execution strategy, sequential unless
 //! [`HyperPraw::with_parallel`] selects the §8.2 parallel schedule.
 
-use hyperpraw_hypergraph::{AdjacencyBudget, Hypergraph, NeighborAdjacency, Partition};
+use hyperpraw_hypergraph::{Hypergraph, Partition};
 use hyperpraw_topology::CostMatrix;
 
 use crate::engine::{
@@ -125,22 +125,15 @@ impl HyperPraw {
         let engine =
             Engine::new(EngineConfig::restreaming(&self.config).with_strategy(self.strategy))
                 .with_registry(&self.registry);
-        // One precomputation serves both hot consumers: the per-visit
-        // X_j(v) queries and the per-pass comm-cost evaluation. The build
-        // never exceeds the strategy's worker count, so a sequential run
-        // stays single-threaded end to end.
-        let max_threads = match self.strategy {
-            ExecutionStrategy::Sequential => 1,
-            ExecutionStrategy::Chunked { num_threads, .. }
-            | ExecutionStrategy::WorkStealing { num_threads, .. } => num_threads,
-        };
-        let adj = NeighborAdjacency::build_with_threads(hg, AdjacencyBudget::Auto, max_threads);
+        // Every visit copies the provider's kept part counts, so no
+        // adjacency is built: sync, moves and the incremental comm-cost
+        // evaluation find neighbourhoods by traversal.
         let run = engine
             .run(
                 &self.cost,
                 &mut InMemorySource::new(hg, self.config.stream_order, self.config.seed),
-                &mut AdjProvider::from_adjacency(hg, &adj).with_registry(&self.registry),
-                &mut ExactCommCost::with_adjacency(hg, &adj),
+                &mut AdjProvider::traversal(hg).with_registry(&self.registry),
+                &mut ExactCommCost::new(hg),
             )
             .expect("in-memory sources cannot fail");
         // The engine's revisit-buffer counters are dropped: this driver

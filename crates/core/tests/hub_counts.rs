@@ -1,14 +1,15 @@
-//! Model test of [`AdjProvider`]'s hub part counts.
+//! Model test of [`AdjProvider`]'s kept part counts.
 //!
-//! The provider keeps an exact part-count vector `X(h)` per hub, synced
-//! from a starting assignment and shifted on every reported move. After
-//! any sequence of moves, every vertex's counts — hubs from `X(h)`,
-//! non-hubs from their flat lists, hubs outside the synced visit set by
-//! traversal — must equal the traversal oracle
+//! The provider keeps an exact part-count vector `X(v)` for every vertex
+//! the synced run visits, synced from a starting assignment and shifted
+//! on every reported move. After any sequence of moves, every vertex's
+//! counts — visited vertices from `X(v)`, the others from their flat
+//! lists or by traversal — must equal the traversal oracle
 //! ([`NeighborScratch::neighbor_partition_counts`]) on the moved
-//! assignment. Covers every budget shape, visit subsets, and adjacencies
-//! whose neighbourhoods were patched after the build the way the dynamic
-//! layer patches them, including patches that turn vertices into hubs.
+//! assignment. Covers providers without an adjacency, every budget
+//! shape, visit subsets, and adjacencies whose neighbourhoods were
+//! patched after the build the way the dynamic layer patches them,
+//! including patches that turn vertices into hubs.
 
 use proptest::prelude::*;
 
@@ -60,19 +61,18 @@ fn adjacency(hg: &Hypergraph, budget: AdjacencyBudget, dropped: usize) -> Neighb
     adj
 }
 
-/// Syncs a provider over `adj` to `start`, replays `moves` through
+/// Syncs `provider` to `start`, replays `moves` through
 /// [`ConnectivityProvider::moved`], and checks every vertex against the
-/// oracle. Returns the number of hubs the provider kept counts for.
+/// oracle. Returns the number of vertices the provider kept counts for.
 fn check_model(
     hg: &Hypergraph,
-    adj: &NeighborAdjacency,
+    mut provider: AdjProvider<'_>,
     mut partition: Partition,
     visits: Option<&[VertexId]>,
     moves: &[(usize, u32)],
 ) -> usize {
     let n = hg.num_vertices();
     let p = partition.num_parts();
-    let mut provider = AdjProvider::from_adjacency(hg, adj);
     provider.sync(&partition, visits);
     let mut scratch = provider.new_scratch();
     for &(v, shift) in moves {
@@ -92,14 +92,14 @@ fn check_model(
         provider.count(&record, &partition, &mut scratch, &mut got);
         assert_eq!(got, expected, "vertex {v}");
     }
-    provider.num_counted_hubs()
+    provider.num_counted_vertices()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn hub_counts_follow_every_move_exactly(
+    fn kept_counts_follow_every_move_exactly(
         hg in arb_hypergraph(),
         p in 2u32..7,
         seed in 0u64..1000,
@@ -114,9 +114,12 @@ proptest! {
             .collect();
         let partition = Partition::from_assignment(assignment, p).unwrap();
         // Every vertex, or a subset — as a dynamic run visits its dirty set.
-        let visits: Vec<VertexId> = hg.vertices().filter(|&v| v % 3 != subset).collect();
-        let visits = (subset > 0).then_some(&visits[..]);
-        let mut counted_any = false;
+        let subset_visits: Vec<VertexId> = hg.vertices().filter(|&v| v % 3 != subset).collect();
+        let visits = (subset > 0).then_some(&subset_visits[..]);
+        let visited = visits.map_or(n, <[VertexId]>::len);
+
+        let counted = check_model(&hg, AdjProvider::traversal(&hg), partition.clone(), visits, &moves);
+        prop_assert_eq!(counted, visited, "no adjacency");
         for budget in [
             AdjacencyBudget::Unbounded,
             AdjacencyBudget::Auto,
@@ -124,14 +127,10 @@ proptest! {
             AdjacencyBudget::MaxBytes(4),
         ] {
             let adj = adjacency(&hg, budget, dropped);
-            let counted = check_model(&hg, &adj, partition.clone(), visits, &moves);
-            if visits.is_none() {
-                prop_assert_eq!(counted, adj.num_hubs(), "budget {:?}", budget);
-            }
-            counted_any |= counted > 0;
+            let provider = AdjProvider::from_adjacency(&hg, &adj);
+            let counted = check_model(&hg, provider, partition.clone(), visits, &moves);
+            // Every visited vertex is counted, with or without a list.
+            prop_assert_eq!(counted, visited, "budget {:?}", budget);
         }
-        // A four-byte budget hubs almost every connected vertex.
-        let connected = hg.vertices().filter(|&v| hg.degree(v) > 0).count();
-        prop_assert!(counted_any || connected < 3);
     }
 }

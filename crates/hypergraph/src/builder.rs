@@ -1,5 +1,7 @@
 //! Incremental construction of [`Hypergraph`] values.
 
+use std::collections::TryReserveError;
+
 use crate::{HyperedgeId, Hypergraph, VertexId};
 
 /// Incremental builder for [`Hypergraph`].
@@ -117,7 +119,21 @@ impl HypergraphBuilder {
     }
 
     /// Finalises the builder into an immutable [`Hypergraph`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the per-vertex arrays cannot be allocated; readers of
+    /// untrusted input use [`HypergraphBuilder::try_build`] instead.
     pub fn build(self) -> Hypergraph {
+        let n = self.num_vertices;
+        self.try_build()
+            .unwrap_or_else(|e| panic!("cannot allocate {n} vertices: {e}"))
+    }
+
+    /// [`HypergraphBuilder::build`], reserving the per-vertex arrays
+    /// fallibly: a vertex count taken from a file header can be far larger
+    /// than the data behind it, and must not abort the process.
+    pub fn try_build(self) -> Result<Hypergraph, TryReserveError> {
         let Self {
             name,
             num_vertices,
@@ -140,7 +156,13 @@ impl HypergraphBuilder {
             edge_weights = kept_weights;
         }
 
+        vertex_weights.try_reserve_exact(num_vertices.saturating_sub(vertex_weights.len()))?;
         vertex_weights.resize(num_vertices, 1.0);
+        let mut vertex_offsets = Vec::new();
+        vertex_offsets.try_reserve_exact(num_vertices + 1)?;
+        let mut degree = Vec::new();
+        degree.try_reserve_exact(num_vertices)?;
+        degree.resize(num_vertices, 0usize);
 
         // Hyperedge -> pins CSR.
         let mut edge_offsets = Vec::with_capacity(edges.len() + 1);
@@ -152,21 +174,22 @@ impl HypergraphBuilder {
             edge_offsets.push(edge_pins.len());
         }
 
-        // Vertex -> incident hyperedges CSR (counting sort over pins).
-        let mut degree = vec![0usize; num_vertices];
+        // Vertex -> incident hyperedges CSR (counting sort over pins); the
+        // degree array then becomes each vertex's fill cursor.
         for pins in &edges {
             for &v in pins {
                 degree[v as usize] += 1;
             }
         }
-        let mut vertex_offsets = Vec::with_capacity(num_vertices + 1);
         vertex_offsets.push(0usize);
         let mut acc = 0usize;
-        for &d in &degree {
-            acc += d;
+        for d in &mut degree {
+            let start = acc;
+            acc += *d;
+            *d = start;
             vertex_offsets.push(acc);
         }
-        let mut cursor = vertex_offsets.clone();
+        let mut cursor = degree;
         let mut vertex_edges = vec![0 as HyperedgeId; total_pins];
         for (e, pins) in edges.iter().enumerate() {
             for &v in pins {
@@ -178,7 +201,7 @@ impl HypergraphBuilder {
         // Edges were appended in increasing edge id order, so each vertex's
         // incidence list is already sorted.
 
-        Hypergraph::from_parts(
+        Ok(Hypergraph::from_parts(
             name,
             edge_offsets,
             edge_pins,
@@ -186,7 +209,7 @@ impl HypergraphBuilder {
             vertex_edges,
             vertex_weights,
             edge_weights,
-        )
+        ))
     }
 }
 
@@ -247,6 +270,14 @@ mod tests {
         let hg = b.build();
         assert_eq!(hg.incident_edges(0), &[0, 1, 2]);
         assert_eq!(hg.incident_edges(2), &[0, 2]);
+    }
+
+    #[test]
+    fn unallocatable_vertex_counts_are_an_error() {
+        assert!(HypergraphBuilder::new(usize::MAX / 4).try_build().is_err());
+        let mut b = HypergraphBuilder::new(3);
+        b.add_hyperedge([0u32, 2]);
+        assert_eq!(b.clone().try_build().unwrap(), b.build());
     }
 
     #[test]

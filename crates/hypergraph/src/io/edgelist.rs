@@ -14,7 +14,7 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-use crate::io::{IoError, IoResult};
+use crate::io::{try_build, IoError, IoResult};
 use crate::{Hypergraph, HypergraphBuilder, VertexId};
 
 /// Reads an edge-list hypergraph from a buffered reader.
@@ -36,7 +36,7 @@ pub fn read_edgelist<R: BufRead>(reader: R) -> IoResult<Hypergraph> {
         }
         builder.add_hyperedge(pins);
     }
-    Ok(builder.build())
+    try_build(builder)
 }
 
 /// Reads an edge-list hypergraph from a file, naming it after the file stem.

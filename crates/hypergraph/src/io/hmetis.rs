@@ -18,115 +18,23 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-use crate::io::{id_count, IoError, IoResult};
+use crate::io::stream::visit_hgr;
+use crate::io::{try_build, IoResult};
 use crate::{Hypergraph, HypergraphBuilder, VertexId};
 
-/// Reads a hypergraph in hMetis format from a buffered reader.
+/// Reads a hypergraph in hMetis format from a buffered reader, through the
+/// same parse as the streaming [`crate::io::stream::visit_hgr_nets`].
 pub fn read_hgr<R: BufRead>(reader: R) -> IoResult<Hypergraph> {
-    let mut lines = reader.lines().enumerate();
-
-    // Find the header (skipping comments and blank lines).
-    let (header_line_no, header) = loop {
-        match lines.next() {
-            Some((i, line)) => {
-                let line = line?;
-                let trimmed = line.trim();
-                if trimmed.is_empty() || trimmed.starts_with('%') {
-                    continue;
-                }
-                break (i + 1, trimmed.to_string());
-            }
-            None => return Err(IoError::parse(1, "empty file: missing header")),
-        }
-    };
-
-    let mut parts = header.split_whitespace();
-    let num_edges: usize = parts
-        .next()
-        .ok_or_else(|| IoError::parse(header_line_no, "missing hyperedge count"))?
-        .parse()
-        .map_err(|_| IoError::parse(header_line_no, "invalid hyperedge count"))?;
-    let num_vertices: usize = parts
-        .next()
-        .ok_or_else(|| IoError::parse(header_line_no, "missing vertex count"))?
-        .parse()
-        .map_err(|_| IoError::parse(header_line_no, "invalid vertex count"))?;
-    let num_vertices = id_count(num_vertices, header_line_no, "vertex count")?;
-    let fmt: u32 = match parts.next() {
-        Some(tok) => tok
-            .parse()
-            .map_err(|_| IoError::parse(header_line_no, "invalid fmt field"))?,
-        None => 0,
-    };
-    let has_edge_weights = fmt == 1 || fmt == 11;
-    let has_vertex_weights = fmt == 10 || fmt == 11;
-
-    let mut builder = HypergraphBuilder::with_capacity(num_vertices, num_edges);
-    let mut edges_read = 0usize;
-    let mut vertex_weights_read = 0usize;
-
-    for (i, line) in lines {
-        let line_no = i + 1;
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('%') {
-            continue;
-        }
-        if edges_read < num_edges {
-            let mut tokens = trimmed.split_whitespace();
-            let weight = if has_edge_weights {
-                let w: f64 = tokens
-                    .next()
-                    .ok_or_else(|| IoError::parse(line_no, "missing hyperedge weight"))?
-                    .parse()
-                    .map_err(|_| IoError::parse(line_no, "invalid hyperedge weight"))?;
-                w
-            } else {
-                1.0
-            };
-            let mut pins: Vec<VertexId> = Vec::new();
-            for tok in tokens {
-                let v: usize = tok
-                    .parse()
-                    .map_err(|_| IoError::parse(line_no, format!("invalid vertex id '{tok}'")))?;
-                if v == 0 || v > num_vertices {
-                    return Err(IoError::parse(
-                        line_no,
-                        format!("vertex id {v} out of range 1..={num_vertices}"),
-                    ));
-                }
-                pins.push((v - 1) as VertexId);
-            }
-            if pins.is_empty() {
-                return Err(IoError::parse(line_no, "hyperedge with no pins"));
-            }
-            builder.add_weighted_hyperedge(pins, weight);
-            edges_read += 1;
-        } else if has_vertex_weights && vertex_weights_read < num_vertices {
-            let w: f64 = trimmed
-                .parse()
-                .map_err(|_| IoError::parse(line_no, "invalid vertex weight"))?;
-            builder.set_vertex_weight(vertex_weights_read as VertexId, w);
-            vertex_weights_read += 1;
-        } else {
-            return Err(IoError::parse(line_no, "unexpected extra data"));
-        }
+    let mut builder = HypergraphBuilder::new(0);
+    let summary = visit_hgr(reader, |_, pins, weight| {
+        builder.add_weighted_hyperedge(pins.iter().copied(), weight);
+        Ok(())
+    })?;
+    for (v, &w) in summary.vertex_weights.iter().flatten().enumerate() {
+        builder.set_vertex_weight(v as VertexId, w);
     }
-
-    if edges_read != num_edges {
-        return Err(IoError::parse(
-            header_line_no,
-            format!("expected {num_edges} hyperedges, found {edges_read}"),
-        ));
-    }
-    if has_vertex_weights && vertex_weights_read != num_vertices {
-        return Err(IoError::parse(
-            header_line_no,
-            format!("expected {num_vertices} vertex weights, found {vertex_weights_read}"),
-        ));
-    }
-    builder.ensure_vertices(num_vertices);
-    Ok(builder.build())
+    builder.ensure_vertices(summary.num_vertices);
+    try_build(builder)
 }
 
 /// Reads a hypergraph in hMetis format from a file path. The file stem is
@@ -215,6 +123,7 @@ pub fn write_hgr_file(hg: &Hypergraph, path: impl AsRef<Path>) -> IoResult<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::IoError;
     use std::io::Cursor;
 
     #[test]

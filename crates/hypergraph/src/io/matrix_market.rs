@@ -12,7 +12,7 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-use crate::io::{capacity_hint, id_count, IoError, IoResult};
+use crate::io::{capacity_hint, id_count, try_build, IoError, IoResult};
 use crate::{Hypergraph, HypergraphBuilder, VertexId};
 
 /// How to turn a sparse matrix into a hypergraph.
@@ -40,6 +40,11 @@ pub struct CoordinateMatrix {
 impl CoordinateMatrix {
     /// Converts the matrix to a hypergraph under the given model.
     pub fn to_hypergraph(&self, model: SparseMatrixModel, name: &str) -> Hypergraph {
+        self.builder(model, name).build()
+    }
+
+    /// The builder [`CoordinateMatrix::to_hypergraph`] finalises.
+    fn builder(&self, model: SparseMatrixModel, name: &str) -> HypergraphBuilder {
         type EntryKey = fn(&(u32, u32)) -> (u32, u32);
         let (num_vertices, key): (usize, EntryKey) = match model {
             SparseMatrixModel::RowNet => (self.cols, |&(r, c)| (r, c)),
@@ -54,7 +59,7 @@ impl CoordinateMatrix {
         for net in keyed.chunk_by(|a, b| a.0 == b.0) {
             builder.add_hyperedge(net.iter().map(|&(_, pin)| pin as VertexId));
         }
-        builder.build()
+        builder
     }
 }
 
@@ -178,7 +183,7 @@ pub fn read_mtx_file(path: impl AsRef<Path>, model: SparseMatrixModel) -> IoResu
         .file_stem()
         .and_then(|s| s.to_str())
         .unwrap_or("matrix");
-    Ok(matrix.to_hypergraph(model, name))
+    try_build(matrix.builder(model, name))
 }
 
 /// Writes a coordinate matrix as a (pattern, general) MatrixMarket file.

@@ -31,8 +31,11 @@
 //! yields the identical record sequence, so multi-pass restreaming and
 //! BSP drivers work unchanged over compressed files.
 
+use std::collections::TryReserveError;
 use std::fmt;
 use std::io;
+
+use crate::{Hypergraph, HypergraphBuilder};
 
 pub mod edgelist;
 pub mod hmetis;
@@ -85,6 +88,26 @@ impl IoError {
             message: message.into(),
         }
     }
+
+    /// An I/O error of kind [`io::ErrorKind::OutOfMemory`]: `what` — an
+    /// array sized by a count the input declared — could not be
+    /// allocated.
+    pub fn out_of_memory(what: &str, cause: TryReserveError) -> Self {
+        Self::Io(io::Error::new(
+            io::ErrorKind::OutOfMemory,
+            format!("cannot allocate {what}: {cause}"),
+        ))
+    }
+}
+
+/// Builds `builder`'s hypergraph, reporting per-vertex arrays that cannot
+/// be allocated as an error: a header can declare billions of vertices in
+/// a few bytes.
+pub(crate) fn try_build(builder: HypergraphBuilder) -> IoResult<Hypergraph> {
+    let n = builder.num_vertices();
+    builder
+        .try_build()
+        .map_err(|e| IoError::out_of_memory(&format!("{n} vertices"), e))
 }
 
 impl fmt::Display for IoError {
@@ -124,6 +147,13 @@ mod tests {
         let s = format!("{e}");
         assert!(s.contains("line 7"));
         assert!(s.contains("bad token"));
+    }
+
+    #[test]
+    fn unallocatable_vertex_counts_are_an_out_of_memory_error() {
+        let err = try_build(HypergraphBuilder::new(usize::MAX / 4)).unwrap_err();
+        assert!(matches!(&err, IoError::Io(e) if e.kind() == io::ErrorKind::OutOfMemory));
+        assert!(format!("{err}").contains("cannot allocate"));
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::io::{IoError, IoResult};
+use crate::io::{id_count, IoError, IoResult};
 use crate::{HyperedgeId, Hypergraph, VertexId};
 
 /// One record of a vertex-major stream.
@@ -154,12 +154,21 @@ pub struct HgrStreamSummary {
 /// `sink(net, pins)` per hyperedge with 0-based vertex ids, without
 /// materialising any per-net state beyond one line's pins.
 ///
-/// Accepts the same dialect as [`crate::io::hmetis::read_hgr`] (comments,
-/// `fmt` ∈ {none, 1, 10, 11}, 1-based vertex ids) and reports the same
-/// parse errors, so the two readers agree on every valid and invalid input.
+/// Accepts the dialect of [`crate::io::hmetis::read_hgr`] (comments,
+/// `fmt` ∈ {none, 1, 10, 11}, 1-based vertex ids), which builds on the
+/// same parse, so the two readers agree on every valid and invalid input.
 pub fn visit_hgr_nets<R: BufRead>(
     reader: R,
     sink: &mut dyn FnMut(HyperedgeId, &[VertexId]) -> IoResult<()>,
+) -> IoResult<HgrStreamSummary> {
+    visit_hgr(reader, |net, pins, _| sink(net, pins))
+}
+
+/// [`visit_hgr_nets`], also handing `sink` each hyperedge's weight (1.0
+/// unless the header's `fmt` declares hyperedge weights).
+pub(crate) fn visit_hgr<R: BufRead>(
+    reader: R,
+    mut sink: impl FnMut(HyperedgeId, &[VertexId], f64) -> IoResult<()>,
 ) -> IoResult<HgrStreamSummary> {
     let mut lines = reader.lines().enumerate();
 
@@ -188,6 +197,7 @@ pub fn visit_hgr_nets<R: BufRead>(
         .ok_or_else(|| IoError::parse(header_line_no, "missing vertex count"))?
         .parse()
         .map_err(|_| IoError::parse(header_line_no, "invalid vertex count"))?;
+    let num_vertices = id_count(num_vertices, header_line_no, "vertex count")?;
     let fmt: u32 = match parts.next() {
         Some(tok) => tok
             .parse()
@@ -211,15 +221,15 @@ pub fn visit_hgr_nets<R: BufRead>(
         }
         if nets_read < num_nets {
             let mut tokens = trimmed.split_whitespace();
-            if has_edge_weights {
-                // Net weights are parsed for validation but not forwarded:
-                // the vertex-major stream treats nets uniformly.
-                let _: f64 = tokens
+            let weight = if has_edge_weights {
+                tokens
                     .next()
                     .ok_or_else(|| IoError::parse(line_no, "missing hyperedge weight"))?
                     .parse()
-                    .map_err(|_| IoError::parse(line_no, "invalid hyperedge weight"))?;
-            }
+                    .map_err(|_| IoError::parse(line_no, "invalid hyperedge weight"))?
+            } else {
+                1.0
+            };
             pins.clear();
             for tok in tokens {
                 let v: usize = tok
@@ -242,7 +252,7 @@ pub fn visit_hgr_nets<R: BufRead>(
             pins.sort_unstable();
             pins.dedup();
             num_pins += pins.len();
-            sink(nets_read as HyperedgeId, &pins)?;
+            sink(nets_read as HyperedgeId, &pins, weight)?;
             nets_read += 1;
         } else if has_vertex_weights && vertex_weights.len() < num_vertices {
             let w: f64 = trimmed

@@ -1,5 +1,6 @@
 //! Vertex → partition assignments and load-imbalance accounting.
 
+use std::collections::TryReserveError;
 use std::fmt;
 
 use crate::{Hypergraph, VertexId};
@@ -124,11 +125,25 @@ impl Partition {
     /// the HyperPRAW algorithm (Algorithm 1) and also a natural "naive
     /// parallelism" baseline.
     pub fn round_robin(num_vertices: usize, num_parts: u32) -> Self {
+        Self::try_round_robin(num_vertices, num_parts)
+            .unwrap_or_else(|e| panic!("cannot allocate {num_vertices} vertices: {e}"))
+    }
+
+    /// [`Partition::round_robin`], reserving the assignment fallibly: a
+    /// vertex count taken from a file header must not abort the process.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_parts` is zero.
+    pub fn try_round_robin(num_vertices: usize, num_parts: u32) -> Result<Self, TryReserveError> {
         assert!(num_parts > 0, "num_parts must be positive");
-        Self {
-            assignment: (0..num_vertices).map(|v| (v as u32) % num_parts).collect(),
+        let mut assignment = Vec::new();
+        assignment.try_reserve_exact(num_vertices)?;
+        assignment.extend((0..num_vertices).map(|v| (v as u32) % num_parts));
+        Ok(Self {
+            assignment,
             num_parts,
-        }
+        })
     }
 
     /// Assigns every vertex to partition 0 — the degenerate minimum-cut /
@@ -284,6 +299,15 @@ mod tests {
         assert_eq!(p.part_of(0), 0);
         assert_eq!(p.part_of(4), 1);
         assert_eq!(p.used_parts(), 3);
+    }
+
+    #[test]
+    fn unallocatable_round_robin_is_an_error() {
+        assert!(Partition::try_round_robin(usize::MAX / 2, 3).is_err());
+        assert_eq!(
+            Partition::try_round_robin(10, 3).unwrap(),
+            Partition::round_robin(10, 3)
+        );
     }
 
     #[test]
