@@ -85,6 +85,28 @@
 //! engine-equivalence suite holds bit for bit (f64 history equality)
 //! under every budget.
 //!
+//! Most visits of a converging run keep their vertex where it is, and
+//! those whose neighbours have not moved since their last visit can be
+//! proved to: **certified stays**. A scored visit leaves a stay
+//! certificate next to the vertex's kept counts — the part it chose and
+//! its communication gap `D = min_{i≠o}(c_o − c_i)`, where
+//! `c_i = −N_i·T_i` is the load-free part of `V_i` (less a rounding
+//! slack) — valid until a neighbour's move shifts those counts (a
+//! per-vertex generation, see [`AdjProvider`]). At the next visit, while
+//! the certificate is valid and the vertex still on `o`,
+//! `V_o − V_i ≥ D − α·(W(o) − min_{i≠o} W(i)) / E` for every `i` under
+//! the visit's own loads and `α` ([`crate::value::certified_margin`]);
+//! when that clears the tie rule, the vertex stays without a count copy
+//! or a scoring pass, and the engine does the load arithmetic of a scored
+//! stay. All three strategies decide visits through one helper; the
+//! proof is exact, so partitions are unchanged. Certificates are off
+//! while the doubt buffer is on (it needs every visit's margin), and
+//! providers that keep no counts make none. Debug builds re-score every
+//! certified visit and recompute every live certificate wherever they
+//! check the counts. Sequential and window-apply moves shift the counts
+//! through `&mut` access ([`ConnectivityProvider::moved_exclusive`]);
+//! only stealing workers use atomic read-modify-writes.
+//!
 //! The engine also owns the two cross-cutting quality devices the drivers
 //! used to duplicate: the bounded **doubt buffer** (the `k`
 //! lowest-confidence placements are revisited once against the final
@@ -107,13 +129,13 @@ use hyperpraw_topology::CostMatrix;
 
 use crate::history::{IterationRecord, PartitionHistory, StreamPhase};
 use crate::metrics::{check_shapes, PairCounts};
-use crate::value::{best_partition_in, ScoredPartition, ValueScratch};
+use crate::value::{best_partition_in, certified_margin, ValueScratch};
 use crate::{HyperPrawConfig, RefinementPolicy};
 
 mod provider;
 mod source;
 
-pub use provider::{AdjProvider, AdjScratch, ConnectivityProvider};
+pub use provider::{AdjProvider, AdjScratch, ConnectivityProvider, StayCertificate};
 pub use source::{stream_order, DirtySetSource, InMemorySource, StreamSource, VertexSource};
 
 /// Why the restreaming loop stopped.
@@ -596,6 +618,115 @@ impl EngineState {
     }
 }
 
+/// The part one visit chose and its margin over the runner-up — for a
+/// certified visit, the lower bound the certificate proved.
+#[derive(Clone, Copy, Debug)]
+struct Decision {
+    part: u32,
+    margin: f64,
+}
+
+/// One worker's scoring state, created once per run and reused across
+/// windows and passes: the provider scratch, the counts and scorer
+/// buffers, and the tally of certified visits.
+struct Scorer<T> {
+    scratch: T,
+    counts: Vec<u32>,
+    value: ValueScratch,
+    /// Whether visits check and make stay certificates.
+    certify: bool,
+    /// Visits kept in place by a certificate since the last flush.
+    certified: u64,
+}
+
+impl<T> Scorer<T> {
+    fn new<P: ConnectivityProvider<Scratch = T>>(provider: &P, p: usize, certify: bool) -> Self {
+        Scorer {
+            scratch: provider.new_scratch(),
+            counts: Vec::with_capacity(p),
+            value: ValueScratch::new(),
+            certify,
+            certified: 0,
+        }
+    }
+
+    /// Decides one visit of `record`, currently on `current`, against
+    /// `assignment` and `loads` — the loads as the scorer sees them, the
+    /// vertex's own weight already detached — with the uniform expected
+    /// loads `expected`.
+    ///
+    /// When `record`'s stay certificate is still valid, names `current`
+    /// and [`certified_margin`] proves it under `alpha` and `loads`, the
+    /// visit keeps its part without copying counts or scoring. Otherwise
+    /// the counts are copied and scored, and the outcome certified under
+    /// the generation read before the copy. Every strategy decides
+    /// through here; the caller applies the decision the same way either
+    /// way, so a certified stay does the load arithmetic of a scored one.
+    #[allow(clippy::too_many_arguments)] // the engine's hot path shares one state bundle
+    fn decide<P, A>(
+        &mut self,
+        provider: &P,
+        record: &VertexRecord,
+        assignment: &A,
+        current: Option<u32>,
+        cost: &CostMatrix,
+        alpha: f64,
+        loads: &[f64],
+        expected: &[f64],
+    ) -> Decision
+    where
+        P: ConnectivityProvider<Scratch = T>,
+        A: AssignmentRef,
+    {
+        let v = record.vertex;
+        let stamp = if self.certify {
+            provider.stay_certificate(v)
+        } else {
+            None
+        };
+        let stay = stamp.and_then(|s| s.stay);
+        if let Some((part, gap)) = stay.filter(|&(part, _)| Some(part) == current) {
+            debug_assert!(expected.iter().all(|&e| e == expected[0]));
+            if let Some(margin) = certified_margin(gap, part, alpha, loads, expected[0]) {
+                self.certified += 1;
+                // Debug builds re-score the visit and require `part`. Under
+                // work stealing a peer's move may shift the counts after
+                // the certificate was read; the generation bump that
+                // follows such a shift must then show up.
+                #[cfg(debug_assertions)]
+                {
+                    let generation = stamp.map(|s| s.generation);
+                    provider.count(record, assignment, &mut self.scratch, &mut self.counts);
+                    let counts = &self.counts;
+                    let scored =
+                        best_partition_in(counts, cost, alpha, loads, expected, &mut self.value);
+                    let started = std::time::Instant::now();
+                    while scored.part != part
+                        && provider.stay_certificate(v).map(|s| s.generation) == generation
+                    {
+                        assert!(
+                            started.elapsed().as_secs() < 5,
+                            "vertex {v} certified on part {part}, but its counts score part {}",
+                            scored.part
+                        );
+                        thread::yield_now();
+                    }
+                }
+                return Decision { part, margin };
+            }
+        }
+        provider.count(record, assignment, &mut self.scratch, &mut self.counts);
+        let scored = best_partition_in(&self.counts, cost, alpha, loads, expected, &mut self.value);
+        if let Some(stamp) = stamp {
+            provider.certify(v, stamp.generation, scored.part, scored.gap);
+        }
+        Decision {
+            part: scored.part,
+            margin: scored.margin,
+        }
+    }
+}
+
 /// Per-worker scratch buffers, created once per run and reused across
 /// windows and passes. A worker writes its slot's `Vec` headers for every
 /// vertex it scores, so slots are aligned to 128 bytes — two cache lines,
@@ -603,9 +734,7 @@ impl EngineState {
 /// with a peer's.
 #[repr(align(128))]
 struct WorkerSlot<T> {
-    scratch: T,
-    counts: Vec<u32>,
-    value: ValueScratch,
+    scorer: Scorer<T>,
     delta: Vec<f64>,
     loads_view: Vec<f64>,
     /// The work-stealing strategy's `(batch index, part, margin)`
@@ -620,12 +749,11 @@ impl<T> WorkerSlot<T> {
         workers: usize,
         provider: &P,
         p: usize,
+        certify: bool,
     ) {
         while slots.len() < workers {
             slots.push(WorkerSlot {
-                scratch: provider.new_scratch(),
-                counts: Vec::with_capacity(p),
-                value: ValueScratch::new(),
+                scorer: Scorer::new(provider, p, certify),
                 delta: vec![0.0f64; p],
                 loads_view: Vec::with_capacity(p),
                 proposals: Vec::new(),
@@ -636,10 +764,9 @@ impl<T> WorkerSlot<T> {
 
 /// One live (fresh-information) placement — the shared inner step of the
 /// sequential strategy, the single-worker chunked fallback and the doubt
-/// revisit: detach `record` from `current`, count against the live
-/// assignment, score, assign, attach. The caller handles move accounting
-/// and doubt collection.
-#[allow(clippy::too_many_arguments)] // the engine's hot path shares one state bundle
+/// revisit: detach `record` from `current`, decide against the live
+/// assignment, assign, attach. The caller handles move accounting and
+/// doubt collection.
 fn place_live<P: ConnectivityProvider>(
     cost: &CostMatrix,
     provider: &mut P,
@@ -647,33 +774,40 @@ fn place_live<P: ConnectivityProvider>(
     alpha: f64,
     record: &VertexRecord,
     current: Option<u32>,
-    scratch: &mut P::Scratch,
-    counts: &mut Vec<u32>,
-    value: &mut ValueScratch,
-) -> ScoredPartition {
+    scorer: &mut Scorer<P::Scratch>,
+) -> Decision {
     let w = record.weight;
     if let Some(cur) = current {
         state.loads[cur as usize] -= w;
         provider.detach(record, cur);
     }
-    provider.count(record, &state.partition, scratch, counts);
-    let scored = best_partition_in(counts, cost, alpha, &state.loads, &state.expected, value);
+    let decision = scorer.decide(
+        provider,
+        record,
+        &state.partition,
+        current,
+        cost,
+        alpha,
+        &state.loads,
+        &state.expected,
+    );
     set_part(
         provider,
         &mut state.partition,
         record.vertex,
-        scored.part,
-        scratch,
+        decision.part,
+        &mut scorer.scratch,
     );
-    state.loads[scored.part as usize] += w;
-    provider.attach(record, scored.part);
-    scored
+    state.loads[decision.part as usize] += w;
+    provider.attach(record, decision.part);
+    decision
 }
 
 /// Assigns `v` to `part` in `partition`, the assignment the provider's
-/// counts read, and reports the change to the provider.
+/// counts read, and reports the change to the provider, which the caller
+/// holds exclusively.
 fn set_part<P: ConnectivityProvider>(
-    provider: &P,
+    provider: &mut P,
     partition: &mut Partition,
     v: VertexId,
     part: u32,
@@ -682,8 +816,19 @@ fn set_part<P: ConnectivityProvider>(
     let prior = partition.part_of(v);
     if prior != part {
         partition.set(v, part);
-        provider.moved(v, prior, part, scratch);
+        provider.moved_exclusive(v, prior, part, scratch);
     }
+}
+
+/// Whether `provider`'s counts agree with `assignment` and its stay
+/// certificates with those counts — the engine's debug-build check at
+/// every pass end, window apply and stealing batch boundary.
+fn consistent<P: ConnectivityProvider, A: AssignmentRef>(
+    provider: &P,
+    assignment: &A,
+    cost: &CostMatrix,
+) -> bool {
+    provider.agrees_with(assignment) && provider.certificates_agree_with(assignment, cost)
 }
 
 /// A prior assignment handed to [`Engine::run_warm`]: the engine refines
@@ -721,8 +866,11 @@ struct EngineMetrics {
     /// Wall-clock of each comm-cost evaluation (per pass and final),
     /// microseconds.
     commcost_eval_us: Histogram,
-    /// Vertices scored across all passes (each pass streams the source once).
+    /// Vertices visited across all passes (each pass streams the source
+    /// once), certified visits included.
     vertices_scored: Counter,
+    /// Visits a stay certificate kept in place without scoring.
+    certified_visits: Counter,
     /// Doubt-buffer entries at the end of the latest pass.
     doubt_entries: Gauge,
     /// Doubt-buffer payload bytes at the end of the latest pass.
@@ -739,6 +887,7 @@ impl EngineMetrics {
             pass_time_us: registry.histogram("engine.pass_time_us"),
             commcost_eval_us: registry.histogram("engine.commcost_eval_us"),
             vertices_scored: registry.counter("engine.vertices_scored"),
+            certified_visits: registry.counter("engine.certified_visits"),
             doubt_entries: registry.gauge("engine.doubt.entries"),
             doubt_bytes: registry.gauge("engine.doubt.bytes"),
             steal_chunk_claims: registry.counter("engine.steal.chunk_claims"),
@@ -773,6 +922,12 @@ impl Engine {
     /// The configuration in use.
     pub fn config(&self) -> &EngineConfig {
         &self.config
+    }
+
+    /// Whether visits check and make stay certificates: certified stays
+    /// skip the scorer, whose margins the doubt buffer needs.
+    fn certifies(&self) -> bool {
+        self.config.doubts.capacity == 0
     }
 
     /// Runs the restreaming loop: `source × provider × strategy` under the
@@ -930,6 +1085,7 @@ impl Engine {
                     assigned,
                     &mut doubts,
                     &mut record,
+                    &mut slots,
                 )?,
                 ExecutionStrategy::Chunked {
                     num_threads,
@@ -959,6 +1115,7 @@ impl Engine {
                     assigned,
                     &mut doubts,
                     &mut record,
+                    &mut slots,
                 )?,
                 ExecutionStrategy::WorkStealing { num_threads, chunk } => self.steal_pass(
                     cost,
@@ -975,8 +1132,13 @@ impl Engine {
                 )?,
             };
             pass_span.finish();
+            let certified = slots
+                .iter_mut()
+                .map(|slot| std::mem::take(&mut slot.scorer.certified))
+                .sum();
+            self.metrics.certified_visits.add(certified);
             debug_assert!(
-                provider.agrees_with(&state.partition),
+                consistent(provider, &state.partition, cost),
                 "provider state drifted from the assignment by the end of pass {pass}"
             );
             self.metrics.doubt_entries.set(doubts.heap.len() as i64);
@@ -1054,27 +1216,23 @@ impl Engine {
             let mut revisit: Vec<Doubt> = std::mem::take(&mut doubts.heap).into_vec();
             revisit.sort_unstable_by_key(|d| d.vertex);
             restreamed = revisit.len();
-            let mut scratch = provider.new_scratch();
-            let mut counts: Vec<u32> = Vec::with_capacity(p);
-            let mut value = ValueScratch::new();
+            let mut scorer = Scorer::new(provider, p, false);
             for doubt in revisit {
                 record.vertex = doubt.vertex;
                 record.weight = doubt.weight;
                 record.nets.clear();
                 record.nets.extend_from_slice(&doubt.nets);
                 let old = state.partition.part_of(doubt.vertex);
-                let scored = place_live(
+                let decision = place_live(
                     cost,
                     provider,
                     &mut state,
                     alpha,
                     &record,
                     Some(old),
-                    &mut scratch,
-                    &mut counts,
-                    &mut value,
+                    &mut scorer,
                 );
-                if scored.part != old {
+                if decision.part != old {
                     moved_in_restream += 1;
                 }
             }
@@ -1155,39 +1313,29 @@ impl Engine {
         assigned: bool,
         doubts: &mut DoubtBuffer,
         record: &mut VertexRecord,
+        slots: &mut Vec<WorkerSlot<P::Scratch>>,
     ) -> IoResult<usize>
     where
         S: VertexSource,
         P: ConnectivityProvider,
     {
+        WorkerSlot::fill(slots, 1, provider, state.loads.len(), self.certifies());
+        let scorer = &mut slots[0].scorer;
         let mut moved = 0usize;
         let mut scored_n = 0u64;
-        let mut scratch = provider.new_scratch();
-        let mut counts: Vec<u32> = Vec::with_capacity(state.loads.len());
-        let mut value = ValueScratch::new();
         while source.next_into(record)? {
             scored_n += 1;
             let current = assigned.then(|| state.partition.part_of(record.vertex));
-            let scored = place_live(
-                cost,
-                provider,
-                state,
-                alpha,
-                record,
-                current,
-                &mut scratch,
-                &mut counts,
-                &mut value,
-            );
-            if current != Some(scored.part) {
+            let decision = place_live(cost, provider, state, alpha, record, current, scorer);
+            if current != Some(decision.part) {
                 moved += 1;
             }
             doubts.offer(
                 &self.config.doubts,
                 provider,
                 record,
-                scored.part,
-                scored.margin,
+                decision.part,
+                decision.margin,
             );
         }
         self.metrics.vertices_scored.add(scored_n);
@@ -1218,7 +1366,7 @@ impl Engine {
     {
         let p = state.loads.len();
         let window_len = sync_interval.max(num_threads).max(1);
-        WorkerSlot::fill(slots, num_threads, provider, p);
+        WorkerSlot::fill(slots, num_threads, provider, p, self.certifies());
         let mut moved = 0usize;
 
         loop {
@@ -1243,29 +1391,20 @@ impl Engine {
             if workers == 1 {
                 // No concurrency — decide with live information, exactly
                 // like the sequential strategy.
-                let slot = &mut slots[0];
+                let scorer = &mut slots[0].scorer;
                 for record in records {
                     let current = assigned.then(|| state.partition.part_of(record.vertex));
-                    let scored = place_live(
-                        cost,
-                        provider,
-                        state,
-                        alpha,
-                        record,
-                        current,
-                        &mut slot.scratch,
-                        &mut slot.counts,
-                        &mut slot.value,
-                    );
-                    if current != Some(scored.part) {
+                    let decision =
+                        place_live(cost, provider, state, alpha, record, current, scorer);
+                    if current != Some(decision.part) {
                         moved += 1;
                     }
                     doubts.offer(
                         &self.config.doubts,
                         provider,
                         record,
-                        scored.part,
-                        scored.margin,
+                        decision.part,
+                        decision.margin,
                     );
                 }
                 continue;
@@ -1300,30 +1439,27 @@ impl Engine {
                             let mut local: Vec<(u32, f64)> = Vec::with_capacity(chunk.len());
                             for record in chunk {
                                 let w = record.weight;
-                                if assigned {
-                                    let current = snapshot.part_of(record.vertex) as usize;
-                                    slot.delta[current] -= w;
-                                    slot.loads_view[current] =
-                                        snapshot_loads[current] + slot.delta[current] * scale;
+                                let current = assigned.then(|| snapshot.part_of(record.vertex));
+                                if let Some(cur) = current {
+                                    let cur = cur as usize;
+                                    slot.delta[cur] -= w;
+                                    slot.loads_view[cur] =
+                                        snapshot_loads[cur] + slot.delta[cur] * scale;
                                 }
-                                provider_ref.count(
+                                let decision = slot.scorer.decide(
+                                    provider_ref,
                                     record,
                                     snapshot,
-                                    &mut slot.scratch,
-                                    &mut slot.counts,
-                                );
-                                let scored = best_partition_in(
-                                    &slot.counts,
+                                    current,
                                     cost,
                                     config_alpha,
                                     &slot.loads_view,
                                     expected,
-                                    &mut slot.value,
                                 );
-                                let t = scored.part as usize;
+                                let t = decision.part as usize;
                                 slot.delta[t] += w;
                                 slot.loads_view[t] = snapshot_loads[t] + slot.delta[t] * scale;
-                                local.push((scored.part, scored.margin));
+                                local.push((decision.part, decision.margin));
                             }
                             local
                         })
@@ -1353,7 +1489,7 @@ impl Engine {
                         &mut state.partition,
                         v,
                         target,
-                        &mut slots[0].scratch,
+                        &mut slots[0].scorer.scratch,
                     );
                     state.loads[target as usize] += w;
                     provider.attach(record, target);
@@ -1364,7 +1500,7 @@ impl Engine {
                 }
             }
             debug_assert!(
-                provider.agrees_with(&state.partition),
+                consistent(provider, &state.partition, cost),
                 "provider state drifted from the assignment at a window apply"
             );
         }
@@ -1408,7 +1544,7 @@ impl Engine {
         P: ConnectivityProvider,
     {
         let p = state.loads.len();
-        WorkerSlot::fill(slots, num_threads, provider, p);
+        WorkerSlot::fill(slots, num_threads, provider, p, self.certifies());
         // The live assignment view covers the *full* graph — connectivity
         // counts read arbitrary neighbours, not just batch members.
         let view = AtomicAssignment::from_partition(&state.partition);
@@ -1487,16 +1623,17 @@ impl Engine {
                                 let own = if current == Some(k as u32) { w } else { 0 };
                                 *local = from_fixed(counter.load(AtomicOrdering::Relaxed) - own);
                             }
-                            provider_ref.count(record, view, &mut slot.scratch, &mut slot.counts);
-                            let scored = best_partition_in(
-                                &slot.counts,
+                            let decision = slot.scorer.decide(
+                                provider_ref,
+                                record,
+                                view,
+                                current,
                                 cost,
                                 alpha,
                                 &slot.loads_view,
                                 expected,
-                                &mut slot.value,
                             );
-                            let target = scored.part;
+                            let target = decision.part;
                             if current != Some(target) {
                                 if let Some(old) = current {
                                     shared[old as usize].fetch_sub(w, AtomicOrdering::Relaxed);
@@ -1508,11 +1645,11 @@ impl Engine {
                                         record.vertex,
                                         prior,
                                         target,
-                                        &mut slot.scratch,
+                                        &mut slot.scorer.scratch,
                                     );
                                 }
                             }
-                            slot.proposals.push((i, target, scored.margin));
+                            slot.proposals.push((i, target, decision.margin));
                         }
                     }
                 };
@@ -1537,7 +1674,7 @@ impl Engine {
                 // Every worker finished each move's provider updates
                 // before the join, so the provider agrees with the view.
                 debug_assert!(
-                    provider_ref.agrees_with(view),
+                    consistent(provider_ref, view, cost),
                     "provider state drifted from the live assignment at a batch boundary"
                 );
 

@@ -14,7 +14,11 @@
 //!   scan of a precomputed deduplicated neighbour list
 //!   ([`NeighborAdjacency`]) when the provider has one, an epoch traversal
 //!   of the vertex's pins otherwise. Every path produces the same exact
-//!   integer counts, so the adjacency never changes a partition.
+//!   integer counts, so the adjacency never changes a partition. Next to
+//!   each vertex's counts it keeps a **stay certificate** and the
+//!   generation of those counts, which lets the engine keep a vertex in
+//!   place without copying its counts or scoring
+//!   ([`ConnectivityProvider::stay_certificate`]).
 //! * `hyperpraw-lowmem`'s `IndexProvider` — answers from a budgeted
 //!   `ConnectivityIndex` (exact hash maps, or Bloom/MinHash sketches),
 //!   counting **connected nets** per partition; attach/detach record and
@@ -32,11 +36,28 @@
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU32, Ordering};
 
+use hyperpraw_topology::CostMatrix;
+
 use hyperpraw_hypergraph::io::stream::VertexRecord;
 use hyperpraw_hypergraph::traversal::NeighborScratch;
 use hyperpraw_hypergraph::{
     AdjacencyBudget, AssignmentRef, Hypergraph, NeighborAdjacency, Partition, VertexId,
 };
+
+use crate::value::{comm_gap_in, ValueScratch};
+
+/// What [`ConnectivityProvider::stay_certificate`] read for one vertex.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct StayCertificate {
+    /// The generation of the vertex's kept counts — how often they have
+    /// shifted since its certificate was made — read before they are
+    /// copied; [`ConnectivityProvider::certify`] takes it back.
+    pub generation: u32,
+    /// The part the vertex's last certified visit chose and that visit's
+    /// communication gap ([`crate::value::ScoredPartition::gap`]), while
+    /// no neighbour has moved since — `None` otherwise.
+    pub stay: Option<(u32, f64)>,
+}
 
 /// Supplies neighbour-partition counts to the restreaming engine and
 /// tracks assignment changes, when the implementation keeps its own
@@ -90,6 +111,14 @@ pub trait ConnectivityProvider: Sync {
         let _ = (v, from, to, scratch);
     }
 
+    /// [`ConnectivityProvider::moved`] where the caller holds the only
+    /// reference — the sequential placement and the bulk-synchronous
+    /// window apply — so providers can shift their state without atomic
+    /// read-modify-writes.
+    fn moved_exclusive(&mut self, v: VertexId, from: u32, to: u32, scratch: &mut Self::Scratch) {
+        self.moved(v, from, to, scratch);
+    }
+
     /// Whether the provider's assignment-derived state agrees with
     /// `assignment`. The engine asserts this in debug builds wherever that
     /// state must be exact — at every pass end, bulk-synchronous window
@@ -98,6 +127,33 @@ pub trait ConnectivityProvider: Sync {
     fn agrees_with<A: AssignmentRef>(&self, assignment: &A) -> bool {
         let _ = assignment;
         true
+    }
+
+    /// Whether every live stay certificate is the one the current counts
+    /// give under `cost`, for the part `assignment` holds its vertex on.
+    /// Checked in debug builds next to
+    /// [`ConnectivityProvider::agrees_with`], which it assumes holds.
+    fn certificates_agree_with<A: AssignmentRef>(&self, assignment: &A, cost: &CostMatrix) -> bool {
+        let _ = (assignment, cost);
+        true
+    }
+
+    /// Reads `v`'s stay certificate. Called before
+    /// [`ConnectivityProvider::count`], so the generation it returns
+    /// predates the counts the visit copies. `None` when the provider
+    /// keeps no counts for `v` — then the engine neither checks nor makes
+    /// a certificate.
+    fn stay_certificate(&self, v: VertexId) -> Option<StayCertificate> {
+        let _ = v;
+        None
+    }
+
+    /// Stores the certificate of a scored visit: the counts read at
+    /// `generation` put `v` on `part` with communication gap `gap`. It is
+    /// valid until a neighbour's move shifts `v`'s counts, and never valid
+    /// when such a move raced the scoring.
+    fn certify(&self, v: VertexId, generation: u32, part: u32, gap: f64) {
+        let _ = (v, generation, part, gap);
     }
 
     /// Called once at the start of every stream. `rebuild` asks the
@@ -151,20 +207,74 @@ pub trait ConnectivityProvider: Sync {
 /// Slot value of a vertex without kept counts.
 const NO_SLOT: u32 = u32::MAX;
 
+/// Part of a certificate that certifies nothing.
+const NO_PART: u32 = u32::MAX;
+
+/// Slots per allocation of [`AdjProvider`]'s rows. Bounding the largest
+/// allocation keeps glibc's dynamic mmap threshold low: it rises to the
+/// largest mapping freed, and up to twice that much freed heap then stays
+/// resident, so one multi-megabyte row array left that much behind after
+/// every run of a long-lived process.
+const BLOCK_SLOTS: usize = 4096;
+
+/// Words of a slot's row before its part counts: the stay certificate.
+const CERT_WORDS: usize = 3;
+/// Row word: the generation — the shifts of the slot's counts since its
+/// certificate was made, each bumping it with release ordering, so a
+/// reader that acquires a generation sees every shift before it. The
+/// certificate is valid while it is zero.
+const GENERATION: usize = 0;
+/// Row word: the part the certified visit chose ([`NO_PART`]: none).
+const PART: usize = 1;
+/// Row word: the visit's communication gap rounded down to an `f32`.
+const GAP: usize = 2;
+
+/// The certified part and gap in `row`, when its generation, read as
+/// `generation`, says no shift has happened since.
+fn certified_stay(row: &[AtomicU32], generation: u32) -> Option<(u32, f64)> {
+    let part = row[PART].load(Ordering::Relaxed);
+    (generation == 0 && part != NO_PART).then(|| {
+        let gap = f32::from_bits(row[GAP].load(Ordering::Relaxed));
+        (part, f64::from(gap))
+    })
+}
+
+/// `x` as the largest `f32` not above it, so a stored gap never claims
+/// more than the scorer proved.
+fn f32_at_most(x: f64) -> f32 {
+    let y = x as f32;
+    if f64::from(y) > x {
+        y.next_down()
+    } else {
+        y
+    }
+}
+
 /// The in-memory [`ConnectivityProvider`]: exact distinct-neighbour part
 /// counts `X(v)` kept for every vertex a run visits.
 ///
 /// [`ConnectivityProvider::sync`] counts `X(v)` once per run for each
-/// vertex the run will visit: `p` [`AtomicU32`]s per vertex plus a
-/// vertex → slot map (`4·p + 4` bytes per vertex, see
-/// [`AdjProvider::memory_bytes`]). Afterwards, when a vertex `u` moves
-/// `a → b`, every counted distinct neighbour `w` of `u` gets
-/// `X(w)[a] −= 1` and `X(w)[b] += 1`. A visit is therefore an O(p) copy,
-/// and a neighbourhood is walked only at sync and when its vertex moves —
-/// a few percent of the visits once the first pass has placed the stream.
-/// This is the pin-count-in-part delta bookkeeping of Mt-KaHyPar, kept
+/// vertex the run will visit: one row of [`AtomicU32`]s per vertex — a
+/// 12-byte stay certificate, then the `p` counts (`4·p + 12` bytes per
+/// vertex, see [`AdjProvider::memory_bytes`]) — plus, when the run visits
+/// only a subset, a 4-byte vertex → slot map entry per vertex.
+/// Afterwards, when a vertex `u` moves `a → b`, every counted distinct
+/// neighbour `w` of `u` gets `X(w)[a] −= 1` and `X(w)[b] += 1`. A visit
+/// is therefore an O(p) copy, and a neighbourhood is walked only at sync
+/// and when its vertex moves — a few percent of the visits once the
+/// first pass has placed the stream. This is the pin-count-in-part delta bookkeeping of Mt-KaHyPar, kept
 /// per distinct *neighbour* rather than per hyperedge because
 /// HyperPRAW's `X_j(v)` deduplicates.
+///
+/// The certificate records the part a scored visit chose and its
+/// communication gap. Every shift of `X(v)` bumps the row's generation
+/// (after the shift, with release ordering); certifying resets it to
+/// zero with one compare-exchange from the value read before the counts
+/// were copied. A certificate is therefore valid exactly while the
+/// generation is zero — no neighbour has moved since its counts were
+/// read, including a move that raced the scoring on another worker. The
+/// gap is stored rounded down to an `f32`, which only weakens what it
+/// proves.
 ///
 /// Neighbourhoods come from a precomputed [`NeighborAdjacency`] when the
 /// provider has one, owned ([`AdjProvider::new`]) or borrowed
@@ -192,12 +302,19 @@ pub struct AdjProvider<'a> {
     /// Part count of the synced run.
     num_parts: usize,
     /// Count slot of every vertex ([`NO_SLOT`] unless the synced run
-    /// visits it); empty until the first sync.
+    /// visits it); empty when the run visits every vertex, whose slot is
+    /// then its id.
     slots: Vec<u32>,
-    /// `X(v)` of every slotted vertex, `num_parts` counters per slot. The
-    /// counters publish no other data — each is exact once the writers'
-    /// threads are joined — so they are accessed with relaxed ordering.
-    counts: Vec<AtomicU32>,
+    /// Vertices with kept counts (`0` until the first sync).
+    num_counted: usize,
+    /// One row per slot: the stay certificate ([`CERT_WORDS`] words: its
+    /// count generation, part and gap), then `X(v)`, `num_parts`
+    /// counters. The counters are exact once the writers' threads are
+    /// joined and are accessed with relaxed ordering; the generation
+    /// orders them for certificates. A visit, a certificate check and a
+    /// shift all touch one row. Rows are allocated in blocks of
+    /// [`BLOCK_SLOTS`].
+    rows: Vec<Box<[AtomicU32]>>,
     /// Counts neighbourhood traversals (`engine.hub_fallbacks`); a no-op
     /// unless bound via [`AdjProvider::with_registry`]. Each worker's
     /// [`AdjScratch`] tallies its own traversals and adds them here in
@@ -270,7 +387,8 @@ impl<'a> AdjProvider<'a> {
             adj,
             num_parts: 0,
             slots: Vec::new(),
-            counts: Vec::new(),
+            num_counted: 0,
+            rows: Vec::new(),
             hub_fallbacks: hyperpraw_telemetry::Counter::noop(),
         }
     }
@@ -298,37 +416,72 @@ impl<'a> AdjProvider<'a> {
     /// Number of vertices whose part counts the provider keeps (the
     /// vertices the last synced run visits).
     pub fn num_counted_vertices(&self) -> usize {
-        self.counts.len() / self.num_parts.max(1)
+        self.num_counted
     }
 
-    /// Heap bytes held: the adjacency, if any, plus the kept part counts
-    /// and their vertex → slot map.
+    /// Heap bytes held: the adjacency, if any, plus the kept part counts,
+    /// their stay certificates and, when the run visits a subset, their
+    /// vertex → slot map.
     pub fn memory_bytes(&self) -> usize {
         self.adj
             .as_deref()
             .map_or(0, NeighborAdjacency::memory_bytes)
             + self.slots.capacity() * std::mem::size_of::<u32>()
-            + self.counts.capacity() * std::mem::size_of::<AtomicU32>()
+            + self.rows.capacity() * std::mem::size_of::<Box<[AtomicU32]>>()
+            + self.rows.iter().map(|block| block.len()).sum::<usize>()
+                * std::mem::size_of::<AtomicU32>()
+    }
+
+    /// The slot of `v`, when it has kept counts.
+    #[inline]
+    fn slot(&self, v: VertexId) -> Option<usize> {
+        slot_of(&self.slots, self.num_counted, v)
+    }
+
+    /// The row of `v` — certificate words, then `X(v)` — when `v` has
+    /// kept counts.
+    #[inline]
+    fn row(&self, v: VertexId) -> Option<&[AtomicU32]> {
+        let slot = self.slot(v)?;
+        let stride = self.num_parts + CERT_WORDS;
+        let lo = slot % BLOCK_SLOTS * stride;
+        Some(&self.rows[slot / BLOCK_SLOTS][lo..lo + stride])
     }
 
     /// The kept part counts `X(v)`, when `v` has them.
     #[inline]
     fn kept_counts(&self, v: VertexId) -> Option<&[AtomicU32]> {
-        let slot = *self.slots.get(v as usize)?;
-        if slot == NO_SLOT {
-            return None;
-        }
-        let lo = slot as usize * self.num_parts;
-        Some(&self.counts[lo..lo + self.num_parts])
+        Some(&self.row(v)?[CERT_WORDS..])
     }
 
     /// The distinct neighbours of `v`: its flat list when the adjacency
     /// has one, otherwise a traversal through `scratch`.
     fn neighbors<'s>(&'s self, v: VertexId, scratch: &'s mut AdjScratch) -> &'s [VertexId] {
-        match self.adj.as_deref().and_then(|adj| adj.neighbors(v)) {
-            Some(list) => list,
-            None => scratch.traversal(self.hg).neighbors(self.hg, v),
-        }
+        neighbors_of(self.hg, self.adj.as_deref(), v, scratch)
+    }
+}
+
+/// [`AdjProvider::slot`] over the borrowed parts.
+#[inline]
+fn slot_of(slots: &[u32], num_counted: usize, v: VertexId) -> Option<usize> {
+    if slots.is_empty() {
+        return ((v as usize) < num_counted).then_some(v as usize);
+    }
+    let slot = *slots.get(v as usize)?;
+    (slot != NO_SLOT).then_some(slot as usize)
+}
+
+/// [`AdjProvider::neighbors`] over the borrowed parts, so a caller may
+/// hold the kept counts mutably meanwhile.
+fn neighbors_of<'s>(
+    hg: &'s Hypergraph,
+    adj: Option<&'s NeighborAdjacency>,
+    v: VertexId,
+    scratch: &'s mut AdjScratch,
+) -> &'s [VertexId] {
+    match adj.and_then(|adj| adj.neighbors(v)) {
+        Some(list) => list,
+        None => scratch.traversal(hg).neighbors(hg, v),
     }
 }
 
@@ -351,43 +504,70 @@ impl ConnectivityProvider for AdjProvider<'_> {
         let p = assignment.num_parts() as usize;
         let n = assignment.num_vertices();
         self.num_parts = p;
-        self.slots.clear();
-        self.slots.resize(n, NO_SLOT);
-        let mut counted: Vec<VertexId> = Vec::new();
-        let mut slot = |v: VertexId| {
-            let slot = &mut self.slots[v as usize];
-            if *slot == NO_SLOT {
-                *slot = counted.len() as u32;
-                counted.push(v);
+        self.slots = Vec::new();
+        let counted: Vec<VertexId> = match visits {
+            Some(visits) => {
+                let mut counted = Vec::new();
+                self.slots.resize(n, NO_SLOT);
+                for &v in visits {
+                    let slot = &mut self.slots[v as usize];
+                    if *slot == NO_SLOT {
+                        *slot = counted.len() as u32;
+                        counted.push(v);
+                    }
+                }
+                counted
             }
+            None => (0..n as VertexId).collect(),
         };
-        match visits {
-            Some(visits) => visits.iter().for_each(|&v| slot(v)),
-            None => (0..n as VertexId).for_each(slot),
-        }
-        let mut counts = std::mem::take(&mut self.counts);
-        counts.clear();
-        counts.reserve_exact(counted.len() * p);
+        self.num_counted = counted.len();
         let mut scratch = self.new_scratch();
+        let mut certificate = [0u32; CERT_WORDS];
+        certificate[PART] = NO_PART;
         let mut x = vec![0u32; p];
-        for &v in &counted {
-            x.fill(0);
-            for &u in self.neighbors(v, &mut scratch) {
-                x[assignment.part_of(u) as usize] += 1;
-            }
-            counts.extend(x.iter().map(|&c| AtomicU32::new(c)));
-        }
-        self.counts = counts;
+        let rows = counted
+            .chunks(BLOCK_SLOTS)
+            .map(|block| {
+                let mut rows = Vec::with_capacity(block.len() * (CERT_WORDS + p));
+                for &v in block {
+                    x.fill(0);
+                    for &u in self.neighbors(v, &mut scratch) {
+                        x[assignment.part_of(u) as usize] += 1;
+                    }
+                    rows.extend(certificate.iter().chain(&x).map(|&c| AtomicU32::new(c)));
+                }
+                rows.into_boxed_slice()
+            })
+            .collect();
+        self.rows = rows;
     }
 
     fn moved(&self, v: VertexId, from: u32, to: u32, scratch: &mut Self::Scratch) {
-        if self.counts.is_empty() {
+        if self.rows.is_empty() {
             return;
         }
         for &u in self.neighbors(v, scratch) {
-            if let Some(x) = self.kept_counts(u) {
-                x[from as usize].fetch_sub(1, Ordering::Relaxed);
-                x[to as usize].fetch_add(1, Ordering::Relaxed);
+            if let Some(row) = self.row(u) {
+                row[CERT_WORDS + from as usize].fetch_sub(1, Ordering::Relaxed);
+                row[CERT_WORDS + to as usize].fetch_add(1, Ordering::Relaxed);
+                row[GENERATION].fetch_add(1, Ordering::Release);
+            }
+        }
+    }
+
+    fn moved_exclusive(&mut self, v: VertexId, from: u32, to: u32, scratch: &mut Self::Scratch) {
+        if self.rows.is_empty() {
+            return;
+        }
+        let stride = self.num_parts + CERT_WORDS;
+        for &u in neighbors_of(self.hg, self.adj.as_deref(), v, scratch) {
+            if let Some(slot) = slot_of(&self.slots, self.num_counted, u) {
+                let lo = slot % BLOCK_SLOTS * stride;
+                let row = &mut self.rows[slot / BLOCK_SLOTS][lo..lo + stride];
+                *row[CERT_WORDS + from as usize].get_mut() -= 1;
+                *row[CERT_WORDS + to as usize].get_mut() += 1;
+                let generation = row[GENERATION].get_mut();
+                *generation = generation.wrapping_add(1);
             }
         }
     }
@@ -395,18 +575,59 @@ impl ConnectivityProvider for AdjProvider<'_> {
     fn agrees_with<A: AssignmentRef>(&self, assignment: &A) -> bool {
         let mut oracle = NeighborScratch::new(self.hg.num_vertices());
         let mut expected = Vec::new();
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|&(_, &slot)| slot != NO_SLOT)
-            .all(|(v, _)| {
-                let v = v as VertexId;
+        self.hg.vertices().all(|v| {
+            self.kept_counts(v).is_none_or(|kept| {
                 oracle.neighbor_partition_counts(self.hg, assignment, v, &mut expected);
-                let kept = self.kept_counts(v).expect("slotted vertex has counts");
                 kept.iter()
                     .zip(&expected)
                     .all(|(x, &c)| x.load(Ordering::Relaxed) == c)
             })
+        })
+    }
+
+    fn certificates_agree_with<A: AssignmentRef>(&self, assignment: &A, cost: &CostMatrix) -> bool {
+        let mut counts = Vec::new();
+        let mut value = ValueScratch::new();
+        self.hg.vertices().all(|v| {
+            let Some(row) = self.row(v) else {
+                return true;
+            };
+            let generation = row[GENERATION].load(Ordering::Relaxed);
+            certified_stay(row, generation).is_none_or(|(part, gap)| {
+                counts.clear();
+                let kept = &row[CERT_WORDS..];
+                counts.extend(kept.iter().map(|x| x.load(Ordering::Relaxed)));
+                let recount = comm_gap_in(&counts, cost, part, &mut value);
+                part == assignment.part_of(v)
+                    && gap.to_bits() == f64::from(f32_at_most(recount)).to_bits()
+            })
+        })
+    }
+
+    fn stay_certificate(&self, v: VertexId) -> Option<StayCertificate> {
+        let row = self.row(v)?;
+        let generation = row[GENERATION].load(Ordering::Acquire);
+        Some(StayCertificate {
+            generation,
+            stay: certified_stay(row, generation),
+        })
+    }
+
+    fn certify(&self, v: VertexId, generation: u32, part: u32, gap: f64) {
+        if let Some(row) = self.row(v) {
+            // Only `v`'s next visit reads these, on this thread or after
+            // the worker team joins, so they need no ordering of their own.
+            row[PART].store(part, Ordering::Relaxed);
+            row[GAP].store(f32_at_most(gap).to_bits(), Ordering::Relaxed);
+            // Valid from here unless a shift raced the scoring: then the
+            // generation has moved on and stays non-zero.
+            let _ = row[GENERATION].compare_exchange(
+                generation,
+                0,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            );
+        }
     }
 
     fn count<A: AssignmentRef>(
@@ -509,9 +730,11 @@ mod tests {
             adj.sync(&part, None);
             assert_eq!(adj.num_counted_vertices(), hg.num_vertices());
             let adj_bytes = budget.map_or(0, |_| adj.adjacency().memory_bytes());
+            // One block: its pointer, then 3 counts and 3 certificate
+            // words per vertex.
             assert_eq!(
                 adj.memory_bytes(),
-                adj_bytes + 4 * hg.num_vertices() + 4 * 3 * hg.num_vertices()
+                adj_bytes + 16 + 4 * 3 * hg.num_vertices() + 12 * hg.num_vertices()
             );
             let mut adj_scratch = adj.new_scratch();
             for v in hg.vertices() {

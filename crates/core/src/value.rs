@@ -7,8 +7,23 @@
 //! placements with [`best_partition`] / [`best_partition_with_margin`] and
 //! only differ in *how they obtain* the neighbour-partition counts
 //! (in-memory CSR traversal vs. sketched net connectivity).
+//!
+//! The scorer also reports each winner's *communication gap*, which
+//! [`certified_margin`] turns into a proof that the winner still wins
+//! under other loads and another `α` — the restreaming engine's stay
+//! certificate.
 
 use hyperpraw_topology::CostMatrix;
+
+/// Values closer than this are a tie, broken towards the lighter
+/// partition and then the lower id.
+const TIE: f64 = 1e-12;
+
+/// Relative rounding slack of a stay certificate: the computed values,
+/// their differences and the tie test each round by at most one unit in
+/// the last place of magnitudes below `max_i |c_i| + α·max_k W(k) / E`,
+/// and this covers far more than their sum.
+const CERT_ROUNDING: f64 = 64.0 * f64::EPSILON;
 
 /// Evaluates the value `V_i(v)` of assigning a vertex to partition
 /// `candidate` (equation 1):
@@ -67,6 +82,12 @@ pub struct ScoredPartition {
     /// partition). A small margin means the decision was a near-tie — the
     /// signal `hyperpraw-lowmem` uses to pick re-streaming candidates.
     pub margin: f64,
+    /// The winner's communication gap: `min_{i≠part}(c_part − c_i)` less
+    /// a rounding slack, where `c_i = −N_i(v)·T_i(v)` is the load-free
+    /// part of `V_i(v)` (`+∞` with a single partition). It depends on the
+    /// counts alone, so [`certified_margin`] can prove from it that `part`
+    /// still wins for the same counts under other loads and `α`.
+    pub gap: f64,
 }
 
 /// Finds the partition with the highest assignment value for a vertex.
@@ -100,8 +121,8 @@ pub fn best_partition_with_margin(
     let mut runner_up = f64::NEG_INFINITY;
     for i in 0..counts.len() {
         let v = value_of(counts, i as u32, cost, alpha, loads[i], expected[i]);
-        let better = v > best_value + 1e-12
-            || ((v - best_value).abs() <= 1e-12 && loads[i] < loads[best as usize] - 1e-12);
+        let better = v > best_value + TIE
+            || ((v - best_value).abs() <= TIE && loads[i] < loads[best as usize] - TIE);
         if better {
             runner_up = best_value;
             best = i as u32;
@@ -110,6 +131,9 @@ pub fn best_partition_with_margin(
             runner_up = v;
         }
     }
+    let mut comm: Vec<f64> = (0..counts.len() as u32)
+        .map(|i| value_of(counts, i, cost, 0.0, 0.0, 1.0))
+        .collect();
     ScoredPartition {
         part: best,
         value: best_value,
@@ -118,7 +142,91 @@ pub fn best_partition_with_margin(
         } else {
             best_value - runner_up
         },
+        gap: comm_gap(&mut comm, best as usize),
     }
+}
+
+/// `min_{i≠part}(c_part − c_i)` over the load-free terms `c`, less the
+/// rounding slack on their magnitude (`+∞` with a single partition).
+/// `c[part]` is masked out for the reduction and restored.
+fn comm_gap(c: &mut [f64], part: usize) -> f64 {
+    if c.len() == 1 {
+        return f64::INFINITY;
+    }
+    let own = std::mem::replace(&mut c[part], f64::NAN);
+    let (low, rival) = min_max(c);
+    c[part] = own;
+    let magnitude = own.abs().max(low.abs()).max(rival.abs());
+    (own - rival) - CERT_ROUNDING * magnitude
+}
+
+/// The smallest and largest value of `xs`, skipping NaNs (`+∞` and `−∞`
+/// when there is none). The reductions run in four independent lanes
+/// of plain comparisons, which the compiler keeps in vector registers.
+fn min_max(xs: &[f64]) -> (f64, f64) {
+    let mut low = [f64::INFINITY; 4];
+    let mut high = [f64::NEG_INFINITY; 4];
+    let mut chunks = xs.chunks_exact(4);
+    for chunk in &mut chunks {
+        for k in 0..4 {
+            let x = chunk[k];
+            low[k] = if x < low[k] { x } else { low[k] };
+            high[k] = if x > high[k] { x } else { high[k] };
+        }
+    }
+    for &x in chunks.remainder() {
+        low[0] = if x < low[0] { x } else { low[0] };
+        high[0] = if x > high[0] { x } else { high[0] };
+    }
+    (
+        low.into_iter().fold(f64::INFINITY, f64::min),
+        high.into_iter().fold(f64::NEG_INFINITY, f64::max),
+    )
+}
+
+/// Proves that a vertex whose counts scored with communication gap `gap`
+/// for `part` (see [`ScoredPartition::gap`]) still goes to `part` when
+/// the same counts are scored under `alpha ≥ 0` and `loads`, with every
+/// part's expected load `expected`. `loads` are the loads the scorer sees
+/// — the vertex's own weight detached. Returns a lower bound on the
+/// winner's margin when the proof holds, `None` when it does not.
+///
+/// With `o = part` and `c` the load-free terms, for every `i ≠ o`
+///
+/// ```text
+/// V_o − V_i = (c_o − c_i) − α·(W(o) − W(i)) / E
+///           ≥ gap − α·(W(o) − min_{i≠o} W(i)) / E,
+/// ```
+///
+/// so when that bound exceeds the tie threshold plus a rounding slack on
+/// `α·max_k |W(k)| / E`, the scorer's computed values keep `o` strictly
+/// ahead and its scan ([`best_partition_with_margin`],
+/// [`best_partition_in`]) returns `o` whatever the tie-breaking.
+pub fn certified_margin(
+    gap: f64,
+    part: u32,
+    alpha: f64,
+    loads: &[f64],
+    expected: f64,
+) -> Option<f64> {
+    if loads.len() == 1 {
+        return Some(gap);
+    }
+    let own = loads[part as usize];
+    let (lightest, heaviest) = min_max(loads);
+    // The lightest part is a rival unless it is `part` itself.
+    let lightest_rival = if own > lightest {
+        lightest
+    } else {
+        let rivals = loads
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != part as usize);
+        rivals.fold(f64::INFINITY, |low, (_, &w)| low.min(w))
+    };
+    let magnitude = lightest.abs().max(heaviest.abs());
+    let bound = gap - alpha * (own - lightest_rival) / expected;
+    (bound > TIE + CERT_ROUNDING * alpha * magnitude / expected).then_some(bound)
 }
 
 /// Reusable buffers for [`best_partition_in`], the allocation-free scorer
@@ -126,8 +234,11 @@ pub fn best_partition_with_margin(
 /// contents are meaningless between calls.
 #[derive(Clone, Debug, Default)]
 pub struct ValueScratch {
-    /// Per candidate: the communication term `t_i`, then the value `V_i`.
+    /// Per candidate: the communication term `T_i`, then the load-free
+    /// term `c_i = −N_i·T_i`.
     t: Vec<f64>,
+    /// Per candidate: the value `V_i`.
+    values: Vec<f64>,
     /// The occupied source partitions `(j, X_j)` of the current vertex, in
     /// ascending `j`; only the first `K` entries are meaningful.
     occupied: Vec<(usize, f64)>,
@@ -168,7 +279,7 @@ const BLOCK: usize = 8;
 /// For every candidate `i` the accumulator starts at `0.0` and the
 /// contributions are multiplied and then added (never fused) in the same
 /// ascending-`j` order [`value_of`] uses, so the result — winner, value,
-/// margin and tie-breaking — is **bit-identical** to
+/// margin, gap and tie-breaking — is **bit-identical** to
 /// [`best_partition_with_margin`]; the engine equivalence tests rely on
 /// this.
 pub fn best_partition_in(
@@ -180,6 +291,56 @@ pub fn best_partition_in(
     scratch: &mut ValueScratch,
 ) -> ScoredPartition {
     debug_assert_eq!(counts.len(), loads.len());
+    comm_terms(counts, cost, scratch);
+    let c = &mut scratch.t;
+    let values = &mut scratch.values;
+    values.resize(c.len(), 0.0);
+    for (((v, &c), &load), &e) in values.iter_mut().zip(c.iter()).zip(loads).zip(expected) {
+        *v = c - alpha * load / e;
+    }
+    let mut best = 0u32;
+    let mut best_value = f64::NEG_INFINITY;
+    let mut runner_up = f64::NEG_INFINITY;
+    for (i, &v) in values.iter().enumerate() {
+        let better = v > best_value + TIE
+            || ((v - best_value).abs() <= TIE && loads[i] < loads[best as usize] - TIE);
+        if better {
+            runner_up = best_value;
+            best = i as u32;
+            best_value = v;
+        } else if v > runner_up {
+            runner_up = v;
+        }
+    }
+    ScoredPartition {
+        part: best,
+        value: best_value,
+        margin: if runner_up == f64::NEG_INFINITY {
+            f64::INFINITY
+        } else {
+            best_value - runner_up
+        },
+        gap: comm_gap(c, best as usize),
+    }
+}
+
+/// The communication gap of `part` for `counts`, bit-identical to the
+/// [`ScoredPartition::gap`] that [`best_partition_in`] reports when the
+/// same counts put the vertex on `part` — the recount that checks a kept
+/// certificate.
+pub fn comm_gap_in(
+    counts: &[u32],
+    cost: &CostMatrix,
+    part: u32,
+    scratch: &mut ValueScratch,
+) -> f64 {
+    comm_terms(counts, cost, scratch);
+    comm_gap(&mut scratch.t, part as usize)
+}
+
+/// Writes the load-free terms `c_i = −N_i(v)·T_i(v)` of every candidate
+/// into `scratch.t` — the blocked kernel behind [`best_partition_in`].
+fn comm_terms(counts: &[u32], cost: &CostMatrix, scratch: &mut ValueScratch) {
     debug_assert_eq!(counts.len(), cost.num_units());
     let p = counts.len();
     let t = &mut scratch.t;
@@ -241,32 +402,9 @@ pub fn best_partition_in(
     let pf = p as f64;
     let n_all = neighbour_parts_total as f64 / pf;
     let n_others = neighbour_parts_total.saturating_sub(1) as f64 / pf;
-    for (((ti, &c), &load), &e) in t.iter_mut().zip(counts).zip(loads).zip(expected) {
+    for (ti, &c) in t.iter_mut().zip(counts) {
         let n = if c > 0 { n_others } else { n_all };
-        *ti = -n * *ti - alpha * load / e;
-    }
-    let mut best = 0u32;
-    let mut best_value = f64::NEG_INFINITY;
-    let mut runner_up = f64::NEG_INFINITY;
-    for (i, &v) in t.iter().enumerate() {
-        let better = v > best_value + 1e-12
-            || ((v - best_value).abs() <= 1e-12 && loads[i] < loads[best as usize] - 1e-12);
-        if better {
-            runner_up = best_value;
-            best = i as u32;
-            best_value = v;
-        } else if v > runner_up {
-            runner_up = v;
-        }
-    }
-    ScoredPartition {
-        part: best,
-        value: best_value,
-        margin: if runner_up == f64::NEG_INFINITY {
-            f64::INFINITY
-        } else {
-            best_value - runner_up
-        },
+        *ti *= -n;
     }
 }
 
@@ -419,6 +557,7 @@ mod tests {
                         assert_eq!(fast.part, reference.part, "{at}");
                         assert_eq!(fast.value.to_bits(), reference.value.to_bits(), "{at}");
                         assert_eq!(fast.margin.to_bits(), reference.margin.to_bits(), "{at}");
+                        assert_eq!(fast.gap, reference.gap, "{at}");
                     }
                 }
             }
@@ -455,6 +594,7 @@ mod tests {
             assert_eq!(fast.part, reference.part);
             assert_eq!(fast.value.to_bits(), reference.value.to_bits());
             assert_eq!(fast.margin.to_bits(), reference.margin.to_bits());
+            assert_eq!(fast.gap, reference.gap);
         };
         for p in [6usize, 9, 2, 9] {
             let mut counts: Vec<u32> = (0..p).map(|i| (i % 3) as u32).collect();

@@ -6,11 +6,13 @@
 //! interleavings plenty of chances to go wrong. CI runs this with
 //! `RUST_BACKTRACE=1` so a torn invariant names its culprit.
 
-use hyperpraw_core::{CostMatrix, HyperPraw, HyperPrawConfig, ParallelConfig};
+use hyperpraw_core::{CostMatrix, HyperPraw, HyperPrawConfig, ParallelConfig, PartitionResult};
 use hyperpraw_hypergraph::generators::{
     mesh_hypergraph, powerlaw_hypergraph, MeshConfig, PowerLawConfig,
 };
 use hyperpraw_hypergraph::{AdjacencyBudget, Hypergraph, HypergraphBuilder, NeighborAdjacency};
+use hyperpraw_telemetry::Registry;
+use hyperpraw_topology::{BandwidthMatrix, MachineModel};
 
 /// Runs `seeds` stealing partitions of `hg` on `threads` workers and checks
 /// every invariant against a from-scratch recount of the assignment.
@@ -23,29 +25,32 @@ fn hammer(hg: &Hypergraph, p: u32, threads: usize, seeds: u64) {
         let result = HyperPraw::new(config, CostMatrix::uniform(p as usize))
             .with_parallel(ParallelConfig::stealing(threads))
             .partition(hg);
-
-        assert_eq!(result.partition.num_vertices(), hg.num_vertices());
-        assert!(
-            result.partition.assignment().iter().all(|&x| x < p),
-            "seed {seed}: part id out of range"
-        );
-        let mut recount = vec![0usize; p as usize];
-        for &x in result.partition.assignment() {
-            recount[x as usize] += 1;
-        }
-        assert_eq!(
-            result.partition.part_sizes(),
-            recount,
-            "seed {seed}: part-size bookkeeping drifted from the assignment"
-        );
-        let imbalance = result.partition.imbalance(hg).unwrap();
-        assert!(
-            (result.imbalance - imbalance).abs() < 1e-9,
-            "seed {seed}, {threads} threads: reported imbalance {} vs recomputed {}",
-            result.imbalance,
-            imbalance
-        );
+        check(hg, &result, p, &format!("seed {seed}, {threads} threads"));
     }
+}
+
+/// Checks `result` against a from-scratch recount of its assignment.
+fn check(hg: &Hypergraph, result: &PartitionResult, p: u32, at: &str) {
+    assert_eq!(result.partition.num_vertices(), hg.num_vertices());
+    assert!(
+        result.partition.assignment().iter().all(|&x| x < p),
+        "{at}: part id out of range"
+    );
+    let mut recount = vec![0usize; p as usize];
+    for &x in result.partition.assignment() {
+        recount[x as usize] += 1;
+    }
+    assert_eq!(
+        result.partition.part_sizes(),
+        recount,
+        "{at}: part-size bookkeeping drifted from the assignment"
+    );
+    let imbalance = result.partition.imbalance(hg).unwrap();
+    assert!(
+        (result.imbalance - imbalance).abs() < 1e-9,
+        "{at}: reported imbalance {} vs recomputed {imbalance}",
+        result.imbalance,
+    );
 }
 
 #[test]
@@ -91,4 +96,37 @@ fn hub_counts_stay_exact_under_eight_threads() {
     let hubs = NeighborAdjacency::build(&hg, AdjacencyBudget::Auto).num_hubs();
     assert!(hubs * 20 > hg.num_vertices(), "only {hubs} hubs");
     hammer(&hg, 8, 8, 12);
+}
+
+#[test]
+fn stay_certificates_hold_on_hubs_under_eight_threads() {
+    // Most visits of the later passes keep their vertex in place on a
+    // stay certificate, while peers moving hub neighbours shift the
+    // certified counts and bump their generations. In debug builds the
+    // engine re-scores every certified visit and recomputes every live
+    // certificate at each batch boundary and pass end.
+    let hg = powerlaw_hypergraph(&PowerLawConfig {
+        num_vertices: 2000,
+        num_hyperedges: 2000,
+        avg_cardinality: 6.0,
+        seed: 5,
+        ..PowerLawConfig::default()
+    });
+    let p = 8u32;
+    let machine = MachineModel::archer_like(p as usize);
+    let cost = CostMatrix::from_bandwidth(&BandwidthMatrix::from_machine(&machine, 0.05, 1));
+    for seed in 0..6 {
+        let registry = Registry::new();
+        let config = HyperPrawConfig {
+            max_iterations: 20,
+            ..HyperPrawConfig::default().with_seed(seed)
+        };
+        let result = HyperPraw::new(config, cost.clone())
+            .with_parallel(ParallelConfig::stealing(8))
+            .with_registry(&registry)
+            .partition(&hg);
+        check(&hg, &result, p, &format!("seed {seed}"));
+        let certified = registry.counter_value("engine.certified_visits");
+        assert!(certified > Some(0), "seed {seed}: no visit was certified");
+    }
 }
