@@ -5,11 +5,11 @@
 //! batch (30 updates: new vertices wired into the mesh plus extra pins on
 //! existing hyperedges) landing on an already-partitioned card-16 mesh.
 //! `incremental_1pct` absorbs it through a resident `DynamicSession`
-//! (dirty-set restream over the touched neighbourhood, adjacency patched
-//! in place); `full_repartition` re-runs the whole job on the post-update
-//! hypergraph, which is what a stateless deployment would have to do.
-//! Both sides pay the same quality re-evaluation, so the ratio is pure
-//! partitioning work. The incremental id clones the session per iteration
+//! (dirty-set restream over the touched neighbourhood, snapshot spliced
+//! and quality state patched in place); `full_repartition` re-runs the
+//! whole job on the post-update hypergraph, which is what a stateless
+//! deployment would have to do, including its from-scratch quality
+//! evaluation. The incremental id clones the session per iteration
 //! (`iter` must not accumulate batches), so its time *includes* the full
 //! state copy — the steady-state daemon is faster still. Medians land in
 //! `target/BENCH_dynamic.json`.

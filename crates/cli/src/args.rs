@@ -200,6 +200,9 @@ pub enum Command {
         /// Snapshot + write-ahead-journal directory for crash-safe
         /// sessions (in-memory only when absent).
         state_dir: Option<PathBuf>,
+        /// The only directory `partition` requests may load a `path`
+        /// from (`path` requests are refused when absent).
+        data_dir: Option<PathBuf>,
         /// Maximum accepted request-line size in bytes.
         max_line_bytes: usize,
         /// Per-connection read timeout in seconds.
@@ -297,7 +300,7 @@ pub fn usage() -> String {
        hyperpraw generate  <output.hgr> [--vertices 10000] [--cardinality 16] [--seed N]\n\
        hyperpraw profile   --machine archer|cluster|cloud|flat --procs N [--output bw.csv]\n\
        hyperpraw benchmark <input> <assignment> [--machine archer|...] [--bytes 1024] [--supersteps 1]\n\
-       hyperpraw serve     [--bind 127.0.0.1:7700] [--stdio] [--state-dir DIR]\n\
+       hyperpraw serve     [--bind 127.0.0.1:7700] [--stdio] [--state-dir DIR] [--data-dir DIR]\n\
                            [--max-line-bytes N] [--read-timeout-secs N] [--snapshot-every N]\n\
                            [--metrics-addr 127.0.0.1:9100]\n\
      \n\
@@ -307,7 +310,8 @@ pub fn usage() -> String {
        {\"op\":\"partition\",...} {\"op\":\"update\",...} {\"op\":\"lookup\",...} {\"op\":\"report\"} {\"op\":\"shutdown\"}\n\
      With --state-dir every accepted update batch is journaled (fsynced) before it is\n\
      acknowledged and snapshots fold the journal in; on restart the daemon recovers the\n\
-     session bit-identically, truncating any torn journal tail.\n\
+     session bit-identically, truncating any torn journal tail. A partition request may\n\
+     name a file with \"path\" only under --data-dir DIR, and only a file inside DIR.\n\
      Input formats: hMetis .hgr, MatrixMarket .mtx (row-net model), anything else is read\n\
      as a whitespace edge list (one hyperedge per line, 0-based vertex ids).\n\
      convert writes the block-compressed vertex-major CSR (.hpz); lowmem streams it directly\n\
@@ -614,6 +618,7 @@ impl Cli {
                 let mut bind = String::from("127.0.0.1:7700");
                 let mut stdio = false;
                 let mut state_dir = None;
+                let mut data_dir = None;
                 let mut max_line_bytes = 16 * 1024 * 1024;
                 let mut read_timeout_secs = 30;
                 let mut snapshot_every = 64;
@@ -630,6 +635,9 @@ impl Cli {
                         }
                         "--state-dir" => {
                             state_dir = Some(PathBuf::from(value(&rest, &mut i)?));
+                        }
+                        "--data-dir" => {
+                            data_dir = Some(PathBuf::from(value(&rest, &mut i)?));
                         }
                         "--max-line-bytes" => {
                             max_line_bytes =
@@ -655,6 +663,7 @@ impl Cli {
                         bind,
                         stdio,
                         state_dir,
+                        data_dir,
                         max_line_bytes,
                         read_timeout_secs,
                         snapshot_every,
@@ -1028,6 +1037,7 @@ mod tests {
                 bind: "127.0.0.1:7700".into(),
                 stdio: false,
                 state_dir: None,
+                data_dir: None,
                 max_line_bytes: 16 * 1024 * 1024,
                 read_timeout_secs: 30,
                 snapshot_every: 64,
@@ -1036,7 +1046,7 @@ mod tests {
         );
         let cli = Cli::parse(argv(
             "serve --bind 0.0.0.0:9000 --stdio --state-dir /tmp/hp-state \
-             --max-line-bytes 1024 --read-timeout-secs 5 --snapshot-every 8 \
+             --data-dir /srv/graphs --max-line-bytes 1024 --read-timeout-secs 5 --snapshot-every 8 \
              --metrics-addr 127.0.0.1:9100",
         ))
         .unwrap();
@@ -1046,6 +1056,7 @@ mod tests {
                 bind: "0.0.0.0:9000".into(),
                 stdio: true,
                 state_dir: Some(PathBuf::from("/tmp/hp-state")),
+                data_dir: Some(PathBuf::from("/srv/graphs")),
                 max_line_bytes: 1024,
                 read_timeout_secs: 5,
                 snapshot_every: 8,

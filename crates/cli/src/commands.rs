@@ -211,6 +211,7 @@ pub fn execute(cli: &Cli) -> Result<(), CommandError> {
             bind,
             stdio,
             state_dir,
+            data_dir,
             max_line_bytes,
             read_timeout_secs,
             snapshot_every,
@@ -219,6 +220,7 @@ pub fn execute(cli: &Cli) -> Result<(), CommandError> {
             bind: bind.clone(),
             stdio: *stdio,
             state_dir: state_dir.clone(),
+            data_dir: data_dir.clone(),
             max_line_bytes: *max_line_bytes,
             read_timeout_secs: *read_timeout_secs,
             snapshot_every: *snapshot_every,

@@ -22,7 +22,10 @@
 //! ```
 //!
 //! `partition` takes the hypergraph inline (`"edges"`, optional
-//! `"vertices"` floor) or from disk (`"path"`), plus optional
+//! `"vertices"` floor) or from disk (`"path"`, only when the daemon runs
+//! with `--data-dir DIR`: the path, relative to `DIR` or absolute, must
+//! resolve — symlinks and `..` included — to a file inside `DIR`;
+//! without the flag every `"path"` is refused), plus optional
 //! `"algorithm"` (default `hyperpraw-basic`), `"seed"`, `"imbalance"` and
 //! `"machine"` (profiles a preset into the cost matrix the aware
 //! algorithm needs).
@@ -129,6 +132,9 @@ pub struct ServeOptions {
     /// Directory for the snapshot + write-ahead journal; `None` keeps
     /// the session in memory only.
     pub state_dir: Option<PathBuf>,
+    /// The only directory a `partition` request's `"path"` may resolve
+    /// into; `None` refuses every `"path"` (inline `"edges"` only).
+    pub data_dir: Option<PathBuf>,
     /// Maximum accepted request-line size in bytes; longer lines answer
     /// a structured error and are drained, keeping the connection.
     pub max_line_bytes: usize,
@@ -149,6 +155,7 @@ impl Default for ServeOptions {
             bind: "127.0.0.1:7700".to_string(),
             stdio: false,
             state_dir: None,
+            data_dir: None,
             max_line_bytes: 16 * 1024 * 1024,
             read_timeout_secs: 30,
             snapshot_every: 64,
@@ -841,7 +848,7 @@ fn handle_op(
 ) -> Result<Reply, ServeError> {
     match op {
         "partition" => {
-            let report = start_session(request, state)?;
+            let report = start_session(request, state, opts)?;
             let ServeState {
                 session,
                 store,
@@ -981,14 +988,19 @@ fn handle_op(
 
 /// Builds the hypergraph named by a `partition` request and starts (or
 /// replaces) the resident session; returns the compacted initial report.
-fn start_session(request: &JsonValue, state: &mut ServeState) -> Result<String, String> {
+fn start_session(
+    request: &JsonValue,
+    state: &mut ServeState,
+    opts: &ServeOptions,
+) -> Result<String, String> {
     let parts = field_u64(request, "parts")?;
     let parts = u32::try_from(parts).map_err(|_| "'parts' out of range")?;
     let hg = match (request.get("edges"), request.get("path")) {
         (Some(edges), None) => inline_hypergraph(edges, request)?,
         (None, Some(path)) => {
             let path = path.as_str().ok_or("'path' must be a string")?;
-            load_hypergraph(Path::new(path)).map_err(|e| e.to_string())?
+            let path = confine(opts.data_dir.as_deref(), Path::new(path))?;
+            load_hypergraph(&path).map_err(|e| e.to_string())?
         }
         (Some(_), Some(_)) => return Err("give either 'edges' or 'path', not both".into()),
         (None, None) => return Err("missing hypergraph: give 'edges' or 'path'".into()),
@@ -1030,6 +1042,31 @@ fn start_session(request: &JsonValue, state: &mut ServeState) -> Result<String, 
     let report = compact(&session.initial_report().to_json());
     state.session = Some(session);
     Ok(report)
+}
+
+/// Resolves a `partition` request's `"path"` inside `data_dir`: relative
+/// paths are taken from it, the result is canonicalised (symlinks and `..`
+/// resolved) and must lie inside the canonical directory. Refused outright
+/// without a data directory. Refusals do not say whether the file exists,
+/// so a client cannot probe the file system outside the directory.
+fn confine(data_dir: Option<&Path>, requested: &Path) -> Result<PathBuf, String> {
+    let dir = data_dir
+        .ok_or("'path' is disabled: start the daemon with --data-dir DIR to load files from DIR")?;
+    let dir = dir
+        .canonicalize()
+        .map_err(|e| format!("data directory {}: {e}", dir.display()))?;
+    let refused = || {
+        format!(
+            "'path' {} does not name a file inside the data directory",
+            requested.display()
+        )
+    };
+    let resolved = dir.join(requested).canonicalize().map_err(|_| refused())?;
+    if resolved.starts_with(&dir) && resolved.is_file() {
+        Ok(resolved)
+    } else {
+        Err(refused())
+    }
 }
 
 /// An inline hypergraph: `"edges": [[pins...], ...]` plus an optional

@@ -97,6 +97,47 @@ fn metrics_request_reports_per_op_counters_and_percentiles() {
     );
 }
 
+/// Every update batch records one observation per `dynamic.phase.*`
+/// histogram, and the phases nest inside the `update` request they break
+/// down: their summed time never exceeds the request's.
+#[test]
+fn update_phases_attribute_the_update_request() {
+    let update = concat!(
+        "{\"op\": \"update\", \"updates\": [{\"op\": \"add_vertex\"}, ",
+        "{\"op\": \"add_edge\", \"pins\": [0, 2, 3]}]}\n",
+    );
+    let requests = [
+        "{\"op\": \"partition\", \"parts\": 2, \"seed\": 7, \"edges\": [[0,1,2],[2,3],[3,4,5],[5,0],[1,4]]}\n",
+        update,
+        update,
+        update,
+        "{\"op\": \"metrics\"}\n",
+        "{\"op\": \"shutdown\"}\n",
+    ]
+    .concat();
+    let lines = run_stdio(&requests);
+    let response = parse(&lines[4]).expect("metrics response parses as JSON");
+    let histograms = response
+        .get("metrics")
+        .and_then(|m| m.get("histograms"))
+        .expect("histograms");
+    let field = |name: &str, key: &str| {
+        histograms
+            .get(name)
+            .and_then(|h| h.get(key))
+            .and_then(JsonValue::as_u64)
+            .unwrap_or_else(|| panic!("missing {name}.{key}"))
+    };
+    let mut phases_us = 0;
+    for phase in ["mutate", "snapshot", "restream", "quality"] {
+        let name = format!("dynamic.phase.{phase}_us");
+        assert_eq!(field(&name, "count"), 3, "{name}");
+        phases_us += field(&name, "sum");
+    }
+    assert_eq!(field("serve.request.update_us", "count"), 3);
+    assert!(phases_us <= field("serve.request.update_us", "sum"));
+}
+
 #[test]
 fn partition_report_json_embeds_live_telemetry_via_metrics_out() {
     // The CLI side of the same surface: --metrics-out dumps the run's

@@ -160,13 +160,17 @@ fn serve_stdio_bounds_lookups_and_request_lines() {
 /// — and the same session goes on to serve an inline `partition`.
 #[test]
 fn serve_stdio_refuses_a_hostile_vertex_count_and_keeps_serving() {
-    let path = std::env::temp_dir().join(format!(
+    let dir = std::env::temp_dir();
+    let path = dir.join(format!(
         "hyperpraw_serve_hostile_{}.hgr",
         std::process::id()
     ));
     std::fs::write(&path, "1 99999999999999\n1 2\n").unwrap();
     let mut child = Command::new(env!("CARGO_BIN_EXE_hyperpraw"))
-        .args(["serve", "--stdio"])
+        .arg("serve")
+        .arg("--stdio")
+        .arg("--data-dir")
+        .arg(&dir)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .spawn()
@@ -201,4 +205,85 @@ fn serve_stdio_refuses_a_hostile_vertex_count_and_keeps_serving() {
 
     let status = child.wait().unwrap();
     assert!(status.success(), "serve exited with {status}");
+}
+
+/// Serves `requests` over `serve --stdio` plus `args`; returns the reply
+/// lines.
+fn serve_stdio(args: &[&std::ffi::OsStr], requests: &str) -> Vec<String> {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hyperpraw"))
+        .args(["serve", "--stdio"])
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn hyperpraw serve --stdio");
+    let mut stdin = child.stdin.take().unwrap();
+    stdin.write_all(requests.as_bytes()).unwrap();
+    drop(stdin);
+    let stdout = BufReader::new(child.stdout.take().unwrap());
+    let lines = stdout.lines().map(|l| l.unwrap()).collect();
+    assert!(child.wait().unwrap().success());
+    lines
+}
+
+fn partition_path(path: &std::path::Path) -> String {
+    let path = path
+        .display()
+        .to_string()
+        .replace('\\', "\\\\")
+        .replace('"', "\\\"");
+    format!("{{\"op\": \"partition\", \"parts\": 2, \"path\": \"{path}\"}}\n")
+}
+
+/// `"path"` loads only from the `--data-dir` directory: without the flag
+/// it is refused; with it, a file inside loads (absolute or relative),
+/// while paths resolving outside — absolute, through `..`, or through a
+/// symlink — are refused without saying whether the target exists.
+#[test]
+fn serve_confines_paths_to_the_data_dir() {
+    let root = std::env::temp_dir().join(format!("hyperpraw_serve_confine_{}", std::process::id()));
+    let data = root.join("data");
+    std::fs::create_dir_all(&data).unwrap();
+    let inside = data.join("ring.hgr");
+    let outside = root.join("secret.hgr");
+    for file in [&inside, &outside] {
+        std::fs::write(file, "3 4\n1 2\n2 3\n3 4\n").unwrap();
+    }
+    let link = data.join("escape.hgr");
+    #[cfg(unix)]
+    std::os::unix::fs::symlink(&outside, &link).unwrap();
+
+    let shutdown = "{\"op\": \"shutdown\"}\n";
+    let lines = serve_stdio(&[], &format!("{}{shutdown}", partition_path(&inside)));
+    assert!(
+        lines[0].contains("\"ok\": false") && lines[0].contains("--data-dir"),
+        "{}",
+        lines[0]
+    );
+
+    let requests = [
+        partition_path(&inside),
+        partition_path(std::path::Path::new("ring.hgr")),
+        partition_path(&outside),
+        partition_path(&data.join("..").join("secret.hgr")),
+        partition_path(&link),
+        partition_path(&data.join("missing.hgr")),
+    ]
+    .concat();
+    let lines = serve_stdio(
+        &["--data-dir".as_ref(), data.as_os_str()],
+        &format!("{requests}{shutdown}"),
+    );
+    std::fs::remove_dir_all(&root).ok();
+    assert_eq!(lines.len(), 7, "one response per request: {lines:#?}");
+    for ok in &lines[..2] {
+        assert!(ok.contains("\"ok\": true"), "{ok}");
+    }
+    for refused in &lines[2..6] {
+        assert!(
+            refused.contains("\"ok\": false") && refused.contains("inside the data directory"),
+            "{refused}"
+        );
+    }
+    assert_eq!(lines[6], "{\"ok\": true, \"bye\": true}");
 }

@@ -77,9 +77,9 @@
 //! worker next to its write of the live assignment. A visit is therefore
 //! an O(p) copy, and neighbourhoods are walked only at sync and when
 //! their vertex moves. A walk scans the vertex's flat list when the
-//! provider has a precomputed adjacency (the dynamic layer lends its
-//! patched one) and traverses the vertex's pins otherwise; the in-memory
-//! driver builds no adjacency. Debug builds check the counts against a
+//! provider has a precomputed adjacency and traverses the vertex's pins
+//! otherwise; neither the in-memory driver nor the dynamic layer builds
+//! an adjacency. Debug builds check the counts against a
 //! recount at every pass end, window apply and stealing batch boundary.
 //! No adjacency or budget ever changes a partition — the
 //! engine-equivalence suite holds bit for bit (f64 history equality)
@@ -128,7 +128,7 @@ use hyperpraw_telemetry::{Counter, Gauge, Histogram, Registry};
 use hyperpraw_topology::CostMatrix;
 
 use crate::history::{IterationRecord, PartitionHistory, StreamPhase};
-use crate::metrics::{check_shapes, PairCounts};
+use crate::metrics::{check_shapes, CommCostState, PairCounts};
 use crate::value::{best_partition_in, certified_margin, ValueScratch};
 use crate::{HyperPrawConfig, RefinementPolicy};
 
@@ -381,9 +381,9 @@ const REBUILD_DENOMINATOR: usize = 4;
 
 /// Exact evaluation over an in-memory hypergraph
 /// ([`crate::metrics::partitioning_communication_cost`]). When a precomputed
-/// [`NeighborAdjacency`] is supplied — the dynamic layer shares its
-/// provider's — neighbourhoods come from flat lists instead of being
-/// re-deduplicated ([`crate::metrics::partitioning_communication_cost_with`]).
+/// [`NeighborAdjacency`] is supplied, neighbourhoods come from flat lists
+/// instead of being re-deduplicated
+/// ([`crate::metrics::partitioning_communication_cost_with`]).
 ///
 /// The model is **incremental**: it keeps the last assignment it evaluated
 /// together with that assignment's exact part-pair counts `M` (see
@@ -396,13 +396,14 @@ const REBUILD_DENOMINATOR: usize = 4;
 /// [`crate::metrics`] shares, so each result is **bit-identical** to a
 /// fresh [`crate::metrics::partitioning_communication_cost`] of the same
 /// partition. The state costs `p²` counters plus one copy of the
-/// assignment.
+/// assignment; [`ExactCommCost::resume`] starts from a state kept by the
+/// caller and [`ExactCommCost::into_state`] gives it back.
 #[derive(Clone, Debug)]
 pub struct ExactCommCost<'a> {
     hg: &'a Hypergraph,
     adj: Option<&'a NeighborAdjacency>,
     /// The assignment evaluated last and its part-pair counts.
-    last: Option<(Partition, PairCounts)>,
+    last: Option<CommCostState>,
     /// Traversal scratch for hubs (or every vertex, without an adjacency).
     scratch: Option<NeighborScratch>,
     /// Reused list of the vertices moved since the last evaluation.
@@ -429,15 +430,42 @@ impl<'a> ExactCommCost<'a> {
         }
     }
 
+    /// Creates a traversal model that resumes from `state` instead of
+    /// counting `M` afresh at its first evaluation: the first evaluation
+    /// patches `state` from the vertices whose part differs, exactly as
+    /// later ones patch from the previous evaluation.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `state` does not cover `hg`.
+    pub fn resume(hg: &'a Hypergraph, state: CommCostState) -> Self {
+        assert_eq!(
+            state.partition().num_vertices(),
+            hg.num_vertices(),
+            "a resumed state must cover the hypergraph"
+        );
+        Self {
+            last: Some(state),
+            ..Self::new(hg)
+        }
+    }
+
+    /// The assignment evaluated last with its part-pair counts (the
+    /// resumed state when nothing was evaluated since), to resume from
+    /// later; `None` before the first evaluation of a fresh model.
+    pub fn into_state(self) -> Option<CommCostState> {
+        self.last
+    }
+
     /// Brings the retained counts up to `partition`: replays the moved
     /// vertices when fewer than a quarter moved, recounts otherwise.
     fn update(&mut self, partition: &Partition) -> &PairCounts {
         let n = partition.num_vertices();
         self.moved.clear();
         let patchable = match &self.last {
-            Some((last, _))
-                if last.num_vertices() == n && last.num_parts() == partition.num_parts() =>
-            {
+            Some(CommCostState {
+                partition: last, ..
+            }) if last.num_vertices() == n && last.num_parts() == partition.num_parts() => {
                 let pairs = last.assignment().iter().zip(partition.assignment());
                 for (v, (old, new)) in pairs.enumerate() {
                     if old != new {
@@ -451,12 +479,18 @@ impl<'a> ExactCommCost<'a> {
             }
             _ => false,
         };
-        let (last, counts) = match self.last.take() {
+        let CommCostState {
+            partition: last,
+            counts,
+        } = match self.last.take() {
             Some(state) if patchable => self.last.insert(state),
             _ => {
                 self.moved.clear();
                 let counts = PairCounts::build(self.hg, self.adj, partition, &mut self.scratch);
-                self.last.insert((partition.clone(), counts))
+                self.last.insert(CommCostState {
+                    partition: partition.clone(),
+                    counts,
+                })
             }
         };
         for &v in &self.moved {

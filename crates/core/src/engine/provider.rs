@@ -278,10 +278,10 @@ fn f32_at_most(x: f64) -> f32 {
 ///
 /// Neighbourhoods come from a precomputed [`NeighborAdjacency`] when the
 /// provider has one, owned ([`AdjProvider::new`]) or borrowed
-/// ([`AdjProvider::from_adjacency`]; the dynamic layer lends its patched
-/// adjacency, whose lists keep its moves cheap). Otherwise — for hubs
-/// without a list, and for every vertex of an [`AdjProvider::traversal`]
-/// provider, which [`crate::HyperPraw`] runs — they come from an epoch
+/// ([`AdjProvider::from_adjacency`]). Otherwise — for hubs without a
+/// list, and for every vertex of an [`AdjProvider::traversal`] provider,
+/// which [`crate::HyperPraw`] and the dynamic layer run — they come from
+/// an epoch
 /// traversal of the vertex's pins, through a lazily created per-worker
 /// [`NeighborScratch`]. A query for a vertex without kept counts (the
 /// provider was never synced, or the run does not visit the vertex) is

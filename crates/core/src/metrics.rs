@@ -94,9 +94,116 @@ fn for_each_neighbor(
     }
 }
 
+/// An assignment together with its exact part-pair counts `M` — the
+/// state [`crate::engine::ExactCommCost`] keeps between evaluations.
+///
+/// A caller that keeps a partition resident while its hypergraph changes
+/// (the dynamic layer) holds on to this state across runs instead of
+/// recounting it: before a mutation it removes the rows of the vertices
+/// whose neighbourhood is about to change, after the mutation it adds
+/// them back, and it hands the result to
+/// [`crate::engine::ExactCommCost::resume`]. The row of `v` is the pairs
+/// `(v, u)` over the distinct neighbours `u` of `v`. Rows of vertices
+/// outside the touched set must not change, so the set must be closed:
+/// every vertex whose neighbourhood changes belongs to it (for a changed
+/// hyperedge, all its pins before and after the change). Because `M`
+/// holds exact integers, [`CommCostState::comm_cost`] is then
+/// bit-identical to a fresh [`partitioning_communication_cost`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct CommCostState {
+    pub(crate) partition: Partition,
+    pub(crate) counts: PairCounts,
+}
+
+impl Default for CommCostState {
+    /// The state of an empty hypergraph on one part.
+    fn default() -> Self {
+        Self {
+            partition: Partition::all_in_one(0, 1),
+            counts: PairCounts {
+                num_parts: 1,
+                counts: vec![0],
+            },
+        }
+    }
+}
+
+impl CommCostState {
+    /// Counts `M` of `partition` over `hg` from scratch, by traversal.
+    pub fn new(hg: &Hypergraph, partition: Partition) -> Self {
+        assert_eq!(
+            partition.num_vertices(),
+            hg.num_vertices(),
+            "partition must cover the hypergraph"
+        );
+        let counts = PairCounts::build(hg, None, &partition, &mut None);
+        Self { partition, counts }
+    }
+
+    /// The assignment `M` describes.
+    pub fn partition(&self) -> &Partition {
+        &self.partition
+    }
+
+    /// The partitioning communication cost of the assignment under
+    /// `cost`: one O(p²) dot over `M`.
+    pub fn comm_cost(&self, cost: &CostMatrix) -> f64 {
+        assert_eq!(
+            self.partition.num_parts() as usize,
+            cost.num_units(),
+            "cost matrix size must match the partition count"
+        );
+        self.counts.dot(cost)
+    }
+
+    /// Removes the rows of `vertices` — as their neighbourhoods are in
+    /// `hg` — from `M`.
+    pub fn remove_rows(
+        &mut self,
+        hg: &Hypergraph,
+        vertices: &[VertexId],
+        scratch: &mut NeighborScratch,
+    ) {
+        for &v in vertices {
+            self.counts
+                .shift_row(hg, &self.partition, v, scratch, false);
+        }
+    }
+
+    /// Adds the rows of `vertices` — as their neighbourhoods are in `hg` —
+    /// to `M`.
+    pub fn add_rows(
+        &mut self,
+        hg: &Hypergraph,
+        vertices: &[VertexId],
+        scratch: &mut NeighborScratch,
+    ) {
+        for &v in vertices {
+            self.counts.shift_row(hg, &self.partition, v, scratch, true);
+        }
+    }
+
+    /// Appends vertices up to `num_vertices`, each seeded on part
+    /// `v mod p` like a cold start's round robin. Their rows, and the
+    /// pairs their neighbours gain, enter `M` through
+    /// [`CommCostState::add_rows`].
+    pub fn extend(&mut self, num_vertices: usize) {
+        let n = self.partition.num_vertices();
+        if num_vertices > n {
+            let p = self.partition.num_parts();
+            let mut assignment =
+                std::mem::replace(&mut self.partition, Partition::all_in_one(0, p))
+                    .into_assignment();
+            assignment.extend((n..num_vertices).map(|v| v as u32 % p));
+            self.partition = Partition::from_assignment(assignment, p)
+                .expect("round-robin seeds stay within the part count");
+        }
+    }
+}
+
 /// The exact ordered part-pair neighbour counts `M[a][b]` of the
 /// [module docs](self), row-major over `p × p`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct PairCounts {
     num_parts: usize,
     counts: Vec<u64>,
@@ -121,6 +228,27 @@ impl PairCounts {
         Self {
             num_parts: p,
             counts,
+        }
+    }
+
+    /// Adds (or, with `add == false`, removes) the row of `v`: one pair
+    /// `(v, u)` per distinct neighbour `u` of `v` in `hg`.
+    fn shift_row(
+        &mut self,
+        hg: &Hypergraph,
+        partition: &Partition,
+        v: VertexId,
+        scratch: &mut NeighborScratch,
+        add: bool,
+    ) {
+        let row = partition.part_of(v) as usize * self.num_parts;
+        for &u in scratch.neighbors(hg, v) {
+            let count = &mut self.counts[row + partition.part_of(u) as usize];
+            if add {
+                *count += 1;
+            } else {
+                *count -= 1;
+            }
         }
     }
 

@@ -7,9 +7,7 @@
 //! lists or by traversal — must equal the traversal oracle
 //! ([`NeighborScratch::neighbor_partition_counts`]) on the moved
 //! assignment. Covers providers without an adjacency, every budget
-//! shape, visit subsets, and adjacencies whose neighbourhoods were
-//! patched after the build the way the dynamic layer patches them,
-//! including patches that turn vertices into hubs.
+//! shape, and visit subsets.
 
 use proptest::prelude::*;
 
@@ -17,9 +15,7 @@ use hyperpraw_core::engine::{AdjProvider, ConnectivityProvider};
 use hyperpraw_hypergraph::generators::{random_hypergraph, CardinalityDist, RandomConfig};
 use hyperpraw_hypergraph::io::stream::VertexRecord;
 use hyperpraw_hypergraph::traversal::NeighborScratch;
-use hyperpraw_hypergraph::{
-    AdjacencyBudget, Hypergraph, HypergraphBuilder, NeighborAdjacency, Partition, VertexId,
-};
+use hyperpraw_hypergraph::{AdjacencyBudget, Hypergraph, NeighborAdjacency, Partition, VertexId};
 
 fn arb_hypergraph() -> impl Strategy<Value = Hypergraph> {
     (20usize..100, 10usize..70, 0u64..400).prop_map(|(n, e, seed)| {
@@ -31,34 +27,6 @@ fn arb_hypergraph() -> impl Strategy<Value = Hypergraph> {
             name: "prop".into(),
         })
     })
-}
-
-/// `hg` without its last `dropped` hyperedges.
-fn without_last_edges(hg: &Hypergraph, dropped: usize) -> Hypergraph {
-    let mut builder = HypergraphBuilder::new(hg.num_vertices());
-    let kept = hg.num_hyperedges().saturating_sub(dropped);
-    for (_, pins) in hg.iter_edges().take(kept) {
-        builder.add_hyperedge(pins.iter().copied());
-    }
-    builder.build()
-}
-
-/// The adjacency of `hg` under `budget`; with `dropped > 0` it is built
-/// for `hg` minus its last `dropped` hyperedges and then patched, as the
-/// dynamic layer does, for every pin of the hyperedges that came back.
-fn adjacency(hg: &Hypergraph, budget: AdjacencyBudget, dropped: usize) -> NeighborAdjacency {
-    if dropped == 0 {
-        return NeighborAdjacency::build(hg, budget);
-    }
-    let mut adj = NeighborAdjacency::build(&without_last_edges(hg, dropped), budget);
-    let mut scratch = NeighborScratch::new(hg.num_vertices());
-    let first = hg.num_hyperedges().saturating_sub(dropped);
-    for (_, pins) in hg.iter_edges().skip(first) {
-        for &v in pins {
-            adj.patch_vertex(v, scratch.neighbors(hg, v).to_vec());
-        }
-    }
-    adj
 }
 
 /// Syncs `provider` to `start`, replays `moves` through
@@ -104,7 +72,6 @@ proptest! {
         p in 2u32..7,
         seed in 0u64..1000,
         cutoff in 0usize..=3,
-        dropped in 0usize..4,
         subset in 0u32..3,
         moves in prop::collection::vec((0usize..1000, 0u32..8), 0..200),
     ) {
@@ -126,7 +93,7 @@ proptest! {
             AdjacencyBudget::DegreeCutoff(cutoff),
             AdjacencyBudget::MaxBytes(4),
         ] {
-            let adj = adjacency(&hg, budget, dropped);
+            let adj = NeighborAdjacency::build(&hg, budget);
             let provider = AdjProvider::from_adjacency(&hg, &adj);
             let counted = check_model(&hg, provider, partition.clone(), visits, &moves);
             // Every visited vertex is counted, with or without a list.

@@ -70,9 +70,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use hyperpraw_core::{HyperPrawConfig, RefinementPolicy, StreamOrder};
-use hyperpraw_hypergraph::{
-    AdjacencyBudget, HypergraphBuilder, MutableHypergraph, Partition, VertexId,
-};
+use hyperpraw_hypergraph::{HypergraphBuilder, MutableHypergraph, Partition, VertexId};
 use hyperpraw_storage::{crc32, decode_u64, encode_u64, ByteSource, MemorySource};
 use hyperpraw_telemetry::{Histogram, Registry};
 use hyperpraw_topology::CostMatrix;
@@ -330,6 +328,12 @@ pub fn decode_batch(payload: &[u8]) -> Result<Vec<GraphUpdate>, JournalError> {
 // Partitioner state encoding (snapshot payloads)
 // ---------------------------------------------------------------------------
 
+/// Two retired configuration fields still hold their place in the state:
+/// an adjacency staleness threshold (`f64`) and an adjacency budget (a tag,
+/// with a varint for the two tags that carried a size). The dynamic layer
+/// no longer keeps an adjacency, so the encoder writes the old defaults
+/// (`0.25`, [`BUDGET_AUTO`]) and the decoder checks and ignores them.
+const RETIRED_STALENESS_THRESHOLD: f64 = 0.25;
 const BUDGET_UNBOUNDED: u8 = 0;
 const BUDGET_MAX_BYTES: u8 = 1;
 const BUDGET_DEGREE_CUTOFF: u8 = 2;
@@ -343,7 +347,7 @@ const CONNECTIVITY_AUTO: u8 = 2;
 
 fn encode_state(out: &mut Vec<u8>, p: &DynamicPartitioner) {
     let graph = p.graph();
-    let hg = graph.to_hypergraph();
+    let hg = p.hypergraph();
     let n = hg.num_vertices();
     let m = hg.num_hyperedges();
 
@@ -384,19 +388,8 @@ fn encode_state(out: &mut Vec<u8>, p: &DynamicPartitioner) {
     }
 
     let cfg = p.config();
-    put_f64(out, cfg.staleness_threshold);
-    match cfg.budget {
-        AdjacencyBudget::Unbounded => out.push(BUDGET_UNBOUNDED),
-        AdjacencyBudget::MaxBytes(b) => {
-            out.push(BUDGET_MAX_BYTES);
-            encode_u64(b as u64, out);
-        }
-        AdjacencyBudget::DegreeCutoff(d) => {
-            out.push(BUDGET_DEGREE_CUTOFF);
-            encode_u64(d as u64, out);
-        }
-        AdjacencyBudget::Auto => out.push(BUDGET_AUTO),
-    }
+    put_f64(out, RETIRED_STALENESS_THRESHOLD);
+    out.push(BUDGET_AUTO);
 
     let hp = &cfg.config;
     match hp.initial_alpha {
@@ -509,14 +502,14 @@ fn decode_state(dec: &mut Dec<'_>) -> Result<DynamicPartitioner, JournalError> {
     }
     let cost = CostMatrix::from_raw(units, cost_data);
 
-    let staleness_threshold = dec.f64()?;
-    let budget = match dec.u8()? {
-        BUDGET_UNBOUNDED => AdjacencyBudget::Unbounded,
-        BUDGET_MAX_BYTES => AdjacencyBudget::MaxBytes(dec.varint_usize()?),
-        BUDGET_DEGREE_CUTOFF => AdjacencyBudget::DegreeCutoff(dec.varint_usize()?),
-        BUDGET_AUTO => AdjacencyBudget::Auto,
+    dec.f64()?; // the retired staleness threshold
+    match dec.u8()? {
+        BUDGET_UNBOUNDED | BUDGET_AUTO => {}
+        BUDGET_MAX_BYTES | BUDGET_DEGREE_CUTOFF => {
+            dec.varint_usize()?;
+        }
         other => return Err(corrupt(format!("unknown adjacency budget tag {other}"))),
-    };
+    }
     let initial_alpha = match dec.u8()? {
         0 => None,
         1 => Some(dec.f64()?),
@@ -562,8 +555,6 @@ fn decode_state(dec: &mut Dec<'_>) -> Result<DynamicPartitioner, JournalError> {
             seed,
             track_history,
         },
-        staleness_threshold,
-        budget,
     };
     DynamicPartitioner::resume(graph, partition, cost, cfg)
         .map_err(|e| corrupt(format!("snapshot state rejected: {e}")))
@@ -1005,7 +996,6 @@ mod tests {
                 max_iterations: 4,
                 ..HyperPrawConfig::default()
             },
-            ..DynamicConfig::default()
         };
         DynamicPartitioner::new(&hg, partition, CostMatrix::uniform(4), cfg).unwrap()
     }

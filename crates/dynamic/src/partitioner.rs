@@ -3,41 +3,23 @@
 use std::collections::BTreeSet;
 
 use hyperpraw_core::engine::{
-    AdjProvider, DirtySetSource, Engine, EngineConfig, ExactCommCost, WarmStart,
+    AdjProvider, CommCostModel, DirtySetSource, Engine, EngineConfig, ExactCommCost, WarmStart,
 };
-use hyperpraw_core::metrics::partitioning_communication_cost_with;
+use hyperpraw_core::metrics::{CommCostState, QualityReport};
 use hyperpraw_core::{CostMatrix, HyperPrawConfig, PartitionHistory, StopReason};
 use hyperpraw_hypergraph::traversal::NeighborScratch;
-use hyperpraw_hypergraph::{
-    AdjacencyBudget, Hypergraph, MutableHypergraph, NeighborAdjacency, Partition, VertexId,
-};
+use hyperpraw_hypergraph::{HyperedgeId, Hypergraph, MutableHypergraph, Partition, VertexId};
 
+use crate::update::validate;
 use crate::{DynamicError, GraphUpdate};
 
 /// Configuration of a [`DynamicPartitioner`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DynamicConfig {
     /// The restreaming parameters every dirty-set repair runs under —
     /// identical semantics to a cold run (α tempering, tolerance,
     /// refinement with comm-cost rollback).
     pub config: HyperPrawConfig,
-    /// Rebuild the adjacency from scratch once the fraction of vertices
-    /// answered through overlay patches would exceed this after a batch.
-    /// Patching is O(touched); the rebuild amortises patch memory and
-    /// lookup indirection back to the flat CSR.
-    pub staleness_threshold: f64,
-    /// Memory policy for the adjacency (re)builds.
-    pub budget: AdjacencyBudget,
-}
-
-impl Default for DynamicConfig {
-    fn default() -> Self {
-        Self {
-            config: HyperPrawConfig::default(),
-            staleness_threshold: 0.25,
-            budget: AdjacencyBudget::Auto,
-        }
-    }
 }
 
 /// What one update batch physically moved, in the paper's
@@ -61,9 +43,6 @@ pub struct UpdateOutcome {
     /// Size of the dirty set that was restreamed (touched vertices plus
     /// their distinct-neighbour ring).
     pub dirty_vertices: usize,
-    /// Whether this batch crossed the staleness threshold and rebuilt the
-    /// adjacency instead of patching it.
-    pub rebuilt_adjacency: bool,
     /// Restreaming passes executed over the dirty set (`0` when the batch
     /// was empty or touched nothing live).
     pub iterations: usize,
@@ -90,11 +69,14 @@ pub struct UpdateOutcome {
 #[derive(Clone, Debug)]
 pub struct DynamicPartitioner {
     graph: MutableHypergraph,
-    /// CSR snapshot of `graph`, re-materialised after every batch — what
-    /// the engine, adjacency and metrics read.
+    /// CSR snapshot of `graph`, spliced after every batch — what the
+    /// engine and the quality state read.
     snapshot: Hypergraph,
-    adj: NeighborAdjacency,
-    partition: Partition,
+    /// The live assignment with its exact comm-cost part-pair counts.
+    comm: CommCostState,
+    /// Connectivity `λ(e)` of every hyperedge under the live assignment
+    /// (`0` for an empty hyperedge).
+    lambda: Vec<u32>,
     loads: Vec<f64>,
     cost: CostMatrix,
     cfg: DynamicConfig,
@@ -103,7 +85,8 @@ pub struct DynamicPartitioner {
 
 /// Batch instrumentation bound by [`DynamicPartitioner::set_registry`]
 /// (all no-ops by default). Recording is observation-only: outcomes are
-/// computed first, then mirrored here.
+/// computed first, then mirrored here, and a disabled phase span reads no
+/// clock.
 #[derive(Clone, Debug, Default)]
 struct DynMetrics {
     /// Update batches applied.
@@ -114,62 +97,50 @@ struct DynMetrics {
     migrated_vertices: hyperpraw_telemetry::Counter,
     /// Σ weight · link-cost of migrations, rounded to whole units.
     migrated_bytes: hyperpraw_telemetry::Counter,
+    /// Per-batch phase wall clock, microseconds: validating and applying
+    /// the mutations.
+    mutate_us: hyperpraw_telemetry::Histogram,
+    /// Splicing the CSR snapshot and moving the touched rows of the
+    /// pair counts from the old graph to the new one.
+    snapshot_us: hyperpraw_telemetry::Histogram,
+    /// Finding the dirty ring and restreaming it.
+    restream_us: hyperpraw_telemetry::Histogram,
+    /// Connectivity of the touched and moved hyperedges, migration
+    /// accounting and the outcome's quality.
+    quality_us: hyperpraw_telemetry::Histogram,
     /// Kept so each batch's restream engine can bind its own `engine.*`
     /// metrics (pass timings, vertices scored, doubt occupancy).
     registry: hyperpraw_telemetry::Registry,
 }
 
+/// Panic message of a mutation the batch validation admitted.
+const VALIDATED: &str = "the batch was validated against the live graph";
+
 impl DynamicPartitioner {
     /// Adopts an already-partitioned hypergraph: `partition` becomes the
     /// live assignment (typically the output of a cold run over `hg`) and
-    /// the adjacency is built once up front.
+    /// its quality state is counted once up front.
     pub fn new(
         hg: &Hypergraph,
         partition: Partition,
         cost: CostMatrix,
         cfg: DynamicConfig,
     ) -> Result<Self, DynamicError> {
-        if partition.num_vertices() != hg.num_vertices() {
-            return Err(DynamicError::Invalid(format!(
-                "partition covers {} vertices but the hypergraph has {}",
-                partition.num_vertices(),
-                hg.num_vertices()
-            )));
-        }
-        if partition.num_parts() as usize != cost.num_units() {
-            return Err(DynamicError::Invalid(format!(
-                "partition has {} parts but the cost matrix covers {} units",
-                partition.num_parts(),
-                cost.num_units()
-            )));
-        }
-        if !cfg.staleness_threshold.is_finite() || cfg.staleness_threshold < 0.0 {
-            return Err(DynamicError::Invalid(format!(
-                "staleness threshold must be finite and non-negative, got {}",
-                cfg.staleness_threshold
-            )));
-        }
-        let loads = partition
-            .part_loads(hg)
-            .map_err(|e| DynamicError::Invalid(e.to_string()))?;
-        Ok(Self {
-            graph: MutableHypergraph::from_hypergraph(hg),
-            snapshot: hg.clone(),
-            adj: NeighborAdjacency::build(hg, cfg.budget),
+        Self::assemble(
+            MutableHypergraph::from_hypergraph(hg),
+            hg.clone(),
             partition,
-            loads,
             cost,
             cfg,
-            metrics: DynMetrics::default(),
-        })
+        )
     }
 
     /// Rebuilds a partitioner from persisted state: the mutable
     /// hypergraph (tombstones included) and the assignment it had
     /// reached, plus the cost matrix and configuration it ran under —
-    /// the recovery path of [`crate::journal`]. The CSR snapshot,
-    /// adjacency and per-part loads are rematerialised deterministically,
-    /// so the resumed instance answers every query and absorbs every
+    /// the recovery path of [`crate::journal`]. The CSR snapshot, quality
+    /// state and per-part loads are rematerialised deterministically, so
+    /// the resumed instance answers every query and absorbs every
     /// subsequent batch bit-identically to the instance that was
     /// serialised.
     pub fn resume(
@@ -179,6 +150,16 @@ impl DynamicPartitioner {
         cfg: DynamicConfig,
     ) -> Result<Self, DynamicError> {
         let snapshot = graph.to_hypergraph();
+        Self::assemble(graph, snapshot, partition, cost, cfg)
+    }
+
+    fn assemble(
+        graph: MutableHypergraph,
+        snapshot: Hypergraph,
+        partition: Partition,
+        cost: CostMatrix,
+        cfg: DynamicConfig,
+    ) -> Result<Self, DynamicError> {
         if partition.num_vertices() != snapshot.num_vertices() {
             return Err(DynamicError::Invalid(format!(
                 "partition covers {} vertices but the hypergraph has {}",
@@ -193,20 +174,16 @@ impl DynamicPartitioner {
                 cost.num_units()
             )));
         }
-        if !cfg.staleness_threshold.is_finite() || cfg.staleness_threshold < 0.0 {
-            return Err(DynamicError::Invalid(format!(
-                "staleness threshold must be finite and non-negative, got {}",
-                cfg.staleness_threshold
-            )));
-        }
         let loads = partition
             .part_loads(&snapshot)
             .map_err(|e| DynamicError::Invalid(e.to_string()))?;
+        let mut lambda = Vec::new();
+        refresh_connectivity(&snapshot, &partition, &mut lambda, snapshot.hyperedges());
         Ok(Self {
-            adj: NeighborAdjacency::build(&snapshot, cfg.budget),
+            comm: CommCostState::new(&snapshot, partition),
+            lambda,
             graph,
             snapshot,
-            partition,
             loads,
             cost,
             cfg,
@@ -215,14 +192,19 @@ impl DynamicPartitioner {
     }
 
     /// Binds batch instrumentation to `registry` (metrics under the
-    /// `dynamic.` prefix): batches applied, dirty-set sizes, and migrated
-    /// vertices/bytes.
+    /// `dynamic.` prefix): batches applied, dirty-set sizes, migrated
+    /// vertices/bytes, and per-batch phase times
+    /// (`dynamic.phase.{mutate,snapshot,restream,quality}_us`).
     pub fn set_registry(&mut self, registry: &hyperpraw_telemetry::Registry) {
         self.metrics = DynMetrics {
             batches: registry.counter("dynamic.batches_applied"),
             dirty_set_size: registry.histogram("dynamic.dirty_set_size"),
             migrated_vertices: registry.counter("dynamic.migrated_vertices"),
             migrated_bytes: registry.counter("dynamic.migrated_bytes"),
+            mutate_us: registry.histogram("dynamic.phase.mutate_us"),
+            snapshot_us: registry.histogram("dynamic.phase.snapshot_us"),
+            restream_us: registry.histogram("dynamic.phase.restream_us"),
+            quality_us: registry.histogram("dynamic.phase.quality_us"),
             registry: registry.clone(),
         };
     }
@@ -241,7 +223,7 @@ impl DynamicPartitioner {
 
     /// The current assignment.
     pub fn partition(&self) -> &Partition {
-        &self.partition
+        self.comm.partition()
     }
 
     /// Per-part vertex-weight loads of the current assignment.
@@ -259,11 +241,23 @@ impl DynamicPartitioner {
         &self.cfg
     }
 
+    /// The resident comm-cost state: the current assignment with its
+    /// exact part-pair counts.
+    pub fn comm_state(&self) -> &CommCostState {
+        &self.comm
+    }
+
+    /// The resident connectivity `λ(e)` of every hyperedge under the
+    /// current assignment (`0` for an empty or tombstoned hyperedge).
+    pub fn connectivity(&self) -> &[u32] {
+        &self.lambda
+    }
+
     /// The part of `v`, or `None` when `v` is unknown or tombstoned —
     /// the serve protocol's `lookup`.
     pub fn lookup(&self, v: VertexId) -> Option<u32> {
         if self.graph.is_vertex_alive(v) {
-            Some(self.partition.part_of(v))
+            Some(self.partition().part_of(v))
         } else {
             None
         }
@@ -274,22 +268,47 @@ impl DynamicPartitioner {
         imbalance_of(&self.loads)
     }
 
-    /// Architecture-aware communication cost of the current assignment.
+    /// Architecture-aware communication cost of the current assignment:
+    /// an O(p²) read of the resident pair counts.
     pub fn comm_cost(&self) -> f64 {
-        partitioning_communication_cost_with(&self.snapshot, &self.adj, &self.partition, &self.cost)
+        self.comm.comm_cost(&self.cost)
     }
 
-    /// Applies one batch of updates: mutate, patch (or rebuild) the
-    /// adjacency, restream the dirty set warm-started from the current
-    /// assignment, and account the migration. The batch is atomic — on
-    /// error nothing changed; an empty batch returns a zero outcome and
-    /// leaves the assignment bit-identical.
+    /// The full quality report of the current assignment, with the comm
+    /// cost evaluated under `cost` (any matrix over the same parts), read
+    /// from the resident state: the comm cost as a dot over the pair
+    /// counts, cut and SOED as one fold over the connectivities in edge
+    /// order, the imbalance from the loads. Bit-identical to
+    /// [`QualityReport::compute`] on [`DynamicPartitioner::hypergraph`].
+    pub fn quality(&self, cost: &CostMatrix) -> QualityReport {
+        let (mut cut, mut soed) = (0.0f64, 0.0f64);
+        for (e, &lambda) in self.lambda.iter().enumerate() {
+            if lambda > 1 {
+                let w = self.snapshot.edge_weight(e as HyperedgeId);
+                cut += w;
+                soed += f64::from(lambda) * w;
+            }
+        }
+        QualityReport {
+            hyperedge_cut: cut.round() as u64,
+            soed: soed.round() as u64,
+            comm_cost: self.comm.comm_cost(cost),
+            imbalance: self.imbalance(),
+        }
+    }
+
+    /// Applies one batch of updates: validate it, mutate the graph,
+    /// splice the snapshot, restream the dirty set warm-started from the
+    /// current assignment, and update the quality state and migration
+    /// account — all in work proportional to the batch and its dirty
+    /// ring. The batch is atomic: it is validated in full before anything
+    /// changes, so on error nothing changed. An empty batch returns a zero
+    /// outcome and leaves the assignment bit-identical.
     pub fn apply(&mut self, updates: &[GraphUpdate]) -> Result<UpdateOutcome, DynamicError> {
         if updates.is_empty() {
             return Ok(UpdateOutcome {
                 new_vertices: Vec::new(),
                 dirty_vertices: 0,
-                rebuilt_adjacency: false,
                 iterations: 0,
                 stop_reason: None,
                 final_alpha: None,
@@ -301,113 +320,101 @@ impl DynamicPartitioner {
             });
         }
 
-        // Phase 1 — mutate a working copy so a mid-batch error leaves the
-        // partitioner untouched, collecting the core touched set: every
-        // vertex named in an update plus the pre/post pins of every
-        // touched hyperedge (their connectivity changed too).
-        let mut graph = self.graph.clone();
-        let mut core: BTreeSet<VertexId> = BTreeSet::new();
+        // Phase 1 — validate, then mutate in place, collecting the touched
+        // vertices (every vertex named in an update plus the pre/post pins
+        // of every touched hyperedge: their neighbourhoods changed) and
+        // the hyperedges whose pin lists changed.
+        let mutating = self.metrics.mutate_us.span();
+        validate(&self.graph, updates)?;
+        let (pre_n, pre_m) = (self.graph.num_vertices(), self.graph.num_hyperedges());
+        let mut touched: BTreeSet<VertexId> = BTreeSet::new();
+        let mut edges: BTreeSet<HyperedgeId> = BTreeSet::new();
         let mut new_vertices = Vec::new();
+        let graph = &mut self.graph;
         for update in updates {
             match update {
                 GraphUpdate::AddVertex { weight } => {
                     let v = graph.add_vertex(*weight);
                     new_vertices.push(v);
-                    core.insert(v);
+                    touched.insert(v);
                 }
                 GraphUpdate::RemoveVertex { vertex } => {
-                    if (*vertex as usize) < graph.num_vertices() {
-                        for &e in graph.incident_edges(*vertex) {
-                            core.extend(graph.pins(e).iter().copied());
-                        }
+                    for &e in graph.incident_edges(*vertex) {
+                        touched.extend(graph.pins(e).iter().copied());
+                        edges.insert(e);
                     }
-                    graph.remove_vertex(*vertex)?;
-                    core.insert(*vertex);
+                    graph.remove_vertex(*vertex).expect(VALIDATED);
+                    touched.insert(*vertex);
                 }
                 GraphUpdate::AddHyperedge { pins, weight } => {
-                    let e = graph.add_hyperedge(pins.iter().copied(), *weight)?;
-                    core.extend(graph.pins(e).iter().copied());
+                    let e = graph
+                        .add_hyperedge(pins.iter().copied(), *weight)
+                        .expect(VALIDATED);
+                    touched.extend(graph.pins(e).iter().copied());
                 }
                 GraphUpdate::RemoveHyperedge { edge } => {
-                    if (*edge as usize) < graph.num_hyperedges() {
-                        core.extend(graph.pins(*edge).iter().copied());
-                    }
-                    graph.remove_hyperedge(*edge)?;
+                    touched.extend(graph.pins(*edge).iter().copied());
+                    graph.remove_hyperedge(*edge).expect(VALIDATED);
+                    edges.insert(*edge);
                 }
                 GraphUpdate::AddPin { edge, vertex } => {
-                    graph.add_pin(*edge, *vertex)?;
-                    core.extend(graph.pins(*edge).iter().copied());
+                    graph.add_pin(*edge, *vertex).expect(VALIDATED);
+                    touched.extend(graph.pins(*edge).iter().copied());
+                    edges.insert(*edge);
                 }
                 GraphUpdate::RemovePin { edge, vertex } => {
-                    if (*edge as usize) < graph.num_hyperedges() {
-                        core.extend(graph.pins(*edge).iter().copied());
-                    }
-                    graph.remove_pin(*edge, *vertex)?;
-                    core.insert(*vertex);
+                    touched.extend(graph.pins(*edge).iter().copied());
+                    graph.remove_pin(*edge, *vertex).expect(VALIDATED);
+                    touched.insert(*vertex);
+                    edges.insert(*edge);
                 }
             }
         }
+        let touched: Vec<VertexId> = touched.into_iter().collect();
+        let edges: Vec<HyperedgeId> = edges.into_iter().collect();
+        drop(mutating);
 
-        // Phase 2 — commit the mutation, extend the assignment over any
-        // appended ids (seeded round-robin, exactly like a cold start
-        // seeds unknown vertices), and refresh the snapshot and loads.
-        self.graph = graph;
-        let pre_partition = self.partition.clone();
-        let pre_n = pre_partition.num_vertices();
+        // Phase 2 — carry the snapshot and the pair counts over to the
+        // mutated graph: the touched rows leave the counts as they were,
+        // the touched lists are spliced into the CSR, appended ids are
+        // seeded round-robin (like a cold start), and the touched rows
+        // re-enter as they are now. No other row changed: a pair whose
+        // neighbour relation changed has both ends among the pins of a
+        // touched hyperedge.
+        let refreshing = self.metrics.snapshot_us.span();
         let n = self.graph.num_vertices();
-        let p = self.cost.num_units() as u32;
-        if n > pre_n {
-            let mut assignment = pre_partition.assignment().to_vec();
-            assignment.extend((pre_n..n).map(|v| v as u32 % p));
-            self.partition = Partition::from_assignment(assignment, p)
-                .expect("extended assignment stays within the part count");
-        }
-        self.snapshot = self.graph.to_hypergraph();
+        let mut scratch = NeighborScratch::new(n);
+        let existing = touched.partition_point(|&v| (v as usize) < pre_n);
+        self.comm
+            .remove_rows(&self.snapshot, &touched[..existing], &mut scratch);
+        self.graph
+            .refresh_snapshot(&mut self.snapshot, &touched, &edges);
+        self.comm.extend(n);
+        self.comm.add_rows(&self.snapshot, &touched, &mut scratch);
         self.loads = self
-            .partition
+            .partition()
             .part_loads(&self.snapshot)
             .expect("partition covers every snapshot vertex");
+        drop(refreshing);
 
-        // Phase 3 — adjacency maintenance: patch the touched vertices in
-        // place, or rebuild once the overlay would pass the staleness
-        // threshold.
-        self.adj.ensure_vertices(n);
-        let stale_fraction = (self.adj.patched_count() + core.len()) as f64 / n.max(1) as f64;
-        let rebuilt_adjacency = stale_fraction > self.cfg.staleness_threshold;
-        if rebuilt_adjacency {
-            self.adj = NeighborAdjacency::build(&self.snapshot, self.cfg.budget);
-        } else {
-            let mut scratch = NeighborScratch::new(n);
-            for &v in &core {
-                self.adj
-                    .patch_vertex(v, scratch.neighbors(&self.snapshot, v).to_vec());
-            }
-        }
-
-        // Phase 4 — dirty closure: the live touched vertices plus one
+        // Phase 3 — the dirty set: the live touched vertices plus one
         // distinct-neighbour ring around them (their value function
-        // changed even though their own incidence did not).
+        // changed even though their own incidence did not), restreamed
+        // alone, warm-started from the current assignment, under the
+        // cold-run stopping rules. The kept comm-cost state is handed to
+        // the run and taken back synced to the assignment it returns.
+        let restreaming = self.metrics.restream_us.span();
         let graph = &self.graph;
-        let adj = &self.adj;
-        let mut dirty: BTreeSet<VertexId> = core
-            .iter()
-            .copied()
-            .filter(|&v| graph.is_vertex_alive(v))
-            .collect();
-        let mut ring_fallback: Option<NeighborScratch> = None;
-        for &v in &core {
-            let ring: &[VertexId] = match adj.neighbors(v) {
-                Some(list) => list,
-                None => ring_fallback
-                    .get_or_insert_with(|| NeighborScratch::new(n))
-                    .neighbors(&self.snapshot, v),
-            };
+        let mut dirty: BTreeSet<VertexId> = BTreeSet::new();
+        for &v in &touched {
+            if graph.is_vertex_alive(v) {
+                dirty.insert(v);
+            }
+            let ring = scratch.neighbors(&self.snapshot, v);
             dirty.extend(ring.iter().copied().filter(|&u| graph.is_vertex_alive(u)));
         }
         let dirty: Vec<VertexId> = dirty.into_iter().collect();
-
-        // Phase 5 — restream only the dirty set, warm-started from the
-        // current assignment, under the cold-run stopping rules.
+        let before: Vec<u32> = dirty.iter().map(|&v| self.partition().part_of(v)).collect();
         let mut iterations = 0;
         let mut stop_reason = None;
         let mut final_alpha = None;
@@ -417,19 +424,20 @@ impl DynamicPartitioner {
             let engine = Engine::new(EngineConfig::restreaming(&self.cfg.config))
                 .with_registry(&self.metrics.registry);
             let mut source = DirtySetSource::new(&self.snapshot, dirty.clone());
-            let mut provider = AdjProvider::from_adjacency(&self.snapshot, &self.adj)
-                .with_registry(&self.metrics.registry);
-            let mut model = ExactCommCost::with_adjacency(&self.snapshot, &self.adj);
+            let mut provider =
+                AdjProvider::traversal(&self.snapshot).with_registry(&self.metrics.registry);
             let warm = WarmStart {
-                partition: self.partition.clone(),
+                partition: self.partition().clone(),
                 loads: self.loads.clone(),
             };
+            let mut model = ExactCommCost::resume(&self.snapshot, std::mem::take(&mut self.comm));
             let run = engine
                 .run_warm(&self.cost, &mut source, &mut provider, &mut model, warm)
                 .expect("in-memory sources cannot fail");
-            self.partition = run.partition;
+            model.comm_cost(&run.partition, &self.cost);
+            self.comm = model.into_state().expect("the model was resumed");
             self.loads = self
-                .partition
+                .partition()
                 .part_loads(&self.snapshot)
                 .expect("restreamed partition covers every snapshot vertex");
             iterations = run.iterations;
@@ -438,22 +446,34 @@ impl DynamicPartitioner {
             moved_in_restream = run.moved_in_restream;
             history = run.history;
         }
+        drop(restreaming);
 
-        // Phase 6 — migration accounting over the pre-existing id space.
+        // Phase 4 — connectivity of the touched, appended and moved
+        // hyperedges, and migration over the pre-existing id space (only
+        // dirty vertices can have moved; ascending order keeps the
+        // migration sum's order).
+        let quality = self.metrics.quality_us.span();
+        let mut recount = edges;
         let mut vertices_moved = 0usize;
         let mut bytes_moved = 0.0f64;
-        for v in 0..pre_n as VertexId {
-            if !self.graph.is_vertex_alive(v) {
-                continue;
-            }
-            let old = pre_partition.part_of(v);
-            let new = self.partition.part_of(v);
+        for (&v, &old) in dirty.iter().zip(&before) {
+            let new = self.partition().part_of(v);
             if old != new {
-                vertices_moved += 1;
-                bytes_moved +=
-                    self.snapshot.vertex_weight(v) * self.cost.get(old as usize, new as usize);
+                recount.extend_from_slice(self.snapshot.incident_edges(v));
+                if (v as usize) < pre_n {
+                    vertices_moved += 1;
+                    bytes_moved +=
+                        self.snapshot.vertex_weight(v) * self.cost.get(old as usize, new as usize);
+                }
             }
         }
+        let appended = pre_m as HyperedgeId..self.snapshot.num_hyperedges() as HyperedgeId;
+        refresh_connectivity(
+            &self.snapshot,
+            self.comm.partition(),
+            &mut self.lambda,
+            recount.into_iter().chain(appended),
+        );
         let live = self.graph.num_live_vertices();
         let migration = MigrationStats {
             vertices_moved,
@@ -464,6 +484,12 @@ impl DynamicPartitioner {
             },
             bytes_moved,
         };
+        let (imbalance, comm_cost) = (self.imbalance(), self.comm_cost());
+        drop(quality);
+        debug_assert!(
+            self.resident_state_is_exact(),
+            "resident snapshot or quality state drifted from a recount"
+        );
 
         self.metrics.batches.inc();
         self.metrics.dirty_set_size.record(dirty.len() as u64);
@@ -477,16 +503,59 @@ impl DynamicPartitioner {
         Ok(UpdateOutcome {
             new_vertices,
             dirty_vertices: dirty.len(),
-            rebuilt_adjacency,
             iterations,
             stop_reason,
             final_alpha,
             moved_in_restream,
-            imbalance: self.imbalance(),
-            comm_cost: self.comm_cost(),
+            imbalance,
+            comm_cost,
             history,
             migration,
         })
+    }
+
+    /// Whether the snapshot, pair counts, connectivities and loads all
+    /// equal a recount from the mutable graph (debug builds check this
+    /// after every batch).
+    fn resident_state_is_exact(&self) -> bool {
+        let mut lambda = Vec::new();
+        let partition = self.partition();
+        refresh_connectivity(
+            &self.snapshot,
+            partition,
+            &mut lambda,
+            self.snapshot.hyperedges(),
+        );
+        self.snapshot == self.graph.to_hypergraph()
+            && self.comm == CommCostState::new(&self.snapshot, partition.clone())
+            && self.lambda == lambda
+            && partition.part_loads(&self.snapshot).as_deref() == Ok(&self.loads[..])
+    }
+}
+
+/// Recomputes `λ(e)` — the number of distinct parts among the pins of
+/// `e` — for every hyperedge in `edges`, growing `lambda` to cover the
+/// hypergraph first.
+fn refresh_connectivity(
+    hg: &Hypergraph,
+    partition: &Partition,
+    lambda: &mut Vec<u32>,
+    edges: impl IntoIterator<Item = HyperedgeId>,
+) {
+    lambda.resize(hg.num_hyperedges(), 0);
+    let mut seen = vec![false; partition.num_parts() as usize];
+    for e in edges {
+        let pins = hg.pins(e);
+        let mut distinct = 0;
+        for &v in pins {
+            let part = &mut seen[partition.part_of(v) as usize];
+            distinct += u32::from(!*part);
+            *part = true;
+        }
+        for &v in pins {
+            seen[partition.part_of(v) as usize] = false;
+        }
+        lambda[e as usize] = distinct;
     }
 }
 
@@ -580,22 +649,31 @@ mod tests {
     }
 
     #[test]
-    fn staleness_threshold_forces_a_rebuild() {
-        let hg = mesh_hypergraph(&MeshConfig::new(100, 6));
-        let cost = CostMatrix::uniform(2);
-        let cold = HyperPraw::new(HyperPrawConfig::default(), cost.clone()).partition(&hg);
-        let cfg = DynamicConfig {
-            staleness_threshold: 0.0,
-            ..DynamicConfig::default()
-        };
-        let mut dp = DynamicPartitioner::new(&hg, cold.partition, cost, cfg).unwrap();
-        let outcome = dp
-            .apply(&[GraphUpdate::AddHyperedge {
-                pins: vec![0, 50],
+    fn phase_histograms_are_observation_only() {
+        let batch = [
+            GraphUpdate::AddVertex { weight: 1.0 },
+            GraphUpdate::AddHyperedge {
+                pins: vec![0, 150, 300],
                 weight: 1.0,
-            }])
-            .unwrap();
-        assert!(outcome.rebuilt_adjacency);
+            },
+            GraphUpdate::RemoveVertex { vertex: 9 },
+        ];
+        let mut quiet = seeded(300, 4);
+        let mut traced = quiet.clone();
+        let registry = hyperpraw_telemetry::Registry::new();
+        traced.set_registry(&registry);
+        let a = quiet.apply(&batch).unwrap();
+        let b = traced.apply(&batch).unwrap();
+        assert_eq!(quiet.partition(), traced.partition());
+        assert_eq!(a.comm_cost.to_bits(), b.comm_cost.to_bits());
+        for phase in ["mutate", "snapshot", "restream", "quality"] {
+            let name = format!("dynamic.phase.{phase}_us");
+            assert_eq!(
+                registry.histogram_snapshot(&name).unwrap().count,
+                1,
+                "{name}"
+            );
+        }
     }
 
     #[test]

@@ -48,10 +48,7 @@ fn seeded_instance(n: usize, e: usize, p: u32, seed: u64) -> DynamicPartitioner 
         ..HyperPrawConfig::default().with_seed(seed)
     };
     let cold = HyperPraw::new(config, cost.clone()).partition(&hg);
-    let cfg = DynamicConfig {
-        config,
-        ..DynamicConfig::default()
-    };
+    let cfg = DynamicConfig { config };
     DynamicPartitioner::new(&hg, cold.partition, cost, cfg).unwrap()
 }
 

@@ -35,7 +35,6 @@ fn writer_session() -> DynamicPartitioner {
             seed: 5,
             ..HyperPrawConfig::default()
         },
-        ..DynamicConfig::default()
     };
     let mut p = DynamicPartitioner::new(&hg, partition, cost, cfg).unwrap();
     p.apply(&[

@@ -29,17 +29,6 @@
 //! degrees, then list filling into disjoint output slices), is deterministic
 //! for any thread count, and never allocates per vertex.
 //!
-//! For dynamic hypergraphs the structure additionally supports **overlay
-//! patching** ([`NeighborAdjacency::patch_vertex`]): the flat CSR arrays
-//! cannot shift in place, so vertices whose neighbourhood changed get a
-//! replacement list in a side map consulted before the base arrays, and
-//! appended vertices ([`NeighborAdjacency::ensure_vertices`]) default to
-//! isolated until patched. Patched lists that outgrow the cutover become
-//! hubs like any other. Callers bound the overlay through
-//! [`NeighborAdjacency::patched_fraction`], rebuilding from scratch past a
-//! staleness threshold.
-
-use std::collections::HashMap;
 use std::thread;
 
 use crate::partition::AssignmentRef;
@@ -111,35 +100,12 @@ pub struct NeighborAdjacency {
     /// Concatenated distinct-neighbour lists of the non-hub vertices, in
     /// the same (first-encounter) order the epoch traversal produces.
     neighbors: Vec<VertexId>,
-    /// Exact distinct degree of *every* base vertex, hubs included.
+    /// Exact distinct degree of every vertex, hubs included.
     distinct_degrees: Vec<u32>,
     /// Distinct-degree cutover: `distinct_degree(v) > cutoff` makes a hub.
     cutoff: usize,
-    /// Number of hub vertices, overlay patches included.
+    /// Number of hub vertices.
     num_hubs: usize,
-    /// Logical vertex count: the base CSR covers `offsets.len() - 1`
-    /// vertices, but [`NeighborAdjacency::ensure_vertices`] may extend the
-    /// id space past it; appended vertices answer through the overlay (or
-    /// as isolated when never patched).
-    len: usize,
-    /// Replacement neighbourhoods for vertices whose incidence changed
-    /// after the base build; consulted before the CSR arrays.
-    overlay: HashMap<VertexId, Patch>,
-}
-
-/// Overlay record for one patched vertex.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum Patch {
-    /// Replacement distinct-neighbour list (sorted, self excluded).
-    List(Vec<VertexId>),
-    /// The patched neighbourhood outgrew the cutover: keep only the exact
-    /// distinct degree so overlay memory stays bounded, and answer
-    /// partition-count queries through the traversal fallback like any
-    /// base hub.
-    Hub {
-        /// Exact distinct degree at patch time.
-        distinct_degree: u32,
-    },
 }
 
 /// Number of worker threads used to build the adjacency, bounded by the
@@ -265,15 +231,12 @@ impl NeighborAdjacency {
             distinct_degrees,
             cutoff,
             num_hubs,
-            len: n,
-            overlay: HashMap::new(),
         }
     }
 
-    /// Number of vertices covered, including any appended through
-    /// [`NeighborAdjacency::ensure_vertices`].
+    /// Number of vertices covered.
     pub fn num_vertices(&self) -> usize {
-        self.len
+        self.distinct_degrees.len()
     }
 
     /// The distinct-degree cutover in effect: vertices above it are hubs.
@@ -288,103 +251,23 @@ impl NeighborAdjacency {
 
     /// Whether `v` is a hub (no flat list; queries fall back to traversal).
     pub fn is_hub(&self, v: VertexId) -> bool {
-        match self.overlay.get(&v) {
-            Some(Patch::Hub { .. }) => true,
-            Some(Patch::List(_)) => false,
-            None => {
-                let i = v as usize;
-                i < self.distinct_degrees.len() && self.distinct_degrees[i] as usize > self.cutoff
-            }
-        }
+        self.distinct_degrees[v as usize] as usize > self.cutoff
     }
 
     /// Exact number of distinct neighbours of `v` (self excluded), O(1)
-    /// for every vertex including hubs. For patched vertices this is the
-    /// degree at patch time; appended-but-never-patched vertices are `0`.
+    /// for every vertex including hubs.
     pub fn distinct_degree(&self, v: VertexId) -> usize {
-        match self.overlay.get(&v) {
-            Some(Patch::Hub { distinct_degree }) => *distinct_degree as usize,
-            Some(Patch::List(list)) => list.len(),
-            None => {
-                let i = v as usize;
-                if i < self.distinct_degrees.len() {
-                    self.distinct_degrees[i] as usize
-                } else {
-                    0
-                }
-            }
-        }
+        self.distinct_degrees[v as usize] as usize
     }
 
     /// The distinct neighbours of `v`, or `None` when `v` is a hub. An
-    /// isolated vertex yields `Some(&[])`, as does a vertex appended
-    /// through [`NeighborAdjacency::ensure_vertices`] and never patched.
+    /// isolated vertex yields `Some(&[])`.
     pub fn neighbors(&self, v: VertexId) -> Option<&[VertexId]> {
-        match self.overlay.get(&v) {
-            Some(Patch::Hub { .. }) => return None,
-            Some(Patch::List(list)) => return Some(list),
-            None => {}
-        }
         let i = v as usize;
-        if i + 1 >= self.offsets.len() {
-            return Some(&[]); // appended after the base build, never patched
-        }
-        if self.distinct_degrees[i] as usize > self.cutoff {
+        if self.is_hub(v) {
             return None;
         }
         Some(&self.neighbors[self.offsets[i]..self.offsets[i + 1]])
-    }
-
-    /// Extends the logical vertex id space to at least `n` vertices.
-    /// Appended vertices answer as isolated until
-    /// [`NeighborAdjacency::patch_vertex`] gives them a neighbourhood.
-    pub fn ensure_vertices(&mut self, n: usize) {
-        if n > self.len {
-            self.len = n;
-        }
-    }
-
-    /// Replaces the stored neighbourhood of `v` with `neighbors` (deduped,
-    /// self removed). A patched list larger than the cutover is recorded
-    /// as a hub — only its degree is kept and queries fall back to
-    /// traversal — so overlay memory obeys the same budget discipline as
-    /// the base build. Extends the id space to cover `v` if needed.
-    pub fn patch_vertex(&mut self, v: VertexId, mut neighbors: Vec<VertexId>) {
-        neighbors.sort_unstable();
-        neighbors.dedup();
-        neighbors.retain(|&u| u != v);
-        self.ensure_vertices(v as usize + 1);
-        let was_hub = self.is_hub(v);
-        let now_hub = neighbors.len() > self.cutoff;
-        let patch = if now_hub {
-            Patch::Hub {
-                distinct_degree: neighbors.len() as u32,
-            }
-        } else {
-            Patch::List(neighbors)
-        };
-        self.overlay.insert(v, patch);
-        match (was_hub, now_hub) {
-            (false, true) => self.num_hubs += 1,
-            (true, false) => self.num_hubs -= 1,
-            _ => {}
-        }
-    }
-
-    /// Number of vertices currently answered through the overlay.
-    pub fn patched_count(&self) -> usize {
-        self.overlay.len()
-    }
-
-    /// Fraction of the id space answered through the overlay — the
-    /// staleness signal dynamic callers compare against their rebuild
-    /// threshold.
-    pub fn patched_fraction(&self) -> f64 {
-        if self.len == 0 {
-            0.0
-        } else {
-            self.overlay.len() as f64 / self.len as f64
-        }
     }
 
     /// Total flat-list entries stored.
@@ -392,25 +275,13 @@ impl NeighborAdjacency {
         self.neighbors.len()
     }
 
-    /// Heap bytes held by the structure, overlay patches included. Part
-    /// counts a consumer keeps for the hubs are its own memory (the
-    /// engine's provider reports them with this figure).
+    /// Heap bytes held by the structure. Part counts a consumer keeps for
+    /// the hubs are its own memory (the engine's provider reports them
+    /// with this figure).
     pub fn memory_bytes(&self) -> usize {
-        let overlay_bytes: usize = self
-            .overlay
-            .values()
-            .map(|p| {
-                std::mem::size_of::<(VertexId, Patch)>()
-                    + match p {
-                        Patch::List(list) => list.capacity() * std::mem::size_of::<VertexId>(),
-                        Patch::Hub { .. } => 0,
-                    }
-            })
-            .sum();
         self.neighbors.capacity() * std::mem::size_of::<VertexId>()
             + self.offsets.capacity() * std::mem::size_of::<usize>()
             + self.distinct_degrees.capacity() * std::mem::size_of::<u32>()
-            + overlay_bytes
     }
 
     /// Counts, for every partition `j`, the number of distinct neighbours
@@ -612,69 +483,5 @@ mod tests {
         let hg = sample();
         let adj = NeighborAdjacency::build(&hg, AdjacencyBudget::Unbounded);
         assert!(adj.memory_bytes() >= adj.num_entries() * std::mem::size_of::<VertexId>());
-    }
-
-    #[test]
-    fn patches_replace_the_base_list_and_stay_exact() {
-        let hg = sample();
-        let mut adj = NeighborAdjacency::build(&hg, AdjacencyBudget::Unbounded);
-        // Pretend vertex 3 gained neighbour 5 and lost neighbour 2; the
-        // patch (unsorted, with a duplicate and a self-loop) must be
-        // normalised on the way in.
-        adj.patch_vertex(3, vec![5, 3, 5, 0]);
-        assert_eq!(adj.neighbors(3), Some(&[0, 5][..]));
-        assert_eq!(adj.distinct_degree(3), 2);
-        assert_eq!(adj.patched_count(), 1);
-        assert!(adj.patched_fraction() > 0.0);
-        // Untouched vertices still answer from the base CSR.
-        assert_eq!(sorted(adj.neighbors(2).unwrap().to_vec()), vec![0, 1, 3]);
-        // Partition counts flow through the patched list.
-        let part = Partition::from_assignment(vec![0, 1, 1, 0, 0, 1, 0], 2).unwrap();
-        let mut fallback = None;
-        let mut counts = Vec::new();
-        adj.neighbor_partition_counts(&hg, &part, 3, &mut fallback, &mut counts);
-        assert_eq!(counts, vec![1, 1]); // neighbour 0 in part 0, 5 in part 1
-    }
-
-    #[test]
-    fn appended_vertices_are_isolated_until_patched() {
-        let hg = sample();
-        let mut adj = NeighborAdjacency::build(&hg, AdjacencyBudget::Unbounded);
-        adj.ensure_vertices(9);
-        assert_eq!(adj.num_vertices(), 9);
-        assert!(!adj.is_hub(8));
-        assert_eq!(adj.neighbors(8), Some(&[][..]));
-        assert_eq!(adj.distinct_degree(8), 0);
-        adj.patch_vertex(8, vec![0, 1]);
-        assert_eq!(adj.neighbors(8), Some(&[0, 1][..]));
-        // ensure_vertices never shrinks.
-        adj.ensure_vertices(2);
-        assert_eq!(adj.num_vertices(), 9);
-    }
-
-    #[test]
-    fn patches_crossing_the_cutover_update_hub_accounting() {
-        let hg = sample();
-        let mut adj = NeighborAdjacency::build(&hg, AdjacencyBudget::DegreeCutoff(2));
-        assert_eq!(adj.num_hubs(), 1); // vertex 2, distinct degree 3
-                                       // Promote vertex 0 past the cutover: hub count rises, list drops.
-        adj.patch_vertex(0, vec![1, 2, 3, 4]);
-        assert!(adj.is_hub(0));
-        assert_eq!(adj.num_hubs(), 2);
-        assert_eq!(adj.neighbors(0), None);
-        assert_eq!(adj.distinct_degree(0), 4);
-        // Demote vertex 2 below it: hub count falls back.
-        adj.patch_vertex(2, vec![0]);
-        assert!(!adj.is_hub(2));
-        assert_eq!(adj.num_hubs(), 1);
-        assert_eq!(adj.neighbors(2), Some(&[0][..]));
-        // Hub queries route through the traversal fallback and stay exact
-        // against the *current* hypergraph passed in.
-        let part = Partition::from_assignment(vec![0, 1, 1, 0, 0, 1, 0], 2).unwrap();
-        let mut fallback = None;
-        let mut counts = Vec::new();
-        adj.neighbor_partition_counts(&hg, &part, 0, &mut fallback, &mut counts);
-        assert!(fallback.is_some());
-        assert_eq!(counts.iter().sum::<u32>(), 2); // hg still has {1, 2}
     }
 }

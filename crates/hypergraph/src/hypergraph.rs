@@ -256,6 +256,100 @@ impl Hypergraph {
     }
 }
 
+impl Hypergraph {
+    /// Brings the CSR up to date with a mutable twin in place: the pin
+    /// lists of `edges` and the incidence lists and weights of `vertices`
+    /// (sorted, distinct ids) are replaced with the twin's, and ids past
+    /// the current counts are appended from the twin. Only lists that
+    /// moved are copied, each once; the twin's lists must be sorted.
+    pub(crate) fn splice(
+        &mut self,
+        edges: &[HyperedgeId],
+        vertices: &[VertexId],
+        pins: &[Vec<VertexId>],
+        incidence: &[Vec<HyperedgeId>],
+        vertex_weights: &[f64],
+        edge_weights: &[f64],
+    ) {
+        splice_csr(&mut self.edge_offsets, &mut self.edge_pins, edges, pins);
+        splice_csr(
+            &mut self.vertex_offsets,
+            &mut self.vertex_edges,
+            vertices,
+            incidence,
+        );
+        let n = self.vertex_weights.len();
+        for &v in vertices.iter().take_while(|&&v| (v as usize) < n) {
+            self.vertex_weights[v as usize] = vertex_weights[v as usize];
+        }
+        self.vertex_weights.extend_from_slice(&vertex_weights[n..]);
+        let m = self.edge_weights.len();
+        self.edge_weights.extend_from_slice(&edge_weights[m..]);
+        debug_assert!(self.validate().is_ok(), "spliced CSR is inconsistent");
+    }
+}
+
+/// Replaces, in the CSR pair `offsets`/`flat`, the lists of the sorted,
+/// distinct `ids` below the current count with `lists[id]`, and appends
+/// `lists[count..]`. Each run of untouched lists between two replaced
+/// ones moves once, by the length change of the replaced lists before
+/// it: left-moving runs front to back, then right-moving runs back to
+/// front, so no run overwrites one that has not moved yet.
+fn splice_csr<T: Copy + Default>(
+    offsets: &mut Vec<usize>,
+    flat: &mut Vec<T>,
+    ids: &[u32],
+    lists: &[Vec<T>],
+) {
+    let count = offsets.len() - 1;
+    let ids = &ids[..ids.partition_point(|&id| (id as usize) < count)];
+    // Untouched runs as (old start, old end, shift), and the length change
+    // of each replaced list.
+    let mut runs = Vec::with_capacity(ids.len() + 1);
+    let mut deltas = Vec::with_capacity(ids.len());
+    let (mut start, mut shift) = (0usize, 0isize);
+    for &id in ids {
+        let id = id as usize;
+        runs.push((start, offsets[id], shift));
+        let delta = lists[id].len() as isize - (offsets[id + 1] - offsets[id]) as isize;
+        deltas.push(delta);
+        shift += delta;
+        start = offsets[id + 1];
+    }
+    runs.push((start, flat.len(), shift));
+    let new_len = (flat.len() as isize + shift) as usize;
+    if new_len > flat.len() {
+        flat.resize(new_len, T::default());
+    }
+    let moved = |&&(lo, hi, s): &&(usize, usize, isize)| s != 0 && lo < hi;
+    for &(lo, hi, s) in runs.iter().filter(|r| r.2 < 0).filter(moved) {
+        flat.copy_within(lo..hi, (lo as isize + s) as usize);
+    }
+    for &(lo, hi, s) in runs.iter().rev().filter(|r| r.2 > 0).filter(moved) {
+        flat.copy_within(lo..hi, (lo as isize + s) as usize);
+    }
+    flat.truncate(new_len);
+    if let Some(&first) = ids.first() {
+        let (mut shift, mut next) = (0isize, 0usize);
+        for i in first as usize..count {
+            if ids.get(next) == Some(&(i as u32)) {
+                shift += deltas[next];
+                next += 1;
+            }
+            offsets[i + 1] = (offsets[i + 1] as isize + shift) as usize;
+        }
+    }
+    for &id in ids {
+        let lo = offsets[id as usize];
+        let list = &lists[id as usize];
+        flat[lo..lo + list.len()].copy_from_slice(list);
+    }
+    for list in &lists[count..] {
+        flat.extend_from_slice(list);
+        offsets.push(flat.len());
+    }
+}
+
 impl fmt::Debug for Hypergraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Hypergraph")

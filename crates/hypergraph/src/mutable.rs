@@ -113,6 +113,30 @@ impl MutableHypergraph {
         b.build()
     }
 
+    /// Brings `snapshot` — the CSR of this hypergraph at an earlier
+    /// state — up to date without rebuilding it: the current pin lists of
+    /// `edges` and incidence lists and weights of `vertices` are spliced
+    /// into its flat arrays, and the ids appended since are added.
+    /// `vertices` and `edges` must be sorted and distinct and name every
+    /// earlier id whose list or weight changed since; naming an unchanged
+    /// id is harmless. The result equals
+    /// [`MutableHypergraph::to_hypergraph`].
+    pub fn refresh_snapshot(
+        &self,
+        snapshot: &mut Hypergraph,
+        vertices: &[VertexId],
+        edges: &[HyperedgeId],
+    ) {
+        snapshot.splice(
+            edges,
+            vertices,
+            &self.pins,
+            &self.incidence,
+            &self.vertex_weights,
+            &self.edge_weights,
+        );
+    }
+
     /// Reassembles the mutable form from a CSR snapshot (as produced by
     /// [`MutableHypergraph::to_hypergraph`]) plus the liveness flags of
     /// the instance that wrote it — the persistence path of the dynamic
@@ -456,6 +480,28 @@ mod tests {
             live.edge_alive_flags()
         )
         .is_err());
+    }
+
+    #[test]
+    fn refreshed_snapshots_equal_a_rebuild() {
+        let mut m = sample();
+        let mut snapshot = m.to_hypergraph();
+        // Edge 0 shrinks, edge 1 grows, vertex 1 dies, two vertices and an
+        // edge are appended.
+        m.remove_vertex(1).unwrap();
+        m.add_pin(1, 0).unwrap();
+        let v = m.add_vertex(2.0);
+        let w = m.add_vertex(1.0);
+        m.add_hyperedge([v, 3, w], 0.5).unwrap();
+        m.refresh_snapshot(&mut snapshot, &[0, 1, 3, v, w], &[0, 1]);
+        assert_eq!(snapshot, m.to_hypergraph());
+
+        // Growth at the front and shrinkage at the back in one batch.
+        m.add_pin(0, 4).unwrap();
+        m.remove_hyperedge(2).unwrap();
+        m.refresh_snapshot(&mut snapshot, &[0, 3, 4, v, w], &[0, 2]);
+        assert_eq!(snapshot, m.to_hypergraph());
+        snapshot.validate().unwrap();
     }
 
     #[test]

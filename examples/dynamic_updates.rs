@@ -15,7 +15,9 @@
 //!    updated vertices and their distinct-neighbour ring,
 //! 3. look up placements and read the `UpdateReport`, which extends the
 //!    usual quality metrics with what the batch cost in migrated vertices
-//!    and cost-matrix-weighted bytes.
+//!    and cost-matrix-weighted bytes. The session keeps those metrics
+//!    resident and patches them per batch, so reading them costs no
+//!    re-evaluation of the whole graph.
 //!
 //! The same session type backs the long-lived daemon: `hyperpraw serve`
 //! answers these operations as newline-delimited JSON over TCP or stdio.
@@ -64,14 +66,9 @@ fn main() {
 
     println!("applied {} updates:", batch.len());
     println!(
-        "  dirty set restreamed : {} vertices ({} new), adjacency {}",
+        "  dirty set restreamed : {} vertices ({} new)",
         update.dirty_vertices,
         update.new_vertices.len(),
-        if update.rebuilt_adjacency {
-            "rebuilt"
-        } else {
-            "patched in place"
-        },
     );
     println!(
         "  migration            : {} vertices moved ({:.2}% of the graph), {:.1} cost-weighted bytes",

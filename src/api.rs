@@ -684,7 +684,6 @@ impl PartitionJob {
         let p = self.resolved_partitions()?;
         let cfg = DynamicConfig {
             config: self.hyperpraw,
-            ..DynamicConfig::default()
         };
         let mut partitioner =
             DynamicPartitioner::new(hg, initial.partition.clone(), self.driver_cost(p), cfg)
@@ -869,9 +868,9 @@ impl PartitionJob {
 /// [`PartitionJob::run_dynamic`] and the `hyperpraw serve` daemon.
 ///
 /// The session owns a [`DynamicPartitioner`] (mutable hypergraph,
-/// neighbour adjacency, assignment and load counters) plus the job that
-/// spawned it, so every [`update`](DynamicSession::update) re-evaluates
-/// quality under the same cost matrix and reports through the same
+/// assignment, load counters and resident quality state) plus the job
+/// that spawned it, so every [`update`](DynamicSession::update) reports
+/// quality under the same cost matrix and through the same
 /// [`UpdateReport`] JSON machinery as a one-shot run.
 #[derive(Clone, Debug)]
 pub struct DynamicSession {
@@ -1003,11 +1002,7 @@ impl DynamicSession {
         if let Some(cost) = cost {
             job = job.cost(cost);
         }
-        let quality = QualityReport::compute(
-            partitioner.hypergraph(),
-            partitioner.partition(),
-            &job.eval_cost(p),
-        );
+        let quality = partitioner.quality(&job.eval_cost(p));
         let initial = PartitionReport {
             algorithm,
             partition: partitioner.partition().clone(),
@@ -1073,7 +1068,6 @@ impl DynamicSession {
             report,
             new_vertices: outcome.new_vertices,
             dirty_vertices: outcome.dirty_vertices,
-            rebuilt_adjacency: outcome.rebuilt_adjacency,
             migration: MigrationReport {
                 vertices_moved: outcome.migration.vertices_moved,
                 moved_fraction: outcome.migration.moved_fraction,
@@ -1082,8 +1076,9 @@ impl DynamicSession {
         })
     }
 
-    /// A fresh [`PartitionReport`] for the session's current state,
-    /// quality re-evaluated in memory (the serve daemon's `report` op).
+    /// A fresh [`PartitionReport`] for the session's current state (the
+    /// serve daemon's `report` op). Quality is read from the partitioner's
+    /// resident state — bit-identical to a re-evaluation, without one.
     pub fn report(&self) -> PartitionReport {
         self.report_with(PartitionHistory::default(), None, 0, None, 0.0)
     }
@@ -1098,11 +1093,7 @@ impl DynamicSession {
     ) -> PartitionReport {
         let p = self.partitioner.partition().num_parts();
         let evaluating = Instant::now();
-        let quality = QualityReport::compute(
-            self.partitioner.hypergraph(),
-            self.partitioner.partition(),
-            &self.job.eval_cost(p),
-        );
+        let quality = self.partitioner.quality(&self.job.eval_cost(p));
         PartitionReport {
             algorithm: self.job.algorithm,
             partition: self.partitioner.partition().clone(),

@@ -432,33 +432,29 @@ impl From<hyperpraw_dynamic::RecoveryStats> for RecoveryReport {
 /// what migrating to the new assignment costs.
 #[derive(Clone, Debug)]
 pub struct UpdateReport {
-    /// The post-update partition report (quality re-evaluated in memory).
+    /// The post-update partition report (quality read from the session's
+    /// resident state).
     pub report: PartitionReport,
     /// Ids assigned to `add_vertex` updates, in batch order.
     pub new_vertices: Vec<u32>,
     /// Size of the restreamed dirty set (touched vertices plus their
     /// distinct-neighbour ring).
     pub dirty_vertices: usize,
-    /// Whether the batch crossed the staleness threshold and rebuilt the
-    /// adjacency instead of patching it.
-    pub rebuilt_adjacency: bool,
     /// Migration cost of this batch.
     pub migration: MigrationReport,
 }
 
 impl UpdateReport {
     /// Serialises the update report as a JSON object with the underlying
-    /// [`PartitionReport`] embedded under `"report"`.
+    /// [`PartitionReport`] embedded under `"report"`. The `update` object
+    /// still carries `"rebuilt_adjacency": false` only so existing readers
+    /// of the layout keep working: the dynamic layer keeps no adjacency.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1536);
         out.push_str("{\n");
         out.push_str("  \"update\": {\n");
         subfield(&mut out, "dirty_vertices", self.dirty_vertices.to_string());
-        subfield(
-            &mut out,
-            "rebuilt_adjacency",
-            self.rebuilt_adjacency.to_string(),
-        );
+        subfield(&mut out, "rebuilt_adjacency", "false".to_string());
         let ids: Vec<String> = self.new_vertices.iter().map(|v| v.to_string()).collect();
         last_subfield(&mut out, "new_vertices", format!("[{}]", ids.join(",")));
         out.push_str("  },\n");
@@ -501,13 +497,6 @@ impl UpdateReport {
             out.push_str(&format!("{k:<17}: {v}\n"));
         };
         line("dirty vertices", self.dirty_vertices.to_string());
-        line("adjacency", {
-            if self.rebuilt_adjacency {
-                "rebuilt".to_string()
-            } else {
-                "patched".to_string()
-            }
-        });
         if !self.new_vertices.is_empty() {
             line("new vertices", format!("{:?}", self.new_vertices));
         }
@@ -736,7 +725,6 @@ pub(crate) mod tests {
             report: sample_report(),
             new_vertices: vec![6, 7],
             dirty_vertices: 11,
-            rebuilt_adjacency: false,
             migration: MigrationReport {
                 vertices_moved: 3,
                 moved_fraction: 0.5,
