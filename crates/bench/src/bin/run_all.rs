@@ -19,6 +19,7 @@
 use std::process::Command;
 use std::time::Instant;
 
+use hyperpraw::json::JsonValue;
 use hyperpraw_bench::ExperimentConfig;
 
 fn main() {
@@ -77,14 +78,10 @@ fn main() {
     if timings.is_empty() {
         println!("\nno prebuilt binaries were timed; BENCH_run_all.json left untouched");
     } else {
-        let mut json = String::from("{\n");
-        for (i, (bin, secs)) in timings.iter().enumerate() {
-            if i > 0 {
-                json.push_str(",\n");
-            }
-            json.push_str(&format!("  \"{bin}\": {secs:.3}"));
-        }
-        json.push_str("\n}\n");
+        // Millisecond resolution: finer digits are noise run to run.
+        let millis = |secs: f64| ((secs * 1e3).round() / 1e3).into();
+        let json = JsonValue::object(timings.iter().map(|&(bin, secs)| (bin, millis(secs))));
+        let json = format!("{json}\n");
         let path = out_dir.join("BENCH_run_all.json");
         match std::fs::create_dir_all(&out_dir).and_then(|()| std::fs::write(&path, json)) {
             Ok(()) => println!("\nper-experiment timings written to {}", path.display()),

@@ -19,6 +19,7 @@ use hyperpraw::hypergraph::io::stream::{
 };
 use hyperpraw::hypergraph::io::{edgelist, hmetis, matrix_market, IoError};
 use hyperpraw::hypergraph::{Hypergraph, HypergraphStats, Partition};
+use hyperpraw::json::JsonValue;
 use hyperpraw::lowmem::{quality, MemoryBudget};
 use hyperpraw::netsim::{BenchmarkConfig, LinkModel, RingProfiler, SyntheticBenchmark};
 use hyperpraw::report::PartitionReport;
@@ -160,13 +161,13 @@ fn emit_report(
     output: Option<&Path>,
 ) -> Result<(), CommandError> {
     if json {
-        print!("{}", report.to_json());
+        println!("{}", report.to_json());
     } else {
         println!("{header}");
         print!("{}", report.text_summary());
     }
     if let Some(path) = json_out {
-        fs::write(path, report.to_json())?;
+        fs::write(path, report.to_json() + "\n")?;
         if !json {
             println!("json report      : {}", path.display());
         }
@@ -188,7 +189,7 @@ fn write_metrics(
     json: bool,
 ) -> Result<(), CommandError> {
     if let Some(path) = path {
-        fs::write(path, metrics.render_json())?;
+        fs::write(path, format!("{}\n", JsonValue::from(&metrics.snapshot())))?;
         if !json {
             println!("metrics          : {}", path.display());
         }

@@ -84,11 +84,12 @@
 //! SIGTERM/SIGINT both stop the daemon after flushing the journal and
 //! writing a final snapshot.
 //!
-//! Responses embed the facade's [`hyperpraw::report::PartitionReport`] /
-//! `UpdateReport` JSON,
-//! compacted onto the line (the report writer escapes every newline inside
-//! strings, so stripping layout whitespace is loss-free). Errors never
-//! kill the session: every failure answers a structured
+//! Every response is one [`JsonValue`] written on one line by the facade's
+//! JSON writer; `report` and `update` embed the
+//! [`hyperpraw::report::PartitionReport`] / `UpdateReport` values.
+//! Integers travel as JSON numbers, exact below 2^53: a larger `"seed"`
+//! or id is refused, not rounded. Errors never kill the session: every
+//! failure answers a structured
 //! `{"ok": false, "error": {"message": "...", "offset": N}}` object —
 //! `offset` is the parser's byte offset into the request line when the
 //! line itself was malformed (invalid JSON, or not UTF-8 at all), and is
@@ -108,7 +109,6 @@ use hyperpraw::api::{Algorithm, DynamicSession, PartitionJob};
 use hyperpraw::dynamic::{GraphUpdate, StateDir};
 use hyperpraw::hypergraph::{run_on_workers, HypergraphBuilder};
 use hyperpraw::json::{self, JsonValue};
-use hyperpraw::report::RecoveryReport;
 use hyperpraw::telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::args::MachinePreset;
@@ -341,8 +341,7 @@ fn open_state(opts: &ServeOptions, metrics: ServeMetrics) -> Result<ServeState, 
     state.store = Some(store);
     if let Some(rec) = recovered {
         rec.stats.record_into(&state.metrics.registry);
-        let report = RecoveryReport::from(rec.stats.clone());
-        let mut session = DynamicSession::resume(&rec.meta, rec.partitioner, Some(report))
+        let mut session = DynamicSession::resume(&rec.meta, rec.partitioner, Some(rec.stats))
             .map_err(|e| {
                 CommandError::Io(format!(
                     "cannot resume the session persisted in {}: {e}",
@@ -764,10 +763,15 @@ fn respond_bytes(
 /// `{"ok": false, ...}` responses).
 fn respond(line: &str, state: &mut ServeState, opts: &ServeOptions) -> (String, bool) {
     match handle(line, state, opts) {
-        Ok(Reply::Payload(body)) => (format!("{{\"ok\": true, {body}}}"), false),
-        Ok(Reply::Shutdown) => ("{\"ok\": true, \"bye\": true}".to_string(), true),
+        Ok(Reply::Payload(fields)) => (reply(true, fields), false),
+        Ok(Reply::Shutdown) => (reply(true, vec![("bye", true.into())]), true),
         Err(error) => (error_response(&error), false),
     }
+}
+
+/// One response line: `{"ok": ok}` followed by `fields`.
+fn reply(ok: bool, fields: Vec<(&str, JsonValue)>) -> String {
+    JsonValue::object(std::iter::once(("ok", ok.into())).chain(fields)).to_string()
 }
 
 /// A request failure: what went wrong, plus — for malformed lines — the
@@ -796,19 +800,15 @@ impl From<&str> for ServeError {
 /// object; `offset` appears only when the request line itself failed to
 /// parse.
 fn error_response(error: &ServeError) -> String {
-    let mut out = format!(
-        "{{\"ok\": false, \"error\": {{\"message\": {}",
-        escape(&error.message)
-    );
-    if let Some(offset) = error.offset {
-        out.push_str(&format!(", \"offset\": {offset}"));
-    }
-    out.push_str("}}");
-    out
+    let message = ("message", error.message.as_str().into());
+    let offset = error.offset.map(|offset| ("offset", offset.into()));
+    let error = JsonValue::object(std::iter::once(message).chain(offset));
+    reply(false, vec![("error", error)])
 }
 
 enum Reply {
-    Payload(String),
+    /// The fields that follow `"ok": true`.
+    Payload(Vec<(&'static str, JsonValue)>),
     Shutdown,
 }
 
@@ -865,7 +865,7 @@ fn handle_op(
                     "initial snapshot",
                 );
             }
-            Ok(Reply::Payload(format!("\"report\": {report}")))
+            Ok(Reply::Payload(vec![("report", report)]))
         }
         "update" => {
             let updates = parse_updates(request)?;
@@ -911,10 +911,7 @@ fn handle_op(
                     );
                 }
             }
-            Ok(Reply::Payload(format!(
-                "\"update\": {}",
-                compact(&update.to_json())
-            )))
+            Ok(Reply::Payload(vec![("update", update.to_value())]))
         }
         "lookup" => {
             let session = state
@@ -931,53 +928,42 @@ fn handle_op(
             }
             // In-range but tombstoned ids answer null: the id existed,
             // its vertex is gone.
-            let part = match session.lookup(vertex) {
-                Some(p) => p.to_string(),
-                None => "null".to_string(),
-            };
-            Ok(Reply::Payload(format!(
-                "\"vertex\": {vertex}, \"part\": {part}"
-            )))
+            Ok(Reply::Payload(vec![
+                ("vertex", vertex.into()),
+                ("part", session.lookup(vertex).into()),
+            ]))
         }
         "report" => {
             let session = state
                 .session
                 .as_ref()
                 .ok_or("no session: send 'partition' first")?;
-            let mut body = format!("\"report\": {}", compact(&session.report().to_json()));
+            let mut fields = vec![("report", session.report().to_value(false))];
             if let Some(recovery) = session.recovery() {
-                body.push_str(&format!(", \"recovery\": {}", recovery.to_json()));
+                fields.push(("recovery", recovery.into()));
             }
             if let Some(err) = &state.persist_error {
-                body.push_str(&format!(", \"persistence_error\": {}", escape(err)));
+                fields.push(("persistence_error", err.as_str().into()));
             }
-            body.push_str(&format!(
-                ", \"uptime_secs\": {:.3}",
-                state.metrics.started.elapsed().as_secs_f64()
-            ));
+            let uptime = state.metrics.started.elapsed().as_secs_f64();
+            fields.push(("uptime_secs", uptime.into()));
             // Requests answered so far, per op. The `report` being built
             // has not been counted yet — totals are through the previous
             // request.
-            body.push_str(", \"requests\": {");
-            for (i, (name, requests, _)) in state.metrics.ops.iter().enumerate() {
-                if i > 0 {
-                    body.push_str(", ");
-                }
-                body.push_str(&format!("\"{name}\": {}", requests.get()));
-            }
-            body.push('}');
+            let requests = state.metrics.ops.iter();
+            fields.push((
+                "requests",
+                JsonValue::object(requests.map(|(name, count, _)| (*name, count.get().into()))),
+            ));
             if let Some(store) = &state.store {
-                body.push_str(&format!(
-                    ", \"batches_since_snapshot\": {}",
-                    store.batches_since_snapshot()
-                ));
+                fields.push(("batches_since_snapshot", store.batches_since_snapshot().into()));
             }
-            Ok(Reply::Payload(body))
+            Ok(Reply::Payload(fields))
         }
-        "metrics" => Ok(Reply::Payload(format!(
-            "\"metrics\": {}",
-            state.metrics.registry.render_json()
-        ))),
+        "metrics" => Ok(Reply::Payload(vec![(
+            "metrics",
+            JsonValue::from(&state.metrics.registry.snapshot()),
+        )])),
         "shutdown" => Ok(Reply::Shutdown),
         other => Err(format!(
             "unknown op '{other}' (expected partition | update | lookup | report | metrics | shutdown)"
@@ -987,12 +973,12 @@ fn handle_op(
 }
 
 /// Builds the hypergraph named by a `partition` request and starts (or
-/// replaces) the resident session; returns the compacted initial report.
+/// replaces) the resident session; returns the initial report.
 fn start_session(
     request: &JsonValue,
     state: &mut ServeState,
     opts: &ServeOptions,
-) -> Result<String, String> {
+) -> Result<JsonValue, String> {
     let parts = field_u64(request, "parts")?;
     let parts = u32::try_from(parts).map_err(|_| "'parts' out of range")?;
     let hg = match (request.get("edges"), request.get("path")) {
@@ -1039,7 +1025,7 @@ fn start_session(
         job = job.imbalance_tolerance(tol);
     }
     let session = job.run_dynamic(&hg).map_err(|e| e.to_string())?;
-    let report = compact(&session.initial_report().to_json());
+    let report = session.initial_report().to_value(false);
     state.session = Some(session);
     Ok(report)
 }
@@ -1288,40 +1274,6 @@ impl<R: BufRead> LineReader<R> {
             }
         }
     }
-}
-
-/// Compacts the pretty-printed report JSON onto one line. The report
-/// writer escapes newlines inside strings, so every raw newline in its
-/// output is layout — dropping the indentation after it cannot corrupt a
-/// value.
-fn compact(pretty: &str) -> String {
-    let mut out = String::with_capacity(pretty.len());
-    for (i, line) in pretty.lines().enumerate() {
-        if i > 0 {
-            out.push(' ');
-        }
-        out.push_str(line.trim_start());
-    }
-    out
-}
-
-/// Escapes a message into a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -1603,8 +1555,7 @@ mod tests {
         drop(state);
         let (_, recovered) = StateDir::open(&dir).unwrap();
         let rec = recovered.expect("state must recover");
-        let report = RecoveryReport::from(rec.stats.clone());
-        let resumed = DynamicSession::resume(&rec.meta, rec.partitioner, Some(report)).unwrap();
+        let resumed = DynamicSession::resume(&rec.meta, rec.partitioner, Some(rec.stats)).unwrap();
         for v in 0..6u32 {
             assert_eq!(resumed.lookup(v), live[v as usize], "vertex {v}");
         }
@@ -1685,12 +1636,32 @@ mod tests {
         server.join().unwrap().unwrap();
     }
 
+    /// The error objects keep the values recorded from the string-splicing
+    /// writer this daemon used before replies became [`JsonValue`]s.
     #[test]
-    fn compacted_reports_stay_valid_json() {
-        let pretty = "{\n  \"a\": \"line\\nbreak\",\n  \"b\": [\n    1,\n    2\n  ]\n}";
-        let compacted = compact(pretty);
-        assert!(!compacted.contains('\n'));
-        let v = json::parse(&compacted).unwrap();
-        assert_eq!(v.get("a").and_then(JsonValue::as_str), Some("line\nbreak"));
+    fn error_replies_keep_their_recorded_values() {
+        let (lines, _) = drive(concat!(
+            "not json\n",
+            "{\"op\": \"lookup\", \"vertex\": 0}\n",
+            "{\"op\": \"odd \\\"op\\\"\\nwith\\\\escapes\\u0001\"}\n",
+            "{\"op\": \"partition\", \"parts\": 2, \"edges\": [[0,1],[1,2]], \"seed\": -1}\n",
+        ));
+        let parse = |l: &str| json::parse(l).unwrap();
+        let recorded = include_str!("../tests/fixtures/serve_errors.ndjson");
+        let recorded: Vec<JsonValue> = recorded.lines().map(parse).collect();
+        assert_eq!(lines.iter().map(|l| parse(l)).collect::<Vec<_>>(), recorded);
+    }
+
+    /// A seed of 2^53 or more has no exact JSON number: it is refused, not
+    /// silently aliased to a neighbouring seed.
+    #[test]
+    fn seeds_of_two_to_the_53_or_more_are_refused() {
+        let (lines, _) = drive(
+            "{\"op\": \"partition\", \"parts\": 2, \"edges\": [[0,1]], \"seed\": 18446744073709551616}\n",
+        );
+        assert!(
+            lines[0].contains("'seed' must be a non-negative"),
+            "{lines:?}"
+        );
     }
 }

@@ -719,7 +719,7 @@ pub fn scan_journal<S: ByteSource>(source: &S) -> Result<JournalScan, JournalErr
 // ---------------------------------------------------------------------------
 
 /// What [`StateDir::open`] found and did when prior state existed.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Size of the snapshot file that was loaded.
     pub snapshot_bytes: u64,

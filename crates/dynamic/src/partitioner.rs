@@ -25,7 +25,7 @@ pub struct DynamicConfig {
 /// What one update batch physically moved, in the paper's
 /// architecture-aware terms: migrating a vertex between parts costs its
 /// weight times the cost-matrix entry of the link it crosses.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct MigrationStats {
     /// Pre-existing vertices whose assignment changed.
     pub vertices_moved: usize,

@@ -1,13 +1,14 @@
-//! Text exposition of a [`RegistrySnapshot`]: Prometheus format and JSON.
+//! Prometheus text exposition of a [`RegistrySnapshot`].
 //!
-//! Both writers are hand-rolled (this crate has no dependencies) and emit
+//! The writer is hand-rolled (this crate has no dependencies) and emits
 //! metrics in name order, so output is stable across runs.
 
-use crate::{HistogramSnapshot, RegistrySnapshot};
+use crate::RegistrySnapshot;
 
-/// Quantiles reported for every histogram, everywhere:
+/// Quantiles reported for every histogram, everywhere — by this exporter
+/// and by the facade's JSON document:
 /// `(quantile, Prometheus label, JSON key)`.
-pub(crate) const QUANTILES: [(f64, &str, &str); 3] = [
+pub const QUANTILES: [(f64, &str, &str); 3] = [
     (0.5, "0.5", "p50"),
     (0.95, "0.95", "p95"),
     (0.99, "0.99", "p99"),
@@ -51,70 +52,6 @@ pub(crate) fn prometheus(snap: &RegistrySnapshot) -> String {
     out
 }
 
-fn json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn json_hist(out: &mut String, hist: &HistogramSnapshot) {
-    out.push_str(&format!(
-        "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {:.3}",
-        hist.count,
-        hist.sum,
-        hist.min,
-        hist.max,
-        hist.mean()
-    ));
-    for (q, _, key) in QUANTILES {
-        out.push_str(&format!(", \"{key}\": {}", hist.quantile(q)));
-    }
-    out.push('}');
-}
-
-/// Render the snapshot as
-/// `{"counters": {...}, "gauges": {...}, "histograms": {...}}` where each
-/// histogram carries `count`/`sum`/`min`/`max`/`mean` and `p50`/`p95`/`p99`.
-pub(crate) fn json(snap: &RegistrySnapshot) -> String {
-    let mut out = String::from("{\"counters\": {");
-    for (i, (name, value)) in snap.counters.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        json_str(&mut out, name);
-        out.push_str(&format!(": {value}"));
-    }
-    out.push_str("}, \"gauges\": {");
-    for (i, (name, value)) in snap.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        json_str(&mut out, name);
-        out.push_str(&format!(": {value}"));
-    }
-    out.push_str("}, \"histograms\": {");
-    for (i, (name, hist)) in snap.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        json_str(&mut out, name);
-        out.push_str(": ");
-        json_hist(&mut out, hist);
-    }
-    out.push_str("}}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use crate::Registry;
@@ -141,30 +78,6 @@ mod tests {
             let name = metric.split([' ', '{']).next().unwrap();
             assert!(!name.contains('.'), "unsanitised metric name: {line}");
         }
-    }
-
-    #[test]
-    fn json_output_parses_shapewise() {
-        let reg = Registry::new();
-        reg.counter("a.b").inc();
-        reg.gauge("g").set(-3);
-        reg.histogram("h_us").record(1234);
-        let text = reg.render_json();
-        assert!(text.starts_with('{') && text.ends_with('}'));
-        assert!(text.contains("\"a.b\": 1"));
-        assert!(text.contains("\"g\": -3"));
-        assert!(text.contains("\"p50\": "));
-        assert!(text.contains("\"p95\": "));
-        assert!(text.contains("\"p99\": "));
-        assert!(text.contains("\"count\": 1"));
-    }
-
-    #[test]
-    fn empty_registry_renders_empty_documents() {
-        assert_eq!(
-            Registry::disabled().render_json(),
-            "{\"counters\": {}, \"gauges\": {}, \"histograms\": {}}"
-        );
         assert_eq!(Registry::disabled().render_prometheus(), "");
     }
 }

@@ -25,10 +25,11 @@
 //! # Exposition
 //!
 //! [`Registry::render_prometheus`] emits the Prometheus text format
-//! (counters, gauges, and histograms as summaries with `quantile` labels);
-//! [`Registry::render_json`] emits a stable JSON document. Structured
-//! consumers (the facade's `PartitionReport`, the serve daemon's `metrics`
-//! request) walk a [`RegistrySnapshot`] instead and apply their own writers.
+//! (counters, gauges, and histograms as summaries with `quantile` labels).
+//! The JSON document (the facade's `PartitionReport` telemetry section,
+//! the serve daemon's `metrics` request, `--metrics-out`) is built by the
+//! facade from a [`RegistrySnapshot`] with its one JSON writer. Both read
+//! the histogram quantiles from [`QUANTILES`].
 //!
 //! # Naming convention
 //!
@@ -39,6 +40,7 @@
 mod export;
 mod histogram;
 
+pub use export::QUANTILES;
 pub use histogram::{bucket_index, Histogram, HistogramSnapshot, NUM_BUCKETS};
 
 use std::collections::BTreeMap;
@@ -289,13 +291,6 @@ impl Registry {
         map.get(name).map(|cell| cell.load(Ordering::Relaxed))
     }
 
-    /// Current value of a registered gauge, if any.
-    pub fn gauge_value(&self, name: &str) -> Option<i64> {
-        let inner = self.inner.as_ref()?;
-        let map = inner.gauges.lock().expect("telemetry gauge map poisoned");
-        map.get(name).map(|cell| cell.load(Ordering::Relaxed))
-    }
-
     /// Snapshot of a registered histogram, if any.
     pub fn histogram_snapshot(&self, name: &str) -> Option<HistogramSnapshot> {
         let inner = self.inner.as_ref()?;
@@ -347,12 +342,6 @@ impl Registry {
     /// Render every metric in the Prometheus text exposition format.
     pub fn render_prometheus(&self) -> String {
         export::prometheus(&self.snapshot())
-    }
-
-    /// Render every metric as a JSON document:
-    /// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`.
-    pub fn render_json(&self) -> String {
-        export::json(&self.snapshot())
     }
 }
 

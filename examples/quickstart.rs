@@ -94,16 +94,13 @@ fn main() {
         );
     }
 
-    // Machine-readable results fall out of the same report.
+    // Machine-readable results fall out of the same report: one JSON line.
     let aware = reports.last().expect("three strategies ran");
+    let json = aware.to_value(false);
     println!(
-        "\nJSON report of the aware run (first lines):\n{}\n  ...",
-        aware
-            .to_json()
-            .lines()
-            .take(7)
-            .collect::<Vec<_>>()
-            .join("\n")
+        "\nJSON report of the aware run: algorithm {}, metrics {}",
+        json.get("algorithm").expect("algorithm key"),
+        json.get("metrics").expect("metrics section")
     );
 
     println!(

@@ -47,8 +47,8 @@ use hyperpraw_multilevel::{MultilevelConfig, MultilevelPartitioner};
 use hyperpraw_storage::{decode_u64, encode_u64};
 
 use crate::report::{
-    EffectiveConfig, LowMemStats, MigrationReport, PartitionReport, PhaseTimings, QualityStatus,
-    RecoveryReport, UpdateReport,
+    EffectiveConfig, LowMemStats, PartitionReport, PhaseTimings, QualityStatus, RecoveryReport,
+    UpdateReport,
 };
 
 /// Every partitioning algorithm dispatchable through a [`PartitionJob`].
@@ -1068,11 +1068,7 @@ impl DynamicSession {
             report,
             new_vertices: outcome.new_vertices,
             dirty_vertices: outcome.dirty_vertices,
-            migration: MigrationReport {
-                vertices_moved: outcome.migration.vertices_moved,
-                moved_fraction: outcome.migration.moved_fraction,
-                bytes_moved: outcome.migration.bytes_moved,
-            },
+            migration: outcome.migration,
         })
     }
 

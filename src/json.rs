@@ -1,19 +1,26 @@
-//! A minimal JSON parser for the serve protocol.
+//! The workspace's one JSON reader and writer, with no dependencies.
 //!
-//! The workspace writes JSON by hand ([`crate::report`]) and deliberately
-//! carries no serialisation dependency; the `hyperpraw serve` daemon needs
-//! the other direction — parsing newline-delimited request objects — so
-//! this module provides a small recursive-descent parser into a
-//! [`JsonValue`] tree. It accepts standard JSON (RFC 8259): all escape
-//! sequences including `\uXXXX` surrogate pairs, scientific-notation
-//! numbers, and arbitrary whitespace. Objects preserve key order and keep
-//! duplicate keys (lookups return the first). Nesting depth is capped at
-//! [`MAX_DEPTH`] so a hostile request cannot overflow the stack.
+//! Every exported document (reports, the telemetry registry, serve
+//! replies) is built as a [`JsonValue`] and written on one line by its
+//! [`Display`](fmt::Display) impl: `", "` between object members, `": "`
+//! after keys, a bare `","` between array elements. Strings escape `"`,
+//! `\` and control characters; non-finite numbers are written as `null`.
+//!
+//! [`parse`] reads RFC 8259 JSON (all escapes including `\uXXXX`
+//! surrogate pairs, scientific notation, any whitespace) for the serve
+//! protocol. Objects keep key order and duplicates (lookups return the
+//! first); nesting is capped at [`MAX_DEPTH`] so a hostile request cannot
+//! overflow the stack. Numbers are `f64`, so integers are exact only
+//! below 2^53: [`JsonValue::as_u64`] refuses larger ones rather than
+//! round them.
 
 use std::fmt;
 
 /// Maximum nesting depth accepted by [`parse`].
 pub const MAX_DEPTH: usize = 128;
+
+/// 2^53 - 1: the largest integer whose `f64` no other integer rounds to.
+const MAX_EXACT_INTEGER: f64 = 9_007_199_254_740_991.0;
 
 /// A parsed JSON document.
 #[derive(Clone, Debug, PartialEq)]
@@ -57,11 +64,13 @@ impl JsonValue {
         }
     }
 
-    /// The numeric payload as a `u64`, when this is a non-negative number
-    /// with no fractional part.
+    /// The numeric payload as a `u64`, when this is a non-negative integer
+    /// below 2^53. From there on an `f64` no longer holds every integer
+    /// (2^53 + 1 parses as 2^53), so the number read may not be the one
+    /// written.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            JsonValue::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT_INTEGER => {
                 Some(*n as u64)
             }
             _ => None,
@@ -82,6 +91,105 @@ impl JsonValue {
             JsonValue::Array(items) => Some(items),
             _ => None,
         }
+    }
+
+    /// An object from `(key, value)` pairs, in order.
+    pub fn object<K: Into<String>>(fields: impl IntoIterator<Item = (K, JsonValue)>) -> Self {
+        JsonValue::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+}
+
+impl fmt::Display for JsonValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JsonValue::Null => f.write_str("null"),
+            JsonValue::Bool(b) => write!(f, "{b}"),
+            JsonValue::Number(n) if n.is_finite() => write!(f, "{n}"),
+            JsonValue::Number(_) => f.write_str("null"),
+            JsonValue::String(s) => write_string(f, s),
+            JsonValue::Array(items) => {
+                f.write_str("[")?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    write!(f, "{item}")?;
+                }
+                f.write_str("]")
+            }
+            JsonValue::Object(fields) => {
+                f.write_str("{")?;
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(", ")?;
+                    }
+                    write_string(f, key)?;
+                    write!(f, ": {value}")?;
+                }
+                f.write_str("}")
+            }
+        }
+    }
+}
+
+/// Writes `s` as a JSON string literal; runs of plain characters are
+/// copied whole. Every escaped character is ASCII, so byte offsets are
+/// character boundaries.
+fn write_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_str("\"")?;
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        f.write_str(&s[plain..i])?;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            _ => write!(f, "\\u{b:04x}")?,
+        }
+        plain = i + 1;
+    }
+    f.write_str(&s[plain..])?;
+    f.write_str("\"")
+}
+
+impl From<bool> for JsonValue {
+    fn from(b: bool) -> Self {
+        JsonValue::Bool(b)
+    }
+}
+
+macro_rules! number_into_json {
+    ($($t:ty),*) => {$(
+        impl From<$t> for JsonValue {
+            fn from(n: $t) -> Self {
+                JsonValue::Number(n as f64)
+            }
+        }
+    )*};
+}
+number_into_json!(f64, u32, u64, usize, i64);
+
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> Self {
+        JsonValue::String(s.to_string())
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(JsonValue::Null, Into::into)
+    }
+}
+
+impl<T: Into<JsonValue>> From<Vec<T>> for JsonValue {
+    fn from(items: Vec<T>) -> Self {
+        JsonValue::Array(items.into_iter().map(Into::into).collect())
     }
 }
 
@@ -411,6 +519,29 @@ mod tests {
             Some("round-robin")
         );
         assert!(v.get("metrics").is_some());
+    }
+
+    #[test]
+    fn as_u64_refuses_integers_an_f64_cannot_hold_exactly() {
+        let read = |text: &str| parse(text).unwrap().as_u64();
+        assert_eq!(read("9007199254740991"), Some((1 << 53) - 1));
+        // 2^53 + 1 parses as 2^53; 2^64 used to read as u64::MAX.
+        for refused in [
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551616",
+            "-1",
+        ] {
+            assert_eq!(read(refused), None, "{refused}");
+        }
+    }
+
+    #[test]
+    fn string_escaping_is_json_safe() {
+        let written = JsonValue::from("a\"b\\c\n\u{1}é").to_string();
+        assert_eq!(written, "\"a\\\"b\\\\c\\n\\u0001é\"");
+        let doc = JsonValue::object([("k", vec![1u32, 2].into()), ("s", "".into())]);
+        assert_eq!(doc.to_string(), "{\"k\": [1,2], \"s\": \"\"}");
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! | [`lowmem`] | `hyperpraw-lowmem` | memory-bounded one-pass streaming partitioner over on-disk vertex streams, with Bloom/MinHash connectivity sketches |
 //! | [`dynamic`] | `hyperpraw-dynamic` | incremental repartitioning: batched graph updates, dirty-set restreaming, migration accounting |
 //! | [`storage`] | `hyperpraw-storage` | block-compressed out-of-core CSR (`.hpz`): delta-varint pin blocks, pluggable `ByteSource`s, prefetching chunk reader |
-//! | [`telemetry`] | `hyperpraw-telemetry` | zero-dependency metrics: atomic counters/gauges, mergeable log-scaled histograms, span timers, registry with Prometheus/JSON exposition |
-//! | [`json`] | (this crate) | dependency-free JSON parser for the `hyperpraw serve` newline-delimited protocol |
+//! | [`telemetry`] | `hyperpraw-telemetry` | zero-dependency metrics: atomic counters/gauges, mergeable log-scaled histograms, span timers, registry with Prometheus exposition (its JSON document is built by [`report`]) |
+//! | [`json`] | (this crate) | the one dependency-free JSON value type: parser for the `hyperpraw serve` protocol and writer of every exported document |
 //!
 //! ## End-to-end flow
 //!

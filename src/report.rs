@@ -4,14 +4,17 @@
 //! to — produces one [`PartitionReport`]: the assignment, the per-stream
 //! history, the quality metrics, the per-phase wall-clock timings and the
 //! resolved effective configuration. The report serialises itself to JSON
-//! with a hand-rolled writer (no external dependencies), so bench sweeps
-//! and the CLI `--json` flag can emit machine-readable results.
+//! through [`crate::json`], so bench sweeps and the CLI `--json` flag can
+//! emit machine-readable results; so does the telemetry registry.
 
 use hyperpraw_core::{PartitionHistory, StopReason};
 use hyperpraw_hypergraph::Partition;
 use hyperpraw_lowmem::StreamedQuality;
 
+use hyperpraw_telemetry::{HistogramSnapshot, RegistrySnapshot, QUANTILES};
+
 use crate::api::Algorithm;
+use crate::json::JsonValue;
 
 /// Where a report's quality metrics stand. Stream runs cannot afford an
 /// in-memory evaluation, so their cut metrics start out deferred rather
@@ -171,172 +174,90 @@ impl PartitionReport {
     /// assignment (use [`PartitionReport::to_json_with_assignment`] when
     /// the consumer needs it inline).
     pub fn to_json(&self) -> String {
-        self.render_json(false)
+        self.to_value(false).to_string()
     }
 
     /// Serialises the report as a JSON object including the `assignment`
     /// array (one partition id per vertex).
     pub fn to_json_with_assignment(&self) -> String {
-        self.render_json(true)
+        self.to_value(true).to_string()
     }
 
-    fn render_json(&self, with_assignment: bool) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n");
-        field(&mut out, "algorithm", json_str(self.algorithm.name()));
-        field(
-            &mut out,
-            "partitions",
-            self.partition.num_parts().to_string(),
-        );
-        field(
-            &mut out,
-            "num_vertices",
-            self.partition.num_vertices().to_string(),
-        );
-        field(&mut out, "iterations", self.iterations.to_string());
-        field(
-            &mut out,
-            "stop_reason",
-            match self.stop_reason {
-                Some(r) => json_str(r.name()),
-                None => "null".into(),
-            },
-        );
-        field(&mut out, "final_alpha", json_opt_f64(self.final_alpha));
-
-        out.push_str("  \"metrics\": {\n");
-        subfield(&mut out, "quality", json_str(self.quality.name()));
-        subfield(&mut out, "imbalance", json_f64(self.imbalance));
-        subfield(&mut out, "comm_cost", json_opt_f64(self.comm_cost));
-        subfield(&mut out, "hyperedge_cut", json_opt_u64(self.hyperedge_cut));
-        last_subfield(&mut out, "soed", json_opt_u64(self.soed));
-        out.push_str("  },\n");
-
+    /// The report as a JSON value, for embedding in a larger document.
+    pub fn to_value(&self, with_assignment: bool) -> JsonValue {
+        let metrics = JsonValue::object([
+            ("quality", self.quality.name().into()),
+            ("imbalance", self.imbalance.into()),
+            ("comm_cost", self.comm_cost.into()),
+            ("hyperedge_cut", self.hyperedge_cut.into()),
+            ("soed", self.soed.into()),
+        ]);
         // The telemetry section subsumes the per-phase timings and, when
         // the job ran with a live registry, embeds its metric snapshot
         // (counters, gauges, histogram percentiles).
-        out.push_str("  \"telemetry\": {\n");
-        subfield(
-            &mut out,
-            "partition_secs",
-            json_f64(self.timings.partition_secs),
-        );
-        subfield(
-            &mut out,
-            "evaluate_secs",
-            json_f64(self.timings.evaluate_secs),
-        );
-        last_subfield(
-            &mut out,
-            "metrics",
-            if self.telemetry.is_enabled() {
-                self.telemetry.render_json()
-            } else {
-                "null".into()
-            },
-        );
-        out.push_str("  },\n");
-
+        let registry = self
+            .telemetry
+            .is_enabled()
+            .then(|| self.telemetry.snapshot());
+        let telemetry = JsonValue::object([
+            ("partition_secs", self.timings.partition_secs.into()),
+            ("evaluate_secs", self.timings.evaluate_secs.into()),
+            ("metrics", registry.as_ref().map(JsonValue::from).into()),
+        ]);
         let c = &self.config;
-        out.push_str("  \"config\": {\n");
-        subfield(&mut out, "partitions", c.partitions.to_string());
-        subfield(&mut out, "seed", c.seed.to_string());
-        subfield(
-            &mut out,
-            "architecture_aware",
-            c.architecture_aware.to_string(),
-        );
-        subfield(
-            &mut out,
-            "imbalance_tolerance",
-            json_opt_f64(c.imbalance_tolerance),
-        );
-        subfield(&mut out, "max_iterations", json_opt_usize(c.max_iterations));
-        subfield(
-            &mut out,
-            "tempering_factor",
-            json_opt_f64(c.tempering_factor),
-        );
-        subfield(
-            &mut out,
-            "refinement_factor",
-            json_opt_f64(c.refinement_factor),
-        );
-        subfield(&mut out, "initial_alpha", json_opt_f64(c.initial_alpha));
-        subfield(&mut out, "stream_order", json_opt_str(c.stream_order));
-        subfield(&mut out, "threads", c.threads.to_string());
-        subfield(&mut out, "parallel_mode", json_opt_str(c.parallel_mode));
-        subfield(&mut out, "sync_interval", json_opt_usize(c.sync_interval));
-        subfield(&mut out, "index", json_opt_str(c.index));
-        subfield(&mut out, "budget_bytes", json_opt_usize(c.budget_bytes));
-        last_subfield(
-            &mut out,
-            "rebuild_sketches",
-            match c.rebuild_sketches {
-                Some(b) => b.to_string(),
-                None => "null".into(),
-            },
-        );
-        out.push_str("  },\n");
-
-        match &self.lowmem {
-            None => field(&mut out, "lowmem", "null".into()),
-            Some(s) => {
-                out.push_str("  \"lowmem\": {\n");
-                subfield(&mut out, "alpha", json_f64(s.alpha));
-                subfield(&mut out, "passes", s.passes.to_string());
-                subfield(&mut out, "restreamed", s.restreamed.to_string());
-                subfield(
-                    &mut out,
-                    "moved_in_restream",
-                    s.moved_in_restream.to_string(),
-                );
-                last_subfield(
-                    &mut out,
-                    "index_memory_bytes",
-                    s.index_memory_bytes.to_string(),
-                );
-                out.push_str("  },\n");
-            }
-        }
-
-        out.push_str("  \"history\": [");
-        for (i, r) in self.history.records().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!(
-                "\"iteration\": {}, \"phase\": {}, \"alpha\": {}, \"imbalance\": {}, \
-                 \"comm_cost\": {}, \"moved_vertices\": {}",
-                r.iteration,
-                json_str(r.phase.name()),
-                json_f64(r.alpha),
-                json_f64(r.imbalance),
-                json_f64(r.comm_cost),
-                r.moved_vertices
-            ));
-            out.push('}');
-        }
-        if self.history.is_empty() {
-            out.push(']');
-        } else {
-            out.push_str("\n  ]");
-        }
-
+        let config = JsonValue::object([
+            ("partitions", c.partitions.into()),
+            ("seed", c.seed.into()),
+            ("architecture_aware", c.architecture_aware.into()),
+            ("imbalance_tolerance", c.imbalance_tolerance.into()),
+            ("max_iterations", c.max_iterations.into()),
+            ("tempering_factor", c.tempering_factor.into()),
+            ("refinement_factor", c.refinement_factor.into()),
+            ("initial_alpha", c.initial_alpha.into()),
+            ("stream_order", c.stream_order.into()),
+            ("threads", c.threads.into()),
+            ("parallel_mode", c.parallel_mode.into()),
+            ("sync_interval", c.sync_interval.into()),
+            ("index", c.index.into()),
+            ("budget_bytes", c.budget_bytes.into()),
+            ("rebuild_sketches", c.rebuild_sketches.into()),
+        ]);
+        let lowmem = self.lowmem.map(|s| {
+            JsonValue::object([
+                ("alpha", s.alpha.into()),
+                ("passes", s.passes.into()),
+                ("restreamed", s.restreamed.into()),
+                ("moved_in_restream", s.moved_in_restream.into()),
+                ("index_memory_bytes", s.index_memory_bytes.into()),
+            ])
+        });
+        let history = self.history.records().iter().map(|r| {
+            JsonValue::object([
+                ("iteration", r.iteration.into()),
+                ("phase", r.phase.name().into()),
+                ("alpha", r.alpha.into()),
+                ("imbalance", r.imbalance.into()),
+                ("comm_cost", r.comm_cost.into()),
+                ("moved_vertices", r.moved_vertices.into()),
+            ])
+        });
+        let mut fields = vec![
+            ("algorithm", self.algorithm.name().into()),
+            ("partitions", self.partition.num_parts().into()),
+            ("num_vertices", self.partition.num_vertices().into()),
+            ("iterations", self.iterations.into()),
+            ("stop_reason", self.stop_reason.map(|r| r.name()).into()),
+            ("final_alpha", self.final_alpha.into()),
+            ("metrics", metrics),
+            ("telemetry", telemetry),
+            ("config", config),
+            ("lowmem", lowmem.into()),
+            ("history", JsonValue::Array(history.collect())),
+        ];
         if with_assignment {
-            out.push_str(",\n  \"assignment\": [");
-            for (i, &p) in self.partition.assignment().iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&p.to_string());
-            }
-            out.push(']');
+            fields.push(("assignment", self.partition.assignment().to_vec().into()));
         }
-        out.push_str("\n}\n");
-        out
+        JsonValue::object(fields)
     }
 
     /// A human-readable multi-line summary (the CLI's text output).
@@ -380,50 +301,21 @@ impl PartitionReport {
 /// Migration cost of one dynamic update batch, in the paper's
 /// architecture-aware terms (moving a vertex costs its weight times the
 /// cost-matrix entry of the link it crosses).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct MigrationReport {
-    /// Pre-existing vertices whose assignment changed.
-    pub vertices_moved: usize,
-    /// `vertices_moved` over the live vertex count.
-    pub moved_fraction: f64,
-    /// Σ weight(v) · cost(old part, new part) over the moved vertices.
-    pub bytes_moved: f64,
-}
+pub use hyperpraw_dynamic::MigrationStats as MigrationReport;
 
 /// What recovery from a serve state directory found and did — surfaced
 /// by the daemon's `report` op so operators can see that (and how) a
-/// session survived a restart. Mirrors
-/// [`hyperpraw_dynamic::RecoveryStats`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Size of the snapshot file the session was loaded from.
-    pub snapshot_bytes: u64,
-    /// Journal batches replayed on top of the snapshot.
-    pub batches_replayed: usize,
-    /// Journal bytes dropped because they were torn or corrupt.
-    pub truncated_bytes: u64,
-    /// Whether a torn/corrupt journal tail was detected (and dropped).
-    pub torn_tail: bool,
-}
+/// session survived a restart.
+pub use hyperpraw_dynamic::RecoveryStats as RecoveryReport;
 
-impl RecoveryReport {
-    /// Serialises the recovery stats as a compact JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"snapshot_bytes\": {}, \"batches_replayed\": {}, \"truncated_bytes\": {}, \"torn_tail\": {}}}",
-            self.snapshot_bytes, self.batches_replayed, self.truncated_bytes, self.torn_tail
-        )
-    }
-}
-
-impl From<hyperpraw_dynamic::RecoveryStats> for RecoveryReport {
-    fn from(s: hyperpraw_dynamic::RecoveryStats) -> Self {
-        Self {
-            snapshot_bytes: s.snapshot_bytes,
-            batches_replayed: s.batches_replayed,
-            truncated_bytes: s.truncated_bytes,
-            torn_tail: s.torn_tail,
-        }
+impl From<&RecoveryReport> for JsonValue {
+    fn from(r: &RecoveryReport) -> Self {
+        JsonValue::object([
+            ("snapshot_bytes", r.snapshot_bytes.into()),
+            ("batches_replayed", r.batches_replayed.into()),
+            ("truncated_bytes", r.truncated_bytes.into()),
+            ("torn_tail", r.torn_tail.into()),
+        ])
     }
 }
 
@@ -445,49 +337,31 @@ pub struct UpdateReport {
 }
 
 impl UpdateReport {
-    /// Serialises the update report as a JSON object with the underlying
-    /// [`PartitionReport`] embedded under `"report"`. The `update` object
-    /// still carries `"rebuilt_adjacency": false` only so existing readers
-    /// of the layout keep working: the dynamic layer keeps no adjacency.
+    /// Serialises the update report as a one-line JSON object with the
+    /// underlying [`PartitionReport`] embedded under `"report"`.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1536);
-        out.push_str("{\n");
-        out.push_str("  \"update\": {\n");
-        subfield(&mut out, "dirty_vertices", self.dirty_vertices.to_string());
-        subfield(&mut out, "rebuilt_adjacency", "false".to_string());
-        let ids: Vec<String> = self.new_vertices.iter().map(|v| v.to_string()).collect();
-        last_subfield(&mut out, "new_vertices", format!("[{}]", ids.join(",")));
-        out.push_str("  },\n");
-        out.push_str("  \"migration\": {\n");
-        subfield(
-            &mut out,
-            "vertices_moved",
-            self.migration.vertices_moved.to_string(),
-        );
-        subfield(
-            &mut out,
-            "moved_fraction",
-            json_f64(self.migration.moved_fraction),
-        );
-        last_subfield(
-            &mut out,
-            "bytes_moved",
-            json_f64(self.migration.bytes_moved),
-        );
-        out.push_str("  },\n");
-        // Embed the report, re-indented two spaces. Safe to do per line:
-        // the writer escapes newlines inside strings, so every literal
-        // '\n' in the JSON is structural.
-        out.push_str("  \"report\": ");
-        for (i, line) in self.report.to_json().trim_end().lines().enumerate() {
-            if i > 0 {
-                out.push_str("  ");
-            }
-            out.push_str(line);
-            out.push('\n');
-        }
-        out.push_str("}\n");
-        out
+        self.to_value().to_string()
+    }
+
+    /// The update report as a JSON value. The `update` object still
+    /// carries `"rebuilt_adjacency": false` only so existing readers of the
+    /// layout keep working: the dynamic layer keeps no adjacency.
+    pub fn to_value(&self) -> JsonValue {
+        let update = JsonValue::object([
+            ("dirty_vertices", self.dirty_vertices.into()),
+            ("rebuilt_adjacency", false.into()),
+            ("new_vertices", self.new_vertices.clone().into()),
+        ]);
+        let migration = JsonValue::object([
+            ("vertices_moved", self.migration.vertices_moved.into()),
+            ("moved_fraction", self.migration.moved_fraction.into()),
+            ("bytes_moved", self.migration.bytes_moved.into()),
+        ]);
+        JsonValue::object([
+            ("update", update),
+            ("migration", migration),
+            ("report", self.report.to_value(false)),
+        ])
     }
 
     /// A human-readable multi-line summary.
@@ -514,60 +388,34 @@ impl UpdateReport {
     }
 }
 
-fn field(out: &mut String, key: &str, value: String) {
-    out.push_str(&format!("  \"{key}\": {value},\n"));
-}
-
-fn subfield(out: &mut String, key: &str, value: String) {
-    out.push_str(&format!("    \"{key}\": {value},\n"));
-}
-
-fn last_subfield(out: &mut String, key: &str, value: String) {
-    out.push_str(&format!("    \"{key}\": {value}\n"));
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// The registry document: `{"counters": {...}, "gauges": {...},
+/// "histograms": {...}}`, each histogram with `count`/`sum`/`min`/`max`/
+/// `mean` and one key per [`QUANTILES`] entry. Metrics are in name order.
+impl From<&RegistrySnapshot> for JsonValue {
+    fn from(snap: &RegistrySnapshot) -> Self {
+        let histogram = |h: &HistogramSnapshot| {
+            let mut fields = vec![
+                ("count", h.count.into()),
+                ("sum", h.sum.into()),
+                ("min", h.min.into()),
+                ("max", h.max.into()),
+                ("mean", h.mean().into()),
+            ];
+            fields.extend(QUANTILES.map(|(q, _, key)| (key, h.quantile(q).into())));
+            JsonValue::object(fields)
+        };
+        let counters = snap.counters.iter().map(|(k, v)| (k.as_str(), (*v).into()));
+        let gauges = snap.gauges.iter().map(|(k, v)| (k.as_str(), (*v).into()));
+        let histograms = snap
+            .histograms
+            .iter()
+            .map(|(k, h)| (k.as_str(), histogram(h)));
+        JsonValue::object([
+            ("counters", JsonValue::object(counters)),
+            ("gauges", JsonValue::object(gauges)),
+            ("histograms", JsonValue::object(histograms)),
+        ])
     }
-    out.push('"');
-    out
-}
-
-/// JSON number (finite) or `null` — JSON has no NaN/Infinity literals.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
-}
-
-fn json_opt_f64(v: Option<f64>) -> String {
-    v.map(json_f64).unwrap_or_else(|| "null".into())
-}
-
-fn json_opt_u64(v: Option<u64>) -> String {
-    v.map(|x| x.to_string()).unwrap_or_else(|| "null".into())
-}
-
-fn json_opt_usize(v: Option<usize>) -> String {
-    v.map(|x| x.to_string()).unwrap_or_else(|| "null".into())
-}
-
-fn json_opt_str(v: Option<&'static str>) -> String {
-    v.map(json_str).unwrap_or_else(|| "null".into())
 }
 
 #[cfg(test)]
@@ -660,21 +508,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn non_finite_numbers_serialise_as_null() {
-        let mut report = sample_report();
-        report.imbalance = f64::NAN;
-        report.comm_cost = Some(f64::INFINITY);
-        let json = report.to_json();
-        assert!(json.contains("\"imbalance\": null"));
-        assert!(json.contains("\"comm_cost\": null"));
-    }
-
-    #[test]
-    fn string_escaping_is_json_safe() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-    }
-
-    #[test]
     fn streamed_quality_fills_the_cut_metrics() {
         let mut report = sample_report();
         report.hyperedge_cut = None;
@@ -753,5 +586,102 @@ pub(crate) mod tests {
         let text = update.text_summary();
         assert!(text.contains("dirty vertices"));
         assert!(text.contains("algorithm"));
+    }
+
+    /// `v` with every `mean` rounded to three decimals, as the telemetry
+    /// crate's own JSON exporter wrote it.
+    fn rounded_means(v: JsonValue) -> JsonValue {
+        match v {
+            JsonValue::Object(fields) => JsonValue::object(fields.into_iter().map(|(k, v)| {
+                let v = match (k.as_str(), v) {
+                    ("mean", JsonValue::Number(n)) => JsonValue::Number((n * 1e3).round() / 1e3),
+                    (_, v) => rounded_means(v),
+                };
+                (k, v)
+            })),
+            JsonValue::Array(items) => {
+                JsonValue::Array(items.into_iter().map(rounded_means).collect())
+            }
+            v => v,
+        }
+    }
+
+    /// The fixtures were written by the pretty-printing writers that
+    /// `JsonValue` replaced, for `sample_report` grown a history (one NaN
+    /// comm cost), lowmem stats, an escaped string and a live registry. The
+    /// layout changed (one line); the values must not, except that a
+    /// histogram `mean` is no longer rounded to three decimals.
+    #[test]
+    fn documents_keep_the_values_of_the_recorded_fixtures() {
+        let registry = hyperpraw_telemetry::Registry::new();
+        registry.counter("engine.vertices_scored").add(42);
+        registry.counter("odd \"name\"\twith\\escapes").inc();
+        registry.gauge("serve.connections.active").set(-3);
+        let histogram = registry.histogram("serve.request.update_us");
+        [1, 2, 2].into_iter().for_each(|v| histogram.record(v));
+        let mut report = sample_report();
+        for (iteration, comm_cost) in [(1, 310.5), (2, f64::NAN), (3, 123.75)] {
+            report.history.push(hyperpraw_core::IterationRecord {
+                iteration,
+                phase: hyperpraw_core::StreamPhase::Tempering,
+                alpha: 0.25 * iteration as f64,
+                imbalance: 1.0 + 0.5 / iteration as f64,
+                comm_cost,
+                moved_vertices: 10 - iteration,
+            });
+        }
+        report.stop_reason = Some(StopReason::CommCostConverged);
+        report.final_alpha = Some(0.75);
+        report.config.stream_order = Some("odd \"order\"\n");
+        report.config.budget_bytes = Some(1 << 20);
+        report.lowmem = Some(LowMemStats {
+            alpha: 1.5e-7,
+            passes: 4,
+            restreamed: 12,
+            moved_in_restream: 5,
+            index_memory_bytes: 4096,
+        });
+        report.telemetry = registry.clone();
+        let update = UpdateReport {
+            report: report.clone(),
+            new_vertices: vec![6, 7],
+            dirty_vertices: 11,
+            migration: MigrationReport {
+                vertices_moved: 3,
+                moved_fraction: 3.0 / 7.0,
+                bytes_moved: 4.25,
+            },
+        };
+        let recovery = RecoveryReport {
+            snapshot_bytes: 8192,
+            batches_replayed: 5,
+            truncated_bytes: 7,
+            torn_tail: true,
+        };
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/json_identity");
+        for (name, text) in [
+            ("partition_report", report.to_json()),
+            ("with_assignment", report.to_json_with_assignment()),
+            ("update_report", update.to_json()),
+            ("recovery_report", JsonValue::from(&recovery).to_string()),
+            (
+                "registry",
+                JsonValue::from(&registry.snapshot()).to_string(),
+            ),
+        ] {
+            assert!(!text.contains('\n'), "{name} is one line: {text}");
+            let recorded = std::fs::read_to_string(format!("{dir}/{name}.json")).unwrap();
+            let old = crate::json::parse(&recorded).unwrap();
+            let new = crate::json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(rounded_means(old), rounded_means(new), "{name}");
+        }
+    }
+
+    #[test]
+    fn an_empty_registry_writes_empty_sections() {
+        assert_eq!(
+            JsonValue::from(&hyperpraw_telemetry::Registry::disabled().snapshot()).to_string(),
+            "{\"counters\": {}, \"gauges\": {}, \"histograms\": {}}"
+        );
     }
 }

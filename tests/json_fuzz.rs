@@ -2,10 +2,13 @@
 //! connection, the parser must either produce a value or return a
 //! [`hyperpraw::json::JsonError`] whose byte offset points inside the
 //! input — it must never panic, and the offset in the structured error
-//! response must always be meaningful to the client.
+//! response must always be meaningful to the client. And whatever value
+//! the workspace writes, the parser must read back the same value.
 
-use hyperpraw::json::{self, JsonValue};
+use hyperpraw::json::{self, JsonValue, MAX_DEPTH};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Characters weighted towards JSON structure so random strings reach
 /// deep into the parser (nesting, escapes, numbers, literals) instead of
@@ -27,8 +30,64 @@ fn check(input: &str) -> Result<(), String> {
     }
 }
 
+/// An arbitrary tree of at most `depth` container levels. Numbers are
+/// integers of magnitude up to 2^53 or any finite `f64` bit pattern
+/// (subnormals and extremes included).
+fn arbitrary_value(rng: &mut StdRng, depth: usize) -> JsonValue {
+    match rng.gen_range(0..if depth == 0 { 4 } else { 6 }) {
+        0 => JsonValue::Null,
+        1 => JsonValue::Bool(rng.gen_bool(0.5)),
+        2 if rng.gen_bool(0.5) => JsonValue::Number(rng.gen_range(-(1i64 << 53)..=1 << 53) as f64),
+        2 => JsonValue::Number(
+            Some(f64::from_bits(rng.next_u64()))
+                .filter(|n| n.is_finite())
+                .unwrap_or(0.0),
+        ),
+        3 => JsonValue::String(arbitrary_string(rng)),
+        4 => JsonValue::Array(
+            (0..rng.gen_range(0..5))
+                .map(|_| arbitrary_value(rng, depth - 1))
+                .collect(),
+        ),
+        _ => JsonValue::Object(
+            (0..rng.gen_range(0..5))
+                .map(|_| (arbitrary_string(rng), arbitrary_value(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+/// Quotes, backslashes, every control character, non-ASCII and astral
+/// characters, mixed with plain ASCII.
+fn arbitrary_string(rng: &mut StdRng) -> String {
+    const SPECIAL: [char; 8] = ['"', '\\', '/', '\u{7f}', 'é', '€', '\u{2028}', '\u{FFFF}'];
+    (0..rng.gen_range(0..12))
+        .map(|_| match rng.gen_range(0..4) {
+            0 => SPECIAL[rng.gen_range(0..SPECIAL.len())],
+            1 => char::from(rng.gen_range(0u8..0x20)),
+            2 => char::from_u32(rng.gen_range(0x10000u32..0x110000)).expect("astral scalar"),
+            _ => char::from(rng.gen_range(0x20u8..0x7f)),
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Whatever the writer emits, the parser reads back as the same value,
+    /// on one line, even when the tree is wrapped to just below
+    /// `MAX_DEPTH`.
+    #[test]
+    fn written_values_parse_back_unchanged(seed in 0u64..u64::MAX, wraps in 0usize..MAX_DEPTH / 2 - 2) {
+        let mut value = arbitrary_value(&mut StdRng::seed_from_u64(seed), 4);
+        for _ in 0..wraps {
+            value = JsonValue::object([("k", JsonValue::Array(vec![value]))]);
+        }
+        let text = value.to_string();
+        prop_assert!(!text.contains('\n'), "one line: {text}");
+        let parsed = json::parse(&text).map_err(|e| format!("{e}: {text}"))?;
+        prop_assert_eq!(parsed, value);
+    }
 
     /// Arbitrary bytes (lossily decoded — the serve loop rejects invalid
     /// UTF-8 before the parser ever sees it) never panic the parser.
@@ -78,6 +137,17 @@ proptest! {
         if full.is_char_boundary(cut) {
             check(&full[..cut])?;
         }
+    }
+}
+
+/// JSON has no NaN or infinity: non-finite numbers are written as `null`,
+/// wherever they sit.
+#[test]
+fn non_finite_numbers_write_as_null() {
+    for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert_eq!(JsonValue::from(n).to_string(), "null");
+        let doc = JsonValue::object([("n", JsonValue::from(Some(n))), ("a", vec![n].into())]);
+        assert_eq!(doc.to_string(), "{\"n\": null, \"a\": [null]}");
     }
 }
 
