@@ -1,14 +1,28 @@
-//! Hand-rolled command-line argument parsing for the `hyperpraw` tool.
+//! Table-driven command-line parsing for the `hyperpraw` tool.
 //!
-//! Algorithm and parallel-mode selection parse straight into the facade's
-//! [`Algorithm`] and [`ParallelMode`] types — the CLI owns no partitioner
-//! enums of its own.
+//! The [`Command`] enum is declared once, through the `subcommands!`
+//! macro, in the clap-derive idiom: each flag is one field whose doc
+//! comment is its help line, whose type decides how it parses (`bool` is a
+//! switch, `Option<T>` may be left out, any other type is required unless
+//! the row gives a default), and whose row names its long flag and short
+//! alias. The macro turns those rows into the enum, one flag table per
+//! subcommand and the code that builds each variant. One loop parses any
+//! subcommand from its table, and [`usage`] is generated from the same
+//! tables, so the two cannot drift apart. Choice values parse straight
+//! into the facade's [`Algorithm`] and [`ParallelMode`] and the CLI's
+//! [`MachinePreset`] and [`StreamFormat`], through one path that prints
+//! each type's own name list when it refuses a value. `serve` parses
+//! straight into [`ServeOptions`], whose `Default` holds the daemon's
+//! defaults.
 
 use std::fmt;
 use std::path::PathBuf;
 
 use hyperpraw::api::Algorithm;
 use hyperpraw::core::ParallelMode;
+use hyperpraw::json::MAX_EXACT_INTEGER;
+
+use crate::serve::ServeOptions;
 
 /// Machine model preset selectable from the command line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,19 +38,12 @@ pub enum MachinePreset {
 }
 
 impl MachinePreset {
-    pub(crate) fn parse(s: &str) -> Result<Self, ParseError> {
-        match s {
-            "archer" => Ok(Self::Archer),
-            "cluster" => Ok(Self::Cluster),
-            "cloud" => Ok(Self::Cloud),
-            "flat" => Ok(Self::Flat),
-            other => Err(ParseError::InvalidValue {
-                option: "--machine".into(),
-                value: other.into(),
-                expected: "archer | cluster | cloud | flat".into(),
-            }),
-        }
-    }
+    const NAMES: [(&'static str, Self); 4] = [
+        ("archer", Self::Archer),
+        ("cluster", Self::Cluster),
+        ("cloud", Self::Cloud),
+        ("flat", Self::Flat),
+    ];
 }
 
 /// How the `lowmem` subcommand reads its input stream.
@@ -53,16 +60,478 @@ pub enum StreamFormat {
 }
 
 impl StreamFormat {
-    pub(crate) fn parse(s: &str) -> Result<Self, ParseError> {
-        match s {
-            "auto" => Ok(Self::Auto),
-            "transpose" => Ok(Self::Transpose),
-            "compressed" => Ok(Self::Compressed),
-            other => Err(ParseError::InvalidValue {
-                option: "--format".into(),
-                value: other.into(),
-                expected: "auto | transpose | compressed".into(),
-            }),
+    const NAMES: [(&'static str, Self); 3] = [
+        ("auto", Self::Auto),
+        ("transpose", Self::Transpose),
+        ("compressed", Self::Compressed),
+    ];
+}
+
+/// A type a flag's value parses into.
+pub(crate) trait FlagValue: Sized {
+    /// The value's placeholder in the usage text; empty for a switch,
+    /// which takes no value.
+    const METAVAR: &'static str = "N";
+    /// `true` for a name from a fixed list. A refused name is reported
+    /// under the flag's long name, a refused number under the spelling
+    /// the command line used.
+    const CHOICE: bool = false;
+    /// Parses a given value, or (`None`) stands in for an absent flag that
+    /// has no default; `None` back refuses the value, or makes the absent
+    /// flag a missing one.
+    fn parse_value(text: Option<&str>) -> Option<Self>;
+    /// What the refused `value` should have been, for `InvalidValue`.
+    fn expected(_value: &str) -> String {
+        "a number".into()
+    }
+}
+
+macro_rules! parsed_values {
+    ($($t:ty: $metavar:literal),*) => {$(
+        impl FlagValue for $t {
+            const METAVAR: &'static str = $metavar;
+            fn parse_value(text: Option<&str>) -> Option<Self> {
+                text?.parse().ok()
+            }
+        }
+    )*};
+}
+
+parsed_values!(u32: "N", u64: "N", usize: "N", f64: "N", PathBuf: "PATH", String: "ADDR");
+
+impl FlagValue for bool {
+    const METAVAR: &'static str = "";
+    fn parse_value(text: Option<&str>) -> Option<Self> {
+        Some(text.is_some())
+    }
+}
+
+impl<T: FlagValue> FlagValue for Option<T> {
+    const METAVAR: &'static str = T::METAVAR;
+    const CHOICE: bool = T::CHOICE;
+    fn parse_value(text: Option<&str>) -> Option<Self> {
+        match text {
+            None => Some(None),
+            text => T::parse_value(text).map(Some),
+        }
+    }
+    fn expected(value: &str) -> String {
+        T::expected(value)
+    }
+}
+
+/// A `--seed`: reports carry it as a JSON number, so it must be an integer
+/// an `f64` holds exactly.
+struct Seed(u64);
+
+impl FlagValue for Seed {
+    fn parse_value(text: Option<&str>) -> Option<Self> {
+        text?
+            .parse()
+            .ok()
+            .filter(|&n| n <= MAX_EXACT_INTEGER)
+            .map(Seed)
+    }
+    fn expected(value: &str) -> String {
+        let bound = if value.parse::<u64>().is_ok() {
+            " below 2^53"
+        } else {
+            ""
+        };
+        format!("a number{bound}")
+    }
+}
+
+impl From<Seed> for u64 {
+    fn from(seed: Seed) -> u64 {
+        seed.0
+    }
+}
+
+/// The one parse path of the choice types: a name parser, and the list of
+/// accepted names that a refusal prints.
+macro_rules! choice_values {
+    ($($t:ty: $parse:expr, $names:expr;)*) => {$(
+        impl FlagValue for $t {
+            const METAVAR: &'static str = "NAME";
+            const CHOICE: bool = true;
+            fn parse_value(text: Option<&str>) -> Option<Self> {
+                ($parse)(text?)
+            }
+            fn expected(_value: &str) -> String {
+                $names
+            }
+        }
+    )*};
+}
+
+choice_values! {
+    MachinePreset: |s| lookup(&MachinePreset::NAMES, s), names(&MachinePreset::NAMES);
+    StreamFormat: |s| lookup(&StreamFormat::NAMES, s), names(&StreamFormat::NAMES);
+    Algorithm: |s| Algorithm::parse(s).ok(), Algorithm::expected_names().into();
+    ParallelMode: ParallelMode::parse, names(&[ParallelMode::Bsp, ParallelMode::WorkStealing]
+        .map(|mode| (mode.name(), mode)));
+}
+
+fn lookup<T: Copy>(names: &[(&str, T)], name: &str) -> Option<T> {
+    names
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, value)| value)
+}
+
+fn names<T>(names: &[(&str, T)]) -> String {
+    names
+        .iter()
+        .map(|(name, _)| *name)
+        .collect::<Vec<_>>()
+        .join(" | ")
+}
+
+/// One flag of a subcommand, as its row declares it.
+struct Flag {
+    long: &'static str,
+    /// The short alias, when there is one.
+    short: &'static [&'static str],
+    /// The text parsed when the flag is absent, when there is one.
+    default: &'static [&'static str],
+    help: &'static str,
+    /// The value type's [`FlagValue`] items.
+    metavar: &'static str,
+    choice: bool,
+    expected: fn(&str) -> String,
+    parses: fn(Option<&str>) -> bool,
+}
+
+impl Flag {
+    /// The flag's line in the usage text.
+    fn usage_line(&self) -> String {
+        let short = self
+            .short
+            .first()
+            .map_or("    ".into(), |s| format!("{s}, "));
+        let mut help = self.help.trim().trim_end_matches('.').to_string();
+        if self.choice {
+            help += &format!(": {}", (self.expected)(""));
+        }
+        match self.default.first() {
+            Some(default) => help += &format!(" (default {default})"),
+            None if !(self.parses)(None) => help += " (required)",
+            None => {}
+        }
+        let synopsis = format!("{short}{} {}", self.long, self.metavar);
+        format!("      {synopsis:<30} {help}\n")
+    }
+}
+
+/// A subcommand: its positional arguments, its flag table, and how the
+/// parsed values become a [`Command`].
+struct Subcommand {
+    name: &'static str,
+    positionals: &'static [&'static str],
+    flags: &'static [Flag],
+    build: fn(&Matches<'_>) -> Result<Command, ParseError>,
+}
+
+/// Declares [`Command`] and `SUBCOMMANDS`: per subcommand its doc, name,
+/// positional paths and flag rows (see the module doc), the subcommands
+/// separated by commas, then `serve`, whose rows override fields of
+/// [`ServeOptions::default`] when given.
+macro_rules! subcommands {
+    // A row's value type: its `as` override, else its field's type.
+    (@value_type $t:ty $(, $field:ty)?) => { $t };
+    (@flag $t:ty, $long:literal, $short:expr, $default:expr, $help:expr) => {
+        Flag {
+            long: $long,
+            short: $short,
+            default: $default,
+            help: $help,
+            metavar: <$t>::METAVAR,
+            choice: <$t>::CHOICE,
+            expected: <$t>::expected,
+            parses: |text| <$t>::parse_value(text).is_some(),
+        }
+    };
+    (
+        $(
+            $(#[doc = $doc:literal])+
+            $variant:ident $name:literal ($($(#[doc = $pdoc:literal])+ $pos:ident)*) {$(
+                $(#[doc = $fdoc:literal])+
+                $field:ident: $ty:ty $(as $vty:ty)?
+                    = $long:literal $($short:literal)? $(, default $default:literal)?;
+            )*}
+        ),+
+        $(#[doc = $sdoc:literal])+
+        Serve($options:ty) $sname:literal {$(
+            $(#[doc = $shelp:literal])+
+            $sfield:ident: $sty:ty = $slong:literal;
+        )*}
+    ) => {
+        /// Subcommands of the tool.
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum Command {
+            $(
+                $(#[doc = $doc])+
+                $variant {
+                    $($(#[doc = $pdoc])+ $pos: PathBuf,)*
+                    $($(#[doc = $fdoc])+ $field: $ty,)*
+                },
+            )*
+            $(#[doc = $sdoc])+
+            Serve($options),
+        }
+
+        static SUBCOMMANDS: &[Subcommand] = &[
+            $(Subcommand {
+                name: $name,
+                positionals: &[$(stringify!($pos)),*],
+                flags: &[$(subcommands!(@flag subcommands!(@value_type $($vty,)? $ty),
+                    $long, &[$($short)?], &[$($default)?], concat!($($fdoc),+))),*],
+                build: |m| Ok(Command::$variant {
+                    $($pos: m.positional(stringify!($pos)),)*
+                    $($field: m.take::<subcommands!(@value_type $($vty,)? $ty)>($long)?.into(),)*
+                }),
+            },)*
+            Subcommand {
+                name: $sname,
+                positionals: &[],
+                flags: &[$(subcommands!(@flag Option<$sty>, $slong, &[], &[], concat!($($shelp),+))),*],
+                build: |m| {
+                    let mut options = <$options>::default();
+                    $(if let Some(value) = m.take::<Option<$sty>>($slong)? {
+                        options.$sfield = value.into();
+                    })*
+                    Ok(Command::Serve(options))
+                },
+            },
+        ];
+    };
+}
+
+subcommands! {
+    /// Print the statistics of a hypergraph file (Table 1 style).
+    Stats "stats" (
+        /// Input file (`.hgr`, `.mtx` or edge list).
+        input
+    ) {},
+
+    /// Partition a hypergraph file.
+    Partition "partition" (
+        /// Input file (`.hgr`, `.mtx` or edge list).
+        input
+    ) {
+        /// Number of partitions, one per compute unit.
+        parts: u32 = "--parts" "-p";
+        /// Partitioning algorithm (any facade algorithm).
+        algorithm: Algorithm = "--algorithm" "-a", default "aware";
+        /// Machine preset of the cost matrix (aware) and the benchmark link model.
+        machine: MachinePreset = "--machine" "-m", default "archer";
+        /// Imbalance tolerance.
+        imbalance: f64 = "--imbalance", default "1.1";
+        /// Worker threads of a parallel or lowmem algorithm (0 = auto; the
+        /// driver's default when absent).
+        threads: Option<usize> = "--threads" "-t";
+        /// Worker scheduling of the parallel algorithms.
+        parallel_mode: ParallelMode = "--parallel-mode", default "bsp";
+        /// RNG seed.
+        seed: u64 as Seed = "--seed", default "2019";
+        /// Where to write the assignment, one partition id per line.
+        output: Option<PathBuf> = "--output" "-o";
+        /// Print the partition report as JSON instead of the text summary.
+        json: bool = "--json";
+        /// Also write the JSON report to this path.
+        json_out: Option<PathBuf> = "--json-out";
+        /// Write the run's telemetry registry (engine metrics) as JSON here.
+        metrics_out: Option<PathBuf> = "--metrics-out";
+    },
+
+    /// Partition a hypergraph file in streaming passes under a memory
+    /// budget (`hyperpraw-lowmem`), without loading it into RAM.
+    LowMem "lowmem" (
+        /// Input file (`.hgr`, edge list or `.hpz`; `.mtx` is not streamable).
+        input
+    ) {
+        /// Number of partitions, one per compute unit.
+        parts: u32 = "--parts" "-p";
+        /// Sketch and buffer memory budget in MiB.
+        budget_mib: usize = "--budget-mib" "-b", default "64";
+        /// Use the exact (unbounded-memory) connectivity index instead of
+        /// the Bloom/MinHash sketches.
+        exact: bool = "--exact";
+        /// Lowest-confidence assignments to revisit (derived from the
+        /// budget when absent).
+        restream: Option<usize> = "--restream";
+        /// Streaming passes over the input (out-of-core restreaming above 1).
+        passes: usize = "--passes", default "1";
+        /// Rebuild the sketches between passes to shed staleness.
+        rebuild_sketches: bool = "--rebuild-sketches";
+        /// Worker threads (1 = sequential, 0 = auto).
+        threads: usize = "--threads" "-t", default "1";
+        /// Worker scheduling.
+        parallel_mode: ParallelMode = "--parallel-mode", default "bsp";
+        /// Machine preset of the cost matrix.
+        machine: MachinePreset = "--machine" "-m", default "archer";
+        /// RNG seed.
+        seed: u64 as Seed = "--seed", default "2019";
+        /// Where to write the assignment, one partition id per line.
+        output: Option<PathBuf> = "--output" "-o";
+        /// Print the partition report as JSON instead of the text summary.
+        json: bool = "--json";
+        /// Also write the JSON report to this path.
+        json_out: Option<PathBuf> = "--json-out";
+        /// How to read the input stream.
+        format: StreamFormat = "--format" "-f", default "auto";
+        /// Decode compressed blocks without the background prefetch thread.
+        no_prefetch: bool = "--no-prefetch";
+        /// Write the run's telemetry registry (engine and storage metrics)
+        /// as JSON here.
+        metrics_out: Option<PathBuf> = "--metrics-out";
+    },
+
+    /// Convert a hypergraph file to the block-compressed CSR format.
+    Convert "convert" (
+        /// Input file (`.hgr` or edge list).
+        input
+        /// Output `.hpz` path.
+        output
+    ) {
+        /// Target encoded bytes per block.
+        block_bytes: u32 = "--block-bytes", default "65536";
+    },
+
+    /// Generate a synthetic mesh hypergraph and write it as `.hgr`.
+    Generate "generate" (
+        /// Output `.hgr` path.
+        output
+    ) {
+        /// Number of vertices.
+        vertices: usize = "--vertices" "-n", default "10000";
+        /// Target hyperedge cardinality.
+        cardinality: usize = "--cardinality" "-c", default "16";
+        /// RNG seed.
+        seed: u64 as Seed = "--seed", default "2019";
+    },
+
+    /// Profile a machine preset and write its bandwidth matrix as CSV.
+    Profile "profile" () {
+        /// Machine preset.
+        machine: MachinePreset = "--machine" "-m", default "archer";
+        /// Number of compute units.
+        procs: usize = "--procs" "-n";
+        /// Output CSV path (stdout when absent).
+        output: Option<PathBuf> = "--output" "-o";
+    },
+
+    /// Run the synthetic benchmark for an existing assignment.
+    Benchmark "benchmark" (
+        /// Input hypergraph file.
+        input
+        /// Assignment file (one partition id per line).
+        assignment
+    ) {
+        /// Machine preset of the link model.
+        machine: MachinePreset = "--machine" "-m", default "archer";
+        /// Message payload in bytes.
+        message_bytes: u64 = "--bytes", default "1024";
+        /// Number of supersteps.
+        supersteps: usize = "--supersteps", default "1";
+    }
+
+    /// Run a long-lived partitioning daemon speaking newline-delimited
+    /// JSON: `partition`, `update`, `lookup`, `report` and `shutdown`
+    /// requests against a resident dynamic session.
+    Serve(ServeOptions) "serve" {
+        /// TCP address to listen on.
+        bind: String = "--bind";
+        /// Serve a single session over stdin/stdout instead of TCP.
+        stdio: bool = "--stdio";
+        /// Snapshot and write-ahead-journal directory of a crash-safe session.
+        state_dir: PathBuf = "--state-dir";
+        /// The only directory partition requests may load a "path" from.
+        data_dir: PathBuf = "--data-dir";
+        /// Largest accepted request line in bytes.
+        max_line_bytes: usize = "--max-line-bytes";
+        /// Per-connection read timeout in seconds.
+        read_timeout_secs: u64 = "--read-timeout-secs";
+        /// Fold the journal into a fresh snapshot every N batches.
+        snapshot_every: u64 = "--snapshot-every";
+        /// Serve Prometheus-style plain-text metrics on this address.
+        metrics_addr: String = "--metrics-addr";
+    }
+}
+
+/// The values one command line gives a subcommand's flags.
+struct Matches<'a> {
+    sub: &'static Subcommand,
+    positionals: &'a [String],
+    /// Per table row, the last value given (`""` for a present switch).
+    values: Vec<Option<&'a str>>,
+}
+
+impl<'a> Matches<'a> {
+    /// The one parse loop: positionals first, then flags in any order,
+    /// each value checked against its row as it is met; the last of a
+    /// repeated flag wins.
+    fn parse(sub: &'static Subcommand, rest: &'a [String]) -> Result<Self, ParseError> {
+        for (i, name) in sub.positionals.iter().enumerate() {
+            if rest.get(i).is_none_or(|arg| arg.starts_with('-')) {
+                return Err(ParseError::MissingArgument((*name).into()));
+            }
+        }
+        let (positionals, mut args) = rest.split_at(sub.positionals.len());
+        if sub.flags.is_empty() {
+            // A subcommand without flags has always ignored what follows
+            // its positionals.
+            args = &[];
+        }
+        let mut values = vec![None; sub.flags.len()];
+        let mut args = args.iter().map(String::as_str);
+        while let Some(arg) = args.next() {
+            let row = sub
+                .flags
+                .iter()
+                .position(|f| f.long == arg || f.short.contains(&arg))
+                .ok_or_else(|| ParseError::UnknownOption(arg.into()))?;
+            let flag = &sub.flags[row];
+            let value = match flag.metavar {
+                "" => "",
+                _ => args
+                    .next()
+                    .ok_or_else(|| ParseError::MissingValue(arg.into()))?,
+            };
+            if !(flag.parses)(Some(value)) {
+                return Err(ParseError::InvalidValue {
+                    option: if flag.choice { flag.long } else { arg }.into(),
+                    value: value.into(),
+                    expected: (flag.expected)(value),
+                });
+            }
+            values[row] = Some(value);
+        }
+        Ok(Self {
+            sub,
+            positionals,
+            values,
+        })
+    }
+
+    fn positional(&self, name: &str) -> PathBuf {
+        let index = self.sub.positionals.iter().position(|p| *p == name);
+        PathBuf::from(&self.positionals[index.expect("a declared positional")])
+    }
+
+    /// The flag's value: the one given, else the row's default, else the
+    /// value type's stand-in for an absent flag; a flag that has none of
+    /// these is missing. `T` is the row's value type.
+    fn take<T: FlagValue>(&self, long: &str) -> Result<T, ParseError> {
+        let row = self.sub.flags.iter().position(|f| f.long == long);
+        let row = row.expect("a flag of the subcommand's table");
+        let text = self.values[row].or(self.sub.flags[row].default.first().copied());
+        let value = T::parse_value(text);
+        match (value, text) {
+            (Some(value), _) => Ok(value),
+            (None, None) => Err(ParseError::MissingValue(long.into())),
+            (None, Some(text)) => panic!("default {text:?} of {long} does not parse"),
         }
     }
 }
@@ -72,160 +541,6 @@ impl StreamFormat {
 pub struct Cli {
     /// The subcommand to execute.
     pub command: Command,
-}
-
-/// Subcommands of the tool.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Command {
-    /// Print the statistics of a hypergraph file (Table 1 style).
-    Stats {
-        /// Input file (`.hgr`, `.mtx` or edge list).
-        input: PathBuf,
-    },
-    /// Partition a hypergraph file in streaming passes under a memory
-    /// budget (`hyperpraw-lowmem`), without loading it into RAM.
-    LowMem {
-        /// Input file (`.hgr` or edge list; `.mtx` is not streamable).
-        input: PathBuf,
-        /// Number of partitions (compute units).
-        parts: u32,
-        /// Sketch/buffer memory budget in mebibytes.
-        budget_mib: usize,
-        /// Use the exact (unbounded-memory) connectivity index instead of
-        /// the Bloom/MinHash sketches.
-        exact: bool,
-        /// Number of lowest-confidence assignments to revisit; `None`
-        /// derives it from the budget.
-        restream: Option<usize>,
-        /// Number of streaming passes over the input (out-of-core
-        /// restreaming when above 1).
-        passes: usize,
-        /// Rebuild the sketches between passes to shed staleness.
-        rebuild_sketches: bool,
-        /// Worker threads for parallel streaming (1 = sequential, 0 =
-        /// auto-detect the machine parallelism).
-        threads: usize,
-        /// Worker scheduling: deterministic BSP windows or lock-free work
-        /// stealing.
-        parallel_mode: ParallelMode,
-        /// Machine preset used to derive the cost matrix.
-        machine: MachinePreset,
-        /// RNG seed.
-        seed: u64,
-        /// Where to write the assignment (one partition id per line).
-        output: Option<PathBuf>,
-        /// Emit the `PartitionReport` as JSON on stdout instead of the
-        /// text summary.
-        json: bool,
-        /// Also write the JSON report to this path.
-        json_out: Option<PathBuf>,
-        /// How to read the input stream (transpose vs compressed CSR).
-        format: StreamFormat,
-        /// Disable background block prefetch on the compressed path.
-        no_prefetch: bool,
-        /// Dump the run's telemetry registry (engine/storage metrics) as
-        /// JSON to this path.
-        metrics_out: Option<PathBuf>,
-    },
-    /// Convert a hypergraph file to the block-compressed CSR format.
-    Convert {
-        /// Input file (`.hgr` or edge list).
-        input: PathBuf,
-        /// Output `.hpz` path.
-        output: PathBuf,
-        /// Target encoded bytes per block.
-        block_bytes: u32,
-    },
-    /// Generate a synthetic mesh hypergraph and write it as `.hgr`.
-    Generate {
-        /// Output `.hgr` path.
-        output: PathBuf,
-        /// Number of vertices.
-        vertices: usize,
-        /// Target hyperedge cardinality.
-        cardinality: usize,
-        /// RNG seed.
-        seed: u64,
-    },
-    /// Partition a hypergraph file.
-    Partition {
-        /// Input file (`.hgr`, `.mtx` or edge list).
-        input: PathBuf,
-        /// Number of partitions (compute units).
-        parts: u32,
-        /// Algorithm to use (any facade [`Algorithm`]).
-        algorithm: Algorithm,
-        /// Machine preset used to derive the cost matrix (aware) and the
-        /// benchmark link model.
-        machine: MachinePreset,
-        /// Imbalance tolerance.
-        imbalance: f64,
-        /// Worker threads for the parallel algorithms (`None` keeps each
-        /// driver's default; `0` auto-detects the machine parallelism).
-        threads: Option<usize>,
-        /// Worker scheduling of the parallel algorithms: deterministic BSP
-        /// windows or lock-free work stealing.
-        parallel_mode: ParallelMode,
-        /// RNG seed.
-        seed: u64,
-        /// Where to write the assignment (one partition id per line); stdout
-        /// summary only when absent.
-        output: Option<PathBuf>,
-        /// Emit the `PartitionReport` as JSON on stdout instead of the
-        /// text summary.
-        json: bool,
-        /// Also write the JSON report to this path.
-        json_out: Option<PathBuf>,
-        /// Dump the run's telemetry registry (engine metrics) as JSON to
-        /// this path.
-        metrics_out: Option<PathBuf>,
-    },
-    /// Profile a machine preset and write its bandwidth matrix as CSV.
-    Profile {
-        /// Machine preset.
-        machine: MachinePreset,
-        /// Number of compute units.
-        procs: usize,
-        /// Output CSV path (stdout when absent).
-        output: Option<PathBuf>,
-    },
-    /// Run a long-lived partitioning daemon speaking newline-delimited
-    /// JSON: `partition`, `update`, `lookup`, `report` and `shutdown`
-    /// requests against a resident dynamic session.
-    Serve {
-        /// TCP address to listen on.
-        bind: String,
-        /// Serve a single session over stdin/stdout instead of TCP.
-        stdio: bool,
-        /// Snapshot + write-ahead-journal directory for crash-safe
-        /// sessions (in-memory only when absent).
-        state_dir: Option<PathBuf>,
-        /// The only directory `partition` requests may load a `path`
-        /// from (`path` requests are refused when absent).
-        data_dir: Option<PathBuf>,
-        /// Maximum accepted request-line size in bytes.
-        max_line_bytes: usize,
-        /// Per-connection read timeout in seconds.
-        read_timeout_secs: u64,
-        /// Fold the journal into a fresh snapshot every N batches.
-        snapshot_every: u64,
-        /// Serve a Prometheus-style plain-text metrics exposition on this
-        /// address (`None` disables the endpoint).
-        metrics_addr: Option<String>,
-    },
-    /// Run the synthetic benchmark for an existing assignment.
-    Benchmark {
-        /// Input hypergraph file.
-        input: PathBuf,
-        /// Assignment file (one partition id per line).
-        assignment: PathBuf,
-        /// Machine preset.
-        machine: MachinePreset,
-        /// Message payload in bytes.
-        message_bytes: u64,
-        /// Number of supersteps.
-        supersteps: usize,
-    },
 }
 
 /// Errors produced while parsing the command line.
@@ -277,33 +592,31 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// The usage string printed by `--help` and on parse errors.
+/// The usage text printed by `--help` and on parse errors, generated from
+/// the subcommand tables.
 pub fn usage() -> String {
-    "hyperpraw — architecture-aware hypergraph partitioning (ICPP 2019 reproduction)\n\
-     \n\
-     USAGE:\n\
-       hyperpraw stats     <input>\n\
-       hyperpraw partition <input> --parts N\n\
-                           [--algorithm aware|basic|parallel|parallel-basic|lowmem|lowmem-exact|multilevel|round-robin]\n\
-                           [--machine archer|cluster|cloud|flat] [--imbalance 1.1]\n\
-                           [--threads N|0=auto] [--parallel-mode bsp|steal] [--seed N]\n\
-                           [--output assignment.txt] [--json] [--json-out report.json]\n\
-                           [--metrics-out metrics.json]\n\
-       hyperpraw lowmem    <input> --parts N [--budget-mib 64] [--exact] [--restream K]\n\
-                           [--passes N] [--rebuild-sketches] [--threads N|0=auto]\n\
-                           [--parallel-mode bsp|steal]\n\
-                           [--machine archer|cluster|cloud|flat] [--seed N]\n\
-                           [--format auto|transpose|compressed] [--no-prefetch]\n\
-                           [--output assignment.txt] [--json] [--json-out report.json]\n\
-                           [--metrics-out metrics.json]\n\
-       hyperpraw convert   <input> <output.hpz> [--block-bytes 65536]\n\
-       hyperpraw generate  <output.hgr> [--vertices 10000] [--cardinality 16] [--seed N]\n\
-       hyperpraw profile   --machine archer|cluster|cloud|flat --procs N [--output bw.csv]\n\
-       hyperpraw benchmark <input> <assignment> [--machine archer|...] [--bytes 1024] [--supersteps 1]\n\
-       hyperpraw serve     [--bind 127.0.0.1:7700] [--stdio] [--state-dir DIR] [--data-dir DIR]\n\
-                           [--max-line-bytes N] [--read-timeout-secs N] [--snapshot-every N]\n\
-                           [--metrics-addr 127.0.0.1:9100]\n\
-     \n\
+    let mut text = String::from(
+        "hyperpraw — architecture-aware hypergraph partitioning (ICPP 2019 reproduction)\n\n\
+         USAGE:\n",
+    );
+    for sub in SUBCOMMANDS {
+        text += &format!("  hyperpraw {}", sub.name);
+        for name in sub.positionals {
+            text += &format!(" <{name}>");
+        }
+        text += if sub.flags.is_empty() {
+            "\n"
+        } else {
+            " [options]\n"
+        };
+        for flag in sub.flags {
+            text += &flag.usage_line();
+        }
+    }
+    text + NOTES
+}
+
+const NOTES: &str = "\n\
      All algorithms dispatch through the facade's unified PartitionJob API; --json emits the\n\
      common PartitionReport as machine-readable JSON.\n\
      serve keeps a dynamic session resident and answers one JSON request per line:\n\
@@ -316,34 +629,7 @@ pub fn usage() -> String {
      as a whitespace edge list (one hyperedge per line, 0-based vertex ids).\n\
      convert writes the block-compressed vertex-major CSR (.hpz); lowmem streams it directly\n\
      (--format auto sniffs the magic) with a background prefetch thread decoding the next\n\
-     block while the engine consumes the current one."
-        .to_string()
-}
-
-/// Numeric option parsing helper.
-fn parse_number<T: std::str::FromStr>(option: &str, value: &str) -> Result<T, ParseError> {
-    value.parse().map_err(|_| ParseError::InvalidValue {
-        option: option.into(),
-        value: value.into(),
-        expected: "a number".into(),
-    })
-}
-
-fn parse_algorithm(value: &str) -> Result<Algorithm, ParseError> {
-    Algorithm::parse(value).map_err(|_| ParseError::InvalidValue {
-        option: "--algorithm".into(),
-        value: value.into(),
-        expected: Algorithm::expected_names().into(),
-    })
-}
-
-fn parse_parallel_mode(value: &str) -> Result<ParallelMode, ParseError> {
-    ParallelMode::parse(value).ok_or_else(|| ParseError::InvalidValue {
-        option: "--parallel-mode".into(),
-        value: value.into(),
-        expected: "bsp | steal".into(),
-    })
-}
+     block while the engine consumes the current one.";
 
 impl Cli {
     /// Parses an argument vector (excluding the program name).
@@ -352,376 +638,16 @@ impl Cli {
         if args.iter().any(|a| a == "--help" || a == "-h") {
             return Err(ParseError::HelpRequested);
         }
-        let mut it = args.into_iter();
-        let command = it.next().ok_or(ParseError::MissingCommand)?;
-        let rest: Vec<String> = it.collect();
-        match command.as_str() {
-            "stats" => {
-                let input = positional(&rest, 0, "input")?;
-                Ok(Self {
-                    command: Command::Stats {
-                        input: PathBuf::from(input),
-                    },
-                })
-            }
-            "partition" => {
-                let input = positional(&rest, 0, "input")?;
-                let mut parts: Option<u32> = None;
-                let mut algorithm = Algorithm::HyperPrawAware;
-                let mut machine = MachinePreset::Archer;
-                let mut imbalance = 1.1f64;
-                let mut threads: Option<usize> = None;
-                let mut parallel_mode = ParallelMode::Bsp;
-                let mut seed = 2019u64;
-                let mut output = None;
-                let mut json = false;
-                let mut json_out = None;
-                let mut metrics_out = None;
-                let mut i = 1;
-                while i < rest.len() {
-                    let opt = rest[i].as_str();
-                    match opt {
-                        "--parts" | "-p" => {
-                            parts = Some(parse_number(opt, value(&rest, &mut i)?)?);
-                        }
-                        "--algorithm" | "-a" => {
-                            algorithm = parse_algorithm(value(&rest, &mut i)?)?;
-                        }
-                        "--machine" | "-m" => {
-                            machine = MachinePreset::parse(value(&rest, &mut i)?)?;
-                        }
-                        "--imbalance" => {
-                            imbalance = parse_number(opt, value(&rest, &mut i)?)?;
-                        }
-                        "--threads" | "-t" => {
-                            threads = Some(parse_number(opt, value(&rest, &mut i)?)?);
-                        }
-                        "--parallel-mode" => {
-                            parallel_mode = parse_parallel_mode(value(&rest, &mut i)?)?;
-                        }
-                        "--seed" => {
-                            seed = parse_number(opt, value(&rest, &mut i)?)?;
-                        }
-                        "--output" | "-o" => {
-                            output = Some(PathBuf::from(value(&rest, &mut i)?));
-                        }
-                        "--json" => {
-                            json = true;
-                        }
-                        "--json-out" => {
-                            json_out = Some(PathBuf::from(value(&rest, &mut i)?));
-                        }
-                        "--metrics-out" => {
-                            metrics_out = Some(PathBuf::from(value(&rest, &mut i)?));
-                        }
-                        other => return Err(ParseError::UnknownOption(other.into())),
-                    }
-                    i += 1;
-                }
-                Ok(Self {
-                    command: Command::Partition {
-                        input: PathBuf::from(input),
-                        parts: parts.ok_or_else(|| ParseError::MissingValue("--parts".into()))?,
-                        algorithm,
-                        machine,
-                        imbalance,
-                        threads,
-                        parallel_mode,
-                        seed,
-                        output,
-                        json,
-                        json_out,
-                        metrics_out,
-                    },
-                })
-            }
-            "lowmem" => {
-                let input = positional(&rest, 0, "input")?;
-                let mut parts: Option<u32> = None;
-                let mut budget_mib = 64usize;
-                let mut exact = false;
-                let mut restream = None;
-                let mut passes = 1usize;
-                let mut rebuild_sketches = false;
-                let mut threads = 1usize;
-                let mut parallel_mode = ParallelMode::Bsp;
-                let mut machine = MachinePreset::Archer;
-                let mut seed = 2019u64;
-                let mut output = None;
-                let mut json = false;
-                let mut json_out = None;
-                let mut metrics_out = None;
-                let mut format = StreamFormat::Auto;
-                let mut no_prefetch = false;
-                let mut i = 1;
-                while i < rest.len() {
-                    let opt = rest[i].as_str();
-                    match opt {
-                        "--parts" | "-p" => {
-                            parts = Some(parse_number(opt, value(&rest, &mut i)?)?);
-                        }
-                        "--format" | "-f" => {
-                            format = StreamFormat::parse(value(&rest, &mut i)?)?;
-                        }
-                        "--no-prefetch" => {
-                            no_prefetch = true;
-                        }
-                        "--budget-mib" | "-b" => {
-                            budget_mib = parse_number(opt, value(&rest, &mut i)?)?;
-                        }
-                        "--exact" => {
-                            exact = true;
-                        }
-                        "--restream" => {
-                            restream = Some(parse_number(opt, value(&rest, &mut i)?)?);
-                        }
-                        "--passes" => {
-                            passes = parse_number(opt, value(&rest, &mut i)?)?;
-                        }
-                        "--rebuild-sketches" => {
-                            rebuild_sketches = true;
-                        }
-                        "--threads" | "-t" => {
-                            threads = parse_number(opt, value(&rest, &mut i)?)?;
-                        }
-                        "--parallel-mode" => {
-                            parallel_mode = parse_parallel_mode(value(&rest, &mut i)?)?;
-                        }
-                        "--machine" | "-m" => {
-                            machine = MachinePreset::parse(value(&rest, &mut i)?)?;
-                        }
-                        "--seed" => {
-                            seed = parse_number(opt, value(&rest, &mut i)?)?;
-                        }
-                        "--output" | "-o" => {
-                            output = Some(PathBuf::from(value(&rest, &mut i)?));
-                        }
-                        "--json" => {
-                            json = true;
-                        }
-                        "--json-out" => {
-                            json_out = Some(PathBuf::from(value(&rest, &mut i)?));
-                        }
-                        "--metrics-out" => {
-                            metrics_out = Some(PathBuf::from(value(&rest, &mut i)?));
-                        }
-                        other => return Err(ParseError::UnknownOption(other.into())),
-                    }
-                    i += 1;
-                }
-                Ok(Self {
-                    command: Command::LowMem {
-                        input: PathBuf::from(input),
-                        parts: parts.ok_or_else(|| ParseError::MissingValue("--parts".into()))?,
-                        budget_mib,
-                        exact,
-                        restream,
-                        passes,
-                        rebuild_sketches,
-                        threads,
-                        parallel_mode,
-                        machine,
-                        seed,
-                        output,
-                        json,
-                        json_out,
-                        format,
-                        no_prefetch,
-                        metrics_out,
-                    },
-                })
-            }
-            "convert" => {
-                let input = positional(&rest, 0, "input")?;
-                let output = positional(&rest, 1, "output")?;
-                let mut block_bytes = 64 * 1024u32;
-                let mut i = 2;
-                while i < rest.len() {
-                    let opt = rest[i].as_str();
-                    match opt {
-                        "--block-bytes" => {
-                            block_bytes = parse_number(opt, value(&rest, &mut i)?)?;
-                        }
-                        other => return Err(ParseError::UnknownOption(other.into())),
-                    }
-                    i += 1;
-                }
-                Ok(Self {
-                    command: Command::Convert {
-                        input: PathBuf::from(input),
-                        output: PathBuf::from(output),
-                        block_bytes,
-                    },
-                })
-            }
-            "generate" => {
-                let output = positional(&rest, 0, "output")?;
-                let mut vertices = 10_000usize;
-                let mut cardinality = 16usize;
-                let mut seed = 2019u64;
-                let mut i = 1;
-                while i < rest.len() {
-                    let opt = rest[i].as_str();
-                    match opt {
-                        "--vertices" | "-n" => {
-                            vertices = parse_number(opt, value(&rest, &mut i)?)?;
-                        }
-                        "--cardinality" | "-c" => {
-                            cardinality = parse_number(opt, value(&rest, &mut i)?)?;
-                        }
-                        "--seed" => {
-                            seed = parse_number(opt, value(&rest, &mut i)?)?;
-                        }
-                        other => return Err(ParseError::UnknownOption(other.into())),
-                    }
-                    i += 1;
-                }
-                Ok(Self {
-                    command: Command::Generate {
-                        output: PathBuf::from(output),
-                        vertices,
-                        cardinality,
-                        seed,
-                    },
-                })
-            }
-            "profile" => {
-                let mut machine = MachinePreset::Archer;
-                let mut procs: Option<usize> = None;
-                let mut output = None;
-                let mut i = 0;
-                while i < rest.len() {
-                    let opt = rest[i].as_str();
-                    match opt {
-                        "--machine" | "-m" => {
-                            machine = MachinePreset::parse(value(&rest, &mut i)?)?;
-                        }
-                        "--procs" | "-n" => {
-                            procs = Some(parse_number(opt, value(&rest, &mut i)?)?);
-                        }
-                        "--output" | "-o" => {
-                            output = Some(PathBuf::from(value(&rest, &mut i)?));
-                        }
-                        other => return Err(ParseError::UnknownOption(other.into())),
-                    }
-                    i += 1;
-                }
-                Ok(Self {
-                    command: Command::Profile {
-                        machine,
-                        procs: procs.ok_or_else(|| ParseError::MissingValue("--procs".into()))?,
-                        output,
-                    },
-                })
-            }
-            "serve" => {
-                let mut bind = String::from("127.0.0.1:7700");
-                let mut stdio = false;
-                let mut state_dir = None;
-                let mut data_dir = None;
-                let mut max_line_bytes = 16 * 1024 * 1024;
-                let mut read_timeout_secs = 30;
-                let mut snapshot_every = 64;
-                let mut metrics_addr = None;
-                let mut i = 0;
-                while i < rest.len() {
-                    let opt = rest[i].as_str();
-                    match opt {
-                        "--bind" => {
-                            bind = value(&rest, &mut i)?.to_string();
-                        }
-                        "--stdio" => {
-                            stdio = true;
-                        }
-                        "--state-dir" => {
-                            state_dir = Some(PathBuf::from(value(&rest, &mut i)?));
-                        }
-                        "--data-dir" => {
-                            data_dir = Some(PathBuf::from(value(&rest, &mut i)?));
-                        }
-                        "--max-line-bytes" => {
-                            max_line_bytes =
-                                parse_number("--max-line-bytes", value(&rest, &mut i)?)?;
-                        }
-                        "--read-timeout-secs" => {
-                            read_timeout_secs =
-                                parse_number("--read-timeout-secs", value(&rest, &mut i)?)?;
-                        }
-                        "--snapshot-every" => {
-                            snapshot_every =
-                                parse_number("--snapshot-every", value(&rest, &mut i)?)?;
-                        }
-                        "--metrics-addr" => {
-                            metrics_addr = Some(value(&rest, &mut i)?.to_string());
-                        }
-                        other => return Err(ParseError::UnknownOption(other.into())),
-                    }
-                    i += 1;
-                }
-                Ok(Self {
-                    command: Command::Serve {
-                        bind,
-                        stdio,
-                        state_dir,
-                        data_dir,
-                        max_line_bytes,
-                        read_timeout_secs,
-                        snapshot_every,
-                        metrics_addr,
-                    },
-                })
-            }
-            "benchmark" => {
-                let input = positional(&rest, 0, "input")?;
-                let assignment = positional(&rest, 1, "assignment")?;
-                let mut machine = MachinePreset::Archer;
-                let mut message_bytes = 1024u64;
-                let mut supersteps = 1usize;
-                let mut i = 2;
-                while i < rest.len() {
-                    let opt = rest[i].as_str();
-                    match opt {
-                        "--machine" | "-m" => {
-                            machine = MachinePreset::parse(value(&rest, &mut i)?)?;
-                        }
-                        "--bytes" => {
-                            message_bytes = parse_number(opt, value(&rest, &mut i)?)?;
-                        }
-                        "--supersteps" => {
-                            supersteps = parse_number(opt, value(&rest, &mut i)?)?;
-                        }
-                        other => return Err(ParseError::UnknownOption(other.into())),
-                    }
-                    i += 1;
-                }
-                Ok(Self {
-                    command: Command::Benchmark {
-                        input: PathBuf::from(input),
-                        assignment: PathBuf::from(assignment),
-                        machine,
-                        message_bytes,
-                        supersteps,
-                    },
-                })
-            }
-            other => Err(ParseError::UnknownCommand(other.into())),
-        }
+        let (name, rest) = args.split_first().ok_or(ParseError::MissingCommand)?;
+        let sub = SUBCOMMANDS
+            .iter()
+            .find(|sub| sub.name == name)
+            .ok_or_else(|| ParseError::UnknownCommand(name.clone()))?;
+        let matches = Matches::parse(sub, rest)?;
+        Ok(Self {
+            command: (sub.build)(&matches)?,
+        })
     }
-}
-
-fn positional<'a>(rest: &'a [String], index: usize, name: &str) -> Result<&'a str, ParseError> {
-    rest.get(index)
-        .map(|s| s.as_str())
-        .filter(|s| !s.starts_with('-'))
-        .ok_or_else(|| ParseError::MissingArgument(name.into()))
-}
-
-fn value<'a>(rest: &'a [String], i: &mut usize) -> Result<&'a str, ParseError> {
-    let opt = rest[*i].clone();
-    *i += 1;
-    rest.get(*i)
-        .map(|s| s.as_str())
-        .ok_or(ParseError::MissingValue(opt))
 }
 
 #[cfg(test)]
@@ -1033,7 +959,7 @@ mod tests {
         let cli = Cli::parse(argv("serve")).unwrap();
         assert_eq!(
             cli.command,
-            Command::Serve {
+            Command::Serve(ServeOptions {
                 bind: "127.0.0.1:7700".into(),
                 stdio: false,
                 state_dir: None,
@@ -1042,7 +968,7 @@ mod tests {
                 read_timeout_secs: 30,
                 snapshot_every: 64,
                 metrics_addr: None,
-            }
+            })
         );
         let cli = Cli::parse(argv(
             "serve --bind 0.0.0.0:9000 --stdio --state-dir /tmp/hp-state \
@@ -1052,7 +978,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             cli.command,
-            Command::Serve {
+            Command::Serve(ServeOptions {
                 bind: "0.0.0.0:9000".into(),
                 stdio: true,
                 state_dir: Some(PathBuf::from("/tmp/hp-state")),
@@ -1061,7 +987,7 @@ mod tests {
                 read_timeout_secs: 5,
                 snapshot_every: 8,
                 metrics_addr: Some("127.0.0.1:9100".into()),
-            }
+            })
         );
         assert!(matches!(
             Cli::parse(argv("serve --port 1")).unwrap_err(),

@@ -4,10 +4,12 @@
 //! the facade's unified [`PartitionJob`] API — the CLI contains no
 //! per-driver wiring of its own — and can emit the common
 //! [`hyperpraw::report::PartitionReport`] as JSON (`--json` /
-//! `--json-out`).
+//! `--json-out`). Everything a subcommand prints goes through one
+//! writer, [`Stdout`] when run from the command line.
 
 use std::fmt;
 use std::fs;
+use std::io::{self, Write};
 use std::path::Path;
 
 use hyperpraw::api::{Algorithm, PartitionError, PartitionJob};
@@ -69,15 +71,41 @@ impl From<PartitionError> for CommandError {
     }
 }
 
+/// The CLI's standard output. Once the reader has gone away (a closed
+/// pipe, as in `| head`) the output is dropped instead of failing the run,
+/// so the command still writes its files and exits quietly.
+#[derive(Debug)]
+pub struct Stdout;
+
+impl Write for Stdout {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        done_if_reader_gone(io::stdout().write(buf), buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        done_if_reader_gone(io::stdout().flush(), ())
+    }
+}
+
+fn done_if_reader_gone<T>(result: io::Result<T>, done: T) -> io::Result<T> {
+    match result {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(done),
+        result => result,
+    }
+}
+
+/// The file extension, lower-cased (empty when there is none).
+fn extension(path: &Path) -> String {
+    path.extension()
+        .and_then(|e| e.to_str())
+        .unwrap_or("")
+        .to_ascii_lowercase()
+}
+
 /// Loads a hypergraph, dispatching on the file extension: `.hgr` (hMetis),
 /// `.mtx` (MatrixMarket row-net model), anything else as an edge list.
 pub fn load_hypergraph(path: &Path) -> Result<Hypergraph, CommandError> {
-    let ext = path
-        .extension()
-        .and_then(|e| e.to_str())
-        .unwrap_or("")
-        .to_ascii_lowercase();
-    let hg = match ext.as_str() {
+    let hg = match extension(path).as_str() {
         "hgr" => hmetis::read_hgr_file(path)?,
         "mtx" => matrix_market::read_mtx_file(path, matrix_market::SparseMatrixModel::RowNet)?,
         _ => edgelist::read_edgelist_file(path)?,
@@ -154,6 +182,7 @@ pub fn write_assignment(path: &Path, partition: &Partition) -> Result<(), Comman
 /// and/or file when requested, text summary otherwise, plus the optional
 /// assignment file.
 fn emit_report(
+    out: &mut dyn Write,
     report: &PartitionReport,
     header: &str,
     json: bool,
@@ -161,21 +190,21 @@ fn emit_report(
     output: Option<&Path>,
 ) -> Result<(), CommandError> {
     if json {
-        println!("{}", report.to_json());
+        writeln!(out, "{}", report.to_json())?;
     } else {
-        println!("{header}");
-        print!("{}", report.text_summary());
+        writeln!(out, "{header}")?;
+        write!(out, "{}", report.text_summary())?;
     }
     if let Some(path) = json_out {
         fs::write(path, report.to_json() + "\n")?;
         if !json {
-            println!("json report      : {}", path.display());
+            writeln!(out, "json report      : {}", path.display())?;
         }
     }
     if let Some(path) = output {
         write_assignment(path, &report.partition)?;
         if !json {
-            println!("assignment       : {}", path.display());
+            writeln!(out, "assignment       : {}", path.display())?;
         }
     }
     Ok(())
@@ -184,6 +213,7 @@ fn emit_report(
 /// Dumps the run's telemetry registry as single-line JSON when
 /// `--metrics-out` asked for it.
 fn write_metrics(
+    out: &mut dyn Write,
     path: Option<&Path>,
     metrics: &telemetry::Registry,
     json: bool,
@@ -191,42 +221,24 @@ fn write_metrics(
     if let Some(path) = path {
         fs::write(path, format!("{}\n", JsonValue::from(&metrics.snapshot())))?;
         if !json {
-            println!("metrics          : {}", path.display());
+            writeln!(out, "metrics          : {}", path.display())?;
         }
     }
     Ok(())
 }
 
-/// Executes a parsed invocation.
-pub fn execute(cli: &Cli) -> Result<(), CommandError> {
+/// Executes a parsed invocation, printing to `out`.
+pub fn execute(cli: &Cli, out: &mut dyn Write) -> Result<(), CommandError> {
     match &cli.command {
         Command::Stats { input } => {
             let hg = load_hypergraph(input)?;
             let stats = HypergraphStats::compute(&hg);
-            println!("{}", HypergraphStats::csv_header());
-            println!("{}", stats.csv_row());
-            println!("\n{stats}");
+            writeln!(out, "{}", HypergraphStats::csv_header())?;
+            writeln!(out, "{}", stats.csv_row())?;
+            writeln!(out, "\n{stats}")?;
             Ok(())
         }
-        Command::Serve {
-            bind,
-            stdio,
-            state_dir,
-            data_dir,
-            max_line_bytes,
-            read_timeout_secs,
-            snapshot_every,
-            metrics_addr,
-        } => crate::serve::serve(&crate::serve::ServeOptions {
-            bind: bind.clone(),
-            stdio: *stdio,
-            state_dir: state_dir.clone(),
-            data_dir: data_dir.clone(),
-            max_line_bytes: *max_line_bytes,
-            read_timeout_secs: *read_timeout_secs,
-            snapshot_every: *snapshot_every,
-            metrics_addr: metrics_addr.clone(),
-        }),
+        Command::Serve(options) => crate::serve::serve(options),
         Command::Partition {
             input,
             parts,
@@ -265,13 +277,14 @@ pub fn execute(cli: &Cli) -> Result<(), CommandError> {
             }
             let report = job.run(&hg)?;
             emit_report(
+                out,
                 &report,
                 &format!("hypergraph       : {hg}"),
                 *json,
                 json_out.as_deref(),
                 output.as_deref(),
             )?;
-            write_metrics(metrics_out.as_deref(), &metrics, *json)
+            write_metrics(out, metrics_out.as_deref(), &metrics, *json)
         }
         Command::LowMem {
             input,
@@ -313,11 +326,7 @@ pub fn execute(cli: &Cli) -> Result<(), CommandError> {
                 StreamFormat::Compressed => true,
                 StreamFormat::Auto => input_is_compressed,
             };
-            let ext = input
-                .extension()
-                .and_then(|e| e.to_str())
-                .unwrap_or("")
-                .to_ascii_lowercase();
+            let ext = extension(input);
             if ext == "mtx" && !input_is_compressed {
                 return Err(CommandError::Invalid(
                     "MatrixMarket files are not streamable; convert to .hgr first".into(),
@@ -360,7 +369,7 @@ pub fn execute(cli: &Cli) -> Result<(), CommandError> {
                     )));
                 }
             }
-            if use_compressed {
+            let (mut report, header) = if use_compressed {
                 // Run over the block-compressed CSR, converting first when
                 // the input is still an .hgr / edge list.
                 let temp_hpz = if input_is_compressed {
@@ -380,70 +389,38 @@ pub fn execute(cli: &Cli) -> Result<(), CommandError> {
                     Some(tmp)
                 };
                 let hpz_path = temp_hpz.as_deref().unwrap_or(input.as_path());
-                let reader = storage::CompressedReader::open_file(hpz_path)
-                    .map_err(|e| CommandError::Io(e.to_string()))?;
-                let meta = *reader.meta();
-                if (*parts as u64) > meta.num_vertices {
-                    if let Some(tmp) = &temp_hpz {
-                        fs::remove_file(tmp).ok();
-                    }
-                    return Err(CommandError::Invalid(format!(
-                        "cannot split {} vertices into {parts} parts",
-                        meta.num_vertices
-                    )));
-                }
-                let result = job.run_compressed_file(hpz_path);
+                let meta = storage::CompressedReader::open_file(hpz_path)
+                    .map(|reader| *reader.meta())
+                    .map_err(|e| CommandError::Io(e.to_string()));
+                // The job refuses more parts than vertices before it runs.
+                let result = meta.and_then(|meta| Ok((meta, job.run_compressed_file(hpz_path)?)));
                 if let Some(tmp) = &temp_hpz {
                     fs::remove_file(tmp).ok();
                 }
-                let mut report = result?;
-                // The original edge-major file (when we have one) back-fills
-                // the cut metrics; a bare .hpz leaves quality deferred.
-                if !input_is_compressed {
-                    let streamed = if is_hgr {
-                        quality::evaluate_hgr_file(input, &report.partition)?
-                    } else {
-                        quality::evaluate_edgelist_file(input, &report.partition)?
-                    };
-                    report.attach_streamed_quality(&streamed);
-                }
-                emit_report(
-                    &report,
-                    &format!(
-                        "hypergraph       : {} (|V|={}, |E|={}, pins={})\n\
-                         memory budget    : {budget}\n\
-                         stream           : compressed CSR, {} block(s), prefetch {}\n\
-                         block cache      : {} hit(s), {} miss(es)",
-                        input.display(),
-                        meta.num_vertices,
-                        meta.num_nets,
-                        meta.num_pins,
-                        meta.num_blocks,
-                        if *no_prefetch { "off" } else { "on" },
-                        metrics.counter("storage.cache.hits").get(),
-                        metrics.counter("storage.cache.misses").get(),
-                    ),
-                    *json,
-                    json_out.as_deref(),
-                    output.as_deref(),
-                )?;
-                return write_metrics(metrics_out.as_deref(), &metrics, *json);
-            }
-            let mut stream = if is_hgr {
-                stream_hgr_file(input, &options)?
+                let (meta, report) = result?;
+                let header = format!(
+                    "hypergraph       : {} (|V|={}, |E|={}, pins={})\n\
+                     memory budget    : {budget}\n\
+                     stream           : compressed CSR, {} block(s), prefetch {}\n\
+                     block cache      : {} hit(s), {} miss(es)",
+                    input.display(),
+                    meta.num_vertices,
+                    meta.num_nets,
+                    meta.num_pins,
+                    meta.num_blocks,
+                    if *no_prefetch { "off" } else { "on" },
+                    metrics.counter("storage.cache.hits").get(),
+                    metrics.counter("storage.cache.misses").get(),
+                );
+                (report, header)
             } else {
-                stream_edgelist_file(input, &options)?
-            };
-            let mut report = job.run_stream(&mut stream)?;
-            let streamed = if is_hgr {
-                quality::evaluate_hgr_file(input, &report.partition)?
-            } else {
-                quality::evaluate_edgelist_file(input, &report.partition)?
-            };
-            report.attach_streamed_quality(&streamed);
-            emit_report(
-                &report,
-                &format!(
+                let mut stream = if is_hgr {
+                    stream_hgr_file(input, &options)?
+                } else {
+                    stream_edgelist_file(input, &options)?
+                };
+                let report = job.run_stream(&mut stream)?;
+                let header = format!(
                     "hypergraph       : {} (|V|={}, |E|={}, pins={})\n\
                      memory budget    : {budget}\n\
                      transpose peak   : {} B",
@@ -452,24 +429,35 @@ pub fn execute(cli: &Cli) -> Result<(), CommandError> {
                     stream.num_nets(),
                     stream.num_pins(),
                     stream.peak_loaded_bytes()
-                ),
+                );
+                (report, header)
+            };
+            // The original edge-major file (when we have one) back-fills
+            // the cut metrics; a bare .hpz leaves quality deferred.
+            if !input_is_compressed {
+                let streamed = if is_hgr {
+                    quality::evaluate_hgr_file(input, &report.partition)?
+                } else {
+                    quality::evaluate_edgelist_file(input, &report.partition)?
+                };
+                report.attach_streamed_quality(&streamed);
+            }
+            emit_report(
+                out,
+                &report,
+                &header,
                 *json,
                 json_out.as_deref(),
                 output.as_deref(),
             )?;
-            write_metrics(metrics_out.as_deref(), &metrics, *json)
+            write_metrics(out, metrics_out.as_deref(), &metrics, *json)
         }
         Command::Convert {
             input,
             output,
             block_bytes,
         } => {
-            let ext = input
-                .extension()
-                .and_then(|e| e.to_str())
-                .unwrap_or("")
-                .to_ascii_lowercase();
-            if ext == "mtx" {
+            if extension(input) == "mtx" {
                 return Err(CommandError::Invalid(
                     "MatrixMarket files are not streamable; convert to .hgr first".into(),
                 ));
@@ -483,7 +471,8 @@ pub fn execute(cli: &Cli) -> Result<(), CommandError> {
                 storage::convert_file(input, output, *block_bytes, &StreamOptions::default())?;
             let in_bytes = fs::metadata(input)?.len();
             let out_bytes = fs::metadata(output)?.len();
-            println!(
+            writeln!(
+                out,
                 "converted {} -> {}\n\
                  |V|={}, |E|={}, pins={}, {} block(s) of ~{} B\n\
                  {} B -> {} B ({:.2}x)",
@@ -497,7 +486,7 @@ pub fn execute(cli: &Cli) -> Result<(), CommandError> {
                 in_bytes,
                 out_bytes,
                 in_bytes as f64 / out_bytes.max(1) as f64,
-            );
+            )?;
             Ok(())
         }
         Command::Generate {
@@ -515,13 +504,14 @@ pub fn execute(cli: &Cli) -> Result<(), CommandError> {
             config.seed = *seed;
             let hg = mesh_hypergraph(&config);
             hmetis::write_hgr_file(&hg, output)?;
-            println!(
+            writeln!(
+                out,
                 "wrote {} (|V|={}, |E|={}, pins={})",
                 output.display(),
                 hg.num_vertices(),
                 hg.num_hyperedges(),
                 hg.num_pins()
-            );
+            )?;
             Ok(())
         }
         Command::Profile {
@@ -539,27 +529,29 @@ pub fn execute(cli: &Cli) -> Result<(), CommandError> {
             match output {
                 Some(path) => {
                     fs::write(path, &csv)?;
-                    println!("wrote {}", path.display());
+                    writeln!(out, "wrote {}", path.display())?;
                 }
-                None => print!("{csv}"),
+                None => write!(out, "{csv}")?,
             }
-            println!(
+            writeln!(
+                out,
                 "# {} units, bandwidth {:.0}..{:.0} MB/s, cost {:.2}..{:.2}",
                 procs,
                 link.bandwidth().min_off_diagonal(),
                 link.bandwidth().max_off_diagonal(),
                 cost.min_off_diagonal(),
                 cost.max_off_diagonal()
-            );
+            )?;
             // Cost centrality: the precomputed row sums bound what each
             // unit pays to reach every peer — the spread flags poorly
             // connected units worth keeping off chatty partitions.
             let sums: Vec<f64> = (0..*procs).map(|i| cost.row_sum(i)).collect();
             let most = sums.iter().cloned().fold(f64::INFINITY, f64::min);
             let least = sums.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            println!(
+            writeln!(
+                out,
                 "# per-unit total reach cost (row sums): {most:.1} (best) .. {least:.1} (worst)"
-            );
+            )?;
             Ok(())
         }
         Command::Benchmark {
@@ -588,12 +580,16 @@ pub fn execute(cli: &Cli) -> Result<(), CommandError> {
             );
             let result = bench.run(&hg, &partition);
             let quality = QualityReport::compute(&hg, &partition, &cost);
-            println!("hypergraph       : {hg}");
-            println!("partitions       : {procs}");
-            println!("remote messages  : {}", result.remote_messages);
-            println!("remote bytes     : {}", result.remote_bytes);
-            println!("comm cost        : {:.1}", quality.comm_cost);
-            println!("simulated time   : {:.3} ms", result.total_time_us / 1e3);
+            writeln!(out, "hypergraph       : {hg}")?;
+            writeln!(out, "partitions       : {procs}")?;
+            writeln!(out, "remote messages  : {}", result.remote_messages)?;
+            writeln!(out, "remote bytes     : {}", result.remote_bytes)?;
+            writeln!(out, "comm cost        : {:.1}", quality.comm_cost)?;
+            writeln!(
+                out,
+                "simulated time   : {:.3} ms",
+                result.total_time_us / 1e3
+            )?;
             Ok(())
         }
     }
@@ -602,8 +598,33 @@ pub fn execute(cli: &Cli) -> Result<(), CommandError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hyperpraw::core::ParallelMode;
     use hyperpraw::hypergraph::HypergraphBuilder;
+
+    /// Parses a command line and runs it with its output discarded.
+    fn run(line: &str) -> Result<(), CommandError> {
+        let cli = Cli::parse(line.split_whitespace().map(String::from)).expect(line);
+        execute(&cli, &mut io::sink())
+    }
+
+    /// `partition` with the basic algorithm on a flat machine; `flags`
+    /// come last, so they override these.
+    fn partition(input: &Path, parts: u32, flags: &str) -> Result<(), CommandError> {
+        let shared = "-a basic -m flat --imbalance 1.2 --seed 1";
+        run(&format!(
+            "partition {} --parts {parts} {shared} {flags}",
+            input.display()
+        ))
+    }
+
+    /// `lowmem` under a 1 MiB budget on a flat machine; `flags` come last,
+    /// so they override these.
+    fn lowmem(input: &Path, parts: u32, flags: &str) -> Result<(), CommandError> {
+        let shared = "--budget-mib 1 -m flat --seed 0";
+        run(&format!(
+            "lowmem {} --parts {parts} {shared} {flags}",
+            input.display()
+        ))
+    }
 
     /// A path unique per call: tests run concurrently in one process, so
     /// the process id alone would let them race on the same file.
@@ -623,50 +644,6 @@ mod tests {
         b.add_hyperedge([0u32, 7]);
         hmetis::write_hgr_file(&b.build(), &path).unwrap();
         path
-    }
-
-    /// Builder for `Command::Partition` literals in tests.
-    struct PartitionArgs {
-        input: std::path::PathBuf,
-        parts: u32,
-        algorithm: Algorithm,
-        threads: Option<usize>,
-        parallel_mode: ParallelMode,
-        seed: u64,
-        output: Option<std::path::PathBuf>,
-        json_out: Option<std::path::PathBuf>,
-    }
-
-    impl PartitionArgs {
-        fn new(input: std::path::PathBuf, parts: u32) -> Self {
-            Self {
-                input,
-                parts,
-                algorithm: Algorithm::HyperPrawBasic,
-                threads: None,
-                parallel_mode: ParallelMode::Bsp,
-                seed: 1,
-                output: None,
-                json_out: None,
-            }
-        }
-
-        fn command(self) -> Command {
-            Command::Partition {
-                input: self.input,
-                parts: self.parts,
-                algorithm: self.algorithm,
-                machine: MachinePreset::Flat,
-                imbalance: 1.2,
-                threads: self.threads,
-                parallel_mode: self.parallel_mode,
-                seed: self.seed,
-                output: self.output,
-                json: false,
-                json_out: self.json_out,
-                metrics_out: None,
-            }
-        }
     }
 
     #[test]
@@ -702,14 +679,7 @@ mod tests {
     fn partition_command_writes_an_assignment_file() {
         let input = sample_hgr();
         let output = temp_path("out_assignment.txt");
-        let cli = Cli {
-            command: PartitionArgs {
-                output: Some(output.clone()),
-                ..PartitionArgs::new(input.clone(), 2)
-            }
-            .command(),
-        };
-        execute(&cli).unwrap();
+        partition(&input, 2, &format!("-o {}", output.display())).unwrap();
         let hg = load_hypergraph(&input).unwrap();
         let part = read_assignment(&output, hg.num_vertices()).unwrap();
         assert!(part.num_parts() <= 2);
@@ -721,14 +691,8 @@ mod tests {
     fn every_algorithm_dispatches_through_the_partition_command() {
         let input = sample_hgr();
         for algorithm in Algorithm::all() {
-            execute(&Cli {
-                command: PartitionArgs {
-                    algorithm,
-                    ..PartitionArgs::new(input.clone(), 2)
-                }
-                .command(),
-            })
-            .unwrap_or_else(|e| panic!("{}: {e}", algorithm.name()));
+            partition(&input, 2, &format!("-a {}", algorithm.name()))
+                .unwrap_or_else(|e| panic!("{}: {e}", algorithm.name()));
         }
         fs::remove_file(input).ok();
     }
@@ -737,14 +701,7 @@ mod tests {
     fn json_out_writes_a_partition_report() {
         let input = sample_hgr();
         let json_out = temp_path("report.json");
-        execute(&Cli {
-            command: PartitionArgs {
-                json_out: Some(json_out.clone()),
-                ..PartitionArgs::new(input.clone(), 2)
-            }
-            .command(),
-        })
-        .unwrap();
+        partition(&input, 2, &format!("--json-out {}", json_out.display())).unwrap();
         let json = fs::read_to_string(&json_out).unwrap();
         assert!(json.contains("\"algorithm\": \"hyperpraw-basic\""));
         assert!(json.contains("\"metrics\""));
@@ -753,82 +710,13 @@ mod tests {
         fs::remove_file(json_out).ok();
     }
 
-    /// Builder for `Command::LowMem` literals in tests (enum variants do
-    /// not support functional record update).
-    struct LowMemArgs {
-        input: std::path::PathBuf,
-        parts: u32,
-        exact: bool,
-        restream: Option<usize>,
-        passes: usize,
-        rebuild_sketches: bool,
-        threads: usize,
-        parallel_mode: ParallelMode,
-        seed: u64,
-        output: Option<std::path::PathBuf>,
-        json_out: Option<std::path::PathBuf>,
-        format: StreamFormat,
-        no_prefetch: bool,
-    }
-
-    impl LowMemArgs {
-        fn new(input: std::path::PathBuf, parts: u32) -> Self {
-            Self {
-                input,
-                parts,
-                exact: false,
-                restream: None,
-                passes: 1,
-                rebuild_sketches: false,
-                threads: 1,
-                parallel_mode: ParallelMode::Bsp,
-                seed: 0,
-                output: None,
-                json_out: None,
-                format: StreamFormat::Auto,
-                no_prefetch: false,
-            }
-        }
-
-        fn command(self) -> Command {
-            Command::LowMem {
-                input: self.input,
-                parts: self.parts,
-                budget_mib: 1,
-                exact: self.exact,
-                restream: self.restream,
-                passes: self.passes,
-                rebuild_sketches: self.rebuild_sketches,
-                threads: self.threads,
-                parallel_mode: self.parallel_mode,
-                machine: MachinePreset::Flat,
-                seed: self.seed,
-                output: self.output,
-                json: false,
-                json_out: self.json_out,
-                format: self.format,
-                no_prefetch: self.no_prefetch,
-                metrics_out: None,
-            }
-        }
-    }
-
     #[test]
     fn lowmem_command_partitions_in_one_pass_and_writes_an_assignment() {
         let input = sample_hgr();
         let output = temp_path("lowmem_assignment.txt");
-        for exact in [false, true] {
-            execute(&Cli {
-                command: LowMemArgs {
-                    exact,
-                    restream: Some(4),
-                    seed: 1,
-                    output: Some(output.clone()),
-                    ..LowMemArgs::new(input.clone(), 2)
-                }
-                .command(),
-            })
-            .unwrap();
+        for exact in ["", "--exact"] {
+            let flags = format!("{exact} --restream 4 --seed 1 -o {}", output.display());
+            lowmem(&input, 2, &flags).unwrap();
             let hg = load_hypergraph(&input).unwrap();
             let part = read_assignment(&output, hg.num_vertices()).unwrap();
             assert!(part.num_parts() <= 2);
@@ -843,13 +731,11 @@ mod tests {
         // compressed file, diff against the uncompressed stream path.
         let input = sample_hgr();
         let hpz = temp_path("sample.hpz");
-        execute(&Cli {
-            command: Command::Convert {
-                input: input.clone(),
-                output: hpz.clone(),
-                block_bytes: 128,
-            },
-        })
+        run(&format!(
+            "convert {} {} --block-bytes 128",
+            input.display(),
+            hpz.display()
+        ))
         .unwrap();
         assert!(storage::is_compressed_file(&hpz));
 
@@ -857,39 +743,15 @@ mod tests {
         let from_compressed = temp_path("assignment_compressed.txt");
         let from_hpz = temp_path("assignment_hpz.txt");
         // Uncompressed baseline.
-        execute(&Cli {
-            command: LowMemArgs {
-                seed: 5,
-                output: Some(from_transpose.clone()),
-                format: StreamFormat::Transpose,
-                ..LowMemArgs::new(input.clone(), 2)
-            }
-            .command(),
-        })
-        .unwrap();
+        let flags = format!("--seed 5 -o {} -f transpose", from_transpose.display());
+        lowmem(&input, 2, &flags).unwrap();
         // Same .hgr forced through the compressed reader (converted to a
         // temporary .hpz internally).
-        execute(&Cli {
-            command: LowMemArgs {
-                seed: 5,
-                output: Some(from_compressed.clone()),
-                format: StreamFormat::Compressed,
-                ..LowMemArgs::new(input.clone(), 2)
-            }
-            .command(),
-        })
-        .unwrap();
+        let flags = format!("--seed 5 -o {} -f compressed", from_compressed.display());
+        lowmem(&input, 2, &flags).unwrap();
         // The pre-converted .hpz picked up by the auto sniff, prefetch off.
-        execute(&Cli {
-            command: LowMemArgs {
-                seed: 5,
-                output: Some(from_hpz.clone()),
-                no_prefetch: true,
-                ..LowMemArgs::new(hpz.clone(), 2)
-            }
-            .command(),
-        })
-        .unwrap();
+        let flags = format!("--seed 5 -o {} --no-prefetch", from_hpz.display());
+        lowmem(&hpz, 2, &flags).unwrap();
 
         let baseline = fs::read_to_string(&from_transpose).unwrap();
         assert_eq!(baseline, fs::read_to_string(&from_compressed).unwrap());
@@ -907,19 +769,12 @@ mod tests {
         let input = sample_hgr();
         let output = temp_path("lowmem_bsp_assignment.txt");
         let json_out = temp_path("lowmem_bsp_report.json");
-        execute(&Cli {
-            command: LowMemArgs {
-                passes: 2,
-                rebuild_sketches: true,
-                threads: 3,
-                seed: 7,
-                output: Some(output.clone()),
-                json_out: Some(json_out.clone()),
-                ..LowMemArgs::new(input.clone(), 2)
-            }
-            .command(),
-        })
-        .unwrap();
+        let flags = format!(
+            "--passes 2 --rebuild-sketches --threads 3 --seed 7 -o {} --json-out {}",
+            output.display(),
+            json_out.display()
+        );
+        lowmem(&input, 2, &flags).unwrap();
         let hg = load_hypergraph(&input).unwrap();
         let part = read_assignment(&output, hg.num_vertices()).unwrap();
         assert!(part.num_parts() <= 2);
@@ -935,28 +790,14 @@ mod tests {
 
     #[test]
     fn lowmem_command_rejects_mtx_too_many_parts_and_exact_rebuilds() {
-        let err = execute(&Cli {
-            command: LowMemArgs::new(std::path::PathBuf::from("matrix.mtx"), 4).command(),
-        })
-        .unwrap_err();
+        let err = lowmem(Path::new("matrix.mtx"), 4, "").unwrap_err();
         assert!(err.to_string().contains("not streamable"));
 
         let input = sample_hgr();
-        let err = execute(&Cli {
-            command: LowMemArgs::new(input.clone(), 1000).command(),
-        })
-        .unwrap_err();
+        let err = lowmem(&input, 1000, "").unwrap_err();
         assert!(err.to_string().contains("cannot split"));
 
-        let err = execute(&Cli {
-            command: LowMemArgs {
-                exact: true,
-                rebuild_sketches: true,
-                ..LowMemArgs::new(input.clone(), 2)
-            }
-            .command(),
-        })
-        .unwrap_err();
+        let err = lowmem(&input, 2, "--exact --rebuild-sketches").unwrap_err();
         fs::remove_file(input).ok();
         assert!(err.to_string().contains("rebuild-sketches"));
     }
@@ -966,14 +807,7 @@ mod tests {
         let input = sample_hgr();
         // Zero lowmem passes reach the job API and come back as
         // InvalidConfig, not a panic or an infinite loop.
-        let err = execute(&Cli {
-            command: LowMemArgs {
-                passes: 0,
-                ..LowMemArgs::new(input.clone(), 2)
-            }
-            .command(),
-        })
-        .unwrap_err();
+        let err = lowmem(&input, 2, "--passes 0").unwrap_err();
         assert!(err.to_string().contains("streaming pass"));
         fs::remove_file(input).ok();
     }
@@ -984,15 +818,7 @@ mod tests {
         // the machine's available parallelism inside the job API.
         let input = sample_hgr();
         let output = temp_path("lowmem_auto_threads.txt");
-        execute(&Cli {
-            command: LowMemArgs {
-                threads: 0,
-                output: Some(output.clone()),
-                ..LowMemArgs::new(input.clone(), 2)
-            }
-            .command(),
-        })
-        .unwrap();
+        lowmem(&input, 2, &format!("--threads 0 -o {}", output.display())).unwrap();
         let hg = load_hypergraph(&input).unwrap();
         let part = read_assignment(&output, hg.num_vertices()).unwrap();
         assert!(part.num_parts() <= 2);
@@ -1004,17 +830,11 @@ mod tests {
     fn partition_command_runs_the_work_stealing_mode_end_to_end() {
         let input = sample_hgr();
         let json_out = temp_path("steal_report.json");
-        execute(&Cli {
-            command: PartitionArgs {
-                algorithm: Algorithm::ParallelBasic,
-                threads: Some(4),
-                parallel_mode: ParallelMode::WorkStealing,
-                json_out: Some(json_out.clone()),
-                ..PartitionArgs::new(input.clone(), 2)
-            }
-            .command(),
-        })
-        .unwrap();
+        let flags = format!(
+            "-a parallel-basic --threads 4 --parallel-mode steal --json-out {}",
+            json_out.display()
+        );
+        partition(&input, 2, &flags).unwrap();
         let json = fs::read_to_string(&json_out).unwrap();
         assert!(json.contains("\"parallel_mode\": \"steal\""));
         assert!(json.contains("\"threads\": 4"));
@@ -1026,20 +846,12 @@ mod tests {
     #[test]
     fn stats_and_profile_commands_run() {
         let input = sample_hgr();
-        execute(&Cli {
-            command: Command::Stats {
-                input: input.clone(),
-            },
-        })
-        .unwrap();
+        run(&format!("stats {}", input.display())).unwrap();
         let out = temp_path("bw.csv");
-        execute(&Cli {
-            command: Command::Profile {
-                machine: MachinePreset::Archer,
-                procs: 12,
-                output: Some(out.clone()),
-            },
-        })
+        run(&format!(
+            "profile -m archer --procs 12 -o {}",
+            out.display()
+        ))
         .unwrap();
         assert!(fs::read_to_string(&out).unwrap().lines().count() == 12);
         fs::remove_file(input).ok();
@@ -1052,15 +864,11 @@ mod tests {
         let hg = load_hypergraph(&input).unwrap();
         let assignment = temp_path("bench_assignment.txt");
         write_assignment(&assignment, &Partition::round_robin(hg.num_vertices(), 4)).unwrap();
-        execute(&Cli {
-            command: Command::Benchmark {
-                input: input.clone(),
-                assignment: assignment.clone(),
-                machine: MachinePreset::Cluster,
-                message_bytes: 128,
-                supersteps: 2,
-            },
-        })
+        run(&format!(
+            "benchmark {} {} -m cluster --bytes 128 --supersteps 2",
+            input.display(),
+            assignment.display()
+        ))
         .unwrap();
         fs::remove_file(input).ok();
         fs::remove_file(assignment).ok();
@@ -1068,32 +876,15 @@ mod tests {
 
     #[test]
     fn invalid_inputs_produce_errors_not_panics() {
-        let missing = execute(&Cli {
-            command: Command::Stats {
-                input: temp_path("does_not_exist.hgr"),
-            },
-        });
-        assert!(missing.is_err());
+        let missing = temp_path("does_not_exist.hgr");
+        assert!(run(&format!("stats {}", missing.display())).is_err());
         let too_many_parts = {
             let input = sample_hgr();
-            let r = execute(&Cli {
-                command: PartitionArgs {
-                    algorithm: Algorithm::RoundRobin,
-                    ..PartitionArgs::new(input.clone(), 1000)
-                }
-                .command(),
-            });
+            let r = partition(&input, 1000, "-a round-robin");
             fs::remove_file(input).ok();
             r
         };
         assert!(too_many_parts.is_err());
-        let bad_profile = execute(&Cli {
-            command: Command::Profile {
-                machine: MachinePreset::Flat,
-                procs: 1,
-                output: None,
-            },
-        });
-        assert!(bad_profile.is_err());
+        assert!(run("profile -m flat --procs 1").is_err());
     }
 }

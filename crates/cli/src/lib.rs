@@ -11,14 +11,19 @@
 //! hyperpraw serve      --stdio
 //! ```
 //!
-//! Argument parsing is hand-rolled (no external dependencies) and lives in
-//! [`args`]; the subcommand implementations live in [`commands`]. Every
+//! Argument parsing lives in [`args`] and uses no external dependencies:
+//! each subcommand's flags are declared once, and one generic loop and
+//! the `--help` text both read those tables. The subcommand
+//! implementations live in [`commands`] and print through one writer
+//! that ends output quietly when the reader closes the pipe. Every
 //! partitioning invocation dispatches through the facade's unified
 //! [`hyperpraw::api::PartitionJob`] — the CLI carries no per-driver
 //! wiring of its own.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+
+use std::io::Write;
 
 pub mod args;
 pub mod commands;
@@ -29,24 +34,23 @@ pub use hyperpraw::api::Algorithm;
 
 /// Entry point shared by the binary and the integration tests: parses the
 /// arguments and runs the selected subcommand, returning a process exit
-/// code.
+/// code (0 for success or help, 1 for a failed run, 2 for a parse error).
 pub fn run<I: IntoIterator<Item = String>>(argv: I) -> i32 {
-    match args::Cli::parse(argv) {
-        Ok(cli) => match commands::execute(&cli) {
-            Ok(()) => 0,
-            Err(e) => {
-                eprintln!("error: {e}");
-                1
-            }
-        },
-        Err(ParseError::HelpRequested) => {
-            println!("{}", args::usage());
-            0
-        }
+    let mut out = commands::Stdout;
+    let result = match args::Cli::parse(argv) {
+        Ok(cli) => commands::execute(&cli, &mut out),
+        Err(ParseError::HelpRequested) => writeln!(out, "{}", args::usage()).map_err(Into::into),
         Err(e) => {
             eprintln!("error: {e}\n");
             eprintln!("{}", args::usage());
-            2
+            return 2;
+        }
+    };
+    match result {
+        Ok(()) => 0,
+        Err(e) => {
+            eprintln!("error: {e}");
+            1
         }
     }
 }

@@ -111,7 +111,7 @@ use hyperpraw::hypergraph::{run_on_workers, HypergraphBuilder};
 use hyperpraw::json::{self, JsonValue};
 use hyperpraw::telemetry::{Counter, Gauge, Histogram, Registry};
 
-use crate::args::MachinePreset;
+use crate::args::{FlagValue, MachinePreset};
 use crate::commands::{load_hypergraph, profile, CommandError};
 
 /// Worker threads serving TCP connections (plus one acceptor).
@@ -123,7 +123,7 @@ const SERVE_WORKERS: usize = 4;
 const IDLE_TIMEOUT_STRIKES: u32 = 4;
 
 /// How the daemon runs: transport, durability and robustness knobs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ServeOptions {
     /// TCP address to listen on (ignored with `stdio`).
     pub bind: String,
@@ -1013,7 +1013,7 @@ fn start_session(
         let preset = machine
             .as_str()
             .ok_or("'machine' must be a string")
-            .and_then(|s| MachinePreset::parse(s).map_err(|_| "unknown 'machine' preset"))?;
+            .and_then(|s| MachinePreset::parse_value(Some(s)).ok_or("unknown 'machine' preset"))?;
         let (_, cost) = profile(preset, parts as usize, seed);
         job = job.cost(cost);
     }

@@ -136,27 +136,10 @@ impl HyperPrawConfig {
     }
 
     /// Validates parameter ranges, returning a description of the first
-    /// problem found.
+    /// problem found: the checks of the engine configuration it becomes,
+    /// plus the initial `α`, which those leave to the caller.
     pub fn validate(&self) -> Result<(), String> {
-        if self.tempering_factor <= 1.0 {
-            return Err(format!(
-                "tempering factor must exceed 1.0 (got {}): α must grow while imbalanced",
-                self.tempering_factor
-            ));
-        }
-        if self.imbalance_tolerance < 1.0 {
-            return Err("imbalance tolerance below 1.0 is unsatisfiable".into());
-        }
-        if self.max_iterations == 0 {
-            return Err("max_iterations must be at least 1".into());
-        }
-        if let RefinementPolicy::Factor(f) = self.refinement {
-            if f <= 0.0 || f > 1.5 {
-                return Err(format!(
-                    "refinement factor {f} out of the sensible range (0, 1.5]"
-                ));
-            }
-        }
+        crate::engine::EngineConfig::restreaming(self).validate()?;
         if let Some(a) = self.initial_alpha {
             if !(a.is_finite() && a > 0.0) {
                 return Err("initial alpha must be positive and finite".into());
@@ -233,6 +216,17 @@ mod tests {
         assert!(c.validate().is_err());
         c.initial_alpha = None;
         assert!(c.validate().is_ok());
+        // NaN fails every range check; an unbounded tolerance passes.
+        c.imbalance_tolerance = f64::INFINITY;
+        assert!(c.validate().is_ok());
+        c.imbalance_tolerance = f64::NAN;
+        assert!(c.validate().is_err());
+        c.imbalance_tolerance = 1.1;
+        c.tempering_factor = f64::NAN;
+        assert!(c.validate().is_err());
+        c.tempering_factor = 1.7;
+        c.refinement = RefinementPolicy::Factor(f64::NAN);
+        assert!(c.validate().is_err());
     }
 
     #[test]

@@ -318,20 +318,24 @@ impl EngineConfig {
 
     /// Validates parameter ranges, returning the first problem found.
     pub fn validate(&self) -> Result<(), String> {
-        if self.tempering_factor <= 1.0 {
+        // Each range check is written so NaN fails it.
+        if self.tempering_factor.is_nan() || self.tempering_factor <= 1.0 {
             return Err(format!(
                 "tempering factor must exceed 1.0 (got {})",
                 self.tempering_factor
             ));
         }
-        if self.imbalance_tolerance < 1.0 {
-            return Err("imbalance tolerance below 1.0 is unsatisfiable".into());
+        if self.imbalance_tolerance.is_nan() || self.imbalance_tolerance < 1.0 {
+            return Err(format!(
+                "imbalance tolerance must be at least 1.0 (got {})",
+                self.imbalance_tolerance
+            ));
         }
         if self.max_iterations == 0 {
             return Err("max_iterations must be at least 1".into());
         }
         if let RefinementPolicy::Factor(f) = self.refinement {
-            if f <= 0.0 || f > 1.5 {
+            if f.is_nan() || f <= 0.0 || f > 1.5 {
                 return Err(format!("refinement factor {f} out of (0, 1.5]"));
             }
         }

@@ -74,8 +74,11 @@ impl MultilevelConfig {
     /// Validates parameter ranges, returning a description of the first
     /// problem found.
     pub fn validate(&self) -> Result<(), String> {
-        if self.imbalance_tolerance < 1.0 {
-            return Err("imbalance tolerance below 1.0 is unsatisfiable".into());
+        if self.imbalance_tolerance.is_nan() || self.imbalance_tolerance < 1.0 {
+            return Err(format!(
+                "imbalance tolerance must be at least 1.0 (got {})",
+                self.imbalance_tolerance
+            ));
         }
         if self.coarsen_until == 0 {
             return Err("coarsening must stop at a non-empty hypergraph".into());

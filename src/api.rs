@@ -1181,6 +1181,16 @@ mod tests {
                 .run(&hg),
             Err(PartitionError::InvalidConfig(_))
         ));
+        // a NaN tolerance, which every `<` comparison lets through
+        for algorithm in [Algorithm::HyperPrawBasic, Algorithm::MultilevelBaseline] {
+            assert!(matches!(
+                PartitionJob::new(algorithm)
+                    .partitions(4)
+                    .imbalance_tolerance(f64::NAN)
+                    .run(&hg),
+                Err(PartitionError::InvalidConfig(_))
+            ));
+        }
         // max_iterations = 0
         assert!(matches!(
             PartitionJob::new(Algorithm::HyperPrawBasic)

@@ -19,8 +19,9 @@ use std::fmt;
 /// Maximum nesting depth accepted by [`parse`].
 pub const MAX_DEPTH: usize = 128;
 
-/// 2^53 - 1: the largest integer whose `f64` no other integer rounds to.
-const MAX_EXACT_INTEGER: f64 = 9_007_199_254_740_991.0;
+/// 2^53 - 1: the largest integer whose `f64` no other integer rounds to,
+/// so the largest one a JSON number carries exactly.
+pub const MAX_EXACT_INTEGER: u64 = (1 << 53) - 1;
 
 /// A parsed JSON document.
 #[derive(Clone, Debug, PartialEq)]
@@ -70,7 +71,9 @@ impl JsonValue {
     /// written.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT_INTEGER => {
+            JsonValue::Number(n)
+                if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT_INTEGER as f64 =>
+            {
                 Some(*n as u64)
             }
             _ => None,
