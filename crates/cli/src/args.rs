@@ -328,10 +328,10 @@ subcommands! {
         machine: MachinePreset = "--machine" "-m", default "archer";
         /// Imbalance tolerance.
         imbalance: f64 = "--imbalance", default "1.1";
-        /// Worker threads of a parallel or lowmem algorithm (0 = auto; the
-        /// driver's default when absent).
+        /// Worker threads of a restreaming or lowmem algorithm (1 = sequential,
+        /// the default; 0 = auto).
         threads: Option<usize> = "--threads" "-t";
-        /// Worker scheduling of the parallel algorithms.
+        /// Worker scheduling above one thread.
         parallel_mode: ParallelMode = "--parallel-mode", default "bsp";
         /// RNG seed.
         seed: u64 as Seed = "--seed", default "2019";
@@ -471,32 +471,31 @@ struct Matches<'a> {
 impl<'a> Matches<'a> {
     /// The one parse loop: positionals first, then flags in any order,
     /// each value checked against its row as it is met; the last of a
-    /// repeated flag wins.
+    /// repeated flag wins. A value may start with `-` (`--imbalance -1`)
+    /// but may not be one of the subcommand's own flag spellings: there
+    /// the value was forgotten.
     fn parse(sub: &'static Subcommand, rest: &'a [String]) -> Result<Self, ParseError> {
         for (i, name) in sub.positionals.iter().enumerate() {
             if rest.get(i).is_none_or(|arg| arg.starts_with('-')) {
                 return Err(ParseError::MissingArgument((*name).into()));
             }
         }
-        let (positionals, mut args) = rest.split_at(sub.positionals.len());
-        if sub.flags.is_empty() {
-            // A subcommand without flags has always ignored what follows
-            // its positionals.
-            args = &[];
-        }
+        let (positionals, args) = rest.split_at(sub.positionals.len());
+        let row_of = |arg: &str| {
+            sub.flags
+                .iter()
+                .position(|f| f.long == arg || f.short.contains(&arg))
+        };
         let mut values = vec![None; sub.flags.len()];
         let mut args = args.iter().map(String::as_str);
         while let Some(arg) = args.next() {
-            let row = sub
-                .flags
-                .iter()
-                .position(|f| f.long == arg || f.short.contains(&arg))
-                .ok_or_else(|| ParseError::UnknownOption(arg.into()))?;
+            let row = row_of(arg).ok_or_else(|| ParseError::UnknownOption(arg.into()))?;
             let flag = &sub.flags[row];
             let value = match flag.metavar {
                 "" => "",
                 _ => args
                     .next()
+                    .filter(|value| row_of(value).is_none())
                     .ok_or_else(|| ParseError::MissingValue(arg.into()))?,
             };
             if !(flag.parses)(Some(value)) {

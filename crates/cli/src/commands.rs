@@ -257,25 +257,23 @@ pub fn execute(cli: &Cli, out: &mut dyn Write) -> Result<(), CommandError> {
             if *parts < 2 {
                 return Err(CommandError::Invalid("--parts must be at least 2".into()));
             }
+            if threads.is_some() && !algorithm.supports_threads() {
+                return Err(CommandError::Invalid(format!(
+                    "--threads does not apply to {}; pick a restreaming or lowmem algorithm",
+                    algorithm.name()
+                )));
+            }
             let (_, cost) = profile(*machine, *parts as usize, *seed);
             let metrics = telemetry::Registry::new();
-            let mut job = PartitionJob::new(*algorithm)
+            let report = PartitionJob::new(*algorithm)
                 .partitions(*parts)
                 .cost(cost)
                 .seed(*seed)
                 .imbalance_tolerance(*imbalance)
+                .threads(threads.unwrap_or(1))
                 .parallel_mode(*parallel_mode)
-                .registry(&metrics);
-            if let Some(t) = threads {
-                if !algorithm.supports_threads() {
-                    return Err(CommandError::Invalid(format!(
-                        "--threads does not apply to {}; pick a parallel or lowmem algorithm",
-                        algorithm.name()
-                    )));
-                }
-                job = job.threads(*t);
-            }
-            let report = job.run(&hg)?;
+                .registry(&metrics)
+                .run(&hg)?;
             emit_report(
                 out,
                 &report,

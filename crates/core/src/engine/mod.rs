@@ -1114,7 +1114,13 @@ impl Engine {
             source.reset()?;
             let pass_span = self.metrics.pass_time_us.span();
             let moved = match config.strategy {
-                ExecutionStrategy::Sequential => self.sequential_pass(
+                // A single worker has nobody to race: run the live
+                // sequential loop, so one thread is bit-identical to
+                // `Sequential` in either parallel mode (the n=1
+                // determinism anchor).
+                ExecutionStrategy::Sequential
+                | ExecutionStrategy::Chunked { num_threads: 1, .. }
+                | ExecutionStrategy::WorkStealing { num_threads: 1, .. } => self.sequential_pass(
                     cost,
                     source,
                     provider,
@@ -1140,20 +1146,6 @@ impl Engine {
                     &mut doubts,
                     &mut slots,
                     &mut window,
-                )?,
-                // A single stealing worker has nobody to race: run the
-                // live sequential loop so the result is bit-identical to
-                // `Sequential` (the n=1 determinism anchor).
-                ExecutionStrategy::WorkStealing { num_threads: 1, .. } => self.sequential_pass(
-                    cost,
-                    source,
-                    provider,
-                    &mut state,
-                    alpha,
-                    assigned,
-                    &mut doubts,
-                    &mut record,
-                    &mut slots,
                 )?,
                 ExecutionStrategy::WorkStealing { num_threads, chunk } => self.steal_pass(
                     cost,

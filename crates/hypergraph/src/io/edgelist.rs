@@ -14,28 +14,18 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-use crate::io::{try_build, IoError, IoResult};
-use crate::{Hypergraph, HypergraphBuilder, VertexId};
+use crate::io::stream::visit_edgelist_nets;
+use crate::io::{try_build, IoResult};
+use crate::{Hypergraph, HypergraphBuilder};
 
-/// Reads an edge-list hypergraph from a buffered reader.
+/// Reads an edge-list hypergraph from a buffered reader: a builder over
+/// the one line parser, [`visit_edgelist_nets`].
 pub fn read_edgelist<R: BufRead>(reader: R) -> IoResult<Hypergraph> {
     let mut builder = HypergraphBuilder::new(0);
-    for (i, line) in reader.lines().enumerate() {
-        let line_no = i + 1;
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') {
-            continue;
-        }
-        let mut pins: Vec<VertexId> = Vec::new();
-        for tok in t.split_whitespace() {
-            let v: VertexId = tok
-                .parse()
-                .map_err(|_| IoError::parse(line_no, format!("invalid vertex id '{tok}'")))?;
-            pins.push(v);
-        }
-        builder.add_hyperedge(pins);
-    }
+    visit_edgelist_nets(reader, &mut |_, pins| {
+        builder.add_hyperedge(pins.iter().copied());
+        Ok(())
+    })?;
     try_build(builder)
 }
 
@@ -97,6 +87,24 @@ mod tests {
         assert_eq!(back.num_vertices(), 4);
         assert_eq!(back.num_hyperedges(), 2);
         assert_eq!(back.pins(1), hg.pins(1));
+    }
+
+    #[test]
+    fn reads_what_the_streaming_visitor_sees() {
+        let text = "# header\n\n3 1 1 0\n  # indented comment\n2 2\n\n4 0 3\n";
+        let mut nets = Vec::new();
+        let summary = visit_edgelist_nets(Cursor::new(text), &mut |_, pins| {
+            nets.push(pins.to_vec());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(nets, [vec![0, 1, 3], vec![2], vec![0, 3, 4]]);
+        let hg = read_edgelist(Cursor::new(text)).unwrap();
+        let read: Vec<Vec<u32>> = hg.hyperedges().map(|e| hg.pins(e).to_vec()).collect();
+        assert_eq!((read, hg.num_vertices()), (nets, summary.num_vertices));
+        let err = read_edgelist(Cursor::new("0 1\n# skip\n\n2 -3\n")).unwrap_err();
+        let expected = "parse error on line 4: invalid vertex id '-3'";
+        assert_eq!(err.to_string(), expected);
     }
 
     #[test]

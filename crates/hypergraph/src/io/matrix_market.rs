@@ -12,7 +12,7 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-use crate::io::{capacity_hint, id_count, try_build, IoError, IoResult};
+use crate::io::{capacity_hint, field, id_count, next_data_line, try_build, IoError, IoResult};
 use crate::{Hypergraph, HypergraphBuilder, VertexId};
 
 /// How to turn a sparse matrix into a hypergraph.
@@ -88,35 +88,12 @@ pub fn read_mtx<R: BufRead>(reader: R) -> IoResult<CoordinateMatrix> {
     let pattern = header.contains("pattern");
 
     // Size line (after comments).
-    let (size_no, size_line) = loop {
-        match lines.next() {
-            Some((i, line)) => {
-                let line = line?;
-                let t = line.trim();
-                if t.is_empty() || t.starts_with('%') {
-                    continue;
-                }
-                break (i + 1, t.to_string());
-            }
-            None => return Err(IoError::parse(first_no, "missing size line")),
-        }
-    };
+    let (size_no, size_line) =
+        next_data_line(&mut lines)?.ok_or_else(|| IoError::parse(first_no, "missing size line"))?;
     let mut toks = size_line.split_whitespace();
-    let rows: usize = toks
-        .next()
-        .ok_or_else(|| IoError::parse(size_no, "missing row count"))?
-        .parse()
-        .map_err(|_| IoError::parse(size_no, "invalid row count"))?;
-    let cols: usize = toks
-        .next()
-        .ok_or_else(|| IoError::parse(size_no, "missing column count"))?
-        .parse()
-        .map_err(|_| IoError::parse(size_no, "invalid column count"))?;
-    let nnz: usize = toks
-        .next()
-        .ok_or_else(|| IoError::parse(size_no, "missing nonzero count"))?
-        .parse()
-        .map_err(|_| IoError::parse(size_no, "invalid nonzero count"))?;
+    let rows: usize = field(&mut toks, size_no, "row count")?;
+    let cols: usize = field(&mut toks, size_no, "column count")?;
+    let nnz: usize = field(&mut toks, size_no, "nonzero count")?;
     // Rows and columns become vertices or nets depending on the model.
     let rows = id_count(rows, size_no, "row count")?;
     let cols = id_count(cols, size_no, "column count")?;
@@ -136,16 +113,8 @@ pub fn read_mtx<R: BufRead>(reader: R) -> IoResult<CoordinateMatrix> {
             continue;
         }
         let mut toks = t.split_whitespace();
-        let r: usize = toks
-            .next()
-            .ok_or_else(|| IoError::parse(line_no, "missing row index"))?
-            .parse()
-            .map_err(|_| IoError::parse(line_no, "invalid row index"))?;
-        let c: usize = toks
-            .next()
-            .ok_or_else(|| IoError::parse(line_no, "missing column index"))?
-            .parse()
-            .map_err(|_| IoError::parse(line_no, "invalid column index"))?;
+        let r: usize = field(&mut toks, line_no, "row index")?;
+        let c: usize = field(&mut toks, line_no, "column index")?;
         if !pattern && toks.next().is_none() {
             return Err(IoError::parse(line_no, "missing value field"));
         }

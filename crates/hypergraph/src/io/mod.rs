@@ -53,6 +53,35 @@ pub(crate) fn capacity_hint(declared: usize) -> usize {
     declared.min(MAX_CAPACITY_HINT)
 }
 
+/// The next of `lines` (a reader's numbered lines) that is neither blank
+/// nor a `%` comment, trimmed, with its 1-based line number.
+pub(crate) fn next_data_line(
+    lines: &mut impl Iterator<Item = (usize, io::Result<String>)>,
+) -> IoResult<Option<(usize, String)>> {
+    for (i, line) in lines {
+        let line = line?;
+        let trimmed = line.trim();
+        if !trimmed.is_empty() && !trimmed.starts_with('%') {
+            return Ok(Some((i + 1, trimmed.to_string())));
+        }
+    }
+    Ok(None)
+}
+
+/// Parses the next of `tokens`, a whitespace-split field of line
+/// `line_no`, naming `what` in the error when it is missing or malformed.
+pub(crate) fn field<T: std::str::FromStr>(
+    tokens: &mut std::str::SplitWhitespace<'_>,
+    line_no: usize,
+    what: &str,
+) -> IoResult<T> {
+    tokens
+        .next()
+        .ok_or_else(|| IoError::parse(line_no, format!("missing {what}")))?
+        .parse()
+        .map_err(|_| IoError::parse(line_no, format!("invalid {what}")))
+}
+
 /// Checks a header-declared count of ids against the `u32` id space
 /// ([`crate::VertexId`], [`crate::HyperedgeId`]): a larger count cannot be
 /// addressed, so it is a parse error rather than an allocation attempt.

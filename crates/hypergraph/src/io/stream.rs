@@ -25,7 +25,7 @@ use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::io::{id_count, IoError, IoResult};
+use crate::io::{field, id_count, next_data_line, IoError, IoResult};
 use crate::{HyperedgeId, Hypergraph, VertexId};
 
 /// One record of a vertex-major stream.
@@ -171,39 +171,11 @@ pub(crate) fn visit_hgr<R: BufRead>(
     mut sink: impl FnMut(HyperedgeId, &[VertexId], f64) -> IoResult<()>,
 ) -> IoResult<HgrStreamSummary> {
     let mut lines = reader.lines().enumerate();
-
-    let (header_line_no, header) = loop {
-        match lines.next() {
-            Some((i, line)) => {
-                let line = line?;
-                let trimmed = line.trim();
-                if trimmed.is_empty() || trimmed.starts_with('%') {
-                    continue;
-                }
-                break (i + 1, trimmed.to_string());
-            }
-            None => return Err(IoError::parse(1, "empty file: missing header")),
-        }
-    };
-
-    let mut parts = header.split_whitespace();
-    let num_nets: usize = parts
-        .next()
-        .ok_or_else(|| IoError::parse(header_line_no, "missing hyperedge count"))?
-        .parse()
-        .map_err(|_| IoError::parse(header_line_no, "invalid hyperedge count"))?;
-    let num_vertices: usize = parts
-        .next()
-        .ok_or_else(|| IoError::parse(header_line_no, "missing vertex count"))?
-        .parse()
-        .map_err(|_| IoError::parse(header_line_no, "invalid vertex count"))?;
-    let num_vertices = id_count(num_vertices, header_line_no, "vertex count")?;
-    let fmt: u32 = match parts.next() {
-        Some(tok) => tok
-            .parse()
-            .map_err(|_| IoError::parse(header_line_no, "invalid fmt field"))?,
-        None => 0,
-    };
+    let (header_line_no, header, fmt) = parse_hgr_header(&mut lines)?;
+    let HgrHeader {
+        num_nets,
+        num_vertices,
+    } = header;
     let has_edge_weights = fmt == 1 || fmt == 11;
     let has_vertex_weights = fmt == 10 || fmt == 11;
 
@@ -222,11 +194,7 @@ pub(crate) fn visit_hgr<R: BufRead>(
         if nets_read < num_nets {
             let mut tokens = trimmed.split_whitespace();
             let weight = if has_edge_weights {
-                tokens
-                    .next()
-                    .ok_or_else(|| IoError::parse(line_no, "missing hyperedge weight"))?
-                    .parse()
-                    .map_err(|_| IoError::parse(line_no, "invalid hyperedge weight"))?
+                field(&mut tokens, line_no, "hyperedge weight")?
             } else {
                 1.0
             };
@@ -766,30 +734,34 @@ pub struct HgrHeader {
 /// so callers can validate a request (e.g. partition count vs. vertex
 /// count) before paying for a full [`stream_hgr_file`] transpose.
 pub fn read_hgr_header(path: &Path) -> IoResult<HgrHeader> {
-    let reader = BufReader::new(File::open(path)?);
-    for (i, line) in reader.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('%') {
-            continue;
-        }
-        let mut parts = trimmed.split_whitespace();
-        let num_nets = parts
-            .next()
-            .ok_or_else(|| IoError::parse(i + 1, "missing hyperedge count"))?
+    let mut lines = BufReader::new(File::open(path)?).lines().enumerate();
+    Ok(parse_hgr_header(&mut lines)?.1)
+}
+
+/// The one hMETIS header parse: the first data line of `lines` (a
+/// reader's numbered lines), with its 1-based line number and `fmt` field
+/// (0 when absent; 1 and 11 declare hyperedge weights, 10 and 11 vertex
+/// weights).
+fn parse_hgr_header(
+    lines: &mut impl Iterator<Item = (usize, std::io::Result<String>)>,
+) -> IoResult<(usize, HgrHeader, u32)> {
+    let (line_no, header) =
+        next_data_line(lines)?.ok_or_else(|| IoError::parse(1, "empty file: missing header"))?;
+    let mut parts = header.split_whitespace();
+    let num_nets = field(&mut parts, line_no, "hyperedge count")?;
+    let num_vertices = field(&mut parts, line_no, "vertex count")?;
+    let num_vertices = id_count(num_vertices, line_no, "vertex count")?;
+    let fmt = match parts.next() {
+        Some(tok) => tok
             .parse()
-            .map_err(|_| IoError::parse(i + 1, "invalid hyperedge count"))?;
-        let num_vertices = parts
-            .next()
-            .ok_or_else(|| IoError::parse(i + 1, "missing vertex count"))?
-            .parse()
-            .map_err(|_| IoError::parse(i + 1, "invalid vertex count"))?;
-        return Ok(HgrHeader {
-            num_nets,
-            num_vertices,
-        });
-    }
-    Err(IoError::parse(1, "empty file: missing header"))
+            .map_err(|_| IoError::parse(line_no, "invalid fmt field"))?,
+        None => 0,
+    };
+    let header = HgrHeader {
+        num_nets,
+        num_vertices,
+    };
+    Ok((line_no, header, fmt))
 }
 
 #[cfg(test)]

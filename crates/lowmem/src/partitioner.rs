@@ -274,12 +274,10 @@ impl LowMemPartitioner {
             // the low-confidence entries happen to be high-degree hubs.
             byte_bound: plan.restream_bytes,
         };
-        if self.config.threads > 1 {
-            engine_config.strategy = self
-                .config
-                .mode
-                .strategy(self.config.threads, self.config.sync_interval);
-        }
+        engine_config.strategy = self
+            .config
+            .mode
+            .strategy(self.config.threads, self.config.sync_interval);
 
         let run = Engine::new(engine_config).run(
             &self.cost,
@@ -588,9 +586,9 @@ mod tests {
 
     #[test]
     fn single_stealing_thread_matches_the_sequential_stream() {
-        // `threads: 1` never engages a parallel strategy, so the mode must
-        // be irrelevant; pin the work-stealing config to the sequential
-        // result bit for bit.
+        // At `threads: 1` the engine runs its sequential loop in either
+        // mode, so the mode must be irrelevant; pin the work-stealing
+        // config to the sequential result bit for bit.
         let hg = mesh_hypergraph(&MeshConfig::new(400, 8));
         let sequential =
             LowMemPartitioner::basic(config(IndexKind::Sketched), 6).partition_hypergraph(&hg);

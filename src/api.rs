@@ -26,21 +26,20 @@
 //! assert!(report.to_json().contains("\"algorithm\": \"hyperpraw-basic\""));
 //! ```
 
-use std::borrow::Cow;
 use std::fmt;
 use std::time::Instant;
 
 use hyperpraw_core::metrics::QualityReport;
 use hyperpraw_core::{
     baselines, CostMatrix, HyperPraw, HyperPrawConfig, ParallelConfig, ParallelMode,
-    PartitionHistory, RefinementPolicy, StreamOrder,
+    PartitionHistory, RefinementPolicy, StopReason, StreamOrder,
 };
 use hyperpraw_dynamic::{DynamicConfig, DynamicError, DynamicPartitioner, GraphUpdate};
 use hyperpraw_hypergraph::io::stream::VertexStream;
 use hyperpraw_hypergraph::io::IoError;
 use hyperpraw_hypergraph::{Hypergraph, Partition, VertexId};
 use hyperpraw_lowmem::{
-    unweighted_imbalance, IndexKind, LowMemConfig, LowMemPartitioner, MemoryBudget,
+    unweighted_imbalance, IndexKind, LowMemConfig, LowMemPartitioner, LowMemResult, MemoryBudget,
 };
 use hyperpraw_multilevel::{MultilevelConfig, MultilevelPartitioner};
 
@@ -52,17 +51,18 @@ use crate::report::{
 };
 
 /// Every partitioning algorithm dispatchable through a [`PartitionJob`].
+///
+/// HyperPRAW is one algorithm: basic and aware differ only in the cost
+/// matrix, and the job's [thread count](PartitionJob::threads) picks the
+/// schedule (sequential at one thread, [`PartitionJob::parallel_mode`]
+/// above).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Algorithm {
-    /// Sequential HyperPRAW restreaming with a uniform cost matrix
+    /// HyperPRAW restreaming with a uniform cost matrix
     /// (architecture-oblivious).
     HyperPrawBasic,
-    /// Sequential HyperPRAW restreaming with a profiled cost matrix.
+    /// HyperPRAW restreaming with a profiled cost matrix.
     HyperPrawAware,
-    /// Bulk-synchronous multi-threaded HyperPRAW, uniform cost matrix.
-    ParallelBasic,
-    /// Bulk-synchronous multi-threaded HyperPRAW, profiled cost matrix.
-    ParallelAware,
     /// Memory-bounded streaming partitioner with the exact (unbounded
     /// memory) connectivity index. Runs in-memory or over a
     /// [`VertexStream`].
@@ -78,15 +78,20 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
+    /// The aware variant under the name it had when the thread count was
+    /// also encoded in the algorithm. The benchmark harness still names
+    /// it and changes only with the benchmark, which retires it.
+    #[doc(hidden)]
+    #[allow(non_upper_case_globals)]
+    pub const ParallelAware: Algorithm = Algorithm::HyperPrawAware;
+
     /// Every algorithm, in the order the evaluation tables list them.
-    pub fn all() -> [Algorithm; 8] {
+    pub fn all() -> [Algorithm; 6] {
         [
             Algorithm::RoundRobin,
             Algorithm::MultilevelBaseline,
             Algorithm::HyperPrawBasic,
             Algorithm::HyperPrawAware,
-            Algorithm::ParallelBasic,
-            Algorithm::ParallelAware,
             Algorithm::LowMemExact,
             Algorithm::LowMemSketched,
         ]
@@ -97,8 +102,6 @@ impl Algorithm {
         match self {
             Algorithm::HyperPrawBasic => "hyperpraw-basic",
             Algorithm::HyperPrawAware => "hyperpraw-aware",
-            Algorithm::ParallelBasic => "parallel-basic",
-            Algorithm::ParallelAware => "parallel-aware",
             Algorithm::LowMemExact => "lowmem-exact",
             Algorithm::LowMemSketched => "lowmem-sketched",
             Algorithm::MultilevelBaseline => "multilevel",
@@ -113,13 +116,15 @@ impl Algorithm {
     }
 
     /// Parses the names printed by [`Algorithm::name`] plus the historical
-    /// CLI aliases (`aware`, `basic`, `zoltan`, `rr`, ...).
+    /// CLI aliases (`aware`, `basic`, `zoltan`, `rr`, ...). The
+    /// `parallel[-aware|-basic]` spellings name the restreaming variants:
+    /// the thread count, not the name, picks the schedule.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
-            "aware" | "hyperpraw-aware" => Ok(Algorithm::HyperPrawAware),
-            "basic" | "hyperpraw-basic" => Ok(Algorithm::HyperPrawBasic),
-            "parallel" | "parallel-aware" => Ok(Algorithm::ParallelAware),
-            "parallel-basic" => Ok(Algorithm::ParallelBasic),
+            "aware" | "hyperpraw-aware" | "parallel" | "parallel-aware" => {
+                Ok(Algorithm::HyperPrawAware)
+            }
+            "basic" | "hyperpraw-basic" | "parallel-basic" => Ok(Algorithm::HyperPrawBasic),
             "lowmem" | "lowmem-sketched" => Ok(Algorithm::LowMemSketched),
             "lowmem-exact" => Ok(Algorithm::LowMemExact),
             "multilevel" | "zoltan" => Ok(Algorithm::MultilevelBaseline),
@@ -131,10 +136,15 @@ impl Algorithm {
         }
     }
 
+    /// `true` for the HyperPRAW restreaming variants.
+    fn restreams(&self) -> bool {
+        matches!(self, Algorithm::HyperPrawBasic | Algorithm::HyperPrawAware)
+    }
+
     /// `true` for the variants that require a profiled cost matrix (the
     /// architecture-aware algorithms).
     pub fn requires_cost_matrix(&self) -> bool {
-        matches!(self, Algorithm::HyperPrawAware | Algorithm::ParallelAware)
+        *self == Algorithm::HyperPrawAware
     }
 
     /// `true` for the algorithms that can run over a [`VertexStream`]
@@ -143,17 +153,10 @@ impl Algorithm {
         matches!(self, Algorithm::LowMemExact | Algorithm::LowMemSketched)
     }
 
-    /// `true` for the algorithms that run worker threads (the
-    /// bulk-synchronous drivers); [`PartitionJob::threads`] has no effect
-    /// on the others.
+    /// `true` for the algorithms that run worker threads (restreaming and
+    /// lowmem); [`PartitionJob::threads`] has no effect on the others.
     pub fn supports_threads(&self) -> bool {
-        matches!(
-            self,
-            Algorithm::ParallelBasic
-                | Algorithm::ParallelAware
-                | Algorithm::LowMemExact
-                | Algorithm::LowMemSketched
-        )
+        self.restreams() || self.supports_streams()
     }
 }
 
@@ -203,35 +206,47 @@ impl From<IoError> for PartitionError {
 /// hypergraph or [`run_stream`](PartitionJob::run_stream) it over an
 /// on-disk vertex stream. Builder setters never panic; all range checking
 /// happens in [`validate`](PartitionJob::validate) / the run methods and
-/// surfaces as [`PartitionError::InvalidConfig`].
+/// surfaces as [`PartitionError::InvalidConfig`]. A job runs one driver,
+/// so each knob is stored once and the driver's configuration is built
+/// from it at dispatch.
 #[derive(Clone, Debug)]
 pub struct PartitionJob {
     algorithm: Algorithm,
     partitions: Option<u32>,
     cost: Option<CostMatrix>,
+    /// The restreaming configuration. Its seed, imbalance tolerance,
+    /// iteration cap and initial `α` are the job's for every driver.
     hyperpraw: HyperPrawConfig,
+    /// Thread count (never `0`: [`PartitionJob::threads`] resolves it),
+    /// schedule and synchronisation window of the threaded drivers.
     parallel: ParallelConfig,
+    /// The lowmem-only knobs (budget, restream capacity, prior, sketch
+    /// rebuilds); [`PartitionJob::lowmem_driver`] fills in the rest.
     lowmem: LowMemConfig,
-    multilevel: MultilevelConfig,
     prefetch: bool,
     registry: hyperpraw_telemetry::Registry,
 }
 
 impl PartitionJob {
-    /// Creates a job for `algorithm` with every driver configuration at
-    /// its crate default.
+    /// Creates a job for `algorithm` on one thread, with every other knob
+    /// at its driver's default.
     pub fn new(algorithm: Algorithm) -> Self {
-        Self {
+        let job = Self {
             algorithm,
             partitions: None,
             cost: None,
             hyperpraw: HyperPrawConfig::default(),
-            parallel: ParallelConfig::default(),
+            parallel: ParallelConfig::with_threads(1),
             lowmem: LowMemConfig::default(),
-            multilevel: MultilevelConfig::default(),
             prefetch: true,
             registry: hyperpraw_telemetry::Registry::disabled(),
+        };
+        if algorithm.supports_streams() {
+            // The lowmem drivers keep their own defaults: one pass and a
+            // wider synchronisation window.
+            return job.lowmem_config(LowMemConfig::default());
         }
+        job
     }
 
     /// The algorithm this job dispatches to.
@@ -257,11 +272,9 @@ impl PartitionJob {
         self
     }
 
-    /// Sets the RNG seed of every driver configuration.
+    /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.hyperpraw.seed = seed;
-        self.lowmem.seed = seed;
-        self.multilevel.seed = seed;
         self
     }
 
@@ -269,7 +282,6 @@ impl PartitionJob {
     /// drivers.
     pub fn imbalance_tolerance(mut self, tol: f64) -> Self {
         self.hyperpraw.imbalance_tolerance = tol;
-        self.multilevel.imbalance_tolerance = tol;
         self
     }
 
@@ -282,7 +294,6 @@ impl PartitionJob {
     /// Sets the maximum number of streams/passes.
     pub fn max_iterations(mut self, n: usize) -> Self {
         self.hyperpraw.max_iterations = n;
-        self.lowmem.passes = n;
         self
     }
 
@@ -295,7 +306,6 @@ impl PartitionJob {
     /// Pins the initial `α` instead of the FENNEL-derived default.
     pub fn initial_alpha(mut self, alpha: f64) -> Self {
         self.hyperpraw.initial_alpha = Some(alpha);
-        self.lowmem.alpha = Some(alpha);
         self
     }
 
@@ -305,32 +315,36 @@ impl PartitionJob {
         self
     }
 
-    /// Sets the worker-thread count of the parallel drivers. `0`
-    /// auto-detects the machine's available parallelism
+    /// Sets the worker-thread count of the restreaming and lowmem
+    /// drivers, which picks their schedule: one thread (the default)
+    /// streams sequentially, more run under
+    /// [`parallel_mode`](PartitionJob::parallel_mode). `0` auto-detects
+    /// the machine's available parallelism
     /// ([`std::thread::available_parallelism`], falling back to 1 when the
     /// platform cannot report one); the resolved count is what the
     /// report's [`EffectiveConfig::threads`] records.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.parallel.num_threads = threads;
-        self.lowmem.threads = threads;
+        self.parallel.num_threads = match threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
         self
     }
 
-    /// Sets the synchronisation window of the bulk-synchronous drivers.
+    /// Sets the synchronisation window of the bulk-synchronous schedule
+    /// (512 vertices by default, 4096 in the lowmem drivers).
     pub fn sync_interval(mut self, interval: usize) -> Self {
         self.parallel.sync_interval = interval;
-        self.lowmem.sync_interval = interval;
         self
     }
 
-    /// Selects how the parallel drivers' worker threads divide the
-    /// stream: deterministic bulk-synchronous windows
-    /// ([`ParallelMode::Bsp`], the default) or lock-free work stealing
-    /// against live shared state ([`ParallelMode::WorkStealing`], faster
-    /// but not bit-reproducible above one thread).
+    /// Selects how more than one worker thread divides the stream:
+    /// deterministic bulk-synchronous windows ([`ParallelMode::Bsp`], the
+    /// default) or lock-free work stealing against live shared state
+    /// ([`ParallelMode::WorkStealing`], faster but not bit-reproducible).
+    /// One thread streams sequentially in either mode.
     pub fn parallel_mode(mut self, mode: ParallelMode) -> Self {
         self.parallel.mode = mode;
-        self.lowmem.mode = mode;
         self
     }
 
@@ -340,10 +354,10 @@ impl PartitionJob {
         self
     }
 
-    /// Sets the number of streaming passes of the lowmem drivers.
-    pub fn passes(mut self, passes: usize) -> Self {
-        self.lowmem.passes = passes;
-        self
+    /// Sets the number of streaming passes of the lowmem drivers — the
+    /// same knob as [`max_iterations`](PartitionJob::max_iterations).
+    pub fn passes(self, passes: usize) -> Self {
+        self.max_iterations(passes)
     }
 
     /// Rebuild sketches between lowmem passes to shed staleness.
@@ -359,29 +373,25 @@ impl PartitionJob {
         self
     }
 
-    /// Replaces the full HyperPRAW configuration (in-memory drivers).
+    /// Replaces the full HyperPRAW configuration, the seed, tolerance,
+    /// iteration cap and initial `α` it holds included.
     pub fn hyperpraw_config(mut self, config: HyperPrawConfig) -> Self {
         self.hyperpraw = config;
         self
     }
 
-    /// Replaces the full parallel-driver configuration.
-    pub fn parallel_config(mut self, config: ParallelConfig) -> Self {
-        self.parallel = config;
-        self
-    }
-
-    /// Replaces the full lowmem configuration (the job still overrides
-    /// `index` from the [`Algorithm`] variant at dispatch).
+    /// Replaces the full lowmem configuration, its seed, `α`, pass count
+    /// and thread fields included (the job still overrides `index` from
+    /// the [`Algorithm`] variant at dispatch).
     pub fn lowmem_config(mut self, config: LowMemConfig) -> Self {
+        self.hyperpraw.seed = config.seed;
+        self.hyperpraw.initial_alpha = config.alpha;
+        self.hyperpraw.max_iterations = config.passes;
+        self.parallel.sync_interval = config.sync_interval;
+        self.parallel.mode = config.mode;
+        let threads = config.threads;
         self.lowmem = config;
-        self
-    }
-
-    /// Replaces the full multilevel configuration.
-    pub fn multilevel_config(mut self, config: MultilevelConfig) -> Self {
-        self.multilevel = config;
-        self
+        self.threads(threads)
     }
 
     /// Binds the job's instrumentation to `registry`
@@ -411,34 +421,12 @@ impl PartitionJob {
         self
     }
 
-    /// The job with `threads(0)` auto-detection applied: every run and
-    /// validation path goes through this first, so the drivers and the
-    /// report's [`EffectiveConfig`] always see the real thread count.
-    fn resolved_job(&self) -> Cow<'_, Self> {
-        if self.parallel.num_threads > 0 && self.lowmem.threads > 0 {
-            return Cow::Borrowed(self);
-        }
-        let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let mut job = self.clone();
-        if job.parallel.num_threads == 0 {
-            job.parallel.num_threads = auto;
-        }
-        if job.lowmem.threads == 0 {
-            job.lowmem.threads = auto;
-        }
-        Cow::Owned(job)
-    }
-
     /// Validates the job without running it: partition count resolvable
     /// and consistent with the cost matrix, cost matrix present for the
     /// aware algorithms, and the dispatched driver's configuration within
     /// range. A thread count of `0` is not an error — it resolves to the
     /// machine's available parallelism (see [`PartitionJob::threads`]).
     pub fn validate(&self) -> Result<(), PartitionError> {
-        self.resolved_job().validate_resolved()
-    }
-
-    fn validate_resolved(&self) -> Result<(), PartitionError> {
         self.resolved_partitions()?;
         if self.algorithm.requires_cost_matrix() && self.cost.is_none() {
             return Err(PartitionError::InvalidConfig(format!(
@@ -448,121 +436,61 @@ impl PartitionJob {
         }
         let invalid = PartitionError::InvalidConfig;
         match self.algorithm {
-            Algorithm::HyperPrawBasic
-            | Algorithm::HyperPrawAware
-            | Algorithm::ParallelBasic
-            | Algorithm::ParallelAware => {
+            Algorithm::HyperPrawBasic | Algorithm::HyperPrawAware => {
                 self.hyperpraw.validate().map_err(invalid)?;
-                if self.parallel_restreaming() {
-                    self.parallel.validate().map_err(invalid)?;
-                }
+                self.parallel.validate().map_err(invalid)
             }
             Algorithm::LowMemExact | Algorithm::LowMemSketched => {
-                self.lowmem_with_index().validate().map_err(invalid)?;
+                self.lowmem_driver().validate().map_err(invalid)
             }
-            Algorithm::MultilevelBaseline => {
-                self.multilevel.validate().map_err(invalid)?;
-            }
-            Algorithm::RoundRobin => {}
+            Algorithm::MultilevelBaseline => self.multilevel_driver().validate().map_err(invalid),
+            Algorithm::RoundRobin => Ok(()),
         }
-        Ok(())
     }
 
     /// Runs the job on an in-memory hypergraph.
     pub fn run(&self, hg: &Hypergraph) -> Result<PartitionReport, PartitionError> {
-        self.resolved_job().run_resolved(hg)
-    }
-
-    fn run_resolved(&self, hg: &Hypergraph) -> Result<PartitionReport, PartitionError> {
-        self.validate_resolved()?;
+        self.validate()?;
         let p = self.resolved_partitions()?;
         self.check_vertex_count(hg.num_vertices(), p)?;
 
         let started = Instant::now();
-        let (partition, history, stop_reason, iterations, final_alpha, lowmem) = match self
-            .algorithm
-        {
-            Algorithm::HyperPrawBasic
-            | Algorithm::HyperPrawAware
-            | Algorithm::ParallelBasic
-            | Algorithm::ParallelAware => {
-                let mut driver = HyperPraw::new(self.hyperpraw, self.driver_cost(p))
-                    .with_registry(&self.registry);
-                if self.parallel_restreaming() {
-                    driver = driver.with_parallel(self.parallel);
-                }
-                let result = driver.partition(hg);
-                (
-                    result.partition,
-                    result.history,
-                    Some(result.stop_reason),
-                    result.iterations,
-                    Some(result.final_alpha),
-                    None,
-                )
+        let (partition, summary) = match self.algorithm {
+            Algorithm::HyperPrawBasic | Algorithm::HyperPrawAware => {
+                let result = HyperPraw::new(self.hyperpraw, self.driver_cost(p))
+                    .with_parallel(self.parallel)
+                    .with_registry(&self.registry)
+                    .partition(hg);
+                let summary = RunSummary {
+                    history: result.history,
+                    stop_reason: Some(result.stop_reason),
+                    iterations: result.iterations,
+                    final_alpha: Some(result.final_alpha),
+                    lowmem: None,
+                };
+                (result.partition, summary)
             }
             Algorithm::LowMemExact | Algorithm::LowMemSketched => {
-                let result = LowMemPartitioner::new(self.lowmem_with_index(), self.driver_cost(p))
+                let result = LowMemPartitioner::new(self.lowmem_driver(), self.driver_cost(p))
                     .partition_hypergraph(hg);
-                let stats = LowMemStats {
-                    alpha: result.alpha,
-                    passes: result.passes,
-                    restreamed: result.restreamed,
-                    moved_in_restream: result.moved_in_restream,
-                    index_memory_bytes: result.index_memory_bytes,
-                };
-                (
-                    result.partition,
-                    PartitionHistory::new(),
-                    None,
-                    result.passes,
-                    Some(result.alpha),
-                    Some(stats),
-                )
+                let summary = RunSummary::lowmem(&result);
+                (result.partition, summary)
             }
             Algorithm::MultilevelBaseline => (
-                MultilevelPartitioner::new(self.multilevel).partition(hg, p),
-                PartitionHistory::new(),
-                None,
-                1,
-                None,
-                None,
+                MultilevelPartitioner::new(self.multilevel_driver()).partition(hg, p),
+                RunSummary::one_shot(),
             ),
-            Algorithm::RoundRobin => (
-                baselines::round_robin(hg, p),
-                PartitionHistory::new(),
-                None,
-                1,
-                None,
-                None,
-            ),
+            Algorithm::RoundRobin => (baselines::round_robin(hg, p), RunSummary::one_shot()),
         };
         let partition_secs = started.elapsed().as_secs_f64();
 
         let evaluating = Instant::now();
         let quality = QualityReport::compute(hg, &partition, &self.eval_cost(p));
-        let evaluate_secs = evaluating.elapsed().as_secs_f64();
-
-        Ok(PartitionReport {
-            algorithm: self.algorithm,
-            partition,
-            history,
-            stop_reason,
-            iterations,
-            final_alpha,
-            imbalance: quality.imbalance,
-            comm_cost: Some(quality.comm_cost),
-            hyperedge_cut: Some(quality.hyperedge_cut),
-            soed: Some(quality.soed),
-            quality: QualityStatus::Evaluated,
-            timings: PhaseTimings {
-                partition_secs,
-                evaluate_secs,
-            },
-            telemetry: self.registry.clone(),
-            config: self.effective_config(p),
-            lowmem,
-        })
+        let timings = PhaseTimings {
+            partition_secs,
+            evaluate_secs: evaluating.elapsed().as_secs_f64(),
+        };
+        Ok(self.report(partition, summary, Some(quality), timings))
     }
 
     /// Runs the job over a vertex stream without materialising the
@@ -577,56 +505,26 @@ impl PartitionJob {
         &self,
         stream: &mut S,
     ) -> Result<PartitionReport, PartitionError> {
-        self.resolved_job().run_stream_resolved(stream)
-    }
-
-    fn run_stream_resolved<S: VertexStream>(
-        &self,
-        stream: &mut S,
-    ) -> Result<PartitionReport, PartitionError> {
         if !self.algorithm.supports_streams() {
             return Err(PartitionError::Unsupported(format!(
                 "{} cannot run from a vertex stream; load the hypergraph in memory instead",
                 self.algorithm
             )));
         }
-        self.validate_resolved()?;
+        self.validate()?;
         let p = self.resolved_partitions()?;
         self.check_vertex_count(stream.num_vertices(), p)?;
 
         let started = Instant::now();
-        let result = LowMemPartitioner::new(self.lowmem_with_index(), self.driver_cost(p))
+        let result = LowMemPartitioner::new(self.lowmem_driver(), self.driver_cost(p))
             .partition(stream)
             .map_err(PartitionError::from)?;
-        let partition_secs = started.elapsed().as_secs_f64();
-
-        let stats = LowMemStats {
-            alpha: result.alpha,
-            passes: result.passes,
-            restreamed: result.restreamed,
-            moved_in_restream: result.moved_in_restream,
-            index_memory_bytes: result.index_memory_bytes,
+        let timings = PhaseTimings {
+            partition_secs: started.elapsed().as_secs_f64(),
+            evaluate_secs: 0.0,
         };
-        Ok(PartitionReport {
-            algorithm: self.algorithm,
-            imbalance: unweighted_imbalance(&result.partition),
-            partition: result.partition,
-            history: PartitionHistory::new(),
-            stop_reason: None,
-            iterations: result.passes,
-            final_alpha: Some(result.alpha),
-            comm_cost: None,
-            hyperedge_cut: None,
-            soed: None,
-            quality: QualityStatus::Deferred,
-            timings: PhaseTimings {
-                partition_secs,
-                evaluate_secs: 0.0,
-            },
-            telemetry: self.registry.clone(),
-            config: self.effective_config(p),
-            lowmem: Some(stats),
-        })
+        let summary = RunSummary::lowmem(&result);
+        Ok(self.report(result.partition, summary, None, timings))
     }
 
     /// Runs the job over a block-compressed CSR file (the `.hpz` format
@@ -667,16 +565,15 @@ impl PartitionJob {
     /// Runs the job once on `hg`, then keeps the result live as a
     /// [`DynamicSession`] that absorbs [`GraphUpdate`] batches by
     /// restreaming only the dirty region (the `hyperpraw-dynamic` crate).
-    /// Only the sequential restreaming algorithms can warm-start the
-    /// engine, so every other [`Algorithm`] returns
+    /// Only restreaming on one thread can warm-start the engine, so every
+    /// other [`Algorithm`], and a thread count above one, returns
     /// [`PartitionError::Unsupported`].
     pub fn run_dynamic(&self, hg: &Hypergraph) -> Result<DynamicSession, PartitionError> {
-        if !matches!(
-            self.algorithm,
-            Algorithm::HyperPrawBasic | Algorithm::HyperPrawAware
-        ) {
+        let threads = self.parallel.num_threads;
+        if !self.algorithm.restreams() || threads > 1 {
             return Err(PartitionError::Unsupported(format!(
-                "{} cannot drive a dynamic session; use hyperpraw-basic or hyperpraw-aware",
+                "{} on {threads} thread(s) cannot drive a dynamic session; \
+                 use hyperpraw-basic or hyperpraw-aware on one thread",
                 self.algorithm
             )));
         }
@@ -731,28 +628,43 @@ impl PartitionJob {
         Ok(())
     }
 
-    /// The lowmem configuration with the index kind the [`Algorithm`]
-    /// variant selects.
-    fn lowmem_with_index(&self) -> LowMemConfig {
-        let mut config = self.lowmem.clone();
-        config.index = match self.algorithm {
-            Algorithm::LowMemExact => IndexKind::Exact,
-            _ => IndexKind::Sketched,
-        };
-        config
+    /// The lowmem configuration the dispatched driver runs: the job's
+    /// lowmem-only knobs, the index kind the [`Algorithm`] variant
+    /// selects, and the job's seed, `α`, pass count and schedule.
+    fn lowmem_driver(&self) -> LowMemConfig {
+        LowMemConfig {
+            index: match self.algorithm {
+                Algorithm::LowMemExact => IndexKind::Exact,
+                _ => IndexKind::Sketched,
+            },
+            alpha: self.hyperpraw.initial_alpha,
+            passes: self.hyperpraw.max_iterations,
+            threads: self.parallel.num_threads,
+            sync_interval: self.parallel.sync_interval,
+            mode: self.parallel.mode,
+            seed: self.hyperpraw.seed,
+            ..self.lowmem.clone()
+        }
     }
 
-    /// The cost matrix handed to the dispatched driver: the profiled
-    /// matrix for the aware algorithms (and the lowmem drivers, which are
-    /// architecture-aware whenever a matrix is supplied), uniform
-    /// otherwise.
+    /// The multilevel configuration: the crate defaults with the job's
+    /// seed and imbalance tolerance.
+    fn multilevel_driver(&self) -> MultilevelConfig {
+        MultilevelConfig {
+            imbalance_tolerance: self.hyperpraw.imbalance_tolerance,
+            seed: self.hyperpraw.seed,
+            ..MultilevelConfig::default()
+        }
+    }
+
+    /// The cost matrix handed to the dispatched driver: uniform for
+    /// HyperPRAW-basic, otherwise the profiled matrix when there is one
+    /// (the lowmem drivers are architecture-aware whenever a matrix is
+    /// supplied).
     fn driver_cost(&self, p: u32) -> CostMatrix {
         match self.algorithm {
-            Algorithm::HyperPrawBasic | Algorithm::ParallelBasic => CostMatrix::uniform(p as usize),
-            _ => self
-                .cost
-                .clone()
-                .unwrap_or_else(|| CostMatrix::uniform(p as usize)),
+            Algorithm::HyperPrawBasic => CostMatrix::uniform(p as usize),
+            _ => self.eval_cost(p),
         }
     }
 
@@ -766,100 +678,126 @@ impl PartitionJob {
             .unwrap_or_else(|| CostMatrix::uniform(p as usize))
     }
 
-    /// `true` for the restreaming algorithms that run the parallel
-    /// schedule ([`HyperPraw::with_parallel`]).
-    fn parallel_restreaming(&self) -> bool {
-        matches!(
-            self.algorithm,
-            Algorithm::ParallelBasic | Algorithm::ParallelAware
-        )
+    /// The one report assembly: the driver's `partition` and `summary`,
+    /// with `quality` evaluated in memory, or deferred when `None` (a pure
+    /// stream run reports only the unweighted imbalance).
+    fn report(
+        &self,
+        partition: Partition,
+        summary: RunSummary,
+        quality: Option<QualityReport>,
+        timings: PhaseTimings,
+    ) -> PartitionReport {
+        let p = partition.num_parts();
+        PartitionReport {
+            algorithm: self.algorithm,
+            imbalance: quality.map_or_else(|| unweighted_imbalance(&partition), |q| q.imbalance),
+            partition,
+            history: summary.history,
+            stop_reason: summary.stop_reason,
+            iterations: summary.iterations,
+            final_alpha: summary.final_alpha,
+            comm_cost: quality.map(|q| q.comm_cost),
+            hyperedge_cut: quality.map(|q| q.hyperedge_cut),
+            soed: quality.map(|q| q.soed),
+            quality: match quality {
+                Some(_) => QualityStatus::Evaluated,
+                None => QualityStatus::Deferred,
+            },
+            timings,
+            telemetry: self.registry.clone(),
+            config: self.effective_config(p),
+            lowmem: summary.lowmem,
+        }
+    }
+
+    /// The report of a dynamic session's current state, its quality read
+    /// from the partitioner's resident state under this job's cost matrix.
+    fn session_report(
+        &self,
+        partitioner: &DynamicPartitioner,
+        summary: RunSummary,
+        partition_secs: f64,
+    ) -> PartitionReport {
+        let partition = partitioner.partition().clone();
+        let evaluating = Instant::now();
+        let quality = partitioner.quality(&self.eval_cost(partition.num_parts()));
+        let timings = PhaseTimings {
+            partition_secs,
+            evaluate_secs: evaluating.elapsed().as_secs_f64(),
+        };
+        self.report(partition, summary, Some(quality), timings)
     }
 
     fn effective_config(&self, p: u32) -> EffectiveConfig {
-        let restreaming = matches!(
-            self.algorithm,
-            Algorithm::HyperPrawBasic
-                | Algorithm::HyperPrawAware
-                | Algorithm::ParallelBasic
-                | Algorithm::ParallelAware
-        );
-        let bsp = self.parallel_restreaming();
+        let restreaming = self.algorithm.restreams();
         let lowmem = self.algorithm.supports_streams();
-        let architecture_aware = match self.algorithm {
-            Algorithm::HyperPrawBasic
-            | Algorithm::ParallelBasic
-            | Algorithm::MultilevelBaseline
-            | Algorithm::RoundRobin => false,
-            Algorithm::HyperPrawAware | Algorithm::ParallelAware => true,
-            Algorithm::LowMemExact | Algorithm::LowMemSketched => {
-                self.cost.as_ref().is_some_and(|c| !c.is_uniform())
-            }
+        let config = &self.hyperpraw;
+        let threads = if self.algorithm.supports_threads() {
+            self.parallel.num_threads
+        } else {
+            1
         };
+        // The schedule is reported where it runs: above one thread.
+        let schedule = (threads > 1).then_some(self.parallel);
         EffectiveConfig {
             partitions: p,
-            seed: if lowmem {
-                self.lowmem.seed
-            } else if self.algorithm == Algorithm::MultilevelBaseline {
-                self.multilevel.seed
-            } else {
-                self.hyperpraw.seed
-            },
-            architecture_aware,
-            imbalance_tolerance: if restreaming {
-                Some(self.hyperpraw.imbalance_tolerance)
-            } else if self.algorithm == Algorithm::MultilevelBaseline {
-                Some(self.multilevel.imbalance_tolerance)
-            } else {
-                None
-            },
-            max_iterations: if restreaming {
-                Some(self.hyperpraw.max_iterations)
-            } else if lowmem {
-                Some(self.lowmem.passes)
-            } else {
-                None
-            },
-            tempering_factor: restreaming.then_some(self.hyperpraw.tempering_factor),
-            refinement_factor: if restreaming {
-                match self.hyperpraw.refinement {
-                    RefinementPolicy::Factor(f) => Some(f),
-                    RefinementPolicy::None => None,
+            seed: config.seed,
+            architecture_aware: match self.algorithm {
+                Algorithm::HyperPrawAware => true,
+                Algorithm::LowMemExact | Algorithm::LowMemSketched => {
+                    self.cost.as_ref().is_some_and(|c| !c.is_uniform())
                 }
-            } else {
-                None
+                _ => false,
             },
-            initial_alpha: if restreaming {
-                self.hyperpraw.initial_alpha
-            } else if lowmem {
-                self.lowmem.alpha
-            } else {
-                None
+            imbalance_tolerance: (restreaming || self.algorithm == Algorithm::MultilevelBaseline)
+                .then_some(config.imbalance_tolerance),
+            max_iterations: (restreaming || lowmem).then_some(config.max_iterations),
+            tempering_factor: restreaming.then_some(config.tempering_factor),
+            refinement_factor: match config.refinement {
+                RefinementPolicy::Factor(f) if restreaming => Some(f),
+                _ => None,
             },
-            stream_order: restreaming.then(|| self.hyperpraw.stream_order.name()),
-            threads: if bsp {
-                self.parallel.num_threads
-            } else if lowmem {
-                self.lowmem.threads
-            } else {
-                1
-            },
-            parallel_mode: if bsp {
-                Some(self.parallel.mode.name())
-            } else if lowmem && self.lowmem.threads > 1 {
-                Some(self.lowmem.mode.name())
-            } else {
-                None
-            },
-            sync_interval: if bsp && self.parallel.mode == ParallelMode::Bsp {
-                Some(self.parallel.sync_interval)
-            } else if lowmem && self.lowmem.threads > 1 && self.lowmem.mode == ParallelMode::Bsp {
-                Some(self.lowmem.sync_interval)
-            } else {
-                None
-            },
-            index: lowmem.then(|| self.lowmem_with_index().index.name()),
+            initial_alpha: config.initial_alpha.filter(|_| restreaming || lowmem),
+            stream_order: restreaming.then(|| config.stream_order.name()),
+            threads,
+            parallel_mode: schedule.map(|s| s.mode.name()),
+            sync_interval: schedule
+                .filter(|s| s.mode == ParallelMode::Bsp)
+                .map(|s| s.sync_interval),
+            index: lowmem.then(|| self.lowmem_driver().index.name()),
             budget_bytes: lowmem.then_some(self.lowmem.budget.bytes),
             rebuild_sketches: lowmem.then_some(self.lowmem.rebuild_sketches),
+        }
+    }
+}
+
+/// What a report carries over from a driver run besides the partition.
+/// The default reports no run at all: a resumed or queried session.
+#[derive(Default)]
+struct RunSummary {
+    history: PartitionHistory,
+    stop_reason: Option<StopReason>,
+    iterations: usize,
+    final_alpha: Option<f64>,
+    lowmem: Option<LowMemStats>,
+}
+
+impl RunSummary {
+    /// A one-shot baseline's run: one iteration and nothing else.
+    fn one_shot() -> Self {
+        Self {
+            iterations: 1,
+            ..Self::default()
+        }
+    }
+
+    fn lowmem(result: &LowMemResult) -> Self {
+        Self {
+            iterations: result.passes,
+            final_alpha: Some(result.alpha),
+            lowmem: Some(result.into()),
+            ..Self::default()
         }
     }
 }
@@ -999,30 +937,8 @@ impl DynamicSession {
         let mut job = PartitionJob::new(algorithm)
             .partitions(p)
             .hyperpraw_config(partitioner.config().config);
-        if let Some(cost) = cost {
-            job = job.cost(cost);
-        }
-        let quality = partitioner.quality(&job.eval_cost(p));
-        let initial = PartitionReport {
-            algorithm,
-            partition: partitioner.partition().clone(),
-            history: PartitionHistory::default(),
-            stop_reason: None,
-            iterations: 0,
-            final_alpha: None,
-            imbalance: quality.imbalance,
-            comm_cost: Some(quality.comm_cost),
-            hyperedge_cut: Some(quality.hyperedge_cut),
-            soed: Some(quality.soed),
-            quality: QualityStatus::Evaluated,
-            timings: PhaseTimings {
-                partition_secs: 0.0,
-                evaluate_secs: 0.0,
-            },
-            telemetry: job.registry.clone(),
-            config: job.effective_config(p),
-            lowmem: None,
-        };
+        job.cost = cost;
+        let initial = job.session_report(&partitioner, RunSummary::default(), 0.0);
         Ok(Self {
             partitioner,
             job,
@@ -1057,15 +973,17 @@ impl DynamicSession {
             DynamicError::Mutation(m) => PartitionError::InvalidConfig(m.to_string()),
         })?;
         let partition_secs = started.elapsed().as_secs_f64();
-        let report = self.report_with(
-            outcome.history,
-            outcome.stop_reason,
-            outcome.iterations,
-            outcome.final_alpha,
-            partition_secs,
-        );
+        let summary = RunSummary {
+            history: outcome.history,
+            stop_reason: outcome.stop_reason,
+            iterations: outcome.iterations,
+            final_alpha: outcome.final_alpha,
+            lowmem: None,
+        };
         Ok(UpdateReport {
-            report,
+            report: self
+                .job
+                .session_report(&self.partitioner, summary, partition_secs),
             new_vertices: outcome.new_vertices,
             dirty_vertices: outcome.dirty_vertices,
             migration: outcome.migration,
@@ -1076,40 +994,8 @@ impl DynamicSession {
     /// serve daemon's `report` op). Quality is read from the partitioner's
     /// resident state — bit-identical to a re-evaluation, without one.
     pub fn report(&self) -> PartitionReport {
-        self.report_with(PartitionHistory::default(), None, 0, None, 0.0)
-    }
-
-    fn report_with(
-        &self,
-        history: PartitionHistory,
-        stop_reason: Option<hyperpraw_core::StopReason>,
-        iterations: usize,
-        final_alpha: Option<f64>,
-        partition_secs: f64,
-    ) -> PartitionReport {
-        let p = self.partitioner.partition().num_parts();
-        let evaluating = Instant::now();
-        let quality = self.partitioner.quality(&self.job.eval_cost(p));
-        PartitionReport {
-            algorithm: self.job.algorithm,
-            partition: self.partitioner.partition().clone(),
-            history,
-            stop_reason,
-            iterations,
-            final_alpha,
-            imbalance: quality.imbalance,
-            comm_cost: Some(quality.comm_cost),
-            hyperedge_cut: Some(quality.hyperedge_cut),
-            soed: Some(quality.soed),
-            quality: QualityStatus::Evaluated,
-            timings: PhaseTimings {
-                partition_secs,
-                evaluate_secs: evaluating.elapsed().as_secs_f64(),
-            },
-            telemetry: self.job.registry.clone(),
-            config: self.job.effective_config(p),
-            lowmem: None,
-        }
+        self.job
+            .session_report(&self.partitioner, RunSummary::default(), 0.0)
     }
 }
 
@@ -1201,8 +1087,9 @@ mod tests {
         ));
         // zero-vertex synchronisation window
         assert!(matches!(
-            PartitionJob::new(Algorithm::ParallelBasic)
+            PartitionJob::new(Algorithm::HyperPrawBasic)
                 .partitions(4)
+                .threads(4)
                 .sync_interval(0)
                 .run(&hg),
             Err(PartitionError::InvalidConfig(_))
@@ -1266,7 +1153,7 @@ mod tests {
     fn zero_threads_auto_detects_the_machine_parallelism() {
         let hg = mesh_hypergraph(&MeshConfig::new(200, 6));
         let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
-        for algorithm in [Algorithm::ParallelBasic, Algorithm::LowMemSketched] {
+        for algorithm in [Algorithm::HyperPrawBasic, Algorithm::LowMemSketched] {
             let job = PartitionJob::new(algorithm).partitions(4).threads(0);
             job.validate().unwrap();
             let report = job.run(&hg).unwrap();
@@ -1278,7 +1165,7 @@ mod tests {
     #[test]
     fn parallel_mode_lands_in_the_effective_config_and_json() {
         let hg = mesh_hypergraph(&MeshConfig::new(200, 6));
-        let bsp = PartitionJob::new(Algorithm::ParallelBasic)
+        let bsp = PartitionJob::new(Algorithm::HyperPrawBasic)
             .partitions(4)
             .threads(2)
             .run(&hg)
@@ -1286,7 +1173,7 @@ mod tests {
         assert_eq!(bsp.config.parallel_mode, Some("bsp"));
         assert!(bsp.config.sync_interval.is_some());
 
-        let steal = PartitionJob::new(Algorithm::ParallelBasic)
+        let steal = PartitionJob::new(Algorithm::HyperPrawBasic)
             .partitions(4)
             .threads(2)
             .parallel_mode(ParallelMode::WorkStealing)
@@ -1411,6 +1298,26 @@ mod tests {
         let hg = mesh_hypergraph(&MeshConfig::new(10, 3));
         let p = Partition::round_robin(10, 2);
         DynamicPartitioner::new(&hg, p, CostMatrix::uniform(2), DynamicConfig::default()).unwrap()
+    }
+
+    #[test]
+    fn one_thread_is_the_default_reports_no_schedule_and_drives_sessions() {
+        let hg = mesh_hypergraph(&MeshConfig::new(200, 6));
+        for algorithm in [Algorithm::HyperPrawBasic, Algorithm::LowMemSketched] {
+            let job = PartitionJob::new(algorithm).partitions(4);
+            let report = job.parallel_mode(ParallelMode::WorkStealing).run(&hg);
+            let config = report.unwrap().config;
+            assert_eq!(
+                (config.threads, config.parallel_mode),
+                (1, None),
+                "{algorithm}"
+            );
+            assert_eq!(config.sync_interval, None, "{algorithm}");
+        }
+        let job = PartitionJob::new(Algorithm::HyperPrawBasic).partitions(4);
+        assert!(job.clone().run_dynamic(&hg).is_ok());
+        let err = job.threads(2).run_dynamic(&hg).unwrap_err();
+        assert!(matches!(err, PartitionError::Unsupported(_)), "{err}");
     }
 
     #[test]

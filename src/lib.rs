@@ -62,9 +62,10 @@
 //! assert!(report.to_json().contains("\"algorithm\": \"hyperpraw-aware\""));
 //! ```
 //!
-//! Swapping the algorithm — `Algorithm::{HyperPrawBasic, ParallelAware,
-//! LowMemSketched, MultilevelBaseline, ...}` — changes nothing else about
-//! the flow; the lowmem variants additionally accept an on-disk
+//! Swapping the algorithm — `Algorithm::{HyperPrawBasic, LowMemSketched,
+//! MultilevelBaseline, ...}` — changes nothing else about the flow, and
+//! `.threads(n)` runs the same algorithm on `n` worker threads; the lowmem
+//! variants additionally accept an on-disk
 //! [`hypergraph::io::stream::VertexStream`] through
 //! [`api::PartitionJob::run_stream`].
 //!

@@ -9,7 +9,7 @@
 
 use hyperpraw_core::{PartitionHistory, StopReason};
 use hyperpraw_hypergraph::Partition;
-use hyperpraw_lowmem::StreamedQuality;
+use hyperpraw_lowmem::{LowMemResult, StreamedQuality};
 
 use hyperpraw_telemetry::{HistogramSnapshot, RegistrySnapshot, QUANTILES};
 
@@ -69,6 +69,18 @@ pub struct LowMemStats {
     pub moved_in_restream: usize,
     /// Heap bytes held by the connectivity index at the end of the run.
     pub index_memory_bytes: usize,
+}
+
+impl From<&LowMemResult> for LowMemStats {
+    fn from(result: &LowMemResult) -> Self {
+        Self {
+            alpha: result.alpha,
+            passes: result.passes,
+            restreamed: result.restreamed,
+            moved_in_restream: result.moved_in_restream,
+            index_memory_bytes: result.index_memory_bytes,
+        }
+    }
 }
 
 /// The resolved configuration a job ran with. Fields that do not apply to

@@ -61,8 +61,8 @@ fn parallel_variants_match_the_direct_driver_bit_for_bit() {
     let hg = instance();
     let cost = testbed_cost(P as usize, 5);
     for (algorithm, driver_cost) in [
-        (Algorithm::ParallelBasic, CostMatrix::uniform(P as usize)),
-        (Algorithm::ParallelAware, cost.clone()),
+        (Algorithm::HyperPrawBasic, CostMatrix::uniform(P as usize)),
+        (Algorithm::HyperPrawAware, cost.clone()),
     ] {
         let direct = HyperPraw::new(HyperPrawConfig::default().with_seed(SEED), driver_cost)
             .with_parallel(ParallelConfig {

@@ -18,6 +18,14 @@
 //!   cost must equal the fixture;
 //! * one work-stealing thread must reproduce the sequential assignment;
 //! * two bulk-synchronous runs on four threads must be identical.
+//!
+//! `fixtures/algorithm_aliases.txt` was recorded on the mesh at 8 units by
+//! a build that still had `Algorithm::{ParallelBasic, ParallelAware}`: each
+//! variant's assignment hash and comm-cost bits. The thread count now picks
+//! the schedule, so each of the seven restreaming spellings must reproduce
+//! its cost model's sequential record at one thread in either schedule (as
+//! the recording's single stealing thread did), and the old `parallel-*`
+//! record at three bulk-synchronous threads with a 256-vertex window.
 
 use hyperpraw::hypergraph::generators::{
     mesh_hypergraph, powerlaw_hypergraph, MeshConfig, PowerLawConfig,
@@ -29,6 +37,17 @@ use hyperpraw::prelude::*;
 const POWERLAW_FIXTURE: &str = include_str!("fixtures/powerlaw_anchor.txt");
 /// Same layout as [`POWERLAW_FIXTURE`].
 const MESH_FIXTURE: &str = include_str!("fixtures/mesh_anchor.txt");
+/// Comment lines, then `<name> <threads> <mode> <sync> <hash> <bits>`.
+const ALIAS_FIXTURE: &str = include_str!("fixtures/algorithm_aliases.txt");
+
+/// Every restreaming spelling, by the cost model it selects.
+const SPELLINGS: [(&str, &[&str]); 2] = [
+    ("basic", &["basic", "hyperpraw-basic", "parallel-basic"]),
+    (
+        "aware",
+        &["aware", "hyperpraw-aware", "parallel", "parallel-aware"],
+    ),
+];
 
 const SEED: u64 = 3;
 const POWERLAW_P: usize = 8;
@@ -55,7 +74,7 @@ fn archer_cost(p: usize) -> CostMatrix {
 }
 
 fn aware(hg: &Hypergraph, p: usize, threads: usize, mode: ParallelMode) -> PartitionReport {
-    PartitionJob::new(Algorithm::ParallelAware)
+    PartitionJob::new(Algorithm::HyperPrawAware)
         .cost(archer_cost(p))
         .seed(SEED)
         .threads(threads)
@@ -143,4 +162,65 @@ fn mesh_bsp_runs_on_four_threads_are_identical() {
     let b = aware(&hg, MESH_P, 4, ParallelMode::Bsp);
     assert_eq!(a.partition, b.partition);
     assert_eq!(a.comm_cost.map(f64::to_bits), b.comm_cost.map(f64::to_bits));
+}
+
+/// FNV-1a 64 over the little-endian bytes of every part id.
+fn assignment_hash(assignment: &[u32]) -> u64 {
+    assignment
+        .iter()
+        .flat_map(|part| part.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// The `(hash, comm-cost bits)` of the alias record keyed by its first
+/// four columns, e.g. `"parallel-aware 3 bsp 256"`.
+fn alias_record(key: &str) -> (u64, u64) {
+    let prefix = format!("{key} ");
+    let line = ALIAS_FIXTURE.lines().find(|l| l.starts_with(&prefix));
+    let cols: Vec<u64> = line.unwrap_or_else(|| panic!("no record {key:?}"))[prefix.len()..]
+        .split_whitespace()
+        .map(|col| u64::from_str_radix(col, 16).expect("hex column"))
+        .collect();
+    (cols[0], cols[1])
+}
+
+fn alias_run(spelling: &str, threads: usize, mode: ParallelMode) -> (u64, u64) {
+    let report = PartitionJob::new(Algorithm::parse(spelling).unwrap())
+        .cost(archer_cost(8))
+        .seed(SEED)
+        .threads(threads)
+        .parallel_mode(mode)
+        .sync_interval(256)
+        .run(&mesh())
+        .expect("valid job");
+    let bits = report.comm_cost.expect("in-memory runs evaluate").to_bits();
+    (assignment_hash(report.partition.assignment()), bits)
+}
+
+#[test]
+fn every_spelling_on_one_thread_replays_the_sequential_record() {
+    for (model, spellings) in SPELLINGS {
+        let sequential = alias_record(&format!("hyperpraw-{model} default - -"));
+        let steal = alias_record(&format!("parallel-{model} 1 steal -"));
+        assert_eq!(steal, sequential, "the recorded stealing thread");
+        for spelling in spellings {
+            for mode in [ParallelMode::Bsp, ParallelMode::WorkStealing] {
+                let replay = alias_run(spelling, 1, mode);
+                assert_eq!(replay, sequential, "{spelling} {mode:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn every_spelling_on_three_bsp_threads_replays_the_parallel_record() {
+    for (model, spellings) in SPELLINGS {
+        let recorded = alias_record(&format!("parallel-{model} 3 bsp 256"));
+        for spelling in spellings {
+            let replay = alias_run(spelling, 3, ParallelMode::Bsp);
+            assert_eq!(replay, recorded, "{spelling}");
+        }
+    }
 }

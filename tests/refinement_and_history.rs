@@ -132,7 +132,7 @@ fn parallel_restreaming_matches_the_sequential_contract() {
         .cost(cost.clone())
         .run(&hg)
         .unwrap();
-    let parallel = PartitionJob::new(Algorithm::ParallelAware)
+    let parallel = PartitionJob::new(Algorithm::HyperPrawAware)
         .cost(cost)
         .threads(4)
         .run(&hg)
