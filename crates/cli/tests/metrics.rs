@@ -179,6 +179,11 @@ fn partition_report_json_embeds_live_telemetry_via_metrics_out() {
         .and_then(|v| v.as_u64())
         .expect("engine.vertices_scored counter");
     assert!(scored > 0, "the engine scored vertices: {scored}");
+    let proven = counter(&metrics, "engine.proven_stays");
+    assert!(
+        proven > 0,
+        "some stays were proved from fresh counts: {proven}"
+    );
 
     let report = parse(&std::fs::read_to_string(&report_out).unwrap())
         .expect("--json-out writes valid JSON");

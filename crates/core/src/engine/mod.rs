@@ -98,14 +98,34 @@
 //! the visit's own loads and `α` ([`crate::value::certified_margin`]);
 //! when that clears the tie rule, the vertex stays without a count copy
 //! or a scoring pass, and the engine does the load arithmetic of a scored
-//! stay. All three strategies decide visits through one helper; the
-//! proof is exact, so partitions are unchanged. Certificates are off
+//! stay. A visit whose certificate a neighbour's move voided copies its
+//! counts and computes the load-free terms, then tries the same proof
+//! with its current part's gap taken from those terms
+//! ([`crate::value::terms_gap`]): the counts are current, so when the
+//! proof holds the vertex stays without the value loop or the selection
+//! scan, and the visit stores the certificate a scored stay would. All
+//! three strategies decide visits through one helper; both proofs are
+//! exact, so partitions are unchanged. Certificates are off
 //! while the doubt buffer is on (it needs every visit's margin), and
 //! providers that keep no counts make none. Debug builds re-score every
-//! certified visit and recompute every live certificate wherever they
-//! check the counts. Sequential and window-apply moves shift the counts
-//! through `&mut` access ([`ConnectivityProvider::moved_exclusive`]);
-//! only stealing workers use atomic read-modify-writes.
+//! certified and every proven visit and recompute every live certificate
+//! wherever they check the counts. Sequential and window-apply moves
+//! shift the counts through `&mut` access
+//! ([`ConnectivityProvider::moved_exclusive`]); only stealing workers use
+//! atomic read-modify-writes.
+//!
+//! The refinement phase stops on the partitioning communication cost,
+//! evaluated after every pass. A provider that keeps the part-pair counts
+//! `M` answers it with one O(p²) dot
+//! ([`ConnectivityProvider::comm_cost`]): `AdjProvider`, synced over
+//! every vertex, sums `M` from its rows at sync and shifts it by each
+//! exclusive mover's own counts; a stealing worker's move only marks `M`
+//! stale, and the evaluation after the team has joined re-sums it from
+//! the rows. Otherwise the [`CommCostModel`] evaluates —
+//! [`ExactCommCost`] for a run over a dirty subset, none out of core.
+//! Every path yields the same integers and the same dot, so a pass's
+//! cost is bit-identical to
+//! [`crate::metrics::partitioning_communication_cost`].
 //!
 //! The engine also owns the two cross-cutting quality devices the drivers
 //! used to duplicate: the bounded **doubt buffer** (the `k`
@@ -129,7 +149,9 @@ use hyperpraw_topology::CostMatrix;
 
 use crate::history::{IterationRecord, PartitionHistory, StreamPhase};
 use crate::metrics::{check_shapes, CommCostState, PairCounts};
-use crate::value::{best_partition_in, certified_margin, ValueScratch};
+#[cfg(debug_assertions)]
+use crate::value::best_partition_in;
+use crate::value::{certified_margin, comm_terms, select_partition, terms_gap, ValueScratch};
 use crate::{HyperPrawConfig, RefinementPolicy};
 
 mod provider;
@@ -360,15 +382,19 @@ impl EngineConfig {
 }
 
 /// How the engine evaluates the partitioning communication cost after each
-/// pass — the refinement phase's stopping signal. Out-of-core runs cannot
-/// afford the evaluation and return `None`, which disables cost-based
-/// rollback (the loop then stops on fixed points or the iteration limit).
+/// pass — the refinement phase's stopping signal — when the provider does
+/// not answer it from kept counts ([`ConnectivityProvider::comm_cost`]).
+/// Out-of-core runs cannot afford the evaluation and return `None`, which
+/// disables cost-based rollback (the loop then stops on fixed points or
+/// the iteration limit).
 pub trait CommCostModel {
     /// Cost of `partition` under `cost`, when computable.
     fn comm_cost(&mut self, partition: &Partition, cost: &CostMatrix) -> Option<f64>;
 }
 
-/// Cost model for out-of-core runs: never evaluates.
+/// Cost model that never evaluates: for out-of-core runs, and for runs
+/// whose provider answers the cost from its kept counts (an
+/// [`AdjProvider`] synced over every vertex).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoCommCost;
 
@@ -666,15 +692,18 @@ struct Decision {
 
 /// One worker's scoring state, created once per run and reused across
 /// windows and passes: the provider scratch, the counts and scorer
-/// buffers, and the tally of certified visits.
+/// buffers, and the tallies of certified and proven stays.
 struct Scorer<T> {
     scratch: T,
     counts: Vec<u32>,
     value: ValueScratch,
     /// Whether visits check and make stay certificates.
     certify: bool,
-    /// Visits kept in place by a certificate since the last flush.
+    /// Visits kept in place by a stored certificate since the last flush.
     certified: u64,
+    /// Visits whose stay was proved from freshly copied counts since the
+    /// last flush.
+    proven: u64,
 }
 
 impl<T> Scorer<T> {
@@ -685,6 +714,7 @@ impl<T> Scorer<T> {
             value: ValueScratch::new(),
             certify,
             certified: 0,
+            proven: 0,
         }
     }
 
@@ -696,10 +726,14 @@ impl<T> Scorer<T> {
     /// When `record`'s stay certificate is still valid, names `current`
     /// and [`certified_margin`] proves it under `alpha` and `loads`, the
     /// visit keeps its part without copying counts or scoring. Otherwise
-    /// the counts are copied and scored, and the outcome certified under
-    /// the generation read before the copy. Every strategy decides
-    /// through here; the caller applies the decision the same way either
-    /// way, so a certified stay does the load arithmetic of a scored one.
+    /// the counts are copied and their load-free terms computed. When a
+    /// neighbour's move voided the certificate, `current`'s gap from those
+    /// terms may prove the stay at once, without the value loop and the
+    /// selection scan; failing that, the terms are scored. Either outcome
+    /// is certified under the generation read before the copy. Every
+    /// strategy decides through here; the caller applies the decision the
+    /// same way either way, so a certified or proven stay does the load
+    /// arithmetic of a scored one.
     #[allow(clippy::too_many_arguments)] // the engine's hot path shares one state bundle
     fn decide<P, A>(
         &mut self,
@@ -723,8 +757,8 @@ impl<T> Scorer<T> {
             None
         };
         let stay = stamp.and_then(|s| s.stay);
+        debug_assert!(stamp.is_none() || expected.iter().all(|&e| e == expected[0]));
         if let Some((part, gap)) = stay.filter(|&(part, _)| Some(part) == current) {
-            debug_assert!(expected.iter().all(|&e| e == expected[0]));
             if let Some(margin) = certified_margin(gap, part, alpha, loads, expected[0]) {
                 self.certified += 1;
                 // Debug builds re-score the visit and require `part`. Under
@@ -754,7 +788,29 @@ impl<T> Scorer<T> {
             }
         }
         provider.count(record, assignment, &mut self.scratch, &mut self.counts);
-        let scored = best_partition_in(&self.counts, cost, alpha, loads, expected, &mut self.value);
+        comm_terms(&self.counts, cost, &mut self.value);
+        if let (Some(stamp), Some(part), None) = (stamp, current, stay) {
+            // The same proof from the counts just copied, which are
+            // current: the gap is the one a scored stay would store.
+            let gap = terms_gap(part, &mut self.value);
+            if let Some(margin) = certified_margin(gap, part, alpha, loads, expected[0]) {
+                self.proven += 1;
+                provider.certify(v, stamp.generation, part, gap);
+                #[cfg(debug_assertions)]
+                {
+                    let counts = &self.counts;
+                    let scored =
+                        best_partition_in(counts, cost, alpha, loads, expected, &mut self.value);
+                    assert_eq!(
+                        (scored.part, scored.gap.to_bits()),
+                        (part, gap.to_bits()),
+                        "vertex {v} proved on part {part}, but its counts score otherwise"
+                    );
+                }
+                return Decision { part, margin };
+            }
+        }
+        let scored = select_partition(alpha, loads, expected, &mut self.value);
         if let Some(stamp) = stamp {
             provider.certify(v, stamp.generation, scored.part, scored.gap);
         }
@@ -907,8 +963,12 @@ struct EngineMetrics {
     /// Vertices visited across all passes (each pass streams the source
     /// once), certified visits included.
     vertices_scored: Counter,
-    /// Visits a stay certificate kept in place without scoring.
+    /// Visits a stored stay certificate kept in place without copying
+    /// counts or scoring.
     certified_visits: Counter,
+    /// Visits whose stay was proved from freshly copied counts, without
+    /// the value loop or the selection scan.
+    proven_stays: Counter,
     /// Doubt-buffer entries at the end of the latest pass.
     doubt_entries: Gauge,
     /// Doubt-buffer payload bytes at the end of the latest pass.
@@ -926,6 +986,7 @@ impl EngineMetrics {
             commcost_eval_us: registry.histogram("engine.commcost_eval_us"),
             vertices_scored: registry.counter("engine.vertices_scored"),
             certified_visits: registry.counter("engine.certified_visits"),
+            proven_stays: registry.counter("engine.proven_stays"),
             doubt_entries: registry.gauge("engine.doubt.entries"),
             doubt_bytes: registry.gauge("engine.doubt.bytes"),
             steal_chunk_claims: registry.counter("engine.steal.chunk_claims"),
@@ -1162,11 +1223,15 @@ impl Engine {
                 )?,
             };
             pass_span.finish();
-            let certified = slots
-                .iter_mut()
-                .map(|slot| std::mem::take(&mut slot.scorer.certified))
-                .sum();
-            self.metrics.certified_visits.add(certified);
+            for slot in &mut slots {
+                let scorer = &mut slot.scorer;
+                self.metrics
+                    .certified_visits
+                    .add(std::mem::take(&mut scorer.certified));
+                self.metrics
+                    .proven_stays
+                    .add(std::mem::take(&mut scorer.proven));
+            }
             debug_assert!(
                 consistent(provider, &state.partition, cost),
                 "provider state drifted from the assignment by the end of pass {pass}"
@@ -1176,7 +1241,7 @@ impl Engine {
             assigned = true;
 
             let imbalance = state.imbalance();
-            let comm_cost = self.eval_comm_cost(cost_model, &state.partition, cost);
+            let comm_cost = self.eval_comm_cost(provider, cost_model, &state.partition, cost);
             let feasible = imbalance <= config.imbalance_tolerance + 1e-12;
             if config.track_history {
                 history.push(IterationRecord {
@@ -1274,7 +1339,7 @@ impl Engine {
             Some((partition, c, imb)) => (partition, c, imb),
             None => {
                 let c = self
-                    .eval_comm_cost(cost_model, &state.partition, cost)
+                    .eval_comm_cost(provider, cost_model, &state.partition, cost)
                     .unwrap_or(f64::NAN);
                 let imb = state.imbalance();
                 (state.partition, c, imb)
@@ -1294,15 +1359,20 @@ impl Engine {
         })
     }
 
-    /// One timed `cost_model` evaluation.
-    fn eval_comm_cost<C: CommCostModel>(
+    /// One timed comm-cost evaluation of `partition`, the assignment the
+    /// provider is synced to: from the provider's kept part-pair counts
+    /// when it has them, by `cost_model` otherwise.
+    fn eval_comm_cost<P: ConnectivityProvider, C: CommCostModel>(
         &self,
+        provider: &mut P,
         cost_model: &mut C,
         partition: &Partition,
         cost: &CostMatrix,
     ) -> Option<f64> {
         let span = self.metrics.commcost_eval_us.span();
-        let comm_cost = cost_model.comm_cost(partition, cost);
+        let comm_cost = provider
+            .comm_cost(partition, cost)
+            .or_else(|| cost_model.comm_cost(partition, cost));
         span.finish();
         comm_cost
     }

@@ -18,7 +18,10 @@
 //!   each vertex's counts it keeps a **stay certificate** and the
 //!   generation of those counts, which lets the engine keep a vertex in
 //!   place without copying its counts or scoring
-//!   ([`ConnectivityProvider::stay_certificate`]).
+//!   ([`ConnectivityProvider::stay_certificate`]). Synced over every
+//!   vertex, it also keeps the part-pair counts `M` and answers the
+//!   engine's per-pass comm cost from them
+//!   ([`ConnectivityProvider::comm_cost`]).
 //! * `hyperpraw-lowmem`'s `IndexProvider` — answers from a budgeted
 //!   `ConnectivityIndex` (exact hash maps, or Bloom/MinHash sketches),
 //!   counting **connected nets** per partition; attach/detach record and
@@ -34,7 +37,7 @@
 //! neighbourhood (the traversal scratch materialises lazily).
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 use hyperpraw_topology::CostMatrix;
 
@@ -44,6 +47,7 @@ use hyperpraw_hypergraph::{
     AdjacencyBudget, AssignmentRef, Hypergraph, NeighborAdjacency, Partition, VertexId,
 };
 
+use crate::metrics::{check_shapes, PairCounts};
 use crate::value::{comm_gap_in, ValueScratch};
 
 /// What [`ConnectivityProvider::stay_certificate`] read for one vertex.
@@ -154,6 +158,18 @@ pub trait ConnectivityProvider: Sync {
     /// when such a move raced the scoring.
     fn certify(&self, v: VertexId, generation: u32, part: u32, gap: f64) {
         let _ = (v, generation, part, gap);
+    }
+
+    /// The partitioning communication cost of `assignment` under `cost`,
+    /// answered from part-pair counts the provider keeps, or `None` when
+    /// it keeps none — the engine then asks its
+    /// [`crate::engine::CommCostModel`]. The engine calls it after each
+    /// pass and at the end of a run, with the assignment the provider is
+    /// synced to and no worker running, so the answer is exact and
+    /// bit-identical to [`crate::metrics::partitioning_communication_cost`].
+    fn comm_cost(&mut self, assignment: &Partition, cost: &CostMatrix) -> Option<f64> {
+        let _ = (assignment, cost);
+        None
     }
 
     /// Called once at the start of every stream. `rebuild` asks the
@@ -288,6 +304,19 @@ fn f32_at_most(x: f64) -> f32 {
 /// answered by [`NeighborAdjacency::neighbor_partition_counts`] or the
 /// traversal oracle.
 ///
+/// When the run visits every vertex, the provider also keeps the
+/// part-pair counts `M` of [`crate::metrics`]: `M[a][·]` is the sum of
+/// the rows `X(v)` of the vertices on part `a`, summed at sync. An
+/// exclusive move of `v` from `a` to `b` shifts rows and columns `a` and
+/// `b` of `M` by `v`'s own `X(v)` — O(p), no neighbour walk, the
+/// integers of a walk. A stealing worker's move cannot do that exactly
+/// while a neighbour's move shifts `X(v)` concurrently, so it only marks
+/// `M` stale, and [`ConnectivityProvider::comm_cost`] re-sums it from
+/// the rows, which are exact again once the team has joined. The
+/// evaluation is then one O(p²) dot, bit-identical to
+/// [`crate::metrics::partitioning_communication_cost`]. A provider synced
+/// on a subset keeps no `M` and answers `None`.
+///
 /// Counts are exact integers on every path — identical to
 /// [`NeighborScratch::neighbor_partition_counts`], the distinct-neighbour
 /// `X_j(v)` of the paper — so neither the adjacency nor its budget ever
@@ -315,6 +344,14 @@ pub struct AdjProvider<'a> {
     /// shift all touch one row. Rows are allocated in blocks of
     /// [`BLOCK_SLOTS`].
     rows: Vec<Box<[AtomicU32]>>,
+    /// The part-pair counts `M` of the synced assignment, kept when the
+    /// run visits every vertex: `M[a][·]` is the sum of the rows `X(v)` of
+    /// the vertices on part `a`.
+    pairs: Option<PairCounts>,
+    /// Set by [`ConnectivityProvider::moved`], whose concurrent shifts
+    /// cannot keep `pairs` exact; the next evaluation re-sums them from
+    /// the rows.
+    pairs_stale: AtomicBool,
     /// Counts neighbourhood traversals (`engine.hub_fallbacks`); a no-op
     /// unless bound via [`AdjProvider::with_registry`]. Each worker's
     /// [`AdjScratch`] tallies its own traversals and adds them here in
@@ -389,6 +426,8 @@ impl<'a> AdjProvider<'a> {
             slots: Vec::new(),
             num_counted: 0,
             rows: Vec::new(),
+            pairs: None,
+            pairs_stale: AtomicBool::new(false),
             hub_fallbacks: hyperpraw_telemetry::Counter::noop(),
         }
     }
@@ -420,8 +459,9 @@ impl<'a> AdjProvider<'a> {
     }
 
     /// Heap bytes held: the adjacency, if any, plus the kept part counts,
-    /// their stay certificates and, when the run visits a subset, their
-    /// vertex → slot map.
+    /// their stay certificates and either, when the run visits a subset,
+    /// their vertex → slot map or, when it visits every vertex, the
+    /// part-pair counts.
     pub fn memory_bytes(&self) -> usize {
         self.adj
             .as_deref()
@@ -430,6 +470,7 @@ impl<'a> AdjProvider<'a> {
             + self.rows.capacity() * std::mem::size_of::<Box<[AtomicU32]>>()
             + self.rows.iter().map(|block| block.len()).sum::<usize>()
                 * std::mem::size_of::<AtomicU32>()
+            + self.pairs.as_ref().map_or(0, PairCounts::memory_bytes)
     }
 
     /// The slot of `v`, when it has kept counts.
@@ -458,6 +499,23 @@ impl<'a> AdjProvider<'a> {
     /// has one, otherwise a traversal through `scratch`.
     fn neighbors<'s>(&'s self, v: VertexId, scratch: &'s mut AdjScratch) -> &'s [VertexId] {
         neighbors_of(self.hg, self.adj.as_deref(), v, scratch)
+    }
+
+    /// `M` summed from the kept rows of every vertex, placed as
+    /// `assignment` says; only meaningful when every vertex has a row,
+    /// vertex `v` in slot `v`. Exclusive access reads the counts as plain
+    /// integers, which lets the sum vectorise.
+    fn summed_pairs(&mut self, assignment: &Partition) -> PairCounts {
+        let stride = self.num_parts + CERT_WORDS;
+        let mut pairs = PairCounts::zeroed(self.num_parts);
+        let parts = assignment.assignment().chunks(BLOCK_SLOTS);
+        for (block, parts) in self.rows.iter_mut().zip(parts) {
+            for (row, &part) in block.chunks_exact_mut(stride).zip(parts) {
+                let x = row[CERT_WORDS..].iter_mut().map(|c| *c.get_mut());
+                pairs.add_counted(part, x);
+            }
+        }
+        pairs
     }
 }
 
@@ -540,6 +598,8 @@ impl ConnectivityProvider for AdjProvider<'_> {
             })
             .collect();
         self.rows = rows;
+        *self.pairs_stale.get_mut() = false;
+        self.pairs = visits.is_none().then(|| self.summed_pairs(assignment));
     }
 
     fn moved(&self, v: VertexId, from: u32, to: u32, scratch: &mut Self::Scratch) {
@@ -552,6 +612,10 @@ impl ConnectivityProvider for AdjProvider<'_> {
                 row[CERT_WORDS + to as usize].fetch_add(1, Ordering::Relaxed);
                 row[GENERATION].fetch_add(1, Ordering::Release);
             }
+        }
+        // Read first: only a pass's first move writes the shared flag.
+        if self.pairs.is_some() && !self.pairs_stale.load(Ordering::Relaxed) {
+            self.pairs_stale.store(true, Ordering::Relaxed);
         }
     }
 
@@ -570,19 +634,43 @@ impl ConnectivityProvider for AdjProvider<'_> {
                 *generation = generation.wrapping_add(1);
             }
         }
+        // `v`'s own pairs move from row and column `from` to `to`; `X(v)`
+        // counts them, and `v`'s move leaves it as it is. `pairs` is kept
+        // only when every vertex has a row, in slot `v`.
+        let stale = *self.pairs_stale.get_mut();
+        if let Some(pairs) = self.pairs.as_mut().filter(|_| !stale) {
+            let lo = v as usize % BLOCK_SLOTS * stride;
+            let x = &self.rows[v as usize / BLOCK_SLOTS][lo + CERT_WORDS..lo + stride];
+            pairs.move_counted(from, to, x.iter().map(|c| c.load(Ordering::Relaxed)));
+        }
     }
 
     fn agrees_with<A: AssignmentRef>(&self, assignment: &A) -> bool {
         let mut oracle = NeighborScratch::new(self.hg.num_vertices());
         let mut expected = Vec::new();
-        self.hg.vertices().all(|v| {
+        let counts_agree = self.hg.vertices().all(|v| {
             self.kept_counts(v).is_none_or(|kept| {
                 oracle.neighbor_partition_counts(self.hg, assignment, v, &mut expected);
                 kept.iter()
                     .zip(&expected)
                     .all(|(x, &c)| x.load(Ordering::Relaxed) == c)
             })
-        })
+        });
+        // Stale pairs are re-summed before they are read.
+        let pairs_agree = self.pairs.as_ref().is_none_or(|pairs| {
+            self.pairs_stale.load(Ordering::Relaxed)
+                || *pairs == PairCounts::build(self.hg, self.adj.as_deref(), assignment, &mut None)
+        });
+        counts_agree && pairs_agree
+    }
+
+    fn comm_cost(&mut self, assignment: &Partition, cost: &CostMatrix) -> Option<f64> {
+        self.pairs.as_ref()?;
+        check_shapes(self.hg, assignment, cost);
+        if std::mem::take(self.pairs_stale.get_mut()) {
+            self.pairs = Some(self.summed_pairs(assignment));
+        }
+        self.pairs.as_ref().map(|pairs| pairs.dot(cost))
     }
 
     fn certificates_agree_with<A: AssignmentRef>(&self, assignment: &A, cost: &CostMatrix) -> bool {
@@ -731,10 +819,10 @@ mod tests {
             assert_eq!(adj.num_counted_vertices(), hg.num_vertices());
             let adj_bytes = budget.map_or(0, |_| adj.adjacency().memory_bytes());
             // One block: its pointer, then 3 counts and 3 certificate
-            // words per vertex.
+            // words per vertex; and the 3 × 3 part-pair counts.
             assert_eq!(
                 adj.memory_bytes(),
-                adj_bytes + 16 + 4 * 3 * hg.num_vertices() + 12 * hg.num_vertices()
+                adj_bytes + 16 + 4 * 3 * hg.num_vertices() + 12 * hg.num_vertices() + 8 * 9
             );
             let mut adj_scratch = adj.new_scratch();
             for v in hg.vertices() {

@@ -17,13 +17,14 @@
 //! any two evaluations of the same partition agree bit for bit, however
 //! `M` was obtained: counted from scratch by
 //! [`partitioning_communication_cost`] or
-//! [`partitioning_communication_cost_with`], or patched from the moved
-//! vertices only by the engine's incremental
-//! [`crate::engine::ExactCommCost`].
+//! [`partitioning_communication_cost_with`], kept by the engine's
+//! [`crate::engine::AdjProvider`] from its per-vertex part counts and
+//! shifted by each mover's own counts, or patched from the moved vertices
+//! only by the incremental [`crate::engine::ExactCommCost`].
 
 use hyperpraw_hypergraph::traversal::NeighborScratch;
 use hyperpraw_hypergraph::{
-    metrics as cut_metrics, Hypergraph, NeighborAdjacency, Partition, VertexId,
+    metrics as cut_metrics, AssignmentRef, Hypergraph, NeighborAdjacency, Partition, VertexId,
 };
 use hyperpraw_topology::CostMatrix;
 
@@ -210,11 +211,19 @@ pub(crate) struct PairCounts {
 }
 
 impl PairCounts {
+    /// `M` without any pair, over `num_parts` parts.
+    pub(crate) fn zeroed(num_parts: usize) -> Self {
+        Self {
+            num_parts,
+            counts: vec![0; num_parts * num_parts],
+        }
+    }
+
     /// Counts `M` from scratch for `partition`.
-    pub(crate) fn build(
+    pub(crate) fn build<A: AssignmentRef>(
         hg: &Hypergraph,
         adj: Option<&NeighborAdjacency>,
-        partition: &Partition,
+        partition: &A,
         scratch: &mut Option<NeighborScratch>,
     ) -> Self {
         let p = partition.num_parts() as usize;
@@ -277,6 +286,36 @@ impl PairCounts {
             counts[c * p + to_row] += 1;
         });
         running.set(v, to);
+    }
+
+    /// Adds the row of a vertex on `part` whose distinct neighbours fall
+    /// into the parts as `x` counts them — its `X(v)`.
+    pub(crate) fn add_counted(&mut self, part: u32, x: impl IntoIterator<Item = u32>) {
+        let row = part as usize * self.num_parts;
+        for (m, c) in self.counts[row..row + self.num_parts].iter_mut().zip(x) {
+            *m += u64::from(c);
+        }
+    }
+
+    /// Moves a vertex whose distinct neighbours fall into the parts as `x`
+    /// counts them from part `from` to part `to`: the integers of
+    /// [`PairCounts::move_vertex`], from `X(v)` instead of a walk of the
+    /// neighbourhood. `X(v)` does not change when `v` itself moves.
+    pub(crate) fn move_counted(&mut self, from: u32, to: u32, x: impl IntoIterator<Item = u32>) {
+        let p = self.num_parts;
+        let (from, to) = (from as usize, to as usize);
+        for (c, x) in x.into_iter().enumerate() {
+            let x = u64::from(x);
+            self.counts[from * p + c] -= x;
+            self.counts[c * p + from] -= x;
+            self.counts[to * p + c] += x;
+            self.counts[c * p + to] += x;
+        }
+    }
+
+    /// Heap bytes of the `p²` counters.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.counts.capacity() * std::mem::size_of::<u64>()
     }
 
     /// `Σ_a Σ_b M[a][b]·C(a, b)` in row-major order; zero counts are

@@ -1,14 +1,15 @@
 //! The HyperPRAW restreaming driver (Algorithm 1) — a thin instantiation
 //! of the generic [`crate::engine`]: in-memory vertex source × kept part
 //! counts found by traversal ([`AdjProvider::traversal`], no precomputed
-//! adjacency) × the execution strategy, sequential unless
-//! [`HyperPraw::with_parallel`] selects the §8.2 parallel schedule.
+//! adjacency, which also answers the per-pass comm cost) × the execution
+//! strategy, sequential unless [`HyperPraw::with_parallel`] selects the
+//! §8.2 parallel schedule.
 
 use hyperpraw_hypergraph::{Hypergraph, Partition};
 use hyperpraw_topology::CostMatrix;
 
 use crate::engine::{
-    AdjProvider, Engine, EngineConfig, ExactCommCost, ExecutionStrategy, InMemorySource,
+    AdjProvider, Engine, EngineConfig, ExecutionStrategy, InMemorySource, NoCommCost,
 };
 use crate::history::PartitionHistory;
 use crate::{HyperPrawConfig, ParallelConfig};
@@ -126,14 +127,15 @@ impl HyperPraw {
             Engine::new(EngineConfig::restreaming(&self.config).with_strategy(self.strategy))
                 .with_registry(&self.registry);
         // Every visit copies the provider's kept part counts, so no
-        // adjacency is built: sync, moves and the incremental comm-cost
-        // evaluation find neighbourhoods by traversal.
+        // adjacency is built: sync and moves find neighbourhoods by
+        // traversal. The provider also keeps the part-pair counts and
+        // answers each comm-cost evaluation from them.
         let run = engine
             .run(
                 &self.cost,
                 &mut InMemorySource::new(hg, self.config.stream_order, self.config.seed),
                 &mut AdjProvider::traversal(hg).with_registry(&self.registry),
-                &mut ExactCommCost::new(hg),
+                &mut NoCommCost,
             )
             .expect("in-memory sources cannot fail");
         // The engine's revisit-buffer counters are dropped: this driver

@@ -11,7 +11,10 @@
 //! The scorer also reports each winner's *communication gap*, which
 //! [`certified_margin`] turns into a proof that the winner still wins
 //! under other loads and another `α` — the restreaming engine's stay
-//! certificate.
+//! certificate. [`best_partition_in`] runs in two stages, the load-free
+//! terms ([`comm_terms`]) and the selection ([`select_partition`]), so
+//! the engine can take a current part's gap from the terms
+//! ([`terms_gap`]) and prove a stay before it selects.
 
 use hyperpraw_topology::CostMatrix;
 
@@ -184,10 +187,11 @@ fn min_max(xs: &[f64]) -> (f64, f64) {
     )
 }
 
-/// Proves that a vertex whose counts scored with communication gap `gap`
-/// for `part` (see [`ScoredPartition::gap`]) still goes to `part` when
-/// the same counts are scored under `alpha ≥ 0` and `loads`, with every
-/// part's expected load `expected`. `loads` are the loads the scorer sees
+/// Proves that a vertex whose counts give communication gap `gap` for
+/// `part` — the winner's [`ScoredPartition::gap`] of an earlier scoring,
+/// or any part's [`terms_gap`] — goes to `part` when the same counts are
+/// scored under `alpha ≥ 0` and `loads`, with every part's expected load
+/// `expected`. `loads` are the loads the scorer sees
 /// — the vertex's own weight detached. Returns a lower bound on the
 /// winner's margin when the proof holds, `None` when it does not.
 ///
@@ -292,7 +296,21 @@ pub fn best_partition_in(
 ) -> ScoredPartition {
     debug_assert_eq!(counts.len(), loads.len());
     comm_terms(counts, cost, scratch);
+    select_partition(alpha, loads, expected, scratch)
+}
+
+/// The select stage of [`best_partition_in`]: scores the load-free terms
+/// [`comm_terms`] last wrote into `scratch` under `alpha`, `loads` and
+/// `expected`, then walks the values in candidate order. The two stages
+/// in sequence are [`best_partition_in`], bit for bit.
+pub fn select_partition(
+    alpha: f64,
+    loads: &[f64],
+    expected: &[f64],
+    scratch: &mut ValueScratch,
+) -> ScoredPartition {
     let c = &mut scratch.t;
+    debug_assert_eq!(c.len(), loads.len());
     let values = &mut scratch.values;
     values.resize(c.len(), 0.0);
     for (((v, &c), &load), &e) in values.iter_mut().zip(c.iter()).zip(loads).zip(expected) {
@@ -335,12 +353,21 @@ pub fn comm_gap_in(
     scratch: &mut ValueScratch,
 ) -> f64 {
     comm_terms(counts, cost, scratch);
+    terms_gap(part, scratch)
+}
+
+/// The communication gap of `part` over the load-free terms
+/// [`comm_terms`] last wrote into `scratch` — what [`comm_gap_in`]
+/// returns for the same counts. The terms are left as they were, so
+/// [`select_partition`] may follow.
+pub fn terms_gap(part: u32, scratch: &mut ValueScratch) -> f64 {
     comm_gap(&mut scratch.t, part as usize)
 }
 
-/// Writes the load-free terms `c_i = −N_i(v)·T_i(v)` of every candidate
-/// into `scratch.t` — the blocked kernel behind [`best_partition_in`].
-fn comm_terms(counts: &[u32], cost: &CostMatrix, scratch: &mut ValueScratch) {
+/// The terms stage of [`best_partition_in`]: writes the load-free terms
+/// `c_i = −N_i(v)·T_i(v)` of every candidate into `scratch` with the
+/// blocked kernel, for [`terms_gap`] and [`select_partition`] to read.
+pub fn comm_terms(counts: &[u32], cost: &CostMatrix, scratch: &mut ValueScratch) {
     debug_assert_eq!(counts.len(), cost.num_units());
     let p = counts.len();
     let t = &mut scratch.t;
@@ -558,6 +585,19 @@ mod tests {
                         assert_eq!(fast.value.to_bits(), reference.value.to_bits(), "{at}");
                         assert_eq!(fast.margin.to_bits(), reference.margin.to_bits(), "{at}");
                         assert_eq!(fast.gap, reference.gap, "{at}");
+
+                        // The engine's split path: the terms stage, a
+                        // current part's gap, then the select stage.
+                        let current = (next() * p as f64) as u32;
+                        let gap = comm_gap_in(&counts, cost, current, &mut scratch);
+                        comm_terms(&counts, cost, &mut scratch);
+                        let split_gap = terms_gap(current, &mut scratch);
+                        let split = select_partition(alpha, &loads, &expected, &mut scratch);
+                        assert_eq!(split_gap.to_bits(), gap.to_bits(), "{at}");
+                        assert_eq!(split.part, fast.part, "{at}");
+                        assert_eq!(split.value.to_bits(), fast.value.to_bits(), "{at}");
+                        assert_eq!(split.margin.to_bits(), fast.margin.to_bits(), "{at}");
+                        assert_eq!(split.gap.to_bits(), fast.gap.to_bits(), "{at}");
                     }
                 }
             }

@@ -15,11 +15,18 @@
 //! exactly), non-integer loads, random `α`, and loads a hair apart —
 //! the near ties the tie rule of the scorer settles by load and then by
 //! part id.
+//!
+//! The engine also proves a stay from counts it has just copied: it takes
+//! the current part's gap from the load-free terms ([`terms_gap`]) and
+//! applies the same [`certified_margin`]. That part need not be the one
+//! the terms favour, so the second test draws it at random and checks
+//! every proof against the scorer ([`best_partition_in`]).
 
 use proptest::prelude::*;
 
 use hyperpraw_core::value::{
-    best_partition_in, best_partition_with_margin, certified_margin, comm_gap_in, ValueScratch,
+    best_partition_in, best_partition_with_margin, certified_margin, comm_gap_in, comm_terms,
+    terms_gap, ValueScratch,
 };
 use hyperpraw_core::CostMatrix;
 use hyperpraw_topology::{BandwidthMatrix, MachineModel};
@@ -140,5 +147,50 @@ proptest! {
         // Single-part instances certify every visit; the others must
         // exercise the proof too.
         prop_assert!(certified > 0);
+    }
+}
+
+/// Part counts of the fresh-proof test.
+const FRESH_PARTS: [usize; 5] = [2, 8, 9, 24, 64];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn fresh_proofs_score_the_current_part(
+        p_index in 0usize..FRESH_PARTS.len(),
+        kind in 0usize..3,
+        seed in 1u64..u64::MAX,
+    ) {
+        let p = FRESH_PARTS[p_index];
+        let mut rng = Stream(seed);
+        let cost = cost_matrix(p, kind, &mut rng);
+        let mut scratch = ValueScratch::new();
+        let mut proven = 0usize;
+        for round in 0..256 {
+            let counts = counts(p, round % (p + 1), &mut rng);
+            let expected = 1.0 + rng.next() * 50.0;
+            let expected_loads = vec![expected; p];
+            let scored: Vec<f64> = (0..p).map(|_| rng.next() * 2.0 * expected).collect();
+            let alpha = rng.next() * [0.1, 10.0, 1000.0][rng.below(3)];
+            // Any part, or the one an earlier visit under `scored` chose
+            // (the usual case of a converging run).
+            let current = if rng.below(2) == 0 {
+                rng.below(p) as u32
+            } else {
+                best_partition_in(&counts, &cost, alpha, &scored, &expected_loads, &mut scratch).part
+            };
+            let loads = later_loads(&scored, current as usize, expected, &mut rng);
+            comm_terms(&counts, &cost, &mut scratch);
+            let gap = terms_gap(current, &mut scratch);
+            if certified_margin(gap, current, alpha, &loads, expected).is_some() {
+                proven += 1;
+                let rescored =
+                    best_partition_in(&counts, &cost, alpha, &loads, &expected_loads, &mut scratch);
+                prop_assert_eq!(rescored.part, current);
+                prop_assert_eq!(rescored.gap.to_bits(), gap.to_bits());
+            }
+        }
+        prop_assert!(proven > 0);
     }
 }
