@@ -115,17 +115,28 @@
 //! atomic read-modify-writes.
 //!
 //! The refinement phase stops on the partitioning communication cost,
-//! evaluated after every pass. A provider that keeps the part-pair counts
-//! `M` answers it with one O(p²) dot
-//! ([`ConnectivityProvider::comm_cost`]): `AdjProvider`, synced over
-//! every vertex, sums `M` from its rows at sync and shifts it by each
-//! exclusive mover's own counts; a stealing worker's move only marks `M`
-//! stale, and the evaluation after the team has joined re-sums it from
-//! the rows. Otherwise the [`CommCostModel`] evaluates —
-//! [`ExactCommCost`] for a run over a dirty subset, none out of core.
-//! Every path yields the same integers and the same dot, so a pass's
-//! cost is bit-identical to
-//! [`crate::metrics::partitioning_communication_cost`].
+//! evaluated after every pass from the part-pair counts `M` the provider
+//! keeps, with one O(p²) dot ([`ConnectivityProvider::comm_cost`]).
+//! `AdjProvider` sums `M` from its rows when synced over every vertex;
+//! synced on a subset — a warm run over a dirty set — it takes the `M`
+//! its caller resumed ([`AdjProvider::resume`]) or counts it once. Each
+//! exclusive move shifts `M` by the mover's own counts; a stealing
+//! worker's move only marks it stale, and the evaluation after the team
+//! has joined counts it afresh. The integers are exact and the dot is the
+//! one [`crate::metrics`] shares, so a pass's cost is bit-identical to
+//! [`crate::metrics::partitioning_communication_cost`]. Out-of-core
+//! providers keep no `M`; their runs stop on fixed points and the
+//! iteration limit only.
+//!
+//! When a pass's cost exceeds the previous feasible pass's, the run
+//! returns that earlier partition. The engine then moves every vertex
+//! whose part differs back through
+//! [`ConnectivityProvider::moved_exclusive`], so however a run stops, the
+//! provider ends synced to the partition it returns, and a caller can take
+//! `M` back for it ([`AdjProvider::into_comm_state`]). Debug builds assert
+//! this of the kept counts and `M` at the end of every run. Stay
+//! certificates are outside that check: a vertex moved back keeps the
+//! certificate of the part it left, and nothing reads it after the run.
 //!
 //! The engine also owns the two cross-cutting quality devices the drivers
 //! used to duplicate: the bounded **doubt buffer** (the `k`
@@ -140,15 +151,11 @@ use std::thread;
 
 use hyperpraw_hypergraph::io::stream::VertexRecord;
 use hyperpraw_hypergraph::io::{IoError, IoResult};
-use hyperpraw_hypergraph::traversal::NeighborScratch;
-use hyperpraw_hypergraph::{
-    AssignmentRef, ChunkCursor, HyperedgeId, Hypergraph, NeighborAdjacency, Partition, VertexId,
-};
+use hyperpraw_hypergraph::{AssignmentRef, ChunkCursor, HyperedgeId, Partition, VertexId};
 use hyperpraw_telemetry::{Counter, Gauge, Histogram, Registry};
 use hyperpraw_topology::CostMatrix;
 
 use crate::history::{IterationRecord, PartitionHistory, StreamPhase};
-use crate::metrics::{check_shapes, CommCostState, PairCounts};
 #[cfg(debug_assertions)]
 use crate::value::best_partition_in;
 use crate::value::{certified_margin, comm_terms, select_partition, terms_gap, ValueScratch};
@@ -381,163 +388,6 @@ impl EngineConfig {
     }
 }
 
-/// How the engine evaluates the partitioning communication cost after each
-/// pass — the refinement phase's stopping signal — when the provider does
-/// not answer it from kept counts ([`ConnectivityProvider::comm_cost`]).
-/// Out-of-core runs cannot afford the evaluation and return `None`, which
-/// disables cost-based rollback (the loop then stops on fixed points or
-/// the iteration limit).
-pub trait CommCostModel {
-    /// Cost of `partition` under `cost`, when computable.
-    fn comm_cost(&mut self, partition: &Partition, cost: &CostMatrix) -> Option<f64>;
-}
-
-/// Cost model that never evaluates: for out-of-core runs, and for runs
-/// whose provider answers the cost from its kept counts (an
-/// [`AdjProvider`] synced over every vertex).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoCommCost;
-
-impl CommCostModel for NoCommCost {
-    fn comm_cost(&mut self, _partition: &Partition, _cost: &CostMatrix) -> Option<f64> {
-        None
-    }
-}
-
-/// [`ExactCommCost`] patches its part-pair counts from the moved vertices
-/// while fewer than `1 / REBUILD_DENOMINATOR` of all vertices moved since
-/// its last evaluation; past that, counting afresh is cheaper.
-const REBUILD_DENOMINATOR: usize = 4;
-
-/// Exact evaluation over an in-memory hypergraph
-/// ([`crate::metrics::partitioning_communication_cost`]). When a precomputed
-/// [`NeighborAdjacency`] is supplied, neighbourhoods come from flat lists
-/// instead of being re-deduplicated
-/// ([`crate::metrics::partitioning_communication_cost_with`]).
-///
-/// The model is **incremental**: it keeps the last assignment it evaluated
-/// together with that assignment's exact part-pair counts `M` (see
-/// [`crate::metrics`]). Each call diffs the new partition against the
-/// last one; when fewer than a quarter of the vertices moved, every moved
-/// vertex is replayed in vertex order — its neighbourhood shifts one row
-/// and one column of `M` — so a pass costs O(moved vertices' degrees)
-/// instead of O(pins). Larger moves recount `M` from scratch. Either way
-/// `M` is exact and the final dot product is the one every evaluation in
-/// [`crate::metrics`] shares, so each result is **bit-identical** to a
-/// fresh [`crate::metrics::partitioning_communication_cost`] of the same
-/// partition. The state costs `p²` counters plus one copy of the
-/// assignment; [`ExactCommCost::resume`] starts from a state kept by the
-/// caller and [`ExactCommCost::into_state`] gives it back.
-#[derive(Clone, Debug)]
-pub struct ExactCommCost<'a> {
-    hg: &'a Hypergraph,
-    adj: Option<&'a NeighborAdjacency>,
-    /// The assignment evaluated last and its part-pair counts.
-    last: Option<CommCostState>,
-    /// Traversal scratch for hubs (or every vertex, without an adjacency).
-    scratch: Option<NeighborScratch>,
-    /// Reused list of the vertices moved since the last evaluation.
-    moved: Vec<VertexId>,
-}
-
-impl<'a> ExactCommCost<'a> {
-    /// Creates a model evaluating against `hg` by neighbourhood traversal.
-    pub fn new(hg: &'a Hypergraph) -> Self {
-        Self {
-            hg,
-            adj: None,
-            last: None,
-            scratch: None,
-            moved: Vec::new(),
-        }
-    }
-
-    /// Creates a model answering from a precomputed adjacency.
-    pub fn with_adjacency(hg: &'a Hypergraph, adj: &'a NeighborAdjacency) -> Self {
-        Self {
-            adj: Some(adj),
-            ..Self::new(hg)
-        }
-    }
-
-    /// Creates a traversal model that resumes from `state` instead of
-    /// counting `M` afresh at its first evaluation: the first evaluation
-    /// patches `state` from the vertices whose part differs, exactly as
-    /// later ones patch from the previous evaluation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `state` does not cover `hg`.
-    pub fn resume(hg: &'a Hypergraph, state: CommCostState) -> Self {
-        assert_eq!(
-            state.partition().num_vertices(),
-            hg.num_vertices(),
-            "a resumed state must cover the hypergraph"
-        );
-        Self {
-            last: Some(state),
-            ..Self::new(hg)
-        }
-    }
-
-    /// The assignment evaluated last with its part-pair counts (the
-    /// resumed state when nothing was evaluated since), to resume from
-    /// later; `None` before the first evaluation of a fresh model.
-    pub fn into_state(self) -> Option<CommCostState> {
-        self.last
-    }
-
-    /// Brings the retained counts up to `partition`: replays the moved
-    /// vertices when fewer than a quarter moved, recounts otherwise.
-    fn update(&mut self, partition: &Partition) -> &PairCounts {
-        let n = partition.num_vertices();
-        self.moved.clear();
-        let patchable = match &self.last {
-            Some(CommCostState {
-                partition: last, ..
-            }) if last.num_vertices() == n && last.num_parts() == partition.num_parts() => {
-                let pairs = last.assignment().iter().zip(partition.assignment());
-                for (v, (old, new)) in pairs.enumerate() {
-                    if old != new {
-                        self.moved.push(v as VertexId);
-                        if self.moved.len() * REBUILD_DENOMINATOR >= n {
-                            break;
-                        }
-                    }
-                }
-                self.moved.len() * REBUILD_DENOMINATOR < n
-            }
-            _ => false,
-        };
-        let CommCostState {
-            partition: last,
-            counts,
-        } = match self.last.take() {
-            Some(state) if patchable => self.last.insert(state),
-            _ => {
-                self.moved.clear();
-                let counts = PairCounts::build(self.hg, self.adj, partition, &mut self.scratch);
-                self.last.insert(CommCostState {
-                    partition: partition.clone(),
-                    counts,
-                })
-            }
-        };
-        for &v in &self.moved {
-            let to = partition.part_of(v);
-            counts.move_vertex(self.hg, self.adj, last, v, to, &mut self.scratch);
-        }
-        counts
-    }
-}
-
-impl CommCostModel for ExactCommCost<'_> {
-    fn comm_cost(&mut self, partition: &Partition, cost: &CostMatrix) -> Option<f64> {
-        check_shapes(self.hg, partition, cost);
-        Some(self.update(partition).dot(cost))
-    }
-}
-
 /// The outcome of an [`Engine::run`].
 #[derive(Clone, Debug)]
 pub struct EngineRun {
@@ -551,8 +401,8 @@ pub struct EngineRun {
     pub iterations: usize,
     /// The `α` in effect when the run stopped.
     pub final_alpha: f64,
-    /// Communication cost of the returned partition (`NaN` when the cost
-    /// model cannot evaluate).
+    /// Communication cost of the returned partition (`NaN` when the
+    /// provider keeps no part-pair counts).
     pub comm_cost: f64,
     /// Imbalance of the returned partition, taken from the engine's
     /// incrementally tracked workloads — the same value the stopping rule
@@ -1030,19 +880,17 @@ impl Engine {
     }
 
     /// Runs the restreaming loop: `source × provider × strategy` under the
-    /// communication-cost matrix `cost`, with per-pass costs evaluated by
-    /// `cost_model`.
-    pub fn run<S, P, C>(
+    /// communication-cost matrix `cost`, with per-pass costs read from the
+    /// provider.
+    pub fn run<S, P>(
         &self,
         cost: &CostMatrix,
         source: &mut S,
         provider: &mut P,
-        cost_model: &mut C,
     ) -> IoResult<EngineRun>
     where
         S: VertexSource,
         P: ConnectivityProvider,
-        C: CommCostModel,
     {
         let p = cost.num_units();
         assert!(p > 0, "cost matrix must cover at least one compute unit");
@@ -1069,7 +917,7 @@ impl Engine {
             }
             InitialAssignment::Unassigned => false,
         };
-        self.run_loop(cost, source, provider, cost_model, state, assigned, n, e)
+        self.run_loop(cost, source, provider, state, assigned, n, e)
     }
 
     /// Runs the restreaming loop warm-started from an existing assignment
@@ -1086,18 +934,16 @@ impl Engine {
     ///
     /// Panics when the cost matrix is empty or `warm`'s part count or load
     /// vector length disagree with it.
-    pub fn run_warm<S, P, C>(
+    pub fn run_warm<S, P>(
         &self,
         cost: &CostMatrix,
         source: &mut S,
         provider: &mut P,
-        cost_model: &mut C,
         warm: WarmStart,
     ) -> IoResult<EngineRun>
     where
         S: VertexSource,
         P: ConnectivityProvider,
-        C: CommCostModel,
     {
         let p = cost.num_units();
         assert!(p > 0, "cost matrix must cover at least one compute unit");
@@ -1125,19 +971,18 @@ impl Engine {
             loads: warm.loads,
             expected: vec![expected_load; p],
         };
-        self.run_loop(cost, source, provider, cost_model, state, true, n, e)
+        self.run_loop(cost, source, provider, state, true, n, e)
     }
 
     /// The shared restreaming loop behind [`Engine::run`] and
     /// [`Engine::run_warm`]: α tempering until the tolerance is met, then
     /// refinement with comm-cost rollback, then the doubt revisit.
     #[allow(clippy::too_many_arguments)] // one state bundle, two public entries
-    fn run_loop<S, P, C>(
+    fn run_loop<S, P>(
         &self,
         cost: &CostMatrix,
         source: &mut S,
         provider: &mut P,
-        cost_model: &mut C,
         mut state: EngineState,
         mut assigned: bool,
         n: usize,
@@ -1146,7 +991,6 @@ impl Engine {
     where
         S: VertexSource,
         P: ConnectivityProvider,
-        C: CommCostModel,
     {
         let p = state.loads.len();
         let config = &self.config;
@@ -1158,8 +1002,8 @@ impl Engine {
 
         let mut history = PartitionHistory::new();
         // Best feasible (within-tolerance) partition seen so far, with its
-        // cost and imbalance. Only tracked when the cost model can
-        // evaluate — without costs there is nothing to roll back to.
+        // cost and imbalance. Only tracked when the provider answers the
+        // cost — without costs there is nothing to roll back to.
         let mut previous_feasible: Option<(Partition, f64, f64)> = None;
         let mut stop_reason = StopReason::MaxIterations;
         let mut iterations = 0usize;
@@ -1241,7 +1085,7 @@ impl Engine {
             assigned = true;
 
             let imbalance = state.imbalance();
-            let comm_cost = self.eval_comm_cost(provider, cost_model, &state.partition, cost);
+            let comm_cost = self.eval_comm_cost(provider, &state.partition, cost);
             let feasible = imbalance <= config.imbalance_tolerance + 1e-12;
             if config.track_history {
                 history.push(IterationRecord {
@@ -1280,8 +1124,8 @@ impl Engine {
                     // worse (Algorithm 1's `Cost of Pⁿ > Cost of Pⁿ⁻¹`
                     // test). A stream that moved no vertex is a fixed
                     // point: further streams would repeat it verbatim, so
-                    // stop there too. Without a cost model only the
-                    // fixed-point and iteration-limit rules apply.
+                    // stop there too. Without costs only the fixed-point
+                    // and iteration-limit rules apply.
                     if let (Some(c), Some((_, previous_cost, _))) = (comm_cost, &previous_feasible)
                     {
                         if c > *previous_cost {
@@ -1334,20 +1178,29 @@ impl Engine {
         }
 
         // Select the partition to return: the best feasible snapshot if
-        // one exists, otherwise whatever the final stream produced.
-        let (partition, comm_cost, imbalance) = match previous_feasible {
-            Some((partition, c, imb)) => (partition, c, imb),
+        // one exists, otherwise whatever the final stream produced. A
+        // snapshot that differs from the live assignment (a cost rollback)
+        // is restored through the provider, which then stays synced to it.
+        let (comm_cost, imbalance) = match previous_feasible {
+            Some((best, c, imb)) => {
+                let scratch = &mut slots[0].scorer.scratch;
+                for v in 0..best.num_vertices() as VertexId {
+                    set_part(provider, &mut state.partition, v, best.part_of(v), scratch);
+                }
+                (c, imb)
+            }
             None => {
-                let c = self
-                    .eval_comm_cost(provider, cost_model, &state.partition, cost)
-                    .unwrap_or(f64::NAN);
-                let imb = state.imbalance();
-                (state.partition, c, imb)
+                let c = self.eval_comm_cost(provider, &state.partition, cost);
+                (c.unwrap_or(f64::NAN), state.imbalance())
             }
         };
+        debug_assert!(
+            provider.agrees_with(&state.partition),
+            "provider state drifted from the returned partition"
+        );
 
         Ok(EngineRun {
-            partition,
+            partition: state.partition,
             history,
             stop_reason,
             iterations,
@@ -1360,19 +1213,15 @@ impl Engine {
     }
 
     /// One timed comm-cost evaluation of `partition`, the assignment the
-    /// provider is synced to: from the provider's kept part-pair counts
-    /// when it has them, by `cost_model` otherwise.
-    fn eval_comm_cost<P: ConnectivityProvider, C: CommCostModel>(
+    /// provider is synced to, from the provider's kept part-pair counts.
+    fn eval_comm_cost<P: ConnectivityProvider>(
         &self,
         provider: &mut P,
-        cost_model: &mut C,
         partition: &Partition,
         cost: &CostMatrix,
     ) -> Option<f64> {
         let span = self.metrics.commcost_eval_us.span();
-        let comm_cost = provider
-            .comm_cost(partition, cost)
-            .or_else(|| cost_model.comm_cost(partition, cost));
+        let comm_cost = provider.comm_cost(partition, cost);
         span.finish();
         comm_cost
     }

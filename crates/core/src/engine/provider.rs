@@ -18,10 +18,9 @@
 //!   each vertex's counts it keeps a **stay certificate** and the
 //!   generation of those counts, which lets the engine keep a vertex in
 //!   place without copying its counts or scoring
-//!   ([`ConnectivityProvider::stay_certificate`]). Synced over every
-//!   vertex, it also keeps the part-pair counts `M` and answers the
-//!   engine's per-pass comm cost from them
-//!   ([`ConnectivityProvider::comm_cost`]).
+//!   ([`ConnectivityProvider::stay_certificate`]). Synced, it also keeps
+//!   the part-pair counts `M` and answers the engine's per-pass comm cost
+//!   from them ([`ConnectivityProvider::comm_cost`]).
 //! * `hyperpraw-lowmem`'s `IndexProvider` — answers from a budgeted
 //!   `ConnectivityIndex` (exact hash maps, or Bloom/MinHash sketches),
 //!   counting **connected nets** per partition; attach/detach record and
@@ -47,7 +46,7 @@ use hyperpraw_hypergraph::{
     AdjacencyBudget, AssignmentRef, Hypergraph, NeighborAdjacency, Partition, VertexId,
 };
 
-use crate::metrics::{check_shapes, PairCounts};
+use crate::metrics::{check_shapes, CommCostState, PairCounts};
 use crate::value::{comm_gap_in, ValueScratch};
 
 /// What [`ConnectivityProvider::stay_certificate`] read for one vertex.
@@ -162,10 +161,10 @@ pub trait ConnectivityProvider: Sync {
 
     /// The partitioning communication cost of `assignment` under `cost`,
     /// answered from part-pair counts the provider keeps, or `None` when
-    /// it keeps none — the engine then asks its
-    /// [`crate::engine::CommCostModel`]. The engine calls it after each
-    /// pass and at the end of a run, with the assignment the provider is
-    /// synced to and no worker running, so the answer is exact and
+    /// it keeps none (the out-of-core providers): the run then stops only
+    /// on fixed points and the iteration limit. The engine calls it after
+    /// each pass and at the end of a run, with the assignment the provider
+    /// is synced to and no worker running, so the answer is exact and
     /// bit-identical to [`crate::metrics::partitioning_communication_cost`].
     fn comm_cost(&mut self, assignment: &Partition, cost: &CostMatrix) -> Option<f64> {
         let _ = (assignment, cost);
@@ -304,18 +303,22 @@ fn f32_at_most(x: f64) -> f32 {
 /// answered by [`NeighborAdjacency::neighbor_partition_counts`] or the
 /// traversal oracle.
 ///
-/// When the run visits every vertex, the provider also keeps the
-/// part-pair counts `M` of [`crate::metrics`]: `M[a][·]` is the sum of
-/// the rows `X(v)` of the vertices on part `a`, summed at sync. An
-/// exclusive move of `v` from `a` to `b` shifts rows and columns `a` and
-/// `b` of `M` by `v`'s own `X(v)` — O(p), no neighbour walk, the
+/// Synced, the provider also keeps the part-pair counts `M` of
+/// [`crate::metrics`] — `M[a][·]` is the sum of `X(v)` over the vertices
+/// on part `a` — and answers [`ConnectivityProvider::comm_cost`] with one
+/// O(p²) dot, bit-identical to
+/// [`crate::metrics::partitioning_communication_cost`]. A sync over a
+/// subset (a warm run over a dirty set) takes the `M` its caller resumed
+/// ([`AdjProvider::resume`]); otherwise it counts `M` — summed from the
+/// rows when the run visits every vertex, by walking every neighbourhood
+/// when it visits a subset.
+/// [`AdjProvider::into_comm_state`] hands `M` back. An exclusive move of
+/// `v` from `a` to `b` shifts rows and columns `a` and `b` of `M` by
+/// `v`'s own `X(v)`, read from `v`'s row — O(p), no neighbour walk, the
 /// integers of a walk. A stealing worker's move cannot do that exactly
 /// while a neighbour's move shifts `X(v)` concurrently, so it only marks
-/// `M` stale, and [`ConnectivityProvider::comm_cost`] re-sums it from
-/// the rows, which are exact again once the team has joined. The
-/// evaluation is then one O(p²) dot, bit-identical to
-/// [`crate::metrics::partitioning_communication_cost`]. A provider synced
-/// on a subset keeps no `M` and answers `None`.
+/// `M` stale, and the next evaluation counts it afresh the same way, from
+/// rows that are exact again once the team has joined.
 ///
 /// Counts are exact integers on every path — identical to
 /// [`NeighborScratch::neighbor_partition_counts`], the distinct-neighbour
@@ -344,14 +347,15 @@ pub struct AdjProvider<'a> {
     /// shift all touch one row. Rows are allocated in blocks of
     /// [`BLOCK_SLOTS`].
     rows: Vec<Box<[AtomicU32]>>,
-    /// The part-pair counts `M` of the synced assignment, kept when the
-    /// run visits every vertex: `M[a][·]` is the sum of the rows `X(v)` of
-    /// the vertices on part `a`.
+    /// The part-pair counts `M` of the synced assignment: `M[a][·]` is
+    /// the sum of `X(v)` over the vertices on part `a`.
     pairs: Option<PairCounts>,
     /// Set by [`ConnectivityProvider::moved`], whose concurrent shifts
-    /// cannot keep `pairs` exact; the next evaluation re-sums them from
-    /// the rows.
+    /// cannot keep `pairs` exact; the next evaluation counts them afresh.
     pairs_stale: AtomicBool,
+    /// `M` handed over by [`AdjProvider::resume`] for the next sync over
+    /// a subset.
+    resumed: Option<PairCounts>,
     /// Counts neighbourhood traversals (`engine.hub_fallbacks`); a no-op
     /// unless bound via [`AdjProvider::with_registry`]. Each worker's
     /// [`AdjScratch`] tallies its own traversals and adds them here in
@@ -428,7 +432,32 @@ impl<'a> AdjProvider<'a> {
             rows: Vec::new(),
             pairs: None,
             pairs_stale: AtomicBool::new(false),
+            resumed: None,
             hub_fallbacks: hyperpraw_telemetry::Counter::noop(),
+        }
+    }
+
+    /// Hands the next sync over a subset the part-pair counts `M` of the
+    /// assignment it starts from ([`CommCostState::into_parts`]), so it
+    /// need not count them. A sync over every vertex ignores them.
+    pub fn resume(mut self, counts: PairCounts) -> Self {
+        self.resumed = Some(counts);
+        self
+    }
+
+    /// The kept part-pair counts `M` with `assignment`, the assignment the
+    /// provider is synced to — after an engine run, the partition the run
+    /// returned — for a later [`AdjProvider::resume`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the provider was never synced.
+    pub fn into_comm_state(mut self, assignment: Partition) -> CommCostState {
+        self.refresh_pairs(&assignment);
+        let counts = self.pairs.expect("a synced provider keeps pairs");
+        CommCostState {
+            partition: assignment,
+            counts,
         }
     }
 
@@ -459,9 +488,8 @@ impl<'a> AdjProvider<'a> {
     }
 
     /// Heap bytes held: the adjacency, if any, plus the kept part counts,
-    /// their stay certificates and either, when the run visits a subset,
-    /// their vertex → slot map or, when it visits every vertex, the
-    /// part-pair counts.
+    /// their stay certificates, the part-pair counts and, when the run
+    /// visits a subset, the vertex → slot map.
     pub fn memory_bytes(&self) -> usize {
         self.adj
             .as_deref()
@@ -516,6 +544,19 @@ impl<'a> AdjProvider<'a> {
             }
         }
         pairs
+    }
+
+    /// Counts `M` of `assignment` afresh when it is stale or not yet
+    /// counted: summed from the rows when every vertex has one, by
+    /// neighbourhood walks otherwise.
+    fn refresh_pairs(&mut self, assignment: &Partition) {
+        if std::mem::take(self.pairs_stale.get_mut()) {
+            self.pairs = Some(if self.slots.is_empty() {
+                self.summed_pairs(assignment)
+            } else {
+                PairCounts::build(self.hg, self.adj.as_deref(), assignment)
+            });
+        }
     }
 }
 
@@ -598,8 +639,14 @@ impl ConnectivityProvider for AdjProvider<'_> {
             })
             .collect();
         self.rows = rows;
-        *self.pairs_stale.get_mut() = false;
-        self.pairs = visits.is_none().then(|| self.summed_pairs(assignment));
+        // `M` as resumed by the caller, or counted now.
+        let resumed = self.resumed.take().filter(|_| visits.is_some());
+        if let Some(counts) = &resumed {
+            assert_eq!(counts.num_parts(), p, "resumed pairs must match the parts");
+        }
+        *self.pairs_stale.get_mut() = resumed.is_none();
+        self.pairs = resumed;
+        self.refresh_pairs(assignment);
     }
 
     fn moved(&self, v: VertexId, from: u32, to: u32, scratch: &mut Self::Scratch) {
@@ -635,13 +682,18 @@ impl ConnectivityProvider for AdjProvider<'_> {
             }
         }
         // `v`'s own pairs move from row and column `from` to `to`; `X(v)`
-        // counts them, and `v`'s move leaves it as it is. `pairs` is kept
-        // only when every vertex has a row, in slot `v`.
+        // counts them, and `v`'s move leaves it as it is. The engine moves
+        // only visited vertices; any other mover has no row to shift by.
         let stale = *self.pairs_stale.get_mut();
         if let Some(pairs) = self.pairs.as_mut().filter(|_| !stale) {
-            let lo = v as usize % BLOCK_SLOTS * stride;
-            let x = &self.rows[v as usize / BLOCK_SLOTS][lo + CERT_WORDS..lo + stride];
-            pairs.move_counted(from, to, x.iter().map(|c| c.load(Ordering::Relaxed)));
+            match slot_of(&self.slots, self.num_counted, v) {
+                Some(slot) => {
+                    let lo = slot % BLOCK_SLOTS * stride;
+                    let x = &self.rows[slot / BLOCK_SLOTS][lo + CERT_WORDS..lo + stride];
+                    pairs.move_counted(from, to, x.iter().map(|c| c.load(Ordering::Relaxed)));
+                }
+                None => *self.pairs_stale.get_mut() = true,
+            }
         }
     }
 
@@ -659,7 +711,7 @@ impl ConnectivityProvider for AdjProvider<'_> {
         // Stale pairs are re-summed before they are read.
         let pairs_agree = self.pairs.as_ref().is_none_or(|pairs| {
             self.pairs_stale.load(Ordering::Relaxed)
-                || *pairs == PairCounts::build(self.hg, self.adj.as_deref(), assignment, &mut None)
+                || *pairs == PairCounts::build(self.hg, self.adj.as_deref(), assignment)
         });
         counts_agree && pairs_agree
     }
@@ -667,9 +719,7 @@ impl ConnectivityProvider for AdjProvider<'_> {
     fn comm_cost(&mut self, assignment: &Partition, cost: &CostMatrix) -> Option<f64> {
         self.pairs.as_ref()?;
         check_shapes(self.hg, assignment, cost);
-        if std::mem::take(self.pairs_stale.get_mut()) {
-            self.pairs = Some(self.summed_pairs(assignment));
-        }
+        self.refresh_pairs(assignment);
         self.pairs.as_ref().map(|pairs| pairs.dot(cost))
     }
 
@@ -852,7 +902,7 @@ mod tests {
 
     #[test]
     fn traversal_total_is_exact_under_every_strategy() {
-        use crate::engine::{Engine, EngineConfig, ExecutionStrategy, InMemorySource, NoCommCost};
+        use crate::engine::{Engine, EngineConfig, ExecutionStrategy, InMemorySource};
         use crate::HyperPrawConfig;
         use hyperpraw_hypergraph::generators::{mesh_hypergraph, MeshConfig};
         use hyperpraw_topology::CostMatrix;
@@ -899,7 +949,6 @@ mod tests {
                         &CostMatrix::uniform(8),
                         &mut InMemorySource::new(&hg, config.stream_order, 1),
                         &mut provider.with_registry(&registry),
-                        &mut NoCommCost,
                     )
                     .unwrap();
                 let moves: usize = run.history.records().iter().map(|r| r.moved_vertices).sum();

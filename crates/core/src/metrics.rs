@@ -17,10 +17,9 @@
 //! any two evaluations of the same partition agree bit for bit, however
 //! `M` was obtained: counted from scratch by
 //! [`partitioning_communication_cost`] or
-//! [`partitioning_communication_cost_with`], kept by the engine's
-//! [`crate::engine::AdjProvider`] from its per-vertex part counts and
-//! shifted by each mover's own counts, or patched from the moved vertices
-//! only by the incremental [`crate::engine::ExactCommCost`].
+//! [`partitioning_communication_cost_with`], or kept by the engine's
+//! [`crate::engine::AdjProvider`] and shifted by each mover's own part
+//! counts.
 
 use hyperpraw_hypergraph::traversal::NeighborScratch;
 use hyperpraw_hypergraph::{
@@ -39,7 +38,7 @@ pub fn partitioning_communication_cost(
     cost: &CostMatrix,
 ) -> f64 {
     check_shapes(hg, partition, cost);
-    PairCounts::build(hg, None, partition, &mut None).dot(cost)
+    PairCounts::build(hg, None, partition).dot(cost)
 }
 
 /// [`partitioning_communication_cost`] answered through a precomputed
@@ -57,7 +56,7 @@ pub fn partitioning_communication_cost_with(
     cost: &CostMatrix,
 ) -> f64 {
     check_shapes(hg, partition, cost);
-    PairCounts::build(hg, Some(adj), partition, &mut None).dot(cost)
+    PairCounts::build(hg, Some(adj), partition).dot(cost)
 }
 
 /// Asserts that `partition` covers `hg` and matches `cost`'s unit count.
@@ -74,42 +73,24 @@ pub(crate) fn check_shapes(hg: &Hypergraph, partition: &Partition, cost: &CostMa
     );
 }
 
-/// Calls `f` once for every distinct neighbour of `v` (self excluded): a
-/// flat scan of `adj`'s list when it has one, epoch traversal through
-/// `scratch` (created on first use) for hubs or without an adjacency.
-fn for_each_neighbor(
-    hg: &Hypergraph,
-    adj: Option<&NeighborAdjacency>,
-    v: VertexId,
-    scratch: &mut Option<NeighborScratch>,
-    mut f: impl FnMut(VertexId),
-) {
-    let list = match adj.and_then(|adj| adj.neighbors(v)) {
-        Some(list) => list,
-        None => scratch
-            .get_or_insert_with(|| NeighborScratch::new(hg.num_vertices()))
-            .neighbors(hg, v),
-    };
-    for &u in list {
-        f(u);
-    }
-}
-
 /// An assignment together with its exact part-pair counts `M` — the
-/// state [`crate::engine::ExactCommCost`] keeps between evaluations.
+/// comm-cost state a caller keeps between engine runs.
 ///
 /// A caller that keeps a partition resident while its hypergraph changes
 /// (the dynamic layer) holds on to this state across runs instead of
 /// recounting it: before a mutation it removes the rows of the vertices
 /// whose neighbourhood is about to change, after the mutation it adds
-/// them back, and it hands the result to
-/// [`crate::engine::ExactCommCost::resume`]. The row of `v` is the pairs
-/// `(v, u)` over the distinct neighbours `u` of `v`. Rows of vertices
-/// outside the touched set must not change, so the set must be closed:
-/// every vertex whose neighbourhood changes belongs to it (for a changed
-/// hyperedge, all its pins before and after the change). Because `M`
-/// holds exact integers, [`CommCostState::comm_cost`] is then
-/// bit-identical to a fresh [`partitioning_communication_cost`].
+/// them back. For a warm run it splits the state
+/// ([`CommCostState::into_parts`]): the assignment goes to the engine,
+/// the counts to [`crate::engine::AdjProvider::resume`], and
+/// [`crate::engine::AdjProvider::into_comm_state`] reassembles them for
+/// the assignment the run returns. The row of `v` is the pairs `(v, u)`
+/// over the distinct neighbours `u` of `v`. Rows of vertices outside the
+/// touched set must not change, so the set must be closed: every vertex
+/// whose neighbourhood changes belongs to it (for a changed hyperedge,
+/// all its pins before and after the change). Because `M` holds exact
+/// integers, [`CommCostState::comm_cost`] is then bit-identical to a
+/// fresh [`partitioning_communication_cost`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct CommCostState {
     pub(crate) partition: Partition,
@@ -137,13 +118,19 @@ impl CommCostState {
             hg.num_vertices(),
             "partition must cover the hypergraph"
         );
-        let counts = PairCounts::build(hg, None, &partition, &mut None);
+        let counts = PairCounts::build(hg, None, &partition);
         Self { partition, counts }
     }
 
     /// The assignment `M` describes.
     pub fn partition(&self) -> &Partition {
         &self.partition
+    }
+
+    /// The assignment and its part-pair counts, taken apart for a warm
+    /// run.
+    pub fn into_parts(self) -> (Partition, PairCounts) {
+        (self.partition, self.counts)
     }
 
     /// The partitioning communication cost of the assignment under
@@ -205,7 +192,7 @@ impl CommCostState {
 /// The exact ordered part-pair neighbour counts `M[a][b]` of the
 /// [module docs](self), row-major over `p × p`.
 #[derive(Clone, Debug, PartialEq)]
-pub(crate) struct PairCounts {
+pub struct PairCounts {
     num_parts: usize,
     counts: Vec<u64>,
 }
@@ -219,20 +206,29 @@ impl PairCounts {
         }
     }
 
-    /// Counts `M` from scratch for `partition`.
+    /// Counts `M` from scratch for `partition`: each vertex's distinct
+    /// neighbours come from a flat scan of `adj`'s list when it has one,
+    /// by epoch traversal (its scratch created on first use) for hubs or
+    /// without an adjacency.
     pub(crate) fn build<A: AssignmentRef>(
         hg: &Hypergraph,
         adj: Option<&NeighborAdjacency>,
         partition: &A,
-        scratch: &mut Option<NeighborScratch>,
     ) -> Self {
         let p = partition.num_parts() as usize;
         let mut counts = vec![0u64; p * p];
+        let mut scratch = None;
         for v in hg.vertices() {
             let row = partition.part_of(v) as usize * p;
-            for_each_neighbor(hg, adj, v, scratch, |u| {
+            let neighbors = match adj.and_then(|adj| adj.neighbors(v)) {
+                Some(list) => list,
+                None => scratch
+                    .get_or_insert_with(|| NeighborScratch::new(hg.num_vertices()))
+                    .neighbors(hg, v),
+            };
+            for &u in neighbors {
                 counts[row + partition.part_of(u) as usize] += 1;
-            });
+            }
         }
         Self {
             num_parts: p,
@@ -261,33 +257,6 @@ impl PairCounts {
         }
     }
 
-    /// Moves `v` from its part in `running` to `to`, in `M` and in
-    /// `running`. Only `v`'s neighbourhood is read: every neighbour `u` in
-    /// part `c` shifts the pairs `(v, u)` from row `P(v)` to row `to` and
-    /// the pairs `(u, v)` from column `P(v)` to column `to`.
-    pub(crate) fn move_vertex(
-        &mut self,
-        hg: &Hypergraph,
-        adj: Option<&NeighborAdjacency>,
-        running: &mut Partition,
-        v: VertexId,
-        to: u32,
-        scratch: &mut Option<NeighborScratch>,
-    ) {
-        let p = self.num_parts;
-        let from = running.part_of(v) as usize;
-        let to_row = to as usize;
-        let counts = &mut self.counts;
-        for_each_neighbor(hg, adj, v, scratch, |u| {
-            let c = running.part_of(u) as usize;
-            counts[from * p + c] -= 1;
-            counts[c * p + from] -= 1;
-            counts[to_row * p + c] += 1;
-            counts[c * p + to_row] += 1;
-        });
-        running.set(v, to);
-    }
-
     /// Adds the row of a vertex on `part` whose distinct neighbours fall
     /// into the parts as `x` counts them — its `X(v)`.
     pub(crate) fn add_counted(&mut self, part: u32, x: impl IntoIterator<Item = u32>) {
@@ -298,9 +267,10 @@ impl PairCounts {
     }
 
     /// Moves a vertex whose distinct neighbours fall into the parts as `x`
-    /// counts them from part `from` to part `to`: the integers of
-    /// [`PairCounts::move_vertex`], from `X(v)` instead of a walk of the
-    /// neighbourhood. `X(v)` does not change when `v` itself moves.
+    /// counts them — its `X(v)` — from part `from` to part `to`: each
+    /// neighbour on part `c` shifts the pair `(v, u)` from row `from` to
+    /// row `to` and the pair `(u, v)` from column `from` to column `to`.
+    /// `X(v)` does not change when `v` itself moves.
     pub(crate) fn move_counted(&mut self, from: u32, to: u32, x: impl IntoIterator<Item = u32>) {
         let p = self.num_parts;
         let (from, to) = (from as usize, to as usize);
@@ -311,6 +281,11 @@ impl PairCounts {
             self.counts[to * p + c] += x;
             self.counts[c * p + to] += x;
         }
+    }
+
+    /// The part count `p`.
+    pub(crate) fn num_parts(&self) -> usize {
+        self.num_parts
     }
 
     /// Heap bytes of the `p²` counters.

@@ -8,9 +8,7 @@
 use hyperpraw_hypergraph::{Hypergraph, Partition};
 use hyperpraw_topology::CostMatrix;
 
-use crate::engine::{
-    AdjProvider, Engine, EngineConfig, ExecutionStrategy, InMemorySource, NoCommCost,
-};
+use crate::engine::{AdjProvider, Engine, EngineConfig, ExecutionStrategy, InMemorySource};
 use crate::history::PartitionHistory;
 use crate::{HyperPrawConfig, ParallelConfig};
 
@@ -135,7 +133,6 @@ impl HyperPraw {
                 &self.cost,
                 &mut InMemorySource::new(hg, self.config.stream_order, self.config.seed),
                 &mut AdjProvider::traversal(hg).with_registry(&self.registry),
-                &mut NoCommCost,
             )
             .expect("in-memory sources cannot fail");
         // The engine's revisit-buffer counters are dropped: this driver

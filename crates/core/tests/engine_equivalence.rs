@@ -11,7 +11,7 @@
 //! pins down both the refactored control flow and the restructured fast
 //! scorer ([`hyperpraw_core::value::best_partition_in`]).
 
-use hyperpraw_core::engine::{AdjProvider, Engine, EngineConfig, ExactCommCost, InMemorySource};
+use hyperpraw_core::engine::{AdjProvider, Engine, EngineConfig, InMemorySource};
 use hyperpraw_core::history::{IterationRecord, PartitionHistory, StreamPhase};
 use hyperpraw_core::metrics::partitioning_communication_cost;
 use hyperpraw_core::value::value_of;
@@ -304,7 +304,6 @@ fn every_adjacency_budget_is_bit_identical_to_the_reference() {
                     &cost,
                     &mut InMemorySource::new(&hg, config.stream_order, config.seed),
                     &mut AdjProvider::from_adjacency(&hg, &adj),
-                    &mut ExactCommCost::with_adjacency(&hg, &adj),
                 )
                 .unwrap();
             let engine = ReferenceResult {

@@ -1,23 +1,28 @@
 //! Model test of [`AdjProvider`]'s kept part-pair counts `M`.
 //!
-//! A provider synced over every vertex keeps `M[a][·]`, the sum of the
-//! part counts `X(v)` of the vertices on part `a`, and answers the
-//! engine's per-pass comm-cost evaluation from it. Exclusive moves shift
-//! `M` by the mover's own `X(v)`; concurrent moves only mark it stale,
-//! and the next evaluation re-sums it from the kept rows. Either way
-//! every answer must be bit-identical to a fresh
-//! [`partitioning_communication_cost`] of the same assignment — after
-//! random move sequences, and after every pass of full engine runs under
-//! each execution strategy. A provider synced on a subset keeps no `M`
-//! and answers `None`.
+//! A synced provider keeps `M[a][·]`, the sum of the part counts `X(v)`
+//! of the vertices on part `a`, and answers the engine's per-pass
+//! comm-cost evaluation from it. Synced over every vertex it sums `M`
+//! from its rows; synced on a subset, as a warm run over a dirty set, it
+//! takes a resumed `M` or counts it once. Exclusive moves shift `M` by the
+//! mover's own `X(v)`; concurrent moves only mark it stale, and the next
+//! evaluation counts it afresh. Either way every answer must be
+//! bit-identical to a fresh [`partitioning_communication_cost`] of the
+//! same assignment, under every cost matrix — after random move
+//! sequences, and after every pass of full engine runs under each
+//! execution strategy. The adjacency-backed
+//! [`partitioning_communication_cost_with`] must agree too. An unsynced
+//! provider answers `None`.
 
 use proptest::prelude::*;
 
 use hyperpraw_core::engine::{
     AdjProvider, ConnectivityProvider, Engine, EngineConfig, ExecutionStrategy, InMemorySource,
-    NoCommCost, StayCertificate,
+    StayCertificate,
 };
-use hyperpraw_core::metrics::partitioning_communication_cost;
+use hyperpraw_core::metrics::{
+    partitioning_communication_cost, partitioning_communication_cost_with, CommCostState,
+};
 use hyperpraw_core::{CostMatrix, HyperPrawConfig};
 use hyperpraw_hypergraph::generators::{
     mesh_hypergraph, powerlaw_hypergraph, random_hypergraph, CardinalityDist, MeshConfig,
@@ -46,25 +51,63 @@ fn archer_cost(p: usize) -> CostMatrix {
     CostMatrix::from_bandwidth(&BandwidthMatrix::from_machine(&machine, 0.05, 1))
 }
 
-/// Syncs `provider` to `start` over every vertex and replays `moves`,
-/// through [`ConnectivityProvider::moved_exclusive`] or, with `shared`,
-/// through [`ConnectivityProvider::moved`]. Every tenth move, and after
-/// the last, the provider's comm cost must equal the oracle's bits.
+/// A non-uniform, asymmetric cost matrix drawn from `seed` by SplitMix64,
+/// so a count in the wrong part pair changes the value.
+fn random_costs(p: usize, seed: u64) -> CostMatrix {
+    let mut state = seed;
+    let data = (0..p * p)
+        .map(|_| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % 1000) as f64 / 97.0
+        })
+        .collect();
+    CostMatrix::from_raw(p, data)
+}
+
+/// The cost matrices every kept `M` is evaluated under.
+fn costs(p: u32, seed: u64) -> [CostMatrix; 3] {
+    let p = p as usize;
+    [
+        CostMatrix::uniform(p),
+        archer_cost(p),
+        random_costs(p, seed),
+    ]
+}
+
+/// A partition of `n` vertices over `p` parts drawn from `seed`.
+fn seeded_partition(n: usize, p: u32, seed: u64) -> Partition {
+    let assignment: Vec<u32> = (0..n as u64)
+        .map(|v| (v.wrapping_mul(seed | 1).wrapping_add(seed) % u64::from(p)) as u32)
+        .collect();
+    Partition::from_assignment(assignment, p).unwrap()
+}
+
+/// Syncs `provider` to `start` over `visits` (`None`: every vertex) and
+/// replays `moves` among the visited vertices, through
+/// [`ConnectivityProvider::moved_exclusive`] or, with `shared`, through
+/// [`ConnectivityProvider::moved`]. Every tenth move the provider's comm
+/// cost must equal the oracle's bits, under the next of `costs` in turn;
+/// after the last, under each of them, and the counts it hands back must
+/// equal a fresh count. Returns the final assignment.
 fn check_model(
     hg: &Hypergraph,
     mut provider: AdjProvider<'_>,
     mut partition: Partition,
+    visits: Option<&[VertexId]>,
     moves: &[(usize, u32)],
     shared: bool,
-    cost: &CostMatrix,
-) {
+    costs: &[CostMatrix],
+) -> Partition {
     let n = hg.num_vertices();
     let p = partition.num_parts();
-    provider.sync(&partition, None);
+    provider.sync(&partition, visits);
     let mut scratch = provider.new_scratch();
-    let oracle = |partition: &Partition| partitioning_communication_cost(hg, partition, cost);
+    let oracle = |partition: &Partition, cost| partitioning_communication_cost(hg, partition, cost);
     for (i, &(v, shift)) in moves.iter().enumerate() {
-        let v = (v % n) as VertexId;
+        let v = visits.map_or(v % n, |visits| visits[v % visits.len()] as usize) as VertexId;
         let from = partition.part_of(v);
         let to = (from + 1 + shift % (p - 1)) % p;
         partition.set(v, to);
@@ -74,13 +117,25 @@ fn check_model(
             provider.moved_exclusive(v, from, to, &mut scratch);
         }
         if i % 10 == 9 {
+            let cost = &costs[i / 10 % costs.len()];
             let kept = provider.comm_cost(&partition, cost);
-            assert_eq!(kept.map(f64::to_bits), Some(oracle(&partition).to_bits()));
+            assert_eq!(
+                kept.map(f64::to_bits),
+                Some(oracle(&partition, cost).to_bits())
+            );
         }
     }
     assert!(provider.agrees_with(&partition));
-    let kept = provider.comm_cost(&partition, cost);
-    assert_eq!(kept.map(f64::to_bits), Some(oracle(&partition).to_bits()));
+    for cost in costs {
+        let kept = provider.comm_cost(&partition, cost);
+        assert_eq!(
+            kept.map(f64::to_bits),
+            Some(oracle(&partition, cost).to_bits())
+        );
+    }
+    let state = provider.into_comm_state(partition.clone());
+    assert_eq!(state, CommCostState::new(hg, partition.clone()));
+    partition
 }
 
 proptest! {
@@ -94,30 +149,59 @@ proptest! {
         cutoff in 0usize..=3,
         moves in prop::collection::vec((0usize..1000, 0u32..8), 0..200),
     ) {
-        let n = hg.num_vertices();
-        let assignment: Vec<u32> = (0..n as u64)
-            .map(|v| (v.wrapping_mul(seed | 1).wrapping_add(seed) % u64::from(p)) as u32)
-            .collect();
-        let partition = Partition::from_assignment(assignment, p).unwrap();
-        let costs = [CostMatrix::uniform(p as usize), archer_cost(p as usize)];
-        for (shared, cost) in [false, true].into_iter().zip(costs.iter().cycle()) {
+        let partition = seeded_partition(hg.num_vertices(), p, seed);
+        let costs = costs(p, seed);
+        for shared in [false, true] {
             let provider = AdjProvider::traversal(&hg);
-            check_model(&hg, provider, partition.clone(), &moves, shared, cost);
+            check_model(&hg, provider, partition.clone(), None, &moves, shared, &costs);
             for budget in [AdjacencyBudget::Auto, AdjacencyBudget::DegreeCutoff(cutoff)] {
                 let adj = NeighborAdjacency::build(&hg, budget);
                 let provider = AdjProvider::from_adjacency(&hg, &adj);
-                check_model(&hg, provider, partition.clone(), &moves, shared, cost);
+                let last = check_model(&hg, provider, partition.clone(), None, &moves, shared, &costs);
+                for cost in &costs {
+                    prop_assert_eq!(
+                        partitioning_communication_cost_with(&hg, &adj, &last, cost).to_bits(),
+                        partitioning_communication_cost(&hg, &last, cost).to_bits()
+                    );
+                }
             }
         }
 
-        // Synced on a subset, as a dynamic run visits its dirty set: no
-        // pair counts, so the engine asks its cost model.
-        let visits: Vec<VertexId> = hg.vertices().filter(|&v| v % 2 == 0).collect();
-        let mut provider = AdjProvider::traversal(&hg);
-        provider.sync(&partition, Some(&visits));
-        prop_assert_eq!(provider.comm_cost(&partition, &costs[0]), None);
-        // Unsynced, likewise.
-        prop_assert_eq!(AdjProvider::traversal(&hg).comm_cost(&partition, &costs[0]), None);
+        // Unsynced, the provider keeps no pairs.
+        let unsynced = AdjProvider::traversal(&hg).comm_cost(&partition, &costs[0]);
+        prop_assert_eq!(unsynced, None);
+    }
+
+    #[test]
+    fn subset_synced_pairs_follow_every_move_exactly(
+        hg in arb_hypergraph(),
+        p in 2u32..7,
+        seed in 0u64..1000,
+        cutoff in 0usize..=3,
+        subset in prop::collection::vec(0usize..1000, 1..40),
+        moves in prop::collection::vec((0usize..1000, 0u32..8), 0..200),
+    ) {
+        // Synced on a subset, as a warm run visits its dirty set (repeats
+        // included): with the caller's resumed pairs, or counting them.
+        let n = hg.num_vertices();
+        let visits: Vec<VertexId> = subset.iter().map(|&v| (v % n) as VertexId).collect();
+        let partition = seeded_partition(n, p, seed);
+        let costs = costs(p, seed);
+        let adj = NeighborAdjacency::build(&hg, AdjacencyBudget::DegreeCutoff(cutoff));
+        for shared in [false, true] {
+            for resume in [false, true] {
+                for provider in [AdjProvider::traversal(&hg), AdjProvider::from_adjacency(&hg, &adj)] {
+                    let provider = if resume {
+                        let (_, counts) = CommCostState::new(&hg, partition.clone()).into_parts();
+                        provider.resume(counts)
+                    } else {
+                        provider
+                    };
+                    let (partition, visits) = (partition.clone(), Some(&visits[..]));
+                    check_model(&hg, provider, partition, visits, &moves, shared, &costs);
+                }
+            }
+        }
     }
 }
 
@@ -230,7 +314,6 @@ fn every_pass_cost_equals_the_traversal_oracle_under_every_strategy() {
                     &cost,
                     &mut InMemorySource::new(hg, config.stream_order, config.seed),
                     &mut provider,
-                    &mut NoCommCost,
                 )
                 .unwrap();
             let records = run.history.records();

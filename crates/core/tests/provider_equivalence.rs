@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 
 use hyperpraw_core::engine::{
-    AdjProvider, ConnectivityProvider, Engine, EngineConfig, ExactCommCost, InMemorySource,
+    AdjProvider, ConnectivityProvider, Engine, EngineConfig, InMemorySource,
 };
 use hyperpraw_core::{CostMatrix, HyperPraw, HyperPrawConfig};
 use hyperpraw_hypergraph::generators::{random_hypergraph, CardinalityDist, RandomConfig};
@@ -125,7 +125,6 @@ proptest! {
                     &cost,
                     &mut InMemorySource::new(&hg, config.stream_order, config.seed),
                     &mut AdjProvider::from_adjacency(&hg, &adj),
-                    &mut ExactCommCost::with_adjacency(&hg, &adj),
                 )
                 .unwrap();
             prop_assert_eq!(

@@ -27,9 +27,10 @@
 //!    that set through the shared restreaming engine
 //!    ([`Engine::run_warm`](hyperpraw_core::engine::Engine::run_warm)),
 //!    warm-started from the current assignment under the same α-tempering,
-//!    tolerance and comm-cost stopping rules as a cold run; the comm-cost
-//!    model resumes from the resident pair counts
-//!    ([`ExactCommCost::resume`](hyperpraw_core::engine::ExactCommCost::resume)),
+//!    tolerance and comm-cost stopping rules as a cold run; the engine's
+//!    provider resumes the resident pair counts, shifts them by every move
+//!    and hands them back for the assignment the run returns
+//!    ([`AdjProvider::resume`](hyperpraw_core::engine::AdjProvider::resume)),
 //! 4. recounts `λ` for the touched hyperedges and those of moved vertices,
 //!    and reports what it did as an [`UpdateOutcome`], including the
 //!    paper's architecture-aware migration cost: vertices moved and

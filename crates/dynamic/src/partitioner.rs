@@ -2,9 +2,7 @@
 
 use std::collections::BTreeSet;
 
-use hyperpraw_core::engine::{
-    AdjProvider, CommCostModel, DirtySetSource, Engine, EngineConfig, ExactCommCost, WarmStart,
-};
+use hyperpraw_core::engine::{AdjProvider, DirtySetSource, Engine, EngineConfig, WarmStart};
 use hyperpraw_core::metrics::{CommCostState, QualityReport};
 use hyperpraw_core::{CostMatrix, HyperPrawConfig, PartitionHistory, StopReason};
 use hyperpraw_hypergraph::traversal::NeighborScratch;
@@ -401,8 +399,9 @@ impl DynamicPartitioner {
         // distinct-neighbour ring around them (their value function
         // changed even though their own incidence did not), restreamed
         // alone, warm-started from the current assignment, under the
-        // cold-run stopping rules. The kept comm-cost state is handed to
-        // the run and taken back synced to the assignment it returns.
+        // cold-run stopping rules. The resident state is handed to the run
+        // by move — the assignment to the engine, the pair counts to the
+        // provider — and reassembled for the assignment the run returns.
         let restreaming = self.metrics.restream_us.span();
         let graph = &self.graph;
         let mut dirty: BTreeSet<VertexId> = BTreeSet::new();
@@ -424,18 +423,18 @@ impl DynamicPartitioner {
             let engine = Engine::new(EngineConfig::restreaming(&self.cfg.config))
                 .with_registry(&self.metrics.registry);
             let mut source = DirtySetSource::new(&self.snapshot, dirty.clone());
-            let mut provider =
-                AdjProvider::traversal(&self.snapshot).with_registry(&self.metrics.registry);
+            let (partition, counts) = std::mem::take(&mut self.comm).into_parts();
+            let mut provider = AdjProvider::traversal(&self.snapshot)
+                .with_registry(&self.metrics.registry)
+                .resume(counts);
             let warm = WarmStart {
-                partition: self.partition().clone(),
+                partition,
                 loads: self.loads.clone(),
             };
-            let mut model = ExactCommCost::resume(&self.snapshot, std::mem::take(&mut self.comm));
             let run = engine
-                .run_warm(&self.cost, &mut source, &mut provider, &mut model, warm)
+                .run_warm(&self.cost, &mut source, &mut provider, warm)
                 .expect("in-memory sources cannot fail");
-            model.comm_cost(&run.partition, &self.cost);
-            self.comm = model.into_state().expect("the model was resumed");
+            self.comm = provider.into_comm_state(run.partition);
             self.loads = self
                 .partition()
                 .part_loads(&self.snapshot)

@@ -4,9 +4,7 @@
 //! budgeted connectivity state × the sequential or bulk-synchronous
 //! execution strategy.
 
-use hyperpraw_core::engine::{
-    DoubtConfig, Engine, EngineConfig, InitialAssignment, NoCommCost, StreamSource,
-};
+use hyperpraw_core::engine::{DoubtConfig, Engine, EngineConfig, InitialAssignment, StreamSource};
 use hyperpraw_core::{CostMatrix, HyperPrawConfig, ParallelMode};
 use hyperpraw_hypergraph::io::stream::VertexStream;
 use hyperpraw_hypergraph::io::IoResult;
@@ -279,12 +277,8 @@ impl LowMemPartitioner {
             .mode
             .strategy(self.config.threads, self.config.sync_interval);
 
-        let run = Engine::new(engine_config).run(
-            &self.cost,
-            &mut StreamSource(stream),
-            &mut provider,
-            &mut NoCommCost,
-        )?;
+        let run =
+            Engine::new(engine_config).run(&self.cost, &mut StreamSource(stream), &mut provider)?;
         Ok(LowMemResult {
             partition: run.partition,
             alpha,
