@@ -204,3 +204,64 @@ fn partition_report_json_embeds_live_telemetry_via_metrics_out() {
         std::fs::remove_file(p).ok();
     }
 }
+
+#[test]
+fn stealing_partition_attributes_its_team_and_boundary_apply() {
+    // Each work-stealing batch records its thread team, spawn to join,
+    // and its boundary apply, replay included.
+    let dir = std::env::temp_dir();
+    let input = dir.join(format!(
+        "hyperpraw_steal_metrics_{}.hgr",
+        std::process::id()
+    ));
+    let metrics_out = dir.join(format!(
+        "hyperpraw_steal_metrics_{}.json",
+        std::process::id()
+    ));
+    // A 600-vertex ring with chords: enough vertices for both workers.
+    let n = 600;
+    let mut edges: Vec<String> = (0..n)
+        .map(|v| format!("{} {}", v + 1, (v + 1) % n + 1))
+        .collect();
+    edges.extend(
+        (0..n / 3).map(|v| format!("{} {} {}", v + 1, (v * 7) % n + 1, (v * 13 + 5) % n + 1)),
+    );
+    let hgr = format!("{} {n}\n{}\n", edges.len(), edges.join("\n"));
+    std::fs::write(&input, hgr).unwrap();
+
+    let status = Command::new(env!("CARGO_BIN_EXE_hyperpraw"))
+        .args([
+            "partition",
+            input.to_str().unwrap(),
+            "--parts",
+            "4",
+            "--threads",
+            "2",
+            "--parallel-mode",
+            "steal",
+            "--metrics-out",
+            metrics_out.to_str().unwrap(),
+        ])
+        .stdout(Stdio::null())
+        .status()
+        .expect("spawn hyperpraw partition");
+    assert!(status.success());
+
+    let metrics = parse(&std::fs::read_to_string(&metrics_out).unwrap())
+        .expect("--metrics-out writes valid JSON");
+    let applies = counter(&metrics, "engine.steal.batch_applies");
+    assert!(applies > 0, "the run applied batches: {applies}");
+    for name in ["engine.steal.team_us", "engine.steal.apply_us"] {
+        let count = metrics
+            .get("histograms")
+            .and_then(|h| h.get(name))
+            .and_then(|h| h.get("count"))
+            .and_then(|v| v.as_u64())
+            .unwrap_or_else(|| panic!("missing histogram {name} in {metrics:?}"));
+        assert_eq!(count, applies, "{name}: one sample per batch");
+    }
+
+    for p in [&input, &metrics_out] {
+        std::fs::remove_file(p).ok();
+    }
+}

@@ -50,14 +50,19 @@
 //! sequential placement loop at one worker.
 //!
 //! The stealing workers follow one write rule: **shared state is written
-//! only on a move**. A visit reads the shared loads and detaches the
-//! vertex's own weight in a private copy; the load counters, the atomic
-//! assignment and the provider's move hook (which shifts `AdjProvider`'s
-//! kept part counts) are written only when the chosen part differs from
-//! the current one. Everything a worker writes per vertex — counts, load view,
-//! scorer scratch, proposals — sits in its own 128-byte-aligned worker
-//! slot, so a visit that keeps its vertex in place causes no cross-core
-//! traffic.
+//! only on a move**. The load counters, the atomic assignment, the
+//! provider's move hook (which shifts `AdjProvider`'s kept part counts)
+//! and the pass's move epoch are written only when the chosen part
+//! differs from the current one. A worker keeps its own copy of the loads
+//! and reloads it only when the move epoch has changed since, and a visit
+//! detaches the vertex's own weight by patching one entry of that copy.
+//! Everything a worker writes per vertex — counts, load view, scorer
+//! scratch, its log — sits in its own 128-byte-aligned worker slot, so a
+//! visit that keeps its vertex in place causes no cross-core traffic.
+//! The log holds what the batch boundary must apply: only the moves when
+//! the provider's counts follow the live assignment and the doubt buffer
+//! is off, every visit otherwise. The boundary's serial work therefore
+//! follows the moves of an in-memory run, not its batch.
 //!
 //! Every combination is valid: [`crate::HyperPraw`] is
 //! `InMemorySource × AdjProvider × Sequential`, and
@@ -120,9 +125,13 @@
 //! `AdjProvider` sums `M` from its rows when synced over every vertex;
 //! synced on a subset — a warm run over a dirty set — it takes the `M`
 //! its caller resumed ([`AdjProvider::resume`]) or counts it once. Each
-//! exclusive move shifts `M` by the mover's own counts; a stealing
-//! worker's move only marks it stale, and the evaluation after the team
-//! has joined counts it afresh. The integers are exact and the dot is the
+//! exclusive move shifts `M` by the mover's own counts. A stealing
+//! worker's move cannot, as a peer's move may shift those counts
+//! meanwhile; the batch boundary, which holds the provider alone, replays
+//! each logged move instead ([`ConnectivityProvider::replay`]): one walk
+//! of the mover's neighbours against the assignment as of its move, and
+//! `M` shifts by those counts. So `M` is exact after every batch and is
+//! counted afresh only at sync. The integers are exact and the dot is the
 //! one [`crate::metrics`] shares, so a pass's cost is bit-identical to
 //! [`crate::metrics::partitioning_communication_cost`]. Out-of-core
 //! providers keep no `M`; their runs stop on fixed points and the
@@ -146,7 +155,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicI64, AtomicU32, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering as AtomicOrdering};
 use std::thread;
 
 use hyperpraw_hypergraph::io::stream::VertexRecord;
@@ -681,9 +690,14 @@ struct WorkerSlot<T> {
     scorer: Scorer<T>,
     delta: Vec<f64>,
     loads_view: Vec<f64>,
-    /// The work-stealing strategy's `(batch index, part, margin)`
-    /// proposals for the current batch.
-    proposals: Vec<(usize, u32, f64)>,
+    /// The work-stealing strategy's cached copy of the shared fixed-point
+    /// loads, of which `loads_view` is the `f64` view, as of move epoch
+    /// `epoch`.
+    fixed_loads: Vec<i64>,
+    epoch: u64,
+    /// The work-stealing strategy's `(batch index, part, margin)` log of
+    /// the current batch: what the batch boundary must apply.
+    log: Vec<(usize, u32, f64)>,
 }
 
 impl<T> WorkerSlot<T> {
@@ -700,11 +714,17 @@ impl<T> WorkerSlot<T> {
                 scorer: Scorer::new(provider, p, certify),
                 delta: vec![0.0f64; p],
                 loads_view: Vec::with_capacity(p),
-                proposals: Vec::new(),
+                fixed_loads: vec![0; p],
+                epoch: STALE_EPOCH,
+                log: Vec::new(),
             });
         }
     }
 }
+
+/// A [`WorkerSlot::epoch`] no pass reaches: the cached loads are reloaded
+/// at the next visit.
+const STALE_EPOCH: u64 = u64::MAX;
 
 /// One live (fresh-information) placement — the shared inner step of the
 /// sequential strategy, the single-worker chunked fallback and the doubt
@@ -827,6 +847,12 @@ struct EngineMetrics {
     steal_chunk_claims: Counter,
     /// Batch-boundary applies (work-stealing strategy).
     steal_batch_applies: Counter,
+    /// Wall-clock of each batch's thread team, spawn to join,
+    /// microseconds (work-stealing strategy).
+    steal_team_us: Histogram,
+    /// Wall-clock of each batch-boundary apply, its replay included,
+    /// microseconds (work-stealing strategy).
+    steal_apply_us: Histogram,
 }
 
 impl EngineMetrics {
@@ -841,6 +867,8 @@ impl EngineMetrics {
             doubt_bytes: registry.gauge("engine.doubt.bytes"),
             steal_chunk_claims: registry.counter("engine.steal.chunk_claims"),
             steal_batch_applies: registry.counter("engine.steal.batch_applies"),
+            steal_team_us: registry.histogram("engine.steal.team_us"),
+            steal_apply_us: registry.histogram("engine.steal.apply_us"),
         }
     }
 }
@@ -1467,12 +1495,26 @@ impl Engine {
     /// thread at the batch boundary (the bounded-staleness window for
     /// index-backed providers). Returns the number of moved vertices.
     ///
-    /// Workers write shared state only when a vertex moves: a visit reads
-    /// the load counters, detaches the vertex's own weight in its private
-    /// copy, and touches the shared loads and the atomic assignment only
-    /// if the chosen part differs from the current one. Everything a
-    /// worker writes per vertex lives in its cache-line-aligned
-    /// [`WorkerSlot`], so most visits cause no cross-core traffic at all.
+    /// Workers write shared state only when a vertex moves: the load
+    /// counters, the atomic assignment, the provider's
+    /// [`ConnectivityProvider::moved`] and then the pass's move epoch,
+    /// with release ordering. A worker caches the loads and their `f64`
+    /// view in its cache-line-aligned [`WorkerSlot`] and reloads them only
+    /// when the epoch, read with acquire ordering, has moved since; a
+    /// visit detaches its vertex's own weight by patching one entry of
+    /// that view and restores it after the decision. Most visits therefore
+    /// cause no cross-core traffic at all.
+    ///
+    /// Each worker logs what the boundary must apply. For a provider whose
+    /// counts follow the live assignment, with the doubt buffer off, that
+    /// is its moves only: such a provider keeps no state at
+    /// attach/detach, and nothing else reads a stay. The index providers
+    /// record every placement at attach and the doubt buffer offers every
+    /// visit, so otherwise the log holds every visit with its margin. The
+    /// boundary applies the logs in worker order in one loop and replays
+    /// each move on the provider ([`ConnectivityProvider::replay`])
+    /// against the assignment as of that move, so its serial cost follows
+    /// the log, not the batch.
     #[allow(clippy::too_many_arguments)] // the engine's hot path shares one state bundle
     fn steal_pass<S, P>(
         &self,
@@ -1502,6 +1544,10 @@ impl Engine {
             .iter()
             .map(|&load| AtomicI64::new(to_fixed(load)))
             .collect();
+        // Bumped by every move after its load updates (release), read by
+        // every visit (acquire): a worker whose cached epoch is current
+        // holds the loads of every move the epoch counts.
+        let move_epoch = AtomicU64::new(0);
         // Stream sources stay memory-bounded: a batch holds at most this
         // many records, so a pass over more than 8192 vertices (at the
         // default chunk and two workers) spans several batches, each with
@@ -1515,8 +1561,8 @@ impl Engine {
         } else {
             (chunk * num_threads).max(256)
         };
+        let log_visits = !provider.live_counts() || self.config.doubts.capacity > 0;
         let mut moved = 0usize;
-        let mut proposals: Vec<(u32, f64)> = Vec::new();
 
         loop {
             // Fill the batch on the engine thread (reusing allocations) so
@@ -1549,28 +1595,37 @@ impl Engine {
                 let cursor = &cursor;
                 let view = &view;
                 let shared = &shared_loads[..];
+                let move_epoch = &move_epoch;
                 let expected = &state.expected[..];
                 let provider_ref: &P = provider;
                 let chunk_claims = &self.metrics.steal_chunk_claims;
 
                 let run_worker = |slot: &mut WorkerSlot<P::Scratch>| {
-                    slot.loads_view.clear();
                     slot.loads_view.resize(p, 0.0);
-                    slot.proposals.clear();
+                    // The counters were re-synced since the last batch.
+                    slot.epoch = STALE_EPOCH;
+                    slot.log.clear();
                     while let Some(range) = cursor.claim() {
                         chunk_claims.inc();
-                        slot.proposals.reserve(range.len());
                         for i in range {
                             let record = &records[i];
                             let w = to_fixed(record.weight);
+                            let epoch = move_epoch.load(AtomicOrdering::Acquire);
+                            if epoch != slot.epoch {
+                                slot.epoch = epoch;
+                                let cached = slot.fixed_loads.iter_mut().zip(&mut slot.loads_view);
+                                for ((fixed, local), counter) in cached.zip(shared) {
+                                    *fixed = counter.load(AtomicOrdering::Relaxed);
+                                    *local = from_fixed(*fixed);
+                                }
+                            }
                             // Score with the vertex detached from its
-                            // current part in the private copy only.
+                            // current part in the private view only.
                             let prior = view.part_of(record.vertex);
                             let current = assigned.then_some(prior);
-                            let loads = slot.loads_view.iter_mut().zip(shared);
-                            for (k, (local, counter)) in loads.enumerate() {
-                                let own = if current == Some(k as u32) { w } else { 0 };
-                                *local = from_fixed(counter.load(AtomicOrdering::Relaxed) - own);
+                            if let Some(cur) = current {
+                                let cur = cur as usize;
+                                slot.loads_view[cur] = from_fixed(slot.fixed_loads[cur] - w);
                             }
                             let decision = slot.scorer.decide(
                                 provider_ref,
@@ -1582,12 +1637,18 @@ impl Engine {
                                 &slot.loads_view,
                                 expected,
                             );
+                            if let Some(cur) = current {
+                                let cur = cur as usize;
+                                slot.loads_view[cur] = from_fixed(slot.fixed_loads[cur]);
+                            }
                             let target = decision.part;
-                            if current != Some(target) {
+                            let moving = current != Some(target);
+                            if moving {
                                 if let Some(old) = current {
                                     shared[old as usize].fetch_sub(w, AtomicOrdering::Relaxed);
                                 }
                                 shared[target as usize].fetch_add(w, AtomicOrdering::Relaxed);
+                                move_epoch.fetch_add(1, AtomicOrdering::Release);
                                 view.set(record.vertex, target);
                                 if prior != target {
                                     provider_ref.moved(
@@ -1598,13 +1659,16 @@ impl Engine {
                                     );
                                 }
                             }
-                            slot.proposals.push((i, target, decision.margin));
+                            if moving || log_visits {
+                                slot.log.push((i, target, decision.margin));
+                            }
                         }
                     }
                 };
 
                 // Spawn the team once per batch: workers 1.. on scoped
                 // threads, worker 0 on the engine thread itself.
+                let team_span = self.metrics.steal_team_us.span();
                 let (first, rest) = slots.split_at_mut(1);
                 thread::scope(|scope| {
                     let handles: Vec<_> = rest[..workers - 1]
@@ -1619,38 +1683,32 @@ impl Engine {
                         .into_iter()
                         .for_each(|h| h.join().expect("engine worker panicked"));
                 });
-
-                // Every worker finished each move's provider updates
-                // before the join, so the provider agrees with the view.
-                debug_assert!(
-                    consistent(provider_ref, view, cost),
-                    "provider state drifted from the live assignment at a batch boundary"
-                );
-
-                // Merge the per-worker proposals back into batch order —
-                // every index was claimed exactly once, so this is a
-                // scatter, not a sort.
-                proposals.clear();
-                proposals.resize(len, (0u32, 0.0));
-                for slot in &slots[..workers] {
-                    for &(i, part, margin) in &slot.proposals {
-                        proposals[i] = (part, margin);
-                    }
-                }
+                team_span.finish();
             }
 
-            // Apply at the batch boundary, in batch order: provider
-            // detach/attach, authoritative f64 loads, move accounting and
-            // doubt collection all run on the engine thread.
-            for (record, &(target, margin)) in records.iter().zip(&proposals) {
-                let v = record.vertex;
-                let w = record.weight;
-                let current = assigned.then(|| state.partition.part_of(v));
+            // Apply at the batch boundary, the logs in worker order: load
+            // accounting, provider detach/replay/attach, move counting and
+            // doubt collection all run on the engine thread. Each vertex
+            // is visited once per pass, so `state.partition` still holds
+            // every logged vertex on the part its worker read, and a
+            // logged vertex moved exactly when its worker reported the
+            // move to the provider.
+            let apply_span = self.metrics.steal_apply_us.span();
+            let (first, rest) = slots[..workers].split_at_mut(1);
+            let WorkerSlot { scorer, log, .. } = &mut first[0];
+            for &(i, target, margin) in log.iter().chain(rest.iter().flat_map(|s| &s.log)) {
+                let record = &records[i];
+                let (v, w) = (record.vertex, record.weight);
+                let prior = state.partition.part_of(v);
+                let current = assigned.then_some(prior);
                 if let Some(cur) = current {
                     state.loads[cur as usize] -= w;
                     provider.detach(record, cur);
                 }
-                state.partition.set(v, target);
+                if prior != target {
+                    provider.replay(v, prior, target, &state.partition, &mut scorer.scratch);
+                    state.partition.set(v, target);
+                }
                 state.loads[target as usize] += w;
                 provider.attach(record, target);
                 if current != Some(target) {
@@ -1658,6 +1716,11 @@ impl Engine {
                 }
                 doubts.offer(&self.config.doubts, provider, record, target, margin);
             }
+            apply_span.finish();
+            debug_assert!(
+                consistent(provider, &state.partition, cost),
+                "provider state drifted from the assignment at a batch boundary"
+            );
             // Workers wrote the counters for exactly the moves just
             // applied, so both load accounts agree up to rounding: at most
             // one fixed-point unit per applied record, plus the f64 sums'.

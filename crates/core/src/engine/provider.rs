@@ -36,7 +36,7 @@
 //! neighbourhood (the traversal scratch materialises lazily).
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 use hyperpraw_topology::CostMatrix;
 
@@ -88,7 +88,9 @@ pub trait ConnectivityProvider: Sync {
     /// [`ConnectivityProvider::attach`]/[`ConnectivityProvider::detach`]
     /// (the index providers). The work-stealing strategy keeps its batches
     /// small for non-live providers so that state never falls more than a
-    /// bounded window behind the stream.
+    /// bounded window behind the stream. A live provider keeps no state
+    /// at attach/detach: with the doubt buffer off, work stealing calls
+    /// them only for the vertices that move.
     fn live_counts(&self) -> bool {
         true
     }
@@ -120,6 +122,25 @@ pub trait ConnectivityProvider: Sync {
     /// read-modify-writes.
     fn moved_exclusive(&mut self, v: VertexId, from: u32, to: u32, scratch: &mut Self::Scratch) {
         self.moved(v, from, to, scratch);
+    }
+
+    /// Replays at a work-stealing batch boundary, where the caller holds
+    /// the only reference, a move `v: from → to` that a worker reported
+    /// through [`ConnectivityProvider::moved`]: once for each such move,
+    /// in the order the engine applies them to `assignment`, which still
+    /// holds `v` on `from` and every earlier move of the batch. State that
+    /// concurrent `moved` calls cannot keep exact follows the moves here,
+    /// so it is exact again once the whole batch is replayed. Providers
+    /// without such state ignore it.
+    fn replay(
+        &mut self,
+        v: VertexId,
+        from: u32,
+        to: u32,
+        assignment: &Partition,
+        scratch: &mut Self::Scratch,
+    ) {
+        let _ = (v, from, to, assignment, scratch);
     }
 
     /// Whether the provider's assignment-derived state agrees with
@@ -316,9 +337,14 @@ fn f32_at_most(x: f64) -> f32 {
 /// `v` from `a` to `b` shifts rows and columns `a` and `b` of `M` by
 /// `v`'s own `X(v)`, read from `v`'s row — O(p), no neighbour walk, the
 /// integers of a walk. A stealing worker's move cannot do that exactly
-/// while a neighbour's move shifts `X(v)` concurrently, so it only marks
-/// `M` stale, and the next evaluation counts it afresh the same way, from
-/// rows that are exact again once the team has joined.
+/// while a neighbour's move shifts `X(v)` concurrently, so it only counts
+/// itself as awaiting replay. At the batch boundary the engine replays
+/// each move ([`ConnectivityProvider::replay`]) against the assignment
+/// as of that move: one walk of `v`'s neighbours gives `X(v)` then, and
+/// `M` shifts by it. Once every reported move is replayed `M` is exact
+/// again; read while a move still awaits replay — by a caller that
+/// reports moves through `moved` and never replays them — it is counted
+/// afresh, summed from the rows.
 ///
 /// Counts are exact integers on every path — identical to
 /// [`NeighborScratch::neighbor_partition_counts`], the distinct-neighbour
@@ -350,9 +376,17 @@ pub struct AdjProvider<'a> {
     /// The part-pair counts `M` of the synced assignment: `M[a][·]` is
     /// the sum of `X(v)` over the vertices on part `a`.
     pairs: Option<PairCounts>,
-    /// Set by [`ConnectivityProvider::moved`], whose concurrent shifts
-    /// cannot keep `pairs` exact; the next evaluation counts them afresh.
-    pairs_stale: AtomicBool,
+    /// Moves reported through [`ConnectivityProvider::moved`] whose shift
+    /// of `pairs` awaits [`ConnectivityProvider::replay`]; while any does,
+    /// the next evaluation counts `pairs` afresh. A plain tally — it
+    /// publishes nothing and is read only with exclusive access, after the
+    /// workers have joined — so it is relaxed.
+    unreplayed: AtomicUsize,
+    /// Set when an exclusive move of a vertex without kept counts could
+    /// not shift `pairs`; the next evaluation counts them afresh.
+    pairs_stale: bool,
+    /// `X(v)` of a replayed mover, as of its move.
+    replay_x: Vec<u32>,
     /// `M` handed over by [`AdjProvider::resume`] for the next sync over
     /// a subset.
     resumed: Option<PairCounts>,
@@ -431,7 +465,9 @@ impl<'a> AdjProvider<'a> {
             num_counted: 0,
             rows: Vec::new(),
             pairs: None,
-            pairs_stale: AtomicBool::new(false),
+            unreplayed: AtomicUsize::new(0),
+            pairs_stale: false,
+            replay_x: Vec::new(),
             resumed: None,
             hub_fallbacks: hyperpraw_telemetry::Counter::noop(),
         }
@@ -546,11 +582,21 @@ impl<'a> AdjProvider<'a> {
         pairs
     }
 
-    /// Counts `M` of `assignment` afresh when it is stale or not yet
-    /// counted: summed from the rows when every vertex has one, by
-    /// neighbourhood walks otherwise.
+    /// The kept part-pair counts `M` as they stand, without counting them:
+    /// `None` when the provider was never synced, or when the next
+    /// evaluation would count them afresh — a move awaits replay, or one
+    /// could not be shifted.
+    pub fn pair_counts(&self) -> Option<&PairCounts> {
+        let behind = self.pairs_stale || self.unreplayed.load(Ordering::Relaxed) > 0;
+        self.pairs.as_ref().filter(|_| !behind)
+    }
+
+    /// Counts `M` of `assignment` afresh when it is stale, awaits a
+    /// replay or is not yet counted: summed from the rows when every
+    /// vertex has one, by neighbourhood walks otherwise.
     fn refresh_pairs(&mut self, assignment: &Partition) {
-        if std::mem::take(self.pairs_stale.get_mut()) {
+        let unreplayed = std::mem::take(self.unreplayed.get_mut());
+        if std::mem::take(&mut self.pairs_stale) || unreplayed > 0 {
             self.pairs = Some(if self.slots.is_empty() {
                 self.summed_pairs(assignment)
             } else {
@@ -644,8 +690,10 @@ impl ConnectivityProvider for AdjProvider<'_> {
         if let Some(counts) = &resumed {
             assert_eq!(counts.num_parts(), p, "resumed pairs must match the parts");
         }
-        *self.pairs_stale.get_mut() = resumed.is_none();
+        self.pairs_stale = resumed.is_none();
+        *self.unreplayed.get_mut() = 0;
         self.pairs = resumed;
+        self.replay_x = vec![0; p];
         self.refresh_pairs(assignment);
     }
 
@@ -660,10 +708,33 @@ impl ConnectivityProvider for AdjProvider<'_> {
                 row[GENERATION].fetch_add(1, Ordering::Release);
             }
         }
-        // Read first: only a pass's first move writes the shared flag.
-        if self.pairs.is_some() && !self.pairs_stale.load(Ordering::Relaxed) {
-            self.pairs_stale.store(true, Ordering::Relaxed);
+        self.unreplayed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn replay(
+        &mut self,
+        v: VertexId,
+        from: u32,
+        to: u32,
+        assignment: &Partition,
+        scratch: &mut Self::Scratch,
+    ) {
+        if self.rows.is_empty() {
+            return;
         }
+        let unreplayed = self.unreplayed.get_mut();
+        debug_assert!(*unreplayed > 0, "vertex {v}'s move was never reported");
+        *unreplayed = unreplayed.saturating_sub(1);
+        let Some(pairs) = self.pairs.as_mut().filter(|_| !self.pairs_stale) else {
+            return;
+        };
+        // `v`'s neighbours as `assignment` places them, before its move.
+        let x = &mut self.replay_x;
+        x.fill(0);
+        for &u in neighbors_of(self.hg, self.adj.as_deref(), v, scratch) {
+            x[assignment.part_of(u) as usize] += 1;
+        }
+        pairs.move_counted(from, to, x.iter().copied());
     }
 
     fn moved_exclusive(&mut self, v: VertexId, from: u32, to: u32, scratch: &mut Self::Scratch) {
@@ -684,15 +755,14 @@ impl ConnectivityProvider for AdjProvider<'_> {
         // `v`'s own pairs move from row and column `from` to `to`; `X(v)`
         // counts them, and `v`'s move leaves it as it is. The engine moves
         // only visited vertices; any other mover has no row to shift by.
-        let stale = *self.pairs_stale.get_mut();
-        if let Some(pairs) = self.pairs.as_mut().filter(|_| !stale) {
+        if let Some(pairs) = self.pairs.as_mut().filter(|_| !self.pairs_stale) {
             match slot_of(&self.slots, self.num_counted, v) {
                 Some(slot) => {
                     let lo = slot % BLOCK_SLOTS * stride;
                     let x = &self.rows[slot / BLOCK_SLOTS][lo + CERT_WORDS..lo + stride];
                     pairs.move_counted(from, to, x.iter().map(|c| c.load(Ordering::Relaxed)));
                 }
-                None => *self.pairs_stale.get_mut() = true,
+                None => self.pairs_stale = true,
             }
         }
     }
@@ -708,10 +778,9 @@ impl ConnectivityProvider for AdjProvider<'_> {
                     .all(|(x, &c)| x.load(Ordering::Relaxed) == c)
             })
         });
-        // Stale pairs are re-summed before they are read.
-        let pairs_agree = self.pairs.as_ref().is_none_or(|pairs| {
-            self.pairs_stale.load(Ordering::Relaxed)
-                || *pairs == PairCounts::build(self.hg, self.adj.as_deref(), assignment)
+        // Pairs that await a recount are counted afresh before they are read.
+        let pairs_agree = self.pair_counts().is_none_or(|pairs| {
+            *pairs == PairCounts::build(self.hg, self.adj.as_deref(), assignment)
         });
         counts_agree && pairs_agree
     }
@@ -910,7 +979,8 @@ mod tests {
         // Without flat lists — no adjacency, or a zero cutoff that makes
         // every mesh vertex a hub — the traversals are exactly one per
         // vertex at sync plus one per move, and the workers' move tallies
-        // cross the flush threshold within a run.
+        // cross the flush threshold within a run. A stealing move walks
+        // twice: in its worker, and in its replay at the batch boundary.
         let hg = mesh_hypergraph(&MeshConfig::new(3000, 6));
         let adj = NeighborAdjacency::build(&hg, AdjacencyBudget::DegreeCutoff(0));
         assert_eq!(adj.num_hubs(), hg.num_vertices());
@@ -953,9 +1023,13 @@ mod tests {
                     .unwrap();
                 let moves: usize = run.history.records().iter().map(|r| r.moved_vertices).sum();
                 assert!(moves > 2 * 1024, "the test must cross the flush threshold");
+                let walks_per_move = match strategy {
+                    ExecutionStrategy::WorkStealing { .. } => 2,
+                    _ => 1,
+                };
                 assert_eq!(
                     registry.counter_value("engine.hub_fallbacks"),
-                    Some(n + moves as u64),
+                    Some(n + walks_per_move * moves as u64),
                     "{strategy:?}, all hubs: {all_hubs}"
                 );
             }

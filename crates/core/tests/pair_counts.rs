@@ -5,8 +5,10 @@
 //! comm-cost evaluation from it. Synced over every vertex it sums `M`
 //! from its rows; synced on a subset, as a warm run over a dirty set, it
 //! takes a resumed `M` or counts it once. Exclusive moves shift `M` by the
-//! mover's own `X(v)`; concurrent moves only mark it stale, and the next
-//! evaluation counts it afresh. Either way every answer must be
+//! mover's own `X(v)`. Concurrent moves leave `M` behind until they are
+//! replayed, as a work-stealing batch boundary does, against the
+//! assignment as of each move; an evaluation while a move still awaits
+//! its replay counts `M` afresh. Either way every answer must be
 //! bit-identical to a fresh [`partitioning_communication_cost`] of the
 //! same assignment, under every cost matrix — after random move
 //! sequences, and after every pass of full engine runs under each
@@ -205,8 +207,82 @@ proptest! {
     }
 }
 
+/// Splits `moves` into batches of `batch_len` moves and, batch by batch,
+/// reports each move of a distinct vertex through
+/// [`ConnectivityProvider::moved`] as a stealing worker does, then replays
+/// the batch in reverse, as the boundary does in an order of its own,
+/// against the assignment before each move. After every batch `M` must be
+/// a fresh count of the assignment with no recount pending, and answer
+/// each cost matrix with the oracle's bits.
+fn check_replay(
+    hg: &Hypergraph,
+    mut provider: AdjProvider<'_>,
+    mut partition: Partition,
+    moves: &[(usize, u32)],
+    batch_len: usize,
+    costs: &[CostMatrix],
+) {
+    let n = hg.num_vertices();
+    let p = partition.num_parts();
+    provider.sync(&partition, None);
+    let mut scratch = provider.new_scratch();
+    for batch in moves.chunks(batch_len) {
+        let before = partition.clone();
+        let mut movers: Vec<(VertexId, u32)> = Vec::new();
+        for &(v, shift) in batch {
+            let v = (v % n) as VertexId;
+            if movers.iter().all(|&(u, _)| u != v) {
+                let from = partition.part_of(v);
+                let to = (from + 1 + shift % (p - 1)) % p;
+                partition.set(v, to);
+                provider.moved(v, from, to, &mut scratch);
+                movers.push((v, to));
+            }
+        }
+        let mut replayed = before;
+        for &(v, to) in movers.iter().rev() {
+            let from = replayed.part_of(v);
+            provider.replay(v, from, to, &replayed, &mut scratch);
+            replayed.set(v, to);
+        }
+        assert_eq!(replayed, partition);
+        let (_, fresh) = CommCostState::new(hg, partition.clone()).into_parts();
+        assert_eq!(provider.pair_counts(), Some(&fresh));
+        assert!(provider.agrees_with(&partition));
+        for cost in costs {
+            let kept = provider.comm_cost(&partition, cost);
+            let oracle = partitioning_communication_cost(hg, &partition, cost);
+            assert_eq!(kept.map(f64::to_bits), Some(oracle.to_bits()));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn replayed_batches_keep_pairs_exact_without_a_recount(
+        hg in arb_hypergraph(),
+        p in 2u32..7,
+        seed in 0u64..1000,
+        cutoff in 0usize..=3,
+        batch_len in 1usize..40,
+        moves in prop::collection::vec((0usize..1000, 0u32..8), 0..200),
+    ) {
+        let partition = seeded_partition(hg.num_vertices(), p, seed);
+        let costs = costs(p, seed);
+        check_replay(&hg, AdjProvider::traversal(&hg), partition.clone(), &moves, batch_len, &costs);
+        for budget in [AdjacencyBudget::Auto, AdjacencyBudget::DegreeCutoff(cutoff)] {
+            let adj = NeighborAdjacency::build(&hg, budget);
+            let provider = AdjProvider::from_adjacency(&hg, &adj);
+            check_replay(&hg, provider, partition.clone(), &moves, batch_len, &costs);
+        }
+    }
+}
+
 /// An [`AdjProvider`] that checks each comm cost it answers against the
-/// traversal oracle and records the oracle's value.
+/// traversal oracle, from kept pairs that need no recount, and records the
+/// oracle's value.
 struct Checked<'a> {
     inner: AdjProvider<'a>,
     hg: &'a Hypergraph,
@@ -236,6 +312,17 @@ impl ConnectivityProvider for Checked<'_> {
         self.inner.moved_exclusive(v, from, to, scratch);
     }
 
+    fn replay(
+        &mut self,
+        v: VertexId,
+        from: u32,
+        to: u32,
+        assignment: &Partition,
+        scratch: &mut Self::Scratch,
+    ) {
+        self.inner.replay(v, from, to, assignment, scratch);
+    }
+
     fn agrees_with<A: AssignmentRef>(&self, assignment: &A) -> bool {
         self.inner.agrees_with(assignment)
     }
@@ -253,6 +340,8 @@ impl ConnectivityProvider for Checked<'_> {
     }
 
     fn comm_cost(&mut self, assignment: &Partition, cost: &CostMatrix) -> Option<f64> {
+        // Every strategy keeps `M` exact through the run: no recount.
+        assert!(self.inner.pair_counts().is_some(), "M awaits a recount");
         let kept = self.inner.comm_cost(assignment, cost);
         let oracle = partitioning_communication_cost(self.hg, assignment, cost);
         assert_eq!(kept.map(f64::to_bits), Some(oracle.to_bits()));

@@ -6,11 +6,16 @@
 //! interleavings plenty of chances to go wrong. CI runs this with
 //! `RUST_BACKTRACE=1` so a torn invariant names its culprit.
 
+use hyperpraw_core::engine::{
+    AdjProvider, Engine, EngineConfig, ExecutionStrategy, InMemorySource,
+};
 use hyperpraw_core::{CostMatrix, HyperPraw, HyperPrawConfig, ParallelConfig, PartitionResult};
 use hyperpraw_hypergraph::generators::{
     mesh_hypergraph, powerlaw_hypergraph, MeshConfig, PowerLawConfig,
 };
-use hyperpraw_hypergraph::{AdjacencyBudget, Hypergraph, HypergraphBuilder, NeighborAdjacency};
+use hyperpraw_hypergraph::{
+    AdjacencyBudget, Hypergraph, HypergraphBuilder, NeighborAdjacency, Partition,
+};
 use hyperpraw_telemetry::Registry;
 use hyperpraw_topology::{BandwidthMatrix, MachineModel};
 
@@ -128,5 +133,53 @@ fn stay_certificates_hold_on_hubs_under_eight_threads() {
         check(&hg, &result, p, &format!("seed {seed}"));
         let certified = registry.counter_value("engine.certified_visits");
         assert!(certified > Some(0), "seed {seed}: no visit was certified");
+    }
+}
+
+#[test]
+fn the_move_log_counts_every_move_of_a_pass() {
+    // Workers log only their moves, and the batch boundary applies the
+    // logs. One pass from the round-robin seed must count exactly the
+    // vertices that left their seed part, and the loads the boundary
+    // applied must give the returned partition's imbalance: with unit
+    // weights every load is an integer, so the two agree bit for bit.
+    let mesh = mesh_hypergraph(&MeshConfig::new(1500, 8));
+    let powerlaw = powerlaw_hypergraph(&PowerLawConfig {
+        num_vertices: 1500,
+        num_hyperedges: 1500,
+        avg_cardinality: 6.0,
+        seed: 3,
+        ..PowerLawConfig::default()
+    });
+    let config = HyperPrawConfig {
+        max_iterations: 1,
+        track_history: true,
+        ..HyperPrawConfig::default()
+    };
+    let p = 8u32;
+    for (name, hg) in [("mesh", &mesh), ("power-law", &powerlaw)] {
+        for num_threads in [2, 4] {
+            let at = format!("{name}, {num_threads} threads");
+            let strategy = ExecutionStrategy::WorkStealing {
+                num_threads,
+                chunk: 16,
+            };
+            let run = Engine::new(EngineConfig::restreaming(&config).with_strategy(strategy))
+                .run(
+                    &CostMatrix::uniform(p as usize),
+                    &mut InMemorySource::new(hg, config.stream_order, config.seed),
+                    &mut AdjProvider::traversal(hg),
+                )
+                .unwrap();
+            let seed = Partition::round_robin(hg.num_vertices(), p);
+            let left = (0..hg.num_vertices() as u32)
+                .filter(|&v| run.partition.part_of(v) != seed.part_of(v))
+                .count();
+            let first = &run.history.records()[0];
+            assert!(left > 0, "{at}: the pass moved nothing");
+            assert_eq!(first.moved_vertices, left, "{at}");
+            let imbalance = run.partition.imbalance(hg).unwrap();
+            assert_eq!(run.imbalance.to_bits(), imbalance.to_bits(), "{at}");
+        }
     }
 }

@@ -579,6 +579,47 @@ mod tests {
     }
 
     #[test]
+    fn work_stealing_logs_every_visit_for_index_providers() {
+        // An index provider records every placement at attach, and the
+        // restream buffer is offered every visit, so a stealing batch
+        // logs each visit, not only its moves: the exact index with a
+        // restream buffer and the sketched index rebuilt between passes.
+        let hg = mesh_hypergraph(&MeshConfig::new(900, 8));
+        let rr = Partition::round_robin(hg.num_vertices(), 6);
+        let runs = [
+            LowMemConfig {
+                restream_capacity: Some(64),
+                ..config(IndexKind::Exact)
+            },
+            LowMemConfig {
+                rebuild_sketches: true,
+                ..config(IndexKind::Sketched)
+            },
+        ];
+        for threads in [2usize, 8] {
+            for run in &runs {
+                let result = LowMemPartitioner::basic(
+                    LowMemConfig {
+                        threads,
+                        passes: 2,
+                        mode: ParallelMode::WorkStealing,
+                        ..run.clone()
+                    },
+                    6,
+                )
+                .partition_hypergraph(&hg);
+                let at = format!("{:?}, {threads} threads", run.index);
+                assert_eq!(result.partition.num_vertices(), 900, "{at}");
+                assert!(result.partition.assignment().iter().all(|&x| x < 6), "{at}");
+                assert!(result.restreamed > 0, "{at}");
+                assert!(result.moved_in_restream <= result.restreamed, "{at}");
+                let soed = metrics::soed(&hg, &result.partition);
+                assert!(soed < metrics::soed(&hg, &rr), "{at}");
+            }
+        }
+    }
+
+    #[test]
     fn single_stealing_thread_matches_the_sequential_stream() {
         // At `threads: 1` the engine runs its sequential loop in either
         // mode, so the mode must be irrelevant; pin the work-stealing
