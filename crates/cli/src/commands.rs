@@ -14,7 +14,7 @@ use std::path::Path;
 
 use hyperpraw::api::{Algorithm, PartitionError, PartitionJob};
 use hyperpraw::core::metrics::QualityReport;
-use hyperpraw::core::CostMatrix;
+use hyperpraw::core::{CostMatrix, ParallelMode};
 use hyperpraw::hypergraph::generators::{mesh_hypergraph, MeshConfig};
 use hyperpraw::hypergraph::io::stream::{
     read_hgr_header, stream_edgelist_file, stream_hgr_file, StreamOptions, VertexStream,
@@ -260,6 +260,14 @@ pub fn execute(cli: &Cli, out: &mut dyn Write) -> Result<(), CommandError> {
             if threads.is_some() && !algorithm.supports_threads() {
                 return Err(CommandError::Invalid(format!(
                     "--threads does not apply to {}; pick a restreaming or lowmem algorithm",
+                    algorithm.name()
+                )));
+            }
+            // `bsp` is the default, so only another mode is refused.
+            if *parallel_mode != ParallelMode::Bsp && !algorithm.supports_threads() {
+                return Err(CommandError::Invalid(format!(
+                    "--parallel-mode {} does not apply to {}; pick a restreaming or lowmem algorithm",
+                    parallel_mode.name(),
                     algorithm.name()
                 )));
             }

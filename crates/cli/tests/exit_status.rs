@@ -1,6 +1,7 @@
 //! Exit statuses of the real binary: a reader that closes stdout early
 //! ends the run quietly, and a configuration the job refuses is a run
-//! error (status 1), not a panic or a 100-pass run.
+//! error (status 1), not a panic or a 100-pass run. So is a parallel mode
+//! for an algorithm that runs no threads.
 
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -58,5 +59,30 @@ fn a_nan_imbalance_tolerance_is_a_run_error() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert_eq!(output.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("imbalance tolerance"), "{stderr}");
+    std::fs::remove_file(input).ok();
+}
+
+#[test]
+fn a_parallel_mode_without_threads_is_a_run_error() {
+    let input = mesh_hgr("mode");
+    let path = input.to_str().unwrap();
+    let base = ["partition", path, "--parts", "4", "-a", "multilevel"];
+    let output = hyperpraw(
+        &[&base[..], &["--parallel-mode", "steal"]].concat(),
+        Stdio::null(),
+    );
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("--parallel-mode steal does not apply to"),
+        "{stderr}"
+    );
+    // `bsp` is the default mode, so naming it changes nothing.
+    let output = hyperpraw(
+        &[&base[..], &["--parallel-mode", "bsp"]].concat(),
+        Stdio::null(),
+    );
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "{stderr}");
     std::fs::remove_file(input).ok();
 }

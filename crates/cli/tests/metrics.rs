@@ -207,8 +207,9 @@ fn partition_report_json_embeds_live_telemetry_via_metrics_out() {
 
 #[test]
 fn stealing_partition_attributes_its_team_and_boundary_apply() {
-    // Each work-stealing batch records its thread team, spawn to join,
-    // and its boundary apply, replay included.
+    // Each work-stealing batch records its fill, its thread team, spawn to
+    // join, and its boundary apply, replay included; the run records its
+    // provider sync.
     let dir = std::env::temp_dir();
     let input = dir.join(format!(
         "hyperpraw_steal_metrics_{}.hgr",
@@ -251,15 +252,26 @@ fn stealing_partition_attributes_its_team_and_boundary_apply() {
         .expect("--metrics-out writes valid JSON");
     let applies = counter(&metrics, "engine.steal.batch_applies");
     assert!(applies > 0, "the run applied batches: {applies}");
-    for name in ["engine.steal.team_us", "engine.steal.apply_us"] {
-        let count = metrics
+    let histogram_count = |name: &str| {
+        metrics
             .get("histograms")
             .and_then(|h| h.get(name))
             .and_then(|h| h.get("count"))
             .and_then(|v| v.as_u64())
-            .unwrap_or_else(|| panic!("missing histogram {name} in {metrics:?}"));
-        assert_eq!(count, applies, "{name}: one sample per batch");
+            .unwrap_or_else(|| panic!("missing histogram {name} in {metrics:?}"))
+    };
+    for name in ["engine.steal.team_us", "engine.steal.apply_us"] {
+        assert_eq!(
+            histogram_count(name),
+            applies,
+            "{name}: one sample per batch"
+        );
     }
+    // Every fill is timed: one per batch, plus the empty fill that ends
+    // each pass. The provider syncs once per run.
+    let passes = histogram_count("engine.pass_time_us");
+    assert_eq!(histogram_count("engine.steal.fill_us"), applies + passes);
+    assert_eq!(histogram_count("engine.sync_us"), 1);
 
     for p in [&input, &metrics_out] {
         std::fs::remove_file(p).ok();

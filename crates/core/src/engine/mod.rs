@@ -54,11 +54,14 @@
 //! provider's move hook (which shifts `AdjProvider`'s kept part counts)
 //! and the pass's move epoch are written only when the chosen part
 //! differs from the current one. A worker keeps its own copy of the loads
-//! and reloads it only when the move epoch has changed since, and a visit
-//! detaches the vertex's own weight by patching one entry of that copy.
-//! Everything a worker writes per vertex — counts, load view, scorer
-//! scratch, its log — sits in its own 128-byte-aligned worker slot, so a
-//! visit that keeps its vertex in place causes no cross-core traffic.
+//! and reloads it only when the move epoch has changed since. A visit
+//! first tries its stay certificate with its own detached load passed in
+//! separately (see below); only a visit that step does not settle
+//! detaches the vertex's own weight by patching one entry of that copy,
+//! and restores it after scoring. Everything a worker writes per vertex
+//! — counts, load view, scorer scratch, its log — sits in its own
+//! 128-byte-aligned worker slot, so a visit that keeps its vertex in
+//! place causes no cross-core traffic.
 //! The log holds what the batch boundary must apply: only the moves when
 //! the provider's counts follow the live assignment and the doubt buffer
 //! is off, every visit otherwise. The boundary's serial work therefore
@@ -110,7 +113,26 @@
 //! proof holds the vertex stays without the value loop or the selection
 //! scan, and the visit stores the certificate a scored stay would. All
 //! three strategies decide visits through one helper; both proofs are
-//! exact, so partitions are unchanged. Certificates are off
+//! exact, so partitions are unchanged.
+//!
+//! The load half of both proofs costs O(1), not a scan of the `p` loads:
+//! every load view keeps a [`LoadSummary`] — its lightest and heaviest
+//! loads with their parts and runners-up — and the proof
+//! ([`crate::value::certified_margin_with`]) reads the rivals' extremes
+//! from it and the visit's own detached load separately. A summary stays
+//! valid while no load but the visited part's changes, so the visit's own
+//! detach never stales it. The rule is *stale on write*: the engine
+//! state's loads, which live placements read, are written only through
+//! one detach/attach pair, and it marks the summary stale when a write
+//! changes a load's bits — a move, or a stay of a fractional weight whose
+//! `(L − w) + w` rounds away from `L` — at placements, window applies,
+//! batch applies and the seed pass alike; the next certifying placement
+//! recomputes it. A bulk-synchronous worker recomputes its view's summary
+//! at each window start and after a visit that changed one of its two
+//! entries' bits, a stealing worker at each reload of its cached loads,
+//! once per peer move. Debug builds compare every proof with the scan of
+//! [`crate::value::certified_margin`] and every kept summary with a fresh
+//! one. Certificates are off
 //! while the doubt buffer is on (it needs every visit's margin), and
 //! providers that keep no counts make none. Debug builds re-score every
 //! certified and every proven visit and recompute every live certificate
@@ -167,7 +189,10 @@ use hyperpraw_topology::CostMatrix;
 use crate::history::{IterationRecord, PartitionHistory, StreamPhase};
 #[cfg(debug_assertions)]
 use crate::value::best_partition_in;
-use crate::value::{certified_margin, comm_terms, select_partition, terms_gap, ValueScratch};
+use crate::value::{
+    certified_margin, certified_margin_with, comm_terms, select_partition, terms_gap, LoadSummary,
+    ValueScratch,
+};
 use crate::{HyperPrawConfig, RefinementPolicy};
 
 mod provider;
@@ -521,15 +546,71 @@ impl DoubtBuffer {
 }
 
 /// Mutable state shared by every strategy: the assignment, the workloads
-/// `W(k)` and the expected workloads `E(k)`.
+/// `W(k)` and the expected workloads `E(k)`, with the [`LoadSummary`] of
+/// the workloads that the live placements' stay certificates read.
+///
+/// Every write to `loads` goes through [`EngineState::detach`] and
+/// [`EngineState::attach`], which mark the summary stale when a load's
+/// bits change; [`EngineState::refresh_summary`] recomputes it only then.
 #[derive(Clone, Debug)]
 struct EngineState {
     partition: Partition,
     loads: Vec<f64>,
     expected: Vec<f64>,
+    summary: LoadSummary,
+    /// Whether `summary` still describes `loads`.
+    fresh: bool,
 }
 
 impl EngineState {
+    fn new(partition: Partition, loads: Vec<f64>, expected: Vec<f64>) -> Self {
+        EngineState {
+            partition,
+            loads,
+            expected,
+            summary: LoadSummary::default(),
+            fresh: false,
+        }
+    }
+
+    /// Detaches weight `w` from part `cur` for a visit and returns what
+    /// [`EngineState::attach`] needs to close it: the part and its load
+    /// before the detach. The visit on `cur` reads that part's load
+    /// separately from the summary, so the detach leaves it valid.
+    fn detach(&mut self, cur: u32, w: f64) -> (u32, f64) {
+        let held = self.loads[cur as usize];
+        self.loads[cur as usize] = held - w;
+        (cur, held)
+    }
+
+    /// Attaches weight `w` to part `target`, closing a visit that detached
+    /// it with [`EngineState::detach`] (`from`, or `None` for an
+    /// unassigned vertex). The summary stays fresh only when the vertex
+    /// stayed and its part's load regained the bits it held before the
+    /// detach, which a fractional weight's `(L − w) + w` need not.
+    fn attach(&mut self, target: u32, w: f64, from: Option<(u32, f64)>) {
+        let load = &mut self.loads[target as usize];
+        *load += w;
+        self.fresh &=
+            from.is_some_and(|(cur, held)| cur == target && held.to_bits() == load.to_bits());
+    }
+
+    /// Recomputes the summary if a write has changed a load since.
+    fn refresh_summary(&mut self) {
+        if !self.fresh {
+            self.summary = LoadSummary::of(&self.loads);
+            self.fresh = true;
+        }
+        debug_assert!(self.summary_agrees(), "a load write left the summary stale");
+    }
+
+    /// Whether the summary, when marked fresh, describes the loads — the
+    /// debug builds' check before every certifying live placement and at
+    /// every pass end.
+    fn summary_agrees(&self) -> bool {
+        !self.fresh || self.summary == LoadSummary::of(&self.loads)
+    }
+
     /// Total imbalance `max_k W(k) / avg_k W(k)` from the tracked loads.
     fn imbalance(&self) -> f64 {
         let total: f64 = self.loads.iter().sum();
@@ -547,6 +628,25 @@ impl EngineState {
 struct Decision {
     part: u32,
     margin: f64,
+}
+
+/// The loads one visit is decided against: the view the scorer reads,
+/// the summary a stay proof reads instead, and the uniform expected
+/// loads. The summary answers for every part but the visit's current
+/// one, whose load with the vertex detached the proof takes separately.
+#[derive(Clone, Copy)]
+struct LoadView<'a> {
+    loads: &'a [f64],
+    summary: &'a LoadSummary,
+    expected: &'a [f64],
+}
+
+/// What the certificate step of a visit found.
+enum Check {
+    /// The kept certificate proved the stay.
+    Stays(Decision),
+    /// The visit must be scored, with the certificate stamp read, if any.
+    Score(Option<StayCertificate>),
 }
 
 /// One worker's scoring state, created once per run and reused across
@@ -578,33 +678,65 @@ impl<T> Scorer<T> {
     }
 
     /// Decides one visit of `record`, currently on `current`, against
-    /// `assignment` and `loads` — the loads as the scorer sees them, the
-    /// vertex's own weight already detached — with the uniform expected
-    /// loads `expected`.
+    /// `assignment` and `view` — whose loads are the loads as the scorer
+    /// sees them, the vertex's own weight already detached.
     ///
     /// When `record`'s stay certificate is still valid, names `current`
-    /// and [`certified_margin`] proves it under `alpha` and `loads`, the
-    /// visit keeps its part without copying counts or scoring. Otherwise
-    /// the counts are copied and their load-free terms computed. When a
-    /// neighbour's move voided the certificate, `current`'s gap from those
-    /// terms may prove the stay at once, without the value loop and the
-    /// selection scan; failing that, the terms are scored. Either outcome
-    /// is certified under the generation read before the copy. Every
-    /// strategy decides through here; the caller applies the decision the
-    /// same way either way, so a certified or proven stay does the load
+    /// and [`Scorer::prove`] proves it, the visit keeps its part without
+    /// copying counts or scoring. Otherwise the counts are copied and their
+    /// load-free terms computed. When a neighbour's move voided the
+    /// certificate, `current`'s gap from those terms may prove the stay at
+    /// once, without the value loop and the selection scan; failing that,
+    /// the terms are scored. Either outcome is certified under the
+    /// generation read before the copy. The caller applies the decision
+    /// the same way either way, so a certified or proven stay does the load
     /// arithmetic of a scored one.
+    ///
+    /// This is [`Scorer::check`] followed by [`Scorer::score`]; a caller
+    /// that detaches the vertex only to score runs the two itself.
     #[allow(clippy::too_many_arguments)] // the engine's hot path shares one state bundle
     fn decide<P, A>(
         &mut self,
         provider: &P,
         record: &VertexRecord,
         assignment: &A,
-        current: Option<u32>,
         cost: &CostMatrix,
         alpha: f64,
-        loads: &[f64],
-        expected: &[f64],
+        current: Option<u32>,
+        view: LoadView<'_>,
     ) -> Decision
+    where
+        P: ConnectivityProvider<Scratch = T>,
+        A: AssignmentRef,
+    {
+        let home = current.map(|part| (part, view.loads[part as usize]));
+        match self.check(provider, record, assignment, cost, alpha, home, view) {
+            Check::Stays(decision) => decision,
+            Check::Score(stamp) => self.score(
+                provider, record, assignment, cost, alpha, current, stamp, view,
+            ),
+        }
+    }
+
+    /// The certificate step of a visit of `record`. `home` is the part the
+    /// vertex is on with that part's load with the vertex detached, which
+    /// `view`'s loads need not show yet. When the vertex's stay certificate
+    /// is still valid, names that part and [`Scorer::prove`] proves it, the
+    /// visit stays; otherwise it must be scored ([`Scorer::score`]) with
+    /// the stamp this step read. Only debug builds' re-scoring reads
+    /// `assignment` and `cost`.
+    #[allow(clippy::too_many_arguments)] // the engine's hot path shares one state bundle
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    fn check<P, A>(
+        &mut self,
+        provider: &P,
+        record: &VertexRecord,
+        assignment: &A,
+        cost: &CostMatrix,
+        alpha: f64,
+        home: Option<(u32, f64)>,
+        view: LoadView<'_>,
+    ) -> Check
     where
         P: ConnectivityProvider<Scratch = T>,
         A: AssignmentRef,
@@ -615,51 +747,85 @@ impl<T> Scorer<T> {
         } else {
             None
         };
-        let stay = stamp.and_then(|s| s.stay);
-        debug_assert!(stamp.is_none() || expected.iter().all(|&e| e == expected[0]));
-        if let Some((part, gap)) = stay.filter(|&(part, _)| Some(part) == current) {
-            if let Some(margin) = certified_margin(gap, part, alpha, loads, expected[0]) {
-                self.certified += 1;
-                // Debug builds re-score the visit and require `part`. Under
-                // work stealing a peer's move may shift the counts after
-                // the certificate was read; the generation bump that
-                // follows such a shift must then show up.
-                #[cfg(debug_assertions)]
-                {
-                    let generation = stamp.map(|s| s.generation);
-                    provider.count(record, assignment, &mut self.scratch, &mut self.counts);
-                    let counts = &self.counts;
-                    let scored =
-                        best_partition_in(counts, cost, alpha, loads, expected, &mut self.value);
-                    let started = std::time::Instant::now();
-                    while scored.part != part
-                        && provider.stay_certificate(v).map(|s| s.generation) == generation
-                    {
-                        assert!(
-                            started.elapsed().as_secs() < 5,
-                            "vertex {v} certified on part {part}, but its counts score part {}",
-                            scored.part
-                        );
-                        thread::yield_now();
-                    }
-                }
-                return Decision { part, margin };
+        debug_assert!(stamp.is_none() || view.expected.iter().all(|&e| e == view.expected[0]));
+        let (Some((part, gap)), Some((current, own))) = (stamp.and_then(|s| s.stay), home) else {
+            return Check::Score(stamp);
+        };
+        if part != current {
+            return Check::Score(stamp);
+        }
+        let Some(margin) = Self::prove(gap, part, alpha, own, view) else {
+            return Check::Score(stamp);
+        };
+        self.certified += 1;
+        // Debug builds re-score the visit and require `part`. Under work
+        // stealing a peer's move may shift the counts after the
+        // certificate was read; the generation bump that follows such a
+        // shift must then show up.
+        #[cfg(debug_assertions)]
+        {
+            let generation = stamp.map(|s| s.generation);
+            let loads = detached(view.loads, part, own);
+            provider.count(record, assignment, &mut self.scratch, &mut self.counts);
+            let counts = &self.counts;
+            let scored =
+                best_partition_in(counts, cost, alpha, &loads, view.expected, &mut self.value);
+            let started = std::time::Instant::now();
+            while scored.part != part
+                && provider.stay_certificate(v).map(|s| s.generation) == generation
+            {
+                assert!(
+                    started.elapsed().as_secs() < 5,
+                    "vertex {v} certified on part {part}, but its counts score part {}",
+                    scored.part
+                );
+                thread::yield_now();
             }
         }
+        Check::Stays(Decision { part, margin })
+    }
+
+    /// The scoring step of a visit that [`Scorer::check`] did not settle,
+    /// with the stamp it read, against `view`'s loads with the vertex
+    /// detached from `current`.
+    #[allow(clippy::too_many_arguments)] // the engine's hot path shares one state bundle
+    fn score<P, A>(
+        &mut self,
+        provider: &P,
+        record: &VertexRecord,
+        assignment: &A,
+        cost: &CostMatrix,
+        alpha: f64,
+        current: Option<u32>,
+        stamp: Option<StayCertificate>,
+        view: LoadView<'_>,
+    ) -> Decision
+    where
+        P: ConnectivityProvider<Scratch = T>,
+        A: AssignmentRef,
+    {
+        let v = record.vertex;
         provider.count(record, assignment, &mut self.scratch, &mut self.counts);
         comm_terms(&self.counts, cost, &mut self.value);
-        if let (Some(stamp), Some(part), None) = (stamp, current, stay) {
+        if let (Some(stamp), Some(part), None) = (stamp, current, stamp.and_then(|s| s.stay)) {
             // The same proof from the counts just copied, which are
             // current: the gap is the one a scored stay would store.
             let gap = terms_gap(part, &mut self.value);
-            if let Some(margin) = certified_margin(gap, part, alpha, loads, expected[0]) {
+            let own = view.loads[part as usize];
+            if let Some(margin) = Self::prove(gap, part, alpha, own, view) {
                 self.proven += 1;
                 provider.certify(v, stamp.generation, part, gap);
                 #[cfg(debug_assertions)]
                 {
                     let counts = &self.counts;
-                    let scored =
-                        best_partition_in(counts, cost, alpha, loads, expected, &mut self.value);
+                    let scored = best_partition_in(
+                        counts,
+                        cost,
+                        alpha,
+                        view.loads,
+                        view.expected,
+                        &mut self.value,
+                    );
                     assert_eq!(
                         (scored.part, scored.gap.to_bits()),
                         (part, gap.to_bits()),
@@ -669,7 +835,7 @@ impl<T> Scorer<T> {
                 return Decision { part, margin };
             }
         }
-        let scored = select_partition(alpha, loads, expected, &mut self.value);
+        let scored = select_partition(alpha, view.loads, view.expected, &mut self.value);
         if let Some(stamp) = stamp {
             provider.certify(v, stamp.generation, scored.part, scored.gap);
         }
@@ -678,18 +844,51 @@ impl<T> Scorer<T> {
             margin: scored.margin,
         }
     }
+
+    /// Proves a stay on `part` with communication gap `gap` under `alpha`:
+    /// [`certified_margin_with`] over `own`, `part`'s load with the vertex
+    /// detached, and `view`'s summary for the other parts. Every strategy's
+    /// certificate and fresh proof go through here. Debug builds require
+    /// the result, settled or refused, to equal the scan of
+    /// [`certified_margin`] over `view`'s loads with `own` in place, bit for
+    /// bit: a stale summary shows up there.
+    fn prove(gap: f64, part: u32, alpha: f64, own: f64, view: LoadView<'_>) -> Option<f64> {
+        let expected = view.expected[0];
+        let margin = certified_margin_with(gap, part, own, view.summary, alpha, expected);
+        debug_assert_eq!(
+            margin.map(f64::to_bits),
+            certified_margin(gap, part, alpha, &detached(view.loads, part, own), expected)
+                .map(f64::to_bits),
+            "the load summary disagrees with the loads for a stay on part {part}"
+        );
+        margin
+    }
+}
+
+/// `loads` with `part`'s entry set to `own`: the loads a visit on `part`
+/// scores against, for the debug builds' checks.
+fn detached(loads: &[f64], part: u32, own: f64) -> Vec<f64> {
+    let mut loads = loads.to_vec();
+    loads[part as usize] = own;
+    loads
 }
 
 /// Per-worker scratch buffers, created once per run and reused across
-/// windows and passes. A worker writes its slot's `Vec` headers for every
-/// vertex it scores, so slots are aligned to 128 bytes — two cache lines,
-/// the unit adjacent-line prefetchers pull in — and never share a line
-/// with a peer's.
+/// windows and passes: the scorer, the load view with its
+/// [`LoadSummary`], and the work-stealing cache and log. A worker writes
+/// its slot's `Vec` headers for every vertex it scores, so slots are
+/// aligned to 128 bytes — two cache lines, the unit adjacent-line
+/// prefetchers pull in — and never share a line with a peer's.
 #[repr(align(128))]
 struct WorkerSlot<T> {
     scorer: Scorer<T>,
     delta: Vec<f64>,
     loads_view: Vec<f64>,
+    /// The [`LoadSummary`] of `loads_view` when the scorer certifies:
+    /// recomputed by the bulk-synchronous strategy at each window start
+    /// and after a visit that changed an entry's bits, by the
+    /// work-stealing strategy at each reload of `fixed_loads`.
+    summary: LoadSummary,
     /// The work-stealing strategy's cached copy of the shared fixed-point
     /// loads, of which `loads_view` is the `f64` view, as of move epoch
     /// `epoch`.
@@ -714,6 +913,7 @@ impl<T> WorkerSlot<T> {
                 scorer: Scorer::new(provider, p, certify),
                 delta: vec![0.0f64; p],
                 loads_view: Vec::with_capacity(p),
+                summary: LoadSummary::default(),
                 fixed_loads: vec![0; p],
                 epoch: STALE_EPOCH,
                 log: Vec::new(),
@@ -741,19 +941,26 @@ fn place_live<P: ConnectivityProvider>(
     scorer: &mut Scorer<P::Scratch>,
 ) -> Decision {
     let w = record.weight;
-    if let Some(cur) = current {
-        state.loads[cur as usize] -= w;
-        provider.detach(record, cur);
+    if scorer.certify {
+        state.refresh_summary();
     }
+    let from = current.map(|cur| {
+        provider.detach(record, cur);
+        state.detach(cur, w)
+    });
+    let view = LoadView {
+        loads: &state.loads,
+        summary: &state.summary,
+        expected: &state.expected,
+    };
     let decision = scorer.decide(
         provider,
         record,
         &state.partition,
-        current,
         cost,
         alpha,
-        &state.loads,
-        &state.expected,
+        current,
+        view,
     );
     set_part(
         provider,
@@ -762,7 +969,7 @@ fn place_live<P: ConnectivityProvider>(
         decision.part,
         &mut scorer.scratch,
     );
-    state.loads[decision.part as usize] += w;
+    state.attach(decision.part, w, from);
     provider.attach(record, decision.part);
     decision
 }
@@ -830,6 +1037,9 @@ struct EngineMetrics {
     /// Wall-clock of each comm-cost evaluation (per pass and final),
     /// microseconds.
     commcost_eval_us: Histogram,
+    /// Wall-clock of the provider sync at the start of each run,
+    /// microseconds.
+    sync_us: Histogram,
     /// Vertices visited across all passes (each pass streams the source
     /// once), certified visits included.
     vertices_scored: Counter,
@@ -847,6 +1057,9 @@ struct EngineMetrics {
     steal_chunk_claims: Counter,
     /// Batch-boundary applies (work-stealing strategy).
     steal_batch_applies: Counter,
+    /// Wall-clock of each batch fill on the engine thread, the empty fill
+    /// that ends a pass included, microseconds (work-stealing strategy).
+    steal_fill_us: Histogram,
     /// Wall-clock of each batch's thread team, spawn to join,
     /// microseconds (work-stealing strategy).
     steal_team_us: Histogram,
@@ -860,6 +1073,7 @@ impl EngineMetrics {
         EngineMetrics {
             pass_time_us: registry.histogram("engine.pass_time_us"),
             commcost_eval_us: registry.histogram("engine.commcost_eval_us"),
+            sync_us: registry.histogram("engine.sync_us"),
             vertices_scored: registry.counter("engine.vertices_scored"),
             certified_visits: registry.counter("engine.certified_visits"),
             proven_stays: registry.counter("engine.proven_stays"),
@@ -867,6 +1081,7 @@ impl EngineMetrics {
             doubt_bytes: registry.gauge("engine.doubt.bytes"),
             steal_chunk_claims: registry.counter("engine.steal.chunk_claims"),
             steal_batch_applies: registry.counter("engine.steal.batch_applies"),
+            steal_fill_us: registry.histogram("engine.steal.fill_us"),
             steal_team_us: registry.histogram("engine.steal.team_us"),
             steal_apply_us: registry.histogram("engine.steal.apply_us"),
         }
@@ -933,11 +1148,7 @@ impl Engine {
         // on-disk source takes from its file header: refuse, don't abort.
         let partition = Partition::try_round_robin(n, p as u32)
             .map_err(|e| IoError::out_of_memory(&format!("{n} vertex assignments"), e))?;
-        let mut state = EngineState {
-            partition,
-            loads: vec![0.0f64; p],
-            expected: vec![expected_load; p],
-        };
+        let mut state = EngineState::new(partition, vec![0.0f64; p], vec![expected_load; p]);
         let assigned = match config.initial {
             InitialAssignment::RoundRobin => {
                 self.seed_round_robin(source, provider, &mut state)?;
@@ -994,11 +1205,7 @@ impl Engine {
         let e = source.num_nets();
         let total_weight: f64 = warm.loads.iter().sum();
         let expected_load = (total_weight / p as f64).max(f64::MIN_POSITIVE);
-        let state = EngineState {
-            partition: warm.partition,
-            loads: warm.loads,
-            expected: vec![expected_load; p],
-        };
+        let state = EngineState::new(warm.partition, warm.loads, vec![expected_load; p]);
         self.run_loop(cost, source, provider, state, true, n, e)
     }
 
@@ -1022,7 +1229,9 @@ impl Engine {
     {
         let p = state.loads.len();
         let config = &self.config;
+        let sync_span = self.metrics.sync_us.span();
         provider.sync(&state.partition, source.visits());
+        sync_span.finish();
 
         let mut alpha = config
             .initial_alpha
@@ -1107,6 +1316,10 @@ impl Engine {
             debug_assert!(
                 consistent(provider, &state.partition, cost),
                 "provider state drifted from the assignment by the end of pass {pass}"
+            );
+            debug_assert!(
+                state.summary_agrees(),
+                "a load write left the summary stale by the end of pass {pass}"
             );
             self.metrics.doubt_entries.set(doubts.heap.len() as i64);
             self.metrics.doubt_bytes.set(doubts.bytes as i64);
@@ -1270,7 +1483,7 @@ impl Engine {
         let mut record = VertexRecord::default();
         while source.next_into(&mut record)? {
             let part = record.vertex % p;
-            state.loads[part as usize] += record.weight;
+            state.attach(part, record.weight, None);
             provider.attach(&record, part);
         }
         source.reset()
@@ -1413,29 +1626,53 @@ impl Engine {
                             slot.delta.iter_mut().for_each(|d| *d = 0.0);
                             slot.loads_view.clear();
                             slot.loads_view.extend_from_slice(snapshot_loads);
+                            let certify = slot.scorer.certify;
+                            if certify {
+                                slot.summary = LoadSummary::of(&slot.loads_view);
+                            }
                             let mut local: Vec<(u32, f64)> = Vec::with_capacity(chunk.len());
                             for record in chunk {
                                 let w = record.weight;
                                 let current = assigned.then(|| snapshot.part_of(record.vertex));
-                                if let Some(cur) = current {
+                                let held = current.map(|cur| {
                                     let cur = cur as usize;
+                                    let held = slot.loads_view[cur];
                                     slot.delta[cur] -= w;
                                     slot.loads_view[cur] =
                                         snapshot_loads[cur] + slot.delta[cur] * scale;
-                                }
+                                    held
+                                });
+                                let view = LoadView {
+                                    loads: &slot.loads_view,
+                                    summary: &slot.summary,
+                                    expected,
+                                };
                                 let decision = slot.scorer.decide(
                                     provider_ref,
                                     record,
                                     snapshot,
-                                    current,
                                     cost,
                                     config_alpha,
-                                    &slot.loads_view,
-                                    expected,
+                                    current,
+                                    view,
                                 );
                                 let t = decision.part as usize;
                                 slot.delta[t] += w;
                                 slot.loads_view[t] = snapshot_loads[t] + slot.delta[t] * scale;
+                                // The visit wrote at most its two entries:
+                                // unless it stayed and its entry regained
+                                // its bits, the summary is stale.
+                                let kept = current == Some(decision.part)
+                                    && held.is_some_and(|h| {
+                                        h.to_bits() == slot.loads_view[t].to_bits()
+                                    });
+                                if certify && !kept {
+                                    slot.summary = LoadSummary::of(&slot.loads_view);
+                                }
+                                debug_assert!(
+                                    !certify || slot.summary == LoadSummary::of(&slot.loads_view),
+                                    "a window visit left the summary stale"
+                                );
                                 local.push((decision.part, decision.margin));
                             }
                             local
@@ -1457,10 +1694,10 @@ impl Engine {
                     let v = record.vertex;
                     let w = record.weight;
                     let current = assigned.then(|| state.partition.part_of(v));
-                    if let Some(cur) = current {
-                        state.loads[cur as usize] -= w;
+                    let from = current.map(|cur| {
                         provider.detach(record, cur);
-                    }
+                        state.detach(cur, w)
+                    });
                     set_part(
                         provider,
                         &mut state.partition,
@@ -1468,7 +1705,7 @@ impl Engine {
                         target,
                         &mut slots[0].scorer.scratch,
                     );
-                    state.loads[target as usize] += w;
+                    state.attach(target, w, from);
                     provider.attach(record, target);
                     if current != Some(target) {
                         moved += 1;
@@ -1500,10 +1737,14 @@ impl Engine {
     /// [`ConnectivityProvider::moved`] and then the pass's move epoch,
     /// with release ordering. A worker caches the loads and their `f64`
     /// view in its cache-line-aligned [`WorkerSlot`] and reloads them only
-    /// when the epoch, read with acquire ordering, has moved since; a
-    /// visit detaches its vertex's own weight by patching one entry of
-    /// that view and restores it after the decision. Most visits therefore
-    /// cause no cross-core traffic at all.
+    /// when the epoch, read with acquire ordering, has moved since, and
+    /// recomputes the view's [`LoadSummary`] with each reload. A visit
+    /// runs the certificate step ([`Scorer::check`]) first, with its
+    /// current part's detached load `fixed − w` passed on its own, so a
+    /// certified visit neither patches nor restores the view; a visit that
+    /// step does not settle patches that one entry, is scored, and
+    /// restores it. Most visits therefore cause no cross-core traffic and
+    /// touch none of the `p` loads.
     ///
     /// Each worker logs what the boundary must apply. For a provider whose
     /// counts follow the live assignment, with the doubt buffer off, that
@@ -1567,6 +1808,7 @@ impl Engine {
         loop {
             // Fill the batch on the engine thread (reusing allocations) so
             // IO errors surface before any worker is spawned.
+            let fill_span = self.metrics.steal_fill_us.span();
             let mut len = 0usize;
             while len < batch_cap {
                 if batch.len() == len {
@@ -1577,6 +1819,7 @@ impl Engine {
                 }
                 len += 1;
             }
+            fill_span.finish();
             if len == 0 {
                 break;
             }
@@ -1602,6 +1845,7 @@ impl Engine {
 
                 let run_worker = |slot: &mut WorkerSlot<P::Scratch>| {
                     slot.loads_view.resize(p, 0.0);
+                    let certify = slot.scorer.certify;
                     // The counters were re-synced since the last batch.
                     slot.epoch = STALE_EPOCH;
                     slot.log.clear();
@@ -1618,29 +1862,64 @@ impl Engine {
                                     *fixed = counter.load(AtomicOrdering::Relaxed);
                                     *local = from_fixed(*fixed);
                                 }
+                                if certify {
+                                    slot.summary = LoadSummary::of(&slot.loads_view);
+                                }
                             }
-                            // Score with the vertex detached from its
-                            // current part in the private view only.
+                            debug_assert!(
+                                !certify || slot.summary == LoadSummary::of(&slot.loads_view),
+                                "the cached loads changed without a reload"
+                            );
+                            // The certificate step reads the current
+                            // part's detached load on its own; only a
+                            // visit it does not settle patches the view
+                            // (and restores it after scoring).
                             let prior = view.part_of(record.vertex);
                             let current = assigned.then_some(prior);
-                            if let Some(cur) = current {
-                                let cur = cur as usize;
-                                slot.loads_view[cur] = from_fixed(slot.fixed_loads[cur] - w);
-                            }
-                            let decision = slot.scorer.decide(
+                            let home = current
+                                .map(|cur| (cur, from_fixed(slot.fixed_loads[cur as usize] - w)));
+                            let loads = LoadView {
+                                loads: &slot.loads_view,
+                                summary: &slot.summary,
+                                expected,
+                            };
+                            let check = slot.scorer.check(
                                 provider_ref,
                                 record,
                                 view,
-                                current,
                                 cost,
                                 alpha,
-                                &slot.loads_view,
-                                expected,
+                                home,
+                                loads,
                             );
-                            if let Some(cur) = current {
-                                let cur = cur as usize;
-                                slot.loads_view[cur] = from_fixed(slot.fixed_loads[cur]);
-                            }
+                            let decision = match check {
+                                Check::Stays(decision) => decision,
+                                Check::Score(stamp) => {
+                                    if let Some((cur, own)) = home {
+                                        slot.loads_view[cur as usize] = own;
+                                    }
+                                    let loads = LoadView {
+                                        loads: &slot.loads_view,
+                                        summary: &slot.summary,
+                                        expected,
+                                    };
+                                    let decision = slot.scorer.score(
+                                        provider_ref,
+                                        record,
+                                        view,
+                                        cost,
+                                        alpha,
+                                        current,
+                                        stamp,
+                                        loads,
+                                    );
+                                    if let Some(cur) = current {
+                                        let cur = cur as usize;
+                                        slot.loads_view[cur] = from_fixed(slot.fixed_loads[cur]);
+                                    }
+                                    decision
+                                }
+                            };
                             let target = decision.part;
                             let moving = current != Some(target);
                             if moving {
@@ -1701,15 +1980,15 @@ impl Engine {
                 let (v, w) = (record.vertex, record.weight);
                 let prior = state.partition.part_of(v);
                 let current = assigned.then_some(prior);
-                if let Some(cur) = current {
-                    state.loads[cur as usize] -= w;
+                let from = current.map(|cur| {
                     provider.detach(record, cur);
-                }
+                    state.detach(cur, w)
+                });
                 if prior != target {
                     provider.replay(v, prior, target, &state.partition, &mut scorer.scratch);
                     state.partition.set(v, target);
                 }
-                state.loads[target as usize] += w;
+                state.attach(target, w, from);
                 provider.attach(record, target);
                 if current != Some(target) {
                     moved += 1;
@@ -1785,7 +2064,15 @@ impl AssignmentRef for AtomicAssignment {
 const LOAD_FRACTION_BITS: u32 = 24;
 
 fn to_fixed(load: f64) -> i64 {
-    (load * (1i64 << LOAD_FRACTION_BITS) as f64).round() as i64
+    let scaled = load * (1i64 << LOAD_FRACTION_BITS) as f64;
+    // Integer weights scale to integers, which rounding would return
+    // unchanged: skip the `round` call for them.
+    let whole = scaled as i64;
+    if whole as f64 == scaled {
+        whole
+    } else {
+        scaled.round() as i64
+    }
 }
 
 fn from_fixed(load: i64) -> f64 {

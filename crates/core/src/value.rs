@@ -15,6 +15,14 @@
 //! terms ([`comm_terms`]) and the selection ([`select_partition`]), so
 //! the engine can take a current part's gap from the terms
 //! ([`terms_gap`]) and prove a stay before it selects.
+//!
+//! The load half of that proof needs only the lightest and heaviest
+//! loads. The engine keeps them in a [`LoadSummary`] next to each load
+//! view and checks a stay with [`certified_margin_with`] in O(1), the
+//! visit's own detached load passed in separately; it recomputes the
+//! summary only when a write changes a load's bits. Min and max select
+//! an input without rounding, so the O(1) check is bit-identical to
+//! [`certified_margin`]'s scan of all `p` loads.
 
 use hyperpraw_topology::CostMatrix;
 
@@ -187,6 +195,85 @@ fn min_max(xs: &[f64]) -> (f64, f64) {
     )
 }
 
+/// The extremes of a load vector that a stay certificate reads: the
+/// lightest load and its part, the lightest load of the other parts, and
+/// likewise for the heaviest. NaN entries are skipped, as the scan of
+/// [`certified_margin`] skips them.
+///
+/// A summary answers for a visit on part `o` as long as no entry other
+/// than `o`'s has changed since [`LoadSummary::of`] read the loads:
+/// [`certified_margin_with`] takes `o`'s own load separately and reads
+/// only the other parts' extremes from here. So the visit's own detach
+/// never stales it, and the engine recomputes it only after a write that
+/// changes a load's bits.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct LoadSummary {
+    parts: usize,
+    lightest: f64,
+    lightest_part: usize,
+    /// The lightest load of the parts other than `lightest_part`.
+    lightest_other: f64,
+    heaviest: f64,
+    heaviest_part: usize,
+    /// The heaviest load of the parts other than `heaviest_part`.
+    heaviest_other: f64,
+}
+
+impl LoadSummary {
+    /// Summarises `loads` in one pass.
+    pub fn of(loads: &[f64]) -> Self {
+        let mut summary = LoadSummary {
+            parts: loads.len(),
+            lightest: f64::INFINITY,
+            lightest_part: usize::MAX,
+            lightest_other: f64::INFINITY,
+            heaviest: f64::NEG_INFINITY,
+            heaviest_part: usize::MAX,
+            heaviest_other: f64::NEG_INFINITY,
+        };
+        for (i, &w) in loads.iter().enumerate() {
+            if w < summary.lightest {
+                summary.lightest_other = summary.lightest;
+                summary.lightest = w;
+                summary.lightest_part = i;
+            } else if w < summary.lightest_other {
+                summary.lightest_other = w;
+            }
+            if w > summary.heaviest {
+                summary.heaviest_other = summary.heaviest;
+                summary.heaviest = w;
+                summary.heaviest_part = i;
+            } else if w > summary.heaviest_other {
+                summary.heaviest_other = w;
+            }
+        }
+        summary
+    }
+
+    /// The lightest and the heaviest load of the parts other than `part`
+    /// (`+∞` and `−∞` when there is none).
+    fn rivals(&self, part: usize) -> (f64, f64) {
+        let low = if part == self.lightest_part {
+            self.lightest_other
+        } else {
+            self.lightest
+        };
+        let high = if part == self.heaviest_part {
+            self.heaviest_other
+        } else {
+            self.heaviest
+        };
+        (low, high)
+    }
+}
+
+impl Default for LoadSummary {
+    /// The summary of no loads.
+    fn default() -> Self {
+        LoadSummary::of(&[])
+    }
+}
+
 /// Proves that a vertex whose counts give communication gap `gap` for
 /// `part` — the winner's [`ScoredPartition::gap`] of an earlier scoring,
 /// or any part's [`terms_gap`] — goes to `part` when the same counts are
@@ -206,6 +293,10 @@ fn min_max(xs: &[f64]) -> (f64, f64) {
 /// `α·max_k |W(k)| / E`, the scorer's computed values keep `o` strictly
 /// ahead and its scan ([`best_partition_with_margin`],
 /// [`best_partition_in`]) returns `o` whatever the tie-breaking.
+///
+/// This is [`certified_margin_with`] over `loads[part]` and the
+/// [`LoadSummary`] of `loads`; the engine keeps the summary instead of
+/// scanning the loads on every visit.
 pub fn certified_margin(
     gap: f64,
     part: u32,
@@ -213,20 +304,49 @@ pub fn certified_margin(
     loads: &[f64],
     expected: f64,
 ) -> Option<f64> {
-    if loads.len() == 1 {
+    certified_margin_with(
+        gap,
+        part,
+        loads[part as usize],
+        &LoadSummary::of(loads),
+        alpha,
+        expected,
+    )
+}
+
+/// [`certified_margin`] in O(1): `own` is `part`'s load with the vertex
+/// detached, and `summary` answers for the other parts' loads (see
+/// [`LoadSummary`] for when it may be older than `own`).
+///
+/// The lightest rival is the summary's lightest load, or its runner-up
+/// when the lightest is `part` itself, and the same for the heaviest. The
+/// lightest and heaviest load overall are the smaller and the larger of
+/// `own` and those. Min and max select one of their inputs and never
+/// round, so every quantity equals what the scan of all the loads
+/// computes, and the bound and the slack follow from them with the same
+/// arithmetic: the result is bit-identical to [`certified_margin`] over
+/// the loads the summary read with `part`'s entry set to `own`.
+pub fn certified_margin_with(
+    gap: f64,
+    part: u32,
+    own: f64,
+    summary: &LoadSummary,
+    alpha: f64,
+    expected: f64,
+) -> Option<f64> {
+    if summary.parts == 1 {
         return Some(gap);
     }
-    let own = loads[part as usize];
-    let (lightest, heaviest) = min_max(loads);
-    // The lightest part is a rival unless it is `part` itself.
-    let lightest_rival = if own > lightest {
-        lightest
+    let (lightest_rival, heaviest_rival) = summary.rivals(part as usize);
+    let lightest = if own < lightest_rival {
+        own
     } else {
-        let rivals = loads
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != part as usize);
-        rivals.fold(f64::INFINITY, |low, (_, &w)| low.min(w))
+        lightest_rival
+    };
+    let heaviest = if own > heaviest_rival {
+        own
+    } else {
+        heaviest_rival
     };
     let magnitude = lightest.abs().max(heaviest.abs());
     let bound = gap - alpha * (own - lightest_rival) / expected;

@@ -21,12 +21,19 @@
 //! applies the same [`certified_margin`]. That part need not be the one
 //! the terms favour, so the second test draws it at random and checks
 //! every proof against the scorer ([`best_partition_in`]).
+//!
+//! The engine checks both proofs in O(1) with [`certified_margin_with`]
+//! over a [`LoadSummary`] it keeps of the loads, the visit's own detached
+//! load passed in separately. The third test requires that check to
+//! return exactly what the scan of all the loads returned before the
+//! summary existed (`scanned_margin`, a frozen copy), as `Option<f64>`
+//! bits.
 
 use proptest::prelude::*;
 
 use hyperpraw_core::value::{
-    best_partition_in, best_partition_with_margin, certified_margin, comm_gap_in, comm_terms,
-    terms_gap, ValueScratch,
+    best_partition_in, best_partition_with_margin, certified_margin, certified_margin_with,
+    comm_gap_in, comm_terms, terms_gap, LoadSummary, ValueScratch,
 };
 use hyperpraw_core::CostMatrix;
 use hyperpraw_topology::{BandwidthMatrix, MachineModel};
@@ -192,5 +199,140 @@ proptest! {
             }
         }
         prop_assert!(proven > 0);
+    }
+}
+
+/// `certified_margin` as it was before the load summary: a scan of every
+/// load in four lanes, then a second scan of the rivals when `part` is the
+/// lightest. Frozen here as the reference of the O(1) check.
+fn scanned_margin(gap: f64, part: u32, alpha: f64, loads: &[f64], expected: f64) -> Option<f64> {
+    if loads.len() == 1 {
+        return Some(gap);
+    }
+    let own = loads[part as usize];
+    let (lightest, heaviest) = scanned_min_max(loads);
+    let lightest_rival = if own > lightest {
+        lightest
+    } else {
+        let rivals = loads
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != part as usize);
+        rivals.fold(f64::INFINITY, |low, (_, &w)| low.min(w))
+    };
+    let magnitude = lightest.abs().max(heaviest.abs());
+    let bound = gap - alpha * (own - lightest_rival) / expected;
+    (bound > 1e-12 + 64.0 * f64::EPSILON * alpha * magnitude / expected).then_some(bound)
+}
+
+fn scanned_min_max(xs: &[f64]) -> (f64, f64) {
+    let mut low = [f64::INFINITY; 4];
+    let mut high = [f64::NEG_INFINITY; 4];
+    let mut chunks = xs.chunks_exact(4);
+    for chunk in &mut chunks {
+        for k in 0..4 {
+            let x = chunk[k];
+            low[k] = if x < low[k] { x } else { low[k] };
+            high[k] = if x > high[k] { x } else { high[k] };
+        }
+    }
+    for &x in chunks.remainder() {
+        low[0] = if x < low[0] { x } else { low[0] };
+        high[0] = if x > high[0] { x } else { high[0] };
+    }
+    (
+        low.into_iter().fold(f64::INFINITY, f64::min),
+        high.into_iter().fold(f64::NEG_INFINITY, f64::max),
+    )
+}
+
+/// Part counts of the summary test.
+const SUMMARY_PARTS: [usize; 6] = [1, 2, 3, 8, 24, 64];
+
+/// Loads as the summary reads them: random, few distinct values (so the
+/// lightest and heaviest repeat), all equal, or random with zeros of
+/// either sign.
+fn summarised_loads(p: usize, rng: &mut Stream) -> Vec<f64> {
+    let scale = [1.0, 37.5, 1e6][rng.below(3)];
+    match rng.below(4) {
+        0 => (0..p).map(|_| rng.next() * scale).collect(),
+        1 => {
+            let levels = [rng.next() * scale, rng.next() * scale, rng.next() * scale];
+            (0..p).map(|_| levels[rng.below(3)]).collect()
+        }
+        2 => vec![rng.next() * scale; p],
+        _ => (0..p)
+            .map(|_| match rng.below(4) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.next() * scale,
+            })
+            .collect(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn the_summary_check_is_bit_identical_to_the_scan(
+        p_index in 0usize..SUMMARY_PARTS.len(),
+        seed in 1u64..u64::MAX,
+    ) {
+        let p = SUMMARY_PARTS[p_index];
+        let mut rng = Stream(seed);
+        let (mut settled, mut refused) = (0usize, 0usize);
+        for _ in 0..256 {
+            let loads = summarised_loads(p, &mut rng);
+            let summary = LoadSummary::of(&loads);
+            let part = rng.below(p);
+            let (low, high) = scanned_min_max(&loads);
+            // The visit's own detached load: what the summary read, a
+            // weight off it, the lightest or heaviest load (a tie with a
+            // rival), below every load, above every load, or zero.
+            let own = match rng.below(7) {
+                0 => loads[part],
+                1 => loads[part] - [0.1, 1.0, 2.9][rng.below(3)],
+                2 => low,
+                3 => high,
+                4 => low - 1.0 - rng.next(),
+                5 => high + 1.0 + rng.next(),
+                _ => 0.0,
+            };
+            let mut detached = loads.clone();
+            detached[part] = own;
+            let expected = 0.5 + rng.next() * 40.0;
+            let alpha = [0.0, rng.next(), rng.next() * 1e3][rng.below(3)];
+            // Gaps around the threshold the loads set, so that both
+            // outcomes and the boundary between them occur.
+            let (rival_low, _) = scanned_min_max(
+                &detached
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| i != part)
+                    .map(|(_, &w)| w)
+                    .collect::<Vec<_>>(),
+            );
+            let needed = if rival_low.is_finite() {
+                alpha * (own - rival_low) / expected
+            } else {
+                0.0
+            };
+            let gap = needed + [-1e-9, 0.0, 1e-12, 2e-12, 1e-9, rng.next()][rng.below(6)];
+            let at = format!("p {p}, part {part}, own {own}, loads {loads:?}");
+            let scan = scanned_margin(gap, part as u32, alpha, &detached, expected);
+            let fast = certified_margin_with(gap, part as u32, own, &summary, alpha, expected);
+            prop_assert_eq!(fast.map(f64::to_bits), scan.map(f64::to_bits), "{}", at);
+            let composed = certified_margin(gap, part as u32, alpha, &detached, expected);
+            prop_assert_eq!(composed.map(f64::to_bits), scan.map(f64::to_bits), "{}", at);
+            if scan.is_some() {
+                settled += 1;
+            } else {
+                refused += 1;
+            }
+        }
+        prop_assert!(settled > 0);
+        // A single part settles every visit.
+        prop_assert!(p == 1 || refused > 0);
     }
 }

@@ -24,7 +24,9 @@ use hyperpraw_hypergraph::generators::{
     RandomConfig,
 };
 use hyperpraw_hypergraph::traversal::NeighborScratch;
-use hyperpraw_hypergraph::{AdjacencyBudget, Hypergraph, NeighborAdjacency, Partition, VertexId};
+use hyperpraw_hypergraph::{
+    AdjacencyBudget, Hypergraph, HypergraphBuilder, NeighborAdjacency, Partition, VertexId,
+};
 use hyperpraw_topology::{BandwidthMatrix, MachineModel};
 
 /// The seed driver's scorer: evaluate `value_of` per candidate with the
@@ -211,9 +213,39 @@ fn assert_matches(engine: &ReferenceResult, reference: &ReferenceResult, label: 
     }
 }
 
+/// `hg` with vertex weights cycling through `weights`.
+fn reweighted(hg: &Hypergraph, weights: &[f64]) -> Hypergraph {
+    let mut builder = HypergraphBuilder::new(hg.num_vertices());
+    for (e, pins) in hg.iter_edges() {
+        builder.add_weighted_hyperedge(pins.iter().copied(), hg.edge_weight(e));
+    }
+    for v in hg.vertices() {
+        builder.set_vertex_weight(v, weights[v as usize % weights.len()]);
+    }
+    builder.build()
+}
+
 fn suite() -> Vec<(&'static str, Hypergraph)> {
+    let mesh = mesh_hypergraph(&MeshConfig::new(600, 8));
+    // A stay detaches and re-attaches its weight, `(L − w) + w`, which
+    // rounds back to `L` unless `L − w` is a tie: then both steps round to
+    // even, and an odd `L` moves by one ulp. Each of the last four weights
+    // lies half an ulp off the grid of the loads in one binade from
+    // [16, 32) to [128, 256), so every part count here makes stays that
+    // change a load's bits.
+    let weights = [
+        0.1,
+        0.7,
+        1.3,
+        2.9,
+        0.5 + 2f64.powi(-49),
+        1.0 + 2f64.powi(-48),
+        1.5 + 2f64.powi(-47),
+        2.0 + 2f64.powi(-46),
+    ];
     vec![
-        ("mesh", mesh_hypergraph(&MeshConfig::new(600, 8))),
+        ("weighted-mesh", reweighted(&mesh, &weights)),
+        ("mesh", mesh),
         (
             "random",
             random_hypergraph(&RandomConfig::with_avg_cardinality(400, 300, 5.0, 7)),

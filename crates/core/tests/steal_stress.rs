@@ -86,6 +86,65 @@ fn weighted_vertices_keep_the_load_accounting_exact() {
 }
 
 #[test]
+fn fractional_weights_keep_every_load_summary_exact() {
+    // Each strategy keeps a summary of its load view for the O(1) stay
+    // check, and debug builds compare every check against a scan of the
+    // view and every kept summary against a fresh one. Stays change the
+    // loads without a move: the decimal weights round in the window
+    // workers' `delta` sums, and each of the others lies half an ulp off
+    // the grid of the loads in one binade, where a stay's `(L − w) + w`
+    // rounds to a neighbour of an odd `L`. Windows of 50 leave one vertex
+    // of 601 to the last window of each bulk-synchronous pass, which runs
+    // on the loads the window applies wrote. A summary holds four loads,
+    // so at p = 4 every changed load changes it.
+    let mesh = mesh_hypergraph(&MeshConfig::new(601, 8));
+    assert_eq!(mesh.num_vertices() % 50, 1);
+    let weights = [
+        0.1,
+        0.7,
+        1.3,
+        2.9,
+        0.5 + 2f64.powi(-49),
+        1.0 + 2f64.powi(-48),
+        1.5 + 2f64.powi(-47),
+        2.0 + 2f64.powi(-46),
+    ];
+    let mut builder = HypergraphBuilder::new(mesh.num_vertices());
+    for (_, pins) in mesh.iter_edges() {
+        builder.add_hyperedge(pins.iter().copied());
+    }
+    for v in mesh.vertices() {
+        builder.set_vertex_weight(v, weights[v as usize % weights.len()]);
+    }
+    let hg = builder.build();
+    let config = HyperPrawConfig {
+        max_iterations: 30,
+        ..HyperPrawConfig::default()
+    };
+    for (p, threads) in [(4, 2), (4, 4), (24, 2), (24, 4)] {
+        let run = |parallel: ParallelConfig| {
+            HyperPraw::new(config, CostMatrix::uniform(p as usize))
+                .with_parallel(parallel)
+                .partition(&hg)
+        };
+        let at = format!("p {p}, {threads} threads");
+        let bsp = ParallelConfig {
+            sync_interval: 50,
+            ..ParallelConfig::with_threads(threads)
+        };
+        let first = run(bsp);
+        check(&hg, &first, p, &format!("bsp, {at}"));
+        assert_eq!(first.partition, run(bsp).partition, "bsp, {at}");
+        check(
+            &hg,
+            &run(ParallelConfig::stealing(threads)),
+            p,
+            &format!("steal, {at}"),
+        );
+    }
+}
+
+#[test]
 fn hub_counts_stay_exact_under_eight_threads() {
     // About one vertex in nine is a hub under the automatic budget, so
     // workers shift shared hub counts on most moves. In debug builds the
