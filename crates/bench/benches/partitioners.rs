@@ -6,19 +6,18 @@
 //! The `hyperpraw_basic`/`hyperpraw_aware`/`hyperpraw_refine` entries time
 //! the unified restreaming engine's sequential strategy; their `_adj`
 //! suffix (answers from the precomputed dedup adjacency) is kept so the
-//! ids stay comparable with earlier snapshots. The `hyperpraw_parallel`
-//! and `hyperpraw_steal` entries run the same partitioner through
-//! `HyperPraw::with_parallel`: the bulk-synchronous schedule, and the
-//! work-stealing strategy swept over a thread ladder (1 is the
-//! sequential-dispatch floor). The `lowmem_bsp_sketched` entries time the
-//! engine combination none of the pre-engine drivers could express:
-//! bulk-synchronous workers over the sketched out-of-core connectivity
-//! provider. Medians land in `target/BENCH_partitioners.json`.
+//! ids stay comparable with earlier snapshots. The `hyperpraw_steal`
+//! entries run the same partitioner through `HyperPraw::with_threads`,
+//! the work-stealing strategy swept over a thread ladder (1 is the
+//! sequential floor). The `lowmem_steal_sketched` entries time the engine
+//! combination none of the pre-engine drivers could express: work-stealing
+//! workers over the sketched out-of-core connectivity provider. Medians
+//! land in `target/BENCH_partitioners.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use hyperpraw_bench::Testbed;
-use hyperpraw_core::{HyperPraw, HyperPrawConfig, ParallelConfig};
+use hyperpraw_core::{HyperPraw, HyperPrawConfig};
 use hyperpraw_hypergraph::generators::{mesh_hypergraph, MeshConfig};
 use hyperpraw_lowmem::{LowMemConfig, LowMemPartitioner};
 use hyperpraw_multilevel::{MultilevelConfig, MultilevelPartitioner};
@@ -53,34 +52,24 @@ fn bench_partitioners(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("hyperpraw_refine_adj", p), |b| {
         b.iter(|| HyperPraw::basic(refine, p as u32).partition(&hg))
     });
-    for threads in [2usize, 4] {
-        group.bench_function(BenchmarkId::new("hyperpraw_parallel", threads), |b| {
-            b.iter(|| {
-                HyperPraw::aware(config, testbed.cost.clone())
-                    .with_parallel(ParallelConfig::with_threads(threads))
-                    .partition(&hg)
-            })
-        });
-    }
     // The work-stealing strategy swept over a thread ladder: the 1-thread
-    // point is the sequential-dispatch floor, and the ratio steal/N over
-    // steal/1 is the strategy's own scaling (no BSP barriers to hide in).
+    // point is the sequential floor, and the ratio steal/N over steal/1 is
+    // the strategy's own scaling.
     for threads in [1usize, 2, 4, 8] {
         group.bench_function(BenchmarkId::new("hyperpraw_steal", threads), |b| {
             b.iter(|| {
                 HyperPraw::aware(config, testbed.cost.clone())
-                    .with_parallel(ParallelConfig::stealing(threads))
+                    .with_threads(threads)
                     .partition(&hg)
             })
         });
     }
     for threads in [1usize, 2, 4, 8] {
-        group.bench_function(BenchmarkId::new("lowmem_bsp_sketched", threads), |b| {
+        group.bench_function(BenchmarkId::new("lowmem_steal_sketched", threads), |b| {
             b.iter(|| {
                 LowMemPartitioner::new(
                     LowMemConfig {
                         threads,
-                        sync_interval: 512,
                         ..LowMemConfig::default()
                     },
                     testbed.cost.clone(),

@@ -9,7 +9,7 @@
 //! subcommand and the code that builds each variant. One loop parses any
 //! subcommand from its table, and [`usage`] is generated from the same
 //! tables, so the two cannot drift apart. Choice values parse straight
-//! into the facade's [`Algorithm`] and [`ParallelMode`] and the CLI's
+//! into the facade's [`Algorithm`] and the CLI's
 //! [`MachinePreset`] and [`StreamFormat`], through one path that prints
 //! each type's own name list when it refuses a value. `serve` parses
 //! straight into [`ServeOptions`], whose `Default` holds the daemon's
@@ -19,7 +19,6 @@ use std::fmt;
 use std::path::PathBuf;
 
 use hyperpraw::api::Algorithm;
-use hyperpraw::core::ParallelMode;
 use hyperpraw::json::MAX_EXACT_INTEGER;
 
 use crate::serve::ServeOptions;
@@ -169,8 +168,6 @@ choice_values! {
     MachinePreset: |s| lookup(&MachinePreset::NAMES, s), names(&MachinePreset::NAMES);
     StreamFormat: |s| lookup(&StreamFormat::NAMES, s), names(&StreamFormat::NAMES);
     Algorithm: |s| Algorithm::parse(s).ok(), Algorithm::expected_names().into();
-    ParallelMode: ParallelMode::parse, names(&[ParallelMode::Bsp, ParallelMode::WorkStealing]
-        .map(|mode| (mode.name(), mode)));
 }
 
 fn lookup<T: Copy>(names: &[(&str, T)], name: &str) -> Option<T> {
@@ -329,10 +326,8 @@ subcommands! {
         /// Imbalance tolerance.
         imbalance: f64 = "--imbalance", default "1.1";
         /// Worker threads of a restreaming or lowmem algorithm (1 = sequential,
-        /// the default; 0 = auto).
+        /// the default; more = work stealing; 0 = auto).
         threads: Option<usize> = "--threads" "-t";
-        /// Worker scheduling above one thread.
-        parallel_mode: ParallelMode = "--parallel-mode", default "bsp";
         /// RNG seed.
         seed: u64 as Seed = "--seed", default "2019";
         /// Where to write the assignment, one partition id per line.
@@ -365,10 +360,8 @@ subcommands! {
         passes: usize = "--passes", default "1";
         /// Rebuild the sketches between passes to shed staleness.
         rebuild_sketches: bool = "--rebuild-sketches";
-        /// Worker threads (1 = sequential, 0 = auto).
+        /// Worker threads (1 = sequential, more = work stealing, 0 = auto).
         threads: usize = "--threads" "-t", default "1";
-        /// Worker scheduling.
-        parallel_mode: ParallelMode = "--parallel-mode", default "bsp";
         /// Machine preset of the cost matrix.
         machine: MachinePreset = "--machine" "-m", default "archer";
         /// RNG seed.
@@ -684,7 +677,6 @@ mod tests {
                 machine,
                 imbalance,
                 threads,
-                parallel_mode,
                 seed,
                 output,
                 json,
@@ -697,7 +689,6 @@ mod tests {
                 assert_eq!(machine, MachinePreset::Cloud);
                 assert!((imbalance - 1.05).abs() < 1e-12);
                 assert_eq!(threads, Some(3));
-                assert_eq!(parallel_mode, ParallelMode::Bsp);
                 assert_eq!(seed, 7);
                 assert_eq!(output, Some(PathBuf::from("out.txt")));
                 assert!(json);
@@ -738,47 +729,16 @@ mod tests {
     }
 
     #[test]
-    fn parses_parallel_mode_on_partition_and_lowmem() {
-        match Cli::parse(argv(
-            "partition app.hgr --parts 8 -a parallel-basic --threads 4 --parallel-mode steal",
-        ))
-        .unwrap()
-        .command
+    fn lowmem_threads_zero_reaches_the_auto_detect() {
+        match Cli::parse(argv("lowmem big.hgr --parts 8 --threads 0"))
+            .unwrap()
+            .command
         {
-            Command::Partition { parallel_mode, .. } => {
-                assert_eq!(parallel_mode, ParallelMode::WorkStealing);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        match Cli::parse(argv(
-            "lowmem big.hgr --parts 8 --threads 0 --parallel-mode steal",
-        ))
-        .unwrap()
-        .command
-        {
-            Command::LowMem {
-                parallel_mode,
-                threads,
-                ..
-            } => {
-                assert_eq!(parallel_mode, ParallelMode::WorkStealing);
+            Command::LowMem { threads, .. } => {
                 assert_eq!(threads, 0, "0 reaches the facade's auto-detect");
             }
             other => panic!("wrong command {other:?}"),
         }
-        match Cli::parse(argv("lowmem big.hgr --parts 8"))
-            .unwrap()
-            .command
-        {
-            Command::LowMem { parallel_mode, .. } => {
-                assert_eq!(parallel_mode, ParallelMode::Bsp);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        assert!(matches!(
-            Cli::parse(argv("partition app.hgr --parts 8 --parallel-mode chaotic")).unwrap_err(),
-            ParseError::InvalidValue { .. }
-        ));
     }
 
     #[test]

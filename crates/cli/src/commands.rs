@@ -14,7 +14,7 @@ use std::path::Path;
 
 use hyperpraw::api::{Algorithm, PartitionError, PartitionJob};
 use hyperpraw::core::metrics::QualityReport;
-use hyperpraw::core::{CostMatrix, ParallelMode};
+use hyperpraw::core::CostMatrix;
 use hyperpraw::hypergraph::generators::{mesh_hypergraph, MeshConfig};
 use hyperpraw::hypergraph::io::stream::{
     read_hgr_header, stream_edgelist_file, stream_hgr_file, StreamOptions, VertexStream,
@@ -246,7 +246,6 @@ pub fn execute(cli: &Cli, out: &mut dyn Write) -> Result<(), CommandError> {
             machine,
             imbalance,
             threads,
-            parallel_mode,
             seed,
             output,
             json,
@@ -263,14 +262,6 @@ pub fn execute(cli: &Cli, out: &mut dyn Write) -> Result<(), CommandError> {
                     algorithm.name()
                 )));
             }
-            // `bsp` is the default, so only another mode is refused.
-            if *parallel_mode != ParallelMode::Bsp && !algorithm.supports_threads() {
-                return Err(CommandError::Invalid(format!(
-                    "--parallel-mode {} does not apply to {}; pick a restreaming or lowmem algorithm",
-                    parallel_mode.name(),
-                    algorithm.name()
-                )));
-            }
             let (_, cost) = profile(*machine, *parts as usize, *seed);
             let metrics = telemetry::Registry::new();
             let report = PartitionJob::new(*algorithm)
@@ -279,7 +270,6 @@ pub fn execute(cli: &Cli, out: &mut dyn Write) -> Result<(), CommandError> {
                 .seed(*seed)
                 .imbalance_tolerance(*imbalance)
                 .threads(threads.unwrap_or(1))
-                .parallel_mode(*parallel_mode)
                 .registry(&metrics)
                 .run(&hg)?;
             emit_report(
@@ -301,7 +291,6 @@ pub fn execute(cli: &Cli, out: &mut dyn Write) -> Result<(), CommandError> {
             passes,
             rebuild_sketches,
             threads,
-            parallel_mode,
             machine,
             seed,
             output,
@@ -354,7 +343,6 @@ pub fn execute(cli: &Cli, out: &mut dyn Write) -> Result<(), CommandError> {
                 .passes(*passes)
                 .rebuild_sketches(*rebuild_sketches)
                 .threads(*threads)
-                .parallel_mode(*parallel_mode)
                 .seed(*seed)
                 .prefetch(!*no_prefetch)
                 .registry(&metrics);
@@ -768,13 +756,13 @@ mod tests {
     }
 
     #[test]
-    fn lowmem_command_runs_bsp_sketched_restreaming_end_to_end() {
-        // The acceptance scenario of the engine refactor: bulk-synchronous
+    fn lowmem_command_runs_threaded_sketched_restreaming_end_to_end() {
+        // The acceptance scenario of the engine refactor: work-stealing
         // workers over the sketched connectivity provider, with multi-pass
         // restreaming and sketch rebuilds, straight from the CLI.
         let input = sample_hgr();
-        let output = temp_path("lowmem_bsp_assignment.txt");
-        let json_out = temp_path("lowmem_bsp_report.json");
+        let output = temp_path("lowmem_threaded_assignment.txt");
+        let json_out = temp_path("lowmem_threaded_report.json");
         let flags = format!(
             "--passes 2 --rebuild-sketches --threads 3 --seed 7 -o {} --json-out {}",
             output.display(),
@@ -837,14 +825,15 @@ mod tests {
         let input = sample_hgr();
         let json_out = temp_path("steal_report.json");
         let flags = format!(
-            "-a parallel-basic --threads 4 --parallel-mode steal --json-out {}",
+            "-a parallel-basic --threads 4 --json-out {}",
             json_out.display()
         );
         partition(&input, 2, &flags).unwrap();
         let json = fs::read_to_string(&json_out).unwrap();
-        assert!(json.contains("\"parallel_mode\": \"steal\""));
+        // The thread count alone names the schedule.
         assert!(json.contains("\"threads\": 4"));
-        assert!(json.contains("\"sync_interval\": null"));
+        assert!(!json.contains("\"parallel_mode\""));
+        assert!(!json.contains("\"sync_interval\""));
         fs::remove_file(input).ok();
         fs::remove_file(json_out).ok();
     }

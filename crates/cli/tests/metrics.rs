@@ -238,8 +238,6 @@ fn stealing_partition_attributes_its_team_and_boundary_apply() {
             "4",
             "--threads",
             "2",
-            "--parallel-mode",
-            "steal",
             "--metrics-out",
             metrics_out.to_str().unwrap(),
         ])

@@ -26,28 +26,24 @@
 //!   │  (natural/shuffled/    │   exact part counts per   │   (fresh info per
 //!   │   degree order)        │   visited vertex, shifted │    vertex,
 //!   └ StreamSource over any  │   on moves; neighbours by │    deterministic)
-//!      io::stream source     │   traversal or dedup CSR) ├ Chunked BSP
-//!      (on-disk transpose,   ├ lowmem ExactIndex         │   (frozen snapshot
-//!       InMemoryVertexStream)│   (hash maps, exact,      │    + local deltas,
-//!                            │    reversible)            │    deterministic)
-//!                            └ lowmem SketchIndex        └ WorkStealing
-//!                                (Bloom + MinHash,           (atomic cursor,
-//!                                 budget-bounded)            live shared
-//!                                                            state, bounded
-//!                                                            staleness, fast)
+//!      io::stream source     │   traversal or dedup CSR) └ WorkStealing
+//!      (on-disk transpose,   ├ lowmem ExactIndex             (atomic cursor,
+//!       InMemoryVertexStream)│   (hash maps, exact,          live shared
+//!                            │    reversible)                state, bounded
+//!                            └ lowmem SketchIndex            staleness, fast)
+//!                                (Bloom + MinHash,
+//!                                 budget-bounded)
 //! ```
 //!
-//! The three strategies trade information freshness against wall-clock:
+//! The two strategies trade determinism against wall-clock:
 //! **Sequential** is the paper's Algorithm 1 and the determinism anchor;
-//! **Chunked** (bulk-synchronous) keeps bit-reproducible parallel results
-//! by scoring frozen snapshots and applying at window boundaries;
-//! **WorkStealing** drops the barrier entirely — one thread team per
-//! batch claims fixed-size vertex chunks off a shared atomic cursor
+//! **WorkStealing** runs without a barrier — one thread team per batch
+//! claims fixed-size vertex chunks off a shared atomic cursor
 //! ([`hyperpraw_hypergraph::ChunkCursor`]) and scores against *live*
 //! shared state (the assignment as an atomic slice, per-part loads as
 //! fixed-point atomics), accepting bounded staleness in exchange for
-//! near-linear scaling. Both parallel strategies degenerate to the exact
-//! sequential placement loop at one worker.
+//! near-linear scaling. It degenerates to the exact sequential placement
+//! loop at one worker.
 //!
 //! The stealing workers follow one write rule: **shared state is written
 //! only on a move**. The load counters, the atomic assignment, the
@@ -69,11 +65,10 @@
 //!
 //! Every combination is valid: [`crate::HyperPraw`] is
 //! `InMemorySource × AdjProvider × Sequential`, and
-//! [`crate::HyperPraw::with_parallel`] swaps in `Chunked` or
-//! `WorkStealing`; `hyperpraw-lowmem` runs `StreamSource × IndexProvider`
-//! in any strategy — which is how bulk-synchronous *out-of-core*
-//! partitioning (a scenario none of the original drivers supported) falls
-//! out for free.
+//! [`crate::HyperPraw::with_threads`] swaps in `WorkStealing`;
+//! `hyperpraw-lowmem` runs `StreamSource × IndexProvider` in either
+//! strategy — which is how parallel *out-of-core* partitioning (a
+//! scenario none of the original drivers supported) falls out for free.
 //!
 //! `AdjProvider` answers the distinct-neighbour query with exact integer
 //! counts: every visit copies the part counts `X(v)` the provider keeps
@@ -81,14 +76,13 @@
 //! through two provider hooks: `sync` once per run from the starting
 //! assignment (one neighbourhood walk per visited vertex), and `moved`
 //! wherever the assignment the counts read changes — at each sequential
-//! placement, at the bulk-synchronous window apply, and in the stealing
-//! worker next to its write of the live assignment. A visit is therefore
-//! an O(p) copy, and neighbourhoods are walked only at sync and when
-//! their vertex moves. A walk scans the vertex's flat list when the
+//! placement and in the stealing worker next to its write of the live
+//! assignment. A visit is therefore an O(p) copy, and neighbourhoods are
+//! walked only at sync and when their vertex moves. A walk scans the vertex's flat list when the
 //! provider has a precomputed adjacency and traverses the vertex's pins
 //! otherwise; neither the in-memory driver nor the dynamic layer builds
 //! an adjacency. Debug builds check the counts against a
-//! recount at every pass end, window apply and stealing batch boundary.
+//! recount at every pass end and stealing batch boundary.
 //! No adjacency or budget ever changes a partition — the
 //! engine-equivalence suite holds bit for bit (f64 history equality)
 //! under every budget.
@@ -111,8 +105,8 @@
 //! with its current part's gap taken from those terms
 //! ([`crate::value::terms_gap`]): the counts are current, so when the
 //! proof holds the vertex stays without the value loop or the selection
-//! scan, and the visit stores the certificate a scored stay would. All
-//! three strategies decide visits through one helper; both proofs are
+//! scan, and the visit stores the certificate a scored stay would. Both
+//! strategies decide visits through one helper; both proofs are
 //! exact, so partitions are unchanged.
 //!
 //! The load half of both proofs costs O(1), not a scan of the `p` loads:
@@ -125,18 +119,16 @@
 //! state's loads, which live placements read, are written only through
 //! one detach/attach pair, and it marks the summary stale when a write
 //! changes a load's bits — a move, or a stay of a fractional weight whose
-//! `(L − w) + w` rounds away from `L` — at placements, window applies,
-//! batch applies and the seed pass alike; the next certifying placement
-//! recomputes it. A bulk-synchronous worker recomputes its view's summary
-//! at each window start and after a visit that changed one of its two
-//! entries' bits, a stealing worker at each reload of its cached loads,
-//! once per peer move. Debug builds compare every proof with the scan of
-//! [`crate::value::certified_margin`] and every kept summary with a fresh
-//! one. Certificates are off
+//! `(L − w) + w` rounds away from `L` — at placements, batch applies and
+//! the seed pass alike; the next certifying placement recomputes it. A
+//! stealing worker recomputes its view's summary at each reload of its
+//! cached loads, once per peer move. Debug builds compare every proof
+//! with the scan of [`crate::value::certified_margin`] and every kept
+//! summary with a fresh one. Certificates are off
 //! while the doubt buffer is on (it needs every visit's margin), and
 //! providers that keep no counts make none. Debug builds re-score every
 //! certified and every proven visit and recompute every live certificate
-//! wherever they check the counts. Sequential and window-apply moves
+//! wherever they check the counts. Sequential and batch-apply moves
 //! shift the counts through `&mut` access
 //! ([`ConnectivityProvider::moved_exclusive`]); only stealing workers use
 //! atomic read-modify-writes.
@@ -231,29 +223,14 @@ pub enum ExecutionStrategy {
     /// One decision at a time with fully fresh information — the paper's
     /// sequential Algorithm 1.
     Sequential,
-    /// Bulk-synchronous chunked streaming (the GraSP-style extension): the
-    /// stream is processed in windows of `sync_interval` vertices; within
-    /// a window, worker threads propose assignments for their slices
-    /// against a frozen snapshot of the assignment (tracking their own
-    /// load deltas, scaled by the worker count to anticipate concurrent
-    /// placements), and all proposals are applied at the window boundary.
-    Chunked {
-        /// Number of worker threads. A single worker degenerates to
-        /// [`ExecutionStrategy::Sequential`] (no snapshot is needed when
-        /// nobody races you).
-        num_threads: usize,
-        /// Vertices per synchronisation window; smaller windows mean
-        /// fresher information at the price of synchronisation overhead.
-        sync_interval: usize,
-    },
     /// Lock-free work-stealing streaming: one thread team per batch claims
     /// fixed-size vertex chunks off a shared atomic cursor and scores
     /// against *live* shared state — the assignment as an `AtomicU32`
     /// slice, per-part loads as fixed-point `AtomicI64` counters — with
-    /// bounded staleness instead of full synchronisation windows. Fast and
-    /// valid at any thread count, but (unlike [`ExecutionStrategy::Chunked`])
-    /// not bit-reproducible across runs for more than one worker; a single
-    /// worker degenerates to [`ExecutionStrategy::Sequential`] exactly.
+    /// bounded staleness instead of a barrier. Fast and valid at any thread
+    /// count, but not bit-reproducible across runs for more than one
+    /// worker; a single worker degenerates to
+    /// [`ExecutionStrategy::Sequential`] exactly.
     WorkStealing {
         /// Number of worker threads.
         num_threads: usize,
@@ -262,6 +239,19 @@ pub enum ExecutionStrategy {
         /// updated per move). [`DEFAULT_STEAL_CHUNK`] suits most runs.
         chunk: usize,
     },
+}
+
+impl ExecutionStrategy {
+    /// The strategy `threads` workers run: work stealing over
+    /// [`DEFAULT_STEAL_CHUNK`]-vertex chunks, which at one worker runs the
+    /// sequential placement loop. Zero threads gives a strategy that
+    /// [`EngineConfig::validate`] refuses.
+    pub fn for_threads(threads: usize) -> Self {
+        ExecutionStrategy::WorkStealing {
+            num_threads: threads,
+            chunk: DEFAULT_STEAL_CHUNK,
+        }
+    }
 }
 
 /// Default vertex-chunk size claimed per cursor hit by
@@ -319,7 +309,7 @@ pub struct EngineConfig {
     pub max_iterations: usize,
     /// Record per-iteration history.
     pub track_history: bool,
-    /// Sequential or bulk-synchronous execution.
+    /// Sequential or work-stealing execution.
     pub strategy: ExecutionStrategy,
     /// Round-robin restreaming start or one-pass streaming start.
     pub initial: InitialAssignment,
@@ -404,11 +394,6 @@ impl EngineConfig {
         }
         match self.strategy {
             ExecutionStrategy::Sequential => {}
-            ExecutionStrategy::Chunked { num_threads, .. } => {
-                if num_threads == 0 {
-                    return Err("need at least one worker thread".into());
-                }
-            }
             ExecutionStrategy::WorkStealing { num_threads, chunk } => {
                 if num_threads == 0 {
                     return Err("need at least one worker thread".into());
@@ -650,7 +635,7 @@ enum Check {
 }
 
 /// One worker's scoring state, created once per run and reused across
-/// windows and passes: the provider scratch, the counts and scorer
+/// batches and passes: the provider scratch, the counts and scorer
 /// buffers, and the tallies of certified and proven stays.
 struct Scorer<T> {
     scratch: T,
@@ -847,8 +832,8 @@ impl<T> Scorer<T> {
 
     /// Proves a stay on `part` with communication gap `gap` under `alpha`:
     /// [`certified_margin_with`] over `own`, `part`'s load with the vertex
-    /// detached, and `view`'s summary for the other parts. Every strategy's
-    /// certificate and fresh proof go through here. Debug builds require
+    /// detached, and `view`'s summary for the other parts. Both strategies'
+    /// certificates and fresh proofs go through here. Debug builds require
     /// the result, settled or refused, to equal the scan of
     /// [`certified_margin`] over `view`'s loads with `own` in place, bit for
     /// bit: a stale summary shows up there.
@@ -874,7 +859,7 @@ fn detached(loads: &[f64], part: u32, own: f64) -> Vec<f64> {
 }
 
 /// Per-worker scratch buffers, created once per run and reused across
-/// windows and passes: the scorer, the load view with its
+/// batches and passes: the scorer, the load view with its
 /// [`LoadSummary`], and the work-stealing cache and log. A worker writes
 /// its slot's `Vec` headers for every vertex it scores, so slots are
 /// aligned to 128 bytes — two cache lines, the unit adjacent-line
@@ -882,20 +867,16 @@ fn detached(loads: &[f64], part: u32, own: f64) -> Vec<f64> {
 #[repr(align(128))]
 struct WorkerSlot<T> {
     scorer: Scorer<T>,
-    delta: Vec<f64>,
     loads_view: Vec<f64>,
-    /// The [`LoadSummary`] of `loads_view` when the scorer certifies:
-    /// recomputed by the bulk-synchronous strategy at each window start
-    /// and after a visit that changed an entry's bits, by the
-    /// work-stealing strategy at each reload of `fixed_loads`.
+    /// The [`LoadSummary`] of `loads_view` when the scorer certifies,
+    /// recomputed at each reload of `fixed_loads`.
     summary: LoadSummary,
-    /// The work-stealing strategy's cached copy of the shared fixed-point
-    /// loads, of which `loads_view` is the `f64` view, as of move epoch
-    /// `epoch`.
+    /// The cached copy of the shared fixed-point loads, of which
+    /// `loads_view` is the `f64` view, as of move epoch `epoch`.
     fixed_loads: Vec<i64>,
     epoch: u64,
-    /// The work-stealing strategy's `(batch index, part, margin)` log of
-    /// the current batch: what the batch boundary must apply.
+    /// The `(batch index, part, margin)` log of the current batch: what
+    /// the batch boundary must apply.
     log: Vec<(usize, u32, f64)>,
 }
 
@@ -911,7 +892,6 @@ impl<T> WorkerSlot<T> {
         while slots.len() < workers {
             slots.push(WorkerSlot {
                 scorer: Scorer::new(provider, p, certify),
-                delta: vec![0.0f64; p],
                 loads_view: Vec::with_capacity(p),
                 summary: LoadSummary::default(),
                 fixed_loads: vec![0; p],
@@ -927,10 +907,9 @@ impl<T> WorkerSlot<T> {
 const STALE_EPOCH: u64 = u64::MAX;
 
 /// One live (fresh-information) placement — the shared inner step of the
-/// sequential strategy, the single-worker chunked fallback and the doubt
-/// revisit: detach `record` from `current`, decide against the live
-/// assignment, assign, attach. The caller handles move accounting and
-/// doubt collection.
+/// sequential strategy and the doubt revisit: detach `record` from
+/// `current`, decide against the live assignment, assign, attach. The
+/// caller handles move accounting and doubt collection.
 fn place_live<P: ConnectivityProvider>(
     cost: &CostMatrix,
     provider: &mut P,
@@ -993,7 +972,7 @@ fn set_part<P: ConnectivityProvider>(
 
 /// Whether `provider`'s counts agree with `assignment` and its stay
 /// certificates with those counts — the engine's debug-build check at
-/// every pass end, window apply and stealing batch boundary.
+/// every pass end and stealing batch boundary.
 fn consistent<P: ConnectivityProvider, A: AssignmentRef>(
     provider: &P,
     assignment: &A,
@@ -1027,9 +1006,8 @@ pub struct Engine {
 
 /// Telemetry handles bound by [`Engine::with_registry`]. The default
 /// (disabled) handles make every recording below a no-op branch, and all
-/// recording happens at pass, window or batch granularity — never per
-/// vertex — so instrumentation cannot perturb placement decisions or
-/// determinism.
+/// recording happens at pass or batch granularity — never per vertex —
+/// so instrumentation cannot perturb placement decisions or determinism.
 #[derive(Clone, Debug, Default)]
 struct EngineMetrics {
     /// Wall-clock of each streaming pass, microseconds.
@@ -1246,7 +1224,7 @@ impl Engine {
         let mut iterations = 0usize;
         let mut doubts = DoubtBuffer::default();
         let mut slots: Vec<WorkerSlot<P::Scratch>> = Vec::new();
-        let mut window: Vec<VertexRecord> = Vec::new();
+        let mut batch: Vec<VertexRecord> = Vec::new();
         let mut record = VertexRecord::default();
 
         for pass in 1..=config.max_iterations {
@@ -1258,10 +1236,8 @@ impl Engine {
             let moved = match config.strategy {
                 // A single worker has nobody to race: run the live
                 // sequential loop, so one thread is bit-identical to
-                // `Sequential` in either parallel mode (the n=1
-                // determinism anchor).
+                // `Sequential` (the n=1 determinism anchor).
                 ExecutionStrategy::Sequential
-                | ExecutionStrategy::Chunked { num_threads: 1, .. }
                 | ExecutionStrategy::WorkStealing { num_threads: 1, .. } => self.sequential_pass(
                     cost,
                     source,
@@ -1272,22 +1248,6 @@ impl Engine {
                     &mut doubts,
                     &mut record,
                     &mut slots,
-                )?,
-                ExecutionStrategy::Chunked {
-                    num_threads,
-                    sync_interval,
-                } => self.chunked_pass(
-                    cost,
-                    source,
-                    provider,
-                    &mut state,
-                    alpha,
-                    assigned,
-                    num_threads,
-                    sync_interval,
-                    &mut doubts,
-                    &mut slots,
-                    &mut window,
                 )?,
                 ExecutionStrategy::WorkStealing { num_threads, chunk } => self.steal_pass(
                     cost,
@@ -1300,7 +1260,7 @@ impl Engine {
                     chunk,
                     &mut doubts,
                     &mut slots,
-                    &mut window,
+                    &mut batch,
                 )?,
             };
             pass_span.finish();
@@ -1532,204 +1492,14 @@ impl Engine {
         Ok(moved)
     }
 
-    /// One bulk-synchronous stream: windows of `sync_interval` vertices
-    /// are scored by worker threads against a frozen snapshot and applied
-    /// at the window boundary. Returns the number of moved vertices.
-    #[allow(clippy::too_many_arguments)] // the engine's hot path shares one state bundle
-    fn chunked_pass<S, P>(
-        &self,
-        cost: &CostMatrix,
-        source: &mut S,
-        provider: &mut P,
-        state: &mut EngineState,
-        alpha: f64,
-        assigned: bool,
-        num_threads: usize,
-        sync_interval: usize,
-        doubts: &mut DoubtBuffer,
-        slots: &mut Vec<WorkerSlot<P::Scratch>>,
-        window: &mut Vec<VertexRecord>,
-    ) -> IoResult<usize>
-    where
-        S: VertexSource,
-        P: ConnectivityProvider,
-    {
-        let p = state.loads.len();
-        let window_len = sync_interval.max(num_threads).max(1);
-        WorkerSlot::fill(slots, num_threads, provider, p, self.certifies());
-        let mut moved = 0usize;
-
-        loop {
-            // Fill the window, reusing the record allocations.
-            let mut len = 0usize;
-            while len < window_len {
-                if window.len() == len {
-                    window.push(VertexRecord::default());
-                }
-                if !source.next_into(&mut window[len])? {
-                    break;
-                }
-                len += 1;
-            }
-            if len == 0 {
-                break;
-            }
-            let records = &window[..len];
-            self.metrics.vertices_scored.add(len as u64);
-            let workers = num_threads.min(len).max(1);
-
-            if workers == 1 {
-                // No concurrency — decide with live information, exactly
-                // like the sequential strategy.
-                let scorer = &mut slots[0].scorer;
-                for record in records {
-                    let current = assigned.then(|| state.partition.part_of(record.vertex));
-                    let decision =
-                        place_live(cost, provider, state, alpha, record, current, scorer);
-                    if current != Some(decision.part) {
-                        moved += 1;
-                    }
-                    doubts.offer(
-                        &self.config.doubts,
-                        provider,
-                        record,
-                        decision.part,
-                        decision.margin,
-                    );
-                }
-                continue;
-            }
-
-            let chunk_size = len.div_ceil(workers);
-            let chunks: Vec<&[VertexRecord]> = records.chunks(chunk_size).collect();
-            // Scale worker-local load deltas by the number of *live*
-            // chunks: each worker assumes its peers fill partitions at a
-            // similar rate, which prevents the herd effect where every
-            // worker dumps its slice into the same globally-lightest
-            // partition. A trailing window smaller than the worker count
-            // spawns fewer chunks and must scale by that smaller number,
-            // or its published deltas would overshoot.
-            let scale = chunks.len() as f64;
-            let snapshot = &state.partition;
-            let snapshot_loads = &state.loads;
-            let expected = &state.expected;
-            let provider_ref: &P = provider;
-            let config_alpha = alpha;
-
-            let proposals: Vec<Vec<(u32, f64)>> = thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .iter()
-                    .zip(slots.iter_mut())
-                    .map(|(chunk, slot)| {
-                        let chunk: &[VertexRecord] = chunk;
-                        scope.spawn(move || {
-                            slot.delta.iter_mut().for_each(|d| *d = 0.0);
-                            slot.loads_view.clear();
-                            slot.loads_view.extend_from_slice(snapshot_loads);
-                            let certify = slot.scorer.certify;
-                            if certify {
-                                slot.summary = LoadSummary::of(&slot.loads_view);
-                            }
-                            let mut local: Vec<(u32, f64)> = Vec::with_capacity(chunk.len());
-                            for record in chunk {
-                                let w = record.weight;
-                                let current = assigned.then(|| snapshot.part_of(record.vertex));
-                                let held = current.map(|cur| {
-                                    let cur = cur as usize;
-                                    let held = slot.loads_view[cur];
-                                    slot.delta[cur] -= w;
-                                    slot.loads_view[cur] =
-                                        snapshot_loads[cur] + slot.delta[cur] * scale;
-                                    held
-                                });
-                                let view = LoadView {
-                                    loads: &slot.loads_view,
-                                    summary: &slot.summary,
-                                    expected,
-                                };
-                                let decision = slot.scorer.decide(
-                                    provider_ref,
-                                    record,
-                                    snapshot,
-                                    cost,
-                                    config_alpha,
-                                    current,
-                                    view,
-                                );
-                                let t = decision.part as usize;
-                                slot.delta[t] += w;
-                                slot.loads_view[t] = snapshot_loads[t] + slot.delta[t] * scale;
-                                // The visit wrote at most its two entries:
-                                // unless it stayed and its entry regained
-                                // its bits, the summary is stale.
-                                let kept = current == Some(decision.part)
-                                    && held.is_some_and(|h| {
-                                        h.to_bits() == slot.loads_view[t].to_bits()
-                                    });
-                                if certify && !kept {
-                                    slot.summary = LoadSummary::of(&slot.loads_view);
-                                }
-                                debug_assert!(
-                                    !certify || slot.summary == LoadSummary::of(&slot.loads_view),
-                                    "a window visit left the summary stale"
-                                );
-                                local.push((decision.part, decision.margin));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("engine worker panicked"))
-                    .collect()
-            });
-
-            // Synchronise: apply every chunk's proposals in deterministic
-            // (chunk, in-chunk) order, publishing all load deltas —
-            // including the final partial window's — before the pass-end
-            // metrics are computed.
-            for (chunk, results) in chunks.iter().zip(&proposals) {
-                for (record, &(target, margin)) in chunk.iter().zip(results) {
-                    let v = record.vertex;
-                    let w = record.weight;
-                    let current = assigned.then(|| state.partition.part_of(v));
-                    let from = current.map(|cur| {
-                        provider.detach(record, cur);
-                        state.detach(cur, w)
-                    });
-                    set_part(
-                        provider,
-                        &mut state.partition,
-                        v,
-                        target,
-                        &mut slots[0].scorer.scratch,
-                    );
-                    state.attach(target, w, from);
-                    provider.attach(record, target);
-                    if current != Some(target) {
-                        moved += 1;
-                    }
-                    doubts.offer(&self.config.doubts, provider, record, target, margin);
-                }
-            }
-            debug_assert!(
-                consistent(provider, &state.partition, cost),
-                "provider state drifted from the assignment at a window apply"
-            );
-        }
-        Ok(moved)
-    }
-
     /// One lock-free work-stealing stream: the engine thread fills a large
     /// batch of records, a thread team spawned **once per batch** claims
     /// fixed-size chunks of it off a shared [`ChunkCursor`], and every
     /// worker scores against *live* shared state — the full assignment as
     /// an atomic slice, the per-part loads as fixed-point atomics — so
-    /// placements become visible to peers per vertex instead of per
-    /// synchronisation window. Provider mutation, authoritative `f64` load
+    /// placements become visible to peers per vertex. Provider mutation, authoritative `f64` load
     /// accounting, move counting and doubt collection happen on the engine
-    /// thread at the batch boundary (the bounded-staleness window for
+    /// thread at the batch boundary (the staleness bound for
     /// index-backed providers). Returns the number of moved vertices.
     ///
     /// Workers write shared state only when a vertex moves: the load

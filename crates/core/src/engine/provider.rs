@@ -27,10 +27,9 @@
 //!   (when supported) forget net incidences.
 //!
 //! Scoring reads take `&self` plus a worker-local
-//! [`ConnectivityProvider::Scratch`], so the parallel execution strategies
-//! can fan the same provider out across worker threads. The
-//! index providers mutate only on the engine thread at synchronisation
-//! points; [`AdjProvider`]'s kept counts are atomics, so a work-stealing
+//! [`ConnectivityProvider::Scratch`], so the work-stealing strategy can
+//! fan the same provider out across worker threads. The index providers
+//! mutate only on the engine thread at batch boundaries; [`AdjProvider`]'s kept counts are atomics, so a work-stealing
 //! worker updates them next to its own write of the live assignment.
 //! [`AdjProvider`]'s scratch is O(1) until the worker traverses a
 //! neighbourhood (the traversal scratch materialises lazily).
@@ -67,7 +66,7 @@ pub struct StayCertificate {
 /// connectivity state.
 pub trait ConnectivityProvider: Sync {
     /// Worker-local scratch handed to every [`ConnectivityProvider::count`]
-    /// call; one instance per worker thread, reused across windows and
+    /// call; one instance per worker thread, reused across batches and
     /// passes.
     type Scratch: Send;
 
@@ -88,7 +87,7 @@ pub trait ConnectivityProvider: Sync {
     /// [`ConnectivityProvider::attach`]/[`ConnectivityProvider::detach`]
     /// (the index providers). The work-stealing strategy keeps its batches
     /// small for non-live providers so that state never falls more than a
-    /// bounded window behind the stream. A live provider keeps no state
+    /// bounded number of vertices behind the stream. A live provider keeps no state
     /// at attach/detach: with the doubt buffer off, work stealing calls
     /// them only for the vertices that move.
     fn live_counts(&self) -> bool {
@@ -108,18 +107,17 @@ pub trait ConnectivityProvider: Sync {
     /// Called exactly where the assignment that
     /// [`ConnectivityProvider::count`] reads changes `v` from part `from`
     /// to part `to` (`from != to`): at each placement in sequential
-    /// execution, at the window apply in bulk-synchronous execution, and
-    /// in the worker next to its write of the live assignment in
-    /// work-stealing execution — hence `&self` and the worker's scratch.
+    /// execution, and in the worker next to its write of the live
+    /// assignment in work-stealing execution — hence `&self` and the
+    /// worker's scratch.
     /// Providers without state derived from the assignment ignore it.
     fn moved(&self, v: VertexId, from: u32, to: u32, scratch: &mut Self::Scratch) {
         let _ = (v, from, to, scratch);
     }
 
     /// [`ConnectivityProvider::moved`] where the caller holds the only
-    /// reference — the sequential placement and the bulk-synchronous
-    /// window apply — so providers can shift their state without atomic
-    /// read-modify-writes.
+    /// reference — the sequential placement and a cost rollback — so
+    /// providers can shift their state without atomic read-modify-writes.
     fn moved_exclusive(&mut self, v: VertexId, from: u32, to: u32, scratch: &mut Self::Scratch) {
         self.moved(v, from, to, scratch);
     }
@@ -145,8 +143,8 @@ pub trait ConnectivityProvider: Sync {
 
     /// Whether the provider's assignment-derived state agrees with
     /// `assignment`. The engine asserts this in debug builds wherever that
-    /// state must be exact — at every pass end, bulk-synchronous window
-    /// and work-stealing batch boundary. Providers without such state
+    /// state must be exact — at every pass end and work-stealing batch
+    /// boundary. Providers without such state
     /// have nothing to check.
     fn agrees_with<A: AssignmentRef>(&self, assignment: &A) -> bool {
         let _ = assignment;
@@ -202,10 +200,10 @@ pub trait ConnectivityProvider: Sync {
 
     /// Writes the neighbour-partition counts `X_j(v)` for `record` into
     /// `counts` (cleared and resized), evaluated against `assignment` —
-    /// the live assignment in sequential execution, a frozen snapshot in
-    /// bulk-synchronous execution, or a live atomic view (with bounded
-    /// staleness) in work-stealing execution, which is why the parameter
-    /// is any [`AssignmentRef`] rather than a concrete `Partition`. The
+    /// the live assignment in sequential execution, or a live atomic view
+    /// (with bounded staleness) in work-stealing execution, which is why
+    /// the parameter is any [`AssignmentRef`] rather than a concrete
+    /// `Partition`. The
     /// vertex's own contribution must be excluded when the provider can
     /// tell ([`AdjProvider`] excludes the vertex itself; index providers
     /// rely on the engine detaching first).
@@ -992,9 +990,9 @@ mod tests {
         };
         for strategy in [
             ExecutionStrategy::Sequential,
-            ExecutionStrategy::Chunked {
+            ExecutionStrategy::WorkStealing {
                 num_threads: 3,
-                sync_interval: 500,
+                chunk: 500,
             },
             ExecutionStrategy::WorkStealing {
                 num_threads: 2,

@@ -42,17 +42,16 @@
 //!   `hyperpraw-lowmem`'s budget-bounded exact/sketched connectivity
 //!   indices;
 //! * **execution strategy** ([`engine::ExecutionStrategy`]) — sequential
-//!   decisions with fresh information, deterministic bulk-synchronous
-//!   windows scored by worker threads against a frozen snapshot, or
-//!   lock-free work stealing against live atomic shared state with
-//!   bounded staleness (the fast mode).
+//!   decisions with fresh information (deterministic), or lock-free work
+//!   stealing against live atomic shared state with bounded staleness
+//!   (the parallel mode).
 //!
 //! [`HyperPraw`] is `InMemorySource × AdjProvider` under the sequential
-//! strategy by default; [`HyperPraw::with_parallel`] swaps in the chunked
-//! or work-stealing strategy (selected by [`ParallelMode`]). The
+//! strategy by default; [`HyperPraw::with_threads`] swaps in the
+//! work-stealing strategy for more than one thread. The
 //! `hyperpraw-lowmem` crate instantiates the streamed source with the
-//! sketched providers — in any strategy, which yields parallel out-of-core
-//! partitioning without a second copy of the loop.
+//! sketched providers — in either strategy, which yields parallel
+//! out-of-core partitioning without a second copy of the loop.
 //!
 //! ```
 //! use hyperpraw_core::{HyperPraw, HyperPrawConfig};
@@ -80,13 +79,22 @@ pub mod baselines;
 pub mod engine;
 pub mod history;
 pub mod metrics;
-pub mod parallel;
 pub mod value;
 
 pub use config::{HyperPrawConfig, RefinementPolicy, StreamOrder};
 pub use history::{IterationRecord, PartitionHistory, StreamPhase};
-pub use parallel::{ParallelConfig, ParallelMode};
 pub use restream::{HyperPraw, PartitionResult, StopReason};
+
+/// The one parallel schedule, under the name it had when a second,
+/// bulk-synchronous schedule existed. The benchmark harness still names
+/// it and changes only with the benchmark, which retires it; the thread
+/// count alone picks the schedule.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ParallelMode {
+    /// Lock-free work stealing, the schedule of every threaded run.
+    WorkStealing,
+}
 
 // Re-export the cost matrix type so downstream users do not need to depend
 // on the topology crate for the common case.
@@ -97,7 +105,7 @@ pub mod prelude {
     pub use crate::baselines;
     pub use crate::metrics::{partitioning_communication_cost, QualityReport};
     pub use crate::{
-        CostMatrix, HyperPraw, HyperPrawConfig, ParallelConfig, PartitionResult, RefinementPolicy,
-        StopReason, StreamOrder,
+        CostMatrix, HyperPraw, HyperPrawConfig, PartitionResult, RefinementPolicy, StopReason,
+        StreamOrder,
     };
 }

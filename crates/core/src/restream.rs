@@ -2,7 +2,7 @@
 //! of the generic [`crate::engine`]: in-memory vertex source × kept part
 //! counts found by traversal ([`AdjProvider::traversal`], no precomputed
 //! adjacency, which also answers the per-pass comm cost) × the execution
-//! strategy, sequential unless [`HyperPraw::with_parallel`] selects the
+//! strategy, sequential unless [`HyperPraw::with_threads`] selects the
 //! §8.2 parallel schedule.
 
 use hyperpraw_hypergraph::{Hypergraph, Partition};
@@ -10,7 +10,7 @@ use hyperpraw_topology::CostMatrix;
 
 use crate::engine::{AdjProvider, Engine, EngineConfig, ExecutionStrategy, InMemorySource};
 use crate::history::PartitionHistory;
-use crate::{HyperPrawConfig, ParallelConfig};
+use crate::HyperPrawConfig;
 
 pub use crate::engine::StopReason;
 
@@ -40,7 +40,7 @@ pub struct PartitionResult {
 /// HyperPRAW-aware is obtained by passing a profiled cost matrix
 /// ([`CostMatrix::from_bandwidth`]); HyperPRAW-basic by passing
 /// [`CostMatrix::uniform`]. The thread count is a parameter of the same
-/// partitioner: [`HyperPraw::with_parallel`] runs the stream on worker
+/// partitioner: [`HyperPraw::with_threads`] runs the stream on worker
 /// threads instead of sequentially.
 #[derive(Clone, Debug)]
 pub struct HyperPraw {
@@ -68,20 +68,24 @@ impl HyperPraw {
         }
     }
 
-    /// Streams on `parallel.num_threads` workers under the schedule of
-    /// `parallel.mode` (see [`crate::parallel`]). One worker reproduces
-    /// the sequential run bit for bit in either mode.
+    /// Streams on `threads` workers — the paper's future-work extension
+    /// (§8.2), which points to parallel streaming as the way past the
+    /// sequential stream's scalability limit. More than one thread runs
+    /// the engine's lock-free work stealing
+    /// ([`ExecutionStrategy::WorkStealing`]): workers claim vertex chunks
+    /// and score against live shared state, so a run is valid at any
+    /// thread count but not bit-reproducible. One thread reproduces the
+    /// sequential run bit for bit.
     ///
     /// # Panics
     ///
-    /// Panics if `parallel` fails validation.
-    pub fn with_parallel(mut self, parallel: ParallelConfig) -> Self {
-        parallel
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid parallel configuration: {e}"));
-        self.strategy = parallel
-            .mode
-            .strategy(parallel.num_threads, parallel.sync_interval);
+    /// Panics if `threads` is zero.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        assert!(
+            threads > 0,
+            "invalid parallel configuration: need at least one worker thread"
+        );
+        self.strategy = ExecutionStrategy::for_threads(threads);
         self
     }
 
@@ -332,6 +336,85 @@ mod tests {
         assert!(report.comm_cost.is_finite());
         assert!(report.imbalance.is_finite());
         assert!(report.soed >= 2 * report.hyperedge_cut || report.hyperedge_cut == 0);
+    }
+
+    #[test]
+    fn parallel_partition_is_valid_and_balanced() {
+        let hg = mesh_hypergraph(&MeshConfig::new(900, 8));
+        let praw = HyperPraw::basic(HyperPrawConfig::default(), 8).with_threads(4);
+        let result = praw.partition(&hg);
+        assert_eq!(result.partition.num_parts(), 8);
+        assert_eq!(result.partition.num_vertices(), 900);
+        assert!(
+            result.imbalance <= 1.1 + 1e-9,
+            "imbalance {}",
+            result.imbalance
+        );
+    }
+
+    #[test]
+    fn parallel_quality_is_close_to_sequential() {
+        let hg = mesh_hypergraph(&MeshConfig::new(1000, 8));
+        let p = 8u32;
+        let seq = HyperPraw::basic(HyperPrawConfig::default(), p).partition(&hg);
+        let par = HyperPraw::basic(HyperPrawConfig::default(), p)
+            .with_threads(4)
+            .partition(&hg);
+        let seq_soed = metrics::soed(&hg, &seq.partition) as f64;
+        let par_soed = metrics::soed(&hg, &par.partition) as f64;
+        // GraSP-style result: parallel streaming should stay within ~2x of the
+        // sequential quality (it is usually much closer).
+        assert!(
+            par_soed <= 2.0 * seq_soed.max(1.0),
+            "parallel SOED {par_soed} too far from sequential {seq_soed}"
+        );
+        // And it must still beat round robin comfortably.
+        let rr = metrics::soed(&hg, &Partition::round_robin(1000, p)) as f64;
+        assert!(par_soed < rr);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one worker")]
+    fn zero_threads_is_rejected() {
+        HyperPraw::basic(HyperPrawConfig::default(), 4).with_threads(0);
+    }
+
+    #[test]
+    fn single_stealing_worker_reproduces_the_sequential_run_exactly() {
+        // One thread has nobody to race: the run is bit-identical to the
+        // sequential one in partition, iterations and history — the
+        // determinism anchor of the thread count.
+        let hg = mesh_hypergraph(&MeshConfig::new(400, 8));
+        let praw = HyperPraw::basic(HyperPrawConfig::default(), 4);
+        let one = praw.clone().with_threads(1).partition(&hg);
+        let seq = praw.partition(&hg);
+        assert_eq!(one.partition, seq.partition);
+        assert_eq!(one.iterations, seq.iterations);
+        assert_eq!(one.history, seq.history);
+    }
+
+    #[test]
+    fn stealing_partition_is_valid_and_balanced_at_any_thread_count() {
+        let hg = mesh_hypergraph(&MeshConfig::new(900, 8));
+        for threads in [2usize, 4, 8] {
+            let praw = HyperPraw::basic(HyperPrawConfig::default(), 8).with_threads(threads);
+            let result = praw.partition(&hg);
+            assert_eq!(result.partition.num_parts(), 8);
+            assert_eq!(result.partition.num_vertices(), 900);
+            assert!(
+                result.imbalance <= 1.1 + 1e-9,
+                "threads {threads}: imbalance {}",
+                result.imbalance
+            );
+            // The loads the stopping rule tracked must agree exactly with
+            // a recount from the returned assignment.
+            let recomputed = result.partition.imbalance(&hg).unwrap();
+            assert!(
+                (result.imbalance - recomputed).abs() < 1e-9,
+                "threads {threads}: tracked {} vs recomputed {recomputed}",
+                result.imbalance
+            );
+        }
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! The vertex assignment value function (equations 1–4 of the paper).
 //!
 //! This module is public because the value function is the part of
-//! HyperPRAW that other partitioners reuse: the sequential restreaming
-//! driver, the bulk-synchronous [`crate::parallel`] driver and the
-//! out-of-core `hyperpraw-lowmem` streaming partitioner all score candidate
+//! HyperPRAW that other partitioners reuse: the sequential and
+//! work-stealing restreaming driver and the out-of-core `hyperpraw-lowmem` streaming partitioner all score candidate
 //! placements with [`best_partition`] / [`best_partition_with_margin`] and
 //! only differ in *how they obtain* the neighbour-partition counts
 //! (in-memory CSR traversal vs. sketched net connectivity).

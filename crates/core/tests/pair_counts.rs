@@ -379,9 +379,9 @@ fn every_pass_cost_equals_the_traversal_oracle_under_every_strategy() {
     for (name, hg) in [("mesh", &mesh), ("power-law", &powerlaw)] {
         for strategy in [
             ExecutionStrategy::Sequential,
-            ExecutionStrategy::Chunked {
+            ExecutionStrategy::WorkStealing {
                 num_threads: 3,
-                sync_interval: 64,
+                chunk: 64,
             },
             ExecutionStrategy::WorkStealing {
                 num_threads: 2,

@@ -9,7 +9,7 @@
 use hyperpraw_core::engine::{
     AdjProvider, Engine, EngineConfig, ExecutionStrategy, InMemorySource,
 };
-use hyperpraw_core::{CostMatrix, HyperPraw, HyperPrawConfig, ParallelConfig, PartitionResult};
+use hyperpraw_core::{CostMatrix, HyperPraw, HyperPrawConfig, PartitionResult};
 use hyperpraw_hypergraph::generators::{
     mesh_hypergraph, powerlaw_hypergraph, MeshConfig, PowerLawConfig,
 };
@@ -28,7 +28,7 @@ fn hammer(hg: &Hypergraph, p: u32, threads: usize, seeds: u64) {
             ..HyperPrawConfig::default().with_seed(seed)
         };
         let result = HyperPraw::new(config, CostMatrix::uniform(p as usize))
-            .with_parallel(ParallelConfig::stealing(threads))
+            .with_threads(threads)
             .partition(hg);
         check(hg, &result, p, &format!("seed {seed}, {threads} threads"));
     }
@@ -90,15 +90,12 @@ fn fractional_weights_keep_every_load_summary_exact() {
     // Each strategy keeps a summary of its load view for the O(1) stay
     // check, and debug builds compare every check against a scan of the
     // view and every kept summary against a fresh one. Stays change the
-    // loads without a move: the decimal weights round in the window
-    // workers' `delta` sums, and each of the others lies half an ulp off
+    // loads without a move: the decimal weights round in the batch
+    // applies' `f64` sums, and each of the others lies half an ulp off
     // the grid of the loads in one binade, where a stay's `(L − w) + w`
-    // rounds to a neighbour of an odd `L`. Windows of 50 leave one vertex
-    // of 601 to the last window of each bulk-synchronous pass, which runs
-    // on the loads the window applies wrote. A summary holds four loads,
-    // so at p = 4 every changed load changes it.
+    // rounds to a neighbour of an odd `L`. A summary holds four loads, so
+    // at p = 4 every changed load changes it.
     let mesh = mesh_hypergraph(&MeshConfig::new(601, 8));
-    assert_eq!(mesh.num_vertices() % 50, 1);
     let weights = [
         0.1,
         0.7,
@@ -122,25 +119,10 @@ fn fractional_weights_keep_every_load_summary_exact() {
         ..HyperPrawConfig::default()
     };
     for (p, threads) in [(4, 2), (4, 4), (24, 2), (24, 4)] {
-        let run = |parallel: ParallelConfig| {
-            HyperPraw::new(config, CostMatrix::uniform(p as usize))
-                .with_parallel(parallel)
-                .partition(&hg)
-        };
-        let at = format!("p {p}, {threads} threads");
-        let bsp = ParallelConfig {
-            sync_interval: 50,
-            ..ParallelConfig::with_threads(threads)
-        };
-        let first = run(bsp);
-        check(&hg, &first, p, &format!("bsp, {at}"));
-        assert_eq!(first.partition, run(bsp).partition, "bsp, {at}");
-        check(
-            &hg,
-            &run(ParallelConfig::stealing(threads)),
-            p,
-            &format!("steal, {at}"),
-        );
+        let run = HyperPraw::new(config, CostMatrix::uniform(p as usize))
+            .with_threads(threads)
+            .partition(&hg);
+        check(&hg, &run, p, &format!("steal, p {p}, {threads} threads"));
     }
 }
 
@@ -186,7 +168,7 @@ fn stay_certificates_hold_on_hubs_under_eight_threads() {
             ..HyperPrawConfig::default().with_seed(seed)
         };
         let result = HyperPraw::new(config, cost.clone())
-            .with_parallel(ParallelConfig::stealing(8))
+            .with_threads(8)
             .with_registry(&registry)
             .partition(&hg);
         check(&hg, &result, p, &format!("seed {seed}"));

@@ -28,8 +28,8 @@
 //! `N + 1` on a background thread into a double buffer while the consumer
 //! drains block `N`, and honours this module's reset contract: after
 //! [`stream::VertexStream::reset`] the stream restarts at vertex 0 and
-//! yields the identical record sequence, so multi-pass restreaming and
-//! BSP drivers work unchanged over compressed files.
+//! yields the identical record sequence, so multi-pass restreaming
+//! drivers work unchanged over compressed files.
 
 use std::collections::TryReserveError;
 use std::fmt;

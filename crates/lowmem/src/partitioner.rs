@@ -1,11 +1,13 @@
 //! The memory-bounded streaming partitioner — a thin instantiation of
 //! `hyperpraw-core`'s generic restreaming engine: any
 //! [`VertexStream`] as the vertex source × an [`IndexProvider`] over
-//! budgeted connectivity state × the sequential or bulk-synchronous
+//! budgeted connectivity state × the sequential or work-stealing
 //! execution strategy.
 
-use hyperpraw_core::engine::{DoubtConfig, Engine, EngineConfig, InitialAssignment, StreamSource};
-use hyperpraw_core::{CostMatrix, HyperPrawConfig, ParallelMode};
+use hyperpraw_core::engine::{
+    DoubtConfig, Engine, EngineConfig, ExecutionStrategy, InitialAssignment, StreamSource,
+};
+use hyperpraw_core::{CostMatrix, HyperPrawConfig};
 use hyperpraw_hypergraph::io::stream::VertexStream;
 use hyperpraw_hypergraph::io::IoResult;
 use hyperpraw_hypergraph::{Hypergraph, Partition};
@@ -76,20 +78,11 @@ pub struct LowMemConfig {
     /// vertices move (the Taşyaran-style rebuild). Ignored by
     /// [`IndexKind::Exact`], whose state is never stale.
     pub rebuild_sketches: bool,
-    /// Worker threads for the parallel execution strategies. `1` streams
-    /// sequentially; larger values score vertices in parallel against the
-    /// shared index — parallel out-of-core partitioning.
+    /// Worker threads. `1` streams sequentially and deterministically;
+    /// larger values run lock-free work stealing against live shared
+    /// loads and the shared index — parallel out-of-core partitioning,
+    /// valid at any thread count but not bit-reproducible.
     pub threads: usize,
-    /// Vertices per synchronisation window when `threads > 1` and
-    /// [`LowMemConfig::mode`] is [`ParallelMode::Bsp`]; ignored by
-    /// [`ParallelMode::WorkStealing`].
-    pub sync_interval: usize,
-    /// How the worker threads divide the stream: deterministic
-    /// bulk-synchronous windows over a frozen index snapshot
-    /// ([`ParallelMode::Bsp`], the default), or lock-free work stealing
-    /// against live shared loads ([`ParallelMode::WorkStealing`], faster
-    /// but non-deterministic above one thread).
-    pub mode: ParallelMode,
     /// Seed of the MinHash hash family.
     pub seed: u64,
 }
@@ -105,8 +98,6 @@ impl Default for LowMemConfig {
             passes: 1,
             rebuild_sketches: false,
             threads: 1,
-            sync_interval: 4096,
-            mode: ParallelMode::Bsp,
             seed: 0,
         }
     }
@@ -126,9 +117,6 @@ impl LowMemConfig {
         }
         if self.threads == 0 {
             return Err("need at least one worker thread".into());
-        }
-        if self.sync_interval == 0 {
-            return Err("synchronisation interval must be at least 1 vertex".into());
         }
         if self.round_robin_prior && self.index == IndexKind::Sketched {
             return Err(
@@ -180,8 +168,8 @@ pub struct LowMemResult {
 /// adjusted when the index sketches one) and revisits them once at the end
 /// against the final connectivity state; optional extra passes restream
 /// the whole input out-of-core, optionally rebuilding the sketches
-/// between passes; optional worker threads score synchronisation windows
-/// in parallel (bulk-synchronous out-of-core partitioning).
+/// between passes; optional worker threads steal chunks of the stream
+/// (parallel out-of-core partitioning).
 #[derive(Clone, Debug)]
 pub struct LowMemPartitioner {
     config: LowMemConfig,
@@ -272,10 +260,7 @@ impl LowMemPartitioner {
             // the low-confidence entries happen to be high-degree hubs.
             byte_bound: plan.restream_bytes,
         };
-        engine_config.strategy = self
-            .config
-            .mode
-            .strategy(self.config.threads, self.config.sync_interval);
+        engine_config.strategy = ExecutionStrategy::for_threads(self.config.threads);
 
         let run =
             Engine::new(engine_config).run(&self.cost, &mut StreamSource(stream), &mut provider)?;
@@ -529,31 +514,6 @@ mod tests {
     }
 
     #[test]
-    fn bsp_threads_produce_valid_deterministic_partitions() {
-        let hg = mesh_hypergraph(&MeshConfig::new(900, 8));
-        let run = || {
-            LowMemPartitioner::basic(
-                LowMemConfig {
-                    threads: 4,
-                    sync_interval: 128,
-                    ..config(IndexKind::Sketched)
-                },
-                6,
-            )
-            .partition_hypergraph(&hg)
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(
-            a.partition, b.partition,
-            "BSP streaming must be deterministic"
-        );
-        assert_eq!(a.partition.num_vertices(), 900);
-        let rr = Partition::round_robin(hg.num_vertices(), 6);
-        assert!(metrics::soed(&hg, &a.partition) < metrics::soed(&hg, &rr));
-    }
-
-    #[test]
     fn work_stealing_threads_produce_valid_partitions() {
         let hg = mesh_hypergraph(&MeshConfig::new(900, 8));
         for threads in [2usize, 8] {
@@ -564,7 +524,6 @@ mod tests {
                 LowMemConfig {
                     threads,
                     passes: 2,
-                    mode: ParallelMode::WorkStealing,
                     ..config(IndexKind::Sketched)
                 },
                 6,
@@ -602,7 +561,6 @@ mod tests {
                     LowMemConfig {
                         threads,
                         passes: 2,
-                        mode: ParallelMode::WorkStealing,
                         ..run.clone()
                     },
                     6,
@@ -617,25 +575,6 @@ mod tests {
                 assert!(soed < metrics::soed(&hg, &rr), "{at}");
             }
         }
-    }
-
-    #[test]
-    fn single_stealing_thread_matches_the_sequential_stream() {
-        // At `threads: 1` the engine runs its sequential loop in either
-        // mode, so the mode must be irrelevant; pin the work-stealing
-        // config to the sequential result bit for bit.
-        let hg = mesh_hypergraph(&MeshConfig::new(400, 8));
-        let sequential =
-            LowMemPartitioner::basic(config(IndexKind::Sketched), 6).partition_hypergraph(&hg);
-        let stealing = LowMemPartitioner::basic(
-            LowMemConfig {
-                mode: ParallelMode::WorkStealing,
-                ..config(IndexKind::Sketched)
-            },
-            6,
-        )
-        .partition_hypergraph(&hg);
-        assert_eq!(sequential.partition, stealing.partition);
     }
 
     #[test]

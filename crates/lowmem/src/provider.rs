@@ -8,8 +8,8 @@
 //! counts are "how many of the vertex's nets already touch partition `j`",
 //! served by an exact hash-map index or Bloom/MinHash sketches. Because
 //! scoring reads take `&self`, the provider composes with the engine's
-//! bulk-synchronous strategy — worker threads query the frozen index
-//! concurrently and all mutation happens at synchronisation points.
+//! work-stealing strategy — worker threads query the index concurrently
+//! and all mutation happens at batch boundaries.
 
 use hyperpraw_core::engine::ConnectivityProvider;
 use hyperpraw_hypergraph::io::stream::VertexRecord;

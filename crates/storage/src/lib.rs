@@ -5,8 +5,9 @@
 //! prefetching reader that overlaps block decode with engine compute.
 //! The reader surfaces the file as a
 //! [`hyperpraw_hypergraph::io::stream::VertexStream`], so the whole
-//! restreaming stack — `StreamSource`, the lowmem multi-pass/BSP drivers,
-//! `PartitionJob::run_stream` — works over compressed files unchanged.
+//! restreaming stack — `StreamSource`, the lowmem multi-pass and threaded
+//! drivers, `PartitionJob::run_stream` — works over compressed files
+//! unchanged.
 //!
 //! # File format (`.hpz`, version 1)
 //!

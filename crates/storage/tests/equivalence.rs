@@ -1,7 +1,7 @@
 //! Partitioning over the compressed chunked stream is bit-identical to
 //! the uncompressed transpose stream and to the in-memory driver, for
 //! every lowmem variant: exact and sketched indexes, single pass,
-//! multi-pass with sketch rebuilds, and threaded BSP.
+//! and multi-pass with sketch rebuilds.
 
 use std::io::Cursor;
 
@@ -49,17 +49,6 @@ fn variants() -> Vec<(&'static str, LowMemConfig)> {
                 index: IndexKind::Sketched,
                 passes: 3,
                 rebuild_sketches: true,
-                ..base.clone()
-            },
-        ),
-        (
-            "sketched_bsp_threads",
-            LowMemConfig {
-                index: IndexKind::Sketched,
-                passes: 2,
-                rebuild_sketches: true,
-                threads: 3,
-                sync_interval: 64,
                 ..base
             },
         ),

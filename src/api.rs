@@ -1,7 +1,7 @@
 //! The one front door: a unified, builder-first partitioning API.
 //!
 //! Every partitioning driver in the workspace — sequential and
-//! bulk-synchronous HyperPRAW, the memory-bounded streaming partitioners
+//! work-stealing HyperPRAW, the memory-bounded streaming partitioners
 //! and the multilevel baseline — is dispatchable through a single
 //! [`PartitionJob`], selected by an [`Algorithm`] value. The job validates
 //! its inputs up front (returning [`PartitionError::InvalidConfig`]
@@ -31,8 +31,8 @@ use std::time::Instant;
 
 use hyperpraw_core::metrics::QualityReport;
 use hyperpraw_core::{
-    baselines, CostMatrix, HyperPraw, HyperPrawConfig, ParallelConfig, ParallelMode,
-    PartitionHistory, RefinementPolicy, StopReason, StreamOrder,
+    baselines, CostMatrix, HyperPraw, HyperPrawConfig, ParallelMode, PartitionHistory,
+    RefinementPolicy, StopReason, StreamOrder,
 };
 use hyperpraw_dynamic::{DynamicConfig, DynamicError, DynamicPartitioner, GraphUpdate};
 use hyperpraw_hypergraph::io::stream::VertexStream;
@@ -54,8 +54,7 @@ use crate::report::{
 ///
 /// HyperPRAW is one algorithm: basic and aware differ only in the cost
 /// matrix, and the job's [thread count](PartitionJob::threads) picks the
-/// schedule (sequential at one thread, [`PartitionJob::parallel_mode`]
-/// above).
+/// schedule (sequential at one thread, work stealing above).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// HyperPRAW restreaming with a uniform cost matrix
@@ -160,6 +159,16 @@ impl Algorithm {
     }
 }
 
+impl PartitionJob {
+    /// Accepted and ignored: more than one thread always runs work
+    /// stealing, the one parallel schedule. The benchmark harness still
+    /// calls it and changes only with the benchmark, which retires it.
+    #[doc(hidden)]
+    pub fn parallel_mode(self, _mode: ParallelMode) -> Self {
+        self
+    }
+}
+
 impl fmt::Display for Algorithm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
@@ -217,9 +226,9 @@ pub struct PartitionJob {
     /// The restreaming configuration. Its seed, imbalance tolerance,
     /// iteration cap and initial `α` are the job's for every driver.
     hyperpraw: HyperPrawConfig,
-    /// Thread count (never `0`: [`PartitionJob::threads`] resolves it),
-    /// schedule and synchronisation window of the threaded drivers.
-    parallel: ParallelConfig,
+    /// Thread count of the threaded drivers (never `0`:
+    /// [`PartitionJob::threads`] resolves it).
+    threads: usize,
     /// The lowmem-only knobs (budget, restream capacity, prior, sketch
     /// rebuilds); [`PartitionJob::lowmem_driver`] fills in the rest.
     lowmem: LowMemConfig,
@@ -236,14 +245,13 @@ impl PartitionJob {
             partitions: None,
             cost: None,
             hyperpraw: HyperPrawConfig::default(),
-            parallel: ParallelConfig::with_threads(1),
+            threads: 1,
             lowmem: LowMemConfig::default(),
             prefetch: true,
             registry: hyperpraw_telemetry::Registry::disabled(),
         };
         if algorithm.supports_streams() {
-            // The lowmem drivers keep their own defaults: one pass and a
-            // wider synchronisation window.
+            // The lowmem drivers keep their own defaults: one pass.
             return job.lowmem_config(LowMemConfig::default());
         }
         job
@@ -317,34 +325,17 @@ impl PartitionJob {
 
     /// Sets the worker-thread count of the restreaming and lowmem
     /// drivers, which picks their schedule: one thread (the default)
-    /// streams sequentially, more run under
-    /// [`parallel_mode`](PartitionJob::parallel_mode). `0` auto-detects
+    /// streams sequentially and deterministically, more run lock-free
+    /// work stealing, valid but not bit-reproducible. `0` auto-detects
     /// the machine's available parallelism
     /// ([`std::thread::available_parallelism`], falling back to 1 when the
     /// platform cannot report one); the resolved count is what the
     /// report's [`EffectiveConfig::threads`] records.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.parallel.num_threads = match threads {
+        self.threads = match threads {
             0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
             n => n,
         };
-        self
-    }
-
-    /// Sets the synchronisation window of the bulk-synchronous schedule
-    /// (512 vertices by default, 4096 in the lowmem drivers).
-    pub fn sync_interval(mut self, interval: usize) -> Self {
-        self.parallel.sync_interval = interval;
-        self
-    }
-
-    /// Selects how more than one worker thread divides the stream:
-    /// deterministic bulk-synchronous windows ([`ParallelMode::Bsp`], the
-    /// default) or lock-free work stealing against live shared state
-    /// ([`ParallelMode::WorkStealing`], faster but not bit-reproducible).
-    /// One thread streams sequentially in either mode.
-    pub fn parallel_mode(mut self, mode: ParallelMode) -> Self {
-        self.parallel.mode = mode;
         self
     }
 
@@ -387,8 +378,6 @@ impl PartitionJob {
         self.hyperpraw.seed = config.seed;
         self.hyperpraw.initial_alpha = config.alpha;
         self.hyperpraw.max_iterations = config.passes;
-        self.parallel.sync_interval = config.sync_interval;
-        self.parallel.mode = config.mode;
         let threads = config.threads;
         self.lowmem = config;
         self.threads(threads)
@@ -437,8 +426,7 @@ impl PartitionJob {
         let invalid = PartitionError::InvalidConfig;
         match self.algorithm {
             Algorithm::HyperPrawBasic | Algorithm::HyperPrawAware => {
-                self.hyperpraw.validate().map_err(invalid)?;
-                self.parallel.validate().map_err(invalid)
+                self.hyperpraw.validate().map_err(invalid)
             }
             Algorithm::LowMemExact | Algorithm::LowMemSketched => {
                 self.lowmem_driver().validate().map_err(invalid)
@@ -458,7 +446,7 @@ impl PartitionJob {
         let (partition, summary) = match self.algorithm {
             Algorithm::HyperPrawBasic | Algorithm::HyperPrawAware => {
                 let result = HyperPraw::new(self.hyperpraw, self.driver_cost(p))
-                    .with_parallel(self.parallel)
+                    .with_threads(self.threads)
                     .with_registry(&self.registry)
                     .partition(hg);
                 let summary = RunSummary {
@@ -569,7 +557,7 @@ impl PartitionJob {
     /// other [`Algorithm`], and a thread count above one, returns
     /// [`PartitionError::Unsupported`].
     pub fn run_dynamic(&self, hg: &Hypergraph) -> Result<DynamicSession, PartitionError> {
-        let threads = self.parallel.num_threads;
+        let threads = self.threads;
         if !self.algorithm.restreams() || threads > 1 {
             return Err(PartitionError::Unsupported(format!(
                 "{} on {threads} thread(s) cannot drive a dynamic session; \
@@ -639,9 +627,7 @@ impl PartitionJob {
             },
             alpha: self.hyperpraw.initial_alpha,
             passes: self.hyperpraw.max_iterations,
-            threads: self.parallel.num_threads,
-            sync_interval: self.parallel.sync_interval,
-            mode: self.parallel.mode,
+            threads: self.threads,
             seed: self.hyperpraw.seed,
             ..self.lowmem.clone()
         }
@@ -734,12 +720,10 @@ impl PartitionJob {
         let lowmem = self.algorithm.supports_streams();
         let config = &self.hyperpraw;
         let threads = if self.algorithm.supports_threads() {
-            self.parallel.num_threads
+            self.threads
         } else {
             1
         };
-        // The schedule is reported where it runs: above one thread.
-        let schedule = (threads > 1).then_some(self.parallel);
         EffectiveConfig {
             partitions: p,
             seed: config.seed,
@@ -761,10 +745,6 @@ impl PartitionJob {
             initial_alpha: config.initial_alpha.filter(|_| restreaming || lowmem),
             stream_order: restreaming.then(|| config.stream_order.name()),
             threads,
-            parallel_mode: schedule.map(|s| s.mode.name()),
-            sync_interval: schedule
-                .filter(|s| s.mode == ParallelMode::Bsp)
-                .map(|s| s.sync_interval),
             index: lowmem.then(|| self.lowmem_driver().index.name()),
             budget_bytes: lowmem.then_some(self.lowmem.budget.bytes),
             rebuild_sketches: lowmem.then_some(self.lowmem.rebuild_sketches),
@@ -1085,15 +1065,6 @@ mod tests {
                 .run(&hg),
             Err(PartitionError::InvalidConfig(_))
         ));
-        // zero-vertex synchronisation window
-        assert!(matches!(
-            PartitionJob::new(Algorithm::HyperPrawBasic)
-                .partitions(4)
-                .threads(4)
-                .sync_interval(0)
-                .run(&hg),
-            Err(PartitionError::InvalidConfig(_))
-        ));
         // zero lowmem passes
         assert!(matches!(
             PartitionJob::new(Algorithm::LowMemSketched)
@@ -1163,35 +1134,26 @@ mod tests {
     }
 
     #[test]
-    fn parallel_mode_lands_in_the_effective_config_and_json() {
+    fn threads_land_in_the_effective_config_and_json() {
+        // The thread count alone names the schedule: the report carries
+        // it and no schedule keys.
         let hg = mesh_hypergraph(&MeshConfig::new(200, 6));
-        let bsp = PartitionJob::new(Algorithm::HyperPrawBasic)
-            .partitions(4)
-            .threads(2)
-            .run(&hg)
-            .unwrap();
-        assert_eq!(bsp.config.parallel_mode, Some("bsp"));
-        assert!(bsp.config.sync_interval.is_some());
-
         let steal = PartitionJob::new(Algorithm::HyperPrawBasic)
             .partitions(4)
             .threads(2)
-            .parallel_mode(ParallelMode::WorkStealing)
             .run(&hg)
             .unwrap();
-        assert_eq!(steal.config.parallel_mode, Some("steal"));
-        assert_eq!(
-            steal.config.sync_interval, None,
-            "work stealing has no synchronisation windows"
-        );
-        assert!(steal.to_json().contains("\"parallel_mode\": \"steal\""));
+        assert_eq!(steal.config.threads, 2);
+        let json = steal.to_json();
+        assert!(json.contains("\"threads\": 2"), "{json}");
+        assert!(!json.contains("parallel_mode"), "{json}");
         assert_eq!(steal.partition.num_parts(), 4);
 
         let sequential = PartitionJob::new(Algorithm::HyperPrawBasic)
             .partitions(4)
             .run(&hg)
             .unwrap();
-        assert_eq!(sequential.config.parallel_mode, None);
+        assert_eq!(sequential.config.threads, 1);
     }
 
     #[test]
@@ -1305,14 +1267,11 @@ mod tests {
         let hg = mesh_hypergraph(&MeshConfig::new(200, 6));
         for algorithm in [Algorithm::HyperPrawBasic, Algorithm::LowMemSketched] {
             let job = PartitionJob::new(algorithm).partitions(4);
+            // The benchmark's no-op schedule setter keeps one thread.
             let report = job.parallel_mode(ParallelMode::WorkStealing).run(&hg);
-            let config = report.unwrap().config;
-            assert_eq!(
-                (config.threads, config.parallel_mode),
-                (1, None),
-                "{algorithm}"
-            );
-            assert_eq!(config.sync_interval, None, "{algorithm}");
+            let json = report.unwrap().to_json();
+            assert!(json.contains("\"threads\": 1"), "{algorithm}: {json}");
+            assert!(!json.contains("parallel_mode"), "{algorithm}: {json}");
         }
         let job = PartitionJob::new(Algorithm::HyperPrawBasic).partitions(4);
         assert!(job.clone().run_dynamic(&hg).is_ok());

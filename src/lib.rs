@@ -107,8 +107,7 @@ pub mod prelude {
     };
     pub use hyperpraw_core::{
         baselines, metrics::partitioning_communication_cost, metrics::QualityReport, CostMatrix,
-        HyperPraw, HyperPrawConfig, ParallelConfig, ParallelMode, PartitionResult,
-        RefinementPolicy, StopReason, StreamOrder,
+        HyperPraw, HyperPrawConfig, PartitionResult, RefinementPolicy, StopReason, StreamOrder,
     };
     pub use hyperpraw_dynamic::{
         DynamicConfig, DynamicError, DynamicPartitioner, GraphUpdate, RecoveryStats, StateDir,

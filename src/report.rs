@@ -106,16 +106,10 @@ pub struct EffectiveConfig {
     pub initial_alpha: Option<f64>,
     /// Stream order name (in-memory HyperPRAW drivers).
     pub stream_order: Option<&'static str>,
-    /// Worker threads (1 = sequential); a `threads(0)` auto-detect request
+    /// Worker threads (1 = sequential, more = work stealing); a
+    /// `threads(0)` auto-detect request
     /// is resolved to the real machine parallelism before it lands here.
     pub threads: usize,
-    /// Worker scheduling of the parallel drivers: `"bsp"` (deterministic
-    /// bulk-synchronous windows) or `"steal"` (lock-free work stealing).
-    /// `None` for single-threaded and non-parallel drivers.
-    pub parallel_mode: Option<&'static str>,
-    /// Vertices per synchronisation window (bulk-synchronous mode only —
-    /// work stealing has no windows).
-    pub sync_interval: Option<usize>,
     /// Kind of connectivity index (lowmem drivers).
     pub index: Option<&'static str>,
     /// Memory budget in bytes (lowmem drivers).
@@ -228,8 +222,6 @@ impl PartitionReport {
             ("initial_alpha", c.initial_alpha.into()),
             ("stream_order", c.stream_order.into()),
             ("threads", c.threads.into()),
-            ("parallel_mode", c.parallel_mode.into()),
-            ("sync_interval", c.sync_interval.into()),
             ("index", c.index.into()),
             ("budget_bytes", c.budget_bytes.into()),
             ("rebuild_sketches", c.rebuild_sketches.into()),
@@ -460,8 +452,6 @@ pub(crate) mod tests {
                 initial_alpha: None,
                 stream_order: None,
                 threads: 1,
-                parallel_mode: None,
-                sync_interval: None,
                 index: None,
                 budget_bytes: None,
                 rebuild_sketches: None,
@@ -618,11 +608,32 @@ pub(crate) mod tests {
         }
     }
 
+    /// `v` without the `parallel_mode` and `sync_interval` keys of its
+    /// `config` objects, which went with the bulk-synchronous schedule.
+    fn without_schedule_keys(v: JsonValue) -> JsonValue {
+        match v {
+            JsonValue::Object(fields) => JsonValue::object(fields.into_iter().map(|(k, v)| {
+                let v = match (k.as_str(), v) {
+                    ("config", JsonValue::Object(config)) => JsonValue::object(
+                        config
+                            .into_iter()
+                            .filter(|(k, _)| k != "parallel_mode" && k != "sync_interval"),
+                    ),
+                    (_, v) => without_schedule_keys(v),
+                };
+                (k, v)
+            })),
+            v => v,
+        }
+    }
+
     /// The fixtures were written by the pretty-printing writers that
     /// `JsonValue` replaced, for `sample_report` grown a history (one NaN
     /// comm cost), lowmem stats, an escaped string and a live registry. The
     /// layout changed (one line); the values must not, except that a
-    /// histogram `mean` is no longer rounded to three decimals.
+    /// histogram `mean` is no longer rounded to three decimals, and that
+    /// the `config` object no longer names a schedule (`parallel_mode`,
+    /// `sync_interval`): the thread count alone picks it.
     #[test]
     fn documents_keep_the_values_of_the_recorded_fixtures() {
         let registry = hyperpraw_telemetry::Registry::new();
@@ -683,7 +694,7 @@ pub(crate) mod tests {
         ] {
             assert!(!text.contains('\n'), "{name} is one line: {text}");
             let recorded = std::fs::read_to_string(format!("{dir}/{name}.json")).unwrap();
-            let old = crate::json::parse(&recorded).unwrap();
+            let old = without_schedule_keys(crate::json::parse(&recorded).unwrap());
             let new = crate::json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(rounded_means(old), rounded_means(new), "{name}");
         }

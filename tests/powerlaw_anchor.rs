@@ -16,16 +16,15 @@
 //!
 //! * the sequential architecture-aware partition and the bits of its comm
 //!   cost must equal the fixture;
-//! * one work-stealing thread must reproduce the sequential assignment;
-//! * two bulk-synchronous runs on four threads must be identical.
+//! * one work-stealing thread must reproduce the sequential assignment.
 //!
 //! `fixtures/algorithm_aliases.txt` was recorded on the mesh at 8 units by
 //! a build that still had `Algorithm::{ParallelBasic, ParallelAware}`: each
 //! variant's assignment hash and comm-cost bits. The thread count now picks
 //! the schedule, so each of the seven restreaming spellings must reproduce
-//! its cost model's sequential record at one thread in either schedule (as
-//! the recording's single stealing thread did), and the old `parallel-*`
-//! record at three bulk-synchronous threads with a 256-vertex window.
+//! its cost model's sequential record at one thread (as the recording's
+//! single stealing thread did). Its rows for three bulk-synchronous
+//! threads record a schedule that is gone and are not read.
 
 use hyperpraw::hypergraph::generators::{
     mesh_hypergraph, powerlaw_hypergraph, MeshConfig, PowerLawConfig,
@@ -73,12 +72,11 @@ fn archer_cost(p: usize) -> CostMatrix {
     CostMatrix::from_bandwidth(&RingProfiler::default().profile(&link))
 }
 
-fn aware(hg: &Hypergraph, p: usize, threads: usize, mode: ParallelMode) -> PartitionReport {
+fn aware(hg: &Hypergraph, p: usize, threads: usize) -> PartitionReport {
     PartitionJob::new(Algorithm::HyperPrawAware)
         .cost(archer_cost(p))
         .seed(SEED)
         .threads(threads)
-        .parallel_mode(mode)
         .run(hg)
         .expect("valid job")
 }
@@ -124,17 +122,8 @@ fn sequential_aware_matches_the_recorded_fixture() {
 #[test]
 fn one_stealing_thread_matches_sequential() {
     let hg = powerlaw();
-    let steal = aware(&hg, POWERLAW_P, 1, ParallelMode::WorkStealing);
+    let steal = aware(&hg, POWERLAW_P, 1);
     assert_eq!(steal.partition, sequential(&hg, POWERLAW_P).partition);
-}
-
-#[test]
-fn bsp_runs_on_four_threads_are_identical() {
-    let hg = powerlaw();
-    let a = aware(&hg, POWERLAW_P, 4, ParallelMode::Bsp);
-    let b = aware(&hg, POWERLAW_P, 4, ParallelMode::Bsp);
-    assert_eq!(a.partition, b.partition);
-    assert_eq!(a.comm_cost.map(f64::to_bits), b.comm_cost.map(f64::to_bits));
 }
 
 #[test]
@@ -151,17 +140,8 @@ fn mesh_sequential_aware_matches_the_recorded_fixture() {
 #[test]
 fn mesh_one_stealing_thread_matches_sequential() {
     let hg = mesh();
-    let steal = aware(&hg, MESH_P, 1, ParallelMode::WorkStealing);
+    let steal = aware(&hg, MESH_P, 1);
     assert_eq!(steal.partition, sequential(&hg, MESH_P).partition);
-}
-
-#[test]
-fn mesh_bsp_runs_on_four_threads_are_identical() {
-    let hg = mesh();
-    let a = aware(&hg, MESH_P, 4, ParallelMode::Bsp);
-    let b = aware(&hg, MESH_P, 4, ParallelMode::Bsp);
-    assert_eq!(a.partition, b.partition);
-    assert_eq!(a.comm_cost.map(f64::to_bits), b.comm_cost.map(f64::to_bits));
 }
 
 /// FNV-1a 64 over the little-endian bytes of every part id.
@@ -175,7 +155,7 @@ fn assignment_hash(assignment: &[u32]) -> u64 {
 }
 
 /// The `(hash, comm-cost bits)` of the alias record keyed by its first
-/// four columns, e.g. `"parallel-aware 3 bsp 256"`.
+/// four columns, e.g. `"parallel-aware 1 steal -"`.
 fn alias_record(key: &str) -> (u64, u64) {
     let prefix = format!("{key} ");
     let line = ALIAS_FIXTURE.lines().find(|l| l.starts_with(&prefix));
@@ -186,13 +166,11 @@ fn alias_record(key: &str) -> (u64, u64) {
     (cols[0], cols[1])
 }
 
-fn alias_run(spelling: &str, threads: usize, mode: ParallelMode) -> (u64, u64) {
+fn alias_run(spelling: &str) -> (u64, u64) {
     let report = PartitionJob::new(Algorithm::parse(spelling).unwrap())
         .cost(archer_cost(8))
         .seed(SEED)
-        .threads(threads)
-        .parallel_mode(mode)
-        .sync_interval(256)
+        .threads(1)
         .run(&mesh())
         .expect("valid job");
     let bits = report.comm_cost.expect("in-memory runs evaluate").to_bits();
@@ -206,21 +184,7 @@ fn every_spelling_on_one_thread_replays_the_sequential_record() {
         let steal = alias_record(&format!("parallel-{model} 1 steal -"));
         assert_eq!(steal, sequential, "the recorded stealing thread");
         for spelling in spellings {
-            for mode in [ParallelMode::Bsp, ParallelMode::WorkStealing] {
-                let replay = alias_run(spelling, 1, mode);
-                assert_eq!(replay, sequential, "{spelling} {mode:?}");
-            }
-        }
-    }
-}
-
-#[test]
-fn every_spelling_on_three_bsp_threads_replays_the_parallel_record() {
-    for (model, spellings) in SPELLINGS {
-        let recorded = alias_record(&format!("parallel-{model} 3 bsp 256"));
-        for spelling in spellings {
-            let replay = alias_run(spelling, 3, ParallelMode::Bsp);
-            assert_eq!(replay, recorded, "{spelling}");
+            assert_eq!(alias_run(spelling), sequential, "{spelling}");
         }
     }
 }
