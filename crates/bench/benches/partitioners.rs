@@ -9,10 +9,9 @@
 //! ids stay comparable with earlier snapshots. The `hyperpraw_steal`
 //! entries run the same partitioner through `HyperPraw::with_threads`,
 //! the work-stealing strategy swept over a thread ladder (1 is the
-//! sequential floor). The `lowmem_steal_sketched` entries time the engine
-//! combination none of the pre-engine drivers could express: work-stealing
-//! workers over the sketched out-of-core connectivity provider. Medians
-//! land in `target/BENCH_partitioners.json`.
+//! sequential floor). The `lowmem_sketched` entry times the engine over
+//! the sketched out-of-core connectivity provider, which streams on one
+//! thread. Medians land in `target/BENCH_partitioners.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -64,20 +63,12 @@ fn bench_partitioners(c: &mut Criterion) {
             })
         });
     }
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_function(BenchmarkId::new("lowmem_steal_sketched", threads), |b| {
-            b.iter(|| {
-                LowMemPartitioner::new(
-                    LowMemConfig {
-                        threads,
-                        ..LowMemConfig::default()
-                    },
-                    testbed.cost.clone(),
-                )
+    group.bench_function(BenchmarkId::new("lowmem_sketched", p), |b| {
+        b.iter(|| {
+            LowMemPartitioner::new(LowMemConfig::default(), testbed.cost.clone())
                 .partition_hypergraph(&hg)
-            })
-        });
-    }
+        })
+    });
     group.finish();
 }
 

@@ -325,8 +325,8 @@ subcommands! {
         machine: MachinePreset = "--machine" "-m", default "archer";
         /// Imbalance tolerance.
         imbalance: f64 = "--imbalance", default "1.1";
-        /// Worker threads of a restreaming or lowmem algorithm (1 = sequential,
-        /// the default; more = work stealing; 0 = auto).
+        /// Worker threads of a restreaming algorithm (1 = sequential, the
+        /// default; more = work stealing; 0 = auto).
         threads: Option<usize> = "--threads" "-t";
         /// RNG seed.
         seed: u64 as Seed = "--seed", default "2019";
@@ -360,8 +360,6 @@ subcommands! {
         passes: usize = "--passes", default "1";
         /// Rebuild the sketches between passes to shed staleness.
         rebuild_sketches: bool = "--rebuild-sketches";
-        /// Worker threads (1 = sequential, more = work stealing, 0 = auto).
-        threads: usize = "--threads" "-t", default "1";
         /// Machine preset of the cost matrix.
         machine: MachinePreset = "--machine" "-m", default "archer";
         /// RNG seed.
@@ -729,19 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn lowmem_threads_zero_reaches_the_auto_detect() {
-        match Cli::parse(argv("lowmem big.hgr --parts 8 --threads 0"))
-            .unwrap()
-            .command
-        {
-            Command::LowMem { threads, .. } => {
-                assert_eq!(threads, 0, "0 reaches the facade's auto-detect");
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-    }
-
-    #[test]
     fn partition_requires_parts() {
         let err = Cli::parse(argv("partition app.hgr")).unwrap_err();
         assert!(matches!(err, ParseError::MissingValue(_)));
@@ -758,7 +743,6 @@ mod tests {
                 restream,
                 passes,
                 rebuild_sketches,
-                threads,
                 json,
                 ..
             } => {
@@ -768,14 +752,13 @@ mod tests {
                 assert_eq!(restream, None);
                 assert_eq!(passes, 1);
                 assert!(!rebuild_sketches);
-                assert_eq!(threads, 1);
                 assert!(!json);
             }
             other => panic!("wrong command {other:?}"),
         }
         let cli = Cli::parse(argv(
             "lowmem big.hgr -p 8 -b 16 --exact --restream 500 --passes 3 --rebuild-sketches \
-             --threads 4 -m flat --seed 3 -o out.txt --json",
+             -m flat --seed 3 -o out.txt --json",
         ))
         .unwrap();
         match cli.command {
@@ -785,7 +768,6 @@ mod tests {
                 restream,
                 passes,
                 rebuild_sketches,
-                threads,
                 machine,
                 seed,
                 output,
@@ -797,7 +779,6 @@ mod tests {
                 assert_eq!(restream, Some(500));
                 assert_eq!(passes, 3);
                 assert!(rebuild_sketches);
-                assert_eq!(threads, 4);
                 assert_eq!(machine, MachinePreset::Flat);
                 assert_eq!(seed, 3);
                 assert_eq!(output, Some(PathBuf::from("out.txt")));

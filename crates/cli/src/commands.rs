@@ -256,9 +256,9 @@ pub fn execute(cli: &Cli, out: &mut dyn Write) -> Result<(), CommandError> {
             if *parts < 2 {
                 return Err(CommandError::Invalid("--parts must be at least 2".into()));
             }
-            if threads.is_some() && !algorithm.supports_threads() {
+            if threads.is_some() && !algorithm.restreams() {
                 return Err(CommandError::Invalid(format!(
-                    "--threads does not apply to {}; pick a restreaming or lowmem algorithm",
+                    "--threads does not apply to {}; pick a restreaming algorithm",
                     algorithm.name()
                 )));
             }
@@ -290,7 +290,6 @@ pub fn execute(cli: &Cli, out: &mut dyn Write) -> Result<(), CommandError> {
             restream,
             passes,
             rebuild_sketches,
-            threads,
             machine,
             seed,
             output,
@@ -342,7 +341,6 @@ pub fn execute(cli: &Cli, out: &mut dyn Write) -> Result<(), CommandError> {
                 .restream_capacity(*restream)
                 .passes(*passes)
                 .rebuild_sketches(*rebuild_sketches)
-                .threads(*threads)
                 .seed(*seed)
                 .prefetch(!*no_prefetch)
                 .registry(&metrics);
@@ -756,15 +754,14 @@ mod tests {
     }
 
     #[test]
-    fn lowmem_command_runs_threaded_sketched_restreaming_end_to_end() {
-        // The acceptance scenario of the engine refactor: work-stealing
-        // workers over the sketched connectivity provider, with multi-pass
-        // restreaming and sketch rebuilds, straight from the CLI.
+    fn lowmem_command_runs_multi_pass_sketched_restreaming_end_to_end() {
+        // The sketched connectivity provider with multi-pass restreaming
+        // and sketch rebuilds, straight from the CLI.
         let input = sample_hgr();
-        let output = temp_path("lowmem_threaded_assignment.txt");
-        let json_out = temp_path("lowmem_threaded_report.json");
+        let output = temp_path("lowmem_multi_pass_assignment.txt");
+        let json_out = temp_path("lowmem_multi_pass_report.json");
         let flags = format!(
-            "--passes 2 --rebuild-sketches --threads 3 --seed 7 -o {} --json-out {}",
+            "--passes 2 --rebuild-sketches --seed 7 -o {} --json-out {}",
             output.display(),
             json_out.display()
         );
@@ -811,8 +808,9 @@ mod tests {
         // `--threads 0` used to be an InvalidConfig; it now resolves to
         // the machine's available parallelism inside the job API.
         let input = sample_hgr();
-        let output = temp_path("lowmem_auto_threads.txt");
-        lowmem(&input, 2, &format!("--threads 0 -o {}", output.display())).unwrap();
+        let output = temp_path("partition_auto_threads.txt");
+        let flags = format!("-a basic --threads 0 -o {}", output.display());
+        partition(&input, 2, &flags).unwrap();
         let hg = load_hypergraph(&input).unwrap();
         let part = read_assignment(&output, hg.num_vertices()).unwrap();
         assert!(part.num_parts() <= 2);

@@ -10,8 +10,10 @@
 //! are refused now: a JSON report cannot carry them exactly; and that the
 //! schedule flag is gone with the bulk-synchronous schedule, so a line
 //! naming it is refused and a parsed command no longer holds the field
-//! ([`RETIRED_FLAG`]). The lines in [`RERECORDED`] were recorded again
-//! when the parser changed on purpose.
+//! ([`RETIRED_FLAG`]); and that lowmem streams on one thread, so a lowmem
+//! line naming its thread flags is refused and a parsed lowmem command
+//! no longer holds their field ([`RETIRED_LOWMEM_FLAGS`]). The lines in
+//! [`RERECORDED`] were recorded again when the parser changed on purpose.
 
 use hyperpraw_cli::Cli;
 
@@ -53,15 +55,38 @@ const RERECORDED: [(usize, &str); 5] = [
 /// lose the field.
 const RETIRED_FLAG: (&str, &str) = ("--parallel-mode", "parallel_mode: ");
 
-/// `recorded` without the retired field and its value.
-fn without_retired_field(recorded: &str) -> String {
-    match recorded.split_once(RETIRED_FLAG.1) {
+/// lowmem's thread-count spellings the recording parser accepted, and the
+/// field they set. lowmem streams on one thread now: a lowmem line naming
+/// one is refused, and recorded lowmem `ok` outcomes lose the field.
+const RETIRED_LOWMEM_FLAGS: ([&str; 2], &str) = (["--threads", "-t"], "threads: ");
+
+/// `recorded` without `field` and its value.
+fn without_field(recorded: &str, field: &str) -> String {
+    match recorded.split_once(field) {
         Some((head, tail)) => {
-            let (_, rest) = tail.split_once(", ").expect("a field follows the mode");
+            let (_, rest) = tail.split_once(", ").expect("a field follows");
             format!("{head}{rest}")
         }
         None => recorded.to_string(),
     }
+}
+
+/// `recorded` without the fields of the retired flags.
+fn without_retired_fields(recorded: &str) -> String {
+    let recorded = without_field(recorded, RETIRED_FLAG.1);
+    if recorded.starts_with("ok LowMem ") {
+        without_field(&recorded, RETIRED_LOWMEM_FLAGS.1)
+    } else {
+        recorded
+    }
+}
+
+/// The first retired flag `line` names, in argv order: the parser refuses
+/// the line there.
+fn first_retired_flag(line: &str) -> Option<&str> {
+    let lowmem = line.starts_with("lowmem ");
+    line.split_whitespace()
+        .find(|&t| t == RETIRED_FLAG.0 || (lowmem && RETIRED_LOWMEM_FLAGS.0.contains(&t)))
 }
 
 /// The `--seed` value of a line the recording parser accepted but the
@@ -77,7 +102,8 @@ fn refused_seed(line: &str) -> Option<&str> {
 
 #[test]
 fn every_recorded_command_line_parses_to_its_recorded_outcome() {
-    let (mut replayed, mut refused, mut retired, mut rerecorded) = (0, 0, 0, 0);
+    let (mut replayed, mut refused, mut rerecorded) = (0, 0, 0);
+    let (mut retired, mut lowmem_threads) = (0, 0);
     for (number, entry) in CORPUS.lines().enumerate() {
         if entry.starts_with('#') {
             continue;
@@ -89,14 +115,16 @@ fn every_recorded_command_line_parses_to_its_recorded_outcome() {
             assert_eq!(line, *command, "re-recorded line {} moved", number + 1);
             rerecorded += 1;
         }
-        let names_retired_flag = line.split_whitespace().any(|t| t == RETIRED_FLAG.0);
-        let expected = match refused_seed(line) {
-            _ if names_retired_flag => {
-                retired += 1;
-                let flag = RETIRED_FLAG.0;
+        let expected = match (first_retired_flag(line), refused_seed(line)) {
+            (Some(flag), _) => {
+                if flag == RETIRED_FLAG.0 {
+                    retired += 1;
+                } else {
+                    lowmem_threads += 1;
+                }
                 format!("err UnknownOption(\"{flag}\"): unknown option '{flag}'")
             }
-            Some(seed) => {
+            (None, Some(seed)) => {
                 assert!(recorded.starts_with("ok "), "{line:?} was refused already");
                 refused += 1;
                 let expected = "a number below 2^53";
@@ -106,7 +134,7 @@ fn every_recorded_command_line_parses_to_its_recorded_outcome() {
                      (expected {expected})"
                 )
             }
-            None => without_retired_field(recorded),
+            (None, None) => without_retired_fields(recorded),
         };
         assert_eq!(
             outcome(line),
@@ -118,6 +146,7 @@ fn every_recorded_command_line_parses_to_its_recorded_outcome() {
     }
     assert!(replayed >= 60, "only {replayed} command lines replayed");
     assert_eq!(refused, 5, "the corpus's accepted seeds of 2^53 or more");
-    assert_eq!(retired, 7, "the corpus's lines naming the schedule flag");
+    assert_eq!(retired, 6, "lines refused at the schedule flag");
+    assert_eq!(lowmem_threads, 2, "lowmem lines refused at a thread flag");
     assert_eq!(rerecorded, RERECORDED.len());
 }

@@ -60,3 +60,26 @@ fn a_nan_imbalance_tolerance_is_a_run_error() {
     assert!(stderr.contains("imbalance tolerance"), "{stderr}");
     std::fs::remove_file(input).ok();
 }
+
+#[test]
+fn threads_for_lowmem_are_a_run_error() {
+    let input = mesh_hgr("lowmem_threads");
+    let path = input.to_str().unwrap();
+    let output = hyperpraw(
+        &[
+            "partition",
+            path,
+            "--parts",
+            "4",
+            "-a",
+            "lowmem",
+            "--threads",
+            "2",
+        ],
+        Stdio::null(),
+    );
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--threads does not apply"), "{stderr}");
+    std::fs::remove_file(input).ok();
+}

@@ -26,7 +26,7 @@
 //!   │  (natural/shuffled/    │   exact part counts per   │   (fresh info per
 //!   │   degree order)        │   visited vertex, shifted │    vertex,
 //!   └ StreamSource over any  │   on moves; neighbours by │    deterministic)
-//!      io::stream source     │   traversal or dedup CSR) └ WorkStealing
+//!      io::stream source     │   traversal)              └ WorkStealing
 //!      (on-disk transpose,   ├ lowmem ExactIndex             (atomic cursor,
 //!       InMemoryVertexStream)│   (hash maps, exact,          live shared
 //!                            │    reversible)                state, bounded
@@ -58,17 +58,15 @@
 //! — counts, load view, scorer scratch, its log — sits in its own
 //! 128-byte-aligned worker slot, so a visit that keeps its vertex in
 //! place causes no cross-core traffic.
-//! The log holds what the batch boundary must apply: only the moves when
-//! the provider's counts follow the live assignment and the doubt buffer
-//! is off, every visit otherwise. The boundary's serial work therefore
-//! follows the moves of an in-memory run, not its batch.
+//! A worker's log holds its moves only, which is all the batch boundary
+//! applies, so the boundary's serial work follows the moves, not the
+//! batch. Work stealing therefore needs a provider whose counts read the
+//! live assignment they are passed, and no doubt buffer, which would need
+//! every visit's margin ([`EngineConfig::validate`] refuses that).
 //!
-//! Every combination is valid: [`crate::HyperPraw`] is
-//! `InMemorySource × AdjProvider × Sequential`, and
-//! [`crate::HyperPraw::with_threads`] swaps in `WorkStealing`;
-//! `hyperpraw-lowmem` runs `StreamSource × IndexProvider` in either
-//! strategy — which is how parallel *out-of-core* partitioning (a
-//! scenario none of the original drivers supported) falls out for free.
+//! [`crate::HyperPraw`] is `InMemorySource × AdjProvider × Sequential`,
+//! and [`crate::HyperPraw::with_threads`] swaps in `WorkStealing`;
+//! `hyperpraw-lowmem` runs `StreamSource × IndexProvider` sequentially.
 //!
 //! `AdjProvider` answers the distinct-neighbour query with exact integer
 //! counts: every visit copies the part counts `X(v)` the provider keeps
@@ -78,14 +76,9 @@
 //! wherever the assignment the counts read changes — at each sequential
 //! placement and in the stealing worker next to its write of the live
 //! assignment. A visit is therefore an O(p) copy, and neighbourhoods are
-//! walked only at sync and when their vertex moves. A walk scans the vertex's flat list when the
-//! provider has a precomputed adjacency and traverses the vertex's pins
-//! otherwise; neither the in-memory driver nor the dynamic layer builds
-//! an adjacency. Debug builds check the counts against a
-//! recount at every pass end and stealing batch boundary.
-//! No adjacency or budget ever changes a partition — the
-//! engine-equivalence suite holds bit for bit (f64 history equality)
-//! under every budget.
+//! walked only at sync and when their vertex moves, by a traversal of the
+//! vertex's pins. Debug builds check the counts against a recount at
+//! every pass end and stealing batch boundary.
 //!
 //! Most visits of a converging run keep their vertex where it is, and
 //! those whose neighbours have not moved since their last visit can be
@@ -230,28 +223,17 @@ pub enum ExecutionStrategy {
     /// bounded staleness instead of a barrier. Fast and valid at any thread
     /// count, but not bit-reproducible across runs for more than one
     /// worker; a single worker degenerates to
-    /// [`ExecutionStrategy::Sequential`] exactly.
+    /// [`ExecutionStrategy::Sequential`] exactly. More than one worker
+    /// needs a provider whose counts read the live assignment and no
+    /// doubt buffer.
     WorkStealing {
         /// Number of worker threads.
         num_threads: usize,
-        /// Vertices per claimed chunk — the staleness granularity of the
-        /// *provider* state (the atomic assignment and load views are
-        /// updated per move). [`DEFAULT_STEAL_CHUNK`] suits most runs.
+        /// Vertices per claimed chunk (the atomic assignment and load
+        /// views are updated per move). [`DEFAULT_STEAL_CHUNK`] suits most
+        /// runs.
         chunk: usize,
     },
-}
-
-impl ExecutionStrategy {
-    /// The strategy `threads` workers run: work stealing over
-    /// [`DEFAULT_STEAL_CHUNK`]-vertex chunks, which at one worker runs the
-    /// sequential placement loop. Zero threads gives a strategy that
-    /// [`EngineConfig::validate`] refuses.
-    pub fn for_threads(threads: usize) -> Self {
-        ExecutionStrategy::WorkStealing {
-            num_threads: threads,
-            chunk: DEFAULT_STEAL_CHUNK,
-        }
-    }
 }
 
 /// Default vertex-chunk size claimed per cursor hit by
@@ -400,6 +382,12 @@ impl EngineConfig {
                 }
                 if chunk == 0 {
                     return Err("work-stealing chunk must be at least 1".into());
+                }
+                if num_threads > 1 && self.doubts.capacity > 0 {
+                    return Err(format!(
+                        "work stealing on {num_threads} threads keeps no doubt buffer; \
+                         revisiting doubts needs one thread"
+                    ));
                 }
             }
         }
@@ -868,16 +856,17 @@ fn detached(loads: &[f64], part: u32, own: f64) -> Vec<f64> {
 struct WorkerSlot<T> {
     scorer: Scorer<T>,
     loads_view: Vec<f64>,
-    /// The [`LoadSummary`] of `loads_view` when the scorer certifies,
-    /// recomputed at each reload of `fixed_loads`.
+    /// The [`LoadSummary`] of `loads_view` for a stealing worker, whose
+    /// scorer always certifies, recomputed at each reload of
+    /// `fixed_loads`.
     summary: LoadSummary,
     /// The cached copy of the shared fixed-point loads, of which
     /// `loads_view` is the `f64` view, as of move epoch `epoch`.
     fixed_loads: Vec<i64>,
     epoch: u64,
-    /// The `(batch index, part, margin)` log of the current batch: what
-    /// the batch boundary must apply.
-    log: Vec<(usize, u32, f64)>,
+    /// The `(batch index, part)` moves of the current batch, which the
+    /// batch boundary applies.
+    log: Vec<(usize, u32)>,
 }
 
 impl<T> WorkerSlot<T> {
@@ -1145,7 +1134,7 @@ impl Engine {
     /// counts against untouched vertices stay exact, and `warm.loads` must
     /// be that full assignment's per-part vertex weights. No seed pass
     /// runs, so providers must already answer for the current graph
-    /// ([`AdjProvider`] does, whether or not it has an adjacency).
+    /// ([`AdjProvider`] does).
     ///
     /// # Panics
     ///
@@ -1258,7 +1247,6 @@ impl Engine {
                     assigned,
                     num_threads,
                     chunk,
-                    &mut doubts,
                     &mut slots,
                     &mut batch,
                 )?,
@@ -1497,10 +1485,10 @@ impl Engine {
     /// fixed-size chunks of it off a shared [`ChunkCursor`], and every
     /// worker scores against *live* shared state — the full assignment as
     /// an atomic slice, the per-part loads as fixed-point atomics — so
-    /// placements become visible to peers per vertex. Provider mutation, authoritative `f64` load
-    /// accounting, move counting and doubt collection happen on the engine
-    /// thread at the batch boundary (the staleness bound for
-    /// index-backed providers). Returns the number of moved vertices.
+    /// placements become visible to peers per vertex. The authoritative
+    /// assignment, the `f64` load accounting, move counting and the
+    /// provider's replays are updated on the engine thread at the batch
+    /// boundary. Returns the number of moved vertices.
     ///
     /// Workers write shared state only when a vertex moves: the load
     /// counters, the atomic assignment, the provider's
@@ -1516,16 +1504,13 @@ impl Engine {
     /// restores it. Most visits therefore cause no cross-core traffic and
     /// touch none of the `p` loads.
     ///
-    /// Each worker logs what the boundary must apply. For a provider whose
-    /// counts follow the live assignment, with the doubt buffer off, that
-    /// is its moves only: such a provider keeps no state at
-    /// attach/detach, and nothing else reads a stay. The index providers
-    /// record every placement at attach and the doubt buffer offers every
-    /// visit, so otherwise the log holds every visit with its margin. The
-    /// boundary applies the logs in worker order in one loop and replays
-    /// each move on the provider ([`ConnectivityProvider::replay`])
-    /// against the assignment as of that move, so its serial cost follows
-    /// the log, not the batch.
+    /// Each worker logs its moves only: the provider's counts read the
+    /// live assignment, so it keeps no state at attach/detach, and with
+    /// the doubt buffer off nothing else reads a stay. The boundary applies
+    /// the logs in worker order in one loop and replays each move on the
+    /// provider ([`ConnectivityProvider::replay`]) against the assignment
+    /// as of that move, so its serial cost follows the moves, not the
+    /// batch.
     #[allow(clippy::too_many_arguments)] // the engine's hot path shares one state bundle
     fn steal_pass<S, P>(
         &self,
@@ -1537,7 +1522,6 @@ impl Engine {
         assigned: bool,
         num_threads: usize,
         chunk: usize,
-        doubts: &mut DoubtBuffer,
         slots: &mut Vec<WorkerSlot<P::Scratch>>,
         batch: &mut Vec<VertexRecord>,
     ) -> IoResult<usize>
@@ -1562,17 +1546,8 @@ impl Engine {
         // Stream sources stay memory-bounded: a batch holds at most this
         // many records, so a pass over more than 8192 vertices (at the
         // default chunk and two workers) spans several batches, each with
-        // its own thread team and boundary apply. Providers whose counts
-        // track the live atomic assignment take the large cap. Providers
-        // answering from internal state only mutated at batch boundaries
-        // (the lowmem indices) get small batches instead, bounding how far
-        // their counts lag behind the stream.
-        let batch_cap = if provider.live_counts() {
-            (chunk * num_threads * 16).max(8192)
-        } else {
-            (chunk * num_threads).max(256)
-        };
-        let log_visits = !provider.live_counts() || self.config.doubts.capacity > 0;
+        // its own thread team and boundary apply.
+        let batch_cap = (chunk * num_threads * 16).max(8192);
         let mut moved = 0usize;
 
         loop {
@@ -1615,7 +1590,6 @@ impl Engine {
 
                 let run_worker = |slot: &mut WorkerSlot<P::Scratch>| {
                     slot.loads_view.resize(p, 0.0);
-                    let certify = slot.scorer.certify;
                     // The counters were re-synced since the last batch.
                     slot.epoch = STALE_EPOCH;
                     slot.log.clear();
@@ -1632,12 +1606,10 @@ impl Engine {
                                     *fixed = counter.load(AtomicOrdering::Relaxed);
                                     *local = from_fixed(*fixed);
                                 }
-                                if certify {
-                                    slot.summary = LoadSummary::of(&slot.loads_view);
-                                }
+                                slot.summary = LoadSummary::of(&slot.loads_view);
                             }
                             debug_assert!(
-                                !certify || slot.summary == LoadSummary::of(&slot.loads_view),
+                                slot.summary == LoadSummary::of(&slot.loads_view),
                                 "the cached loads changed without a reload"
                             );
                             // The certificate step reads the current
@@ -1691,8 +1663,7 @@ impl Engine {
                                 }
                             };
                             let target = decision.part;
-                            let moving = current != Some(target);
-                            if moving {
+                            if current != Some(target) {
                                 if let Some(old) = current {
                                     shared[old as usize].fetch_sub(w, AtomicOrdering::Relaxed);
                                 }
@@ -1707,9 +1678,7 @@ impl Engine {
                                         &mut slot.scorer.scratch,
                                     );
                                 }
-                            }
-                            if moving || log_visits {
-                                slot.log.push((i, target, decision.margin));
+                                slot.log.push((i, target));
                             }
                         }
                     }
@@ -1735,35 +1704,26 @@ impl Engine {
                 team_span.finish();
             }
 
-            // Apply at the batch boundary, the logs in worker order: load
-            // accounting, provider detach/replay/attach, move counting and
-            // doubt collection all run on the engine thread. Each vertex
-            // is visited once per pass, so `state.partition` still holds
-            // every logged vertex on the part its worker read, and a
-            // logged vertex moved exactly when its worker reported the
-            // move to the provider.
+            // Apply the moves at the batch boundary, the logs in worker
+            // order: load accounting and the provider's replays run on the
+            // engine thread. Each vertex is visited once per pass, so
+            // `state.partition` still holds every logged vertex on the part
+            // its worker read, and it changed parts exactly when its worker
+            // reported the move to the provider.
             let apply_span = self.metrics.steal_apply_us.span();
             let (first, rest) = slots[..workers].split_at_mut(1);
             let WorkerSlot { scorer, log, .. } = &mut first[0];
-            for &(i, target, margin) in log.iter().chain(rest.iter().flat_map(|s| &s.log)) {
+            for &(i, target) in log.iter().chain(rest.iter().flat_map(|s| &s.log)) {
                 let record = &records[i];
                 let (v, w) = (record.vertex, record.weight);
                 let prior = state.partition.part_of(v);
-                let current = assigned.then_some(prior);
-                let from = current.map(|cur| {
-                    provider.detach(record, cur);
-                    state.detach(cur, w)
-                });
+                let from = assigned.then(|| state.detach(prior, w));
                 if prior != target {
                     provider.replay(v, prior, target, &state.partition, &mut scorer.scratch);
                     state.partition.set(v, target);
                 }
                 state.attach(target, w, from);
-                provider.attach(record, target);
-                if current != Some(target) {
-                    moved += 1;
-                }
-                doubts.offer(&self.config.doubts, provider, record, target, margin);
+                moved += 1;
             }
             apply_span.finish();
             debug_assert!(
@@ -1847,4 +1807,25 @@ fn to_fixed(load: f64) -> i64 {
 
 fn from_fixed(load: i64) -> f64 {
     load as f64 / (1i64 << LOAD_FRACTION_BITS) as f64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stealing_threads_refuse_the_doubt_buffer() {
+        let with_doubts = |num_threads| {
+            let mut config =
+                EngineConfig::streaming(None, 2).with_strategy(ExecutionStrategy::WorkStealing {
+                    num_threads,
+                    chunk: DEFAULT_STEAL_CHUNK,
+                });
+            config.doubts.capacity = 16;
+            config.validate()
+        };
+        let refused = with_doubts(2).unwrap_err();
+        assert!(refused.contains("doubt buffer"), "{refused}");
+        assert!(with_doubts(1).is_ok());
+    }
 }

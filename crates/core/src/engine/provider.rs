@@ -10,11 +10,8 @@
 //!   `X(v)` for every vertex the run visits: synced once per run
 //!   ([`ConnectivityProvider::sync`]) and shifted by one on every move of
 //!   a neighbour ([`ConnectivityProvider::moved`]), so a visit is an O(p)
-//!   copy. Neighbourhoods are walked only at sync and on a move: a flat
-//!   scan of a precomputed deduplicated neighbour list
-//!   ([`NeighborAdjacency`]) when the provider has one, an epoch traversal
-//!   of the vertex's pins otherwise. Every path produces the same exact
-//!   integer counts, so the adjacency never changes a partition. Next to
+//!   copy. Neighbourhoods are walked only at sync and on a move, by an
+//!   epoch traversal of the vertex's pins. Next to
 //!   each vertex's counts it keeps a **stay certificate** and the
 //!   generation of those counts, which lets the engine keep a vertex in
 //!   place without copying its counts or scoring
@@ -24,26 +21,24 @@
 //! * `hyperpraw-lowmem`'s `IndexProvider` — answers from a budgeted
 //!   `ConnectivityIndex` (exact hash maps, or Bloom/MinHash sketches),
 //!   counting **connected nets** per partition; attach/detach record and
-//!   (when supported) forget net incidences.
+//!   (when supported) forget net incidences. Its counts do not read the
+//!   assignment, so it runs only in the sequential strategy.
 //!
 //! Scoring reads take `&self` plus a worker-local
 //! [`ConnectivityProvider::Scratch`], so the work-stealing strategy can
-//! fan the same provider out across worker threads. The index providers
-//! mutate only on the engine thread at batch boundaries; [`AdjProvider`]'s kept counts are atomics, so a work-stealing
-//! worker updates them next to its own write of the live assignment.
+//! fan the same provider out across worker threads.
+//! [`AdjProvider`]'s kept counts are atomics, so a work-stealing worker
+//! updates them next to its own write of the live assignment.
 //! [`AdjProvider`]'s scratch is O(1) until the worker traverses a
 //! neighbourhood (the traversal scratch materialises lazily).
 
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 use hyperpraw_topology::CostMatrix;
 
 use hyperpraw_hypergraph::io::stream::VertexRecord;
 use hyperpraw_hypergraph::traversal::NeighborScratch;
-use hyperpraw_hypergraph::{
-    AdjacencyBudget, AssignmentRef, Hypergraph, NeighborAdjacency, Partition, VertexId,
-};
+use hyperpraw_hypergraph::{AssignmentRef, Hypergraph, Partition, VertexId};
 
 use crate::metrics::{check_shapes, CommCostState, PairCounts};
 use crate::value::{comm_gap_in, ValueScratch};
@@ -77,20 +72,6 @@ pub trait ConnectivityProvider: Sync {
     /// does not, which lets in-memory sources skip copying incidence
     /// lists into each record.
     fn needs_nets(&self) -> bool {
-        true
-    }
-
-    /// Whether [`ConnectivityProvider::count`] reads the `assignment`
-    /// argument (true for the in-memory providers, whose counts therefore
-    /// track the work-stealing strategy's live atomic view), or answers
-    /// from internal state that only changes at
-    /// [`ConnectivityProvider::attach`]/[`ConnectivityProvider::detach`]
-    /// (the index providers). The work-stealing strategy keeps its batches
-    /// small for non-live providers so that state never falls more than a
-    /// bounded number of vertices behind the stream. A live provider keeps no state
-    /// at attach/detach: with the doubt buffer off, work stealing calls
-    /// them only for the vertices that move.
-    fn live_counts(&self) -> bool {
         true
     }
 
@@ -203,7 +184,12 @@ pub trait ConnectivityProvider: Sync {
     /// the live assignment in sequential execution, or a live atomic view
     /// (with bounded staleness) in work-stealing execution, which is why
     /// the parameter is any [`AssignmentRef`] rather than a concrete
-    /// `Partition`. The
+    /// `Partition`. Work stealing reads `count` against the live
+    /// assignment it is passed and never calls
+    /// [`ConnectivityProvider::attach`] or
+    /// [`ConnectivityProvider::detach`], so only a provider whose counts
+    /// follow that assignment ([`AdjProvider`]) may run it on more than
+    /// one thread. The
     /// vertex's own contribution must be excluded when the provider can
     /// tell ([`AdjProvider`] excludes the vertex itself; index providers
     /// rely on the engine detaching first).
@@ -217,13 +203,15 @@ pub trait ConnectivityProvider: Sync {
 
     /// Removes `record`'s contribution to `part` from the provider's own
     /// state, where supported (sketches cannot forget and accept the
-    /// staleness). Stateless providers do nothing.
+    /// staleness), at a sequential placement. Stateless providers do
+    /// nothing.
     fn detach(&mut self, record: &VertexRecord, part: u32) {
         let _ = (record, part);
     }
 
     /// Records that `record` is now assigned to `part` in the provider's
-    /// own state. Stateless providers do nothing.
+    /// own state, at the seed pass and at a sequential placement.
+    /// Stateless providers do nothing.
     fn attach(&mut self, record: &VertexRecord, part: u32) {
         let _ = (record, part);
     }
@@ -310,17 +298,10 @@ fn f32_at_most(x: f64) -> f32 {
 /// gap is stored rounded down to an `f32`, which only weakens what it
 /// proves.
 ///
-/// Neighbourhoods come from a precomputed [`NeighborAdjacency`] when the
-/// provider has one, owned ([`AdjProvider::new`]) or borrowed
-/// ([`AdjProvider::from_adjacency`]). Otherwise — for hubs without a
-/// list, and for every vertex of an [`AdjProvider::traversal`] provider,
-/// which [`crate::HyperPraw`] and the dynamic layer run — they come from
-/// an epoch
-/// traversal of the vertex's pins, through a lazily created per-worker
-/// [`NeighborScratch`]. A query for a vertex without kept counts (the
-/// provider was never synced, or the run does not visit the vertex) is
-/// answered by [`NeighborAdjacency::neighbor_partition_counts`] or the
-/// traversal oracle.
+/// Neighbourhoods come from an epoch traversal of the vertex's pins,
+/// through a lazily created per-worker [`NeighborScratch`]. A query for a
+/// vertex without kept counts (the provider was never synced, or the run
+/// does not visit the vertex) is answered by the traversal oracle.
 ///
 /// Synced, the provider also keeps the part-pair counts `M` of
 /// [`crate::metrics`] — `M[a][·]` is the sum of `X(v)` over the vertices
@@ -346,15 +327,12 @@ fn f32_at_most(x: f64) -> f32 {
 ///
 /// Counts are exact integers on every path — identical to
 /// [`NeighborScratch::neighbor_partition_counts`], the distinct-neighbour
-/// `X_j(v)` of the paper — so neither the adjacency nor its budget ever
-/// changes a partition (f64 history bit-equality). Under work stealing
+/// `X_j(v)` of the paper. Under work stealing
 /// the kept counts follow the live atomic assignment with the same
 /// bounded staleness, and are exact again once the team joins.
 #[derive(Debug)]
 pub struct AdjProvider<'a> {
     hg: &'a Hypergraph,
-    /// Flat neighbour lists, when the provider has them.
-    adj: Option<Cow<'a, NeighborAdjacency>>,
     /// Part count of the synced run.
     num_parts: usize,
     /// Count slot of every vertex ([`NO_SLOT`] unless the synced run
@@ -437,27 +415,11 @@ impl Drop for AdjScratch {
 }
 
 impl<'a> AdjProvider<'a> {
-    /// Builds the adjacency for `hg` under `budget` and owns it.
-    pub fn new(hg: &'a Hypergraph, budget: AdjacencyBudget) -> Self {
-        Self::with_adjacency(hg, Some(Cow::Owned(NeighborAdjacency::build(hg, budget))))
-    }
-
-    /// Borrows an adjacency built elsewhere (shared across consumers).
-    pub fn from_adjacency(hg: &'a Hypergraph, adj: &'a NeighborAdjacency) -> Self {
-        Self::with_adjacency(hg, Some(Cow::Borrowed(adj)))
-    }
-
     /// Finds every neighbourhood by traversal and builds no adjacency.
-    /// Synced, its visits still copy kept counts; only sync and moves
-    /// traverse.
+    /// Synced, its visits copy kept counts; only sync and moves traverse.
     pub fn traversal(hg: &'a Hypergraph) -> Self {
-        Self::with_adjacency(hg, None)
-    }
-
-    fn with_adjacency(hg: &'a Hypergraph, adj: Option<Cow<'a, NeighborAdjacency>>) -> Self {
         Self {
             hg,
-            adj,
             num_parts: 0,
             slots: Vec::new(),
             num_counted: 0,
@@ -497,22 +459,10 @@ impl<'a> AdjProvider<'a> {
 
     /// Binds the `engine.hub_fallbacks` counter to `registry`: every
     /// neighbourhood traversal actually done — at sync, per move and per
-    /// query of a vertex without kept counts, for every vertex without a
-    /// flat list — increments it.
+    /// query of a vertex without kept counts — increments it.
     pub fn with_registry(mut self, registry: &hyperpraw_telemetry::Registry) -> Self {
         self.hub_fallbacks = registry.counter("engine.hub_fallbacks");
         self
-    }
-
-    /// The precomputed adjacency in use.
-    ///
-    /// # Panics
-    ///
-    /// Panics for an [`AdjProvider::traversal`] provider, which has none.
-    pub fn adjacency(&self) -> &NeighborAdjacency {
-        self.adj
-            .as_deref()
-            .expect("a traversal provider has no adjacency")
     }
 
     /// Number of vertices whose part counts the provider keeps (the
@@ -521,14 +471,11 @@ impl<'a> AdjProvider<'a> {
         self.num_counted
     }
 
-    /// Heap bytes held: the adjacency, if any, plus the kept part counts,
-    /// their stay certificates, the part-pair counts and, when the run
-    /// visits a subset, the vertex → slot map.
+    /// Heap bytes held: the kept part counts, their stay certificates,
+    /// the part-pair counts and, when the run visits a subset, the vertex
+    /// → slot map.
     pub fn memory_bytes(&self) -> usize {
-        self.adj
-            .as_deref()
-            .map_or(0, NeighborAdjacency::memory_bytes)
-            + self.slots.capacity() * std::mem::size_of::<u32>()
+        self.slots.capacity() * std::mem::size_of::<u32>()
             + self.rows.capacity() * std::mem::size_of::<Box<[AtomicU32]>>()
             + self.rows.iter().map(|block| block.len()).sum::<usize>()
                 * std::mem::size_of::<AtomicU32>()
@@ -557,10 +504,9 @@ impl<'a> AdjProvider<'a> {
         Some(&self.row(v)?[CERT_WORDS..])
     }
 
-    /// The distinct neighbours of `v`: its flat list when the adjacency
-    /// has one, otherwise a traversal through `scratch`.
+    /// The distinct neighbours of `v`, by a traversal through `scratch`.
     fn neighbors<'s>(&'s self, v: VertexId, scratch: &'s mut AdjScratch) -> &'s [VertexId] {
-        neighbors_of(self.hg, self.adj.as_deref(), v, scratch)
+        scratch.traversal(self.hg).neighbors(self.hg, v)
     }
 
     /// `M` summed from the kept rows of every vertex, placed as
@@ -598,7 +544,7 @@ impl<'a> AdjProvider<'a> {
             self.pairs = Some(if self.slots.is_empty() {
                 self.summed_pairs(assignment)
             } else {
-                PairCounts::build(self.hg, self.adj.as_deref(), assignment)
+                PairCounts::build(self.hg, None, assignment)
             });
         }
     }
@@ -612,20 +558,6 @@ fn slot_of(slots: &[u32], num_counted: usize, v: VertexId) -> Option<usize> {
     }
     let slot = *slots.get(v as usize)?;
     (slot != NO_SLOT).then_some(slot as usize)
-}
-
-/// [`AdjProvider::neighbors`] over the borrowed parts, so a caller may
-/// hold the kept counts mutably meanwhile.
-fn neighbors_of<'s>(
-    hg: &'s Hypergraph,
-    adj: Option<&'s NeighborAdjacency>,
-    v: VertexId,
-    scratch: &'s mut AdjScratch,
-) -> &'s [VertexId] {
-    match adj.and_then(|adj| adj.neighbors(v)) {
-        Some(list) => list,
-        None => scratch.traversal(hg).neighbors(hg, v),
-    }
 }
 
 impl ConnectivityProvider for AdjProvider<'_> {
@@ -729,7 +661,7 @@ impl ConnectivityProvider for AdjProvider<'_> {
         // `v`'s neighbours as `assignment` places them, before its move.
         let x = &mut self.replay_x;
         x.fill(0);
-        for &u in neighbors_of(self.hg, self.adj.as_deref(), v, scratch) {
+        for &u in scratch.traversal(self.hg).neighbors(self.hg, v) {
             x[assignment.part_of(u) as usize] += 1;
         }
         pairs.move_counted(from, to, x.iter().copied());
@@ -740,7 +672,7 @@ impl ConnectivityProvider for AdjProvider<'_> {
             return;
         }
         let stride = self.num_parts + CERT_WORDS;
-        for &u in neighbors_of(self.hg, self.adj.as_deref(), v, scratch) {
+        for &u in scratch.traversal(self.hg).neighbors(self.hg, v) {
             if let Some(slot) = slot_of(&self.slots, self.num_counted, u) {
                 let lo = slot % BLOCK_SLOTS * stride;
                 let row = &mut self.rows[slot / BLOCK_SLOTS][lo..lo + stride];
@@ -777,9 +709,9 @@ impl ConnectivityProvider for AdjProvider<'_> {
             })
         });
         // Pairs that await a recount are counted afresh before they are read.
-        let pairs_agree = self.pair_counts().is_none_or(|pairs| {
-            *pairs == PairCounts::build(self.hg, self.adj.as_deref(), assignment)
-        });
+        let pairs_agree = self
+            .pair_counts()
+            .is_none_or(|pairs| *pairs == PairCounts::build(self.hg, None, assignment));
         counts_agree && pairs_agree
     }
 
@@ -846,8 +778,6 @@ impl ConnectivityProvider for AdjProvider<'_> {
         if let Some(x) = self.kept_counts(v) {
             counts.clear();
             counts.extend(x.iter().map(|c| c.load(Ordering::Relaxed)));
-        } else if let Some(adj) = self.adj.as_deref().filter(|adj| !adj.is_hub(v)) {
-            adj.neighbor_partition_counts(self.hg, assignment, v, &mut scratch.fallback, counts);
         } else {
             scratch
                 .traversal(self.hg)
@@ -872,7 +802,7 @@ mod tests {
     #[test]
     fn adj_provider_counts_distinct_neighbours_excluding_self() {
         let hg = three_edge_chain();
-        let provider = AdjProvider::new(&hg, AdjacencyBudget::Auto);
+        let provider = AdjProvider::traversal(&hg);
         assert!(!provider.needs_nets());
         let part = Partition::round_robin(6, 3);
         let mut scratch = provider.new_scratch();
@@ -890,81 +820,50 @@ mod tests {
     }
 
     #[test]
-    fn adj_provider_matches_the_traversal_oracle_for_every_budget() {
+    fn adj_provider_matches_the_traversal_oracle_unsynced_and_synced() {
         let hg = three_edge_chain();
         let part = Partition::round_robin(6, 3);
         let mut oracle = NeighborScratch::new(hg.num_vertices());
         let mut expected = Vec::new();
         let mut got = Vec::new();
-        let providers = [
-            Some(AdjacencyBudget::Unbounded),
-            Some(AdjacencyBudget::Auto),
-            Some(AdjacencyBudget::DegreeCutoff(2)), // forces hubs onto the fallback
-            Some(AdjacencyBudget::DegreeCutoff(0)), // every connected vertex is a hub
-            None,                                   // no adjacency at all
-        ];
-        for budget in providers {
-            let adj = match budget {
-                Some(budget) => AdjProvider::new(&hg, budget),
-                None => AdjProvider::traversal(&hg),
+        let mut adj = AdjProvider::traversal(&hg);
+        assert!(!adj.needs_nets());
+        let mut adj_scratch = adj.new_scratch();
+        for v in hg.vertices() {
+            let record = VertexRecord {
+                vertex: v,
+                weight: 1.0,
+                nets: vec![],
             };
-            assert!(!adj.needs_nets());
-            let mut adj_scratch = adj.new_scratch();
-            for v in hg.vertices() {
-                let record = VertexRecord {
-                    vertex: v,
-                    weight: 1.0,
-                    nets: vec![],
-                };
-                oracle.neighbor_partition_counts(&hg, &part, v, &mut expected);
-                adj.count(&record, &part, &mut adj_scratch, &mut got);
-                assert_eq!(got, expected, "budget {budget:?}, vertex {v}");
-            }
-            // Unsynced, vertices without a list are traversed: the O(|V|)
-            // fallback scratch only exists when such vertices exist.
-            let traverses = budget.is_none() || adj.adjacency().num_hubs() > 0;
-            assert_eq!(
-                adj_scratch.fallback.is_some(),
-                traverses,
-                "budget {budget:?}"
-            );
-
-            // Synced, every vertex is answered from its kept counts, whose
-            // bytes the memory accounting reports.
-            let mut adj = adj;
-            adj.sync(&part, None);
-            assert_eq!(adj.num_counted_vertices(), hg.num_vertices());
-            let adj_bytes = budget.map_or(0, |_| adj.adjacency().memory_bytes());
-            // One block: its pointer, then 3 counts and 3 certificate
-            // words per vertex; and the 3 × 3 part-pair counts.
-            assert_eq!(
-                adj.memory_bytes(),
-                adj_bytes + 16 + 4 * 3 * hg.num_vertices() + 12 * hg.num_vertices() + 8 * 9
-            );
-            let mut adj_scratch = adj.new_scratch();
-            for v in hg.vertices() {
-                let record = VertexRecord {
-                    vertex: v,
-                    weight: 1.0,
-                    nets: vec![],
-                };
-                oracle.neighbor_partition_counts(&hg, &part, v, &mut expected);
-                adj.count(&record, &part, &mut adj_scratch, &mut got);
-                assert_eq!(got, expected, "synced, budget {budget:?}, vertex {v}");
-            }
-            assert!(adj_scratch.fallback.is_none(), "budget {budget:?}");
+            oracle.neighbor_partition_counts(&hg, &part, v, &mut expected);
+            adj.count(&record, &part, &mut adj_scratch, &mut got);
+            assert_eq!(got, expected, "vertex {v}");
         }
-    }
+        // Unsynced, every vertex is traversed on the O(|V|) scratch.
+        assert!(adj_scratch.fallback.is_some());
 
-    #[test]
-    fn adj_provider_reuses_an_external_adjacency() {
-        let mut b = HypergraphBuilder::new(4);
-        b.add_hyperedge([0u32, 1, 2, 3]);
-        let hg = b.build();
-        let adj = NeighborAdjacency::build(&hg, AdjacencyBudget::Unbounded);
-        let provider = AdjProvider::from_adjacency(&hg, &adj);
-        assert_eq!(provider.adjacency().num_vertices(), 4);
-        assert_eq!(provider.adjacency().distinct_degree(0), 3);
+        // Synced, every vertex is answered from its kept counts, whose
+        // bytes the memory accounting reports.
+        adj.sync(&part, None);
+        assert_eq!(adj.num_counted_vertices(), hg.num_vertices());
+        // One block: its pointer, then 3 counts and 3 certificate
+        // words per vertex; and the 3 × 3 part-pair counts.
+        assert_eq!(
+            adj.memory_bytes(),
+            16 + 4 * 3 * hg.num_vertices() + 12 * hg.num_vertices() + 8 * 9
+        );
+        let mut adj_scratch = adj.new_scratch();
+        for v in hg.vertices() {
+            let record = VertexRecord {
+                vertex: v,
+                weight: 1.0,
+                nets: vec![],
+            };
+            oracle.neighbor_partition_counts(&hg, &part, v, &mut expected);
+            adj.count(&record, &part, &mut adj_scratch, &mut got);
+            assert_eq!(got, expected, "synced, vertex {v}");
+        }
+        assert!(adj_scratch.fallback.is_none());
     }
 
     #[test]
@@ -974,14 +873,11 @@ mod tests {
         use hyperpraw_hypergraph::generators::{mesh_hypergraph, MeshConfig};
         use hyperpraw_topology::CostMatrix;
 
-        // Without flat lists — no adjacency, or a zero cutoff that makes
-        // every mesh vertex a hub — the traversals are exactly one per
-        // vertex at sync plus one per move, and the workers' move tallies
-        // cross the flush threshold within a run. A stealing move walks
-        // twice: in its worker, and in its replay at the batch boundary.
+        // The traversals are exactly one per vertex at sync plus one per
+        // move, and the workers' move tallies cross the flush threshold
+        // within a run. A stealing move walks twice: in its worker, and in
+        // its replay at the batch boundary.
         let hg = mesh_hypergraph(&MeshConfig::new(3000, 6));
-        let adj = NeighborAdjacency::build(&hg, AdjacencyBudget::DegreeCutoff(0));
-        assert_eq!(adj.num_hubs(), hg.num_vertices());
         let n = hg.num_vertices() as u64;
         let config = HyperPrawConfig {
             max_iterations: 6,
@@ -1003,34 +899,26 @@ mod tests {
                 chunk: 16,
             },
         ] {
-            for all_hubs in [true, false] {
-                let registry = hyperpraw_telemetry::Registry::new();
-                let provider = if all_hubs {
-                    AdjProvider::from_adjacency(&hg, &adj)
-                } else {
-                    AdjProvider::traversal(&hg)
-                };
-                let engine =
-                    Engine::new(EngineConfig::restreaming(&config).with_strategy(strategy));
-                let run = engine
-                    .run(
-                        &CostMatrix::uniform(8),
-                        &mut InMemorySource::new(&hg, config.stream_order, 1),
-                        &mut provider.with_registry(&registry),
-                    )
-                    .unwrap();
-                let moves: usize = run.history.records().iter().map(|r| r.moved_vertices).sum();
-                assert!(moves > 2 * 1024, "the test must cross the flush threshold");
-                let walks_per_move = match strategy {
-                    ExecutionStrategy::WorkStealing { .. } => 2,
-                    _ => 1,
-                };
-                assert_eq!(
-                    registry.counter_value("engine.hub_fallbacks"),
-                    Some(n + walks_per_move * moves as u64),
-                    "{strategy:?}, all hubs: {all_hubs}"
-                );
-            }
+            let registry = hyperpraw_telemetry::Registry::new();
+            let engine = Engine::new(EngineConfig::restreaming(&config).with_strategy(strategy));
+            let run = engine
+                .run(
+                    &CostMatrix::uniform(8),
+                    &mut InMemorySource::new(&hg, config.stream_order, 1),
+                    &mut AdjProvider::traversal(&hg).with_registry(&registry),
+                )
+                .unwrap();
+            let moves: usize = run.history.records().iter().map(|r| r.moved_vertices).sum();
+            assert!(moves > 2 * 1024, "the test must cross the flush threshold");
+            let walks_per_move = match strategy {
+                ExecutionStrategy::WorkStealing { .. } => 2,
+                _ => 1,
+            };
+            assert_eq!(
+                registry.counter_value("engine.hub_fallbacks"),
+                Some(n + walks_per_move * moves as u64),
+                "{strategy:?}"
+            );
         }
     }
 }

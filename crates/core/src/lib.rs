@@ -37,8 +37,8 @@
 //! * **connectivity provider** ([`engine::ConnectivityProvider`]) — where
 //!   the neighbour-partition counts `X_j(v)` come from: exact part
 //!   counts kept for every visited vertex and shifted on every move
-//!   ([`engine::AdjProvider`], which finds neighbourhoods in an optional
-//!   precomputed deduplicated adjacency or by traversal), or
+//!   ([`engine::AdjProvider`], which finds neighbourhoods by
+//!   traversal), or
 //!   `hyperpraw-lowmem`'s budget-bounded exact/sketched connectivity
 //!   indices;
 //! * **execution strategy** ([`engine::ExecutionStrategy`]) — sequential
@@ -50,7 +50,7 @@
 //! strategy by default; [`HyperPraw::with_threads`] swaps in the
 //! work-stealing strategy for more than one thread. The
 //! `hyperpraw-lowmem` crate instantiates the streamed source with the
-//! sketched providers — in either strategy, which yields parallel
+//! sketched providers under the sequential strategy, which yields
 //! out-of-core partitioning without a second copy of the loop.
 //!
 //! ```

@@ -8,7 +8,9 @@
 use hyperpraw_hypergraph::{Hypergraph, Partition};
 use hyperpraw_topology::CostMatrix;
 
-use crate::engine::{AdjProvider, Engine, EngineConfig, ExecutionStrategy, InMemorySource};
+use crate::engine::{
+    AdjProvider, Engine, EngineConfig, ExecutionStrategy, InMemorySource, DEFAULT_STEAL_CHUNK,
+};
 use crate::history::PartitionHistory;
 use crate::HyperPrawConfig;
 
@@ -85,7 +87,10 @@ impl HyperPraw {
             threads > 0,
             "invalid parallel configuration: need at least one worker thread"
         );
-        self.strategy = ExecutionStrategy::for_threads(threads);
+        self.strategy = ExecutionStrategy::WorkStealing {
+            num_threads: threads,
+            chunk: DEFAULT_STEAL_CHUNK,
+        };
         self
     }
 

@@ -6,7 +6,7 @@
 //! at a time — the O(p²) specification path — and replicates the original
 //! tie-breaking, α tempering, tolerance gate, refinement stopping rule and
 //! history bookkeeping. The engine-backed [`HyperPraw`] — and the bare
-//! [`Engine`] under every adjacency budget of its provider — must match its
+//! [`Engine`] over a traversal provider — must match its
 //! assignment and per-iteration history exactly (f64 bit equality), which
 //! pins down both the refactored control flow and the restructured fast
 //! scorer ([`hyperpraw_core::value::best_partition_in`]).
@@ -23,9 +23,7 @@ use hyperpraw_hypergraph::generators::{
     RandomConfig,
 };
 use hyperpraw_hypergraph::traversal::NeighborScratch;
-use hyperpraw_hypergraph::{
-    AdjacencyBudget, Hypergraph, HypergraphBuilder, NeighborAdjacency, Partition, VertexId,
-};
+use hyperpraw_hypergraph::{Hypergraph, HypergraphBuilder, Partition, VertexId};
 use hyperpraw_topology::{BandwidthMatrix, MachineModel};
 
 /// The seed driver's scorer: evaluate `value_of` per candidate with the
@@ -314,36 +312,27 @@ fn sequential_engine_matches_across_configurations() {
 }
 
 #[test]
-fn every_adjacency_budget_is_bit_identical_to_the_reference() {
-    // The provider's budget must be quality-neutral: unbounded flat lists,
-    // the automatic budget and a zero cutover (every connected vertex on
-    // the epoch-traversal fallback) all reproduce the frozen seed loop bit
-    // for bit, f64 history included.
+fn bare_engine_is_bit_identical_to_the_reference() {
+    // The bare engine over a traversal provider reproduces the frozen seed
+    // loop bit for bit, f64 history included.
     let machine = MachineModel::archer_like(16);
     let cost = CostMatrix::from_bandwidth(&BandwidthMatrix::from_machine(&machine, 0.05, 1));
     let config = HyperPrawConfig::default();
     for (name, hg) in suite() {
         let reference = reference_restream(&hg, &config, &cost);
-        for budget in [
-            AdjacencyBudget::Unbounded,
-            AdjacencyBudget::Auto,
-            AdjacencyBudget::DegreeCutoff(0),
-        ] {
-            let adj = NeighborAdjacency::build(&hg, budget);
-            let run = Engine::new(EngineConfig::restreaming(&config))
-                .run(
-                    &cost,
-                    &mut InMemorySource::new(&hg, config.stream_order, config.seed),
-                    &mut AdjProvider::from_adjacency(&hg, &adj),
-                )
-                .unwrap();
-            let engine = ReferenceResult {
-                partition: run.partition,
-                history: run.history,
-                iterations: run.iterations,
-                stop_reason: run.stop_reason,
-            };
-            assert_matches(&engine, &reference, &format!("{name}/{budget:?}"));
-        }
+        let run = Engine::new(EngineConfig::restreaming(&config))
+            .run(
+                &cost,
+                &mut InMemorySource::new(&hg, config.stream_order, config.seed),
+                &mut AdjProvider::traversal(&hg),
+            )
+            .unwrap();
+        let engine = ReferenceResult {
+            partition: run.partition,
+            history: run.history,
+            iterations: run.iterations,
+            stop_reason: run.stop_reason,
+        };
+        assert_matches(&engine, &reference, name);
     }
 }

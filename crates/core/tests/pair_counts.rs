@@ -155,11 +155,9 @@ proptest! {
         let costs = costs(p, seed);
         for shared in [false, true] {
             let provider = AdjProvider::traversal(&hg);
-            check_model(&hg, provider, partition.clone(), None, &moves, shared, &costs);
+            let last = check_model(&hg, provider, partition.clone(), None, &moves, shared, &costs);
             for budget in [AdjacencyBudget::Auto, AdjacencyBudget::DegreeCutoff(cutoff)] {
                 let adj = NeighborAdjacency::build(&hg, budget);
-                let provider = AdjProvider::from_adjacency(&hg, &adj);
-                let last = check_model(&hg, provider, partition.clone(), None, &moves, shared, &costs);
                 for cost in &costs {
                     prop_assert_eq!(
                         partitioning_communication_cost_with(&hg, &adj, &last, cost).to_bits(),
@@ -179,7 +177,6 @@ proptest! {
         hg in arb_hypergraph(),
         p in 2u32..7,
         seed in 0u64..1000,
-        cutoff in 0usize..=3,
         subset in prop::collection::vec(0usize..1000, 1..40),
         moves in prop::collection::vec((0usize..1000, 0u32..8), 0..200),
     ) {
@@ -189,19 +186,17 @@ proptest! {
         let visits: Vec<VertexId> = subset.iter().map(|&v| (v % n) as VertexId).collect();
         let partition = seeded_partition(n, p, seed);
         let costs = costs(p, seed);
-        let adj = NeighborAdjacency::build(&hg, AdjacencyBudget::DegreeCutoff(cutoff));
         for shared in [false, true] {
             for resume in [false, true] {
-                for provider in [AdjProvider::traversal(&hg), AdjProvider::from_adjacency(&hg, &adj)] {
-                    let provider = if resume {
-                        let (_, counts) = CommCostState::new(&hg, partition.clone()).into_parts();
-                        provider.resume(counts)
-                    } else {
-                        provider
-                    };
-                    let (partition, visits) = (partition.clone(), Some(&visits[..]));
-                    check_model(&hg, provider, partition, visits, &moves, shared, &costs);
-                }
+                let provider = AdjProvider::traversal(&hg);
+                let provider = if resume {
+                    let (_, counts) = CommCostState::new(&hg, partition.clone()).into_parts();
+                    provider.resume(counts)
+                } else {
+                    provider
+                };
+                let (partition, visits) = (partition.clone(), Some(&visits[..]));
+                check_model(&hg, provider, partition, visits, &moves, shared, &costs);
             }
         }
     }
@@ -265,18 +260,12 @@ proptest! {
         hg in arb_hypergraph(),
         p in 2u32..7,
         seed in 0u64..1000,
-        cutoff in 0usize..=3,
         batch_len in 1usize..40,
         moves in prop::collection::vec((0usize..1000, 0u32..8), 0..200),
     ) {
         let partition = seeded_partition(hg.num_vertices(), p, seed);
         let costs = costs(p, seed);
-        check_replay(&hg, AdjProvider::traversal(&hg), partition.clone(), &moves, batch_len, &costs);
-        for budget in [AdjacencyBudget::Auto, AdjacencyBudget::DegreeCutoff(cutoff)] {
-            let adj = NeighborAdjacency::build(&hg, budget);
-            let provider = AdjProvider::from_adjacency(&hg, &adj);
-            check_replay(&hg, provider, partition.clone(), &moves, batch_len, &costs);
-        }
+        check_replay(&hg, AdjProvider::traversal(&hg), partition, &moves, batch_len, &costs);
     }
 }
 

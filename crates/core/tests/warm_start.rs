@@ -10,7 +10,7 @@ use hyperpraw_core::engine::{
 use hyperpraw_core::metrics::{partitioning_communication_cost, CommCostState};
 use hyperpraw_core::{CostMatrix, HyperPraw, HyperPrawConfig, StopReason, StreamOrder};
 use hyperpraw_hypergraph::generators::{mesh_hypergraph, MeshConfig};
-use hyperpraw_hypergraph::{AdjacencyBudget, Hypergraph, Partition};
+use hyperpraw_hypergraph::{Hypergraph, Partition};
 
 fn cold_run(hg: &Hypergraph, p: usize) -> Partition {
     HyperPraw::new(HyperPrawConfig::default(), CostMatrix::uniform(p))
@@ -34,7 +34,7 @@ fn warm_run_over_the_full_graph_keeps_the_partition_feasible() {
 
     let engine = Engine::new(EngineConfig::restreaming(&config));
     let mut source = InMemorySource::new(&hg, StreamOrder::Natural, 0);
-    let mut provider = AdjProvider::new(&hg, AdjacencyBudget::Auto);
+    let mut provider = AdjProvider::traversal(&hg);
     let run = engine
         .run_warm(&cost, &mut source, &mut provider, warm_start_of(&hg, &cold))
         .unwrap();
@@ -61,7 +61,7 @@ fn dirty_set_restream_never_moves_a_clean_vertex() {
     let dirty: Vec<u32> = vec![3, 17, 42, 43, 44, 200];
     let engine = Engine::new(EngineConfig::restreaming(&HyperPrawConfig::default()));
     let mut source = DirtySetSource::new(&hg, dirty.clone());
-    let mut provider = AdjProvider::new(&hg, AdjacencyBudget::Auto);
+    let mut provider = AdjProvider::traversal(&hg);
     let run = engine
         .run_warm(&cost, &mut source, &mut provider, warm_start_of(&hg, &cold))
         .unwrap();
@@ -85,7 +85,7 @@ fn empty_dirty_set_returns_the_warm_partition_unchanged() {
 
     let engine = Engine::new(EngineConfig::restreaming(&HyperPrawConfig::default()));
     let mut source = DirtySetSource::new(&hg, Vec::new());
-    let mut provider = AdjProvider::new(&hg, AdjacencyBudget::Auto);
+    let mut provider = AdjProvider::traversal(&hg);
     let run = engine
         .run_warm(&cost, &mut source, &mut provider, warm_start_of(&hg, &cold))
         .unwrap();

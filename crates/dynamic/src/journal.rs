@@ -192,6 +192,11 @@ impl<'a> Dec<'a> {
         Ok(u64::from_le_bytes(b))
     }
 
+    /// Bytes not yet decoded.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn finish(&self) -> Result<(), JournalError> {
         if self.pos != self.buf.len() {
             return Err(corrupt(format!(
@@ -492,8 +497,18 @@ fn decode_state(dec: &mut Dec<'_>) -> Result<DynamicPartitioner, JournalError> {
             "cost matrix covers {units} units but the partition has {num_parts} parts"
         )));
     }
-    let mut cost_data = Vec::with_capacity(units * units);
-    for _ in 0..units * units {
+    // Each entry takes 8 payload bytes: a count the payload cannot hold is
+    // refused before anything is reserved for it.
+    let entries = units
+        .checked_mul(units)
+        .filter(|&entries| entries <= dec.remaining() / 8)
+        .ok_or_else(|| {
+            corrupt(format!(
+                "cost matrix of {units} units overruns the snapshot"
+            ))
+        })?;
+    let mut cost_data = Vec::with_capacity(entries);
+    for _ in 0..entries {
         let c = dec.f64()?;
         if !c.is_finite() || c < 0.0 {
             return Err(corrupt(format!("non-finite or negative comm cost {c}")));
@@ -1076,6 +1091,34 @@ mod tests {
             );
         }
         assert!(read_snapshot(&MemorySource::new(bytes)).is_ok());
+    }
+
+    #[test]
+    fn a_cost_matrix_larger_than_the_snapshot_is_corrupt() {
+        // A checksummed 49-byte snapshot: one vertex, no hyperedges and
+        // 2^31 parts, whose cost matrix would need 2^62 entries.
+        let parts = 1u64 << 31;
+        let mut payload = Vec::new();
+        for v in [0, 0, 0, 1] {
+            encode_u64(v, &mut payload); // epoch, meta, name length, vertices
+        }
+        put_f64(&mut payload, 1.0);
+        payload.push(1); // the vertex is alive
+        encode_u64(0, &mut payload); // no hyperedges
+        for v in [parts, 0, parts] {
+            encode_u64(v, &mut payload); // parts, the assignment, units
+        }
+        let mut bytes = SNAPSHOT_MAGIC.to_vec();
+        bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        assert_eq!(bytes.len(), 49);
+        match read_snapshot(&MemorySource::new(bytes)) {
+            Err(JournalError::Corrupt(msg)) => assert!(msg.contains("cost matrix"), "{msg}"),
+            Err(other) => panic!("expected a corrupt snapshot, got {other}"),
+            Ok(_) => panic!("a 2^31-part cost matrix decoded from 49 bytes"),
+        }
     }
 
     #[test]

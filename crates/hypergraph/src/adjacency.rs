@@ -16,14 +16,10 @@
 //! structure is **budget-aware and hybrid**: an [`AdjacencyBudget`] caps the
 //! flat-list bytes, vertices whose distinct degree fits get flat lists, and
 //! *hub* vertices above the automatically chosen degree cutover carry no
-//! list. A hub's partition counts come from an epoch traversal here
-//! ([`NeighborAdjacency::neighbor_partition_counts`]); the restreaming
-//! engine's provider instead keeps exact part counts per hub (`4·p` bytes
-//! each, reported by its own memory accounting) and traverses a hub only
-//! once per run and when it moves. Counts produced by any path are exact
-//! integers, so results are bit-identical to
-//! [`NeighborScratch::neighbor_partition_counts`] regardless of which side
-//! of the cutover a vertex lands on.
+//! list; a consumer traverses a hub's pins instead
+//! ([`NeighborScratch::neighbors`]). Either path lists the same distinct
+//! neighbours, so counts derived from them are exact integers whichever
+//! side of the cutover a vertex lands on.
 //!
 //! Construction runs in parallel across vertex ranges (two passes: distinct
 //! degrees, then list filling into disjoint output slices), is deterministic
@@ -31,7 +27,6 @@
 //!
 use std::thread;
 
-use crate::partition::AssignmentRef;
 use crate::traversal::NeighborScratch;
 use crate::{Hypergraph, VertexId};
 
@@ -90,9 +85,8 @@ impl AdjacencyBudget {
 /// For every non-hub vertex `v`, [`NeighborAdjacency::neighbors`] returns
 /// the slice of its distinct neighbours (self excluded); hub vertices —
 /// those whose distinct degree exceeds [`NeighborAdjacency::cutoff`] —
-/// carry no list; [`NeighborAdjacency::neighbor_partition_counts`] answers
-/// them through an epoch traversal of the hypergraph, and consumers that
-/// query hubs repeatedly keep their part counts instead.
+/// carry no list; consumers answer them through an epoch traversal of the
+/// hypergraph.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NeighborAdjacency {
     /// CSR offsets over `neighbors`; hub vertices have an empty range.
@@ -275,46 +269,11 @@ impl NeighborAdjacency {
         self.neighbors.len()
     }
 
-    /// Heap bytes held by the structure. Part counts a consumer keeps for
-    /// the hubs are its own memory (the engine's provider reports them
-    /// with this figure).
+    /// Heap bytes held by the structure.
     pub fn memory_bytes(&self) -> usize {
         self.neighbors.capacity() * std::mem::size_of::<VertexId>()
             + self.offsets.capacity() * std::mem::size_of::<usize>()
             + self.distinct_degrees.capacity() * std::mem::size_of::<u32>()
-    }
-
-    /// Counts, for every partition `j`, the number of distinct neighbours
-    /// of `v` assigned to `j` — the paper's `X_j(v)` — writing into
-    /// `counts` (cleared and resized to `partition.num_parts()`).
-    ///
-    /// Non-hub vertices are answered by a flat scan of the precomputed
-    /// list; hubs traverse the hypergraph through `fallback`, which is
-    /// created on first use so callers that never meet a hub stay O(1).
-    /// Either path produces counts bit-identical to
-    /// [`NeighborScratch::neighbor_partition_counts`].
-    pub fn neighbor_partition_counts<A: AssignmentRef>(
-        &self,
-        hg: &Hypergraph,
-        partition: &A,
-        v: VertexId,
-        fallback: &mut Option<NeighborScratch>,
-        counts: &mut Vec<u32>,
-    ) {
-        match self.neighbors(v) {
-            Some(list) => {
-                counts.clear();
-                counts.resize(partition.num_parts() as usize, 0);
-                for &u in list {
-                    counts[partition.part_of(u) as usize] += 1;
-                }
-            }
-            None => {
-                let scratch =
-                    fallback.get_or_insert_with(|| NeighborScratch::new(hg.num_vertices()));
-                scratch.neighbor_partition_counts(hg, partition, v, counts);
-            }
-        }
     }
 }
 
@@ -346,7 +305,7 @@ fn cutoff_for_cap(distinct_degrees: &[u32], cap: usize) -> usize {
 mod tests {
     use super::*;
     use crate::generators::{mesh_hypergraph, powerlaw_hypergraph, MeshConfig, PowerLawConfig};
-    use crate::{HypergraphBuilder, Partition};
+    use crate::HypergraphBuilder;
 
     /// e0 = {0,1,2}, e1 = {2,3}, isolated vertex 4, e2 = {5,6}
     fn sample() -> Hypergraph {
@@ -375,26 +334,6 @@ mod tests {
             assert_eq!(adj.distinct_degree(v), expected.len());
         }
         assert_eq!(adj.neighbors(4), Some(&[][..]));
-    }
-
-    #[test]
-    fn partition_counts_match_scratch_on_both_paths() {
-        let hg = sample();
-        let part = Partition::from_assignment(vec![0, 1, 1, 0, 0, 1, 0], 2).unwrap();
-        let mut scratch = NeighborScratch::new(hg.num_vertices());
-        let mut expected = Vec::new();
-        let mut got = Vec::new();
-        for cutoff in 0..=4 {
-            let adj = NeighborAdjacency::build(&hg, AdjacencyBudget::DegreeCutoff(cutoff));
-            let mut fallback = None;
-            for v in hg.vertices() {
-                scratch.neighbor_partition_counts(&hg, &part, v, &mut expected);
-                adj.neighbor_partition_counts(&hg, &part, v, &mut fallback, &mut got);
-                assert_eq!(got, expected, "cutoff {cutoff}, vertex {v}");
-            }
-            // The fallback scratch only materialises when a hub exists.
-            assert_eq!(fallback.is_some(), adj.num_hubs() > 0, "cutoff {cutoff}");
-        }
     }
 
     #[test]

@@ -22,11 +22,9 @@
 //!   engine ([`hyperpraw_core::engine::Engine`]): this crate only
 //!   contributes the [`IndexProvider`] connectivity axis, and the engine
 //!   supplies the value function, the α handling, the bounded
-//!   low-confidence revisit buffer, out-of-core restreaming passes
+//!   low-confidence revisit buffer and out-of-core restreaming passes
 //!   ([`LowMemConfig::passes`], with optional sketch rebuilding between
-//!   passes to shed staleness), and the work-stealing execution
-//!   strategy ([`LowMemConfig::threads`] — parallel out-of-core
-//!   partitioning over the shared index),
+//!   passes to shed staleness), streamed on one thread,
 //! * HyperPRAW-aware vs. -basic is again just a [`CostMatrix`] away.
 //!
 //! Everything is sized from a single [`MemoryBudget`]; peak sketch memory

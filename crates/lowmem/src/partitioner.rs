@@ -1,12 +1,9 @@
 //! The memory-bounded streaming partitioner — a thin instantiation of
 //! `hyperpraw-core`'s generic restreaming engine: any
 //! [`VertexStream`] as the vertex source × an [`IndexProvider`] over
-//! budgeted connectivity state × the sequential or work-stealing
-//! execution strategy.
+//! budgeted connectivity state × the sequential execution strategy.
 
-use hyperpraw_core::engine::{
-    DoubtConfig, Engine, EngineConfig, ExecutionStrategy, InitialAssignment, StreamSource,
-};
+use hyperpraw_core::engine::{DoubtConfig, Engine, EngineConfig, InitialAssignment, StreamSource};
 use hyperpraw_core::{CostMatrix, HyperPrawConfig};
 use hyperpraw_hypergraph::io::stream::VertexStream;
 use hyperpraw_hypergraph::io::IoResult;
@@ -78,11 +75,6 @@ pub struct LowMemConfig {
     /// vertices move (the Taşyaran-style rebuild). Ignored by
     /// [`IndexKind::Exact`], whose state is never stale.
     pub rebuild_sketches: bool,
-    /// Worker threads. `1` streams sequentially and deterministically;
-    /// larger values run lock-free work stealing against live shared
-    /// loads and the shared index — parallel out-of-core partitioning,
-    /// valid at any thread count but not bit-reproducible.
-    pub threads: usize,
     /// Seed of the MinHash hash family.
     pub seed: u64,
 }
@@ -97,7 +89,6 @@ impl Default for LowMemConfig {
             round_robin_prior: false,
             passes: 1,
             rebuild_sketches: false,
-            threads: 1,
             seed: 0,
         }
     }
@@ -114,9 +105,6 @@ impl LowMemConfig {
         }
         if self.passes == 0 {
             return Err("need at least one streaming pass".into());
-        }
-        if self.threads == 0 {
-            return Err("need at least one worker thread".into());
         }
         if self.round_robin_prior && self.index == IndexKind::Sketched {
             return Err(
@@ -168,8 +156,9 @@ pub struct LowMemResult {
 /// adjusted when the index sketches one) and revisits them once at the end
 /// against the final connectivity state; optional extra passes restream
 /// the whole input out-of-core, optionally rebuilding the sketches
-/// between passes; optional worker threads steal chunks of the stream
-/// (parallel out-of-core partitioning).
+/// between passes. The stream runs on one thread: the index changes at
+/// every placement, so concurrent workers would score against counts that
+/// lag the stream.
 #[derive(Clone, Debug)]
 pub struct LowMemPartitioner {
     config: LowMemConfig,
@@ -185,7 +174,7 @@ impl LowMemPartitioner {
     /// Panics when the cost matrix is empty, when
     /// [`LowMemConfig::round_robin_prior`] is combined with
     /// [`IndexKind::Sketched`] (the sketch cannot forget the prior), or
-    /// when `passes` or `threads` is zero.
+    /// when `passes` is zero.
     pub fn new(config: LowMemConfig, cost: CostMatrix) -> Self {
         assert!(
             cost.num_units() > 0,
@@ -260,7 +249,6 @@ impl LowMemPartitioner {
             // the low-confidence entries happen to be high-degree hubs.
             byte_bound: plan.restream_bytes,
         };
-        engine_config.strategy = ExecutionStrategy::for_threads(self.config.threads);
 
         let run =
             Engine::new(engine_config).run(&self.cost, &mut StreamSource(stream), &mut provider)?;
@@ -511,70 +499,6 @@ mod tests {
             s_rebuilt <= s_one * 1.05,
             "rebuilt restreaming degraded SOED: {s_rebuilt} vs {s_one}"
         );
-    }
-
-    #[test]
-    fn work_stealing_threads_produce_valid_partitions() {
-        let hg = mesh_hypergraph(&MeshConfig::new(900, 8));
-        for threads in [2usize, 8] {
-            // Two passes: a racing first pass over a cold sketch index may
-            // land anywhere, but the restream scores against a populated
-            // index, so quality beats round-robin for every interleaving.
-            let result = LowMemPartitioner::basic(
-                LowMemConfig {
-                    threads,
-                    passes: 2,
-                    ..config(IndexKind::Sketched)
-                },
-                6,
-            )
-            .partition_hypergraph(&hg);
-            assert_eq!(result.partition.num_vertices(), 900);
-            assert_eq!(result.partition.num_parts(), 6);
-            assert!(result.partition.assignment().iter().all(|&x| x < 6));
-            let rr = Partition::round_robin(hg.num_vertices(), 6);
-            assert!(metrics::soed(&hg, &result.partition) < metrics::soed(&hg, &rr));
-        }
-    }
-
-    #[test]
-    fn work_stealing_logs_every_visit_for_index_providers() {
-        // An index provider records every placement at attach, and the
-        // restream buffer is offered every visit, so a stealing batch
-        // logs each visit, not only its moves: the exact index with a
-        // restream buffer and the sketched index rebuilt between passes.
-        let hg = mesh_hypergraph(&MeshConfig::new(900, 8));
-        let rr = Partition::round_robin(hg.num_vertices(), 6);
-        let runs = [
-            LowMemConfig {
-                restream_capacity: Some(64),
-                ..config(IndexKind::Exact)
-            },
-            LowMemConfig {
-                rebuild_sketches: true,
-                ..config(IndexKind::Sketched)
-            },
-        ];
-        for threads in [2usize, 8] {
-            for run in &runs {
-                let result = LowMemPartitioner::basic(
-                    LowMemConfig {
-                        threads,
-                        passes: 2,
-                        ..run.clone()
-                    },
-                    6,
-                )
-                .partition_hypergraph(&hg);
-                let at = format!("{:?}, {threads} threads", run.index);
-                assert_eq!(result.partition.num_vertices(), 900, "{at}");
-                assert!(result.partition.assignment().iter().all(|&x| x < 6), "{at}");
-                assert!(result.restreamed > 0, "{at}");
-                assert!(result.moved_in_restream <= result.restreamed, "{at}");
-                let soed = metrics::soed(&hg, &result.partition);
-                assert!(soed < metrics::soed(&hg, &rr), "{at}");
-            }
-        }
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! vertices from the in-memory hypergraph's adjacency, this provider answers the
 //! same `X_j(v)` query from *net connectivity* in budgeted memory: the
 //! counts are "how many of the vertex's nets already touch partition `j`",
-//! served by an exact hash-map index or Bloom/MinHash sketches. Because
-//! scoring reads take `&self`, the provider composes with the engine's
-//! work-stealing strategy — worker threads query the index concurrently
-//! and all mutation happens at batch boundaries.
+//! served by an exact hash-map index or Bloom/MinHash sketches. The
+//! counts come from the index, not from the assignment the engine passes,
+//! and the index changes at every attach and detach, so the engine runs
+//! this provider sequentially.
 
 use hyperpraw_core::engine::ConnectivityProvider;
 use hyperpraw_hypergraph::io::stream::VertexRecord;
@@ -61,13 +61,6 @@ impl ConnectivityProvider for IndexProvider {
 
     fn needs_nets(&self) -> bool {
         true
-    }
-
-    fn live_counts(&self) -> bool {
-        // Counts come from the index, which only changes at attach/detach
-        // on the engine thread — the work-stealing strategy must bound its
-        // batches so the index never lags far behind the stream.
-        false
     }
 
     fn begin_pass(&mut self, _pass: usize, rebuild: bool) {

@@ -135,8 +135,10 @@ impl Algorithm {
         }
     }
 
-    /// `true` for the HyperPRAW restreaming variants.
-    fn restreams(&self) -> bool {
+    /// `true` for the HyperPRAW restreaming variants, the algorithms that
+    /// run worker threads; [`PartitionJob::threads`] has no effect on the
+    /// others.
+    pub fn restreams(&self) -> bool {
         matches!(self, Algorithm::HyperPrawBasic | Algorithm::HyperPrawAware)
     }
 
@@ -150,12 +152,6 @@ impl Algorithm {
     /// without materialising the hypergraph in memory.
     pub fn supports_streams(&self) -> bool {
         matches!(self, Algorithm::LowMemExact | Algorithm::LowMemSketched)
-    }
-
-    /// `true` for the algorithms that run worker threads (restreaming and
-    /// lowmem); [`PartitionJob::threads`] has no effect on the others.
-    pub fn supports_threads(&self) -> bool {
-        self.restreams() || self.supports_streams()
     }
 }
 
@@ -323,8 +319,8 @@ impl PartitionJob {
         self
     }
 
-    /// Sets the worker-thread count of the restreaming and lowmem
-    /// drivers, which picks their schedule: one thread (the default)
+    /// Sets the worker-thread count of the restreaming drivers, which
+    /// picks their schedule: one thread (the default)
     /// streams sequentially and deterministically, more run lock-free
     /// work stealing, valid but not bit-reproducible. `0` auto-detects
     /// the machine's available parallelism
@@ -371,16 +367,15 @@ impl PartitionJob {
         self
     }
 
-    /// Replaces the full lowmem configuration, its seed, `α`, pass count
-    /// and thread fields included (the job still overrides `index` from
-    /// the [`Algorithm`] variant at dispatch).
+    /// Replaces the full lowmem configuration, its seed, `α` and pass
+    /// count included (the job still overrides `index` from the
+    /// [`Algorithm`] variant at dispatch).
     pub fn lowmem_config(mut self, config: LowMemConfig) -> Self {
         self.hyperpraw.seed = config.seed;
         self.hyperpraw.initial_alpha = config.alpha;
         self.hyperpraw.max_iterations = config.passes;
-        let threads = config.threads;
         self.lowmem = config;
-        self.threads(threads)
+        self
     }
 
     /// Binds the job's instrumentation to `registry`
@@ -618,7 +613,7 @@ impl PartitionJob {
 
     /// The lowmem configuration the dispatched driver runs: the job's
     /// lowmem-only knobs, the index kind the [`Algorithm`] variant
-    /// selects, and the job's seed, `α`, pass count and schedule.
+    /// selects, and the job's seed, `α` and pass count.
     fn lowmem_driver(&self) -> LowMemConfig {
         LowMemConfig {
             index: match self.algorithm {
@@ -627,7 +622,6 @@ impl PartitionJob {
             },
             alpha: self.hyperpraw.initial_alpha,
             passes: self.hyperpraw.max_iterations,
-            threads: self.threads,
             seed: self.hyperpraw.seed,
             ..self.lowmem.clone()
         }
@@ -719,11 +713,7 @@ impl PartitionJob {
         let restreaming = self.algorithm.restreams();
         let lowmem = self.algorithm.supports_streams();
         let config = &self.hyperpraw;
-        let threads = if self.algorithm.supports_threads() {
-            self.threads
-        } else {
-            1
-        };
+        let threads = if restreaming { self.threads } else { 1 };
         EffectiveConfig {
             partitions: p,
             seed: config.seed,
@@ -1122,13 +1112,17 @@ mod tests {
 
     #[test]
     fn zero_threads_auto_detects_the_machine_parallelism() {
+        // lowmem streams on one thread whatever the job's count.
         let hg = mesh_hypergraph(&MeshConfig::new(200, 6));
         let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
-        for algorithm in [Algorithm::HyperPrawBasic, Algorithm::LowMemSketched] {
+        for (algorithm, threads) in [
+            (Algorithm::HyperPrawBasic, auto),
+            (Algorithm::LowMemSketched, 1),
+        ] {
             let job = PartitionJob::new(algorithm).partitions(4).threads(0);
             job.validate().unwrap();
             let report = job.run(&hg).unwrap();
-            assert_eq!(report.config.threads, auto, "{algorithm}");
+            assert_eq!(report.config.threads, threads, "{algorithm}");
             assert_eq!(report.partition.num_parts(), 4, "{algorithm}");
         }
     }

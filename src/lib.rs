@@ -64,8 +64,8 @@
 //!
 //! Swapping the algorithm — `Algorithm::{HyperPrawBasic, LowMemSketched,
 //! MultilevelBaseline, ...}` — changes nothing else about the flow, and
-//! `.threads(n)` runs the same algorithm on `n` worker threads; the lowmem
-//! variants additionally accept an on-disk
+//! `.threads(n)` runs HyperPRAW on `n` worker threads; the lowmem
+//! variants stream on one thread and additionally accept an on-disk
 //! [`hypergraph::io::stream::VertexStream`] through
 //! [`api::PartitionJob::run_stream`].
 //!

@@ -106,8 +106,8 @@ pub struct EffectiveConfig {
     pub initial_alpha: Option<f64>,
     /// Stream order name (in-memory HyperPRAW drivers).
     pub stream_order: Option<&'static str>,
-    /// Worker threads (1 = sequential, more = work stealing); a
-    /// `threads(0)` auto-detect request
+    /// Worker threads (1 = sequential, more = work stealing); 1 for
+    /// every algorithm but HyperPRAW. A `threads(0)` auto-detect request
     /// is resolved to the real machine parallelism before it lands here.
     pub threads: usize,
     /// Kind of connectivity index (lowmem drivers).

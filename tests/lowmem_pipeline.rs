@@ -76,14 +76,13 @@ fn disk_stream_partitioning_respects_the_budget_and_beats_round_robin() {
 }
 
 #[test]
-fn threaded_multi_pass_out_of_core_restreaming_runs_from_a_disk_stream() {
-    // The engine combination none of the pre-refactor drivers could
-    // express: work-stealing worker threads scoring a sketched
-    // connectivity index over an on-disk vertex stream, restreamed for
-    // several passes with the sketches rebuilt in between — one job away.
+fn multi_pass_out_of_core_restreaming_runs_from_a_disk_stream() {
+    // A sketched connectivity index over an on-disk vertex stream,
+    // restreamed for several passes with the sketches rebuilt in between
+    // — one job away.
     let hg = PaperInstance::TwoCubesSphere.generate(&SuiteConfig::scaled(0.02));
     let path = std::env::temp_dir().join(format!(
-        "hyperpraw_lowmem_threaded_pipeline_{}.hgr",
+        "hyperpraw_lowmem_multi_pass_pipeline_{}.hgr",
         std::process::id()
     ));
     hmetis::write_hgr_file(&hg, &path).unwrap();
@@ -102,7 +101,6 @@ fn threaded_multi_pass_out_of_core_restreaming_runs_from_a_disk_stream() {
         .memory_budget(budget)
         .passes(2)
         .rebuild_sketches(true)
-        .threads(4)
         .run_stream(&mut stream)
         .unwrap();
 
@@ -121,7 +119,7 @@ fn threaded_multi_pass_out_of_core_restreaming_runs_from_a_disk_stream() {
     let rr = Partition::round_robin(hg.num_vertices(), p);
     assert!(
         streamed.soed < metrics::soed(&hg, &rr),
-        "threaded out-of-core SOED {} should beat round robin {}",
+        "multi-pass out-of-core SOED {} should beat round robin {}",
         streamed.soed,
         metrics::soed(&hg, &rr)
     );
