@@ -66,9 +66,6 @@ pub struct HyperPrawConfig {
     pub stream_order: StreamOrder,
     /// RNG seed (used by [`StreamOrder::Random`] and tie-breaking).
     pub seed: u64,
-    /// Record per-iteration history (needed for Figure 3; a small cost per
-    /// stream).
-    pub track_history: bool,
 }
 
 impl Default for HyperPrawConfig {
@@ -81,7 +78,6 @@ impl Default for HyperPrawConfig {
             max_iterations: 100,
             stream_order: StreamOrder::Natural,
             seed: 0,
-            track_history: true,
         }
     }
 }
@@ -136,10 +132,29 @@ impl HyperPrawConfig {
     }
 
     /// Validates parameter ranges, returning a description of the first
-    /// problem found: the checks of the engine configuration it becomes,
-    /// plus the initial `α`, which those leave to the caller.
+    /// problem found.
     pub fn validate(&self) -> Result<(), String> {
-        crate::engine::EngineConfig::restreaming(self).validate()?;
+        // Each range check is written so NaN fails it.
+        if self.tempering_factor.is_nan() || self.tempering_factor <= 1.0 {
+            return Err(format!(
+                "tempering factor must exceed 1.0 (got {})",
+                self.tempering_factor
+            ));
+        }
+        if self.imbalance_tolerance.is_nan() || self.imbalance_tolerance < 1.0 {
+            return Err(format!(
+                "imbalance tolerance must be at least 1.0 (got {})",
+                self.imbalance_tolerance
+            ));
+        }
+        if self.max_iterations == 0 {
+            return Err("max_iterations must be at least 1".into());
+        }
+        if let RefinementPolicy::Factor(f) = self.refinement {
+            if f.is_nan() || f <= 0.0 || f > 1.5 {
+                return Err(format!("refinement factor {f} out of (0, 1.5]"));
+            }
+        }
         if let Some(a) = self.initial_alpha {
             if !(a.is_finite() && a > 0.0) {
                 return Err("initial alpha must be positive and finite".into());

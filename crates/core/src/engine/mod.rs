@@ -1,38 +1,34 @@
-//! The generic restreaming engine — one implementation of the paper's
-//! Algorithm 1 shared by every partitioning driver in the workspace.
+//! The restreaming engine — the one implementation of the paper's
+//! Algorithm 1 behind [`crate::HyperPraw`] and the dynamic layer's warm
+//! restreams.
 //!
 //! HyperPRAW's restreaming loop is a single algorithm: visit every vertex,
 //! score each candidate partition with the value function of
 //! [`crate::value`], assign greedily, temper the balance weight `α` until
 //! the imbalance tolerance holds, then refine while the partitioning
-//! communication cost improves. What varies between deployment scenarios
-//! is *where the vertices come from*, *where the connectivity state
-//! lives*, and *how the stream is executed*. The engine factors those
-//! three axes into pluggable traits and keeps the loop itself in one
-//! place:
+//! communication cost improves. The vertices come from an in-memory
+//! [`Hypergraph`] in a visit order: the configuration's
+//! [`crate::StreamOrder`] for a cold run ([`Engine::run`]), the caller's
+//! dirty set for a warm one ([`Engine::run_warm`]). What varies is *where
+//! the connectivity state lives* and *how the stream is executed*; the
+//! engine keeps the loop in one place:
 //!
 //! ```text
-//!                       ┌──────────────────────────────┐
-//!                       │          Engine::run         │
-//!                       │  stream order · α tempering  │
-//!                       │  tolerance / comm-cost stop  │
-//!                       │  PartitionHistory · doubts   │
-//!                       └──────┬───────┬───────┬───────┘
-//!            ┌─────────────────┘       │       └──────────────────┐
-//!            ▼                         ▼                          ▼
-//!   VertexSource             ConnectivityProvider        ExecutionStrategy
-//!   "which vertex next?"     "who are its neighbours?"   "who decides when?"
-//!   ├ InMemorySource         ├ AdjProvider (in memory:   ├ Sequential
-//!   │  (natural/shuffled/    │   exact part counts per   │   (fresh info per
-//!   │   degree order)        │   visited vertex, shifted │    vertex,
-//!   └ StreamSource over any  │   on moves; neighbours by │    deterministic)
-//!      io::stream source     │   traversal)              └ WorkStealing
-//!      (on-disk transpose,   ├ lowmem ExactIndex             (atomic cursor,
-//!       InMemoryVertexStream)│   (hash maps, exact,          live shared
-//!                            │    reversible)                state, bounded
-//!                            └ lowmem SketchIndex            staleness, fast)
-//!                                (Bloom + MinHash,
-//!                                 budget-bounded)
+//!                  ┌──────────────────────────────┐
+//!                  │          Engine::run         │
+//!                  │  visit order · α tempering   │
+//!                  │  tolerance / comm-cost stop  │
+//!                  │       PartitionHistory       │
+//!                  └───────┬──────────────┬───────┘
+//!              ┌───────────┘              └───────────┐
+//!              ▼                                      ▼
+//!   ConnectivityProvider                    ExecutionStrategy
+//!   "who are its neighbours?"               "who decides when?"
+//!   AdjProvider: exact part counts          ├ Sequential (fresh info per
+//!   per visited vertex, shifted on          │   vertex, deterministic)
+//!   moves; neighbours by traversal          └ WorkStealing (atomic cursor,
+//!                                               live shared state, bounded
+//!                                               staleness, fast)
 //! ```
 //!
 //! The two strategies trade determinism against wall-clock:
@@ -60,13 +56,10 @@
 //! place causes no cross-core traffic.
 //! A worker's log holds its moves only, which is all the batch boundary
 //! applies, so the boundary's serial work follows the moves, not the
-//! batch. Work stealing therefore needs a provider whose counts read the
-//! live assignment they are passed, and no doubt buffer, which would need
-//! every visit's margin ([`EngineConfig::validate`] refuses that).
+//! batch. A batch is a slice of the visit order.
 //!
-//! [`crate::HyperPraw`] is `InMemorySource × AdjProvider × Sequential`,
-//! and [`crate::HyperPraw::with_threads`] swaps in `WorkStealing`;
-//! `hyperpraw-lowmem` runs `StreamSource × IndexProvider` sequentially.
+//! [`crate::HyperPraw`] is `AdjProvider × Sequential`, and
+//! [`crate::HyperPraw::with_threads`] swaps in `WorkStealing`.
 //!
 //! `AdjProvider` answers the distinct-neighbour query with exact integer
 //! counts: every visit copies the part counts `X(v)` the provider keeps
@@ -112,14 +105,12 @@
 //! state's loads, which live placements read, are written only through
 //! one detach/attach pair, and it marks the summary stale when a write
 //! changes a load's bits — a move, or a stay of a fractional weight whose
-//! `(L − w) + w` rounds away from `L` — at placements, batch applies and
-//! the seed pass alike; the next certifying placement recomputes it. A
+//! `(L − w) + w` rounds away from `L` — at placements and batch applies
+//! alike; the next placement recomputes it. A
 //! stealing worker recomputes its view's summary at each reload of its
 //! cached loads, once per peer move. Debug builds compare every proof
 //! with the scan of [`crate::value::certified_margin`] and every kept
-//! summary with a fresh one. Certificates are off
-//! while the doubt buffer is on (it needs every visit's margin), and
-//! providers that keep no counts make none. Debug builds re-score every
+//! summary with a fresh one. They also re-score every
 //! certified and every proven visit and recompute every live certificate
 //! wherever they check the counts. Sequential and batch-apply moves
 //! shift the counts through `&mut` access
@@ -140,9 +131,7 @@
 //! `M` shifts by those counts. So `M` is exact after every batch and is
 //! counted afresh only at sync. The integers are exact and the dot is the
 //! one [`crate::metrics`] shares, so a pass's cost is bit-identical to
-//! [`crate::metrics::partitioning_communication_cost`]. Out-of-core
-//! providers keep no `M`; their runs stop on fixed points and the
-//! iteration limit only.
+//! [`crate::metrics::partitioning_communication_cost`].
 //!
 //! When a pass's cost exceeds the previous feasible pass's, the run
 //! returns that earlier partition. The engine then moves every vertex
@@ -153,22 +142,12 @@
 //! this of the kept counts and `M` at the end of every run. Stay
 //! certificates are outside that check: a vertex moved back keeps the
 //! certificate of the part it left, and nothing reads it after the run.
-//!
-//! The engine also owns the two cross-cutting quality devices the drivers
-//! used to duplicate: the bounded **doubt buffer** (the `k`
-//! lowest-confidence placements are revisited once against the final
-//! state) and **sketch rebuilding** (providers that cannot forget are
-//! reset between restreaming passes to shed staleness).
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering as AtomicOrdering};
 use std::thread;
 
-use hyperpraw_hypergraph::io::stream::VertexRecord;
-use hyperpraw_hypergraph::io::{IoError, IoResult};
-use hyperpraw_hypergraph::{AssignmentRef, ChunkCursor, HyperedgeId, Partition, VertexId};
-use hyperpraw_telemetry::{Counter, Gauge, Histogram, Registry};
+use hyperpraw_hypergraph::{AssignmentRef, ChunkCursor, Hypergraph, Partition, VertexId};
+use hyperpraw_telemetry::{Counter, Histogram, Registry};
 use hyperpraw_topology::CostMatrix;
 
 use crate::history::{IterationRecord, PartitionHistory, StreamPhase};
@@ -184,7 +163,7 @@ mod provider;
 mod source;
 
 pub use provider::{AdjProvider, AdjScratch, ConnectivityProvider, StayCertificate};
-pub use source::{stream_order, DirtySetSource, InMemorySource, StreamSource, VertexSource};
+pub use source::stream_order;
 
 /// Why the restreaming loop stopped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -223,9 +202,7 @@ pub enum ExecutionStrategy {
     /// bounded staleness instead of a barrier. Fast and valid at any thread
     /// count, but not bit-reproducible across runs for more than one
     /// worker; a single worker degenerates to
-    /// [`ExecutionStrategy::Sequential`] exactly. More than one worker
-    /// needs a provider whose counts read the live assignment and no
-    /// doubt buffer.
+    /// [`ExecutionStrategy::Sequential`] exactly.
     WorkStealing {
         /// Number of worker threads.
         num_threads: usize,
@@ -236,171 +213,35 @@ pub enum ExecutionStrategy {
     },
 }
 
+impl ExecutionStrategy {
+    /// Validates the worker and chunk counts, returning the first problem
+    /// found.
+    fn validate(&self) -> Result<(), String> {
+        match *self {
+            ExecutionStrategy::Sequential => Ok(()),
+            ExecutionStrategy::WorkStealing { num_threads: 0, .. } => {
+                Err("need at least one worker thread".into())
+            }
+            ExecutionStrategy::WorkStealing { chunk: 0, .. } => {
+                Err("work-stealing chunk must be at least 1".into())
+            }
+            ExecutionStrategy::WorkStealing { .. } => Ok(()),
+        }
+    }
+}
+
 /// Default vertex-chunk size claimed per cursor hit by
 /// [`ExecutionStrategy::WorkStealing`] workers: small enough to
 /// self-balance across heterogeneous vertex degrees, large enough that the
 /// claim `fetch_add` never shows up in a profile.
 pub const DEFAULT_STEAL_CHUNK: usize = 64;
 
-/// How the partition is initialised before the first stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InitialAssignment {
-    /// Algorithm 1's round-robin start: every vertex begins on partition
-    /// `v mod p` and the first stream already *re*-assigns. Requires one
-    /// seeding pass over the source (to push the prior into index-backed
-    /// providers and accumulate the initial loads).
-    RoundRobin,
-    /// True one-pass streaming: vertices are unassigned until first
-    /// visited, contribute no load, and unseen vertices contribute no
-    /// connectivity.
-    Unassigned,
-}
-
-/// The bounded buffer of lowest-confidence placements revisited after the
-/// final stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DoubtConfig {
-    /// Maximum number of buffered placements (`0` disables the buffer).
-    pub capacity: usize,
-    /// Byte bound on the buffer: whatever the entry count, high-degree
-    /// entries cannot hold more than this many heap bytes.
-    pub byte_bound: usize,
-}
-
-impl Default for DoubtConfig {
-    fn default() -> Self {
-        Self {
-            capacity: 0,
-            byte_bound: usize::MAX,
-        }
-    }
-}
-
-/// Configuration of the generic restreaming engine.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct EngineConfig {
-    /// Initial `α`; `None` uses the FENNEL-derived starting point.
-    pub initial_alpha: Option<f64>,
-    /// Multiplicative `α` update while the imbalance is above tolerance.
-    pub tempering_factor: f64,
-    /// Behaviour once the imbalance tolerance has been reached.
-    pub refinement: RefinementPolicy,
-    /// Maximum allowed total imbalance `max_k W(k) / avg_k W(k)`.
-    pub imbalance_tolerance: f64,
-    /// Maximum number of streams.
-    pub max_iterations: usize,
-    /// Record per-iteration history.
-    pub track_history: bool,
-    /// Sequential or work-stealing execution.
-    pub strategy: ExecutionStrategy,
-    /// Round-robin restreaming start or one-pass streaming start.
-    pub initial: InitialAssignment,
-    /// Ask the provider to drop irreversible connectivity state at the
-    /// start of every pass after the first, shedding sketch staleness at
-    /// the price of a cold start for the early vertices of the pass.
-    /// Providers with exact, reversible state ignore this.
-    pub rebuild_between_passes: bool,
-    /// Bounded low-confidence revisit buffer.
-    pub doubts: DoubtConfig,
-}
-
-impl EngineConfig {
-    /// The classic in-memory restreaming configuration of
-    /// [`crate::HyperPraw`], derived from a [`HyperPrawConfig`] (stream
-    /// order and seed are consumed by the [`InMemorySource`] instead).
-    pub fn restreaming(config: &HyperPrawConfig) -> Self {
-        Self {
-            initial_alpha: config.initial_alpha,
-            tempering_factor: config.tempering_factor,
-            refinement: config.refinement,
-            imbalance_tolerance: config.imbalance_tolerance,
-            max_iterations: config.max_iterations,
-            track_history: config.track_history,
-            strategy: ExecutionStrategy::Sequential,
-            initial: InitialAssignment::RoundRobin,
-            rebuild_between_passes: false,
-            doubts: DoubtConfig::default(),
-        }
-    }
-
-    /// A one-pass streaming configuration with a frozen `α` (the
-    /// `hyperpraw-lowmem` regime): no tolerance gate, `passes` streams,
-    /// refinement-style stopping when a pass moves nothing.
-    pub fn streaming(alpha: Option<f64>, passes: usize) -> Self {
-        Self {
-            initial_alpha: alpha,
-            tempering_factor: 1.7,
-            refinement: if passes > 1 {
-                RefinementPolicy::Factor(1.0)
-            } else {
-                RefinementPolicy::None
-            },
-            imbalance_tolerance: f64::INFINITY,
-            max_iterations: passes.max(1),
-            track_history: false,
-            strategy: ExecutionStrategy::Sequential,
-            initial: InitialAssignment::Unassigned,
-            rebuild_between_passes: false,
-            doubts: DoubtConfig::default(),
-        }
-    }
-
-    /// Replaces the execution strategy.
-    pub fn with_strategy(mut self, strategy: ExecutionStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Validates parameter ranges, returning the first problem found.
-    pub fn validate(&self) -> Result<(), String> {
-        // Each range check is written so NaN fails it.
-        if self.tempering_factor.is_nan() || self.tempering_factor <= 1.0 {
-            return Err(format!(
-                "tempering factor must exceed 1.0 (got {})",
-                self.tempering_factor
-            ));
-        }
-        if self.imbalance_tolerance.is_nan() || self.imbalance_tolerance < 1.0 {
-            return Err(format!(
-                "imbalance tolerance must be at least 1.0 (got {})",
-                self.imbalance_tolerance
-            ));
-        }
-        if self.max_iterations == 0 {
-            return Err("max_iterations must be at least 1".into());
-        }
-        if let RefinementPolicy::Factor(f) = self.refinement {
-            if f.is_nan() || f <= 0.0 || f > 1.5 {
-                return Err(format!("refinement factor {f} out of (0, 1.5]"));
-            }
-        }
-        match self.strategy {
-            ExecutionStrategy::Sequential => {}
-            ExecutionStrategy::WorkStealing { num_threads, chunk } => {
-                if num_threads == 0 {
-                    return Err("need at least one worker thread".into());
-                }
-                if chunk == 0 {
-                    return Err("work-stealing chunk must be at least 1".into());
-                }
-                if num_threads > 1 && self.doubts.capacity > 0 {
-                    return Err(format!(
-                        "work stealing on {num_threads} threads keeps no doubt buffer; \
-                         revisiting doubts needs one thread"
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 /// The outcome of an [`Engine::run`].
 #[derive(Clone, Debug)]
 pub struct EngineRun {
     /// The selected vertex-to-partition assignment.
     pub partition: Partition,
-    /// Per-stream history (empty unless tracking is enabled).
+    /// Per-stream history, one record per pass.
     pub history: PartitionHistory,
     /// Why the run stopped.
     pub stop_reason: StopReason,
@@ -408,114 +249,13 @@ pub struct EngineRun {
     pub iterations: usize,
     /// The `α` in effect when the run stopped.
     pub final_alpha: f64,
-    /// Communication cost of the returned partition (`NaN` when the
-    /// provider keeps no part-pair counts).
+    /// Communication cost of the returned partition.
     pub comm_cost: f64,
     /// Imbalance of the returned partition, taken from the engine's
     /// incrementally tracked workloads — the same value the stopping rule
-    /// compared against the tolerance. Out-of-core sources cannot afford
-    /// an exact recomputation; in-memory callers that need one can always
-    /// evaluate `partition.imbalance(hg)` on the result.
+    /// compared against the tolerance. Callers that need an exact
+    /// recomputation can evaluate `partition.imbalance(hg)` on the result.
     pub imbalance: f64,
-    /// Number of buffered low-confidence placements revisited at the end.
-    pub restreamed: usize,
-    /// How many revisited placements changed partition.
-    pub moved_in_restream: usize,
-}
-
-/// A buffered low-confidence placement awaiting the revisit pass.
-#[derive(Clone, Debug)]
-struct Doubt {
-    confidence: f64,
-    vertex: VertexId,
-    weight: f64,
-    nets: Vec<HyperedgeId>,
-}
-
-impl PartialEq for Doubt {
-    fn eq(&self, other: &Self) -> bool {
-        self.confidence == other.confidence && self.vertex == other.vertex
-    }
-}
-
-impl Eq for Doubt {}
-
-impl PartialOrd for Doubt {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Doubt {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap by confidence: the most confident buffered entry is
-        // evicted first, keeping the k *least* confident. Vertex id breaks
-        // ties deterministically.
-        self.confidence
-            .total_cmp(&other.confidence)
-            .then_with(|| self.vertex.cmp(&other.vertex))
-    }
-}
-
-impl Doubt {
-    /// Approximate heap bytes held by one buffered entry.
-    fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.nets.capacity() * std::mem::size_of::<HyperedgeId>()
-    }
-}
-
-/// The byte-bounded max-heap of doubts collected during a pass.
-#[derive(Debug, Default)]
-struct DoubtBuffer {
-    heap: BinaryHeap<Doubt>,
-    bytes: usize,
-}
-
-impl DoubtBuffer {
-    fn clear(&mut self) {
-        self.heap.clear();
-        self.bytes = 0;
-    }
-
-    /// Records a placement unless its confidence floor already exceeds the
-    /// buffer's current maximum (in which case it would be evicted right
-    /// back out — skip the net-list clone entirely).
-    fn offer<P: ConnectivityProvider>(
-        &mut self,
-        config: &DoubtConfig,
-        provider: &P,
-        record: &VertexRecord,
-        part: u32,
-        margin: f64,
-    ) {
-        if config.capacity == 0 {
-            return;
-        }
-        // The provider's confidence stays within [margin / 2, margin].
-        let hopeless = self.heap.len() >= config.capacity
-            && self
-                .heap
-                .peek()
-                .is_some_and(|max| 0.5 * margin > max.confidence);
-        if hopeless {
-            return;
-        }
-        let doubt = Doubt {
-            confidence: provider.confidence(record, part, margin),
-            vertex: record.vertex,
-            weight: record.weight,
-            nets: record.nets.clone(),
-        };
-        self.bytes += doubt.heap_bytes();
-        self.heap.push(doubt);
-        while self.heap.len() > config.capacity
-            || (self.bytes > config.byte_bound && self.heap.len() > 1)
-        {
-            if let Some(evicted) = self.heap.pop() {
-                self.bytes -= evicted.heap_bytes();
-            }
-        }
-    }
 }
 
 /// Mutable state shared by every strategy: the assignment, the workloads
@@ -557,15 +297,14 @@ impl EngineState {
     }
 
     /// Attaches weight `w` to part `target`, closing a visit that detached
-    /// it with [`EngineState::detach`] (`from`, or `None` for an
-    /// unassigned vertex). The summary stays fresh only when the vertex
-    /// stayed and its part's load regained the bits it held before the
-    /// detach, which a fractional weight's `(L − w) + w` need not.
-    fn attach(&mut self, target: u32, w: f64, from: Option<(u32, f64)>) {
+    /// it with [`EngineState::detach`] (`from`). The summary stays fresh
+    /// only when the vertex stayed and its part's load regained the bits
+    /// it held before the detach, which a fractional weight's `(L − w) + w`
+    /// need not.
+    fn attach(&mut self, target: u32, w: f64, (cur, held): (u32, f64)) {
         let load = &mut self.loads[target as usize];
         *load += w;
-        self.fresh &=
-            from.is_some_and(|(cur, held)| cur == target && held.to_bits() == load.to_bits());
+        self.fresh &= cur == target && held.to_bits() == load.to_bits();
     }
 
     /// Recomputes the summary if a write has changed a load since.
@@ -595,14 +334,6 @@ impl EngineState {
     }
 }
 
-/// The part one visit chose and its margin over the runner-up — for a
-/// certified visit, the lower bound the certificate proved.
-#[derive(Clone, Copy, Debug)]
-struct Decision {
-    part: u32,
-    margin: f64,
-}
-
 /// The loads one visit is decided against: the view the scorer reads,
 /// the summary a stay proof reads instead, and the uniform expected
 /// loads. The summary answers for every part but the visit's current
@@ -616,8 +347,8 @@ struct LoadView<'a> {
 
 /// What the certificate step of a visit found.
 enum Check {
-    /// The kept certificate proved the stay.
-    Stays(Decision),
+    /// The kept certificate proved the stay on this part.
+    Stays(u32),
     /// The visit must be scored, with the certificate stamp read, if any.
     Score(Option<StayCertificate>),
 }
@@ -629,8 +360,6 @@ struct Scorer<T> {
     scratch: T,
     counts: Vec<u32>,
     value: ValueScratch,
-    /// Whether visits check and make stay certificates.
-    certify: bool,
     /// Visits kept in place by a stored certificate since the last flush.
     certified: u64,
     /// Visits whose stay was proved from freshly copied counts since the
@@ -639,22 +368,21 @@ struct Scorer<T> {
 }
 
 impl<T> Scorer<T> {
-    fn new<P: ConnectivityProvider<Scratch = T>>(provider: &P, p: usize, certify: bool) -> Self {
+    fn new<P: ConnectivityProvider<Scratch = T>>(provider: &P, p: usize) -> Self {
         Scorer {
             scratch: provider.new_scratch(),
             counts: Vec::with_capacity(p),
             value: ValueScratch::new(),
-            certify,
             certified: 0,
             proven: 0,
         }
     }
 
-    /// Decides one visit of `record`, currently on `current`, against
+    /// Decides one visit of `v`, currently on `current`, against
     /// `assignment` and `view` — whose loads are the loads as the scorer
     /// sees them, the vertex's own weight already detached.
     ///
-    /// When `record`'s stay certificate is still valid, names `current`
+    /// When `v`'s stay certificate is still valid, names `current`
     /// and [`Scorer::prove`] proves it, the visit keeps its part without
     /// copying counts or scoring. Otherwise the counts are copied and their
     /// load-free terms computed. When a neighbour's move voided the
@@ -671,27 +399,27 @@ impl<T> Scorer<T> {
     fn decide<P, A>(
         &mut self,
         provider: &P,
-        record: &VertexRecord,
+        v: VertexId,
         assignment: &A,
         cost: &CostMatrix,
         alpha: f64,
-        current: Option<u32>,
+        current: u32,
         view: LoadView<'_>,
-    ) -> Decision
+    ) -> u32
     where
         P: ConnectivityProvider<Scratch = T>,
         A: AssignmentRef,
     {
-        let home = current.map(|part| (part, view.loads[part as usize]));
-        match self.check(provider, record, assignment, cost, alpha, home, view) {
-            Check::Stays(decision) => decision,
-            Check::Score(stamp) => self.score(
-                provider, record, assignment, cost, alpha, current, stamp, view,
-            ),
+        let home = (current, view.loads[current as usize]);
+        match self.check(provider, v, assignment, cost, alpha, home, view) {
+            Check::Stays(part) => part,
+            Check::Score(stamp) => {
+                self.score(provider, v, assignment, cost, alpha, current, stamp, view)
+            }
         }
     }
 
-    /// The certificate step of a visit of `record`. `home` is the part the
+    /// The certificate step of a visit of `v`. `home` is the part the
     /// vertex is on with that part's load with the vertex detached, which
     /// `view`'s loads need not show yet. When the vertex's stay certificate
     /// is still valid, names that part and [`Scorer::prove`] proves it, the
@@ -703,33 +431,28 @@ impl<T> Scorer<T> {
     fn check<P, A>(
         &mut self,
         provider: &P,
-        record: &VertexRecord,
+        v: VertexId,
         assignment: &A,
         cost: &CostMatrix,
         alpha: f64,
-        home: Option<(u32, f64)>,
+        (current, own): (u32, f64),
         view: LoadView<'_>,
     ) -> Check
     where
         P: ConnectivityProvider<Scratch = T>,
         A: AssignmentRef,
     {
-        let v = record.vertex;
-        let stamp = if self.certify {
-            provider.stay_certificate(v)
-        } else {
-            None
-        };
+        let stamp = provider.stay_certificate(v);
         debug_assert!(stamp.is_none() || view.expected.iter().all(|&e| e == view.expected[0]));
-        let (Some((part, gap)), Some((current, own))) = (stamp.and_then(|s| s.stay), home) else {
+        let Some((part, gap)) = stamp.and_then(|s| s.stay) else {
             return Check::Score(stamp);
         };
         if part != current {
             return Check::Score(stamp);
         }
-        let Some(margin) = Self::prove(gap, part, alpha, own, view) else {
+        if !Self::prove(gap, part, alpha, own, view) {
             return Check::Score(stamp);
-        };
+        }
         self.certified += 1;
         // Debug builds re-score the visit and require `part`. Under work
         // stealing a peer's move may shift the counts after the
@@ -739,7 +462,7 @@ impl<T> Scorer<T> {
         {
             let generation = stamp.map(|s| s.generation);
             let loads = detached(view.loads, part, own);
-            provider.count(record, assignment, &mut self.scratch, &mut self.counts);
+            provider.count(v, assignment, &mut self.scratch, &mut self.counts);
             let counts = &self.counts;
             let scored =
                 best_partition_in(counts, cost, alpha, &loads, view.expected, &mut self.value);
@@ -755,7 +478,7 @@ impl<T> Scorer<T> {
                 thread::yield_now();
             }
         }
-        Check::Stays(Decision { part, margin })
+        Check::Stays(part)
     }
 
     /// The scoring step of a visit that [`Scorer::check`] did not settle,
@@ -765,29 +488,28 @@ impl<T> Scorer<T> {
     fn score<P, A>(
         &mut self,
         provider: &P,
-        record: &VertexRecord,
+        v: VertexId,
         assignment: &A,
         cost: &CostMatrix,
         alpha: f64,
-        current: Option<u32>,
+        current: u32,
         stamp: Option<StayCertificate>,
         view: LoadView<'_>,
-    ) -> Decision
+    ) -> u32
     where
         P: ConnectivityProvider<Scratch = T>,
         A: AssignmentRef,
     {
-        let v = record.vertex;
-        provider.count(record, assignment, &mut self.scratch, &mut self.counts);
+        provider.count(v, assignment, &mut self.scratch, &mut self.counts);
         comm_terms(&self.counts, cost, &mut self.value);
-        if let (Some(stamp), Some(part), None) = (stamp, current, stamp.and_then(|s| s.stay)) {
+        if let Some(stamp) = stamp.filter(|s| s.stay.is_none()) {
             // The same proof from the counts just copied, which are
             // current: the gap is the one a scored stay would store.
-            let gap = terms_gap(part, &mut self.value);
-            let own = view.loads[part as usize];
-            if let Some(margin) = Self::prove(gap, part, alpha, own, view) {
+            let gap = terms_gap(current, &mut self.value);
+            let own = view.loads[current as usize];
+            if Self::prove(gap, current, alpha, own, view) {
                 self.proven += 1;
-                provider.certify(v, stamp.generation, part, gap);
+                provider.certify(v, stamp.generation, current, gap);
                 #[cfg(debug_assertions)]
                 {
                     let counts = &self.counts;
@@ -801,31 +523,28 @@ impl<T> Scorer<T> {
                     );
                     assert_eq!(
                         (scored.part, scored.gap.to_bits()),
-                        (part, gap.to_bits()),
-                        "vertex {v} proved on part {part}, but its counts score otherwise"
+                        (current, gap.to_bits()),
+                        "vertex {v} proved on part {current}, but its counts score otherwise"
                     );
                 }
-                return Decision { part, margin };
+                return current;
             }
         }
         let scored = select_partition(alpha, view.loads, view.expected, &mut self.value);
         if let Some(stamp) = stamp {
             provider.certify(v, stamp.generation, scored.part, scored.gap);
         }
-        Decision {
-            part: scored.part,
-            margin: scored.margin,
-        }
+        scored.part
     }
 
-    /// Proves a stay on `part` with communication gap `gap` under `alpha`:
-    /// [`certified_margin_with`] over `own`, `part`'s load with the vertex
-    /// detached, and `view`'s summary for the other parts. Both strategies'
-    /// certificates and fresh proofs go through here. Debug builds require
-    /// the result, settled or refused, to equal the scan of
+    /// Whether a stay on `part` with communication gap `gap` under `alpha`
+    /// is proved: [`certified_margin_with`] over `own`, `part`'s load with
+    /// the vertex detached, and `view`'s summary for the other parts. Both
+    /// strategies' certificates and fresh proofs go through here. Debug
+    /// builds require the margin, settled or refused, to equal the scan of
     /// [`certified_margin`] over `view`'s loads with `own` in place, bit for
     /// bit: a stale summary shows up there.
-    fn prove(gap: f64, part: u32, alpha: f64, own: f64, view: LoadView<'_>) -> Option<f64> {
+    fn prove(gap: f64, part: u32, alpha: f64, own: f64, view: LoadView<'_>) -> bool {
         let expected = view.expected[0];
         let margin = certified_margin_with(gap, part, own, view.summary, alpha, expected);
         debug_assert_eq!(
@@ -834,7 +553,7 @@ impl<T> Scorer<T> {
                 .map(f64::to_bits),
             "the load summary disagrees with the loads for a stay on part {part}"
         );
-        margin
+        margin.is_some()
     }
 }
 
@@ -856,9 +575,8 @@ fn detached(loads: &[f64], part: u32, own: f64) -> Vec<f64> {
 struct WorkerSlot<T> {
     scorer: Scorer<T>,
     loads_view: Vec<f64>,
-    /// The [`LoadSummary`] of `loads_view` for a stealing worker, whose
-    /// scorer always certifies, recomputed at each reload of
-    /// `fixed_loads`.
+    /// The [`LoadSummary`] of `loads_view` for a stealing worker,
+    /// recomputed at each reload of `fixed_loads`.
     summary: LoadSummary,
     /// The cached copy of the shared fixed-point loads, of which
     /// `loads_view` is the `f64` view, as of move epoch `epoch`.
@@ -876,11 +594,10 @@ impl<T> WorkerSlot<T> {
         workers: usize,
         provider: &P,
         p: usize,
-        certify: bool,
     ) {
         while slots.len() < workers {
             slots.push(WorkerSlot {
-                scorer: Scorer::new(provider, p, certify),
+                scorer: Scorer::new(provider, p),
                 loads_view: Vec::with_capacity(p),
                 summary: LoadSummary::default(),
                 fixed_loads: vec![0; p],
@@ -894,53 +611,6 @@ impl<T> WorkerSlot<T> {
 /// A [`WorkerSlot::epoch`] no pass reaches: the cached loads are reloaded
 /// at the next visit.
 const STALE_EPOCH: u64 = u64::MAX;
-
-/// One live (fresh-information) placement — the shared inner step of the
-/// sequential strategy and the doubt revisit: detach `record` from
-/// `current`, decide against the live assignment, assign, attach. The
-/// caller handles move accounting and doubt collection.
-fn place_live<P: ConnectivityProvider>(
-    cost: &CostMatrix,
-    provider: &mut P,
-    state: &mut EngineState,
-    alpha: f64,
-    record: &VertexRecord,
-    current: Option<u32>,
-    scorer: &mut Scorer<P::Scratch>,
-) -> Decision {
-    let w = record.weight;
-    if scorer.certify {
-        state.refresh_summary();
-    }
-    let from = current.map(|cur| {
-        provider.detach(record, cur);
-        state.detach(cur, w)
-    });
-    let view = LoadView {
-        loads: &state.loads,
-        summary: &state.summary,
-        expected: &state.expected,
-    };
-    let decision = scorer.decide(
-        provider,
-        record,
-        &state.partition,
-        cost,
-        alpha,
-        current,
-        view,
-    );
-    set_part(
-        provider,
-        &mut state.partition,
-        record.vertex,
-        decision.part,
-        &mut scorer.scratch,
-    );
-    state.attach(decision.part, w, from);
-    provider.attach(record, decision.part);
-    decision
-}
 
 /// Assigns `v` to `part` in `partition`, the assignment the provider's
 /// counts read, and reports the change to the provider, which the caller
@@ -984,12 +654,13 @@ pub struct WarmStart {
     pub loads: Vec<f64>,
 }
 
-/// The generic restreaming engine. See the [module docs](self) for the
+/// The restreaming engine. See the [module docs](self) for the
 /// architecture; [`Engine::run`] is the single implementation of the
 /// restreaming loop every driver delegates to.
 #[derive(Clone, Debug)]
 pub struct Engine {
-    config: EngineConfig,
+    config: HyperPrawConfig,
+    strategy: ExecutionStrategy,
     metrics: EngineMetrics,
 }
 
@@ -1007,8 +678,8 @@ struct EngineMetrics {
     /// Wall-clock of the provider sync at the start of each run,
     /// microseconds.
     sync_us: Histogram,
-    /// Vertices visited across all passes (each pass streams the source
-    /// once), certified visits included.
+    /// Vertices visited across all passes (each pass streams the visit
+    /// order once), certified visits included.
     vertices_scored: Counter,
     /// Visits a stored stay certificate kept in place without copying
     /// counts or scoring.
@@ -1016,17 +687,10 @@ struct EngineMetrics {
     /// Visits whose stay was proved from freshly copied counts, without
     /// the value loop or the selection scan.
     proven_stays: Counter,
-    /// Doubt-buffer entries at the end of the latest pass.
-    doubt_entries: Gauge,
-    /// Doubt-buffer payload bytes at the end of the latest pass.
-    doubt_bytes: Gauge,
     /// Chunks claimed off the shared cursor (work-stealing strategy).
     steal_chunk_claims: Counter,
     /// Batch-boundary applies (work-stealing strategy).
     steal_batch_applies: Counter,
-    /// Wall-clock of each batch fill on the engine thread, the empty fill
-    /// that ends a pass included, microseconds (work-stealing strategy).
-    steal_fill_us: Histogram,
     /// Wall-clock of each batch's thread team, spawn to join,
     /// microseconds (work-stealing strategy).
     steal_team_us: Histogram,
@@ -1044,11 +708,8 @@ impl EngineMetrics {
             vertices_scored: registry.counter("engine.vertices_scored"),
             certified_visits: registry.counter("engine.certified_visits"),
             proven_stays: registry.counter("engine.proven_stays"),
-            doubt_entries: registry.gauge("engine.doubt.entries"),
-            doubt_bytes: registry.gauge("engine.doubt.bytes"),
             steal_chunk_claims: registry.counter("engine.steal.chunk_claims"),
             steal_batch_applies: registry.counter("engine.steal.batch_applies"),
-            steal_fill_us: registry.histogram("engine.steal.fill_us"),
             steal_team_us: registry.histogram("engine.steal.team_us"),
             steal_apply_us: registry.histogram("engine.steal.apply_us"),
         }
@@ -1056,17 +717,20 @@ impl EngineMetrics {
 }
 
 impl Engine {
-    /// Creates an engine.
+    /// Creates an engine running Algorithm 1 under `config` with the given
+    /// execution strategy.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails validation.
-    pub fn new(config: EngineConfig) -> Self {
+    /// Panics if the configuration or the strategy fails validation.
+    pub fn new(config: HyperPrawConfig, strategy: ExecutionStrategy) -> Self {
         config
             .validate()
+            .and_then(|()| strategy.validate())
             .unwrap_or_else(|e| panic!("invalid engine configuration: {e}"));
         Self {
             config,
+            strategy,
             metrics: EngineMetrics::default(),
         }
     }
@@ -1079,78 +743,56 @@ impl Engine {
     }
 
     /// The configuration in use.
-    pub fn config(&self) -> &EngineConfig {
+    pub fn config(&self) -> &HyperPrawConfig {
         &self.config
     }
 
-    /// Whether visits check and make stay certificates: certified stays
-    /// skip the scorer, whose margins the doubt buffer needs.
-    fn certifies(&self) -> bool {
-        self.config.doubts.capacity == 0
-    }
-
-    /// Runs the restreaming loop: `source × provider × strategy` under the
-    /// communication-cost matrix `cost`, with per-pass costs read from the
-    /// provider.
-    pub fn run<S, P>(
+    /// Runs the restreaming loop over every vertex of `hg`, in the
+    /// configuration's stream order, from Algorithm 1's round-robin start,
+    /// under the communication-cost matrix `cost`, with per-pass costs read
+    /// from the provider.
+    pub fn run<P: ConnectivityProvider>(
         &self,
         cost: &CostMatrix,
-        source: &mut S,
+        hg: &Hypergraph,
         provider: &mut P,
-    ) -> IoResult<EngineRun>
-    where
-        S: VertexSource,
-        P: ConnectivityProvider,
-    {
+    ) -> EngineRun {
         let p = cost.num_units();
         assert!(p > 0, "cost matrix must cover at least one compute unit");
-        let config = &self.config;
-        let n = source.num_vertices();
-        let e = source.num_nets();
-        source.set_nets_enabled(provider.needs_nets() || config.doubts.capacity > 0);
-
-        let total_weight = source.total_vertex_weight().unwrap_or(n as f64);
-        let expected_load = (total_weight / p as f64).max(f64::MIN_POSITIVE);
-        // The first allocation sized by the source's vertex count, which an
-        // on-disk source takes from its file header: refuse, don't abort.
-        let partition = Partition::try_round_robin(n, p as u32)
-            .map_err(|e| IoError::out_of_memory(&format!("{n} vertex assignments"), e))?;
-        let mut state = EngineState::new(partition, vec![0.0f64; p], vec![expected_load; p]);
-        let assigned = match config.initial {
-            InitialAssignment::RoundRobin => {
-                self.seed_round_robin(source, provider, &mut state)?;
-                true
-            }
-            InitialAssignment::Unassigned => false,
-        };
-        self.run_loop(cost, source, provider, state, assigned, n, e)
+        let order = stream_order(hg, self.config.stream_order, self.config.seed);
+        let expected_load = (hg.total_vertex_weight() / p as f64).max(f64::MIN_POSITIVE);
+        // Every vertex starts on part `v mod p`; its loads are summed in
+        // stream order.
+        let mut loads = vec![0.0f64; p];
+        for &v in &order {
+            loads[v as usize % p] += hg.vertex_weight(v);
+        }
+        let partition = Partition::round_robin(hg.num_vertices(), p as u32);
+        let state = EngineState::new(partition, loads, vec![expected_load; p]);
+        self.run_loop(cost, hg, &order, None, provider, state)
     }
 
     /// Runs the restreaming loop warm-started from an existing assignment
-    /// instead of a fresh seed pass — the entry point of the dynamic
-    /// repartitioning layer. `source` supplies the vertex stream to
-    /// revisit, which may cover only part of the graph (a dirty set);
-    /// `warm.partition` must still cover the *full* graph so connectivity
-    /// counts against untouched vertices stay exact, and `warm.loads` must
-    /// be that full assignment's per-part vertex weights. No seed pass
-    /// runs, so providers must already answer for the current graph
-    /// ([`AdjProvider`] does).
+    /// instead of the round-robin start — the entry point of the dynamic
+    /// repartitioning layer. Each pass revisits `dirty`, in the order
+    /// given, which may cover only part of the graph; `warm.partition` must
+    /// still cover the *full* graph so connectivity counts against
+    /// untouched vertices stay exact, and `warm.loads` must be that full
+    /// assignment's per-part vertex weights. The provider keeps counts for
+    /// the dirty vertices only.
     ///
     /// # Panics
     ///
     /// Panics when the cost matrix is empty or `warm`'s part count or load
     /// vector length disagree with it.
-    pub fn run_warm<S, P>(
+    pub fn run_warm<P: ConnectivityProvider>(
         &self,
         cost: &CostMatrix,
-        source: &mut S,
+        hg: &Hypergraph,
+        dirty: &[VertexId],
         provider: &mut P,
         warm: WarmStart,
-    ) -> IoResult<EngineRun>
-    where
-        S: VertexSource,
-        P: ConnectivityProvider,
-    {
+    ) -> EngineRun {
         let p = cost.num_units();
         assert!(p > 0, "cost matrix must cover at least one compute unit");
         assert_eq!(
@@ -1163,93 +805,71 @@ impl Engine {
             p,
             "warm-start loads must cover every part"
         );
-        source.set_nets_enabled(provider.needs_nets() || self.config.doubts.capacity > 0);
-
+        debug_assert!(
+            dirty.iter().all(|&v| (v as usize) < hg.num_vertices()),
+            "dirty ids must be vertices of the hypergraph"
+        );
         // α is sized from the full graph, not the dirty subset: the value
         // function balances against full-graph loads, so the tempering
         // scale must match what a cold run over the whole instance uses.
-        let n = warm.partition.num_vertices();
-        let e = source.num_nets();
         let total_weight: f64 = warm.loads.iter().sum();
         let expected_load = (total_weight / p as f64).max(f64::MIN_POSITIVE);
         let state = EngineState::new(warm.partition, warm.loads, vec![expected_load; p]);
-        self.run_loop(cost, source, provider, state, true, n, e)
+        self.run_loop(cost, hg, dirty, Some(dirty), provider, state)
     }
 
     /// The shared restreaming loop behind [`Engine::run`] and
-    /// [`Engine::run_warm`]: α tempering until the tolerance is met, then
-    /// refinement with comm-cost rollback, then the doubt revisit.
-    #[allow(clippy::too_many_arguments)] // one state bundle, two public entries
-    fn run_loop<S, P>(
+    /// [`Engine::run_warm`]: each pass visits `order`; α tempering until
+    /// the tolerance is met, then refinement with comm-cost rollback. The
+    /// provider is synced over `visits` (`None`: every vertex).
+    fn run_loop<P: ConnectivityProvider>(
         &self,
         cost: &CostMatrix,
-        source: &mut S,
+        hg: &Hypergraph,
+        order: &[VertexId],
+        visits: Option<&[VertexId]>,
         provider: &mut P,
         mut state: EngineState,
-        mut assigned: bool,
-        n: usize,
-        e: usize,
-    ) -> IoResult<EngineRun>
-    where
-        S: VertexSource,
-        P: ConnectivityProvider,
-    {
+    ) -> EngineRun {
         let p = state.loads.len();
         let config = &self.config;
         let sync_span = self.metrics.sync_us.span();
-        provider.sync(&state.partition, source.visits());
+        provider.sync(&state.partition, visits);
         sync_span.finish();
 
-        let mut alpha = config
-            .initial_alpha
-            .unwrap_or_else(|| HyperPrawConfig::fennel_alpha(p as u32, n, e));
+        let n = state.partition.num_vertices();
+        let mut alpha = config.starting_alpha(p as u32, n, hg.num_hyperedges());
 
         let mut history = PartitionHistory::new();
         // Best feasible (within-tolerance) partition seen so far, with its
-        // cost and imbalance. Only tracked when the provider answers the
-        // cost — without costs there is nothing to roll back to.
+        // cost and imbalance.
         let mut previous_feasible: Option<(Partition, f64, f64)> = None;
         let mut stop_reason = StopReason::MaxIterations;
         let mut iterations = 0usize;
-        let mut doubts = DoubtBuffer::default();
         let mut slots: Vec<WorkerSlot<P::Scratch>> = Vec::new();
-        let mut batch: Vec<VertexRecord> = Vec::new();
-        let mut record = VertexRecord::default();
 
         for pass in 1..=config.max_iterations {
             iterations = pass;
-            provider.begin_pass(pass, config.rebuild_between_passes && pass > 1);
-            doubts.clear();
-            source.reset()?;
             let pass_span = self.metrics.pass_time_us.span();
-            let moved = match config.strategy {
+            let moved = match self.strategy {
                 // A single worker has nobody to race: run the live
                 // sequential loop, so one thread is bit-identical to
                 // `Sequential` (the n=1 determinism anchor).
                 ExecutionStrategy::Sequential
-                | ExecutionStrategy::WorkStealing { num_threads: 1, .. } => self.sequential_pass(
-                    cost,
-                    source,
-                    provider,
-                    &mut state,
-                    alpha,
-                    assigned,
-                    &mut doubts,
-                    &mut record,
-                    &mut slots,
-                )?,
+                | ExecutionStrategy::WorkStealing { num_threads: 1, .. } => {
+                    self.sequential_pass(cost, hg, order, provider, &mut state, alpha, &mut slots)
+                }
                 ExecutionStrategy::WorkStealing { num_threads, chunk } => self.steal_pass(
                     cost,
-                    source,
+                    hg,
+                    order,
                     provider,
                     &mut state,
                     alpha,
-                    assigned,
                     num_threads,
                     chunk,
                     &mut slots,
-                    &mut batch,
-                )?,
+                ),
             };
             pass_span.finish();
             for slot in &mut slots {
@@ -1269,27 +889,22 @@ impl Engine {
                 state.summary_agrees(),
                 "a load write left the summary stale by the end of pass {pass}"
             );
-            self.metrics.doubt_entries.set(doubts.heap.len() as i64);
-            self.metrics.doubt_bytes.set(doubts.bytes as i64);
-            assigned = true;
 
             let imbalance = state.imbalance();
             let comm_cost = self.eval_comm_cost(provider, &state.partition, cost);
             let feasible = imbalance <= config.imbalance_tolerance + 1e-12;
-            if config.track_history {
-                history.push(IterationRecord {
-                    iteration: pass,
-                    phase: if feasible {
-                        StreamPhase::Refinement
-                    } else {
-                        StreamPhase::Tempering
-                    },
-                    alpha,
-                    imbalance,
-                    comm_cost: comm_cost.unwrap_or(f64::NAN),
-                    moved_vertices: moved,
-                });
-            }
+            history.push(IterationRecord {
+                iteration: pass,
+                phase: if feasible {
+                    StreamPhase::Refinement
+                } else {
+                    StreamPhase::Tempering
+                },
+                alpha,
+                imbalance,
+                comm_cost,
+                moved_vertices: moved,
+            });
 
             if !feasible {
                 // Still outside tolerance: temper α upwards and re-stream.
@@ -1301,9 +916,7 @@ impl Engine {
                 RefinementPolicy::None => {
                     // GraSP-style: stop as soon as the tolerance is met.
                     stop_reason = StopReason::ToleranceReached;
-                    if let Some(c) = comm_cost {
-                        previous_feasible = Some((state.partition.clone(), c, imbalance));
-                    }
+                    previous_feasible = Some((state.partition.clone(), comm_cost, imbalance));
                     break;
                 }
                 RefinementPolicy::Factor(factor) => {
@@ -1313,55 +926,19 @@ impl Engine {
                     // worse (Algorithm 1's `Cost of Pⁿ > Cost of Pⁿ⁻¹`
                     // test). A stream that moved no vertex is a fixed
                     // point: further streams would repeat it verbatim, so
-                    // stop there too. Without costs only the fixed-point
-                    // and iteration-limit rules apply.
-                    if let (Some(c), Some((_, previous_cost, _))) = (comm_cost, &previous_feasible)
-                    {
-                        if c > *previous_cost {
+                    // stop there too.
+                    if let Some((_, previous_cost, _)) = &previous_feasible {
+                        if comm_cost > *previous_cost {
                             stop_reason = StopReason::CommCostConverged;
                             break;
                         }
                     }
-                    if let Some(c) = comm_cost {
-                        previous_feasible = Some((state.partition.clone(), c, imbalance));
-                    }
+                    previous_feasible = Some((state.partition.clone(), comm_cost, imbalance));
                     if moved == 0 {
                         stop_reason = StopReason::CommCostConverged;
                         break;
                     }
                     alpha *= factor;
-                }
-            }
-        }
-
-        // Revisit the buffered low-confidence placements against the final
-        // state, in vertex order for determinism. Only meaningful when the
-        // live state is what will be returned — a cost-based rollback
-        // discards the state the doubts were collected on.
-        let mut restreamed = 0usize;
-        let mut moved_in_restream = 0usize;
-        if previous_feasible.is_none() && !doubts.heap.is_empty() {
-            let mut revisit: Vec<Doubt> = std::mem::take(&mut doubts.heap).into_vec();
-            revisit.sort_unstable_by_key(|d| d.vertex);
-            restreamed = revisit.len();
-            let mut scorer = Scorer::new(provider, p, false);
-            for doubt in revisit {
-                record.vertex = doubt.vertex;
-                record.weight = doubt.weight;
-                record.nets.clear();
-                record.nets.extend_from_slice(&doubt.nets);
-                let old = state.partition.part_of(doubt.vertex);
-                let decision = place_live(
-                    cost,
-                    provider,
-                    &mut state,
-                    alpha,
-                    &record,
-                    Some(old),
-                    &mut scorer,
-                );
-                if decision.part != old {
-                    moved_in_restream += 1;
                 }
             }
         }
@@ -1378,17 +955,17 @@ impl Engine {
                 }
                 (c, imb)
             }
-            None => {
-                let c = self.eval_comm_cost(provider, &state.partition, cost);
-                (c.unwrap_or(f64::NAN), state.imbalance())
-            }
+            None => (
+                self.eval_comm_cost(provider, &state.partition, cost),
+                state.imbalance(),
+            ),
         };
         debug_assert!(
             provider.agrees_with(&state.partition),
             "provider state drifted from the returned partition"
         );
 
-        Ok(EngineRun {
+        EngineRun {
             partition: state.partition,
             history,
             stop_reason,
@@ -1396,9 +973,7 @@ impl Engine {
             final_alpha: alpha,
             comm_cost,
             imbalance,
-            restreamed,
-            moved_in_restream,
-        })
+        }
     }
 
     /// One timed comm-cost evaluation of `partition`, the assignment the
@@ -1408,80 +983,53 @@ impl Engine {
         provider: &mut P,
         partition: &Partition,
         cost: &CostMatrix,
-    ) -> Option<f64> {
+    ) -> f64 {
         let span = self.metrics.commcost_eval_us.span();
         let comm_cost = provider.comm_cost(partition, cost);
         span.finish();
         comm_cost
     }
 
-    /// Pushes Algorithm 1's round-robin initial assignment into the
-    /// provider and the workload accounting with one pass over the source.
-    fn seed_round_robin<S, P>(
-        &self,
-        source: &mut S,
-        provider: &mut P,
-        state: &mut EngineState,
-    ) -> IoResult<()>
-    where
-        S: VertexSource,
-        P: ConnectivityProvider,
-    {
-        let p = state.loads.len() as u32;
-        let mut record = VertexRecord::default();
-        while source.next_into(&mut record)? {
-            let part = record.vertex % p;
-            state.attach(part, record.weight, None);
-            provider.attach(&record, part);
-        }
-        source.reset()
-    }
-
-    /// One sequential stream: every vertex is detached from its current
-    /// partition and re-assigned with fully fresh information (Algorithm
-    /// 1's inner loop). Returns the number of moved vertices.
+    /// One sequential stream: every vertex of `order` is detached from its
+    /// current partition and re-assigned with fully fresh information
+    /// (Algorithm 1's inner loop). Returns the number of moved vertices.
     #[allow(clippy::too_many_arguments)] // the engine's hot path shares one state bundle
-    fn sequential_pass<S, P>(
+    fn sequential_pass<P: ConnectivityProvider>(
         &self,
         cost: &CostMatrix,
-        source: &mut S,
+        hg: &Hypergraph,
+        order: &[VertexId],
         provider: &mut P,
         state: &mut EngineState,
         alpha: f64,
-        assigned: bool,
-        doubts: &mut DoubtBuffer,
-        record: &mut VertexRecord,
         slots: &mut Vec<WorkerSlot<P::Scratch>>,
-    ) -> IoResult<usize>
-    where
-        S: VertexSource,
-        P: ConnectivityProvider,
-    {
-        WorkerSlot::fill(slots, 1, provider, state.loads.len(), self.certifies());
+    ) -> usize {
+        WorkerSlot::fill(slots, 1, provider, state.loads.len());
         let scorer = &mut slots[0].scorer;
         let mut moved = 0usize;
-        let mut scored_n = 0u64;
-        while source.next_into(record)? {
-            scored_n += 1;
-            let current = assigned.then(|| state.partition.part_of(record.vertex));
-            let decision = place_live(cost, provider, state, alpha, record, current, scorer);
-            if current != Some(decision.part) {
+        for &v in order {
+            let w = hg.vertex_weight(v);
+            let current = state.partition.part_of(v);
+            state.refresh_summary();
+            let from = state.detach(current, w);
+            let view = LoadView {
+                loads: &state.loads,
+                summary: &state.summary,
+                expected: &state.expected,
+            };
+            let part = scorer.decide(provider, v, &state.partition, cost, alpha, current, view);
+            set_part(provider, &mut state.partition, v, part, &mut scorer.scratch);
+            state.attach(part, w, from);
+            if part != current {
                 moved += 1;
             }
-            doubts.offer(
-                &self.config.doubts,
-                provider,
-                record,
-                decision.part,
-                decision.margin,
-            );
         }
-        self.metrics.vertices_scored.add(scored_n);
-        Ok(moved)
+        self.metrics.vertices_scored.add(order.len() as u64);
+        moved
     }
 
-    /// One lock-free work-stealing stream: the engine thread fills a large
-    /// batch of records, a thread team spawned **once per batch** claims
+    /// One lock-free work-stealing stream: `order` is cut into large
+    /// batches, a thread team spawned **once per batch** claims
     /// fixed-size chunks of it off a shared [`ChunkCursor`], and every
     /// worker scores against *live* shared state — the full assignment as
     /// an atomic slice, the per-part loads as fixed-point atomics — so
@@ -1505,32 +1053,26 @@ impl Engine {
     /// touch none of the `p` loads.
     ///
     /// Each worker logs its moves only: the provider's counts read the
-    /// live assignment, so it keeps no state at attach/detach, and with
-    /// the doubt buffer off nothing else reads a stay. The boundary applies
+    /// live assignment, and nothing else reads a stay. The boundary applies
     /// the logs in worker order in one loop and replays each move on the
     /// provider ([`ConnectivityProvider::replay`]) against the assignment
     /// as of that move, so its serial cost follows the moves, not the
     /// batch.
     #[allow(clippy::too_many_arguments)] // the engine's hot path shares one state bundle
-    fn steal_pass<S, P>(
+    fn steal_pass<P: ConnectivityProvider>(
         &self,
         cost: &CostMatrix,
-        source: &mut S,
+        hg: &Hypergraph,
+        order: &[VertexId],
         provider: &mut P,
         state: &mut EngineState,
         alpha: f64,
-        assigned: bool,
         num_threads: usize,
         chunk: usize,
         slots: &mut Vec<WorkerSlot<P::Scratch>>,
-        batch: &mut Vec<VertexRecord>,
-    ) -> IoResult<usize>
-    where
-        S: VertexSource,
-        P: ConnectivityProvider,
-    {
+    ) -> usize {
         let p = state.loads.len();
-        WorkerSlot::fill(slots, num_threads, provider, p, self.certifies());
+        WorkerSlot::fill(slots, num_threads, provider, p);
         // The live assignment view covers the *full* graph — connectivity
         // counts read arbitrary neighbours, not just batch members.
         let view = AtomicAssignment::from_partition(&state.partition);
@@ -1543,32 +1085,15 @@ impl Engine {
         // every visit (acquire): a worker whose cached epoch is current
         // holds the loads of every move the epoch counts.
         let move_epoch = AtomicU64::new(0);
-        // Stream sources stay memory-bounded: a batch holds at most this
-        // many records, so a pass over more than 8192 vertices (at the
-        // default chunk and two workers) spans several batches, each with
-        // its own thread team and boundary apply.
+        // A batch holds at most this many vertices, so a pass over more
+        // than 8192 vertices (at the default chunk and two workers) spans
+        // several batches, each with its own thread team and boundary
+        // apply.
         let batch_cap = (chunk * num_threads * 16).max(8192);
         let mut moved = 0usize;
 
-        loop {
-            // Fill the batch on the engine thread (reusing allocations) so
-            // IO errors surface before any worker is spawned.
-            let fill_span = self.metrics.steal_fill_us.span();
-            let mut len = 0usize;
-            while len < batch_cap {
-                if batch.len() == len {
-                    batch.push(VertexRecord::default());
-                }
-                if !source.next_into(&mut batch[len])? {
-                    break;
-                }
-                len += 1;
-            }
-            fill_span.finish();
-            if len == 0 {
-                break;
-            }
-            let records = &batch[..len];
+        for batch in order.chunks(batch_cap) {
+            let len = batch.len();
             self.metrics.vertices_scored.add(len as u64);
             let workers = num_threads.min(len.div_ceil(chunk)).max(1);
 
@@ -1596,8 +1121,8 @@ impl Engine {
                     while let Some(range) = cursor.claim() {
                         chunk_claims.inc();
                         for i in range {
-                            let record = &records[i];
-                            let w = to_fixed(record.weight);
+                            let v = batch[i];
+                            let w = to_fixed(hg.vertex_weight(v));
                             let epoch = move_epoch.load(AtomicOrdering::Acquire);
                             if epoch != slot.epoch {
                                 slot.epoch = epoch;
@@ -1616,10 +1141,8 @@ impl Engine {
                             // part's detached load on its own; only a
                             // visit it does not settle patches the view
                             // (and restores it after scoring).
-                            let prior = view.part_of(record.vertex);
-                            let current = assigned.then_some(prior);
-                            let home = current
-                                .map(|cur| (cur, from_fixed(slot.fixed_loads[cur as usize] - w)));
+                            let current = view.part_of(v);
+                            let own = from_fixed(slot.fixed_loads[current as usize] - w);
                             let loads = LoadView {
                                 loads: &slot.loads_view,
                                 summary: &slot.summary,
@@ -1627,27 +1150,26 @@ impl Engine {
                             };
                             let check = slot.scorer.check(
                                 provider_ref,
-                                record,
+                                v,
                                 view,
                                 cost,
                                 alpha,
-                                home,
+                                (current, own),
                                 loads,
                             );
-                            let decision = match check {
-                                Check::Stays(decision) => decision,
+                            let target = match check {
+                                Check::Stays(part) => part,
                                 Check::Score(stamp) => {
-                                    if let Some((cur, own)) = home {
-                                        slot.loads_view[cur as usize] = own;
-                                    }
+                                    let cur = current as usize;
+                                    slot.loads_view[cur] = own;
                                     let loads = LoadView {
                                         loads: &slot.loads_view,
                                         summary: &slot.summary,
                                         expected,
                                     };
-                                    let decision = slot.scorer.score(
+                                    let part = slot.scorer.score(
                                         provider_ref,
-                                        record,
+                                        v,
                                         view,
                                         cost,
                                         alpha,
@@ -1655,29 +1177,16 @@ impl Engine {
                                         stamp,
                                         loads,
                                     );
-                                    if let Some(cur) = current {
-                                        let cur = cur as usize;
-                                        slot.loads_view[cur] = from_fixed(slot.fixed_loads[cur]);
-                                    }
-                                    decision
+                                    slot.loads_view[cur] = from_fixed(slot.fixed_loads[cur]);
+                                    part
                                 }
                             };
-                            let target = decision.part;
-                            if current != Some(target) {
-                                if let Some(old) = current {
-                                    shared[old as usize].fetch_sub(w, AtomicOrdering::Relaxed);
-                                }
+                            if current != target {
+                                shared[current as usize].fetch_sub(w, AtomicOrdering::Relaxed);
                                 shared[target as usize].fetch_add(w, AtomicOrdering::Relaxed);
                                 move_epoch.fetch_add(1, AtomicOrdering::Release);
-                                view.set(record.vertex, target);
-                                if prior != target {
-                                    provider_ref.moved(
-                                        record.vertex,
-                                        prior,
-                                        target,
-                                        &mut slot.scorer.scratch,
-                                    );
-                                }
+                                view.set(v, target);
+                                provider_ref.moved(v, current, target, &mut slot.scorer.scratch);
                                 slot.log.push((i, target));
                             }
                         }
@@ -1714,10 +1223,10 @@ impl Engine {
             let (first, rest) = slots[..workers].split_at_mut(1);
             let WorkerSlot { scorer, log, .. } = &mut first[0];
             for &(i, target) in log.iter().chain(rest.iter().flat_map(|s| &s.log)) {
-                let record = &records[i];
-                let (v, w) = (record.vertex, record.weight);
+                let v = batch[i];
+                let w = hg.vertex_weight(v);
                 let prior = state.partition.part_of(v);
-                let from = assigned.then(|| state.detach(prior, w));
+                let from = state.detach(prior, w);
                 if prior != target {
                     provider.replay(v, prior, target, &state.partition, &mut scorer.scratch);
                     state.partition.set(v, target);
@@ -1745,7 +1254,7 @@ impl Engine {
             );
             self.metrics.steal_batch_applies.inc();
         }
-        Ok(moved)
+        moved
     }
 }
 
@@ -1807,25 +1316,4 @@ fn to_fixed(load: f64) -> i64 {
 
 fn from_fixed(load: i64) -> f64 {
     load as f64 / (1i64 << LOAD_FRACTION_BITS) as f64
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stealing_threads_refuse_the_doubt_buffer() {
-        let with_doubts = |num_threads| {
-            let mut config =
-                EngineConfig::streaming(None, 2).with_strategy(ExecutionStrategy::WorkStealing {
-                    num_threads,
-                    chunk: DEFAULT_STEAL_CHUNK,
-                });
-            config.doubts.capacity = 16;
-            config.validate()
-        };
-        let refused = with_doubts(2).unwrap_err();
-        assert!(refused.contains("doubt buffer"), "{refused}");
-        assert!(with_doubts(1).is_ok());
-    }
 }

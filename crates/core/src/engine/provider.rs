@@ -2,27 +2,19 @@
 //!
 //! For each visited vertex the engine needs the counts `X_j(v)` consumed by
 //! the value function ([`crate::value`]). A [`ConnectivityProvider`]
-//! answers that query and absorbs assignment updates; implementations
-//! differ only in *where the connectivity state lives*:
-//!
-//! * [`AdjProvider`] — the in-memory provider: counts **distinct
-//!   neighbour vertices** per partition. It keeps **exact part counts**
-//!   `X(v)` for every vertex the run visits: synced once per run
-//!   ([`ConnectivityProvider::sync`]) and shifted by one on every move of
-//!   a neighbour ([`ConnectivityProvider::moved`]), so a visit is an O(p)
-//!   copy. Neighbourhoods are walked only at sync and on a move, by an
-//!   epoch traversal of the vertex's pins. Next to
-//!   each vertex's counts it keeps a **stay certificate** and the
-//!   generation of those counts, which lets the engine keep a vertex in
-//!   place without copying its counts or scoring
-//!   ([`ConnectivityProvider::stay_certificate`]). Synced, it also keeps
-//!   the part-pair counts `M` and answers the engine's per-pass comm cost
-//!   from them ([`ConnectivityProvider::comm_cost`]).
-//! * `hyperpraw-lowmem`'s `IndexProvider` — answers from a budgeted
-//!   `ConnectivityIndex` (exact hash maps, or Bloom/MinHash sketches),
-//!   counting **connected nets** per partition; attach/detach record and
-//!   (when supported) forget net incidences. Its counts do not read the
-//!   assignment, so it runs only in the sequential strategy.
+//! answers that query and absorbs assignment updates. [`AdjProvider`] is
+//! the provider: it counts **distinct neighbour vertices** per partition
+//! and keeps **exact part counts** `X(v)` for every vertex the run
+//! visits: synced once per run ([`ConnectivityProvider::sync`]) and
+//! shifted by one on every move of a neighbour
+//! ([`ConnectivityProvider::moved`]), so a visit is an O(p) copy.
+//! Neighbourhoods are walked only at sync and on a move, by an epoch
+//! traversal of the vertex's pins. Next to each vertex's counts it keeps a
+//! **stay certificate** and the generation of those counts, which lets
+//! the engine keep a vertex in place without copying its counts or scoring
+//! ([`ConnectivityProvider::stay_certificate`]). It also keeps the
+//! part-pair counts `M` and answers the engine's per-pass comm cost from
+//! them ([`ConnectivityProvider::comm_cost`]).
 //!
 //! Scoring reads take `&self` plus a worker-local
 //! [`ConnectivityProvider::Scratch`], so the work-stealing strategy can
@@ -36,7 +28,6 @@ use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 use hyperpraw_topology::CostMatrix;
 
-use hyperpraw_hypergraph::io::stream::VertexRecord;
 use hyperpraw_hypergraph::traversal::NeighborScratch;
 use hyperpraw_hypergraph::{AssignmentRef, Hypergraph, Partition, VertexId};
 
@@ -57,8 +48,7 @@ pub struct StayCertificate {
 }
 
 /// Supplies neighbour-partition counts to the restreaming engine and
-/// tracks assignment changes, when the implementation keeps its own
-/// connectivity state.
+/// tracks assignment changes.
 pub trait ConnectivityProvider: Sync {
     /// Worker-local scratch handed to every [`ConnectivityProvider::count`]
     /// call; one instance per worker thread, reused across batches and
@@ -68,22 +58,12 @@ pub trait ConnectivityProvider: Sync {
     /// Creates one worker's scratch space.
     fn new_scratch(&self) -> Self::Scratch;
 
-    /// Whether the provider reads [`VertexRecord::nets`]. [`AdjProvider`]
-    /// does not, which lets in-memory sources skip copying incidence
-    /// lists into each record.
-    fn needs_nets(&self) -> bool {
-        true
-    }
-
     /// Called once per run, before the first pass, with the assignment the
     /// run starts from (the round-robin seed, or a warm start's partition)
     /// and the vertices the run will visit (`None`: every vertex). From
     /// here on the engine reports every change of that assignment through
-    /// [`ConnectivityProvider::moved`]. Providers without state derived
-    /// from the assignment ignore it.
-    fn sync(&mut self, assignment: &Partition, visits: Option<&[VertexId]>) {
-        let _ = (assignment, visits);
-    }
+    /// [`ConnectivityProvider::moved`].
+    fn sync(&mut self, assignment: &Partition, visits: Option<&[VertexId]>);
 
     /// Called exactly where the assignment that
     /// [`ConnectivityProvider::count`] reads changes `v` from part `from`
@@ -91,17 +71,12 @@ pub trait ConnectivityProvider: Sync {
     /// execution, and in the worker next to its write of the live
     /// assignment in work-stealing execution — hence `&self` and the
     /// worker's scratch.
-    /// Providers without state derived from the assignment ignore it.
-    fn moved(&self, v: VertexId, from: u32, to: u32, scratch: &mut Self::Scratch) {
-        let _ = (v, from, to, scratch);
-    }
+    fn moved(&self, v: VertexId, from: u32, to: u32, scratch: &mut Self::Scratch);
 
     /// [`ConnectivityProvider::moved`] where the caller holds the only
     /// reference — the sequential placement and a cost rollback — so
     /// providers can shift their state without atomic read-modify-writes.
-    fn moved_exclusive(&mut self, v: VertexId, from: u32, to: u32, scratch: &mut Self::Scratch) {
-        self.moved(v, from, to, scratch);
-    }
+    fn moved_exclusive(&mut self, v: VertexId, from: u32, to: u32, scratch: &mut Self::Scratch);
 
     /// Replays at a work-stealing batch boundary, where the caller holds
     /// the only reference, a move `v: from → to` that a worker reported
@@ -109,8 +84,7 @@ pub trait ConnectivityProvider: Sync {
     /// in the order the engine applies them to `assignment`, which still
     /// holds `v` on `from` and every earlier move of the batch. State that
     /// concurrent `moved` calls cannot keep exact follows the moves here,
-    /// so it is exact again once the whole batch is replayed. Providers
-    /// without such state ignore it.
+    /// so it is exact again once the whole batch is replayed.
     fn replay(
         &mut self,
         v: VertexId,
@@ -118,112 +92,54 @@ pub trait ConnectivityProvider: Sync {
         to: u32,
         assignment: &Partition,
         scratch: &mut Self::Scratch,
-    ) {
-        let _ = (v, from, to, assignment, scratch);
-    }
+    );
 
     /// Whether the provider's assignment-derived state agrees with
     /// `assignment`. The engine asserts this in debug builds wherever that
     /// state must be exact — at every pass end and work-stealing batch
-    /// boundary. Providers without such state
-    /// have nothing to check.
-    fn agrees_with<A: AssignmentRef>(&self, assignment: &A) -> bool {
-        let _ = assignment;
-        true
-    }
+    /// boundary.
+    fn agrees_with<A: AssignmentRef>(&self, assignment: &A) -> bool;
 
     /// Whether every live stay certificate is the one the current counts
     /// give under `cost`, for the part `assignment` holds its vertex on.
     /// Checked in debug builds next to
     /// [`ConnectivityProvider::agrees_with`], which it assumes holds.
-    fn certificates_agree_with<A: AssignmentRef>(&self, assignment: &A, cost: &CostMatrix) -> bool {
-        let _ = (assignment, cost);
-        true
-    }
+    fn certificates_agree_with<A: AssignmentRef>(&self, assignment: &A, cost: &CostMatrix) -> bool;
 
     /// Reads `v`'s stay certificate. Called before
     /// [`ConnectivityProvider::count`], so the generation it returns
     /// predates the counts the visit copies. `None` when the provider
     /// keeps no counts for `v` — then the engine neither checks nor makes
     /// a certificate.
-    fn stay_certificate(&self, v: VertexId) -> Option<StayCertificate> {
-        let _ = v;
-        None
-    }
+    fn stay_certificate(&self, v: VertexId) -> Option<StayCertificate>;
 
     /// Stores the certificate of a scored visit: the counts read at
     /// `generation` put `v` on `part` with communication gap `gap`. It is
     /// valid until a neighbour's move shifts `v`'s counts, and never valid
     /// when such a move raced the scoring.
-    fn certify(&self, v: VertexId, generation: u32, part: u32, gap: f64) {
-        let _ = (v, generation, part, gap);
-    }
+    fn certify(&self, v: VertexId, generation: u32, part: u32, gap: f64);
 
     /// The partitioning communication cost of `assignment` under `cost`,
-    /// answered from part-pair counts the provider keeps, or `None` when
-    /// it keeps none (the out-of-core providers): the run then stops only
-    /// on fixed points and the iteration limit. The engine calls it after
-    /// each pass and at the end of a run, with the assignment the provider
-    /// is synced to and no worker running, so the answer is exact and
-    /// bit-identical to [`crate::metrics::partitioning_communication_cost`].
-    fn comm_cost(&mut self, assignment: &Partition, cost: &CostMatrix) -> Option<f64> {
-        let _ = (assignment, cost);
-        None
-    }
+    /// answered from the part-pair counts the provider keeps. The engine
+    /// calls it after each pass and at the end of a run, with the
+    /// assignment the provider is synced to and no worker running, so the
+    /// answer is exact and bit-identical to
+    /// [`crate::metrics::partitioning_communication_cost`].
+    fn comm_cost(&mut self, assignment: &Partition, cost: &CostMatrix) -> f64;
 
-    /// Called once at the start of every stream. `rebuild` asks the
-    /// provider to drop accumulated state it cannot forget incrementally
-    /// (sketch staleness shedding); providers with exact, reversible state
-    /// ignore it.
-    fn begin_pass(&mut self, pass: usize, rebuild: bool) {
-        let _ = (pass, rebuild);
-    }
-
-    /// Writes the neighbour-partition counts `X_j(v)` for `record` into
-    /// `counts` (cleared and resized), evaluated against `assignment` —
-    /// the live assignment in sequential execution, or a live atomic view
-    /// (with bounded staleness) in work-stealing execution, which is why
-    /// the parameter is any [`AssignmentRef`] rather than a concrete
-    /// `Partition`. Work stealing reads `count` against the live
-    /// assignment it is passed and never calls
-    /// [`ConnectivityProvider::attach`] or
-    /// [`ConnectivityProvider::detach`], so only a provider whose counts
-    /// follow that assignment ([`AdjProvider`]) may run it on more than
-    /// one thread. The
-    /// vertex's own contribution must be excluded when the provider can
-    /// tell ([`AdjProvider`] excludes the vertex itself; index providers
-    /// rely on the engine detaching first).
+    /// Writes the neighbour-partition counts `X_j(v)` for `v`, the vertex
+    /// itself excluded, into `counts` (cleared and resized), evaluated
+    /// against `assignment` — the live assignment in sequential execution,
+    /// or a live atomic view (with bounded staleness) in work-stealing
+    /// execution, which is why the parameter is any [`AssignmentRef`]
+    /// rather than a concrete `Partition`.
     fn count<A: AssignmentRef>(
         &self,
-        record: &VertexRecord,
+        v: VertexId,
         assignment: &A,
         scratch: &mut Self::Scratch,
         counts: &mut Vec<u32>,
     );
-
-    /// Removes `record`'s contribution to `part` from the provider's own
-    /// state, where supported (sketches cannot forget and accept the
-    /// staleness), at a sequential placement. Stateless providers do
-    /// nothing.
-    fn detach(&mut self, record: &VertexRecord, part: u32) {
-        let _ = (record, part);
-    }
-
-    /// Records that `record` is now assigned to `part` in the provider's
-    /// own state, at the seed pass and at a sequential placement.
-    /// Stateless providers do nothing.
-    fn attach(&mut self, record: &VertexRecord, part: u32) {
-        let _ = (record, part);
-    }
-
-    /// Confidence in a decision with the given value `margin`, in
-    /// `[margin / 2, margin]`. Providers that can estimate how similar the
-    /// vertex's nets are to the chosen partition discount near-ties whose
-    /// connectivity evidence is weak; the default trusts the margin.
-    fn confidence(&self, record: &VertexRecord, part: u32, margin: f64) -> f64 {
-        let _ = (record, part);
-        margin
-    }
 }
 
 /// Slot value of a vertex without kept counts.
@@ -571,10 +487,6 @@ impl ConnectivityProvider for AdjProvider<'_> {
         }
     }
 
-    fn needs_nets(&self) -> bool {
-        false
-    }
-
     fn sync(&mut self, assignment: &Partition, visits: Option<&[VertexId]>) {
         let p = assignment.num_parts() as usize;
         let n = assignment.num_vertices();
@@ -715,11 +627,11 @@ impl ConnectivityProvider for AdjProvider<'_> {
         counts_agree && pairs_agree
     }
 
-    fn comm_cost(&mut self, assignment: &Partition, cost: &CostMatrix) -> Option<f64> {
-        self.pairs.as_ref()?;
+    fn comm_cost(&mut self, assignment: &Partition, cost: &CostMatrix) -> f64 {
         check_shapes(self.hg, assignment, cost);
         self.refresh_pairs(assignment);
-        self.pairs.as_ref().map(|pairs| pairs.dot(cost))
+        let pairs = self.pairs.as_ref().expect("a synced provider keeps pairs");
+        pairs.dot(cost)
     }
 
     fn certificates_agree_with<A: AssignmentRef>(&self, assignment: &A, cost: &CostMatrix) -> bool {
@@ -769,12 +681,11 @@ impl ConnectivityProvider for AdjProvider<'_> {
 
     fn count<A: AssignmentRef>(
         &self,
-        record: &VertexRecord,
+        v: VertexId,
         assignment: &A,
         scratch: &mut Self::Scratch,
         counts: &mut Vec<u32>,
     ) {
-        let v = record.vertex;
         if let Some(x) = self.kept_counts(v) {
             counts.clear();
             counts.extend(x.iter().map(|c| c.load(Ordering::Relaxed)));
@@ -803,20 +714,12 @@ mod tests {
     fn adj_provider_counts_distinct_neighbours_excluding_self() {
         let hg = three_edge_chain();
         let provider = AdjProvider::traversal(&hg);
-        assert!(!provider.needs_nets());
         let part = Partition::round_robin(6, 3);
         let mut scratch = provider.new_scratch();
         let mut counts = Vec::new();
-        let record = VertexRecord {
-            vertex: 2,
-            weight: 1.0,
-            nets: vec![],
-        };
-        provider.count(&record, &part, &mut scratch, &mut counts);
+        provider.count(2, &part, &mut scratch, &mut counts);
         // Neighbours of 2 are {0,1,3,4} in parts {0,1,0,1}.
         assert_eq!(counts, vec![2, 2, 0]);
-        // Confidence defaults to the margin.
-        assert_eq!(provider.confidence(&record, 0, 0.25), 0.25);
     }
 
     #[test]
@@ -827,16 +730,10 @@ mod tests {
         let mut expected = Vec::new();
         let mut got = Vec::new();
         let mut adj = AdjProvider::traversal(&hg);
-        assert!(!adj.needs_nets());
         let mut adj_scratch = adj.new_scratch();
         for v in hg.vertices() {
-            let record = VertexRecord {
-                vertex: v,
-                weight: 1.0,
-                nets: vec![],
-            };
             oracle.neighbor_partition_counts(&hg, &part, v, &mut expected);
-            adj.count(&record, &part, &mut adj_scratch, &mut got);
+            adj.count(v, &part, &mut adj_scratch, &mut got);
             assert_eq!(got, expected, "vertex {v}");
         }
         // Unsynced, every vertex is traversed on the O(|V|) scratch.
@@ -854,13 +751,8 @@ mod tests {
         );
         let mut adj_scratch = adj.new_scratch();
         for v in hg.vertices() {
-            let record = VertexRecord {
-                vertex: v,
-                weight: 1.0,
-                nets: vec![],
-            };
             oracle.neighbor_partition_counts(&hg, &part, v, &mut expected);
-            adj.count(&record, &part, &mut adj_scratch, &mut got);
+            adj.count(v, &part, &mut adj_scratch, &mut got);
             assert_eq!(got, expected, "synced, vertex {v}");
         }
         assert!(adj_scratch.fallback.is_none());
@@ -868,7 +760,7 @@ mod tests {
 
     #[test]
     fn traversal_total_is_exact_under_every_strategy() {
-        use crate::engine::{Engine, EngineConfig, ExecutionStrategy, InMemorySource};
+        use crate::engine::{Engine, ExecutionStrategy};
         use crate::HyperPrawConfig;
         use hyperpraw_hypergraph::generators::{mesh_hypergraph, MeshConfig};
         use hyperpraw_topology::CostMatrix;
@@ -881,7 +773,6 @@ mod tests {
         let n = hg.num_vertices() as u64;
         let config = HyperPrawConfig {
             max_iterations: 6,
-            track_history: true,
             ..HyperPrawConfig::default()
         };
         for strategy in [
@@ -900,14 +791,11 @@ mod tests {
             },
         ] {
             let registry = hyperpraw_telemetry::Registry::new();
-            let engine = Engine::new(EngineConfig::restreaming(&config).with_strategy(strategy));
-            let run = engine
-                .run(
-                    &CostMatrix::uniform(8),
-                    &mut InMemorySource::new(&hg, config.stream_order, 1),
-                    &mut AdjProvider::traversal(&hg).with_registry(&registry),
-                )
-                .unwrap();
+            let run = Engine::new(config, strategy).run(
+                &CostMatrix::uniform(8),
+                &hg,
+                &mut AdjProvider::traversal(&hg).with_registry(&registry),
+            );
             let moves: usize = run.history.records().iter().map(|r| r.moved_vertices).sum();
             assert!(moves > 2 * 1024, "the test must cross the flush threshold");
             let walks_per_move = match strategy {

@@ -24,34 +24,27 @@
 //! (architecture-oblivious), **HyperPRAW-aware** uses a matrix derived from
 //! bandwidth profiling ([`CostMatrix::from_bandwidth`]).
 //!
-//! ## Architecture: one engine, pluggable axes
+//! ## Architecture: one engine, two axes
 //!
-//! Algorithm 1 is implemented exactly once, by the generic restreaming
-//! [`engine`]; every driver is a thin instantiation of it along three
+//! Algorithm 1 is implemented exactly once, by the restreaming
+//! [`engine`], over an in-memory hypergraph in a visit order, along two
 //! orthogonal axes:
 //!
-//! * **vertex source** ([`engine::VertexSource`]) — where the vertices
-//!   come from: an in-memory hypergraph in natural/shuffled/degree order
-//!   ([`engine::InMemorySource`]), or any on-disk
-//!   `hypergraph::io::stream::VertexStream` via [`engine::StreamSource`];
 //! * **connectivity provider** ([`engine::ConnectivityProvider`]) — where
-//!   the neighbour-partition counts `X_j(v)` come from: exact part
-//!   counts kept for every visited vertex and shifted on every move
-//!   ([`engine::AdjProvider`], which finds neighbourhoods by
-//!   traversal), or
-//!   `hyperpraw-lowmem`'s budget-bounded exact/sketched connectivity
-//!   indices;
+//!   the neighbour-partition counts `X_j(v)` come from: exact part counts
+//!   kept for every visited vertex and shifted on every move
+//!   ([`engine::AdjProvider`], which finds neighbourhoods by traversal);
 //! * **execution strategy** ([`engine::ExecutionStrategy`]) — sequential
 //!   decisions with fresh information (deterministic), or lock-free work
 //!   stealing against live atomic shared state with bounded staleness
 //!   (the parallel mode).
 //!
-//! [`HyperPraw`] is `InMemorySource × AdjProvider` under the sequential
-//! strategy by default; [`HyperPraw::with_threads`] swaps in the
-//! work-stealing strategy for more than one thread. The
-//! `hyperpraw-lowmem` crate instantiates the streamed source with the
-//! sketched providers under the sequential strategy, which yields
-//! out-of-core partitioning without a second copy of the loop.
+//! [`HyperPraw`] runs the sequential strategy by default;
+//! [`HyperPraw::with_threads`] swaps in the work-stealing strategy for
+//! more than one thread. The dynamic layer restreams a dirty set through
+//! [`engine::Engine::run_warm`]. The out-of-core `hyperpraw-lowmem` crate
+//! is a one-pass streamer of its own that shares the value function
+//! ([`value`]).
 //!
 //! ```
 //! use hyperpraw_core::{HyperPraw, HyperPrawConfig};

@@ -8,9 +8,7 @@
 use hyperpraw_hypergraph::{Hypergraph, Partition};
 use hyperpraw_topology::CostMatrix;
 
-use crate::engine::{
-    AdjProvider, Engine, EngineConfig, ExecutionStrategy, InMemorySource, DEFAULT_STEAL_CHUNK,
-};
+use crate::engine::{AdjProvider, Engine, ExecutionStrategy, DEFAULT_STEAL_CHUNK};
 use crate::history::PartitionHistory;
 use crate::HyperPrawConfig;
 
@@ -21,7 +19,7 @@ pub use crate::engine::StopReason;
 pub struct PartitionResult {
     /// The selected vertex-to-partition assignment.
     pub partition: Partition,
-    /// Per-stream history (empty unless `track_history` is enabled).
+    /// Per-stream history, one record per stream.
     pub history: PartitionHistory,
     /// Why the run stopped.
     pub stop_reason: StopReason,
@@ -130,22 +128,16 @@ impl HyperPraw {
 
     /// Runs the restreaming algorithm on a hypergraph.
     pub fn partition(&self, hg: &Hypergraph) -> PartitionResult {
-        let engine =
-            Engine::new(EngineConfig::restreaming(&self.config).with_strategy(self.strategy))
-                .with_registry(&self.registry);
+        let engine = Engine::new(self.config, self.strategy).with_registry(&self.registry);
         // Every visit copies the provider's kept part counts, so no
         // adjacency is built: sync and moves find neighbourhoods by
         // traversal. The provider also keeps the part-pair counts and
         // answers each comm-cost evaluation from them.
-        let run = engine
-            .run(
-                &self.cost,
-                &mut InMemorySource::new(hg, self.config.stream_order, self.config.seed),
-                &mut AdjProvider::traversal(hg).with_registry(&self.registry),
-            )
-            .expect("in-memory sources cannot fail");
-        // The engine's revisit-buffer counters are dropped: this driver
-        // keeps no doubt buffer.
+        let run = engine.run(
+            &self.cost,
+            hg,
+            &mut AdjProvider::traversal(hg).with_registry(&self.registry),
+        );
         PartitionResult {
             partition: run.partition,
             history: run.history,
@@ -275,18 +267,6 @@ mod tests {
             .map(|r| r.comm_cost)
             .fold(f64::INFINITY, f64::min);
         assert!(result.comm_cost <= best_feasible + 1e-9);
-    }
-
-    #[test]
-    fn disabling_history_keeps_it_empty() {
-        let hg = mesh_hypergraph(&MeshConfig::new(200, 6));
-        let config = HyperPrawConfig {
-            track_history: false,
-            ..HyperPrawConfig::default()
-        };
-        let result = HyperPraw::basic(config, 4).partition(&hg);
-        assert!(result.history.is_empty());
-        assert!(result.iterations >= 1);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! pins down both the refactored control flow and the restructured fast
 //! scorer ([`hyperpraw_core::value::best_partition_in`]).
 
-use hyperpraw_core::engine::{AdjProvider, Engine, EngineConfig, InMemorySource};
+use hyperpraw_core::engine::{AdjProvider, Engine, ExecutionStrategy};
 use hyperpraw_core::history::{IterationRecord, PartitionHistory, StreamPhase};
 use hyperpraw_core::metrics::partitioning_communication_cost;
 use hyperpraw_core::value::value_of;
@@ -101,20 +101,18 @@ fn reference_restream(
         };
         let comm_cost = partitioning_communication_cost(hg, &partition, cost);
         let feasible = imbalance <= config.imbalance_tolerance + 1e-12;
-        if config.track_history {
-            history.push(IterationRecord {
-                iteration: n,
-                phase: if feasible {
-                    StreamPhase::Refinement
-                } else {
-                    StreamPhase::Tempering
-                },
-                alpha,
-                imbalance,
-                comm_cost,
-                moved_vertices: moved,
-            });
-        }
+        history.push(IterationRecord {
+            iteration: n,
+            phase: if feasible {
+                StreamPhase::Refinement
+            } else {
+                StreamPhase::Tempering
+            },
+            alpha,
+            imbalance,
+            comm_cost,
+            moved_vertices: moved,
+        });
         if !feasible {
             alpha *= config.tempering_factor;
             continue;
@@ -320,13 +318,11 @@ fn bare_engine_is_bit_identical_to_the_reference() {
     let config = HyperPrawConfig::default();
     for (name, hg) in suite() {
         let reference = reference_restream(&hg, &config, &cost);
-        let run = Engine::new(EngineConfig::restreaming(&config))
-            .run(
-                &cost,
-                &mut InMemorySource::new(&hg, config.stream_order, config.seed),
-                &mut AdjProvider::traversal(&hg),
-            )
-            .unwrap();
+        let run = Engine::new(config, ExecutionStrategy::Sequential).run(
+            &cost,
+            &hg,
+            &mut AdjProvider::traversal(&hg),
+        );
         let engine = ReferenceResult {
             partition: run.partition,
             history: run.history,

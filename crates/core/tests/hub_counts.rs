@@ -12,7 +12,6 @@ use proptest::prelude::*;
 
 use hyperpraw_core::engine::{AdjProvider, ConnectivityProvider};
 use hyperpraw_hypergraph::generators::{random_hypergraph, CardinalityDist, RandomConfig};
-use hyperpraw_hypergraph::io::stream::VertexRecord;
 use hyperpraw_hypergraph::traversal::NeighborScratch;
 use hyperpraw_hypergraph::{Hypergraph, Partition, VertexId};
 
@@ -52,11 +51,9 @@ fn check_model(
     assert!(provider.agrees_with(&partition));
     let mut oracle = NeighborScratch::new(n);
     let (mut expected, mut got) = (Vec::new(), Vec::new());
-    let mut record = VertexRecord::default();
     for v in hg.vertices() {
-        record.vertex = v;
         oracle.neighbor_partition_counts(hg, &partition, v, &mut expected);
-        provider.count(&record, &partition, &mut scratch, &mut got);
+        provider.count(v, &partition, &mut scratch, &mut got);
         assert_eq!(got, expected, "vertex {v}");
     }
     provider.num_counted_vertices()

@@ -14,13 +14,12 @@
 //! sequences, and after every pass of full engine runs under each
 //! execution strategy. The adjacency-backed
 //! [`partitioning_communication_cost_with`] must agree too. An unsynced
-//! provider answers `None`.
+//! provider keeps no pairs.
 
 use proptest::prelude::*;
 
 use hyperpraw_core::engine::{
-    AdjProvider, ConnectivityProvider, Engine, EngineConfig, ExecutionStrategy, InMemorySource,
-    StayCertificate,
+    AdjProvider, ConnectivityProvider, Engine, ExecutionStrategy, StayCertificate,
 };
 use hyperpraw_core::metrics::{
     partitioning_communication_cost, partitioning_communication_cost_with, CommCostState,
@@ -30,7 +29,6 @@ use hyperpraw_hypergraph::generators::{
     mesh_hypergraph, powerlaw_hypergraph, random_hypergraph, CardinalityDist, MeshConfig,
     PowerLawConfig, RandomConfig,
 };
-use hyperpraw_hypergraph::io::stream::VertexRecord;
 use hyperpraw_hypergraph::{
     AdjacencyBudget, AssignmentRef, Hypergraph, NeighborAdjacency, Partition, VertexId,
 };
@@ -121,19 +119,13 @@ fn check_model(
         if i % 10 == 9 {
             let cost = &costs[i / 10 % costs.len()];
             let kept = provider.comm_cost(&partition, cost);
-            assert_eq!(
-                kept.map(f64::to_bits),
-                Some(oracle(&partition, cost).to_bits())
-            );
+            assert_eq!(kept.to_bits(), oracle(&partition, cost).to_bits());
         }
     }
     assert!(provider.agrees_with(&partition));
     for cost in costs {
         let kept = provider.comm_cost(&partition, cost);
-        assert_eq!(
-            kept.map(f64::to_bits),
-            Some(oracle(&partition, cost).to_bits())
-        );
+        assert_eq!(kept.to_bits(), oracle(&partition, cost).to_bits());
     }
     let state = provider.into_comm_state(partition.clone());
     assert_eq!(state, CommCostState::new(hg, partition.clone()));
@@ -168,8 +160,7 @@ proptest! {
         }
 
         // Unsynced, the provider keeps no pairs.
-        let unsynced = AdjProvider::traversal(&hg).comm_cost(&partition, &costs[0]);
-        prop_assert_eq!(unsynced, None);
+        prop_assert!(AdjProvider::traversal(&hg).pair_counts().is_none());
     }
 
     #[test]
@@ -247,7 +238,7 @@ fn check_replay(
         for cost in costs {
             let kept = provider.comm_cost(&partition, cost);
             let oracle = partitioning_communication_cost(hg, &partition, cost);
-            assert_eq!(kept.map(f64::to_bits), Some(oracle.to_bits()));
+            assert_eq!(kept.to_bits(), oracle.to_bits());
         }
     }
 }
@@ -283,10 +274,6 @@ impl ConnectivityProvider for Checked<'_> {
 
     fn new_scratch(&self) -> Self::Scratch {
         self.inner.new_scratch()
-    }
-
-    fn needs_nets(&self) -> bool {
-        self.inner.needs_nets()
     }
 
     fn sync(&mut self, assignment: &Partition, visits: Option<&[VertexId]>) {
@@ -328,24 +315,24 @@ impl ConnectivityProvider for Checked<'_> {
         self.inner.certify(v, generation, part, gap);
     }
 
-    fn comm_cost(&mut self, assignment: &Partition, cost: &CostMatrix) -> Option<f64> {
+    fn comm_cost(&mut self, assignment: &Partition, cost: &CostMatrix) -> f64 {
         // Every strategy keeps `M` exact through the run: no recount.
         assert!(self.inner.pair_counts().is_some(), "M awaits a recount");
         let kept = self.inner.comm_cost(assignment, cost);
         let oracle = partitioning_communication_cost(self.hg, assignment, cost);
-        assert_eq!(kept.map(f64::to_bits), Some(oracle.to_bits()));
+        assert_eq!(kept.to_bits(), oracle.to_bits());
         self.oracle.push(oracle);
         kept
     }
 
     fn count<A: AssignmentRef>(
         &self,
-        record: &VertexRecord,
+        v: VertexId,
         assignment: &A,
         scratch: &mut Self::Scratch,
         counts: &mut Vec<u32>,
     ) {
-        self.inner.count(record, assignment, scratch, counts);
+        self.inner.count(v, assignment, scratch, counts);
     }
 }
 
@@ -361,7 +348,6 @@ fn every_pass_cost_equals_the_traversal_oracle_under_every_strategy() {
     });
     let config = HyperPrawConfig {
         max_iterations: 25,
-        track_history: true,
         ..HyperPrawConfig::default()
     };
     let cost = archer_cost(8);
@@ -387,13 +373,7 @@ fn every_pass_cost_equals_the_traversal_oracle_under_every_strategy() {
                 hg,
                 oracle: Vec::new(),
             };
-            let run = Engine::new(EngineConfig::restreaming(&config).with_strategy(strategy))
-                .run(
-                    &cost,
-                    &mut InMemorySource::new(hg, config.stream_order, config.seed),
-                    &mut provider,
-                )
-                .unwrap();
+            let run = Engine::new(config, strategy).run(&cost, hg, &mut provider);
             let records = run.history.records();
             assert_eq!(records.len(), run.iterations, "{at}");
             assert!(provider.oracle.len() >= records.len(), "{at}");

@@ -23,7 +23,6 @@ fn arb_hypergraph() -> impl Strategy<Value = Hypergraph> {
 fn quick_config(seed: u64) -> HyperPrawConfig {
     HyperPrawConfig {
         max_iterations: 30,
-        track_history: true,
         ..HyperPrawConfig::default().with_seed(seed)
     }
 }

@@ -6,12 +6,9 @@
 
 use proptest::prelude::*;
 
-use hyperpraw_core::engine::{
-    AdjProvider, ConnectivityProvider, Engine, EngineConfig, InMemorySource,
-};
+use hyperpraw_core::engine::{AdjProvider, ConnectivityProvider, Engine, ExecutionStrategy};
 use hyperpraw_core::{CostMatrix, HyperPraw, HyperPrawConfig};
 use hyperpraw_hypergraph::generators::{random_hypergraph, CardinalityDist, RandomConfig};
-use hyperpraw_hypergraph::io::stream::VertexRecord;
 use hyperpraw_hypergraph::traversal::NeighborScratch;
 use hyperpraw_hypergraph::{Hypergraph, Partition};
 
@@ -34,12 +31,9 @@ fn assert_counts_match(hg: &Hypergraph, partition: &Partition, adj: &AdjProvider
     let mut adj_scratch = adj.new_scratch();
     let mut expected = Vec::new();
     let mut got = Vec::new();
-    let mut record = VertexRecord::default();
     for v in hg.vertices() {
-        record.vertex = v;
-        record.weight = hg.vertex_weight(v);
         oracle.neighbor_partition_counts(hg, partition, v, &mut expected);
-        adj.count(&record, partition, &mut adj_scratch, &mut got);
+        adj.count(v, partition, &mut adj_scratch, &mut got);
         assert_eq!(got, expected, "{at}, vertex {v}");
     }
 }
@@ -76,13 +70,11 @@ proptest! {
         };
         let cost = CostMatrix::uniform(p as usize);
         let reference = HyperPraw::new(config, cost.clone()).partition(&hg);
-        let other = Engine::new(EngineConfig::restreaming(&config))
-            .run(
-                &cost,
-                &mut InMemorySource::new(&hg, config.stream_order, config.seed),
-                &mut AdjProvider::traversal(&hg),
-            )
-            .unwrap();
+        let other = Engine::new(config, ExecutionStrategy::Sequential).run(
+            &cost,
+            &hg,
+            &mut AdjProvider::traversal(&hg),
+        );
         prop_assert_eq!(other.partition.assignment(), reference.partition.assignment());
         prop_assert_eq!(other.iterations, reference.iterations);
         prop_assert_eq!(other.comm_cost.to_bits(), reference.comm_cost.to_bits());

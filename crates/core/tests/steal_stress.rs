@@ -6,9 +6,7 @@
 //! interleavings plenty of chances to go wrong. CI runs this with
 //! `RUST_BACKTRACE=1` so a torn invariant names its culprit.
 
-use hyperpraw_core::engine::{
-    AdjProvider, Engine, EngineConfig, ExecutionStrategy, InMemorySource,
-};
+use hyperpraw_core::engine::{AdjProvider, Engine, ExecutionStrategy};
 use hyperpraw_core::{CostMatrix, HyperPraw, HyperPrawConfig, PartitionResult};
 use hyperpraw_hypergraph::generators::{
     mesh_hypergraph, powerlaw_hypergraph, MeshConfig, PowerLawConfig,
@@ -194,7 +192,6 @@ fn the_move_log_counts_every_move_of_a_pass() {
     });
     let config = HyperPrawConfig {
         max_iterations: 1,
-        track_history: true,
         ..HyperPrawConfig::default()
     };
     let p = 8u32;
@@ -205,13 +202,11 @@ fn the_move_log_counts_every_move_of_a_pass() {
                 num_threads,
                 chunk: 16,
             };
-            let run = Engine::new(EngineConfig::restreaming(&config).with_strategy(strategy))
-                .run(
-                    &CostMatrix::uniform(p as usize),
-                    &mut InMemorySource::new(hg, config.stream_order, config.seed),
-                    &mut AdjProvider::traversal(hg),
-                )
-                .unwrap();
+            let run = Engine::new(config, strategy).run(
+                &CostMatrix::uniform(p as usize),
+                hg,
+                &mut AdjProvider::traversal(hg),
+            );
             let seed = Partition::round_robin(hg.num_vertices(), p);
             let left = (0..hg.num_vertices() as u32)
                 .filter(|&v| run.partition.part_of(v) != seed.part_of(v))

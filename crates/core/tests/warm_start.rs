@@ -1,11 +1,10 @@
 //! Warm-started engine runs: `Engine::run_warm` must refine an existing
-//! assignment instead of reseeding, a `DirtySetSource` must confine
-//! every move to the dirty set, and a run that rolls back to an earlier
-//! pass must leave its provider synced to the partition it returns.
+//! assignment instead of reseeding, a dirty set must confine every move
+//! to itself, and a run that rolls back to an earlier pass must leave its
+//! provider synced to the partition it returns.
 
 use hyperpraw_core::engine::{
-    AdjProvider, ConnectivityProvider, DirtySetSource, Engine, EngineConfig, InMemorySource,
-    WarmStart,
+    stream_order, AdjProvider, ConnectivityProvider, Engine, ExecutionStrategy, WarmStart,
 };
 use hyperpraw_core::metrics::{partitioning_communication_cost, CommCostState};
 use hyperpraw_core::{CostMatrix, HyperPraw, HyperPrawConfig, StopReason, StreamOrder};
@@ -32,12 +31,10 @@ fn warm_run_over_the_full_graph_keeps_the_partition_feasible() {
     let config = HyperPrawConfig::default();
     let cold = cold_run(&hg, 8);
 
-    let engine = Engine::new(EngineConfig::restreaming(&config));
-    let mut source = InMemorySource::new(&hg, StreamOrder::Natural, 0);
+    let engine = Engine::new(config, ExecutionStrategy::Sequential);
+    let order = stream_order(&hg, StreamOrder::Natural, 0);
     let mut provider = AdjProvider::traversal(&hg);
-    let run = engine
-        .run_warm(&cost, &mut source, &mut provider, warm_start_of(&hg, &cold))
-        .unwrap();
+    let run = engine.run_warm(&cost, &hg, &order, &mut provider, warm_start_of(&hg, &cold));
 
     assert_eq!(run.partition.num_vertices(), hg.num_vertices());
     assert_eq!(run.partition.num_parts(), 8);
@@ -57,14 +54,11 @@ fn dirty_set_restream_never_moves_a_clean_vertex() {
     let cold = cold_run(&hg, 4);
 
     // Restream an arbitrary small dirty set; everything else must keep its
-    // cold assignment because the engine only visits what the source yields.
+    // cold assignment because the engine only visits the dirty set.
     let dirty: Vec<u32> = vec![3, 17, 42, 43, 44, 200];
-    let engine = Engine::new(EngineConfig::restreaming(&HyperPrawConfig::default()));
-    let mut source = DirtySetSource::new(&hg, dirty.clone());
+    let engine = Engine::new(HyperPrawConfig::default(), ExecutionStrategy::Sequential);
     let mut provider = AdjProvider::traversal(&hg);
-    let run = engine
-        .run_warm(&cost, &mut source, &mut provider, warm_start_of(&hg, &cold))
-        .unwrap();
+    let run = engine.run_warm(&cost, &hg, &dirty, &mut provider, warm_start_of(&hg, &cold));
 
     for v in 0..hg.num_vertices() as u32 {
         if !dirty.contains(&v) {
@@ -83,12 +77,9 @@ fn empty_dirty_set_returns_the_warm_partition_unchanged() {
     let cost = CostMatrix::uniform(4);
     let cold = cold_run(&hg, 4);
 
-    let engine = Engine::new(EngineConfig::restreaming(&HyperPrawConfig::default()));
-    let mut source = DirtySetSource::new(&hg, Vec::new());
+    let engine = Engine::new(HyperPrawConfig::default(), ExecutionStrategy::Sequential);
     let mut provider = AdjProvider::traversal(&hg);
-    let run = engine
-        .run_warm(&cost, &mut source, &mut provider, warm_start_of(&hg, &cold))
-        .unwrap();
+    let run = engine.run_warm(&cost, &hg, &[], &mut provider, warm_start_of(&hg, &cold));
 
     assert_eq!(run.partition.assignment(), cold.assignment());
 }
@@ -105,21 +96,14 @@ fn a_dirty_set_cost_rollback_leaves_the_provider_on_the_returned_partition() {
         .vertices()
         .filter(|&v| (u64::from(v) ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 61 == 0)
         .collect();
-    let engine = Engine::new(EngineConfig::restreaming(&HyperPrawConfig::default()));
+    let engine = Engine::new(HyperPrawConfig::default(), ExecutionStrategy::Sequential);
     for resume in [false, true] {
         let mut provider = AdjProvider::traversal(&hg);
         if resume {
             let (_, counts) = CommCostState::new(&hg, cold.clone()).into_parts();
             provider = provider.resume(counts);
         }
-        let run = engine
-            .run_warm(
-                &cost,
-                &mut DirtySetSource::new(&hg, dirty.clone()),
-                &mut provider,
-                warm_start_of(&hg, &cold),
-            )
-            .unwrap();
+        let run = engine.run_warm(&cost, &hg, &dirty, &mut provider, warm_start_of(&hg, &cold));
 
         assert_eq!(run.stop_reason, StopReason::CommCostConverged);
         let last_pass = run.history.records().last().unwrap().comm_cost;

@@ -420,7 +420,8 @@ fn encode_state(out: &mut Vec<u8>, p: &DynamicPartitioner) {
         StreamOrder::DegreeDescending => 2,
     });
     put_u64_le(out, hp.seed);
-    out.push(u8::from(hp.track_history));
+    // The byte of a retired history switch: history is always recorded.
+    out.push(1);
     out.push(CONNECTIVITY_AUTO);
 }
 
@@ -553,7 +554,8 @@ fn decode_state(dec: &mut Dec<'_>) -> Result<DynamicPartitioner, JournalError> {
         other => return Err(corrupt(format!("unknown stream-order tag {other}"))),
     };
     let seed = dec.u64_le()?;
-    let track_history = dec.u8()? != 0;
+    // The retired history switch's byte, ignored.
+    dec.u8()?;
     match dec.u8()? {
         0..=CONNECTIVITY_AUTO => {}
         other => return Err(corrupt(format!("unknown connectivity tag {other}"))),
@@ -568,7 +570,6 @@ fn decode_state(dec: &mut Dec<'_>) -> Result<DynamicPartitioner, JournalError> {
             max_iterations,
             stream_order,
             seed,
-            track_history,
         },
     };
     DynamicPartitioner::resume(graph, partition, cost, cfg)

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeSet;
 
-use hyperpraw_core::engine::{AdjProvider, DirtySetSource, Engine, EngineConfig, WarmStart};
+use hyperpraw_core::engine::{AdjProvider, Engine, ExecutionStrategy, WarmStart};
 use hyperpraw_core::metrics::{CommCostState, QualityReport};
 use hyperpraw_core::{CostMatrix, HyperPrawConfig, PartitionHistory, StopReason};
 use hyperpraw_hypergraph::traversal::NeighborScratch;
@@ -48,14 +48,11 @@ pub struct UpdateOutcome {
     pub stop_reason: Option<StopReason>,
     /// The α in effect when the restream stopped, when one ran.
     pub final_alpha: Option<f64>,
-    /// Doubt-buffer moves during the restream's final revisit.
-    pub moved_in_restream: usize,
     /// Load imbalance of the resulting assignment (max/avg).
     pub imbalance: f64,
     /// Architecture-aware communication cost of the resulting assignment.
     pub comm_cost: f64,
-    /// Per-pass history of the restream (empty when tracking is off or no
-    /// restream ran).
+    /// Per-pass history of the restream (empty when no restream ran).
     pub history: PartitionHistory,
     /// Migration cost of this batch.
     pub migration: MigrationStats,
@@ -107,7 +104,7 @@ struct DynMetrics {
     /// accounting and the outcome's quality.
     quality_us: hyperpraw_telemetry::Histogram,
     /// Kept so each batch's restream engine can bind its own `engine.*`
-    /// metrics (pass timings, vertices scored, doubt occupancy).
+    /// metrics (pass timings, vertices scored, certified stays).
     registry: hyperpraw_telemetry::Registry,
 }
 
@@ -310,7 +307,6 @@ impl DynamicPartitioner {
                 iterations: 0,
                 stop_reason: None,
                 final_alpha: None,
-                moved_in_restream: 0,
                 imbalance: self.imbalance(),
                 comm_cost: self.comm_cost(),
                 history: PartitionHistory::new(),
@@ -417,12 +413,10 @@ impl DynamicPartitioner {
         let mut iterations = 0;
         let mut stop_reason = None;
         let mut final_alpha = None;
-        let mut moved_in_restream = 0;
         let mut history = PartitionHistory::new();
         if !dirty.is_empty() {
-            let engine = Engine::new(EngineConfig::restreaming(&self.cfg.config))
+            let engine = Engine::new(self.cfg.config, ExecutionStrategy::Sequential)
                 .with_registry(&self.metrics.registry);
-            let mut source = DirtySetSource::new(&self.snapshot, dirty.clone());
             let (partition, counts) = std::mem::take(&mut self.comm).into_parts();
             let mut provider = AdjProvider::traversal(&self.snapshot)
                 .with_registry(&self.metrics.registry)
@@ -431,9 +425,7 @@ impl DynamicPartitioner {
                 partition,
                 loads: self.loads.clone(),
             };
-            let run = engine
-                .run_warm(&self.cost, &mut source, &mut provider, warm)
-                .expect("in-memory sources cannot fail");
+            let run = engine.run_warm(&self.cost, &self.snapshot, &dirty, &mut provider, warm);
             self.comm = provider.into_comm_state(run.partition);
             self.loads = self
                 .partition()
@@ -442,7 +434,6 @@ impl DynamicPartitioner {
             iterations = run.iterations;
             stop_reason = Some(run.stop_reason);
             final_alpha = Some(run.final_alpha);
-            moved_in_restream = run.moved_in_restream;
             history = run.history;
         }
         drop(restreaming);
@@ -505,7 +496,6 @@ impl DynamicPartitioner {
             iterations,
             stop_reason,
             final_alpha,
-            moved_in_restream,
             imbalance,
             comm_cost,
             history,

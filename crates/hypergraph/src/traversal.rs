@@ -85,56 +85,6 @@ impl NeighborScratch {
     }
 }
 
-/// Number of distinct neighbours of `v`, computed through the caller's
-/// reusable `scratch` (no per-call allocation).
-///
-/// When many degrees are needed, or when a
-/// [`crate::NeighborAdjacency`] already exists for the hypergraph, prefer
-/// [`crate::NeighborAdjacency::distinct_degree`], which answers in O(1)
-/// from the precomputed structure.
-pub fn degree_in_neighbors(hg: &Hypergraph, v: VertexId, scratch: &mut NeighborScratch) -> usize {
-    scratch.neighbors(hg, v).len()
-}
-
-/// Returns the connected components of the hypergraph (two vertices are
-/// connected when they share a hyperedge). Component ids are dense and
-/// assigned in order of the smallest vertex in each component.
-pub fn connected_components(hg: &Hypergraph) -> Vec<u32> {
-    const UNVISITED: u32 = u32::MAX;
-    let mut component = vec![UNVISITED; hg.num_vertices()];
-    let mut next = 0u32;
-    let mut stack: Vec<VertexId> = Vec::new();
-    for start in hg.vertices() {
-        if component[start as usize] != UNVISITED {
-            continue;
-        }
-        component[start as usize] = next;
-        stack.push(start);
-        while let Some(v) = stack.pop() {
-            for &e in hg.incident_edges(v) {
-                for &u in hg.pins(e) {
-                    if component[u as usize] == UNVISITED {
-                        component[u as usize] = next;
-                        stack.push(u);
-                    }
-                }
-            }
-        }
-        next += 1;
-    }
-    component
-}
-
-/// Number of connected components.
-pub fn num_connected_components(hg: &Hypergraph) -> usize {
-    connected_components(hg)
-        .iter()
-        .copied()
-        .max()
-        .map(|m| m as usize + 1)
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,31 +139,5 @@ mod tests {
         // Isolated vertex has no neighbours anywhere.
         scratch.neighbor_partition_counts(&hg, &part, 4, &mut counts);
         assert_eq!(counts, vec![0, 0]);
-    }
-
-    #[test]
-    fn connected_components_found() {
-        let hg = sample();
-        let comp = connected_components(&hg);
-        assert_eq!(comp[0], comp[1]);
-        assert_eq!(comp[0], comp[3]);
-        assert_ne!(comp[0], comp[4]);
-        assert_ne!(comp[0], comp[5]);
-        assert_eq!(comp[5], comp[6]);
-        assert_eq!(num_connected_components(&hg), 3);
-    }
-
-    #[test]
-    fn degree_in_neighbors_counts_distinct_vertices() {
-        let hg = sample();
-        let mut scratch = NeighborScratch::new(hg.num_vertices());
-        assert_eq!(degree_in_neighbors(&hg, 2, &mut scratch), 3);
-        assert_eq!(degree_in_neighbors(&hg, 4, &mut scratch), 0);
-    }
-
-    #[test]
-    fn empty_hypergraph_has_no_components() {
-        let hg = HypergraphBuilder::new(0).build();
-        assert_eq!(num_connected_components(&hg), 0);
     }
 }

@@ -58,7 +58,7 @@ pub trait ConnectivityIndex {
     /// a rebuild pass the stale index keeps answering queries while the
     /// empty copy records the pass's placements, and the pair is swapped
     /// at the next pass boundary.
-    fn empty_clone(&self) -> Box<dyn ConnectivityIndex + Send + Sync>;
+    fn empty_clone(&self) -> Box<dyn ConnectivityIndex>;
 
     /// Estimated Jaccard similarity between `nets` and partition `part`'s
     /// net set, when the index can estimate it cheaply. Used as a
@@ -127,7 +127,7 @@ impl ConnectivityIndex for ExactIndex {
         self.per_part.iter_mut().for_each(HashMap::clear);
     }
 
-    fn empty_clone(&self) -> Box<dyn ConnectivityIndex + Send + Sync> {
+    fn empty_clone(&self) -> Box<dyn ConnectivityIndex> {
         Box::new(ExactIndex::new(self.per_part.len()))
     }
 
@@ -205,7 +205,7 @@ impl ConnectivityIndex for SketchIndex {
         self.minhashes.iter_mut().for_each(MinHashSketch::clear);
     }
 
-    fn empty_clone(&self) -> Box<dyn ConnectivityIndex + Send + Sync> {
+    fn empty_clone(&self) -> Box<dyn ConnectivityIndex> {
         let mut copy = self.clone();
         copy.reset();
         Box::new(copy)

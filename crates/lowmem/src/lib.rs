@@ -18,13 +18,14 @@
 //!   this net touch partition j?" and MinHash signatures estimate net-set
 //!   similarity ([`SketchIndex`]), with an exact hash-map reference
 //!   implementation ([`ExactIndex`]) for validation,
-//! * the placement loop itself is `hyperpraw-core`'s generic restreaming
-//!   engine ([`hyperpraw_core::engine::Engine`]): this crate only
-//!   contributes the [`IndexProvider`] connectivity axis, and the engine
-//!   supplies the value function, the α handling, the bounded
-//!   low-confidence revisit buffer and out-of-core restreaming passes
-//!   ([`LowMemConfig::passes`], with optional sketch rebuilding between
-//!   passes to shed staleness), streamed on one thread,
+//! * the placement loop is this crate's own buffered streamer
+//!   ([`LowMemPartitioner::partition`]): a fixed `α`, `hyperpraw-core`'s
+//!   value function ([`hyperpraw_core::value`]) over the counts of an
+//!   [`IndexProvider`], a bounded low-confidence revisit buffer, and
+//!   optional out-of-core restreaming passes ([`LowMemConfig::passes`],
+//!   with optional sketch rebuilding between passes to shed staleness),
+//!   streamed on one thread. It is not `hyperpraw-core`'s restreaming
+//!   engine: there is no `α` tempering and no comm-cost stop,
 //! * HyperPRAW-aware vs. -basic is again just a [`CostMatrix`] away.
 //!
 //! Everything is sized from a single [`MemoryBudget`]; peak sketch memory
@@ -49,6 +50,7 @@
 #![warn(rust_2018_idioms)]
 
 mod budget;
+mod doubt;
 mod partitioner;
 
 pub mod index;

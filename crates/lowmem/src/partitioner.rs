@@ -1,15 +1,16 @@
-//! The memory-bounded streaming partitioner — a thin instantiation of
-//! `hyperpraw-core`'s generic restreaming engine: any
-//! [`VertexStream`] as the vertex source × an [`IndexProvider`] over
-//! budgeted connectivity state × the sequential execution strategy.
+//! The memory-bounded streaming partitioner: a buffered one-pass streamer
+//! over any [`VertexStream`], in the style of Taşyaran et al.
+//! (arXiv:2103.05394), scoring with `hyperpraw-core`'s value function
+//! against an [`IndexProvider`] over budgeted connectivity state.
 
-use hyperpraw_core::engine::{DoubtConfig, Engine, EngineConfig, InitialAssignment, StreamSource};
+use hyperpraw_core::value::{best_partition_in, ScoredPartition, ValueScratch};
 use hyperpraw_core::{CostMatrix, HyperPrawConfig};
-use hyperpraw_hypergraph::io::stream::VertexStream;
-use hyperpraw_hypergraph::io::IoResult;
-use hyperpraw_hypergraph::{Hypergraph, Partition};
+use hyperpraw_hypergraph::io::stream::{VertexRecord, VertexStream};
+use hyperpraw_hypergraph::io::{IoError, IoResult};
+use hyperpraw_hypergraph::{HyperedgeId, Hypergraph, Partition, VertexId};
 
 use crate::budget::{MemoryBudget, SketchPlan};
+use crate::doubt::DoubtBuffer;
 use crate::index::{ExactIndex, SketchIndex};
 use crate::provider::IndexProvider;
 
@@ -149,16 +150,15 @@ pub struct LowMemResult {
 /// neighbour-partition counts `X_j(v)` are replaced by *net-connectivity*
 /// counts answered by a [`crate::ConnectivityIndex`] in budgeted memory,
 /// while the cost matrix, `α`-weighted balance term and tie-breaking are
-/// exactly `hyperpraw-core`'s — the whole loop *is*
-/// [`hyperpraw_core::engine::Engine::run`], instantiated with this
-/// crate's [`IndexProvider`]. An optional bounded buffer collects the `k`
-/// lowest-confidence assignments (smallest value margin, similarity-
-/// adjusted when the index sketches one) and revisits them once at the end
-/// against the final connectivity state; optional extra passes restream
-/// the whole input out-of-core, optionally rebuilding the sketches
-/// between passes. The stream runs on one thread: the index changes at
-/// every placement, so concurrent workers would score against counts that
-/// lag the stream.
+/// exactly `hyperpraw-core`'s ([`best_partition_in`]). `α` stays fixed.
+/// An optional bounded buffer collects the `k` lowest-confidence
+/// assignments (smallest value margin, similarity-adjusted when the index
+/// sketches one) and revisits them once at the end against the final
+/// connectivity state; optional extra passes restream the whole input
+/// out-of-core, optionally rebuilding the sketches between passes, and
+/// stop early when a pass moves nothing. The stream runs on one thread:
+/// the index changes at every placement, so concurrent workers would
+/// score against counts that lag the stream.
 #[derive(Clone, Debug)]
 pub struct LowMemPartitioner {
     config: LowMemConfig,
@@ -227,38 +227,94 @@ impl LowMemPartitioner {
             .alpha
             .unwrap_or_else(|| HyperPrawConfig::fennel_alpha(p as u32, n, e));
 
-        let mut provider = IndexProvider::new(match self.config.index {
+        let provider = IndexProvider::new(match self.config.index {
             IndexKind::Exact => Box::new(ExactIndex::new(p)),
             IndexKind::Sketched => Box::new(SketchIndex::new(p, &plan, self.config.seed)),
         });
-
-        let mut engine_config = EngineConfig::streaming(Some(alpha), self.config.passes);
-        engine_config.initial = if self.config.round_robin_prior {
-            InitialAssignment::RoundRobin
-        } else {
-            InitialAssignment::Unassigned
-        };
-        engine_config.rebuild_between_passes = self.config.rebuild_sketches;
-        engine_config.doubts = DoubtConfig {
-            capacity: self
-                .config
+        let mut doubts = DoubtBuffer::new(
+            self.config
                 .restream_capacity
                 .unwrap_or(plan.restream_capacity),
             // The plan's entry count assumes average-degree vertices; the
             // byte bound is what keeps the buffer inside the budget when
             // the low-confidence entries happen to be high-degree hubs.
-            byte_bound: plan.restream_bytes,
-        };
+            plan.restream_bytes,
+        );
 
-        let run =
-            Engine::new(engine_config).run(&self.cost, &mut StreamSource(stream), &mut provider)?;
-        Ok(LowMemResult {
-            partition: run.partition,
+        let total_weight = stream.total_vertex_weight().unwrap_or(n as f64);
+        let expected_load = (total_weight / p as f64).max(f64::MIN_POSITIVE);
+        // The first allocation sized by the stream's vertex count, which an
+        // on-disk stream takes from its file header: refuse, don't abort.
+        let partition = Partition::try_round_robin(n, p as u32)
+            .map_err(|e| IoError::out_of_memory(&format!("{n} vertex assignments"), e))?;
+        let mut state = StreamState {
+            cost: &self.cost,
             alpha,
-            passes: run.iterations,
-            restreamed: run.restreamed,
-            moved_in_restream: run.moved_in_restream,
-            index_memory_bytes: provider.memory_bytes(),
+            provider,
+            partition,
+            loads: vec![0.0; p],
+            expected: vec![expected_load; p],
+            counts: Vec::with_capacity(p),
+            value: ValueScratch::new(),
+        };
+        let mut record = VertexRecord::default();
+        // With the round-robin prior every vertex starts on `v mod p`, its
+        // nets recorded there; otherwise vertices are unassigned until
+        // first placed.
+        let mut assigned = self.config.round_robin_prior;
+        if assigned {
+            while stream.next_into(&mut record)? {
+                let part = record.vertex % p as u32;
+                state.loads[part as usize] += record.weight;
+                state.provider.attach(&record.nets, part);
+            }
+        }
+
+        let mut passes = 0;
+        for pass in 1..=self.config.passes {
+            passes = pass;
+            state
+                .provider
+                .begin_pass(self.config.rebuild_sketches && pass > 1);
+            doubts.clear();
+            stream.reset()?;
+            let mut moved = 0usize;
+            while stream.next_into(&mut record)? {
+                let current = assigned.then(|| state.partition.part_of(record.vertex));
+                let scored = state.place(record.vertex, record.weight, &record.nets, current);
+                if current != Some(scored.part) {
+                    moved += 1;
+                }
+                doubts.offer(&state.provider, &record, scored.part, scored.margin);
+            }
+            assigned = true;
+            // A pass that moved nothing is a fixed point: further passes
+            // would repeat it verbatim.
+            if moved == 0 {
+                break;
+            }
+        }
+
+        // Revisit the last pass's low-confidence placements against the
+        // final state, in vertex order for determinism.
+        let revisit = doubts.take_by_vertex();
+        let restreamed = revisit.len();
+        let mut moved_in_restream = 0usize;
+        for doubt in revisit {
+            let old = state.partition.part_of(doubt.vertex);
+            let scored = state.place(doubt.vertex, doubt.weight, &doubt.nets, Some(old));
+            if scored.part != old {
+                moved_in_restream += 1;
+            }
+        }
+
+        Ok(LowMemResult {
+            partition: state.partition,
+            alpha,
+            passes,
+            restreamed,
+            moved_in_restream,
+            index_memory_bytes: state.provider.memory_bytes(),
             plan,
         })
     }
@@ -269,6 +325,51 @@ impl LowMemPartitioner {
         let mut stream = hyperpraw_hypergraph::io::stream::InMemoryVertexStream::new(hg);
         self.partition(&mut stream)
             .expect("in-memory streams cannot fail")
+    }
+}
+
+/// The streaming loop's placement state: the cost matrix and the fixed
+/// `α` it scores with, the index, the assignment, the per-part loads and
+/// their uniform expected values, and the scorer's buffers.
+struct StreamState<'a> {
+    cost: &'a CostMatrix,
+    alpha: f64,
+    provider: IndexProvider,
+    partition: Partition,
+    loads: Vec<f64>,
+    expected: Vec<f64>,
+    counts: Vec<u32>,
+    value: ValueScratch,
+}
+
+impl StreamState<'_> {
+    /// Places vertex `v` of weight `w` and incident `nets`: detaches it
+    /// from `current` (`None`: unassigned), scores every part against the
+    /// index, assigns the winner and records it there.
+    fn place(
+        &mut self,
+        v: VertexId,
+        w: f64,
+        nets: &[HyperedgeId],
+        current: Option<u32>,
+    ) -> ScoredPartition {
+        if let Some(cur) = current {
+            self.provider.detach(nets, cur);
+            self.loads[cur as usize] -= w;
+        }
+        self.provider.count(nets, &mut self.counts);
+        let scored = best_partition_in(
+            &self.counts,
+            self.cost,
+            self.alpha,
+            &self.loads,
+            &self.expected,
+            &mut self.value,
+        );
+        self.partition.set(v, scored.part);
+        self.loads[scored.part as usize] += w;
+        self.provider.attach(nets, scored.part);
+        scored
     }
 }
 

@@ -4,10 +4,9 @@
 //! a compact on-disk format, a pluggable byte-range abstraction, and a
 //! prefetching reader that overlaps block decode with engine compute.
 //! The reader surfaces the file as a
-//! [`hyperpraw_hypergraph::io::stream::VertexStream`], so the whole
-//! restreaming stack — `StreamSource`, the lowmem multi-pass and threaded
-//! drivers, `PartitionJob::run_stream` — works over compressed files
-//! unchanged.
+//! [`hyperpraw_hypergraph::io::stream::VertexStream`], so every
+//! out-of-core consumer — the lowmem one-pass and multi-pass streamer,
+//! `PartitionJob::run_stream` — works over compressed files unchanged.
 //!
 //! # File format (`.hpz`, version 1)
 //!

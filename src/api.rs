@@ -313,12 +313,6 @@ impl PartitionJob {
         self
     }
 
-    /// Enables or disables per-stream history tracking.
-    pub fn track_history(mut self, track: bool) -> Self {
-        self.hyperpraw.track_history = track;
-        self
-    }
-
     /// Sets the worker-thread count of the restreaming drivers, which
     /// picks their schedule: one thread (the default)
     /// streams sequentially and deterministically, more run lock-free
