@@ -113,26 +113,55 @@ pub fn load_hypergraph(path: &Path) -> Result<Hypergraph, CommandError> {
     Ok(hg)
 }
 
-/// Builds the machine preset at the requested size.
-pub fn build_machine(preset: MachinePreset, procs: usize) -> MachineModel {
-    match preset {
-        MachinePreset::Archer => MachineModel::archer_like(procs),
-        MachinePreset::Cluster => MachineModel::dual_socket_cluster(procs, 12),
-        MachinePreset::Cloud => MachineModel::cloud_like(procs, 8),
-        MachinePreset::Flat => MachineModel::flat(procs, 1_000.0, 1.5),
-    }
+/// Builds the machine preset at the requested size, or says why the
+/// preset cannot hold `procs` units.
+pub fn build_machine(preset: MachinePreset, procs: usize) -> Result<MachineModel, CommandError> {
+    let machine = match preset {
+        MachinePreset::Archer => MachineModel::try_archer_like(procs),
+        MachinePreset::Cluster => Ok(MachineModel::dual_socket_cluster(procs, 12)),
+        MachinePreset::Cloud => Ok(MachineModel::cloud_like(procs, 8)),
+        MachinePreset::Flat => Ok(MachineModel::flat(procs, 1_000.0, 1.5)),
+    };
+    machine.map_err(|e| CommandError::Invalid(e.to_string()))
 }
 
 /// Profiles a machine preset: link model plus measured bandwidth/cost.
-pub(crate) fn profile(preset: MachinePreset, procs: usize, seed: u64) -> (LinkModel, CostMatrix) {
-    let machine = build_machine(preset, procs);
+pub(crate) fn profile(
+    preset: MachinePreset,
+    procs: usize,
+    seed: u64,
+) -> Result<(LinkModel, CostMatrix), CommandError> {
+    let machine = build_machine(preset, procs)?;
     let link = LinkModel::from_machine(&machine, 0.05, seed);
     let bandwidth = RingProfiler {
         seed,
         ..RingProfiler::default()
     }
     .profile(&link);
-    (link, CostMatrix::from_bandwidth(&bandwidth))
+    Ok((link, CostMatrix::from_bandwidth(&bandwidth)))
+}
+
+/// Refuses a `parts`-way partition of `num_vertices` vertices on `preset`
+/// that cannot run: fewer than the two parts a ring profile needs, more
+/// parts than vertices (the job's own refusal, which would come only
+/// after the profile), or more parts than the preset holds. A profile is
+/// dense in `parts²`, so every caller runs this before [`profile`].
+pub(crate) fn check_parts(
+    preset: MachinePreset,
+    parts: u32,
+    num_vertices: usize,
+) -> Result<(), CommandError> {
+    if parts < 2 {
+        return Err(CommandError::Invalid(
+            "profiling a machine needs at least two parts".into(),
+        ));
+    }
+    if parts as usize > num_vertices {
+        return Err(CommandError::Invalid(format!(
+            "cannot split {num_vertices} vertices into {parts} parts"
+        )));
+    }
+    build_machine(preset, parts as usize).map(drop)
 }
 
 /// Reads an assignment file: one partition id per line, `#` comments.
@@ -262,7 +291,8 @@ pub fn execute(cli: &Cli, out: &mut dyn Write) -> Result<(), CommandError> {
                     algorithm.name()
                 )));
             }
-            let (_, cost) = profile(*machine, *parts as usize, *seed);
+            check_parts(*machine, *parts, hg.num_vertices())?;
+            let (_, cost) = profile(*machine, *parts as usize, *seed)?;
             let metrics = telemetry::Registry::new();
             let report = PartitionJob::new(*algorithm)
                 .partitions(*parts)
@@ -332,11 +362,9 @@ pub fn execute(cli: &Cli, out: &mut dyn Write) -> Result<(), CommandError> {
                 Algorithm::LowMemSketched
             };
             let budget = MemoryBudget::mebibytes((*budget_mib).max(1));
-            let (_, cost) = profile(*machine, *parts as usize, *seed);
             let metrics = telemetry::Registry::new();
             let job = PartitionJob::new(algorithm)
                 .partitions(*parts)
-                .cost(cost)
                 .memory_budget(budget)
                 .restream_capacity(*restream)
                 .passes(*passes)
@@ -350,16 +378,17 @@ pub fn execute(cli: &Cli, out: &mut dyn Write) -> Result<(), CommandError> {
                 spill_dir: None,
             };
             let is_hgr = ext == "hgr" && !input_is_compressed;
+            // The job's cost matrix, profiled once the vertex count is
+            // known to admit --parts.
+            let costed = |num_vertices: usize| -> Result<PartitionJob, CommandError> {
+                check_parts(*machine, *parts, num_vertices)?;
+                let (_, cost) = profile(*machine, *parts as usize, *seed)?;
+                Ok(job.clone().cost(cost))
+            };
             if is_hgr {
                 // The header carries the vertex count; reject an oversized
                 // --parts before paying for the on-disk transpose.
-                let header = read_hgr_header(input)?;
-                if (*parts as usize) > header.num_vertices {
-                    return Err(CommandError::Invalid(format!(
-                        "cannot split {} vertices into {parts} parts",
-                        header.num_vertices
-                    )));
-                }
+                check_parts(*machine, *parts, read_hgr_header(input)?.num_vertices)?;
             }
             let (mut report, header) = if use_compressed {
                 // Run over the block-compressed CSR, converting first when
@@ -384,8 +413,10 @@ pub fn execute(cli: &Cli, out: &mut dyn Write) -> Result<(), CommandError> {
                 let meta = storage::CompressedReader::open_file(hpz_path)
                     .map(|reader| *reader.meta())
                     .map_err(|e| CommandError::Io(e.to_string()));
-                // The job refuses more parts than vertices before it runs.
-                let result = meta.and_then(|meta| Ok((meta, job.run_compressed_file(hpz_path)?)));
+                let result = meta.and_then(|meta| {
+                    let job = costed(meta.num_vertices as usize)?;
+                    Ok((meta, job.run_compressed_file(hpz_path)?))
+                });
                 if let Some(tmp) = &temp_hpz {
                     fs::remove_file(tmp).ok();
                 }
@@ -411,7 +442,7 @@ pub fn execute(cli: &Cli, out: &mut dyn Write) -> Result<(), CommandError> {
                 } else {
                     stream_edgelist_file(input, &options)?
                 };
-                let report = job.run_stream(&mut stream)?;
+                let report = costed(stream.num_vertices())?.run_stream(&mut stream)?;
                 let header = format!(
                     "hypergraph       : {} (|V|={}, |E|={}, pins={})\n\
                      memory budget    : {budget}\n\
@@ -516,7 +547,7 @@ pub fn execute(cli: &Cli, out: &mut dyn Write) -> Result<(), CommandError> {
                     "profiling needs at least two compute units".into(),
                 ));
             }
-            let (link, cost) = profile(*machine, *procs, 2019);
+            let (link, cost) = profile(*machine, *procs, 2019)?;
             let csv = link.bandwidth().to_csv();
             match output {
                 Some(path) => {
@@ -561,7 +592,7 @@ pub fn execute(cli: &Cli, out: &mut dyn Write) -> Result<(), CommandError> {
                     "the assignment uses a single partition; nothing to benchmark".into(),
                 ));
             }
-            let (link, cost) = profile(*machine, procs, 2019);
+            let (link, cost) = profile(*machine, procs, 2019)?;
             let bench = SyntheticBenchmark::new(
                 link,
                 BenchmarkConfig {
@@ -791,6 +822,26 @@ mod tests {
         let err = lowmem(&input, 2, "--exact --rebuild-sketches").unwrap_err();
         fs::remove_file(input).ok();
         assert!(err.to_string().contains("rebuild-sketches"));
+    }
+
+    #[test]
+    fn parts_are_refused_before_the_profile() {
+        let err = check_parts(MachinePreset::Flat, 5, 4).unwrap_err();
+        assert_eq!(err.to_string(), "cannot split 4 vertices into 5 parts");
+        for parts in [0, 1] {
+            let err = check_parts(MachinePreset::Flat, parts, 4).unwrap_err();
+            assert!(err.to_string().contains("at least two parts"), "{err}");
+        }
+        // The ARCHER-like hierarchy holds 12·2·4·32·64 units; the other
+        // presets grow with the job.
+        let err = check_parts(MachinePreset::Archer, 196_609, 1 << 20).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("capacity 196608 cannot hold 196609"),
+            "{err}"
+        );
+        assert!(check_parts(MachinePreset::Archer, 196_608, 1 << 20).is_ok());
+        assert!(check_parts(MachinePreset::Cloud, 196_609, 1 << 20).is_ok());
     }
 
     #[test]

@@ -112,7 +112,7 @@ use hyperpraw::json::{self, JsonValue};
 use hyperpraw::telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::args::{FlagValue, MachinePreset};
-use crate::commands::{load_hypergraph, profile, CommandError};
+use crate::commands::{check_parts, load_hypergraph, profile, CommandError};
 
 /// Worker threads serving TCP connections (plus one acceptor).
 const SERVE_WORKERS: usize = 4;
@@ -1014,7 +1014,8 @@ fn start_session(
             .as_str()
             .ok_or("'machine' must be a string")
             .and_then(|s| MachinePreset::parse_value(Some(s)).ok_or("unknown 'machine' preset"))?;
-        let (_, cost) = profile(preset, parts as usize, seed);
+        check_parts(preset, parts, hg.num_vertices()).map_err(|e| e.to_string())?;
+        let (_, cost) = profile(preset, parts as usize, seed).map_err(|e| e.to_string())?;
         job = job.cost(cost);
     }
     if let Some(tol) = request.get("imbalance") {
@@ -1337,6 +1338,37 @@ mod tests {
         assert!(lines[3].contains("\"ok\": true"));
         assert!(lines[4].contains("\"ok\": false"), "{}", lines[4]);
         assert!(lines[5].contains("\"part\":"));
+    }
+
+    #[test]
+    fn too_many_parts_are_refused_before_the_machine_is_profiled() {
+        // Profiled first, a million parts overflow the ARCHER-like
+        // hierarchy and a hundred thousand need an 80 GB bandwidth matrix.
+        let (lines, shutdown) = drive(concat!(
+            "{\"op\": \"partition\", \"parts\": 1000000, \"machine\": \"archer\", ",
+            "\"edges\": [[0,1],[2,3]]}\n",
+            "{\"op\": \"partition\", \"parts\": 100000, \"machine\": \"archer\", ",
+            "\"edges\": [[0,1],[2,3]]}\n",
+            "{\"op\": \"lookup\", \"vertex\": 0}\n",
+        ));
+        assert!(!shutdown, "EOF, not shutdown");
+        assert_eq!(lines.len(), 3, "{lines:#?}");
+        for (line, parts) in lines.iter().zip(["1000000", "100000"]) {
+            let message = format!("cannot split 4 vertices into {parts} parts");
+            assert!(line.contains(&message), "{line}");
+        }
+        assert!(lines[2].contains("no session"), "{}", lines[2]);
+    }
+
+    #[test]
+    fn a_machine_with_fewer_than_two_parts_is_refused_not_profiled() {
+        // The ring profiler asserts two processes at least.
+        let (lines, _) = drive(concat!(
+            "{\"op\": \"partition\", \"parts\": 1, \"machine\": \"flat\", ",
+            "\"edges\": [[0,1],[2,3]]}\n",
+        ));
+        assert_eq!(lines.len(), 1, "{lines:#?}");
+        assert!(lines[0].contains("at least two parts"), "{}", lines[0]);
     }
 
     #[test]

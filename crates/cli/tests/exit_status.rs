@@ -83,3 +83,38 @@ fn threads_for_lowmem_are_a_run_error() {
     assert!(stderr.contains("--threads does not apply"), "{stderr}");
     std::fs::remove_file(input).ok();
 }
+
+#[test]
+fn more_parts_than_vertices_are_a_run_error() {
+    // Refused before the machine is profiled: a profile of 100000 parts
+    // alone would need an 80 GB bandwidth matrix.
+    let dir = std::env::temp_dir();
+    let hgr = dir.join(format!(
+        "hyperpraw_exit_status_{}_two.hgr",
+        std::process::id()
+    ));
+    let edges = dir.join(format!(
+        "hyperpraw_exit_status_{}_two.txt",
+        std::process::id()
+    ));
+    std::fs::write(&hgr, "1 2\n1 2\n").unwrap();
+    std::fs::write(&edges, "0 1\n").unwrap();
+    let (hgr_path, edges_path) = (hgr.to_str().unwrap(), edges.to_str().unwrap());
+    for args in [
+        ["partition", hgr_path, "--parts", "100000"],
+        ["lowmem", hgr_path, "--parts", "100000"],
+        ["lowmem", hgr_path, "--parts", "4294967295"],
+        ["lowmem", edges_path, "--parts", "100000"],
+    ] {
+        let output = hyperpraw(&args, Stdio::null());
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("cannot split 2 vertices"),
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_file(hgr).ok();
+    std::fs::remove_file(edges).ok();
+}

@@ -9,9 +9,9 @@
 //! communication cost improves. The vertices come from an in-memory
 //! [`Hypergraph`] in a visit order: the configuration's
 //! [`crate::StreamOrder`] for a cold run ([`Engine::run`]), the caller's
-//! dirty set for a warm one ([`Engine::run_warm`]). What varies is *where
-//! the connectivity state lives* and *how the stream is executed*; the
-//! engine keeps the loop in one place:
+//! dirty set for a warm one ([`Engine::run_warm`]). The connectivity
+//! state lives in one concrete [`AdjProvider`], and the schedule is a
+//! thread count:
 //!
 //! ```text
 //!                  ┌──────────────────────────────┐
@@ -22,24 +22,23 @@
 //!                  └───────┬──────────────┬───────┘
 //!              ┌───────────┘              └───────────┐
 //!              ▼                                      ▼
-//!   ConnectivityProvider                    ExecutionStrategy
-//!   "who are its neighbours?"               "who decides when?"
-//!   AdjProvider: exact part counts          ├ Sequential (fresh info per
-//!   per visited vertex, shifted on          │   vertex, deterministic)
-//!   moves; neighbours by traversal          └ WorkStealing (atomic cursor,
-//!                                               live shared state, bounded
-//!                                               staleness, fast)
+//!         AdjProvider                        ExecutionStrategy
+//!   "who are its neighbours?"                "who decides when?"
+//!   exact part counts per                    ├ 1 thread: sequential (fresh
+//!   visited vertex, shifted on               │   info per vertex, deterministic)
+//!   moves; neighbours by traversal           └ more: work stealing (atomic
+//!                                                cursor, live shared state,
+//!                                                bounded staleness, fast)
 //! ```
 //!
-//! The two strategies trade determinism against wall-clock:
-//! **Sequential** is the paper's Algorithm 1 and the determinism anchor;
-//! **WorkStealing** runs without a barrier — one thread team per batch
+//! The thread count trades determinism against wall-clock: **one
+//! thread** is the paper's Algorithm 1 and the determinism anchor;
+//! **more threads** run without a barrier — one thread team per batch
 //! claims fixed-size vertex chunks off a shared atomic cursor
 //! ([`hyperpraw_hypergraph::ChunkCursor`]) and scores against *live*
 //! shared state (the assignment as an atomic slice, per-part loads as
 //! fixed-point atomics), accepting bounded staleness in exchange for
-//! near-linear scaling. It degenerates to the exact sequential placement
-//! loop at one worker.
+//! near-linear scaling.
 //!
 //! The stealing workers follow one write rule: **shared state is written
 //! only on a move**. The load counters, the atomic assignment, the
@@ -58,17 +57,17 @@
 //! applies, so the boundary's serial work follows the moves, not the
 //! batch. A batch is a slice of the visit order.
 //!
-//! [`crate::HyperPraw`] is `AdjProvider × Sequential`, and
-//! [`crate::HyperPraw::with_threads`] swaps in `WorkStealing`.
+//! [`crate::HyperPraw`] streams on one thread unless
+//! [`crate::HyperPraw::with_threads`] asks for more.
 //!
 //! `AdjProvider` answers the distinct-neighbour query with exact integer
 //! counts: every visit copies the part counts `X(v)` the provider keeps
 //! for each vertex the run visits. The engine keeps those counts exact
-//! through two provider hooks: `sync` once per run from the starting
-//! assignment (one neighbourhood walk per visited vertex), and `moved`
-//! wherever the assignment the counts read changes — at each sequential
-//! placement and in the stealing worker next to its write of the live
-//! assignment. A visit is therefore an O(p) copy, and neighbourhoods are
+//! through the provider's [`AdjProvider::sync`] once per run from the
+//! starting assignment (one neighbourhood walk per visited vertex), and
+//! its move methods wherever the assignment the counts read changes — at
+//! each one-thread placement and in the stealing worker next to its write
+//! of the live assignment. A visit is therefore an O(p) copy, and neighbourhoods are
 //! walked only at sync and when their vertex moves, by a traversal of the
 //! vertex's pins. Debug builds check the counts against a recount at
 //! every pass end and stealing batch boundary.
@@ -91,8 +90,8 @@
 //! with its current part's gap taken from those terms
 //! ([`crate::value::terms_gap`]): the counts are current, so when the
 //! proof holds the vertex stays without the value loop or the selection
-//! scan, and the visit stores the certificate a scored stay would. Both
-//! strategies decide visits through one helper; both proofs are
+//! scan, and the visit stores the certificate a scored stay would. One
+//! thread and many decide visits through one helper; both proofs are
 //! exact, so partitions are unchanged.
 //!
 //! The load half of both proofs costs O(1), not a scan of the `p` loads:
@@ -112,21 +111,21 @@
 //! with the scan of [`crate::value::certified_margin`] and every kept
 //! summary with a fresh one. They also re-score every
 //! certified and every proven visit and recompute every live certificate
-//! wherever they check the counts. Sequential and batch-apply moves
-//! shift the counts through `&mut` access
-//! ([`ConnectivityProvider::moved_exclusive`]); only stealing workers use
-//! atomic read-modify-writes.
+//! wherever they check the counts. One-thread placements and batch-apply
+//! moves shift the counts through `&mut` access
+//! ([`AdjProvider::moved_exclusive`]); only stealing workers use atomic
+//! read-modify-writes ([`AdjProvider::moved`]).
 //!
 //! The refinement phase stops on the partitioning communication cost,
 //! evaluated after every pass from the part-pair counts `M` the provider
-//! keeps, with one O(p²) dot ([`ConnectivityProvider::comm_cost`]).
+//! keeps, with one O(p²) dot ([`AdjProvider::comm_cost`]).
 //! `AdjProvider` sums `M` from its rows when synced over every vertex;
 //! synced on a subset — a warm run over a dirty set — it takes the `M`
 //! its caller resumed ([`AdjProvider::resume`]) or counts it once. Each
 //! exclusive move shifts `M` by the mover's own counts. A stealing
 //! worker's move cannot, as a peer's move may shift those counts
 //! meanwhile; the batch boundary, which holds the provider alone, replays
-//! each logged move instead ([`ConnectivityProvider::replay`]): one walk
+//! each logged move instead ([`AdjProvider::replay`]): one walk
 //! of the mover's neighbours against the assignment as of its move, and
 //! `M` shifts by those counts. So `M` is exact after every batch and is
 //! counted afresh only at sync. The integers are exact and the dot is the
@@ -136,7 +135,7 @@
 //! When a pass's cost exceeds the previous feasible pass's, the run
 //! returns that earlier partition. The engine then moves every vertex
 //! whose part differs back through
-//! [`ConnectivityProvider::moved_exclusive`], so however a run stops, the
+//! [`AdjProvider::moved_exclusive`], so however a run stops, the
 //! provider ends synced to the partition it returns, and a caller can take
 //! `M` back for it ([`AdjProvider::into_comm_state`]). Debug builds assert
 //! this of the kept counts and `M` at the end of every run. Stay
@@ -162,7 +161,7 @@ use crate::{HyperPrawConfig, RefinementPolicy};
 mod provider;
 mod source;
 
-pub use provider::{AdjProvider, AdjScratch, ConnectivityProvider, StayCertificate};
+pub use provider::{AdjProvider, AdjScratch, StayCertificate};
 pub use source::stream_order;
 
 /// Why the restreaming loop stopped.
@@ -189,56 +188,58 @@ impl StopReason {
     }
 }
 
-/// How the engine executes one stream over the vertices.
+/// How many threads execute one stream over the vertices.
+///
+/// One thread makes one decision at a time with fully fresh information —
+/// the paper's sequential Algorithm 1, and the determinism anchor. More
+/// threads run lock-free work stealing: one thread team per batch claims
+/// `chunk`-vertex chunks off a shared atomic cursor and scores against
+/// *live* shared state — the assignment as an `AtomicU32` slice, per-part
+/// loads as fixed-point `AtomicI64` counters — with bounded staleness
+/// instead of a barrier. That is fast and valid at any thread count, but
+/// not bit-reproducible across runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecutionStrategy {
-    /// One decision at a time with fully fresh information — the paper's
-    /// sequential Algorithm 1.
-    Sequential,
-    /// Lock-free work-stealing streaming: one thread team per batch claims
-    /// fixed-size vertex chunks off a shared atomic cursor and scores
-    /// against *live* shared state — the assignment as an `AtomicU32`
-    /// slice, per-part loads as fixed-point `AtomicI64` counters — with
-    /// bounded staleness instead of a barrier. Fast and valid at any thread
-    /// count, but not bit-reproducible across runs for more than one
-    /// worker; a single worker degenerates to
-    /// [`ExecutionStrategy::Sequential`] exactly.
-    WorkStealing {
-        /// Number of worker threads.
-        num_threads: usize,
-        /// Vertices per claimed chunk (the atomic assignment and load
-        /// views are updated per move). [`DEFAULT_STEAL_CHUNK`] suits most
-        /// runs.
-        chunk: usize,
-    },
+pub struct ExecutionStrategy {
+    /// Number of worker threads; one runs the sequential loop.
+    pub num_threads: usize,
+    /// Vertices per claimed chunk when more than one thread streams.
+    /// [`DEFAULT_STEAL_CHUNK`] suits most runs.
+    pub chunk: usize,
 }
 
 impl ExecutionStrategy {
-    /// Validates the worker and chunk counts, returning the first problem
-    /// found.
-    fn validate(&self) -> Result<(), String> {
-        match *self {
-            ExecutionStrategy::Sequential => Ok(()),
-            ExecutionStrategy::WorkStealing { num_threads: 0, .. } => {
-                Err("need at least one worker thread".into())
-            }
-            ExecutionStrategy::WorkStealing { chunk: 0, .. } => {
-                Err("work-stealing chunk must be at least 1".into())
-            }
-            ExecutionStrategy::WorkStealing { .. } => Ok(()),
+    /// `num_threads` workers claiming [`DEFAULT_STEAL_CHUNK`]-vertex
+    /// chunks.
+    pub fn threads(num_threads: usize) -> Self {
+        ExecutionStrategy {
+            num_threads,
+            chunk: DEFAULT_STEAL_CHUNK,
         }
+    }
+
+    /// Validates the thread and chunk counts, returning the first problem
+    /// found.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if self.num_threads == 0 {
+            return Err("need at least one worker thread".into());
+        }
+        if self.chunk == 0 {
+            return Err("work-stealing chunk must be at least 1".into());
+        }
+        Ok(())
     }
 }
 
-/// Default vertex-chunk size claimed per cursor hit by
-/// [`ExecutionStrategy::WorkStealing`] workers: small enough to
+/// Default vertex-chunk size claimed per cursor hit by work-stealing
+/// workers: small enough to
 /// self-balance across heterogeneous vertex degrees, large enough that the
 /// claim `fetch_add` never shows up in a profile.
 pub const DEFAULT_STEAL_CHUNK: usize = 64;
 
-/// The outcome of an [`Engine::run`].
+/// The output of a HyperPRAW run: [`crate::HyperPraw::partition`],
+/// [`Engine::run`] or [`Engine::run_warm`].
 #[derive(Clone, Debug)]
-pub struct EngineRun {
+pub struct PartitionResult {
     /// The selected vertex-to-partition assignment.
     pub partition: Partition,
     /// Per-stream history, one record per pass.
@@ -258,7 +259,7 @@ pub struct EngineRun {
     pub imbalance: f64,
 }
 
-/// Mutable state shared by every strategy: the assignment, the workloads
+/// Mutable state shared by every thread count: the assignment, the workloads
 /// `W(k)` and the expected workloads `E(k)`, with the [`LoadSummary`] of
 /// the workloads that the live placements' stay certificates read.
 ///
@@ -349,15 +350,15 @@ struct LoadView<'a> {
 enum Check {
     /// The kept certificate proved the stay on this part.
     Stays(u32),
-    /// The visit must be scored, with the certificate stamp read, if any.
-    Score(Option<StayCertificate>),
+    /// The visit must be scored, with the certificate stamp read.
+    Score(StayCertificate),
 }
 
 /// One worker's scoring state, created once per run and reused across
 /// batches and passes: the provider scratch, the counts and scorer
 /// buffers, and the tallies of certified and proven stays.
-struct Scorer<T> {
-    scratch: T,
+struct Scorer {
+    scratch: AdjScratch,
     counts: Vec<u32>,
     value: ValueScratch,
     /// Visits kept in place by a stored certificate since the last flush.
@@ -367,8 +368,8 @@ struct Scorer<T> {
     proven: u64,
 }
 
-impl<T> Scorer<T> {
-    fn new<P: ConnectivityProvider<Scratch = T>>(provider: &P, p: usize) -> Self {
+impl Scorer {
+    fn new(provider: &AdjProvider<'_>, p: usize) -> Self {
         Scorer {
             scratch: provider.new_scratch(),
             counts: Vec::with_capacity(p),
@@ -396,20 +397,16 @@ impl<T> Scorer<T> {
     /// This is [`Scorer::check`] followed by [`Scorer::score`]; a caller
     /// that detaches the vertex only to score runs the two itself.
     #[allow(clippy::too_many_arguments)] // the engine's hot path shares one state bundle
-    fn decide<P, A>(
+    fn decide<A: AssignmentRef>(
         &mut self,
-        provider: &P,
+        provider: &AdjProvider<'_>,
         v: VertexId,
         assignment: &A,
         cost: &CostMatrix,
         alpha: f64,
         current: u32,
         view: LoadView<'_>,
-    ) -> u32
-    where
-        P: ConnectivityProvider<Scratch = T>,
-        A: AssignmentRef,
-    {
+    ) -> u32 {
         let home = (current, view.loads[current as usize]);
         match self.check(provider, v, assignment, cost, alpha, home, view) {
             Check::Stays(part) => part,
@@ -428,23 +425,19 @@ impl<T> Scorer<T> {
     /// `assignment` and `cost`.
     #[allow(clippy::too_many_arguments)] // the engine's hot path shares one state bundle
     #[cfg_attr(not(debug_assertions), allow(unused_variables))]
-    fn check<P, A>(
+    fn check<A: AssignmentRef>(
         &mut self,
-        provider: &P,
+        provider: &AdjProvider<'_>,
         v: VertexId,
         assignment: &A,
         cost: &CostMatrix,
         alpha: f64,
         (current, own): (u32, f64),
         view: LoadView<'_>,
-    ) -> Check
-    where
-        P: ConnectivityProvider<Scratch = T>,
-        A: AssignmentRef,
-    {
+    ) -> Check {
         let stamp = provider.stay_certificate(v);
-        debug_assert!(stamp.is_none() || view.expected.iter().all(|&e| e == view.expected[0]));
-        let Some((part, gap)) = stamp.and_then(|s| s.stay) else {
+        debug_assert!(view.expected.iter().all(|&e| e == view.expected[0]));
+        let Some((part, gap)) = stamp.stay else {
             return Check::Score(stamp);
         };
         if part != current {
@@ -460,15 +453,13 @@ impl<T> Scorer<T> {
         // shift must then show up.
         #[cfg(debug_assertions)]
         {
-            let generation = stamp.map(|s| s.generation);
             let loads = detached(view.loads, part, own);
             provider.count(v, assignment, &mut self.scratch, &mut self.counts);
             let counts = &self.counts;
             let scored =
                 best_partition_in(counts, cost, alpha, &loads, view.expected, &mut self.value);
             let started = std::time::Instant::now();
-            while scored.part != part
-                && provider.stay_certificate(v).map(|s| s.generation) == generation
+            while scored.part != part && provider.stay_certificate(v).generation == stamp.generation
             {
                 assert!(
                     started.elapsed().as_secs() < 5,
@@ -485,24 +476,20 @@ impl<T> Scorer<T> {
     /// with the stamp it read, against `view`'s loads with the vertex
     /// detached from `current`.
     #[allow(clippy::too_many_arguments)] // the engine's hot path shares one state bundle
-    fn score<P, A>(
+    fn score<A: AssignmentRef>(
         &mut self,
-        provider: &P,
+        provider: &AdjProvider<'_>,
         v: VertexId,
         assignment: &A,
         cost: &CostMatrix,
         alpha: f64,
         current: u32,
-        stamp: Option<StayCertificate>,
+        stamp: StayCertificate,
         view: LoadView<'_>,
-    ) -> u32
-    where
-        P: ConnectivityProvider<Scratch = T>,
-        A: AssignmentRef,
-    {
+    ) -> u32 {
         provider.count(v, assignment, &mut self.scratch, &mut self.counts);
         comm_terms(&self.counts, cost, &mut self.value);
-        if let Some(stamp) = stamp.filter(|s| s.stay.is_none()) {
+        if stamp.stay.is_none() {
             // The same proof from the counts just copied, which are
             // current: the gap is the one a scored stay would store.
             let gap = terms_gap(current, &mut self.value);
@@ -531,16 +518,14 @@ impl<T> Scorer<T> {
             }
         }
         let scored = select_partition(alpha, view.loads, view.expected, &mut self.value);
-        if let Some(stamp) = stamp {
-            provider.certify(v, stamp.generation, scored.part, scored.gap);
-        }
+        provider.certify(v, stamp.generation, scored.part, scored.gap);
         scored.part
     }
 
     /// Whether a stay on `part` with communication gap `gap` under `alpha`
     /// is proved: [`certified_margin_with`] over `own`, `part`'s load with
-    /// the vertex detached, and `view`'s summary for the other parts. Both
-    /// strategies' certificates and fresh proofs go through here. Debug
+    /// the vertex detached, and `view`'s summary for the other parts. Every
+    /// certificate and fresh proof goes through here. Debug
     /// builds require the margin, settled or refused, to equal the scan of
     /// [`certified_margin`] over `view`'s loads with `own` in place, bit for
     /// bit: a stale summary shows up there.
@@ -572,8 +557,8 @@ fn detached(loads: &[f64], part: u32, own: f64) -> Vec<f64> {
 /// aligned to 128 bytes — two cache lines, the unit adjacent-line
 /// prefetchers pull in — and never share a line with a peer's.
 #[repr(align(128))]
-struct WorkerSlot<T> {
-    scorer: Scorer<T>,
+struct WorkerSlot {
+    scorer: Scorer,
     loads_view: Vec<f64>,
     /// The [`LoadSummary`] of `loads_view` for a stealing worker,
     /// recomputed at each reload of `fixed_loads`.
@@ -587,14 +572,9 @@ struct WorkerSlot<T> {
     log: Vec<(usize, u32)>,
 }
 
-impl<T> WorkerSlot<T> {
+impl WorkerSlot {
     /// Tops `slots` up to `workers` entries sized for `p` parts.
-    fn fill<P: ConnectivityProvider<Scratch = T>>(
-        slots: &mut Vec<Self>,
-        workers: usize,
-        provider: &P,
-        p: usize,
-    ) {
+    fn fill(slots: &mut Vec<Self>, workers: usize, provider: &AdjProvider<'_>, p: usize) {
         while slots.len() < workers {
             slots.push(WorkerSlot {
                 scorer: Scorer::new(provider, p),
@@ -615,12 +595,12 @@ const STALE_EPOCH: u64 = u64::MAX;
 /// Assigns `v` to `part` in `partition`, the assignment the provider's
 /// counts read, and reports the change to the provider, which the caller
 /// holds exclusively.
-fn set_part<P: ConnectivityProvider>(
-    provider: &mut P,
+fn set_part(
+    provider: &mut AdjProvider<'_>,
     partition: &mut Partition,
     v: VertexId,
     part: u32,
-    scratch: &mut P::Scratch,
+    scratch: &mut AdjScratch,
 ) {
     let prior = partition.part_of(v);
     if prior != part {
@@ -632,8 +612,8 @@ fn set_part<P: ConnectivityProvider>(
 /// Whether `provider`'s counts agree with `assignment` and its stay
 /// certificates with those counts — the engine's debug-build check at
 /// every pass end and stealing batch boundary.
-fn consistent<P: ConnectivityProvider, A: AssignmentRef>(
-    provider: &P,
+fn consistent<A: AssignmentRef>(
+    provider: &AdjProvider<'_>,
     assignment: &A,
     cost: &CostMatrix,
 ) -> bool {
@@ -717,12 +697,13 @@ impl EngineMetrics {
 }
 
 impl Engine {
-    /// Creates an engine running Algorithm 1 under `config` with the given
-    /// execution strategy.
+    /// Creates an engine running Algorithm 1 under `config` on the
+    /// strategy's threads.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration or the strategy fails validation.
+    /// Panics if the configuration or the thread and chunk counts fail
+    /// validation.
     pub fn new(config: HyperPrawConfig, strategy: ExecutionStrategy) -> Self {
         config
             .validate()
@@ -751,12 +732,12 @@ impl Engine {
     /// configuration's stream order, from Algorithm 1's round-robin start,
     /// under the communication-cost matrix `cost`, with per-pass costs read
     /// from the provider.
-    pub fn run<P: ConnectivityProvider>(
+    pub fn run(
         &self,
         cost: &CostMatrix,
         hg: &Hypergraph,
-        provider: &mut P,
-    ) -> EngineRun {
+        provider: &mut AdjProvider<'_>,
+    ) -> PartitionResult {
         let p = cost.num_units();
         assert!(p > 0, "cost matrix must cover at least one compute unit");
         let order = stream_order(hg, self.config.stream_order, self.config.seed);
@@ -785,14 +766,14 @@ impl Engine {
     ///
     /// Panics when the cost matrix is empty or `warm`'s part count or load
     /// vector length disagree with it.
-    pub fn run_warm<P: ConnectivityProvider>(
+    pub fn run_warm(
         &self,
         cost: &CostMatrix,
         hg: &Hypergraph,
         dirty: &[VertexId],
-        provider: &mut P,
+        provider: &mut AdjProvider<'_>,
         warm: WarmStart,
-    ) -> EngineRun {
+    ) -> PartitionResult {
         let p = cost.num_units();
         assert!(p > 0, "cost matrix must cover at least one compute unit");
         assert_eq!(
@@ -822,15 +803,15 @@ impl Engine {
     /// [`Engine::run_warm`]: each pass visits `order`; α tempering until
     /// the tolerance is met, then refinement with comm-cost rollback. The
     /// provider is synced over `visits` (`None`: every vertex).
-    fn run_loop<P: ConnectivityProvider>(
+    fn run_loop(
         &self,
         cost: &CostMatrix,
         hg: &Hypergraph,
         order: &[VertexId],
         visits: Option<&[VertexId]>,
-        provider: &mut P,
+        provider: &mut AdjProvider<'_>,
         mut state: EngineState,
-    ) -> EngineRun {
+    ) -> PartitionResult {
         let p = state.loads.len();
         let config = &self.config;
         let sync_span = self.metrics.sync_us.span();
@@ -846,30 +827,17 @@ impl Engine {
         let mut previous_feasible: Option<(Partition, f64, f64)> = None;
         let mut stop_reason = StopReason::MaxIterations;
         let mut iterations = 0usize;
-        let mut slots: Vec<WorkerSlot<P::Scratch>> = Vec::new();
+        let mut slots: Vec<WorkerSlot> = Vec::new();
 
         for pass in 1..=config.max_iterations {
             iterations = pass;
             let pass_span = self.metrics.pass_time_us.span();
-            let moved = match self.strategy {
-                // A single worker has nobody to race: run the live
-                // sequential loop, so one thread is bit-identical to
-                // `Sequential` (the n=1 determinism anchor).
-                ExecutionStrategy::Sequential
-                | ExecutionStrategy::WorkStealing { num_threads: 1, .. } => {
-                    self.sequential_pass(cost, hg, order, provider, &mut state, alpha, &mut slots)
-                }
-                ExecutionStrategy::WorkStealing { num_threads, chunk } => self.steal_pass(
-                    cost,
-                    hg,
-                    order,
-                    provider,
-                    &mut state,
-                    alpha,
-                    num_threads,
-                    chunk,
-                    &mut slots,
-                ),
+            // A single thread has nobody to race: it runs the sequential
+            // loop (the n=1 determinism anchor).
+            let moved = if self.strategy.num_threads == 1 {
+                self.sequential_pass(cost, hg, order, provider, &mut state, alpha, &mut slots)
+            } else {
+                self.steal_pass(cost, hg, order, provider, &mut state, alpha, &mut slots)
             };
             pass_span.finish();
             for slot in &mut slots {
@@ -965,7 +933,7 @@ impl Engine {
             "provider state drifted from the returned partition"
         );
 
-        EngineRun {
+        PartitionResult {
             partition: state.partition,
             history,
             stop_reason,
@@ -978,12 +946,19 @@ impl Engine {
 
     /// One timed comm-cost evaluation of `partition`, the assignment the
     /// provider is synced to, from the provider's kept part-pair counts.
-    fn eval_comm_cost<P: ConnectivityProvider>(
+    /// Every path keeps those counts exact through the run, so none awaits
+    /// a recount here; the debug builds' [`consistent`] check has already
+    /// compared them with a fresh count, so the cost is the oracle's.
+    fn eval_comm_cost(
         &self,
-        provider: &mut P,
+        provider: &mut AdjProvider<'_>,
         partition: &Partition,
         cost: &CostMatrix,
     ) -> f64 {
+        debug_assert!(
+            provider.pair_counts().is_some(),
+            "the kept part-pair counts await a recount"
+        );
         let span = self.metrics.commcost_eval_us.span();
         let comm_cost = provider.comm_cost(partition, cost);
         span.finish();
@@ -994,15 +969,15 @@ impl Engine {
     /// current partition and re-assigned with fully fresh information
     /// (Algorithm 1's inner loop). Returns the number of moved vertices.
     #[allow(clippy::too_many_arguments)] // the engine's hot path shares one state bundle
-    fn sequential_pass<P: ConnectivityProvider>(
+    fn sequential_pass(
         &self,
         cost: &CostMatrix,
         hg: &Hypergraph,
         order: &[VertexId],
-        provider: &mut P,
+        provider: &mut AdjProvider<'_>,
         state: &mut EngineState,
         alpha: f64,
-        slots: &mut Vec<WorkerSlot<P::Scratch>>,
+        slots: &mut Vec<WorkerSlot>,
     ) -> usize {
         WorkerSlot::fill(slots, 1, provider, state.loads.len());
         let scorer = &mut slots[0].scorer;
@@ -1040,7 +1015,7 @@ impl Engine {
     ///
     /// Workers write shared state only when a vertex moves: the load
     /// counters, the atomic assignment, the provider's
-    /// [`ConnectivityProvider::moved`] and then the pass's move epoch,
+    /// [`AdjProvider::moved`] and then the pass's move epoch,
     /// with release ordering. A worker caches the loads and their `f64`
     /// view in its cache-line-aligned [`WorkerSlot`] and reloads them only
     /// when the epoch, read with acquire ordering, has moved since, and
@@ -1055,24 +1030,22 @@ impl Engine {
     /// Each worker logs its moves only: the provider's counts read the
     /// live assignment, and nothing else reads a stay. The boundary applies
     /// the logs in worker order in one loop and replays each move on the
-    /// provider ([`ConnectivityProvider::replay`]) against the assignment
+    /// provider ([`AdjProvider::replay`]) against the assignment
     /// as of that move, so its serial cost follows the moves, not the
     /// batch.
     #[allow(clippy::too_many_arguments)] // the engine's hot path shares one state bundle
-    fn steal_pass<P: ConnectivityProvider>(
+    fn steal_pass(
         &self,
         cost: &CostMatrix,
         hg: &Hypergraph,
         order: &[VertexId],
-        provider: &mut P,
+        provider: &mut AdjProvider<'_>,
         state: &mut EngineState,
         alpha: f64,
-        num_threads: usize,
-        chunk: usize,
-        slots: &mut Vec<WorkerSlot<P::Scratch>>,
+        slots: &mut Vec<WorkerSlot>,
     ) -> usize {
+        let ExecutionStrategy { num_threads, chunk } = self.strategy;
         let p = state.loads.len();
-        WorkerSlot::fill(slots, num_threads, provider, p);
         // The live assignment view covers the *full* graph — connectivity
         // counts read arbitrary neighbours, not just batch members.
         let view = AtomicAssignment::from_partition(&state.partition);
@@ -1089,13 +1062,20 @@ impl Engine {
         // than 8192 vertices (at the default chunk and two workers) spans
         // several batches, each with its own thread team and boundary
         // apply.
-        let batch_cap = (chunk * num_threads * 16).max(8192);
+        let batch_cap = chunk
+            .saturating_mul(num_threads)
+            .saturating_mul(16)
+            .max(8192);
         let mut moved = 0usize;
 
         for batch in order.chunks(batch_cap) {
             let len = batch.len();
             self.metrics.vertices_scored.add(len as u64);
+            // No more workers than the batch has chunks, and a slot only
+            // per worker that starts: a slot per requested thread would let
+            // a huge thread count allocate unboundedly.
             let workers = num_threads.min(len.div_ceil(chunk)).max(1);
+            WorkerSlot::fill(slots, workers, provider, p);
 
             // Re-sync the fixed-point counters from the authoritative f64
             // loads so rounding drift cannot accumulate across batches.
@@ -1110,10 +1090,10 @@ impl Engine {
                 let shared = &shared_loads[..];
                 let move_epoch = &move_epoch;
                 let expected = &state.expected[..];
-                let provider_ref: &P = provider;
+                let provider_ref: &AdjProvider<'_> = provider;
                 let chunk_claims = &self.metrics.steal_chunk_claims;
 
-                let run_worker = |slot: &mut WorkerSlot<P::Scratch>| {
+                let run_worker = |slot: &mut WorkerSlot| {
                     slot.loads_view.resize(p, 0.0);
                     // The counters were re-synced since the last batch.
                     slot.epoch = STALE_EPOCH;

@@ -1,28 +1,25 @@
-//! How neighbour-partition counts are obtained — the engine's state axis.
+//! How neighbour-partition counts are obtained: [`AdjProvider`].
 //!
 //! For each visited vertex the engine needs the counts `X_j(v)` consumed by
-//! the value function ([`crate::value`]). A [`ConnectivityProvider`]
-//! answers that query and absorbs assignment updates. [`AdjProvider`] is
-//! the provider: it counts **distinct neighbour vertices** per partition
-//! and keeps **exact part counts** `X(v)` for every vertex the run
-//! visits: synced once per run ([`ConnectivityProvider::sync`]) and
-//! shifted by one on every move of a neighbour
-//! ([`ConnectivityProvider::moved`]), so a visit is an O(p) copy.
-//! Neighbourhoods are walked only at sync and on a move, by an epoch
-//! traversal of the vertex's pins. Next to each vertex's counts it keeps a
-//! **stay certificate** and the generation of those counts, which lets
-//! the engine keep a vertex in place without copying its counts or scoring
-//! ([`ConnectivityProvider::stay_certificate`]). It also keeps the
-//! part-pair counts `M` and answers the engine's per-pass comm cost from
-//! them ([`ConnectivityProvider::comm_cost`]).
+//! the value function ([`crate::value`]). [`AdjProvider`] answers that
+//! query and absorbs assignment updates: it counts **distinct neighbour
+//! vertices** per partition and keeps **exact part counts** `X(v)` for
+//! every vertex the run visits, synced once per run
+//! ([`AdjProvider::sync`]) and shifted by one on every move of a neighbour
+//! ([`AdjProvider::moved`]), so a visit is an O(p) copy. Neighbourhoods
+//! are walked only at sync and on a move, by an epoch traversal of the
+//! vertex's pins. Next to each vertex's counts it keeps a **stay
+//! certificate** and the generation of those counts, which lets the
+//! engine keep a vertex in place without copying its counts or scoring
+//! ([`AdjProvider::stay_certificate`]). It also keeps the part-pair counts
+//! `M` and answers the engine's per-pass comm cost from them
+//! ([`AdjProvider::comm_cost`]).
 //!
-//! Scoring reads take `&self` plus a worker-local
-//! [`ConnectivityProvider::Scratch`], so the work-stealing strategy can
-//! fan the same provider out across worker threads.
-//! [`AdjProvider`]'s kept counts are atomics, so a work-stealing worker
-//! updates them next to its own write of the live assignment.
-//! [`AdjProvider`]'s scratch is O(1) until the worker traverses a
-//! neighbourhood (the traversal scratch materialises lazily).
+//! Scoring reads take `&self` plus a worker-local [`AdjScratch`], so the
+//! work-stealing workers can share one provider. The kept counts are
+//! atomics, so a work-stealing worker updates them next to its own write
+//! of the live assignment. The scratch is O(1) until the worker traverses
+//! a neighbourhood (the traversal scratch materialises lazily).
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
@@ -34,112 +31,17 @@ use hyperpraw_hypergraph::{AssignmentRef, Hypergraph, Partition, VertexId};
 use crate::metrics::{check_shapes, CommCostState, PairCounts};
 use crate::value::{comm_gap_in, ValueScratch};
 
-/// What [`ConnectivityProvider::stay_certificate`] read for one vertex.
+/// What [`AdjProvider::stay_certificate`] read for one vertex.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StayCertificate {
     /// The generation of the vertex's kept counts — how often they have
     /// shifted since its certificate was made — read before they are
-    /// copied; [`ConnectivityProvider::certify`] takes it back.
+    /// copied; [`AdjProvider::certify`] takes it back.
     pub generation: u32,
     /// The part the vertex's last certified visit chose and that visit's
     /// communication gap ([`crate::value::ScoredPartition::gap`]), while
     /// no neighbour has moved since — `None` otherwise.
     pub stay: Option<(u32, f64)>,
-}
-
-/// Supplies neighbour-partition counts to the restreaming engine and
-/// tracks assignment changes.
-pub trait ConnectivityProvider: Sync {
-    /// Worker-local scratch handed to every [`ConnectivityProvider::count`]
-    /// call; one instance per worker thread, reused across batches and
-    /// passes.
-    type Scratch: Send;
-
-    /// Creates one worker's scratch space.
-    fn new_scratch(&self) -> Self::Scratch;
-
-    /// Called once per run, before the first pass, with the assignment the
-    /// run starts from (the round-robin seed, or a warm start's partition)
-    /// and the vertices the run will visit (`None`: every vertex). From
-    /// here on the engine reports every change of that assignment through
-    /// [`ConnectivityProvider::moved`].
-    fn sync(&mut self, assignment: &Partition, visits: Option<&[VertexId]>);
-
-    /// Called exactly where the assignment that
-    /// [`ConnectivityProvider::count`] reads changes `v` from part `from`
-    /// to part `to` (`from != to`): at each placement in sequential
-    /// execution, and in the worker next to its write of the live
-    /// assignment in work-stealing execution — hence `&self` and the
-    /// worker's scratch.
-    fn moved(&self, v: VertexId, from: u32, to: u32, scratch: &mut Self::Scratch);
-
-    /// [`ConnectivityProvider::moved`] where the caller holds the only
-    /// reference — the sequential placement and a cost rollback — so
-    /// providers can shift their state without atomic read-modify-writes.
-    fn moved_exclusive(&mut self, v: VertexId, from: u32, to: u32, scratch: &mut Self::Scratch);
-
-    /// Replays at a work-stealing batch boundary, where the caller holds
-    /// the only reference, a move `v: from → to` that a worker reported
-    /// through [`ConnectivityProvider::moved`]: once for each such move,
-    /// in the order the engine applies them to `assignment`, which still
-    /// holds `v` on `from` and every earlier move of the batch. State that
-    /// concurrent `moved` calls cannot keep exact follows the moves here,
-    /// so it is exact again once the whole batch is replayed.
-    fn replay(
-        &mut self,
-        v: VertexId,
-        from: u32,
-        to: u32,
-        assignment: &Partition,
-        scratch: &mut Self::Scratch,
-    );
-
-    /// Whether the provider's assignment-derived state agrees with
-    /// `assignment`. The engine asserts this in debug builds wherever that
-    /// state must be exact — at every pass end and work-stealing batch
-    /// boundary.
-    fn agrees_with<A: AssignmentRef>(&self, assignment: &A) -> bool;
-
-    /// Whether every live stay certificate is the one the current counts
-    /// give under `cost`, for the part `assignment` holds its vertex on.
-    /// Checked in debug builds next to
-    /// [`ConnectivityProvider::agrees_with`], which it assumes holds.
-    fn certificates_agree_with<A: AssignmentRef>(&self, assignment: &A, cost: &CostMatrix) -> bool;
-
-    /// Reads `v`'s stay certificate. Called before
-    /// [`ConnectivityProvider::count`], so the generation it returns
-    /// predates the counts the visit copies. `None` when the provider
-    /// keeps no counts for `v` — then the engine neither checks nor makes
-    /// a certificate.
-    fn stay_certificate(&self, v: VertexId) -> Option<StayCertificate>;
-
-    /// Stores the certificate of a scored visit: the counts read at
-    /// `generation` put `v` on `part` with communication gap `gap`. It is
-    /// valid until a neighbour's move shifts `v`'s counts, and never valid
-    /// when such a move raced the scoring.
-    fn certify(&self, v: VertexId, generation: u32, part: u32, gap: f64);
-
-    /// The partitioning communication cost of `assignment` under `cost`,
-    /// answered from the part-pair counts the provider keeps. The engine
-    /// calls it after each pass and at the end of a run, with the
-    /// assignment the provider is synced to and no worker running, so the
-    /// answer is exact and bit-identical to
-    /// [`crate::metrics::partitioning_communication_cost`].
-    fn comm_cost(&mut self, assignment: &Partition, cost: &CostMatrix) -> f64;
-
-    /// Writes the neighbour-partition counts `X_j(v)` for `v`, the vertex
-    /// itself excluded, into `counts` (cleared and resized), evaluated
-    /// against `assignment` — the live assignment in sequential execution,
-    /// or a live atomic view (with bounded staleness) in work-stealing
-    /// execution, which is why the parameter is any [`AssignmentRef`]
-    /// rather than a concrete `Partition`.
-    fn count<A: AssignmentRef>(
-        &self,
-        v: VertexId,
-        assignment: &A,
-        scratch: &mut Self::Scratch,
-        counts: &mut Vec<u32>,
-    );
 }
 
 /// Slot value of a vertex without kept counts.
@@ -188,10 +90,10 @@ fn f32_at_most(x: f64) -> f32 {
     }
 }
 
-/// The in-memory [`ConnectivityProvider`]: exact distinct-neighbour part
-/// counts `X(v)` kept for every vertex a run visits.
+/// The engine's connectivity state: exact distinct-neighbour part counts
+/// `X(v)` kept for every vertex a run visits.
 ///
-/// [`ConnectivityProvider::sync`] counts `X(v)` once per run for each
+/// [`AdjProvider::sync`] counts `X(v)` once per run for each
 /// vertex the run will visit: one row of [`AtomicU32`]s per vertex — a
 /// 12-byte stay certificate, then the `p` counts (`4·p + 12` bytes per
 /// vertex, see [`AdjProvider::memory_bytes`]) — plus, when the run visits
@@ -221,7 +123,7 @@ fn f32_at_most(x: f64) -> f32 {
 ///
 /// Synced, the provider also keeps the part-pair counts `M` of
 /// [`crate::metrics`] — `M[a][·]` is the sum of `X(v)` over the vertices
-/// on part `a` — and answers [`ConnectivityProvider::comm_cost`] with one
+/// on part `a` — and answers [`AdjProvider::comm_cost`] with one
 /// O(p²) dot, bit-identical to
 /// [`crate::metrics::partitioning_communication_cost`]. A sync over a
 /// subset (a warm run over a dirty set) takes the `M` its caller resumed
@@ -234,7 +136,7 @@ fn f32_at_most(x: f64) -> f32 {
 /// integers of a walk. A stealing worker's move cannot do that exactly
 /// while a neighbour's move shifts `X(v)` concurrently, so it only counts
 /// itself as awaiting replay. At the batch boundary the engine replays
-/// each move ([`ConnectivityProvider::replay`]) against the assignment
+/// each move ([`AdjProvider::replay`]) against the assignment
 /// as of that move: one walk of `v`'s neighbours gives `X(v)` then, and
 /// `M` shifts by it. Once every reported move is replayed `M` is exact
 /// again; read while a move still awaits replay — by a caller that
@@ -268,8 +170,8 @@ pub struct AdjProvider<'a> {
     /// The part-pair counts `M` of the synced assignment: `M[a][·]` is
     /// the sum of `X(v)` over the vertices on part `a`.
     pairs: Option<PairCounts>,
-    /// Moves reported through [`ConnectivityProvider::moved`] whose shift
-    /// of `pairs` awaits [`ConnectivityProvider::replay`]; while any does,
+    /// Moves reported through [`AdjProvider::moved`] whose shift
+    /// of `pairs` awaits [`AdjProvider::replay`]; while any does,
     /// the next evaluation counts `pairs` afresh. A plain tally — it
     /// publishes nothing and is read only with exclusive access, after the
     /// workers have joined — so it is relaxed.
@@ -328,6 +230,16 @@ impl Drop for AdjScratch {
     fn drop(&mut self) {
         self.flush_hub_fallbacks();
     }
+}
+
+/// [`AdjProvider::slot`] over the borrowed parts.
+#[inline]
+fn slot_of(slots: &[u32], num_counted: usize, v: VertexId) -> Option<usize> {
+    if slots.is_empty() {
+        return ((v as usize) < num_counted).then_some(v as usize);
+    }
+    let slot = *slots.get(v as usize)?;
+    (slot != NO_SLOT).then_some(slot as usize)
 }
 
 impl<'a> AdjProvider<'a> {
@@ -464,22 +376,11 @@ impl<'a> AdjProvider<'a> {
             });
         }
     }
-}
 
-/// [`AdjProvider::slot`] over the borrowed parts.
-#[inline]
-fn slot_of(slots: &[u32], num_counted: usize, v: VertexId) -> Option<usize> {
-    if slots.is_empty() {
-        return ((v as usize) < num_counted).then_some(v as usize);
-    }
-    let slot = *slots.get(v as usize)?;
-    (slot != NO_SLOT).then_some(slot as usize)
-}
-
-impl ConnectivityProvider for AdjProvider<'_> {
-    type Scratch = AdjScratch;
-
-    fn new_scratch(&self) -> Self::Scratch {
+    /// Creates one worker's scratch space, handed to every
+    /// [`AdjProvider::count`] and move call of that worker and reused
+    /// across batches and passes.
+    pub fn new_scratch(&self) -> AdjScratch {
         AdjScratch {
             fallback: None,
             hub_fallbacks: self.hub_fallbacks.clone(),
@@ -487,7 +388,14 @@ impl ConnectivityProvider for AdjProvider<'_> {
         }
     }
 
-    fn sync(&mut self, assignment: &Partition, visits: Option<&[VertexId]>) {
+    /// Counts `X(v)` for every vertex the run will visit (`visits`;
+    /// `None`: every vertex) under `assignment`, the assignment the run
+    /// starts from (the round-robin seed, or a warm start's partition),
+    /// and takes or counts `M`. The engine calls it once per run, before
+    /// the first pass, and from then on reports every change of that
+    /// assignment through [`AdjProvider::moved`] or
+    /// [`AdjProvider::moved_exclusive`].
+    pub fn sync(&mut self, assignment: &Partition, visits: Option<&[VertexId]>) {
         let p = assignment.num_parts() as usize;
         let n = assignment.num_vertices();
         self.num_parts = p;
@@ -539,7 +447,13 @@ impl ConnectivityProvider for AdjProvider<'_> {
         self.refresh_pairs(assignment);
     }
 
-    fn moved(&self, v: VertexId, from: u32, to: u32, scratch: &mut Self::Scratch) {
+    /// Shifts the kept counts of `v`'s neighbours for a move of `v` from
+    /// part `from` to part `to` (`from != to`), called exactly where the
+    /// assignment that [`AdjProvider::count`] reads changes: in the
+    /// work-stealing worker next to its write of the live assignment —
+    /// hence `&self` and the worker's scratch. `M` awaits the move's
+    /// [`AdjProvider::replay`].
+    pub fn moved(&self, v: VertexId, from: u32, to: u32, scratch: &mut AdjScratch) {
         if self.rows.is_empty() {
             return;
         }
@@ -553,13 +467,20 @@ impl ConnectivityProvider for AdjProvider<'_> {
         self.unreplayed.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn replay(
+    /// Replays at a work-stealing batch boundary, where the caller holds
+    /// the only reference, a move `v: from → to` that a worker reported
+    /// through [`AdjProvider::moved`]: once for each such move, in the
+    /// order the engine applies them to `assignment`, which still holds
+    /// `v` on `from` and every earlier move of the batch. `M` shifts by
+    /// `v`'s neighbours as `assignment` places them, so it is exact again
+    /// once the whole batch is replayed.
+    pub fn replay(
         &mut self,
         v: VertexId,
         from: u32,
         to: u32,
         assignment: &Partition,
-        scratch: &mut Self::Scratch,
+        scratch: &mut AdjScratch,
     ) {
         if self.rows.is_empty() {
             return;
@@ -579,7 +500,11 @@ impl ConnectivityProvider for AdjProvider<'_> {
         pairs.move_counted(from, to, x.iter().copied());
     }
 
-    fn moved_exclusive(&mut self, v: VertexId, from: u32, to: u32, scratch: &mut Self::Scratch) {
+    /// [`AdjProvider::moved`] where the caller holds the only reference —
+    /// the sequential placement and a cost rollback — so the counts shift
+    /// without atomic read-modify-writes and `M` shifts by `v`'s own kept
+    /// counts at once.
+    pub fn moved_exclusive(&mut self, v: VertexId, from: u32, to: u32, scratch: &mut AdjScratch) {
         if self.rows.is_empty() {
             return;
         }
@@ -609,7 +534,11 @@ impl ConnectivityProvider for AdjProvider<'_> {
         }
     }
 
-    fn agrees_with<A: AssignmentRef>(&self, assignment: &A) -> bool {
+    /// Whether the kept counts, and `M` unless it awaits a recount, agree
+    /// with `assignment`. The engine asserts this in debug builds wherever
+    /// they must be exact — at every pass end and work-stealing batch
+    /// boundary.
+    pub fn agrees_with<A: AssignmentRef>(&self, assignment: &A) -> bool {
         let mut oracle = NeighborScratch::new(self.hg.num_vertices());
         let mut expected = Vec::new();
         let counts_agree = self.hg.vertices().all(|v| {
@@ -627,14 +556,32 @@ impl ConnectivityProvider for AdjProvider<'_> {
         counts_agree && pairs_agree
     }
 
-    fn comm_cost(&mut self, assignment: &Partition, cost: &CostMatrix) -> f64 {
+    /// The partitioning communication cost of `assignment` under `cost`,
+    /// answered from the kept part-pair counts `M`. The engine calls it
+    /// after each pass and at the end of a run, with the assignment the
+    /// provider is synced to and no worker running, so the answer is exact
+    /// and bit-identical to
+    /// [`crate::metrics::partitioning_communication_cost`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the provider was never synced.
+    pub fn comm_cost(&mut self, assignment: &Partition, cost: &CostMatrix) -> f64 {
         check_shapes(self.hg, assignment, cost);
         self.refresh_pairs(assignment);
         let pairs = self.pairs.as_ref().expect("a synced provider keeps pairs");
         pairs.dot(cost)
     }
 
-    fn certificates_agree_with<A: AssignmentRef>(&self, assignment: &A, cost: &CostMatrix) -> bool {
+    /// Whether every live stay certificate is the one the current counts
+    /// give under `cost`, for the part `assignment` holds its vertex on.
+    /// Checked in debug builds next to [`AdjProvider::agrees_with`], which
+    /// it assumes holds.
+    pub fn certificates_agree_with<A: AssignmentRef>(
+        &self,
+        assignment: &A,
+        cost: &CostMatrix,
+    ) -> bool {
         let mut counts = Vec::new();
         let mut value = ValueScratch::new();
         self.hg.vertices().all(|v| {
@@ -653,16 +600,29 @@ impl ConnectivityProvider for AdjProvider<'_> {
         })
     }
 
-    fn stay_certificate(&self, v: VertexId) -> Option<StayCertificate> {
-        let row = self.row(v)?;
+    /// Reads `v`'s stay certificate. Called before [`AdjProvider::count`],
+    /// so the generation it returns predates the counts the visit copies.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `v` has no kept counts: the engine visits only the
+    /// vertices it synced.
+    pub fn stay_certificate(&self, v: VertexId) -> StayCertificate {
+        let row = self
+            .row(v)
+            .unwrap_or_else(|| panic!("vertex {v} has no kept counts"));
         let generation = row[GENERATION].load(Ordering::Acquire);
-        Some(StayCertificate {
+        StayCertificate {
             generation,
             stay: certified_stay(row, generation),
-        })
+        }
     }
 
-    fn certify(&self, v: VertexId, generation: u32, part: u32, gap: f64) {
+    /// Stores the certificate of a scored visit: the counts read at
+    /// `generation` put `v` on `part` with communication gap `gap`. It is
+    /// valid until a neighbour's move shifts `v`'s counts, and never valid
+    /// when such a move raced the scoring.
+    pub fn certify(&self, v: VertexId, generation: u32, part: u32, gap: f64) {
         if let Some(row) = self.row(v) {
             // Only `v`'s next visit reads these, on this thread or after
             // the worker team joins, so they need no ordering of their own.
@@ -679,11 +639,16 @@ impl ConnectivityProvider for AdjProvider<'_> {
         }
     }
 
-    fn count<A: AssignmentRef>(
+    /// Writes the neighbour-partition counts `X_j(v)` for `v`, the vertex
+    /// itself excluded, into `counts` (cleared and resized): `v`'s kept
+    /// counts when it has them, otherwise a traversal against
+    /// `assignment` — a plain `Partition`, or the work-stealing workers'
+    /// live atomic view, hence any [`AssignmentRef`].
+    pub fn count<A: AssignmentRef>(
         &self,
         v: VertexId,
         assignment: &A,
-        scratch: &mut Self::Scratch,
+        scratch: &mut AdjScratch,
         counts: &mut Vec<u32>,
     ) {
         if let Some(x) = self.kept_counts(v) {
@@ -776,16 +741,16 @@ mod tests {
             ..HyperPrawConfig::default()
         };
         for strategy in [
-            ExecutionStrategy::Sequential,
-            ExecutionStrategy::WorkStealing {
+            ExecutionStrategy::threads(1),
+            ExecutionStrategy {
                 num_threads: 3,
                 chunk: 500,
             },
-            ExecutionStrategy::WorkStealing {
+            ExecutionStrategy {
                 num_threads: 2,
                 chunk: 16,
             },
-            ExecutionStrategy::WorkStealing {
+            ExecutionStrategy {
                 num_threads: 4,
                 chunk: 16,
             },
@@ -798,10 +763,7 @@ mod tests {
             );
             let moves: usize = run.history.records().iter().map(|r| r.moved_vertices).sum();
             assert!(moves > 2 * 1024, "the test must cross the flush threshold");
-            let walks_per_move = match strategy {
-                ExecutionStrategy::WorkStealing { .. } => 2,
-                _ => 1,
-            };
+            let walks_per_move = if strategy.num_threads > 1 { 2 } else { 1 };
             assert_eq!(
                 registry.counter_value("engine.hub_fallbacks"),
                 Some(n + walks_per_move * moves as u64),

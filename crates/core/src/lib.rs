@@ -24,24 +24,21 @@
 //! (architecture-oblivious), **HyperPRAW-aware** uses a matrix derived from
 //! bandwidth profiling ([`CostMatrix::from_bandwidth`]).
 //!
-//! ## Architecture: one engine, two axes
+//! ## Architecture: one engine, one provider, a thread count
 //!
 //! Algorithm 1 is implemented exactly once, by the restreaming
-//! [`engine`], over an in-memory hypergraph in a visit order, along two
-//! orthogonal axes:
+//! [`engine`], over an in-memory hypergraph in a visit order:
 //!
-//! * **connectivity provider** ([`engine::ConnectivityProvider`]) — where
-//!   the neighbour-partition counts `X_j(v)` come from: exact part counts
-//!   kept for every visited vertex and shifted on every move
-//!   ([`engine::AdjProvider`], which finds neighbourhoods by traversal);
-//! * **execution strategy** ([`engine::ExecutionStrategy`]) — sequential
-//!   decisions with fresh information (deterministic), or lock-free work
-//!   stealing against live atomic shared state with bounded staleness
-//!   (the parallel mode).
+//! * the neighbour-partition counts `X_j(v)` come from one
+//!   [`engine::AdjProvider`]: exact part counts kept for every visited
+//!   vertex and shifted on every move, neighbourhoods found by traversal;
+//! * the schedule is a thread count ([`engine::ExecutionStrategy`]): one
+//!   thread decides with fresh information (deterministic), more run
+//!   lock-free work stealing against live atomic shared state with
+//!   bounded staleness (the parallel mode).
 //!
-//! [`HyperPraw`] runs the sequential strategy by default;
-//! [`HyperPraw::with_threads`] swaps in the work-stealing strategy for
-//! more than one thread. The dynamic layer restreams a dirty set through
+//! [`HyperPraw`] streams on one thread by default;
+//! [`HyperPraw::with_threads`] asks for more. The dynamic layer restreams a dirty set through
 //! [`engine::Engine::run_warm`]. The out-of-core `hyperpraw-lowmem` crate
 //! is a one-pass streamer of its own that shares the value function
 //! ([`value`]).
@@ -75,8 +72,9 @@ pub mod metrics;
 pub mod value;
 
 pub use config::{HyperPrawConfig, RefinementPolicy, StreamOrder};
+pub use engine::{PartitionResult, StopReason};
 pub use history::{IterationRecord, PartitionHistory, StreamPhase};
-pub use restream::{HyperPraw, PartitionResult, StopReason};
+pub use restream::HyperPraw;
 
 /// The one parallel schedule, under the name it had when a second,
 /// bulk-synchronous schedule existed. The benchmark harness still names

@@ -1,37 +1,14 @@
-//! The HyperPRAW restreaming driver (Algorithm 1) — a thin instantiation
-//! of the generic [`crate::engine`]: in-memory vertex source × kept part
-//! counts found by traversal ([`AdjProvider::traversal`], no precomputed
-//! adjacency, which also answers the per-pass comm cost) × the execution
-//! strategy, sequential unless [`HyperPraw::with_threads`] selects the
-//! §8.2 parallel schedule.
+//! The HyperPRAW restreaming driver (Algorithm 1) — a thin front of the
+//! [`crate::engine`]: one [`AdjProvider`] whose part counts are found by
+//! traversal (no precomputed adjacency; it also answers the per-pass comm
+//! cost), streamed on one thread unless [`HyperPraw::with_threads`] asks
+//! for the §8.2 parallel schedule.
 
-use hyperpraw_hypergraph::{Hypergraph, Partition};
+use hyperpraw_hypergraph::Hypergraph;
 use hyperpraw_topology::CostMatrix;
 
-use crate::engine::{AdjProvider, Engine, ExecutionStrategy, DEFAULT_STEAL_CHUNK};
-use crate::history::PartitionHistory;
+use crate::engine::{AdjProvider, Engine, ExecutionStrategy, PartitionResult};
 use crate::HyperPrawConfig;
-
-pub use crate::engine::StopReason;
-
-/// The output of a HyperPRAW run.
-#[derive(Clone, Debug)]
-pub struct PartitionResult {
-    /// The selected vertex-to-partition assignment.
-    pub partition: Partition,
-    /// Per-stream history, one record per stream.
-    pub history: PartitionHistory,
-    /// Why the run stopped.
-    pub stop_reason: StopReason,
-    /// Number of streams executed.
-    pub iterations: usize,
-    /// The `α` value in effect when the run stopped.
-    pub final_alpha: f64,
-    /// Partitioning communication cost of the returned partition.
-    pub comm_cost: f64,
-    /// Imbalance of the returned partition.
-    pub imbalance: f64,
-}
 
 /// The HyperPRAW restreaming partitioner.
 ///
@@ -63,7 +40,7 @@ impl HyperPraw {
         Self {
             config,
             cost,
-            strategy: ExecutionStrategy::Sequential,
+            strategy: ExecutionStrategy::threads(1),
             registry: hyperpraw_telemetry::Registry::disabled(),
         }
     }
@@ -71,24 +48,19 @@ impl HyperPraw {
     /// Streams on `threads` workers — the paper's future-work extension
     /// (§8.2), which points to parallel streaming as the way past the
     /// sequential stream's scalability limit. More than one thread runs
-    /// the engine's lock-free work stealing
-    /// ([`ExecutionStrategy::WorkStealing`]): workers claim vertex chunks
-    /// and score against live shared state, so a run is valid at any
-    /// thread count but not bit-reproducible. One thread reproduces the
-    /// sequential run bit for bit.
+    /// the engine's lock-free work stealing ([`ExecutionStrategy`]):
+    /// workers claim vertex chunks and score against live shared state, so
+    /// a run is valid at any thread count but not bit-reproducible. One
+    /// thread is the sequential run.
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(
-            threads > 0,
-            "invalid parallel configuration: need at least one worker thread"
-        );
-        self.strategy = ExecutionStrategy::WorkStealing {
-            num_threads: threads,
-            chunk: DEFAULT_STEAL_CHUNK,
-        };
+        self.strategy = ExecutionStrategy::threads(threads);
+        self.strategy
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid parallel configuration: {e}"));
         self
     }
 
@@ -133,20 +105,11 @@ impl HyperPraw {
         // adjacency is built: sync and moves find neighbourhoods by
         // traversal. The provider also keeps the part-pair counts and
         // answers each comm-cost evaluation from them.
-        let run = engine.run(
+        engine.run(
             &self.cost,
             hg,
             &mut AdjProvider::traversal(hg).with_registry(&self.registry),
-        );
-        PartitionResult {
-            partition: run.partition,
-            history: run.history,
-            stop_reason: run.stop_reason,
-            iterations: run.iterations,
-            final_alpha: run.final_alpha,
-            comm_cost: run.comm_cost,
-            imbalance: run.imbalance,
-        }
+        )
     }
 }
 
@@ -155,11 +118,12 @@ mod tests {
     use super::*;
     use crate::history::StreamPhase;
     use crate::metrics::{partitioning_communication_cost, QualityReport};
-    use crate::RefinementPolicy;
+    use crate::{RefinementPolicy, StopReason};
     use hyperpraw_hypergraph::generators::{
         mesh_hypergraph, random_hypergraph, MeshConfig, RandomConfig,
     };
     use hyperpraw_hypergraph::metrics;
+    use hyperpraw_hypergraph::Partition;
     use hyperpraw_topology::{BandwidthMatrix, MachineModel};
 
     fn archer_cost(p: usize) -> CostMatrix {
@@ -400,6 +364,20 @@ mod tests {
                 result.imbalance
             );
         }
+    }
+
+    #[test]
+    fn a_huge_thread_count_starts_no_more_workers_than_chunks() {
+        // 256 vertices are four default chunks, so at most four workers
+        // and their slots exist, however many threads are asked for.
+        let hg = mesh_hypergraph(&MeshConfig::new(256, 6));
+        let result = HyperPraw::basic(HyperPrawConfig::default(), 4)
+            .with_threads(1 << 30)
+            .partition(&hg);
+        assert_eq!(result.partition.num_vertices(), 256);
+        assert!(result.partition.assignment().iter().all(|&part| part < 4));
+        let recomputed = result.partition.imbalance(&hg).unwrap();
+        assert!((result.imbalance - recomputed).abs() < 1e-9);
     }
 
     #[test]

@@ -318,7 +318,7 @@ fn bare_engine_is_bit_identical_to_the_reference() {
     let config = HyperPrawConfig::default();
     for (name, hg) in suite() {
         let reference = reference_restream(&hg, &config, &cost);
-        let run = Engine::new(config, ExecutionStrategy::Sequential).run(
+        let run = Engine::new(config, ExecutionStrategy::threads(1)).run(
             &cost,
             &hg,
             &mut AdjProvider::traversal(&hg),

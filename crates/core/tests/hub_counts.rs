@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 
-use hyperpraw_core::engine::{AdjProvider, ConnectivityProvider};
+use hyperpraw_core::engine::AdjProvider;
 use hyperpraw_hypergraph::generators::{random_hypergraph, CardinalityDist, RandomConfig};
 use hyperpraw_hypergraph::traversal::NeighborScratch;
 use hyperpraw_hypergraph::{Hypergraph, Partition, VertexId};
@@ -28,7 +28,7 @@ fn arb_hypergraph() -> impl Strategy<Value = Hypergraph> {
 }
 
 /// Syncs `provider` to `start`, replays `moves` through
-/// [`ConnectivityProvider::moved`], and checks every vertex against the
+/// [`AdjProvider::moved`], and checks every vertex against the
 /// oracle. Returns the number of vertices the provider kept counts for.
 fn check_model(
     hg: &Hypergraph,

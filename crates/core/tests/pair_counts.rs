@@ -11,16 +11,14 @@
 //! its replay counts `M` afresh. Either way every answer must be
 //! bit-identical to a fresh [`partitioning_communication_cost`] of the
 //! same assignment, under every cost matrix — after random move
-//! sequences, and after every pass of full engine runs under each
-//! execution strategy. The adjacency-backed
+//! sequences, and for the partition full engine runs return at every
+//! thread count. The adjacency-backed
 //! [`partitioning_communication_cost_with`] must agree too. An unsynced
 //! provider keeps no pairs.
 
 use proptest::prelude::*;
 
-use hyperpraw_core::engine::{
-    AdjProvider, ConnectivityProvider, Engine, ExecutionStrategy, StayCertificate,
-};
+use hyperpraw_core::engine::{AdjProvider, Engine, ExecutionStrategy};
 use hyperpraw_core::metrics::{
     partitioning_communication_cost, partitioning_communication_cost_with, CommCostState,
 };
@@ -29,9 +27,7 @@ use hyperpraw_hypergraph::generators::{
     mesh_hypergraph, powerlaw_hypergraph, random_hypergraph, CardinalityDist, MeshConfig,
     PowerLawConfig, RandomConfig,
 };
-use hyperpraw_hypergraph::{
-    AdjacencyBudget, AssignmentRef, Hypergraph, NeighborAdjacency, Partition, VertexId,
-};
+use hyperpraw_hypergraph::{AdjacencyBudget, Hypergraph, NeighborAdjacency, Partition, VertexId};
 use hyperpraw_topology::{BandwidthMatrix, MachineModel};
 
 fn arb_hypergraph() -> impl Strategy<Value = Hypergraph> {
@@ -87,8 +83,8 @@ fn seeded_partition(n: usize, p: u32, seed: u64) -> Partition {
 
 /// Syncs `provider` to `start` over `visits` (`None`: every vertex) and
 /// replays `moves` among the visited vertices, through
-/// [`ConnectivityProvider::moved_exclusive`] or, with `shared`, through
-/// [`ConnectivityProvider::moved`]. Every tenth move the provider's comm
+/// [`AdjProvider::moved_exclusive`] or, with `shared`, through
+/// [`AdjProvider::moved`]. Every tenth move the provider's comm
 /// cost must equal the oracle's bits, under the next of `costs` in turn;
 /// after the last, under each of them, and the counts it hands back must
 /// equal a fresh count. Returns the final assignment.
@@ -195,7 +191,7 @@ proptest! {
 
 /// Splits `moves` into batches of `batch_len` moves and, batch by batch,
 /// reports each move of a distinct vertex through
-/// [`ConnectivityProvider::moved`] as a stealing worker does, then replays
+/// [`AdjProvider::moved`] as a stealing worker does, then replays
 /// the batch in reverse, as the boundary does in an order of its own,
 /// against the assignment before each move. After every batch `M` must be
 /// a fresh count of the assignment with no recount pending, and answer
@@ -260,82 +256,12 @@ proptest! {
     }
 }
 
-/// An [`AdjProvider`] that checks each comm cost it answers against the
-/// traversal oracle, from kept pairs that need no recount, and records the
-/// oracle's value.
-struct Checked<'a> {
-    inner: AdjProvider<'a>,
-    hg: &'a Hypergraph,
-    oracle: Vec<f64>,
-}
-
-impl ConnectivityProvider for Checked<'_> {
-    type Scratch = <AdjProvider<'static> as ConnectivityProvider>::Scratch;
-
-    fn new_scratch(&self) -> Self::Scratch {
-        self.inner.new_scratch()
-    }
-
-    fn sync(&mut self, assignment: &Partition, visits: Option<&[VertexId]>) {
-        self.inner.sync(assignment, visits);
-    }
-
-    fn moved(&self, v: VertexId, from: u32, to: u32, scratch: &mut Self::Scratch) {
-        self.inner.moved(v, from, to, scratch);
-    }
-
-    fn moved_exclusive(&mut self, v: VertexId, from: u32, to: u32, scratch: &mut Self::Scratch) {
-        self.inner.moved_exclusive(v, from, to, scratch);
-    }
-
-    fn replay(
-        &mut self,
-        v: VertexId,
-        from: u32,
-        to: u32,
-        assignment: &Partition,
-        scratch: &mut Self::Scratch,
-    ) {
-        self.inner.replay(v, from, to, assignment, scratch);
-    }
-
-    fn agrees_with<A: AssignmentRef>(&self, assignment: &A) -> bool {
-        self.inner.agrees_with(assignment)
-    }
-
-    fn certificates_agree_with<A: AssignmentRef>(&self, assignment: &A, cost: &CostMatrix) -> bool {
-        self.inner.certificates_agree_with(assignment, cost)
-    }
-
-    fn stay_certificate(&self, v: VertexId) -> Option<StayCertificate> {
-        self.inner.stay_certificate(v)
-    }
-
-    fn certify(&self, v: VertexId, generation: u32, part: u32, gap: f64) {
-        self.inner.certify(v, generation, part, gap);
-    }
-
-    fn comm_cost(&mut self, assignment: &Partition, cost: &CostMatrix) -> f64 {
-        // Every strategy keeps `M` exact through the run: no recount.
-        assert!(self.inner.pair_counts().is_some(), "M awaits a recount");
-        let kept = self.inner.comm_cost(assignment, cost);
-        let oracle = partitioning_communication_cost(self.hg, assignment, cost);
-        assert_eq!(kept.to_bits(), oracle.to_bits());
-        self.oracle.push(oracle);
-        kept
-    }
-
-    fn count<A: AssignmentRef>(
-        &self,
-        v: VertexId,
-        assignment: &A,
-        scratch: &mut Self::Scratch,
-        counts: &mut Vec<u32>,
-    ) {
-        self.inner.count(v, assignment, scratch, counts);
-    }
-}
-
+/// Full engine runs over both graph families at one thread and at
+/// several. Debug builds check every pass inside the engine: the kept `M`
+/// awaits no recount and equals a fresh count of the assignment, so each
+/// recorded cost is the traversal oracle's dot of the same integers. Here
+/// the returned cost must be the oracle's bits for the returned partition
+/// and one of the recorded passes' costs.
 #[test]
 fn every_pass_cost_equals_the_traversal_oracle_under_every_strategy() {
     let mesh = mesh_hypergraph(&MeshConfig::new(1500, 8));
@@ -353,35 +279,32 @@ fn every_pass_cost_equals_the_traversal_oracle_under_every_strategy() {
     let cost = archer_cost(8);
     for (name, hg) in [("mesh", &mesh), ("power-law", &powerlaw)] {
         for strategy in [
-            ExecutionStrategy::Sequential,
-            ExecutionStrategy::WorkStealing {
+            ExecutionStrategy::threads(1),
+            ExecutionStrategy {
                 num_threads: 3,
                 chunk: 64,
             },
-            ExecutionStrategy::WorkStealing {
+            ExecutionStrategy {
                 num_threads: 2,
                 chunk: 16,
             },
-            ExecutionStrategy::WorkStealing {
+            ExecutionStrategy {
                 num_threads: 4,
                 chunk: 16,
             },
         ] {
             let at = format!("{name}, {strategy:?}");
-            let mut provider = Checked {
-                inner: AdjProvider::traversal(hg),
-                hg,
-                oracle: Vec::new(),
-            };
-            let run = Engine::new(config, strategy).run(&cost, hg, &mut provider);
+            let run = Engine::new(config, strategy).run(&cost, hg, &mut AdjProvider::traversal(hg));
             let records = run.history.records();
             assert_eq!(records.len(), run.iterations, "{at}");
-            assert!(provider.oracle.len() >= records.len(), "{at}");
-            for (record, oracle) in records.iter().zip(&provider.oracle) {
-                assert_eq!(record.comm_cost.to_bits(), oracle.to_bits(), "{at}");
-            }
             let returned = partitioning_communication_cost(hg, &run.partition, &cost);
             assert_eq!(run.comm_cost.to_bits(), returned.to_bits(), "{at}");
+            assert!(
+                records
+                    .iter()
+                    .any(|r| r.comm_cost.to_bits() == returned.to_bits()),
+                "{at}"
+            );
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Property tests pinning the connectivity-provider axis: [`AdjProvider`]
+//! Property tests pinning the connectivity provider: [`AdjProvider`]
 //! must return count vectors identical to the epoch-traversal oracle
 //! ([`NeighborScratch::neighbor_partition_counts`]) on random hypergraphs
 //! and random partitions, before and after it keeps counts, and an engine
@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 
-use hyperpraw_core::engine::{AdjProvider, ConnectivityProvider, Engine, ExecutionStrategy};
+use hyperpraw_core::engine::{AdjProvider, Engine, ExecutionStrategy};
 use hyperpraw_core::{CostMatrix, HyperPraw, HyperPrawConfig};
 use hyperpraw_hypergraph::generators::{random_hypergraph, CardinalityDist, RandomConfig};
 use hyperpraw_hypergraph::traversal::NeighborScratch;
@@ -70,7 +70,7 @@ proptest! {
         };
         let cost = CostMatrix::uniform(p as usize);
         let reference = HyperPraw::new(config, cost.clone()).partition(&hg);
-        let other = Engine::new(config, ExecutionStrategy::Sequential).run(
+        let other = Engine::new(config, ExecutionStrategy::threads(1)).run(
             &cost,
             &hg,
             &mut AdjProvider::traversal(&hg),

@@ -198,7 +198,7 @@ fn the_move_log_counts_every_move_of_a_pass() {
     for (name, hg) in [("mesh", &mesh), ("power-law", &powerlaw)] {
         for num_threads in [2, 4] {
             let at = format!("{name}, {num_threads} threads");
-            let strategy = ExecutionStrategy::WorkStealing {
+            let strategy = ExecutionStrategy {
                 num_threads,
                 chunk: 16,
             };

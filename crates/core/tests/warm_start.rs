@@ -3,9 +3,7 @@
 //! to itself, and a run that rolls back to an earlier pass must leave its
 //! provider synced to the partition it returns.
 
-use hyperpraw_core::engine::{
-    stream_order, AdjProvider, ConnectivityProvider, Engine, ExecutionStrategy, WarmStart,
-};
+use hyperpraw_core::engine::{stream_order, AdjProvider, Engine, ExecutionStrategy, WarmStart};
 use hyperpraw_core::metrics::{partitioning_communication_cost, CommCostState};
 use hyperpraw_core::{CostMatrix, HyperPraw, HyperPrawConfig, StopReason, StreamOrder};
 use hyperpraw_hypergraph::generators::{mesh_hypergraph, MeshConfig};
@@ -31,7 +29,7 @@ fn warm_run_over_the_full_graph_keeps_the_partition_feasible() {
     let config = HyperPrawConfig::default();
     let cold = cold_run(&hg, 8);
 
-    let engine = Engine::new(config, ExecutionStrategy::Sequential);
+    let engine = Engine::new(config, ExecutionStrategy::threads(1));
     let order = stream_order(&hg, StreamOrder::Natural, 0);
     let mut provider = AdjProvider::traversal(&hg);
     let run = engine.run_warm(&cost, &hg, &order, &mut provider, warm_start_of(&hg, &cold));
@@ -56,7 +54,7 @@ fn dirty_set_restream_never_moves_a_clean_vertex() {
     // Restream an arbitrary small dirty set; everything else must keep its
     // cold assignment because the engine only visits the dirty set.
     let dirty: Vec<u32> = vec![3, 17, 42, 43, 44, 200];
-    let engine = Engine::new(HyperPrawConfig::default(), ExecutionStrategy::Sequential);
+    let engine = Engine::new(HyperPrawConfig::default(), ExecutionStrategy::threads(1));
     let mut provider = AdjProvider::traversal(&hg);
     let run = engine.run_warm(&cost, &hg, &dirty, &mut provider, warm_start_of(&hg, &cold));
 
@@ -77,7 +75,7 @@ fn empty_dirty_set_returns_the_warm_partition_unchanged() {
     let cost = CostMatrix::uniform(4);
     let cold = cold_run(&hg, 4);
 
-    let engine = Engine::new(HyperPrawConfig::default(), ExecutionStrategy::Sequential);
+    let engine = Engine::new(HyperPrawConfig::default(), ExecutionStrategy::threads(1));
     let mut provider = AdjProvider::traversal(&hg);
     let run = engine.run_warm(&cost, &hg, &[], &mut provider, warm_start_of(&hg, &cold));
 
@@ -96,7 +94,7 @@ fn a_dirty_set_cost_rollback_leaves_the_provider_on_the_returned_partition() {
         .vertices()
         .filter(|&v| (u64::from(v) ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 61 == 0)
         .collect();
-    let engine = Engine::new(HyperPrawConfig::default(), ExecutionStrategy::Sequential);
+    let engine = Engine::new(HyperPrawConfig::default(), ExecutionStrategy::threads(1));
     for resume in [false, true] {
         let mut provider = AdjProvider::traversal(&hg);
         if resume {

@@ -415,7 +415,7 @@ impl DynamicPartitioner {
         let mut final_alpha = None;
         let mut history = PartitionHistory::new();
         if !dirty.is_empty() {
-            let engine = Engine::new(self.cfg.config, ExecutionStrategy::Sequential)
+            let engine = Engine::new(self.cfg.config, ExecutionStrategy::threads(1))
                 .with_registry(&self.metrics.registry);
             let (partition, counts) = std::mem::take(&mut self.comm).into_parts();
             let mut provider = AdjProvider::traversal(&self.snapshot)

@@ -31,7 +31,7 @@ pub mod hierarchy;
 
 pub use bandwidth::BandwidthMatrix;
 pub use cost::CostMatrix;
-pub use machine::{MachineLevel, MachineModel};
+pub use machine::{MachineError, MachineLevel, MachineModel};
 
 /// Commonly used items, re-exported for glob import.
 pub mod prelude {

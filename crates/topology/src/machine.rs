@@ -49,31 +49,61 @@ pub struct MachineModel {
     levels: Vec<MachineLevel>,
 }
 
+/// Why a [`MachineModel`] cannot be built.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct MachineError(String);
+
+impl fmt::Display for MachineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for MachineError {}
+
 impl MachineModel {
     /// Builds a machine model. `levels` are ordered innermost → outermost.
     /// The total capacity (product of arities) must cover `num_units`.
     ///
     /// # Panics
     ///
-    /// Panics if `num_units` is zero, `levels` is empty, any arity is zero,
-    /// or the hierarchy cannot hold `num_units` units.
+    /// Panics where [`MachineModel::try_new`] returns an error.
     pub fn new(name: &str, num_units: usize, levels: Vec<MachineLevel>) -> Self {
-        assert!(num_units > 0, "machine must have at least one unit");
-        assert!(!levels.is_empty(), "machine must have at least one level");
-        assert!(
-            levels.iter().all(|l| l.arity > 0),
-            "level arities must be positive"
-        );
-        let capacity: usize = levels.iter().map(|l| l.arity).product();
-        assert!(
-            capacity >= num_units,
-            "hierarchy capacity {capacity} cannot hold {num_units} units"
-        );
-        Self {
+        Self::try_new(name, num_units, levels).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds a machine model, or says why it cannot: `num_units` is zero,
+    /// `levels` is empty, an arity is zero, or the hierarchy cannot hold
+    /// `num_units` units.
+    pub fn try_new(
+        name: &str,
+        num_units: usize,
+        levels: Vec<MachineLevel>,
+    ) -> Result<Self, MachineError> {
+        let fail = |msg: String| Err(MachineError(msg));
+        if num_units == 0 {
+            return fail("machine must have at least one unit".into());
+        }
+        if levels.is_empty() {
+            return fail("machine must have at least one level".into());
+        }
+        if levels.iter().any(|l| l.arity == 0) {
+            return fail("level arities must be positive".into());
+        }
+        let capacity = levels
+            .iter()
+            .try_fold(1usize, |acc, l| acc.checked_mul(l.arity))
+            .unwrap_or(usize::MAX);
+        if capacity < num_units {
+            return fail(format!(
+                "{name}: hierarchy capacity {capacity} cannot hold {num_units} units"
+            ));
+        }
+        Ok(Self {
             name: name.to_string(),
             num_units,
             levels,
-        }
+        })
     }
 
     /// An ARCHER-like Cray XC30 model (the paper's testbed): 12-core
@@ -85,8 +115,18 @@ impl MachineModel {
     /// order of magnitude faster than anything crossing the network, and the
     /// network itself has mild tiering between blade, group and global
     /// links.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`MachineModel::try_archer_like`] returns an error.
     pub fn archer_like(num_units: usize) -> Self {
-        Self::new(
+        Self::try_archer_like(num_units).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`MachineModel::archer_like`], or an error when `num_units` is zero
+    /// or more than its fixed hierarchy holds.
+    pub fn try_archer_like(num_units: usize) -> Result<Self, MachineError> {
+        Self::try_new(
             "archer-like",
             num_units,
             vec![
