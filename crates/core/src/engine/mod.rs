@@ -145,7 +145,9 @@
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering as AtomicOrdering};
 use std::thread;
 
-use hyperpraw_hypergraph::{AssignmentRef, ChunkCursor, Hypergraph, Partition, VertexId};
+use hyperpraw_hypergraph::{
+    load_imbalance, AssignmentRef, ChunkCursor, Hypergraph, Partition, VertexId,
+};
 use hyperpraw_telemetry::{Counter, Histogram, Registry};
 use hyperpraw_topology::CostMatrix;
 
@@ -322,16 +324,6 @@ impl EngineState {
     /// every pass end.
     fn summary_agrees(&self) -> bool {
         !self.fresh || self.summary == LoadSummary::of(&self.loads)
-    }
-
-    /// Total imbalance `max_k W(k) / avg_k W(k)` from the tracked loads.
-    fn imbalance(&self) -> f64 {
-        let total: f64 = self.loads.iter().sum();
-        if total == 0.0 {
-            return 0.0;
-        }
-        let avg = total / self.loads.len() as f64;
-        self.loads.iter().cloned().fold(f64::MIN, f64::max) / avg
     }
 }
 
@@ -858,7 +850,7 @@ impl Engine {
                 "a load write left the summary stale by the end of pass {pass}"
             );
 
-            let imbalance = state.imbalance();
+            let imbalance = load_imbalance(&state.loads);
             let comm_cost = self.eval_comm_cost(provider, &state.partition, cost);
             let feasible = imbalance <= config.imbalance_tolerance + 1e-12;
             history.push(IterationRecord {
@@ -925,7 +917,7 @@ impl Engine {
             }
             None => (
                 self.eval_comm_cost(provider, &state.partition, cost),
-                state.imbalance(),
+                load_imbalance(&state.loads),
             ),
         };
         debug_assert!(

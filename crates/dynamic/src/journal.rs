@@ -8,7 +8,7 @@
 //! A state directory holds at most four files:
 //!
 //! * `snapshot.bin` — the last durable snapshot: the full partitioner
-//!   state (mutable hypergraph with tombstones, assignment, cost matrix,
+//!   state (hypergraph with tombstones, assignment, cost matrix,
 //!   configuration) plus an opaque caller-owned `meta` blob, CRC-guarded.
 //! * `journal.log` — the write-ahead journal: every batch accepted
 //!   *after* that snapshot, appended and fsynced before the caller sees
@@ -480,9 +480,8 @@ fn decode_state(dec: &mut Dec<'_>) -> Result<DynamicPartitioner, JournalError> {
         }
     }
     let edge_alive = get_bitset(dec, m)?;
-    let hg = builder.build();
-    let graph =
-        MutableHypergraph::from_snapshot(&hg, &vertex_alive, &edge_alive).map_err(corrupt)?;
+    let graph = MutableHypergraph::from_snapshot(builder.build(), vertex_alive, edge_alive)
+        .map_err(corrupt)?;
 
     let num_parts = dec.id()?;
     let mut assignment = Vec::with_capacity(n);

@@ -6,22 +6,23 @@
 //! and repartitioning from scratch would both waste work and wreck data
 //! locality by moving vertices that had no reason to move.
 //!
-//! [`DynamicPartitioner`] stays resident. It owns a
-//! [`MutableHypergraph`](hyperpraw_hypergraph::MutableHypergraph) with its
-//! CSR snapshot, the current assignment with its per-part load
-//! accounting, and the assignment's quality state: the exact comm-cost
-//! part-pair counts
+//! [`DynamicPartitioner`] stays resident. It owns one graph, the CSR plus
+//! per-id liveness flags
+//! ([`MutableHypergraph`](hyperpraw_hypergraph::MutableHypergraph)), the
+//! current assignment with its per-part load accounting, and the
+//! assignment's quality state: the exact comm-cost part-pair counts
 //! ([`CommCostState`](hyperpraw_core::metrics::CommCostState)) and the
 //! connectivity `λ(e)` of every hyperedge. Each call to
 //! [`DynamicPartitioner::apply`] takes a batch of [`GraphUpdate`]s and,
 //! in work proportional to the batch and its dirty ring rather than to
 //! the graph:
 //!
-//! 1. validates the whole batch against the live graph — a bad update
-//!    rejects the batch before anything changes — and applies it in place,
-//! 2. splices the touched pin and incidence lists into the CSR snapshot
-//!    and moves the touched vertices' rows of the pair counts from the old
-//!    graph to the new one (no other row can change),
+//! 1. applies the batch to an edit
+//!    ([`HypergraphEdit`](hyperpraw_hypergraph::HypergraphEdit)) that
+//!    copies out only the lists it touches; a bad update drops the edit,
+//! 2. takes the touched vertices' rows out of the pair counts against the
+//!    old CSR, splices the edited lists into the CSR in place and adds the
+//!    rows back against the new graph (no other row can change),
 //! 3. computes the **dirty set** — the touched vertices plus their
 //!    distinct-neighbour ring, found by traversal — and restreams *only*
 //!    that set through the shared restreaming engine

@@ -6,9 +6,10 @@ use hyperpraw_core::engine::{AdjProvider, Engine, ExecutionStrategy, WarmStart};
 use hyperpraw_core::metrics::{CommCostState, QualityReport};
 use hyperpraw_core::{CostMatrix, HyperPrawConfig, PartitionHistory, StopReason};
 use hyperpraw_hypergraph::traversal::NeighborScratch;
-use hyperpraw_hypergraph::{HyperedgeId, Hypergraph, MutableHypergraph, Partition, VertexId};
+use hyperpraw_hypergraph::{
+    load_imbalance, HyperedgeId, Hypergraph, MutableHypergraph, Partition, VertexId,
+};
 
-use crate::update::validate;
 use crate::{DynamicError, GraphUpdate};
 
 /// Configuration of a [`DynamicPartitioner`].
@@ -63,10 +64,9 @@ pub struct UpdateOutcome {
 /// full flow.
 #[derive(Clone, Debug)]
 pub struct DynamicPartitioner {
+    /// The CSR with its liveness flags, edited in place by every batch —
+    /// what the engine and the quality state read.
     graph: MutableHypergraph,
-    /// CSR snapshot of `graph`, spliced after every batch — what the
-    /// engine and the quality state read.
-    snapshot: Hypergraph,
     /// The live assignment with its exact comm-cost part-pair counts.
     comm: CommCostState,
     /// Connectivity `λ(e)` of every hyperedge under the live assignment
@@ -92,11 +92,11 @@ struct DynMetrics {
     migrated_vertices: hyperpraw_telemetry::Counter,
     /// Σ weight · link-cost of migrations, rounded to whole units.
     migrated_bytes: hyperpraw_telemetry::Counter,
-    /// Per-batch phase wall clock, microseconds: validating and applying
-    /// the mutations.
+    /// Per-batch phase wall clock, microseconds: applying the mutations
+    /// to an edit of the graph.
     mutate_us: hyperpraw_telemetry::Histogram,
-    /// Splicing the CSR snapshot and moving the touched rows of the
-    /// pair counts from the old graph to the new one.
+    /// Committing the edit into the CSR and moving the touched rows of
+    /// the pair counts from the old graph to the new one.
     snapshot_us: hyperpraw_telemetry::Histogram,
     /// Finding the dirty ring and restreaming it.
     restream_us: hyperpraw_telemetry::Histogram,
@@ -108,9 +108,6 @@ struct DynMetrics {
     registry: hyperpraw_telemetry::Registry,
 }
 
-/// Panic message of a mutation the batch validation admitted.
-const VALIDATED: &str = "the batch was validated against the live graph";
-
 impl DynamicPartitioner {
     /// Adopts an already-partitioned hypergraph: `partition` becomes the
     /// live assignment (typically the output of a cold run over `hg`) and
@@ -121,20 +118,14 @@ impl DynamicPartitioner {
         cost: CostMatrix,
         cfg: DynamicConfig,
     ) -> Result<Self, DynamicError> {
-        Self::assemble(
-            MutableHypergraph::from_hypergraph(hg),
-            hg.clone(),
-            partition,
-            cost,
-            cfg,
-        )
+        Self::resume(MutableHypergraph::new(hg.clone()), partition, cost, cfg)
     }
 
     /// Rebuilds a partitioner from persisted state: the mutable
     /// hypergraph (tombstones included) and the assignment it had
     /// reached, plus the cost matrix and configuration it ran under —
-    /// the recovery path of [`crate::journal`]. The CSR snapshot, quality
-    /// state and per-part loads are rematerialised deterministically, so
+    /// the recovery path of [`crate::journal`]. The quality state and
+    /// per-part loads are rematerialised deterministically, so
     /// the resumed instance answers every query and absorbs every
     /// subsequent batch bit-identically to the instance that was
     /// serialised.
@@ -144,22 +135,12 @@ impl DynamicPartitioner {
         cost: CostMatrix,
         cfg: DynamicConfig,
     ) -> Result<Self, DynamicError> {
-        let snapshot = graph.to_hypergraph();
-        Self::assemble(graph, snapshot, partition, cost, cfg)
-    }
-
-    fn assemble(
-        graph: MutableHypergraph,
-        snapshot: Hypergraph,
-        partition: Partition,
-        cost: CostMatrix,
-        cfg: DynamicConfig,
-    ) -> Result<Self, DynamicError> {
-        if partition.num_vertices() != snapshot.num_vertices() {
+        let hg = graph.hypergraph();
+        if partition.num_vertices() != hg.num_vertices() {
             return Err(DynamicError::Invalid(format!(
                 "partition covers {} vertices but the hypergraph has {}",
                 partition.num_vertices(),
-                snapshot.num_vertices()
+                hg.num_vertices()
             )));
         }
         if partition.num_parts() as usize != cost.num_units() {
@@ -170,15 +151,14 @@ impl DynamicPartitioner {
             )));
         }
         let loads = partition
-            .part_loads(&snapshot)
+            .part_loads(hg)
             .map_err(|e| DynamicError::Invalid(e.to_string()))?;
         let mut lambda = Vec::new();
-        refresh_connectivity(&snapshot, &partition, &mut lambda, snapshot.hyperedges());
+        refresh_connectivity(hg, &partition, &mut lambda, hg.hyperedges());
         Ok(Self {
-            comm: CommCostState::new(&snapshot, partition),
+            comm: CommCostState::new(hg, partition),
             lambda,
             graph,
-            snapshot,
             loads,
             cost,
             cfg,
@@ -204,16 +184,15 @@ impl DynamicPartitioner {
         };
     }
 
-    /// The resident mutable hypergraph — the state
-    /// [`crate::journal`] snapshots serialise (liveness flags included).
+    /// The resident graph with its liveness flags — the state
+    /// [`crate::journal`] snapshots serialise.
     pub fn graph(&self) -> &MutableHypergraph {
         &self.graph
     }
 
-    /// The current CSR snapshot (tombstones included as weight-0 /
-    /// empty-pin ids).
+    /// The current CSR (tombstones included as weight-0 / empty-pin ids).
     pub fn hypergraph(&self) -> &Hypergraph {
-        &self.snapshot
+        self.graph.hypergraph()
     }
 
     /// The current assignment.
@@ -251,16 +230,13 @@ impl DynamicPartitioner {
     /// The part of `v`, or `None` when `v` is unknown or tombstoned —
     /// the serve protocol's `lookup`.
     pub fn lookup(&self, v: VertexId) -> Option<u32> {
-        if self.graph.is_vertex_alive(v) {
-            Some(self.partition().part_of(v))
-        } else {
-            None
-        }
+        let alive = self.graph.is_vertex_alive(v);
+        alive.then(|| self.partition().part_of(v))
     }
 
     /// Load imbalance (max/avg) of the current assignment.
     pub fn imbalance(&self) -> f64 {
-        imbalance_of(&self.loads)
+        load_imbalance(&self.loads)
     }
 
     /// Architecture-aware communication cost of the current assignment:
@@ -279,7 +255,7 @@ impl DynamicPartitioner {
         let (mut cut, mut soed) = (0.0f64, 0.0f64);
         for (e, &lambda) in self.lambda.iter().enumerate() {
             if lambda > 1 {
-                let w = self.snapshot.edge_weight(e as HyperedgeId);
+                let w = self.hypergraph().edge_weight(e as HyperedgeId);
                 cut += w;
                 soed += f64::from(lambda) * w;
             }
@@ -292,13 +268,13 @@ impl DynamicPartitioner {
         }
     }
 
-    /// Applies one batch of updates: validate it, mutate the graph,
-    /// splice the snapshot, restream the dirty set warm-started from the
-    /// current assignment, and update the quality state and migration
-    /// account — all in work proportional to the batch and its dirty
-    /// ring. The batch is atomic: it is validated in full before anything
-    /// changes, so on error nothing changed. An empty batch returns a zero
-    /// outcome and leaves the assignment bit-identical.
+    /// Applies one batch of updates: edit the graph, commit the edit
+    /// into the CSR, restream the dirty set warm-started from the current
+    /// assignment, and update the quality state and migration account —
+    /// all in work proportional to the batch and its dirty ring. The
+    /// batch is atomic: the edit is committed only once every update in
+    /// it applied, so on error nothing changed. An empty batch returns a
+    /// zero outcome and leaves the assignment bit-identical.
     pub fn apply(&mut self, updates: &[GraphUpdate]) -> Result<UpdateOutcome, DynamicError> {
         if updates.is_empty() {
             return Ok(UpdateOutcome {
@@ -314,51 +290,55 @@ impl DynamicPartitioner {
             });
         }
 
-        // Phase 1 — validate, then mutate in place, collecting the touched
-        // vertices (every vertex named in an update plus the pre/post pins
-        // of every touched hyperedge: their neighbourhoods changed) and
-        // the hyperedges whose pin lists changed.
+        // Phase 1 — apply the batch to an edit of the graph, collecting
+        // the touched vertices (every vertex named in an update plus the
+        // pre/post pins of every touched hyperedge: their neighbourhoods
+        // changed) and the hyperedges whose pin lists changed. A rejected
+        // update drops the edit, and with it the batch.
         let mutating = self.metrics.mutate_us.span();
-        validate(&self.graph, updates)?;
-        let (pre_n, pre_m) = (self.graph.num_vertices(), self.graph.num_hyperedges());
+        let hg = self.hypergraph();
+        let (pre_n, pre_m) = (hg.num_vertices(), hg.num_hyperedges());
         let mut touched: BTreeSet<VertexId> = BTreeSet::new();
         let mut edges: BTreeSet<HyperedgeId> = BTreeSet::new();
         let mut new_vertices = Vec::new();
-        let graph = &mut self.graph;
+        let mut edit = self.graph.edit();
         for update in updates {
             match update {
                 GraphUpdate::AddVertex { weight } => {
-                    let v = graph.add_vertex(*weight);
+                    let v = edit.add_vertex(*weight);
                     new_vertices.push(v);
                     touched.insert(v);
                 }
                 GraphUpdate::RemoveVertex { vertex } => {
-                    for &e in graph.incident_edges(*vertex) {
-                        touched.extend(graph.pins(e).iter().copied());
-                        edges.insert(e);
+                    // An unknown id has no lists; the removal rejects it.
+                    if (*vertex as usize) < edit.num_vertices() {
+                        for &e in edit.incident_edges(*vertex) {
+                            touched.extend(edit.pins(e).iter().copied());
+                            edges.insert(e);
+                        }
                     }
-                    graph.remove_vertex(*vertex).expect(VALIDATED);
+                    edit.remove_vertex(*vertex)?;
                     touched.insert(*vertex);
                 }
                 GraphUpdate::AddHyperedge { pins, weight } => {
-                    let e = graph
-                        .add_hyperedge(pins.iter().copied(), *weight)
-                        .expect(VALIDATED);
-                    touched.extend(graph.pins(e).iter().copied());
+                    let e = edit.add_hyperedge(pins.iter().copied(), *weight)?;
+                    touched.extend(edit.pins(e).iter().copied());
                 }
                 GraphUpdate::RemoveHyperedge { edge } => {
-                    touched.extend(graph.pins(*edge).iter().copied());
-                    graph.remove_hyperedge(*edge).expect(VALIDATED);
+                    if (*edge as usize) < edit.num_hyperedges() {
+                        touched.extend(edit.pins(*edge).iter().copied());
+                    }
+                    edit.remove_hyperedge(*edge)?;
                     edges.insert(*edge);
                 }
                 GraphUpdate::AddPin { edge, vertex } => {
-                    graph.add_pin(*edge, *vertex).expect(VALIDATED);
-                    touched.extend(graph.pins(*edge).iter().copied());
+                    edit.add_pin(*edge, *vertex)?;
+                    touched.extend(edit.pins(*edge).iter().copied());
                     edges.insert(*edge);
                 }
                 GraphUpdate::RemovePin { edge, vertex } => {
-                    touched.extend(graph.pins(*edge).iter().copied());
-                    graph.remove_pin(*edge, *vertex).expect(VALIDATED);
+                    edit.remove_pin(*edge, *vertex)?;
+                    touched.extend(edit.pins(*edge).iter().copied());
                     touched.insert(*vertex);
                     edges.insert(*edge);
                 }
@@ -368,27 +348,27 @@ impl DynamicPartitioner {
         let edges: Vec<HyperedgeId> = edges.into_iter().collect();
         drop(mutating);
 
-        // Phase 2 — carry the snapshot and the pair counts over to the
-        // mutated graph: the touched rows leave the counts as they were,
-        // the touched lists are spliced into the CSR, appended ids are
-        // seeded round-robin (like a cold start), and the touched rows
-        // re-enter as they are now. No other row changed: a pair whose
-        // neighbour relation changed has both ends among the pins of a
-        // touched hyperedge.
+        // Phase 2 — carry the pair counts over to the edited graph: the
+        // touched rows leave the counts against the old CSR, the edit is
+        // committed, appended ids are seeded round-robin (like a cold
+        // start), and the touched rows re-enter as they are now. No other
+        // row changed: a pair whose neighbour relation changed has both
+        // ends among the pins of a touched hyperedge.
         let refreshing = self.metrics.snapshot_us.span();
-        let n = self.graph.num_vertices();
+        let n = edit.num_vertices();
         let mut scratch = NeighborScratch::new(n);
         let existing = touched.partition_point(|&v| (v as usize) < pre_n);
         self.comm
-            .remove_rows(&self.snapshot, &touched[..existing], &mut scratch);
-        self.graph
-            .refresh_snapshot(&mut self.snapshot, &touched, &edges);
+            .remove_rows(edit.base(), &touched[..existing], &mut scratch);
+        edit.commit();
+        let hg = self.graph.hypergraph();
         self.comm.extend(n);
-        self.comm.add_rows(&self.snapshot, &touched, &mut scratch);
+        self.comm.add_rows(hg, &touched, &mut scratch);
         self.loads = self
+            .comm
             .partition()
-            .part_loads(&self.snapshot)
-            .expect("partition covers every snapshot vertex");
+            .part_loads(hg)
+            .expect("partition covers every vertex");
         drop(refreshing);
 
         // Phase 3 — the dirty set: the live touched vertices plus one
@@ -405,7 +385,7 @@ impl DynamicPartitioner {
             if graph.is_vertex_alive(v) {
                 dirty.insert(v);
             }
-            let ring = scratch.neighbors(&self.snapshot, v);
+            let ring = scratch.neighbors(hg, v);
             dirty.extend(ring.iter().copied().filter(|&u| graph.is_vertex_alive(u)));
         }
         let dirty: Vec<VertexId> = dirty.into_iter().collect();
@@ -418,19 +398,20 @@ impl DynamicPartitioner {
             let engine = Engine::new(self.cfg.config, ExecutionStrategy::threads(1))
                 .with_registry(&self.metrics.registry);
             let (partition, counts) = std::mem::take(&mut self.comm).into_parts();
-            let mut provider = AdjProvider::traversal(&self.snapshot)
+            let mut provider = AdjProvider::traversal(hg)
                 .with_registry(&self.metrics.registry)
                 .resume(counts);
             let warm = WarmStart {
                 partition,
                 loads: self.loads.clone(),
             };
-            let run = engine.run_warm(&self.cost, &self.snapshot, &dirty, &mut provider, warm);
+            let run = engine.run_warm(&self.cost, hg, &dirty, &mut provider, warm);
             self.comm = provider.into_comm_state(run.partition);
             self.loads = self
+                .comm
                 .partition()
-                .part_loads(&self.snapshot)
-                .expect("restreamed partition covers every snapshot vertex");
+                .part_loads(hg)
+                .expect("restreamed partition covers every vertex");
             iterations = run.iterations;
             stop_reason = Some(run.stop_reason);
             final_alpha = Some(run.final_alpha);
@@ -449,36 +430,32 @@ impl DynamicPartitioner {
         for (&v, &old) in dirty.iter().zip(&before) {
             let new = self.partition().part_of(v);
             if old != new {
-                recount.extend_from_slice(self.snapshot.incident_edges(v));
+                recount.extend_from_slice(hg.incident_edges(v));
                 if (v as usize) < pre_n {
                     vertices_moved += 1;
-                    bytes_moved +=
-                        self.snapshot.vertex_weight(v) * self.cost.get(old as usize, new as usize);
+                    bytes_moved += hg.vertex_weight(v) * self.cost.get(old as usize, new as usize);
                 }
             }
         }
-        let appended = pre_m as HyperedgeId..self.snapshot.num_hyperedges() as HyperedgeId;
+        let appended = pre_m as HyperedgeId..hg.num_hyperedges() as HyperedgeId;
         refresh_connectivity(
-            &self.snapshot,
+            hg,
             self.comm.partition(),
             &mut self.lambda,
             recount.into_iter().chain(appended),
         );
-        let live = self.graph.num_live_vertices();
+        // A moved vertex is live, so no live vertex means no moves: 0 / 1.
+        let live = self.graph.num_live_vertices().max(1);
         let migration = MigrationStats {
             vertices_moved,
-            moved_fraction: if live == 0 {
-                0.0
-            } else {
-                vertices_moved as f64 / live as f64
-            },
+            moved_fraction: vertices_moved as f64 / live as f64,
             bytes_moved,
         };
         let (imbalance, comm_cost) = (self.imbalance(), self.comm_cost());
         drop(quality);
         debug_assert!(
             self.resident_state_is_exact(),
-            "resident snapshot or quality state drifted from a recount"
+            "resident graph or quality state drifted from a recount"
         );
 
         self.metrics.batches.inc();
@@ -503,22 +480,18 @@ impl DynamicPartitioner {
         })
     }
 
-    /// Whether the snapshot, pair counts, connectivities and loads all
-    /// equal a recount from the mutable graph (debug builds check this
-    /// after every batch).
+    /// Whether the graph keeps its tombstone invariants and live-vertex
+    /// count, and the pair counts, connectivities and loads all equal a
+    /// recount (debug builds check this after every batch).
     fn resident_state_is_exact(&self) -> bool {
-        let mut lambda = Vec::new();
+        let hg = self.hypergraph();
         let partition = self.partition();
-        refresh_connectivity(
-            &self.snapshot,
-            partition,
-            &mut lambda,
-            self.snapshot.hyperedges(),
-        );
-        self.snapshot == self.graph.to_hypergraph()
-            && self.comm == CommCostState::new(&self.snapshot, partition.clone())
+        let mut lambda = Vec::new();
+        refresh_connectivity(hg, partition, &mut lambda, hg.hyperedges());
+        self.graph.validate().is_ok()
+            && self.comm == CommCostState::new(hg, partition.clone())
             && self.lambda == lambda
-            && partition.part_loads(&self.snapshot).as_deref() == Ok(&self.loads[..])
+            && partition.part_loads(hg).as_deref() == Ok(&self.loads[..])
     }
 }
 
@@ -546,16 +519,6 @@ fn refresh_connectivity(
         }
         lambda[e as usize] = distinct;
     }
-}
-
-/// Max-over-average load imbalance, `0` for an empty instance.
-fn imbalance_of(loads: &[f64]) -> f64 {
-    let total: f64 = loads.iter().sum();
-    if total == 0.0 {
-        return 0.0;
-    }
-    let avg = total / loads.len() as f64;
-    loads.iter().cloned().fold(f64::MIN, f64::max) / avg
 }
 
 #[cfg(test)]
@@ -601,7 +564,7 @@ mod tests {
         assert_eq!(dp.partition().num_vertices(), 302);
         assert_eq!(dp.hypergraph().num_vertices(), 302);
         assert!(dp.lookup(301).is_some());
-        // Loads stay exact against the snapshot.
+        // Loads stay exact against the CSR.
         let expected = dp.partition().part_loads(dp.hypergraph()).unwrap();
         assert_eq!(dp.loads(), &expected[..]);
     }

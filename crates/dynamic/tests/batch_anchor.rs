@@ -37,21 +37,20 @@ impl Draws {
     }
 
     fn live_vertex(&mut self, dp: &DynamicPartitioner) -> VertexId {
-        let graph = dp.graph();
         loop {
-            let v = self.below(graph.num_vertices());
-            if graph.is_vertex_alive(v) {
+            let v = self.below(dp.hypergraph().num_vertices());
+            if dp.graph().is_vertex_alive(v) {
                 return v;
             }
         }
     }
 
-    /// A live hyperedge with at least one pin.
+    /// A hyperedge with at least one pin (so a live one).
     fn live_edge(&mut self, dp: &DynamicPartitioner) -> u32 {
-        let graph = dp.graph();
+        let hg = dp.hypergraph();
         loop {
-            let e = self.below(graph.num_hyperedges());
-            if graph.is_hyperedge_alive(e) && !graph.pins(e).is_empty() {
+            let e = self.below(hg.num_hyperedges());
+            if !hg.pins(e).is_empty() {
                 return e;
             }
         }
@@ -60,7 +59,7 @@ impl Draws {
 
 /// Batch `i` of the sequence, drawn against the partitioner's live graph.
 fn batch(i: usize, draws: &mut Draws, dp: &DynamicPartitioner) -> Vec<GraphUpdate> {
-    let n = dp.graph().num_vertices() as VertexId;
+    let n = dp.hypergraph().num_vertices() as VertexId;
     match i % 5 {
         0 => vec![
             GraphUpdate::AddVertex { weight: 1.0 },
@@ -75,7 +74,7 @@ fn batch(i: usize, draws: &mut Draws, dp: &DynamicPartitioner) -> Vec<GraphUpdat
         2 => {
             let gain = draws.live_edge(dp);
             let lose = draws.live_edge(dp);
-            let pins = dp.graph().pins(lose);
+            let pins = dp.hypergraph().pins(lose);
             let leaving = pins[draws.below(pins.len()) as usize];
             vec![
                 GraphUpdate::AddPin {

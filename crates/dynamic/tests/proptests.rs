@@ -3,10 +3,10 @@
 //! The incremental path maintains its snapshot, loads and quality state
 //! in place across update batches; these properties pin it against an
 //! independent from-scratch oracle. The oracle below deliberately does NOT
-//! reuse `MutableHypergraph`: it tracks plain pin/weight vectors and
-//! rebuilds the final hypergraph through `HypergraphBuilder`, so a
-//! bookkeeping bug in the incremental structures cannot cancel itself out
-//! of the comparison.
+//! reuse `MutableHypergraph`: it tracks plain pin/weight vectors, rebuilds
+//! the final hypergraph through `HypergraphBuilder` and states the rules
+//! that reject an update on its own, so a bookkeeping bug in the
+//! incremental structures cannot cancel itself out of the comparison.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -17,10 +17,11 @@ use hyperpraw_core::{CostMatrix, HyperPraw, HyperPrawConfig};
 use hyperpraw_dynamic::{DynamicConfig, DynamicError, DynamicPartitioner, GraphUpdate};
 use hyperpraw_hypergraph::generators::{random_hypergraph, CardinalityDist, RandomConfig};
 use hyperpraw_hypergraph::mutable::MutationError;
-use hyperpraw_hypergraph::{metrics, Hypergraph, HypergraphBuilder, MutableHypergraph, VertexId};
+use hyperpraw_hypergraph::{metrics, Hypergraph, HypergraphBuilder, VertexId};
 
 /// From-scratch model of the evolving hypergraph: plain vectors, mutated
 /// with the same tombstone semantics the dynamic layer promises.
+#[derive(Clone)]
 struct Oracle {
     vertex_weights: Vec<f64>,
     vertex_alive: Vec<bool>,
@@ -39,6 +40,35 @@ impl Oracle {
                 .map(|e| (hg.pins(e as u32).to_vec(), hg.edge_weight(e as u32)))
                 .collect(),
             edge_alive: vec![true; hg.num_hyperedges()],
+        }
+    }
+
+    /// The error `update` is rejected with: an unknown id, or a dead one
+    /// where the update needs a live one. Removals of dead ids are no-ops,
+    /// a new hyperedge reports its smallest bad pin, and a pin addition
+    /// checks the hyperedge before the vertex.
+    fn check(&self, update: &GraphUpdate) -> Result<(), MutationError> {
+        let vertex = |v: VertexId, live: bool| match self.vertex_alive.get(v as usize) {
+            None => Err(MutationError::UnknownVertex(v)),
+            Some(false) if live => Err(MutationError::DeadVertex(v)),
+            Some(_) => Ok(()),
+        };
+        let edge = |e: u32, live: bool| match self.edge_alive.get(e as usize) {
+            None => Err(MutationError::UnknownHyperedge(e)),
+            Some(false) if live => Err(MutationError::DeadHyperedge(e)),
+            Some(_) => Ok(()),
+        };
+        match update {
+            GraphUpdate::AddVertex { .. } => Ok(()),
+            GraphUpdate::RemoveVertex { vertex: v } => vertex(*v, false),
+            GraphUpdate::AddHyperedge { pins, .. } => {
+                let mut pins = pins.clone();
+                pins.sort_unstable();
+                pins.iter().try_for_each(|&v| vertex(v, true))
+            }
+            GraphUpdate::RemoveHyperedge { edge: e } => edge(*e, false),
+            GraphUpdate::AddPin { edge: e, vertex: v } => edge(*e, true).and(vertex(*v, true)),
+            GraphUpdate::RemovePin { edge: e, vertex: v } => edge(*e, true).and(vertex(*v, false)),
         }
     }
 
@@ -186,25 +216,14 @@ fn draw_invalid(rng: &mut StdRng, oracle: &Oracle) -> GraphUpdate {
     }
 }
 
-/// The error applying `batch` update by update to a clone of `graph`
-/// stops at.
-fn first_error(graph: &MutableHypergraph, batch: &[GraphUpdate]) -> Option<MutationError> {
-    let mut graph = graph.clone();
-    batch.iter().find_map(|update| {
-        match update {
-            GraphUpdate::AddVertex { weight } => {
-                graph.add_vertex(*weight);
-                Ok(())
-            }
-            GraphUpdate::RemoveVertex { vertex } => graph.remove_vertex(*vertex),
-            GraphUpdate::AddHyperedge { pins, weight } => {
-                graph.add_hyperedge(pins.iter().copied(), *weight).map(drop)
-            }
-            GraphUpdate::RemoveHyperedge { edge } => graph.remove_hyperedge(*edge),
-            GraphUpdate::AddPin { edge, vertex } => graph.add_pin(*edge, *vertex).map(drop),
-            GraphUpdate::RemovePin { edge, vertex } => graph.remove_pin(*edge, *vertex).map(drop),
+/// The error applying `batch` update by update to `oracle` stops at.
+fn first_error(mut oracle: Oracle, batch: &[GraphUpdate]) -> Option<MutationError> {
+    batch.iter().find_map(|update| match oracle.check(update) {
+        Ok(()) => {
+            oracle.apply(update);
+            None
         }
-        .err()
+        Err(e) => Some(e),
     })
 }
 
@@ -362,13 +381,14 @@ proptest! {
             .collect();
         dp.apply(&warm).unwrap();
 
+        let start = oracle.clone();
         let mut batch: Vec<GraphUpdate> = (0..before)
             .filter_map(|_| draw_update(&mut rng, &mut oracle))
             .collect();
         batch.push(draw_invalid(&mut rng, &oracle));
         batch.extend((0..after).filter_map(|_| draw_update(&mut rng, &mut oracle)));
 
-        let expected = first_error(dp.graph(), &batch).expect("the batch holds an invalid update");
+        let expected = first_error(start, &batch).expect("the batch holds an invalid update");
         let untouched = dp.clone();
         let err = dp.apply(&batch).unwrap_err();
         prop_assert_eq!(err, DynamicError::Mutation(expected));

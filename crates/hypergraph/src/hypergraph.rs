@@ -1,5 +1,6 @@
 //! The compressed, immutable hypergraph representation.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of a vertex. Vertices are dense indices `0..num_vertices()`.
@@ -257,63 +258,56 @@ impl Hypergraph {
 }
 
 impl Hypergraph {
-    /// Brings the CSR up to date with a mutable twin in place: the pin
-    /// lists of `edges` and the incidence lists and weights of `vertices`
-    /// (sorted, distinct ids) are replaced with the twin's, and ids past
-    /// the current counts are appended from the twin. Only lists that
-    /// moved are copied, each once; the twin's lists must be sorted.
+    /// Writes a committed edit into the CSR in place: the lists in `pins`
+    /// and `incidence` (sorted, keyed by id) replace the current ones, and
+    /// keys past the current counts append new ids, which must continue
+    /// the id space without a gap. `vertex_weights` sets weights by id in
+    /// order, an id one past the vertex count appending it;
+    /// `edge_weights` are the appended hyperedges' weights. Only lists
+    /// that moved are copied, each once.
     pub(crate) fn splice(
         &mut self,
-        edges: &[HyperedgeId],
-        vertices: &[VertexId],
-        pins: &[Vec<VertexId>],
-        incidence: &[Vec<HyperedgeId>],
-        vertex_weights: &[f64],
+        pins: &BTreeMap<HyperedgeId, Vec<VertexId>>,
+        incidence: &BTreeMap<VertexId, Vec<HyperedgeId>>,
+        vertex_weights: impl IntoIterator<Item = (VertexId, f64)>,
         edge_weights: &[f64],
     ) {
-        splice_csr(&mut self.edge_offsets, &mut self.edge_pins, edges, pins);
-        splice_csr(
-            &mut self.vertex_offsets,
-            &mut self.vertex_edges,
-            vertices,
-            incidence,
-        );
-        let n = self.vertex_weights.len();
-        for &v in vertices.iter().take_while(|&&v| (v as usize) < n) {
-            self.vertex_weights[v as usize] = vertex_weights[v as usize];
+        splice_csr(&mut self.edge_offsets, &mut self.edge_pins, pins);
+        splice_csr(&mut self.vertex_offsets, &mut self.vertex_edges, incidence);
+        for (v, w) in vertex_weights {
+            match self.vertex_weights.get_mut(v as usize) {
+                Some(held) => *held = w,
+                None => self.vertex_weights.push(w),
+            }
         }
-        self.vertex_weights.extend_from_slice(&vertex_weights[n..]);
-        let m = self.edge_weights.len();
-        self.edge_weights.extend_from_slice(&edge_weights[m..]);
+        self.edge_weights.extend_from_slice(edge_weights);
         debug_assert!(self.validate().is_ok(), "spliced CSR is inconsistent");
     }
 }
 
-/// Replaces, in the CSR pair `offsets`/`flat`, the lists of the sorted,
-/// distinct `ids` below the current count with `lists[id]`, and appends
-/// `lists[count..]`. Each run of untouched lists between two replaced
-/// ones moves once, by the length change of the replaced lists before
-/// it: left-moving runs front to back, then right-moving runs back to
-/// front, so no run overwrites one that has not moved yet.
+/// Replaces, in the CSR pair `offsets`/`flat`, the lists of the ids in
+/// `lists` below the current count, and appends the rest. Each run of
+/// untouched lists between two replaced ones moves once, by the length
+/// change of the replaced lists before it: left-moving runs front to
+/// back, then right-moving runs back to front, so no run overwrites one
+/// that has not moved yet.
 fn splice_csr<T: Copy + Default>(
     offsets: &mut Vec<usize>,
     flat: &mut Vec<T>,
-    ids: &[u32],
-    lists: &[Vec<T>],
+    lists: &BTreeMap<u32, Vec<T>>,
 ) {
     let count = offsets.len() - 1;
-    let ids = &ids[..ids.partition_point(|&id| (id as usize) < count)];
-    // Untouched runs as (old start, old end, shift), and the length change
-    // of each replaced list.
-    let mut runs = Vec::with_capacity(ids.len() + 1);
-    let mut deltas = Vec::with_capacity(ids.len());
+    let replaced: Vec<(usize, &[T])> = lists
+        .range(..count as u32)
+        .map(|(&id, list)| (id as usize, list.as_slice()))
+        .collect();
+    // Untouched runs as (old start, old end, shift): run `k + 1` follows
+    // replaced list `k` and shifts by the length change of lists `..=k`.
+    let mut runs = Vec::with_capacity(replaced.len() + 1);
     let (mut start, mut shift) = (0usize, 0isize);
-    for &id in ids {
-        let id = id as usize;
+    for &(id, list) in &replaced {
         runs.push((start, offsets[id], shift));
-        let delta = lists[id].len() as isize - (offsets[id + 1] - offsets[id]) as isize;
-        deltas.push(delta);
-        shift += delta;
+        shift += list.len() as isize - (offsets[id + 1] - offsets[id]) as isize;
         start = offsets[id + 1];
     }
     runs.push((start, flat.len(), shift));
@@ -329,22 +323,18 @@ fn splice_csr<T: Copy + Default>(
         flat.copy_within(lo..hi, (lo as isize + s) as usize);
     }
     flat.truncate(new_len);
-    if let Some(&first) = ids.first() {
-        let (mut shift, mut next) = (0isize, 0usize);
-        for i in first as usize..count {
-            if ids.get(next) == Some(&(i as u32)) {
-                shift += deltas[next];
-                next += 1;
-            }
-            offsets[i + 1] = (offsets[i + 1] as isize + shift) as usize;
+    for (k, &(id, _)) in replaced.iter().enumerate() {
+        let end = replaced.get(k + 1).map_or(count, |r| r.0);
+        for offset in &mut offsets[id + 1..=end] {
+            *offset = (*offset as isize + runs[k + 1].2) as usize;
         }
     }
-    for &id in ids {
-        let lo = offsets[id as usize];
-        let list = &lists[id as usize];
+    for &(id, list) in &replaced {
+        let lo = offsets[id];
         flat[lo..lo + list.len()].copy_from_slice(list);
     }
-    for list in &lists[count..] {
+    for (&id, list) in lists.range(count as u32..) {
+        debug_assert_eq!(id as usize, offsets.len() - 1, "appended ids leave a gap");
         flat.extend_from_slice(list);
         offsets.push(flat.len());
     }

@@ -14,9 +14,10 @@
 //!   representation storing both directions (hyperedge → pins and
 //!   vertex → incident hyperedges),
 //! * [`HypergraphBuilder`] — an incremental builder,
-//! * [`MutableHypergraph`] — an editable adjacency-list twin of
-//!   [`Hypergraph`] supporting batched vertex/hyperedge/pin updates with
-//!   stable ids, for the dynamic repartitioning layer,
+//! * [`MutableHypergraph`] — a [`Hypergraph`] with per-id liveness flags,
+//!   edited in place by batched vertex/hyperedge/pin updates with stable
+//!   ids through a [`HypergraphEdit`] overlay, for the dynamic
+//!   repartitioning layer,
 //! * [`Partition`] — a vertex → partition assignment with load/imbalance
 //!   accounting,
 //! * [`metrics`] — hyperedge cut, sum of external degrees (SOED),
@@ -64,8 +65,8 @@ pub mod traversal;
 pub use adjacency::{AdjacencyBudget, NeighborAdjacency};
 pub use builder::HypergraphBuilder;
 pub use hypergraph::{HyperedgeId, Hypergraph, VertexId};
-pub use mutable::{MutableHypergraph, MutationError};
-pub use partition::{AssignmentRef, Partition, PartitionError};
+pub use mutable::{HypergraphEdit, MutableHypergraph, MutationError};
+pub use partition::{load_imbalance, AssignmentRef, Partition, PartitionError};
 pub use pool::{run_on_workers, ChunkCursor};
 pub use stats::HypergraphStats;
 

@@ -1,13 +1,12 @@
-//! Mutable hypergraph supporting batched incremental updates.
+//! The resident, editable hypergraph of the dynamic layer.
 //!
-//! The CSR [`Hypergraph`] is immutable by design — every partitioning
-//! driver reads it concurrently and the flat arrays cannot absorb
-//! insertions. Dynamic repartitioning (the `hyperpraw-dynamic` crate)
-//! instead owns a [`MutableHypergraph`]: an adjacency-list twin keeping
-//! *both* directions (edge → pins and vertex → incident edges) in sorted
-//! `Vec`s, which absorbs vertex/hyperedge/pin additions and removals in
-//! `O(log)`-ish time and re-materialises a CSR snapshot on demand with
-//! [`MutableHypergraph::to_hypergraph`].
+//! A [`MutableHypergraph`] is the CSR [`Hypergraph`] every driver reads,
+//! plus one liveness flag per vertex and hyperedge id; the dynamic
+//! repartitioner (the `hyperpraw-dynamic` crate) keeps exactly one. A
+//! batch of updates goes through a [`HypergraphEdit`], an overlay that
+//! copies only the pin and incidence lists it touches. Committing it
+//! splices those lists into the CSR in place; dropping it leaves the
+//! graph as it was, so a batch that fails half way changes nothing.
 //!
 //! Identifiers are **dense and stable**: removing a vertex or hyperedge
 //! leaves a tombstone (the id keeps existing, with weight `0` / an empty
@@ -21,21 +20,25 @@
 //!
 //! let mut b = HypergraphBuilder::new(3);
 //! b.add_hyperedge([0u32, 1, 2]);
-//! let mut m = MutableHypergraph::from_hypergraph(&b.build());
-//! let v = m.add_vertex(1.0);
-//! m.add_pin(0, v).unwrap();
-//! m.remove_vertex(1).unwrap();
-//! let hg = m.to_hypergraph();
+//! let mut m = MutableHypergraph::new(b.build());
+//! let mut edit = m.edit();
+//! let v = edit.add_vertex(1.0);
+//! edit.add_pin(0, v).unwrap();
+//! edit.remove_vertex(1).unwrap();
+//! edit.commit();
+//! let hg = m.hypergraph();
 //! assert_eq!(hg.pins(0), &[0, 2, 3]);
 //! assert_eq!(hg.vertex_weight(1), 0.0); // tombstone keeps the id
+//! assert!(!m.is_vertex_alive(1));
 //! ```
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use crate::{HyperedgeId, Hypergraph, HypergraphBuilder, VertexId};
+use crate::{HyperedgeId, Hypergraph, VertexId};
 
 /// Why a single mutation was rejected. Mutations are atomic: a rejected
-/// call leaves the hypergraph untouched.
+/// call leaves the edit untouched.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MutationError {
     /// The vertex id is outside the id space.
@@ -61,126 +64,93 @@ impl fmt::Display for MutationError {
 
 impl std::error::Error for MutationError {}
 
-/// A hypergraph that accepts incremental updates. See the
-/// [module docs](self) for the tombstone id semantics.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// A CSR hypergraph with tombstoned ids, edited in batches. See the
+/// [module docs](self) for the id semantics.
+#[derive(Clone, Debug, PartialEq)]
 pub struct MutableHypergraph {
-    name: String,
-    vertex_weights: Vec<f64>,
+    hg: Hypergraph,
     vertex_alive: Vec<bool>,
-    /// Sorted incident-hyperedge list per vertex.
-    incidence: Vec<Vec<HyperedgeId>>,
-    /// Sorted distinct pin list per hyperedge; tombstoned edges are empty.
-    pins: Vec<Vec<VertexId>>,
-    edge_weights: Vec<f64>,
     edge_alive: Vec<bool>,
+    /// The number of `true` vertex flags, kept at every commit.
+    live_vertices: usize,
 }
 
 impl MutableHypergraph {
-    /// Copies an immutable CSR hypergraph into mutable form. Every vertex
-    /// and hyperedge starts alive with its original weight.
-    pub fn from_hypergraph(hg: &Hypergraph) -> Self {
-        let n = hg.num_vertices();
-        let m = hg.num_hyperedges();
+    /// Adopts `hg` with every vertex and hyperedge alive.
+    pub fn new(hg: Hypergraph) -> Self {
+        let (n, m) = (hg.num_vertices(), hg.num_hyperedges());
         Self {
-            name: hg.name().to_string(),
-            vertex_weights: (0..n).map(|v| hg.vertex_weight(v as VertexId)).collect(),
+            hg,
             vertex_alive: vec![true; n],
-            incidence: (0..n)
-                .map(|v| hg.incident_edges(v as VertexId).to_vec())
-                .collect(),
-            pins: (0..m).map(|e| hg.pins(e as HyperedgeId).to_vec()).collect(),
-            edge_weights: (0..m).map(|e| hg.edge_weight(e as HyperedgeId)).collect(),
             edge_alive: vec![true; m],
+            live_vertices: n,
         }
     }
 
-    /// Re-materialises an immutable CSR snapshot. Tombstoned vertices keep
-    /// their id with weight `0` and no incidences; tombstoned hyperedges
-    /// keep their id with an empty pin list (legal in the CSR — they can
-    /// never be cut).
-    pub fn to_hypergraph(&self) -> Hypergraph {
-        let mut b = HypergraphBuilder::with_capacity(self.vertex_weights.len(), self.pins.len());
-        b.name(self.name.clone());
-        for (pins, &w) in self.pins.iter().zip(&self.edge_weights) {
-            b.add_weighted_hyperedge(pins.iter().copied(), w);
-        }
-        for (v, &w) in self.vertex_weights.iter().enumerate() {
-            if w != 1.0 {
-                b.set_vertex_weight(v as VertexId, w);
-            }
-        }
-        b.build()
-    }
-
-    /// Brings `snapshot` — the CSR of this hypergraph at an earlier
-    /// state — up to date without rebuilding it: the current pin lists of
-    /// `edges` and incidence lists and weights of `vertices` are spliced
-    /// into its flat arrays, and the ids appended since are added.
-    /// `vertices` and `edges` must be sorted and distinct and name every
-    /// earlier id whose list or weight changed since; naming an unchanged
-    /// id is harmless. The result equals
-    /// [`MutableHypergraph::to_hypergraph`].
-    pub fn refresh_snapshot(
-        &self,
-        snapshot: &mut Hypergraph,
-        vertices: &[VertexId],
-        edges: &[HyperedgeId],
-    ) {
-        snapshot.splice(
-            edges,
-            vertices,
-            &self.pins,
-            &self.incidence,
-            &self.vertex_weights,
-            &self.edge_weights,
-        );
-    }
-
-    /// Reassembles the mutable form from a CSR snapshot (as produced by
-    /// [`MutableHypergraph::to_hypergraph`]) plus the liveness flags of
-    /// the instance that wrote it — the persistence path of the dynamic
-    /// journal. Tombstone invariants are validated: a dead vertex must
-    /// have weight `0` and no incidences, a dead hyperedge must have an
-    /// empty pin list. On success the result is equal (`PartialEq`) to
-    /// the instance the snapshot and flags were taken from.
+    /// Reassembles the graph from a CSR snapshot plus the liveness flags
+    /// of the instance that wrote it — the persistence path of the
+    /// dynamic journal. The tombstone invariants are checked (see
+    /// [`MutableHypergraph::validate`]); on success the result is equal
+    /// (`PartialEq`) to the instance the snapshot and flags were taken
+    /// from.
     pub fn from_snapshot(
-        hg: &Hypergraph,
-        vertex_alive: &[bool],
-        edge_alive: &[bool],
+        hg: Hypergraph,
+        vertex_alive: Vec<bool>,
+        edge_alive: Vec<bool>,
     ) -> Result<Self, String> {
-        if vertex_alive.len() != hg.num_vertices() {
+        let live_vertices = vertex_alive.iter().filter(|&&a| a).count();
+        let graph = Self {
+            hg,
+            vertex_alive,
+            edge_alive,
+            live_vertices,
+        };
+        graph.validate()?;
+        Ok(graph)
+    }
+
+    /// Checks the tombstone invariants: one flag per id, a dead vertex
+    /// has weight `0` and no incidences, a dead hyperedge has no pins,
+    /// and the kept live-vertex count equals the flags'. Returns a
+    /// description of the first violation.
+    pub fn validate(&self) -> Result<(), String> {
+        let hg = &self.hg;
+        let (n, m) = (hg.num_vertices(), hg.num_hyperedges());
+        if self.vertex_alive.len() != n || self.edge_alive.len() != m {
             return Err(format!(
-                "vertex liveness covers {} ids but the snapshot has {}",
-                vertex_alive.len(),
-                hg.num_vertices()
+                "liveness covers {} vertex and {} hyperedge ids but the snapshot has {n} and {m}",
+                self.vertex_alive.len(),
+                self.edge_alive.len()
             ));
         }
-        if edge_alive.len() != hg.num_hyperedges() {
+        let dead_vertex = hg.vertices().find(|&v| {
+            !self.vertex_alive[v as usize] && (hg.vertex_weight(v) != 0.0 || hg.degree(v) > 0)
+        });
+        if let Some(v) = dead_vertex {
             return Err(format!(
-                "hyperedge liveness covers {} ids but the snapshot has {}",
-                edge_alive.len(),
-                hg.num_hyperedges()
+                "tombstoned vertex {v} still carries weight or pins"
             ));
         }
-        for (v, &alive) in vertex_alive.iter().enumerate() {
-            let v = v as VertexId;
-            if !alive && (hg.vertex_weight(v) != 0.0 || !hg.incident_edges(v).is_empty()) {
-                return Err(format!(
-                    "tombstoned vertex {v} still carries weight or pins"
-                ));
-            }
+        let dead_edge = hg
+            .hyperedges()
+            .find(|&e| !self.edge_alive[e as usize] && hg.cardinality(e) > 0);
+        if let Some(e) = dead_edge {
+            return Err(format!("tombstoned hyperedge {e} still has pins"));
         }
-        for (e, &alive) in edge_alive.iter().enumerate() {
-            let e = e as HyperedgeId;
-            if !alive && !hg.pins(e).is_empty() {
-                return Err(format!("tombstoned hyperedge {e} still has pins"));
-            }
+        let live = self.vertex_alive.iter().filter(|&&a| a).count();
+        if live != self.live_vertices {
+            let kept = self.live_vertices;
+            return Err(format!(
+                "{kept} live vertices kept but the flags count {live}"
+            ));
         }
-        let mut m = Self::from_hypergraph(hg);
-        m.vertex_alive.copy_from_slice(vertex_alive);
-        m.edge_alive.copy_from_slice(edge_alive);
-        Ok(m)
+        Ok(())
+    }
+
+    /// The CSR hypergraph (tombstones included as weight-0 / empty-pin
+    /// ids).
+    pub fn hypergraph(&self) -> &Hypergraph {
+        &self.hg
     }
 
     /// Per-id vertex liveness flags (index = vertex id), for persistence.
@@ -194,19 +164,9 @@ impl MutableHypergraph {
         &self.edge_alive
     }
 
-    /// Number of vertex ids (live and tombstoned).
-    pub fn num_vertices(&self) -> usize {
-        self.vertex_weights.len()
-    }
-
-    /// Number of hyperedge ids (live and tombstoned).
-    pub fn num_hyperedges(&self) -> usize {
-        self.pins.len()
-    }
-
-    /// Number of live (non-tombstoned) vertices.
+    /// Number of live (non-tombstoned) vertices, in O(1).
     pub fn num_live_vertices(&self) -> usize {
-        self.vertex_alive.iter().filter(|&&a| a).count()
+        self.live_vertices
     }
 
     /// Whether `v` exists and is live.
@@ -214,59 +174,89 @@ impl MutableHypergraph {
         self.vertex_alive.get(v as usize).copied().unwrap_or(false)
     }
 
-    /// Whether `e` exists and is live.
-    pub fn is_hyperedge_alive(&self, e: HyperedgeId) -> bool {
-        self.edge_alive.get(e as usize).copied().unwrap_or(false)
+    /// Starts a batch of edits. The graph stays as it is until the edit
+    /// is committed.
+    pub fn edit(&mut self) -> HypergraphEdit<'_> {
+        HypergraphEdit {
+            graph: self,
+            pins: BTreeMap::new(),
+            incidence: BTreeMap::new(),
+            vertex_weights: Vec::new(),
+            edge_weights: Vec::new(),
+            dead_vertices: BTreeSet::new(),
+            dead_edges: BTreeSet::new(),
+        }
+    }
+}
+
+/// A batch of edits over a [`MutableHypergraph`]: reads see the graph as
+/// the edits so far leave it, while the graph itself is unchanged until
+/// [`HypergraphEdit::commit`]. Only the lists an edit touches are copied
+/// out of the CSR.
+#[derive(Debug)]
+pub struct HypergraphEdit<'g> {
+    graph: &'g mut MutableHypergraph,
+    /// The edited pin lists by hyperedge id, appended hyperedges included.
+    pins: BTreeMap<HyperedgeId, Vec<VertexId>>,
+    /// The edited incidence lists by vertex id, appended vertices
+    /// included.
+    incidence: BTreeMap<VertexId, Vec<HyperedgeId>>,
+    /// Weights of the appended vertices and hyperedges.
+    vertex_weights: Vec<f64>,
+    edge_weights: Vec<f64>,
+    /// The ids this edit tombstoned.
+    dead_vertices: BTreeSet<VertexId>,
+    dead_edges: BTreeSet<HyperedgeId>,
+}
+
+impl HypergraphEdit<'_> {
+    /// The CSR as it was before this edit.
+    pub fn base(&self) -> &Hypergraph {
+        &self.graph.hg
     }
 
-    /// Weight of vertex `v` (`0` once tombstoned).
-    pub fn vertex_weight(&self, v: VertexId) -> f64 {
-        self.vertex_weights[v as usize]
+    /// Number of vertex ids, appended ones included.
+    pub fn num_vertices(&self) -> usize {
+        self.graph.hg.num_vertices() + self.vertex_weights.len()
     }
 
-    /// Weight of hyperedge `e`.
-    pub fn edge_weight(&self, e: HyperedgeId) -> f64 {
-        self.edge_weights[e as usize]
+    /// Number of hyperedge ids, appended ones included.
+    pub fn num_hyperedges(&self) -> usize {
+        self.graph.hg.num_hyperedges() + self.edge_weights.len()
     }
 
-    /// The sorted distinct pins of hyperedge `e` (empty once tombstoned).
+    /// The sorted distinct pins of hyperedge `e` as edited so far.
     pub fn pins(&self, e: HyperedgeId) -> &[VertexId] {
-        &self.pins[e as usize]
+        self.pins
+            .get(&e)
+            .map_or_else(|| self.graph.hg.pins(e), Vec::as_slice)
     }
 
-    /// The sorted incident hyperedges of vertex `v` (empty once
-    /// tombstoned).
+    /// The sorted incident hyperedges of vertex `v` as edited so far.
     pub fn incident_edges(&self, v: VertexId) -> &[HyperedgeId] {
-        &self.incidence[v as usize]
+        self.incidence
+            .get(&v)
+            .map_or_else(|| self.graph.hg.incident_edges(v), Vec::as_slice)
     }
 
     /// Appends a new vertex and returns its id.
     pub fn add_vertex(&mut self, weight: f64) -> VertexId {
-        let v = self.vertex_weights.len() as VertexId;
+        let v = self.num_vertices() as VertexId;
         self.vertex_weights.push(weight);
-        self.vertex_alive.push(true);
-        self.incidence.push(Vec::new());
+        self.incidence.insert(v, Vec::new());
         v
     }
 
     /// Tombstones vertex `v`: strips it from every incident hyperedge and
     /// zeroes its weight. Idempotent on an already-dead vertex.
     pub fn remove_vertex(&mut self, v: VertexId) -> Result<(), MutationError> {
-        let i = v as usize;
-        if i >= self.vertex_weights.len() {
-            return Err(MutationError::UnknownVertex(v));
-        }
-        if !self.vertex_alive[i] {
+        if !self.vertex_alive(v)? {
             return Ok(());
         }
-        for e in std::mem::take(&mut self.incidence[i]) {
-            let pins = &mut self.pins[e as usize];
-            if let Ok(pos) = pins.binary_search(&v) {
-                pins.remove(pos);
-            }
+        for e in std::mem::take(self.incidence_mut(v)) {
+            self.pins_mut(e).retain(|&u| u != v);
         }
-        self.vertex_alive[i] = false;
-        self.vertex_weights[i] = 0.0;
+        self.dead_vertices.insert(v);
         Ok(())
     }
 
@@ -280,141 +270,184 @@ impl MutableHypergraph {
         pins.sort_unstable();
         pins.dedup();
         for &v in &pins {
-            self.check_live_vertex(v)?;
+            self.live_vertex(v)?;
         }
-        let e = self.pins.len() as HyperedgeId;
+        let e = self.num_hyperedges() as HyperedgeId;
         for &v in &pins {
-            self.incidence[v as usize].push(e); // e is the max id: stays sorted
+            self.incidence_mut(v).push(e); // e is the max id: stays sorted
         }
-        self.pins.push(pins);
+        self.pins.insert(e, pins);
         self.edge_weights.push(weight);
-        self.edge_alive.push(true);
         Ok(e)
     }
 
     /// Tombstones hyperedge `e`: its pin list empties and it disappears
     /// from every pin's incidence. Idempotent on an already-dead edge.
     pub fn remove_hyperedge(&mut self, e: HyperedgeId) -> Result<(), MutationError> {
-        let i = e as usize;
-        if i >= self.pins.len() {
-            return Err(MutationError::UnknownHyperedge(e));
-        }
-        if !self.edge_alive[i] {
+        if !self.edge_alive(e)? {
             return Ok(());
         }
-        for v in std::mem::take(&mut self.pins[i]) {
-            let inc = &mut self.incidence[v as usize];
-            if let Ok(pos) = inc.binary_search(&e) {
-                inc.remove(pos);
-            }
+        for v in std::mem::take(self.pins_mut(e)) {
+            self.incidence_mut(v).retain(|&f| f != e);
         }
-        self.edge_alive[i] = false;
+        self.dead_edges.insert(e);
         Ok(())
     }
 
     /// Adds live vertex `v` as a pin of live hyperedge `e`. Returns `false`
     /// when the pin was already present.
     pub fn add_pin(&mut self, e: HyperedgeId, v: VertexId) -> Result<bool, MutationError> {
-        self.check_live_edge(e)?;
-        self.check_live_vertex(v)?;
-        let pins = &mut self.pins[e as usize];
-        match pins.binary_search(&v) {
-            Ok(_) => Ok(false),
-            Err(pos) => {
-                pins.insert(pos, v);
-                let inc = &mut self.incidence[v as usize];
-                if let Err(ipos) = inc.binary_search(&e) {
-                    inc.insert(ipos, e);
-                }
-                Ok(true)
-            }
+        self.live_edge(e)?;
+        self.live_vertex(v)?;
+        let Err(pos) = self.pins(e).binary_search(&v) else {
+            return Ok(false);
+        };
+        self.pins_mut(e).insert(pos, v);
+        let inc = self.incidence_mut(v);
+        if let Err(ipos) = inc.binary_search(&e) {
+            inc.insert(ipos, e);
         }
+        Ok(true)
     }
 
     /// Removes vertex `v` from the pins of live hyperedge `e`. Returns
     /// `false` when the pin was not present.
     pub fn remove_pin(&mut self, e: HyperedgeId, v: VertexId) -> Result<bool, MutationError> {
-        self.check_live_edge(e)?;
-        if v as usize >= self.vertex_weights.len() {
-            return Err(MutationError::UnknownVertex(v));
-        }
-        let pins = &mut self.pins[e as usize];
-        match pins.binary_search(&v) {
-            Err(_) => Ok(false),
-            Ok(pos) => {
-                pins.remove(pos);
-                let inc = &mut self.incidence[v as usize];
-                if let Ok(ipos) = inc.binary_search(&e) {
-                    inc.remove(ipos);
-                }
-                Ok(true)
-            }
-        }
+        self.live_edge(e)?;
+        self.vertex_alive(v)?; // a dead vertex is no pin: nothing to remove
+        let Ok(pos) = self.pins(e).binary_search(&v) else {
+            return Ok(false);
+        };
+        self.pins_mut(e).remove(pos);
+        self.incidence_mut(v).retain(|&f| f != e);
+        Ok(true)
     }
 
-    fn check_live_vertex(&self, v: VertexId) -> Result<(), MutationError> {
-        match self.vertex_alive.get(v as usize) {
-            None => Err(MutationError::UnknownVertex(v)),
-            Some(false) => Err(MutationError::DeadVertex(v)),
-            Some(true) => Ok(()),
+    /// Writes the edits into the graph: one splice of the edited lists
+    /// into the CSR, then the liveness flags and the live-vertex count.
+    pub fn commit(self) {
+        let graph = self.graph;
+        let appended =
+            (graph.hg.num_vertices() as VertexId..).zip(self.vertex_weights.iter().copied());
+        let tombstoned = self.dead_vertices.iter().map(|&v| (v, 0.0));
+        graph.hg.splice(
+            &self.pins,
+            &self.incidence,
+            appended.chain(tombstoned),
+            &self.edge_weights,
+        );
+        graph.vertex_alive.resize(graph.hg.num_vertices(), true);
+        graph.edge_alive.resize(graph.hg.num_hyperedges(), true);
+        for &v in &self.dead_vertices {
+            graph.vertex_alive[v as usize] = false;
         }
+        for &e in &self.dead_edges {
+            graph.edge_alive[e as usize] = false;
+        }
+        graph.live_vertices += self.vertex_weights.len();
+        graph.live_vertices -= self.dead_vertices.len();
     }
 
-    fn check_live_edge(&self, e: HyperedgeId) -> Result<(), MutationError> {
-        match self.edge_alive.get(e as usize) {
-            None => Err(MutationError::UnknownHyperedge(e)),
-            Some(false) => Err(MutationError::DeadHyperedge(e)),
-            Some(true) => Ok(()),
-        }
+    /// Whether known vertex `v` is live as edited so far.
+    fn vertex_alive(&self, v: VertexId) -> Result<bool, MutationError> {
+        let known = (v as usize) < self.num_vertices();
+        let flag = self.graph.vertex_alive.get(v as usize);
+        known
+            .then(|| flag != Some(&false) && !self.dead_vertices.contains(&v))
+            .ok_or(MutationError::UnknownVertex(v))
+    }
+
+    /// Whether known hyperedge `e` is live as edited so far.
+    fn edge_alive(&self, e: HyperedgeId) -> Result<bool, MutationError> {
+        let known = (e as usize) < self.num_hyperedges();
+        let flag = self.graph.edge_alive.get(e as usize);
+        known
+            .then(|| flag != Some(&false) && !self.dead_edges.contains(&e))
+            .ok_or(MutationError::UnknownHyperedge(e))
+    }
+
+    fn live_vertex(&self, v: VertexId) -> Result<(), MutationError> {
+        let alive = self.vertex_alive(v)?;
+        alive.then_some(()).ok_or(MutationError::DeadVertex(v))
+    }
+
+    fn live_edge(&self, e: HyperedgeId) -> Result<(), MutationError> {
+        let alive = self.edge_alive(e)?;
+        alive.then_some(()).ok_or(MutationError::DeadHyperedge(e))
+    }
+
+    /// The pin list of `e` for writing, copied from the CSR on first use.
+    fn pins_mut(&mut self, e: HyperedgeId) -> &mut Vec<VertexId> {
+        let hg = &self.graph.hg;
+        self.pins.entry(e).or_insert_with(|| hg.pins(e).to_vec())
+    }
+
+    /// The incidence list of `v` for writing, copied from the CSR on
+    /// first use.
+    fn incidence_mut(&mut self, v: VertexId) -> &mut Vec<HyperedgeId> {
+        let hg = &self.graph.hg;
+        let list = || hg.incident_edges(v).to_vec();
+        self.incidence.entry(v).or_insert_with(list)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HypergraphBuilder;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample() -> MutableHypergraph {
         let mut b = HypergraphBuilder::new(5);
         b.add_hyperedge([0u32, 1, 2]);
         b.add_hyperedge([2u32, 3, 4]);
-        MutableHypergraph::from_hypergraph(&b.build())
+        MutableHypergraph::new(b.build())
     }
 
     #[test]
-    fn round_trips_through_the_csr_unchanged() {
+    fn an_empty_edit_commits_the_csr_unchanged() {
         let mut b = HypergraphBuilder::new(4);
         b.add_weighted_hyperedge([0u32, 1], 2.0);
         b.add_hyperedge([1u32, 2, 3]);
         b.set_vertex_weight(3, 5.0);
         let hg = b.build();
-        let m = MutableHypergraph::from_hypergraph(&hg);
-        assert_eq!(m.to_hypergraph(), hg);
+        let mut m = MutableHypergraph::new(hg.clone());
+        m.edit().commit();
+        assert_eq!(m.hypergraph(), &hg);
+        assert_eq!(m, MutableHypergraph::new(hg));
     }
 
     #[test]
     fn vertex_removal_strips_pins_and_keeps_the_id_space() {
         let mut m = sample();
-        m.remove_vertex(2).unwrap();
-        assert!(!m.is_vertex_alive(2));
-        assert_eq!(m.pins(0), &[0, 1]);
-        assert_eq!(m.pins(1), &[3, 4]);
-        assert_eq!(m.incident_edges(2), &[] as &[HyperedgeId]);
+        let mut edit = m.edit();
+        edit.remove_vertex(2).unwrap();
+        assert_eq!(edit.pins(0), &[0, 1]);
+        assert_eq!(edit.pins(1), &[3, 4]);
+        assert_eq!(edit.incident_edges(2), &[] as &[HyperedgeId]);
         // Idempotent.
-        m.remove_vertex(2).unwrap();
-        let hg = m.to_hypergraph();
+        edit.remove_vertex(2).unwrap();
+        edit.commit();
+        assert!(!m.is_vertex_alive(2));
+        assert_eq!(m.num_live_vertices(), 4);
+        let hg = m.hypergraph();
         assert_eq!(hg.num_vertices(), 5);
         assert_eq!(hg.vertex_weight(2), 0.0);
         hg.validate().unwrap();
+        m.validate().unwrap();
     }
 
     #[test]
     fn edge_removal_empties_the_pin_list() {
         let mut m = sample();
-        m.remove_hyperedge(0).unwrap();
-        assert!(!m.is_hyperedge_alive(0));
-        assert_eq!(m.pins(0), &[] as &[VertexId]);
-        assert_eq!(m.incident_edges(2), &[1]);
-        let hg = m.to_hypergraph();
+        let mut edit = m.edit();
+        edit.remove_hyperedge(0).unwrap();
+        assert_eq!(edit.pins(0), &[] as &[VertexId]);
+        assert_eq!(edit.incident_edges(2), &[1]);
+        edit.commit();
+        assert_eq!(m.edge_alive_flags(), &[false, true]);
+        let hg = m.hypergraph();
         assert_eq!(hg.num_hyperedges(), 2);
         assert_eq!(hg.cardinality(0), 0);
         hg.validate().unwrap();
@@ -423,41 +456,47 @@ mod tests {
     #[test]
     fn pins_insert_sorted_and_are_idempotent() {
         let mut m = sample();
-        assert!(m.add_pin(0, 4).unwrap());
-        assert!(!m.add_pin(0, 4).unwrap());
-        assert_eq!(m.pins(0), &[0, 1, 2, 4]);
-        assert_eq!(m.incident_edges(4), &[0, 1]);
-        assert!(m.remove_pin(0, 4).unwrap());
-        assert!(!m.remove_pin(0, 4).unwrap());
-        assert_eq!(m.pins(0), &[0, 1, 2]);
+        let mut edit = m.edit();
+        assert!(edit.add_pin(0, 4).unwrap());
+        assert!(!edit.add_pin(0, 4).unwrap());
+        assert_eq!(edit.pins(0), &[0, 1, 2, 4]);
+        assert_eq!(edit.incident_edges(4), &[0, 1]);
+        assert!(edit.remove_pin(0, 4).unwrap());
+        assert!(!edit.remove_pin(0, 4).unwrap());
+        assert_eq!(edit.pins(0), &[0, 1, 2]);
     }
 
     #[test]
     fn appended_vertices_and_edges_get_fresh_ids() {
         let mut m = sample();
-        let v = m.add_vertex(2.5);
+        let mut edit = m.edit();
+        let v = edit.add_vertex(2.5);
         assert_eq!(v, 5);
-        let e = m.add_hyperedge([0, v], 1.0).unwrap();
+        let e = edit.add_hyperedge([0, v], 1.0).unwrap();
         assert_eq!(e, 2);
-        assert_eq!(m.incident_edges(v), &[2]);
-        let hg = m.to_hypergraph();
+        assert_eq!(edit.incident_edges(v), &[2]);
+        edit.commit();
+        let hg = m.hypergraph();
         assert_eq!(hg.num_vertices(), 6);
         assert_eq!(hg.vertex_weight(5), 2.5);
         assert_eq!(hg.pins(2), &[0, 5]);
         hg.validate().unwrap();
+        assert_eq!(m.num_live_vertices(), 6);
     }
 
     #[test]
     fn snapshot_plus_liveness_flags_round_trips_tombstones() {
         let mut m = sample();
-        m.remove_vertex(1).unwrap();
-        m.remove_hyperedge(1).unwrap();
-        let v = m.add_vertex(2.5);
-        m.add_hyperedge([0, v], 3.0).unwrap();
+        let mut edit = m.edit();
+        edit.remove_vertex(1).unwrap();
+        edit.remove_hyperedge(1).unwrap();
+        let v = edit.add_vertex(2.5);
+        edit.add_hyperedge([0, v], 3.0).unwrap();
+        edit.commit();
         let rebuilt = MutableHypergraph::from_snapshot(
-            &m.to_hypergraph(),
-            m.vertex_alive_flags(),
-            m.edge_alive_flags(),
+            m.hypergraph().clone(),
+            m.vertex_alive_flags().to_vec(),
+            m.edge_alive_flags().to_vec(),
         )
         .unwrap();
         assert_eq!(rebuilt, m);
@@ -467,58 +506,163 @@ mod tests {
         let mut flags = live.vertex_alive_flags().to_vec();
         flags[0] = false;
         let err = MutableHypergraph::from_snapshot(
-            &live.to_hypergraph(),
-            &flags,
-            live.edge_alive_flags(),
+            live.hypergraph().clone(),
+            flags,
+            live.edge_alive_flags().to_vec(),
         )
         .unwrap_err();
         assert!(err.contains("tombstoned vertex 0"), "{err}");
         // Length mismatches are rejected too.
         assert!(MutableHypergraph::from_snapshot(
-            &live.to_hypergraph(),
-            &[],
-            live.edge_alive_flags()
+            live.hypergraph().clone(),
+            Vec::new(),
+            live.edge_alive_flags().to_vec()
         )
         .is_err());
     }
 
-    #[test]
-    fn refreshed_snapshots_equal_a_rebuild() {
-        let mut m = sample();
-        let mut snapshot = m.to_hypergraph();
-        // Edge 0 shrinks, edge 1 grows, vertex 1 dies, two vertices and an
-        // edge are appended.
-        m.remove_vertex(1).unwrap();
-        m.add_pin(1, 0).unwrap();
-        let v = m.add_vertex(2.0);
-        let w = m.add_vertex(1.0);
-        m.add_hyperedge([v, 3, w], 0.5).unwrap();
-        m.refresh_snapshot(&mut snapshot, &[0, 1, 3, v, w], &[0, 1]);
-        assert_eq!(snapshot, m.to_hypergraph());
+    /// A plain model of the graph: pin lists and weights, rebuilt through
+    /// [`HypergraphBuilder`].
+    struct Model {
+        vertex_weights: Vec<f64>,
+        vertex_alive: Vec<bool>,
+        edges: Vec<(Vec<VertexId>, f64)>,
+        edge_alive: Vec<bool>,
+    }
 
-        // Growth at the front and shrinkage at the back in one batch.
-        m.add_pin(0, 4).unwrap();
-        m.remove_hyperedge(2).unwrap();
-        m.refresh_snapshot(&mut snapshot, &[0, 3, 4, v, w], &[0, 2]);
-        assert_eq!(snapshot, m.to_hypergraph());
-        snapshot.validate().unwrap();
+    impl Model {
+        fn build(&self) -> Hypergraph {
+            let mut b = HypergraphBuilder::new(self.vertex_weights.len());
+            for (pins, w) in &self.edges {
+                b.add_weighted_hyperedge(pins.iter().copied(), *w);
+            }
+            for (v, &w) in self.vertex_weights.iter().enumerate() {
+                b.set_vertex_weight(v as VertexId, w);
+            }
+            b.build()
+        }
+
+        fn live(&self, rng: &mut StdRng) -> VertexId {
+            loop {
+                let v = rng.gen_range(0..self.vertex_alive.len());
+                if self.vertex_alive[v] {
+                    return v as VertexId;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn committed_edits_over_random_batches_equal_a_builder_rebuild() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut model = Model {
+            vertex_weights: vec![1.0; 12],
+            vertex_alive: vec![true; 12],
+            edges: (0..8u32)
+                .map(|e| (vec![e, e + 2, e + 4], 1.0 + f64::from(e)))
+                .collect(),
+            edge_alive: vec![true; 8],
+        };
+        let mut m = MutableHypergraph::new(model.build());
+        for _ in 0..60 {
+            let mut edit = m.edit();
+            for _ in 0..rng.gen_range(1..6) {
+                let e = rng.gen_range(0..model.edges.len());
+                let v = model.live(&mut rng);
+                match rng.gen_range(0..6) {
+                    0 => {
+                        let w = rng.gen_range(1.0..3.0);
+                        edit.add_vertex(w);
+                        model.vertex_weights.push(w);
+                        model.vertex_alive.push(true);
+                    }
+                    1 if model.vertex_alive.iter().filter(|&&a| a).count() > 3 => {
+                        edit.remove_vertex(v).unwrap();
+                        model.vertex_alive[v as usize] = false;
+                        model.vertex_weights[v as usize] = 0.0;
+                        model
+                            .edges
+                            .iter_mut()
+                            .for_each(|(p, _)| p.retain(|&u| u != v));
+                    }
+                    2 => {
+                        let pins = vec![v, model.live(&mut rng)];
+                        edit.add_hyperedge(pins.iter().copied(), 0.5).unwrap();
+                        model.edges.push((pins, 0.5));
+                        model.edge_alive.push(true);
+                    }
+                    3 => {
+                        edit.remove_hyperedge(e as HyperedgeId).unwrap();
+                        model.edges[e].0.clear();
+                        model.edge_alive[e] = false;
+                    }
+                    4 if model.edge_alive[e] => {
+                        edit.add_pin(e as HyperedgeId, v).unwrap();
+                        model.edges[e].0.push(v);
+                    }
+                    _ if model.edge_alive[e] => {
+                        edit.remove_pin(e as HyperedgeId, v).unwrap();
+                        model.edges[e].0.retain(|&u| u != v);
+                    }
+                    _ => {}
+                }
+            }
+            edit.commit();
+            assert_eq!(m.hypergraph(), &model.build());
+            m.validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_dropped_edit_leaves_the_graph_bit_identical() {
+        let mut m = sample();
+        let mut edit = m.edit();
+        edit.remove_vertex(3).unwrap();
+        edit.commit();
+        let before = m.clone();
+        let mut edit = m.edit();
+        let v = edit.add_vertex(4.0);
+        let e = edit.add_hyperedge([0, 1, v], 2.0).unwrap();
+        assert!(edit.add_pin(0, 4).unwrap());
+        assert!(edit.add_pin(e, 2).unwrap());
+        assert_eq!(edit.pins(0), &[0, 1, 2, 4]);
+        drop(edit);
+        assert_eq!(m, before);
+        assert_eq!(m.vertex_alive_flags(), before.vertex_alive_flags());
+        assert_eq!(m.edge_alive_flags(), before.edge_alive_flags());
+        let hg = m.hypergraph();
+        assert_eq!(
+            (
+                hg.num_vertices(),
+                hg.num_hyperedges(),
+                m.num_live_vertices()
+            ),
+            (5, 2, 4)
+        );
     }
 
     #[test]
     fn dead_references_are_rejected_without_mutation() {
         let mut m = sample();
-        m.remove_vertex(1).unwrap();
-        assert_eq!(m.add_pin(0, 1), Err(MutationError::DeadVertex(1)));
+        let mut edit = m.edit();
+        edit.remove_vertex(1).unwrap();
+        assert_eq!(edit.add_pin(0, 1), Err(MutationError::DeadVertex(1)));
         assert_eq!(
-            m.add_hyperedge([0, 1], 1.0),
+            edit.add_hyperedge([0, 1], 1.0),
             Err(MutationError::DeadVertex(1))
         );
-        m.remove_hyperedge(1).unwrap();
-        assert_eq!(m.add_pin(1, 0), Err(MutationError::DeadHyperedge(1)));
-        assert_eq!(m.remove_pin(1, 0), Err(MutationError::DeadHyperedge(1)));
-        assert_eq!(m.add_pin(9, 0), Err(MutationError::UnknownHyperedge(9)));
-        assert_eq!(m.remove_vertex(9), Err(MutationError::UnknownVertex(9)));
+        edit.remove_hyperedge(1).unwrap();
+        assert_eq!(edit.add_pin(1, 0), Err(MutationError::DeadHyperedge(1)));
+        assert_eq!(edit.remove_pin(1, 0), Err(MutationError::DeadHyperedge(1)));
+        assert_eq!(edit.add_pin(9, 0), Err(MutationError::UnknownHyperedge(9)));
+        assert_eq!(edit.remove_vertex(9), Err(MutationError::UnknownVertex(9)));
         // Failed mutations left the live parts intact.
-        assert_eq!(m.pins(0), &[0, 2]);
+        assert_eq!(edit.pins(0), &[0, 2]);
+        edit.commit();
+        // The same rules hold for ids tombstoned by an earlier commit.
+        let mut edit = m.edit();
+        assert_eq!(edit.add_pin(0, 1), Err(MutationError::DeadVertex(1)));
+        assert_eq!(edit.remove_pin(1, 0), Err(MutationError::DeadHyperedge(1)));
+        assert_eq!(edit.remove_vertex(1), Ok(()));
     }
 }

@@ -238,14 +238,7 @@ impl Partition {
     /// solution when this is `<= imbalance_tolerance` (e.g. 1.1).
     /// Returns 0.0 for an empty hypergraph.
     pub fn imbalance(&self, hg: &Hypergraph) -> Result<f64, PartitionError> {
-        let loads = self.part_loads(hg)?;
-        let total: f64 = loads.iter().sum();
-        if total == 0.0 {
-            return Ok(0.0);
-        }
-        let avg = total / self.num_parts as f64;
-        let max = loads.iter().cloned().fold(f64::MIN, f64::max);
-        Ok(max / avg)
+        Ok(load_imbalance(&self.part_loads(hg)?))
     }
 
     /// Lists the vertices of each partition (index = partition id).
@@ -261,6 +254,17 @@ impl Partition {
     pub fn used_parts(&self) -> usize {
         self.part_sizes().iter().filter(|&&s| s > 0).count()
     }
+}
+
+/// The paper's total imbalance of per-part loads,
+/// `max_k W(k) / (Σ_k W(k) / p)`, or `0.0` when every load is zero.
+pub fn load_imbalance(loads: &[f64]) -> f64 {
+    let total: f64 = loads.iter().sum();
+    if total == 0.0 {
+        return 0.0;
+    }
+    let avg = total / loads.len() as f64;
+    loads.iter().cloned().fold(f64::MIN, f64::max) / avg
 }
 
 impl fmt::Display for Partition {
